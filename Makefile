@@ -30,14 +30,19 @@ test:
 # TestAppendConcurrentReads, TestIncrementalReplayEquivalence,
 # TestConcurrentRegistry, TestFollowScrapeRace, and
 # TestSnapshotSwapConsistency; internal/core covers the arena and
-# slice-set deployment code on every parallel path). The root run pins
-# warm-restart byte-identity across every WAL fault class under -race.
+# slice-set deployment code on every parallel path; internal/scanner's
+# TestReaderRecordsFeedTwoDatasets drives two datasets' parallel ingest
+# phases over one CSV reader's shared certificates and ports arrays). The
+# root run pins warm-restart byte-identity across every WAL fault class
+# under -race.
 race:
 	$(GO) test -race ./internal/core ./internal/scanner ./internal/obsv ./internal/serve ./internal/wal ./internal/segment
 	$(GO) test -race -run TestWarmRestartBytesIdentical .
 
-# Ten seconds of coverage-guided fuzzing per parser: DNS names, zone-file
-# snapshots, certificate chains, and the JSON report round trip. Enough to
+# Ten seconds of coverage-guided fuzzing per parser: DNS names (also the
+# IsCanonical differential), zone-file snapshots, certificate chains, the
+# JSON report round trip, WAL and segment replay, and scans.csv rows
+# (memoized reader against the reference ParseScanRow). Enough to
 # catch a freshly introduced data-shaped panic without stalling CI; run
 # `go test -fuzz=<target> ./internal/<pkg>` open-endedly when hunting.
 fuzz-smoke:
@@ -47,15 +52,18 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzReportJSONRoundTrip -fuzztime=10s ./internal/report
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentReplay -fuzztime=10s ./internal/segment
+	$(GO) test -run='^$$' -fuzz=FuzzScanCSVRow -fuzztime=10s ./internal/scanner
 
 # The incremental-engine benchmarks: append+cached-rerun vs full rerun
 # (the headline >=10x), certificate-fingerprint memoization, the
-# allocation cost of bulk scan ingest, paper-shaped sharded ingest and
-# classification over the synthetic corpus (shard counts 1/4/8, plus the
-# interning on/off retained-heap comparison), and the serving layer's
-# query latency (cold render vs LRU hit).
+# allocation cost of bulk scan ingest, the scans.csv reader (rows/s and
+# allocs/row), paper-shaped sharded ingest and classification over the
+# synthetic corpus (shard counts 1/4/8 — the benchmark itself fails if
+# shards=8 runs over 1.25x shards=1 — plus the interning on/off
+# retained-heap comparison), and the serving layer's query latency (cold
+# render vs LRU hit).
 bench:
-	$(GO) test -bench='BenchmarkIncrementalAppend|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkIngestShards|BenchmarkIngestIntern|BenchmarkSynthClassify|BenchmarkServeQuery|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=3 -run='^$$' .
+	$(GO) test -bench='BenchmarkIncrementalAppend|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkScanCSVNext|BenchmarkIngestShards|BenchmarkIngestIntern|BenchmarkSynthClassify|BenchmarkServeQuery|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=3 -run='^$$' .
 
 # Every benchmark in the harness (tables, figures, scale sweeps, ablations).
 bench-all:
@@ -68,7 +76,7 @@ BENCHDIR ?= /tmp/retrodns-bench
 bench-report:
 	mkdir -p $(BENCHDIR)
 	$(GO) run ./cmd/retrodns -stable 80 -seed 1 -report-json $(BENCHDIR)/run-report.json 2>/dev/null >/dev/null
-	$(GO) test -bench='BenchmarkIncrementalAppend$$|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkIngestShards|BenchmarkSynthClassify|BenchmarkDeploymentAnyIP|BenchmarkServeQuery|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=1 -run='^$$' . | tee $(BENCHDIR)/bench.txt
+	$(GO) test -bench='BenchmarkIncrementalAppend$$|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkScanCSVNext|BenchmarkIngestShards|BenchmarkSynthClassify|BenchmarkDeploymentAnyIP|BenchmarkServeQuery|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=1 -run='^$$' . | tee $(BENCHDIR)/bench.txt
 
 # Fail on funnel drift or a >20% perf regression against the committed
 # baseline (see cmd/benchdiff).

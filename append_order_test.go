@@ -16,7 +16,10 @@ import (
 // The same study is ingested in date order, reversed, and under seeded
 // shuffles — with and without a ClassifyCache (the shuffled cached runs
 // drive the out-of-order merge and rebuild paths on every step) — and
-// every final JSON report must be byte-identical to the in-order one.
+// every final JSON report must be byte-identical to the in-order one. The
+// matrix runs over the scanner's own records and once more over the same
+// scans read back through one ScanCSV reader (see viaScanCSV), whose
+// records share certificates across scans however those are then ordered.
 func TestAppendOrderInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study replay")
@@ -33,7 +36,12 @@ func TestAppendOrderInvariance(t *testing.T) {
 	for i, d := range dates {
 		scans[i] = sc.ScanWeek(d)
 	}
+	t.Run("scanner records", func(t *testing.T) { appendOrderInvariance(t, w, scans) })
+	t.Run("csv-read records", func(t *testing.T) { appendOrderInvariance(t, w, viaScanCSV(t, scans)) })
+}
 
+func appendOrderInvariance(t *testing.T, w *world.World, scans [][]*scanner.Record) {
+	dates := w.ScanDates()
 	finalJSON := func(order []int, cached bool) []byte {
 		ds := scanner.NewDataset()
 		pipe := &core.Pipeline{

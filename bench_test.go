@@ -7,11 +7,13 @@
 package retrodns_bench
 
 import (
+	"bytes"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -721,12 +723,64 @@ var (
 	synthTotal   int
 )
 
+// scansCSV renders scans as one scans.csv, header included.
+func scansCSV(scans [][]*scanner.Record) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(strings.Join(scanner.ScanCSVHeader, ",") + "\n")
+	for _, scan := range scans {
+		for _, r := range scan {
+			buf.WriteString(strings.Join(scanner.FormatScanRow(r), ",") + "\n")
+		}
+	}
+	return buf.Bytes()
+}
+
+// BenchmarkScanCSVNext measures the scans.csv reader alone on the synth
+// corpus written out as CSV (20k domains x 4 scans): rows per second and
+// allocations per row, the two numbers the reader's memos and record slabs
+// exist to move. Three scans in four repeat an earlier scan's
+// certificates; the paper's corpus repeats far more.
+func BenchmarkScanCSVNext(b *testing.B) {
+	_, scans, total := synthScans(b)
+	csv := scansCSV(scans)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd := scanner.NewScanCSV(bytes.NewReader(csv))
+		rows := 0
+		for {
+			if _, err := rd.Next(); err != nil {
+				break
+			}
+			rows++
+		}
+		if rows != total {
+			b.Fatalf("read %d rows, want %d", rows, total)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(total*b.N)/b.Elapsed().Seconds(), "rows/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(total*b.N), "allocs/row")
+}
+
 // BenchmarkIngestShards measures paper-shaped bulk ingest (validate gate,
-// interning, shard fan-out, freeze) across shard counts. On a single-core
-// runner shard counts track per-shard utilization rather than speedup;
-// the shard-invariance tests pin all counts to identical output.
+// interning, routing, per-shard consume, freeze) across shard counts.
+// Routing is one pass whatever the count, so more shards must not cost
+// more: the benchmark fails if shards=8 runs over ingestShardsTolerance
+// times shards=1 (both on this machine, in this process). The
+// shard-invariance tests pin all counts to identical output.
 func BenchmarkIngestShards(b *testing.B) {
+	const ingestShardsTolerance = 1.25
 	dates, scans, total := synthScans(b)
+	perOp := map[int]float64{}
+	defer func() {
+		if one, eight := perOp[1], perOp[8]; one > 0 && eight > one*ingestShardsTolerance {
+			b.Errorf("shards=8 takes %.1f ms per ingest, shards=1 %.1f ms: over the %.2fx tolerance",
+				eight*1e3, one*1e3, ingestShardsTolerance)
+		}
+	}()
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			b.ReportAllocs()
@@ -740,6 +794,7 @@ func BenchmarkIngestShards(b *testing.B) {
 				}
 				ds.Freeze()
 			}
+			perOp[shards] = b.Elapsed().Seconds() / float64(b.N)
 			b.ReportMetric(float64(total*b.N)/b.Elapsed().Seconds(), "records/s")
 		})
 	}

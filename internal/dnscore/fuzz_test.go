@@ -10,7 +10,9 @@ import (
 // is idempotent, the result respects the wire-format length limits, and
 // every label survives checkLabel. The seed corpus pins the shapes the LDH
 // validation must reject (hyphen edges, misplaced underscores) alongside
-// the accepted service-label forms.
+// the accepted service-label forms. Every input is also a differential for
+// IsCanonical, which must hold exactly when ParseName returns its input
+// unchanged.
 func FuzzParseName(f *testing.F) {
 	seeds := []string{
 		"", ".", "..", "a..b",
@@ -24,14 +26,22 @@ func FuzzParseName(f *testing.F) {
 		strings.Repeat("abcdefgh.", 32) + "com",
 		"xn--bcher-kva.com",
 		"\x00.com", "a.\xffb", "🦈.com",
+		// Lower-cases into ASCII (Kelvin sign): parses, but not to itself.
+		"\u212a.com", "a.", strings.Repeat("a.", 126) + "a.",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		n, err := ParseName(s)
+		if got, want := IsCanonical(s), err == nil && string(n) == s; got != want {
+			t.Fatalf("IsCanonical(%q) = %v, ParseName says %v (%q, %v)", s, got, want, n, err)
+		}
 		if err != nil {
 			return
+		}
+		if !IsCanonical(string(n)) {
+			t.Fatalf("ParseName(%q) = %q, which IsCanonical rejects", s, n)
 		}
 		if len(string(n)) > 253 {
 			t.Fatalf("ParseName(%q) accepted over-long name %q", s, n)

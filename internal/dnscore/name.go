@@ -48,6 +48,30 @@ func ParseName(s string) (Name, error) {
 	return Name(s), nil
 }
 
+// IsCanonical reports whether s is already in ParseName's output form —
+// exactly when ParseName(s) succeeds and returns s unchanged — without
+// allocating. Ingest gates use it to check names a feed claims are
+// canonical; ParseName stays the path that produces one (and the error
+// that says why not).
+func IsCanonical(s string) bool {
+	if s == "" {
+		return true // the root
+	}
+	if len(s) > 253 {
+		return false
+	}
+	for {
+		i := strings.IndexByte(s, '.')
+		if i < 0 {
+			return checkLabel(s) == nil
+		}
+		if checkLabel(s[:i]) != nil {
+			return false
+		}
+		s = s[i+1:]
+	}
+}
+
 // MustParseName is ParseName for static tables and tests; it panics on error.
 func MustParseName(s string) Name {
 	n, err := ParseName(s)

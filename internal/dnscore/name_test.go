@@ -49,6 +49,22 @@ func TestParseName(t *testing.T) {
 	}
 }
 
+func TestIsCanonical(t *testing.T) {
+	for _, s := range []string{
+		"", "com", "example.com", "mail.mfa.gov.kg", "_dmarc.example.com", "xn--bcher-kva.com",
+		"Example.com", "example.com.", ".", "a..b", "-a.com", "a_b.com", "\u212a.com", "a b.com",
+		strings.Repeat("a", 64) + ".com", strings.Repeat("abcdefgh.", 32) + "com",
+	} {
+		n, err := ParseName(s)
+		if want := err == nil && string(n) == s; IsCanonical(s) != want {
+			t.Errorf("IsCanonical(%q) = %v, ParseName says %v", s, !want, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { IsCanonical("_acme-challenge.mail.mfa.gov.kg") }); allocs != 0 {
+		t.Errorf("IsCanonical allocates %.0f times per call", allocs)
+	}
+}
+
 func TestMustParseNamePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

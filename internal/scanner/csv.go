@@ -18,6 +18,7 @@ package scanner
 
 import (
 	"bufio"
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -40,8 +41,8 @@ var ScanCSVHeader = []string{
 	"crtsh_id", "issuer", "trusted", "sensitive", "names",
 }
 
-// scanCSVFields is the expected per-row field count.
-var scanCSVFields = len(ScanCSVHeader)
+// scanCSVFields is the expected per-row field count, len(ScanCSVHeader).
+const scanCSVFields = 10
 
 // Quarantine reasons reported by the CSV reader via OnQuarantine.
 const (
@@ -86,74 +87,122 @@ func ParseScanDate(s string) (simtime.Date, error) {
 // triple: its serial is an FNV-1a digest of those fields, its validity spans
 // the study window, and it carries no signature. Two runs reading the same
 // file therefore build fingerprint-identical certificates.
+//
+// This is the reference decoder: every row pays for every field. ScanCSV
+// takes the same steps in the same order and memoizes what repeats, and the
+// differential tests hold the two to identical results. Nothing in the
+// returned Record aliases fields.
 func ParseScanRow(fields []string) (*Record, error) {
 	if len(fields) != scanCSVFields {
-		return nil, fmt.Errorf("%w: %d fields, want %d", ErrBadScanRow, len(fields), scanCSVFields)
+		return nil, fieldCountErr(len(fields))
 	}
 	date, err := ParseScanDate(fields[0])
 	if err != nil {
 		return nil, err
 	}
-	ip, err := netip.ParseAddr(fields[1])
+	ip, err := parseScanIP(fields[1])
 	if err != nil {
-		return nil, fmt.Errorf("%w: ip %q", ErrBadScanRow, fields[1])
+		return nil, err
 	}
+	ports, err := parseScanPorts(fields[2])
+	if err != nil {
+		return nil, err
+	}
+	asn, err := parseScanASN(fields[3])
+	if err != nil {
+		return nil, err
+	}
+	tail, err := parseCertTail(fields[5], strings.Clone(fields[6]), fields[7], fields[8], strings.Clone(fields[9]))
+	if err != nil {
+		return nil, err
+	}
+	rec := &Record{ScanDate: date, IP: ip, Ports: ports, ASN: asn, Country: ipmeta.CountryCode(strings.Clone(fields[4]))}
+	tail.fill(rec)
+	return rec, nil
+}
+
+func fieldCountErr(n int) error {
+	return fmt.Errorf("%w: %d fields, want %d", ErrBadScanRow, n, scanCSVFields)
+}
+
+func parseScanIP(s string) (netip.Addr, error) {
+	ip, err := netip.ParseAddr(s)
+	if err != nil {
+		return ip, fmt.Errorf("%w: ip %q", ErrBadScanRow, s)
+	}
+	return ip, nil
+}
+
+func parseScanPorts(s string) ([]uint16, error) {
 	var ports []uint16
-	for _, p := range strings.Fields(fields[2]) {
+	for _, p := range strings.Fields(s) {
 		v, err := strconv.ParseUint(p, 10, 16)
 		if err != nil {
 			return nil, fmt.Errorf("%w: port %q", ErrBadScanRow, p)
 		}
 		ports = append(ports, uint16(v))
 	}
-	asn, err := strconv.ParseUint(fields[3], 10, 32)
+	return ports, nil
+}
+
+func parseScanASN(s string) (ipmeta.ASN, error) {
+	asn, err := strconv.ParseUint(s, 10, 32)
 	if err != nil {
-		return nil, fmt.Errorf("%w: asn %q", ErrBadScanRow, fields[3])
+		return 0, fmt.Errorf("%w: asn %q", ErrBadScanRow, s)
 	}
-	crtshID, err := strconv.ParseInt(fields[5], 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("%w: crtsh_id %q", ErrBadScanRow, fields[5])
+	return ipmeta.ASN(asn), nil
+}
+
+// certTail is the decoded crtsh_id,issuer,trusted,sensitive,names tail of a
+// row: the columns that identify the certificate and ride along with it.
+type certTail struct {
+	cert      *x509lite.Certificate
+	crtshID   int64
+	trusted   bool
+	sensitive bool
+}
+
+func (t certTail) fill(r *Record) {
+	r.Cert, r.CrtShID, r.Trusted, r.Sensitive = t.cert, t.crtshID, t.trusted, t.sensitive
+}
+
+// parseCertTail decodes the five tail columns. The certificate keeps issuer
+// and substrings of names, so the caller passes strings it is content to
+// have retained.
+func parseCertTail(crtsh, issuer, trusted, sensitive, names string) (certTail, error) {
+	var t certTail
+	var err error
+	if t.crtshID, err = strconv.ParseInt(crtsh, 10, 64); err != nil {
+		return t, fmt.Errorf("%w: crtsh_id %q", ErrBadScanRow, crtsh)
 	}
-	trusted, err := strconv.ParseBool(fields[7])
-	if err != nil {
-		return nil, fmt.Errorf("%w: trusted %q", ErrBadScanRow, fields[7])
+	if t.trusted, err = strconv.ParseBool(trusted); err != nil {
+		return t, fmt.Errorf("%w: trusted %q", ErrBadScanRow, trusted)
 	}
-	sensitive, err := strconv.ParseBool(fields[8])
-	if err != nil {
-		return nil, fmt.Errorf("%w: sensitive %q", ErrBadScanRow, fields[8])
+	if t.sensitive, err = strconv.ParseBool(sensitive); err != nil {
+		return t, fmt.Errorf("%w: sensitive %q", ErrBadScanRow, sensitive)
 	}
-	rawNames := strings.Fields(fields[9])
+	rawNames := strings.Fields(names)
 	if len(rawNames) == 0 {
-		return nil, fmt.Errorf("%w: empty names", ErrBadScanRow)
+		return t, fmt.Errorf("%w: empty names", ErrBadScanRow)
 	}
 	sans := make([]dnscore.Name, 0, len(rawNames))
 	for _, n := range rawNames {
 		name, err := dnscore.ParseName(n)
 		if err != nil {
-			return nil, fmt.Errorf("%w: name %q", ErrBadScanRow, n)
+			return t, fmt.Errorf("%w: name %q", ErrBadScanRow, n)
 		}
 		sans = append(sans, name)
 	}
-	cert := &x509lite.Certificate{
-		Serial:    synthCertSerial(fields[9], fields[6], crtshID),
+	t.cert = &x509lite.Certificate{
+		Serial:    synthCertSerial(names, issuer, t.crtshID),
 		Subject:   sans[0],
 		SANs:      sans,
-		Issuer:    fields[6],
+		Issuer:    issuer,
 		NotBefore: simtime.StudyStart,
 		NotAfter:  simtime.StudyEnd,
 		Method:    x509lite.ValidationDNS01,
 	}
-	return &Record{
-		ScanDate:  date,
-		IP:        ip,
-		Ports:     ports,
-		ASN:       ipmeta.ASN(asn),
-		Country:   ipmeta.CountryCode(fields[4]),
-		Cert:      cert,
-		CrtShID:   crtshID,
-		Trusted:   trusted,
-		Sensitive: sensitive,
-	}, nil
+	return t, nil
 }
 
 // synthCertSerial derives the reconstructed certificate's serial from the
@@ -172,15 +221,49 @@ func synthCertSerial(names, issuer string, crtshID int64) uint64 {
 	return h.Sum64()
 }
 
+const (
+	// readerMemoCap is the entry cap of each reader memo. A longitudinal
+	// corpus re-observes the same certificate at the same hosts week after
+	// week, so most rows repeat everything but their address; the cap
+	// bounds what a reader retains on a feed that does not. A memo that
+	// reaches it is emptied and refills from the rows that follow, so a
+	// corpus whose certificates turn over keeps hitting as long as one
+	// scan's worth fits.
+	readerMemoCap = 1 << 18
+	// recordSlab is how many Records one allocation hands out. Small, so a
+	// slab is not kept alive long by a few surviving records once a spilled
+	// shard lets go of the rest.
+	recordSlab = 32
+)
+
 // ScanCSV reads scans.csv rows from a (possibly still growing) stream.
 // Rows that fail to parse are reported through OnQuarantine and skipped;
 // Next only ever returns parsed records or io.EOF. io.EOF is retryable:
 // in follow mode the caller waits and calls Next again, and any partial
 // line buffered at EOF is completed once the writer appends its remainder.
+//
+// Rows are split in place in the read buffer and whatever a row repeats
+// from an earlier one is served from a memo: the scan date, the ports list,
+// the country code, and — keyed on the raw crtsh_id..names tail — the
+// certificate. A miss takes ParseScanRow's decode of that column, checks
+// and all, and copies what it keeps, so no Record references the read
+// buffer. Records of one reader therefore share *Certificate instances and
+// Ports backing arrays; both are read-only from the moment Next returns.
 type ScanCSV struct {
 	br      *bufio.Reader
 	partial []byte
 	started bool // first complete line seen (header handling done)
+
+	dateStr   string // scan_date column of the last row; "" before the first
+	date      simtime.Date
+	ports     map[string][]uint16
+	countries map[string]ipmeta.CountryCode
+	certs     map[string]certTail
+	slab      []Record
+
+	// memoCap is readerMemoCap, a field only so tests can fill a memo with
+	// a few rows.
+	memoCap int
 
 	// OnQuarantine, when set, receives one call per skipped input line
 	// with a reason (CSVQuarBadRow, CSVQuarTruncatedTail) and a detail.
@@ -189,7 +272,21 @@ type ScanCSV struct {
 
 // NewScanCSV wraps r in a scans.csv reader.
 func NewScanCSV(r io.Reader) *ScanCSV {
-	return &ScanCSV{br: bufio.NewReaderSize(r, 64<<10)}
+	return &ScanCSV{
+		br:        bufio.NewReaderSize(r, 64<<10),
+		ports:     make(map[string][]uint16),
+		countries: make(map[string]ipmeta.CountryCode),
+		certs:     make(map[string]certTail),
+		memoCap:   readerMemoCap,
+	}
+}
+
+// memoPut records v under key in one of c's capped memos.
+func memoPut[V any](c *ScanCSV, m map[string]V, key string, v V) {
+	if len(m) >= c.memoCap {
+		clear(m)
+	}
+	m[key] = v
 }
 
 // Next returns the next well-formed record. It returns io.EOF when the
@@ -197,36 +294,108 @@ func NewScanCSV(r io.Reader) *ScanCSV {
 // stays buffered so a growing file can complete it later.
 func (c *ScanCSV) Next() (*Record, error) {
 	for {
-		chunk, err := c.br.ReadBytes('\n')
+		line, err := c.br.ReadSlice('\n')
 		if err != nil {
-			// Partial line (no newline yet): hold it for the next call.
-			c.partial = append(c.partial, chunk...)
+			// No newline yet: hold what arrived for the next read.
+			c.partial = append(c.partial, line...)
+			if errors.Is(err, bufio.ErrBufferFull) {
+				continue
+			}
 			if errors.Is(err, io.EOF) {
 				return nil, io.EOF
 			}
 			return nil, err
 		}
-		line := string(chunk)
 		if len(c.partial) > 0 {
-			line = string(c.partial) + line
-			c.partial = c.partial[:0]
+			// line views partial's array until the next read appends to it,
+			// by which time the row has been decoded.
+			line = append(c.partial, line...)
+			c.partial = line[:0]
 		}
-		line = strings.TrimRight(line, "\r\n")
-		if line == "" {
+		line = bytes.TrimRight(line, "\r\n")
+		if len(line) == 0 {
 			continue
 		}
 		first := !c.started
 		c.started = true
-		if first && strings.HasPrefix(line, ScanCSVHeader[0]+",") {
+		if first && bytes.HasPrefix(line, scanCSVHeaderPrefix) {
 			continue // header row
 		}
-		rec, err := ParseScanRow(strings.Split(line, ","))
+		rec, err := c.parseLine(line)
 		if err != nil {
 			c.quarantine(CSVQuarBadRow, err.Error())
 			continue
 		}
 		return rec, nil
 	}
+}
+
+var scanCSVHeaderPrefix = []byte(ScanCSVHeader[0] + ",")
+
+// parseLine is ParseScanRow over the read buffer: same columns, same
+// order, same errors, with the repeating columns answered from the memos.
+// The string(bytes) map indexes and comparisons below do not allocate.
+func (c *ScanCSV) parseLine(line []byte) (*Record, error) {
+	var head [5][]byte // scan_date, ip, ports, asn, country
+	tail := line
+	for i := range head {
+		j := bytes.IndexByte(tail, ',')
+		if j < 0 {
+			return nil, fieldCountErr(i + 1)
+		}
+		head[i], tail = tail[:j], tail[j+1:]
+	}
+	if n := len(head) + 1 + bytes.Count(tail, []byte{','}); n != scanCSVFields {
+		return nil, fieldCountErr(n)
+	}
+	if c.dateStr == "" || string(head[0]) != c.dateStr {
+		s := string(head[0])
+		date, err := ParseScanDate(s)
+		if err != nil {
+			return nil, err
+		}
+		c.dateStr, c.date = s, date
+	}
+	ip, err := parseScanIP(string(head[1]))
+	if err != nil {
+		return nil, err
+	}
+	ports, ok := c.ports[string(head[2])]
+	if !ok {
+		s := string(head[2])
+		if ports, err = parseScanPorts(s); err != nil {
+			return nil, err
+		}
+		memoPut(c, c.ports, s, ports)
+	}
+	asn, err := parseScanASN(string(head[3]))
+	if err != nil {
+		return nil, err
+	}
+	ct, ok := c.certs[string(tail)]
+	if !ok {
+		// The key is the one copy of the tail; the certificate's issuer and
+		// names are substrings of it.
+		s := string(tail)
+		f := strings.SplitN(s, ",", 5)
+		if ct, err = parseCertTail(f[0], f[1], f[2], f[3], f[4]); err != nil {
+			return nil, err
+		}
+		memoPut(c, c.certs, s, ct)
+	}
+	country, ok := c.countries[string(head[4])]
+	if !ok {
+		country = ipmeta.CountryCode(head[4])
+		memoPut(c, c.countries, string(country), country)
+	}
+	if len(c.slab) == 0 {
+		c.slab = make([]Record, recordSlab)
+	}
+	rec := &c.slab[0]
+	c.slab = c.slab[1:]
+	*rec = Record{ScanDate: c.date, IP: ip, Ports: ports, ASN: asn, Country: country}
+	ct.fill(rec)
+	return rec, nil
 }
 
 // FinishTail declares end of input for a bounded read: a non-empty partial

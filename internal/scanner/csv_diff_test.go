@@ -1,0 +1,415 @@
+package scanner_test
+
+// Differential tests for the memoized scans.csv reader. The reference is
+// the exported, unmemoized ParseScanRow(strings.Split(line, ",")) wrapped
+// in the reader's line framing; the reader must agree with it on which
+// lines become records, on every Record field, and on the reconstructed
+// certificate, whatever its memos hold at the time.
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+
+	"retrodns/internal/core"
+	"retrodns/internal/pdns"
+	"retrodns/internal/report"
+	"retrodns/internal/scanner"
+	"retrodns/internal/simtime"
+	"retrodns/internal/synth"
+)
+
+// synthCSV renders a synth corpus as scans.csv, header included.
+func synthCSV(cfg synth.Config) string {
+	g := synth.New(cfg)
+	var sb strings.Builder
+	sb.WriteString(strings.Join(scanner.ScanCSVHeader, ",") + "\n")
+	for _, date := range g.ScanDates() {
+		g.EmitScan(date, func(r *scanner.Record) {
+			sb.WriteString(strings.Join(scanner.FormatScanRow(r), ",") + "\n")
+		})
+	}
+	return sb.String()
+}
+
+// csvEvent is what became of one input line: a record, or a quarantine.
+type csvEvent struct {
+	rec    *scanner.Record
+	reason string
+}
+
+// eventReader wraps src in a reader that logs quarantines into the
+// returned event list, in line order with the records drain appends.
+func eventReader(src io.Reader, caps int) (*scanner.ScanCSV, *[]csvEvent) {
+	c := scanner.NewScanCSV(src)
+	if caps > 0 {
+		c.SetMemoCap(caps)
+	}
+	events := new([]csvEvent)
+	c.OnQuarantine = func(reason, detail string) { *events = append(*events, csvEvent{reason: reason}) }
+	return c, events
+}
+
+func drain(tb testing.TB, c *scanner.ScanCSV, events *[]csvEvent) {
+	tb.Helper()
+	for {
+		rec, err := c.Next()
+		if errors.Is(err, io.EOF) {
+			return
+		}
+		if err != nil {
+			tb.Fatalf("Next: %v", err)
+		}
+		*events = append(*events, csvEvent{rec: rec})
+	}
+}
+
+// referenceEvents reads data the unmemoized way: the reader's framing
+// (split on newline, trailing CR/LF trimmed, blank lines and a leading
+// header skipped, a torn tail quarantined) around ParseScanRow.
+func referenceEvents(data string) []csvEvent {
+	var events []csvEvent
+	started := false
+	for {
+		i := strings.IndexByte(data, '\n')
+		if i < 0 {
+			if data != "" {
+				events = append(events, csvEvent{reason: scanner.CSVQuarTruncatedTail})
+			}
+			return events
+		}
+		line := strings.TrimRight(data[:i], "\r\n")
+		data = data[i+1:]
+		if line == "" {
+			continue
+		}
+		first := !started
+		started = true
+		if first && strings.HasPrefix(line, scanner.ScanCSVHeader[0]+",") {
+			continue
+		}
+		rec, err := scanner.ParseScanRow(strings.Split(line, ","))
+		if err != nil {
+			events = append(events, csvEvent{reason: scanner.CSVQuarBadRow})
+			continue
+		}
+		events = append(events, csvEvent{rec: rec})
+	}
+}
+
+// recordDiff names the first field two records disagree on, "" if none.
+func recordDiff(a, b *scanner.Record) string {
+	switch {
+	case a.ScanDate != b.ScanDate:
+		return "ScanDate"
+	case a.IP != b.IP:
+		return "IP"
+	case !reflect.DeepEqual(a.Ports, b.Ports):
+		return "Ports"
+	case a.ASN != b.ASN:
+		return "ASN"
+	case a.Country != b.Country:
+		return "Country"
+	case a.CrtShID != b.CrtShID:
+		return "CrtShID"
+	case a.Trusted != b.Trusted:
+		return "Trusted"
+	case a.Sensitive != b.Sensitive:
+		return "Sensitive"
+	case a.Cert.Fingerprint() != b.Cert.Fingerprint():
+		return "Cert.Fingerprint"
+	case a.Cert.Subject != b.Cert.Subject:
+		return "Cert.Subject"
+	case !reflect.DeepEqual(a.Cert.SANs, b.Cert.SANs): // the fingerprint sorts them
+		return "Cert.SANs"
+	}
+	return ""
+}
+
+func sameEvents(tb testing.TB, label string, got, want []csvEvent) {
+	tb.Helper()
+	if len(got) != len(want) {
+		tb.Fatalf("%s: %d events, reference has %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if got[i].reason != want[i].reason {
+			tb.Fatalf("%s: event %d: reader says %q, reference says %q", label, i, got[i].reason, want[i].reason)
+		}
+		if want[i].rec == nil {
+			continue
+		}
+		if field := recordDiff(got[i].rec, want[i].rec); field != "" {
+			tb.Fatalf("%s: event %d: %s differs\nreader:    %v\nreference: %v", label, i, field, got[i].rec, want[i].rec)
+		}
+	}
+}
+
+// checkAgainstReference reads data whole and in torn pieces, through a
+// default reader and one whose memos hold two entries, and requires the
+// reference's events every time.
+func checkAgainstReference(tb testing.TB, data string, tornSeed int64) {
+	tb.Helper()
+	want := referenceEvents(data)
+	for _, caps := range []int{0, 2} {
+		c, events := eventReader(strings.NewReader(data), caps)
+		drain(tb, c, events)
+		c.FinishTail()
+		sameEvents(tb, fmt.Sprintf("whole, caps=%d", caps), *events, want)
+
+		// A growing file: the writer lands a few bytes at a time and the
+		// reader runs to EOF in between, so lines complete across resumes.
+		var src bytes.Buffer
+		c, events = eventReader(&src, caps)
+		rng := rand.New(rand.NewSource(tornSeed))
+		for rest := data; rest != ""; {
+			n := 1 + rng.Intn(300)
+			if n > len(rest) {
+				n = len(rest)
+			}
+			src.WriteString(rest[:n])
+			rest = rest[n:]
+			drain(tb, c, events)
+		}
+		c.FinishTail()
+		sameEvents(tb, fmt.Sprintf("torn, caps=%d", caps), *events, want)
+	}
+}
+
+const goodRow = "2017-01-08,84.205.1.9,443 8443,35506,GR,1001,Let's Encrypt,true,false,mail.mfa.gov.kg www.mfa.gov.kg"
+
+// hostileRows are the shapes the synth corpus never produces: every
+// ErrBadScanRow path, rows that are valid but unusual, and pairs that
+// differ in one tail column.
+func hostileRows() []string {
+	long := make([]string, 300) // one valid row wider than the read buffer
+	for i := range long {
+		long[i] = fmt.Sprintf("h%03d.%s.example", i, strings.Repeat("x", 60)+"."+strings.Repeat("y", 60)+"."+strings.Repeat("z", 60))
+	}
+	return []string{
+		goodRow,
+		goodRow, // exact repeat: every memo hits
+		strings.Replace(goodRow, "Let's Encrypt", "DigiCert", 1),
+		strings.Replace(goodRow, ",1001,", ",1002,", 1),
+		strings.Replace(goodRow, "true,false", "false,true", 1),
+		strings.Replace(goodRow, "84.205.1.9", "2001:db8::1", 1),
+		strings.Replace(goodRow, "443 8443", "", 1),
+		strings.Replace(goodRow, "443 8443", " 443  8443 ", 1),
+		strings.Replace(goodRow, "GR", "", 1),
+		strings.Replace(goodRow, "mail.mfa.gov.kg", "MAIL.mfa.gov.kg.", 1),
+		goodRow + "\r",
+		"",
+		"\r",
+		"garbled,row",
+		strings.Join(scanner.ScanCSVHeader, ","), // a header that is not the first line
+		goodRow + ",extra",
+		strings.Replace(goodRow, "2017-01-08", "2017-13-08", 1),
+		strings.Replace(goodRow, "2017-01-08", "", 1),
+		strings.Replace(goodRow, "84.205.1.9", "84.205.1.999", 1),
+		strings.Replace(goodRow, "84.205.1.9", "084.205.1.9", 1),
+		strings.Replace(goodRow, "443 8443", "443 70000", 1),
+		strings.Replace(goodRow, "35506", "as35506", 1),
+		strings.Replace(goodRow, ",1001,", ",0x3e9,", 1),
+		strings.Replace(goodRow, "true,false", "yes,false", 1),
+		strings.Replace(goodRow, "true,false", "true,", 1),
+		strings.Replace(goodRow, "mail.mfa.gov.kg www.mfa.gov.kg", "  ", 1),
+		strings.Replace(goodRow, "mail.mfa.gov.kg", "-mail.mfa.gov.kg", 1),
+		strings.Replace(goodRow, "2017-01-08", "1999-01-08", 1), // parses; the dataset gate refuses it later
+		strings.Repeat("junk ", 15000),
+		strings.Replace(goodRow, "mail.mfa.gov.kg www.mfa.gov.kg", strings.Join(long, " "), 1),
+		goodRow,
+	}
+}
+
+func TestScanCSVMatchesReference(t *testing.T) {
+	if len(scanner.ScanCSVHeader) != len(strings.Split(goodRow, ",")) {
+		t.Fatalf("header has %d columns, rows have %d", len(scanner.ScanCSVHeader), len(strings.Split(goodRow, ",")))
+	}
+	corpus := synthCSV(synth.Config{Domains: 300, Scans: 6, Seed: 5})
+	t.Run("synth corpus read twice", func(t *testing.T) {
+		checkAgainstReference(t, corpus+corpus, 1)
+	})
+	t.Run("hostile rows", func(t *testing.T) {
+		checkAgainstReference(t, strings.Join(hostileRows(), "\n")+"\n", 2)
+	})
+	t.Run("torn tail at end of input", func(t *testing.T) {
+		checkAgainstReference(t, corpus[:len(corpus)/2+7], 3)
+	})
+}
+
+// TestScanCSVSharesWhatRepeats pins the memo's two halves: rows with the
+// same tail come back with the same certificate instance (which is what
+// lets a dataset's gate and pool recognise it), and rows that differ in
+// any identifying column do not.
+func TestScanCSVSharesWhatRepeats(t *testing.T) {
+	rows := []string{
+		goodRow,
+		strings.Replace(goodRow, "84.205.1.9", "84.205.1.10", 1),
+		strings.Replace(goodRow, "Let's Encrypt", "DigiCert", 1),
+		strings.Replace(goodRow, ",1001,", ",1002,", 1),
+	}
+	c, events := eventReader(strings.NewReader(strings.Join(rows, "\n")+"\n"), 0)
+	drain(t, c, events)
+	if len(*events) != len(rows) {
+		t.Fatalf("%d events, want %d", len(*events), len(rows))
+	}
+	rec := func(i int) *scanner.Record { return (*events)[i].rec }
+	if rec(0).Cert != rec(1).Cert {
+		t.Error("rows with one tail did not share a certificate instance")
+	}
+	if &rec(0).Ports[0] != &rec(1).Ports[0] {
+		t.Error("rows with one ports column did not share a ports array")
+	}
+	for _, i := range []int{2, 3} {
+		if rec(i).Cert == rec(0).Cert || rec(i).Cert.Fingerprint() == rec(0).Cert.Fingerprint() {
+			t.Errorf("row %d differs from row 0 in one tail column but shares its certificate", i)
+		}
+	}
+}
+
+// FuzzScanCSVRow holds the reader to the reference on arbitrary lines. The
+// line follows a valid row, so its columns meet warm memos, and is read
+// twice, so its second reading meets whatever the first left behind.
+func FuzzScanCSVRow(f *testing.F) {
+	for _, row := range hostileRows() {
+		if len(row) < 1<<10 {
+			f.Add(row)
+		}
+	}
+	f.Fuzz(func(t *testing.T, line string) {
+		data := goodRow + "\n" + line + "\n" + line + "\n"
+		want := referenceEvents(data)
+		for _, caps := range []int{0, 1} {
+			c, events := eventReader(strings.NewReader(data), caps)
+			drain(t, c, events)
+			c.FinishTail()
+			sameEvents(t, fmt.Sprintf("caps=%d", caps), *events, want)
+		}
+	})
+}
+
+// readBatches reads a whole scans.csv through one reader and groups the
+// records by consecutive scan date.
+func readBatches(tb testing.TB, data string) [][]*scanner.Record {
+	tb.Helper()
+	c, events := eventReader(strings.NewReader(data), 0)
+	drain(tb, c, events)
+	var batches [][]*scanner.Record
+	for _, ev := range *events {
+		if ev.rec == nil {
+			tb.Fatalf("corpus row quarantined: %s", ev.reason)
+		}
+		if n := len(batches); n == 0 || batches[n-1][0].ScanDate != ev.rec.ScanDate {
+			batches = append(batches, nil)
+		}
+		batches[len(batches)-1] = append(batches[len(batches)-1], ev.rec)
+	}
+	return batches
+}
+
+// TestIngestedRecordsDoNotPinLines ingests a corpus whose lines are wide
+// next to what a Record keeps of them and requires the heap it leaves
+// behind to follow the dataset's own size model. A Record that holds a
+// substring of its row keeps the row alive, and the heap then follows the
+// size of the file instead (2.8x the model on this corpus, before the reader copied what it keeps).
+func TestIngestedRecordsDoNotPinLines(t *testing.T) {
+	const domains, scans = 2000, 40
+	var sb strings.Builder
+	for _, date := range simtime.ScanDates(0, 7*scans)[:scans] {
+		for d := 0; d < domains; d++ {
+			apex := fmt.Sprintf("ministry-of-foreign-affairs-%06d.example", d)
+			fmt.Fprintf(&sb, "%s,10.%d.%d.7,443 8443,64500,KG,%d,Let's Encrypt Authority X3,true,true,portal.%s secure-mail.%s remote-vpn.%s\n",
+				date, d/250, d%250, d+1, apex, apex, apex)
+		}
+	}
+	csv := sb.String()
+
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	ds := scanner.NewDataset()
+	for _, batch := range readBatches(t, csv) {
+		if err := ds.AddScan(batch[0].ScanDate, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds.Freeze()
+	grown := int64(heap() - before)
+	est := ds.EstimatedBytes()
+	runtime.KeepAlive(csv)
+	if _, nr := ds.Size(); nr != domains*scans {
+		t.Fatalf("ingested %d records, want %d", nr, domains*scans)
+	}
+	t.Logf("csv %d bytes, heap grew %d, model estimates %d", len(csv), grown, est)
+	if limit := est + est/4; grown > limit {
+		t.Fatalf("heap grew %d bytes for a corpus the model puts at %d (limit %d); the csv is %d bytes",
+			grown, est, limit, len(csv))
+	}
+}
+
+// TestReaderRecordsFeedTwoDatasets is the aliasing check: records of one
+// reader share certificates and ports arrays, so two datasets fed from it
+// — each with Record structs of its own, as ingest takes those over —
+// reach the same shared objects from their parallel gate, intern and
+// consume phases at once. Run under -race by `make race`; the findings of
+// the two must also be byte-identical.
+func TestReaderRecordsFeedTwoDatasets(t *testing.T) {
+	// 2500 domains put each scan past the parallel-ingest threshold.
+	batches := readBatches(t, synthCSV(synth.Config{Domains: 2500, Scans: 6, Seed: 9}))
+	copies := make([][]*scanner.Record, len(batches))
+	for i, batch := range batches {
+		copies[i] = make([]*scanner.Record, len(batch))
+		for j, r := range batch {
+			cp := *r
+			copies[i][j] = &cp
+		}
+	}
+	bulk, follow := scanner.NewDatasetShards(8), scanner.NewDatasetShards(3)
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for _, batch := range batches {
+			if err := bulk.AddScan(batch[0].ScanDate, batch); err != nil {
+				t.Error(err)
+			}
+		}
+		bulk.Freeze()
+	}()
+	go func() {
+		defer wg.Done()
+		for _, batch := range copies {
+			if err := follow.Append(batch[0].ScanDate, batch); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	wg.Wait()
+
+	findings := func(ds *scanner.Dataset) []byte {
+		res := (&core.Pipeline{Params: core.DefaultParams(), Dataset: ds, PDNS: pdns.NewDB()}).Run()
+		var buf bytes.Buffer
+		if err := report.WriteJSON(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b := findings(bulk), findings(follow)
+	if !bytes.Equal(a, b) {
+		t.Fatalf("findings differ between the two datasets\nbulk:\n%s\nfollow:\n%s", a, b)
+	}
+	if nd, nr := bulk.Size(); nd == 0 || nr == 0 {
+		t.Fatalf("empty corpus: %d domains, %d records", nd, nr)
+	}
+}

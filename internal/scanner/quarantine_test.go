@@ -76,6 +76,33 @@ func TestAddScanQuarantinesMalformed(t *testing.T) {
 	}
 }
 
+// TestGateValidRecordAllocatesNothing pins the gate's claim about its
+// parallel pass: a valid record costs no allocation, both when its
+// certificate's names are walked (first sight of that instance) and when
+// the certificate's memo answers (every sight after).
+func TestGateValidRecordAllocatesNothing(t *testing.T) {
+	const runs = 100
+	cert := quarCert(9, "www.good.com", "_acme-challenge.mail.good.com")
+	fresh := make([]*Record, runs+1) // AllocsPerRun warms up with one extra call
+	for i := range fresh {
+		fresh[i] = quarRec(7, "84.205.1.1", cert.Clone())
+	}
+	next := 0
+	gate := func(pick func() *Record) float64 {
+		return testing.AllocsPerRun(runs, func() {
+			if _, _, ok := validateRecord(pick()); !ok {
+				t.Fatal("valid record refused")
+			}
+		})
+	}
+	if allocs := gate(func() *Record { next++; return fresh[next-1] }); allocs != 0 {
+		t.Errorf("first sight: gate allocates %.0f times on a valid record", allocs)
+	}
+	if allocs := gate(func() *Record { return fresh[0] }); allocs != 0 {
+		t.Errorf("memoized: gate allocates %.0f times on a valid record", allocs)
+	}
+}
+
 func TestAppendQuarantinesMalformed(t *testing.T) {
 	ds := NewDataset()
 	ds.Freeze()

@@ -238,8 +238,10 @@ type datasetView struct {
 // thousands of weekly scans is stored once.
 //
 // The dataset takes ownership of the records handed to AddScan/Append:
-// interning may replace a record's Cert with the pool's canonical instance
-// and canonicalize a first-seen certificate's SAN strings in place.
+// interning replaces a record's Cert with the pool's canonical instance.
+// What a record points to — its certificate, its Ports array — is only
+// ever read, so records of different datasets may share those (a ScanCSV
+// reader's records do).
 //
 // The lifecycle is unchanged from the unsharded design: after Freeze every
 // read path is lock-free and period-window lookups run in O(log n) by
@@ -277,6 +279,9 @@ type Dataset struct {
 	// whether ingest routes records through it.
 	pool   *Pool
 	intern bool
+	// routes memoizes, per pooled certificate, where its records go (see
+	// routeOf).
+	routes map[*x509lite.Certificate]certRoute
 
 	// met holds the dataset's metric handles, populated by SetMetrics.
 	// The nil handles of an uninstrumented dataset no-op.
@@ -490,6 +495,7 @@ func NewDatasetShards(n int) *Dataset {
 		dirtyPeriods: make(map[simtime.Period]uint64),
 		pool:         NewPool(),
 		intern:       true,
+		routes:       make(map[*x509lite.Certificate]certRoute),
 	}
 	for i := range d.shards {
 		d.shards[i] = newShard()
@@ -556,11 +562,12 @@ func (d *Dataset) Append(date simtime.Date, records []*Record) error {
 }
 
 // ingestLocked is the shared ingest path: gate the scan date, validate
-// records (phase A, parallel over chunks), intern certificates (phase A2),
-// fan records out to their owning shards (phase B, parallel over shards),
-// then publish the dataset-global view and metrics (phase C). Caller
-// holds d.mu; appendMode selects Append semantics (implied freeze,
-// generation bump, dirty journaling).
+// records (gate, parallel over chunks), dedup certificates through the
+// pool (intern, parallel over chunks), resolve every record's registered
+// domains and owning shards in one pass (route), let each shard take its
+// own bucket (consume, parallel over shards), then publish the
+// dataset-global view and metrics. Caller holds d.mu; appendMode selects
+// Append semantics (implied freeze, generation bump, dirty journaling).
 func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode bool) error {
 	dateOK, err := d.gateDate(date)
 	if err != nil {
@@ -576,6 +583,7 @@ func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode 
 		// be resident first. Runs before interning and fan-out, so a spill
 		// replay failure leaves the dataset unchanged.
 		if err := d.unspillTouchedLocked(records, gates); err != nil {
+			d.publishSizeLocked() // the implied freeze, if any, did land
 			return err
 		}
 	} else if !dateOK && accepted == 0 {
@@ -590,17 +598,12 @@ func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode 
 	if appendMode {
 		gen = d.view.Load().generation + 1
 	}
-	var newDomainsBy [][]dnscore.Name
+	newDomainsBy := make([][]dnscore.Name, len(d.shards))
 	if accepted > 0 {
-		nsh := len(d.shards)
-		if workers := shardWorkers(len(records), nsh); workers <= 1 {
-			newDomainsBy = d.consumeSerialLocked(records, gates, gen, appendMode)
-		} else {
-			newDomainsBy = make([][]dnscore.Name, nsh)
-			forShards(nsh, workers, func(sid int) {
-				newDomainsBy[sid] = d.shards[sid].consume(sid, nsh, records, gates, gen, appendMode)
-			})
-		}
+		buckets := d.routeLocked(records, gates, accepted)
+		forShards(len(d.shards), shardWorkers(len(records), len(d.shards)), func(sid int) {
+			newDomainsBy[sid] = d.shards[sid].consume(buckets[sid], gen, appendMode)
+		})
 	}
 	if appendMode {
 		old := d.view.Load()
@@ -621,13 +624,7 @@ func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode 
 			added += len(nd)
 		}
 		if added > 0 {
-			merged := make([]dnscore.Name, 0, len(old.domains)+added)
-			merged = append(merged, old.domains...)
-			for _, nd := range newDomainsBy {
-				merged = append(merged, nd...)
-			}
-			sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-			next.domains = merged
+			next.domains = mergeDomains(old.domains, newDomainsBy...)
 			next.domainCount = old.domainCount + added
 		}
 		d.view.Store(next)
@@ -651,7 +648,7 @@ func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode 
 
 // internRecordsLocked routes the accepted records of a scan through the
 // dedup pool: each record's certificate is replaced by the pool's
-// canonical instance (first-seen certificates are inserted, with their SAN
+// canonical instance (a first-seen certificate is copied in, the copy's SAN
 // strings canonicalized through the string pool). Runs before shard
 // fan-out so shards only ever index pooled certificates. Caller holds
 // d.mu; the records are not yet visible to any reader.
@@ -667,17 +664,6 @@ func (d *Dataset) internRecordsLocked(records []*Record, gates []uint8) {
 			}
 		}
 	})
-}
-
-// containsName reports whether names holds n (linear scan; used where the
-// slice is known to stay tiny).
-func containsName(names []dnscore.Name, n dnscore.Name) bool {
-	for _, m := range names {
-		if m == n {
-			return true
-		}
-	}
-	return false
 }
 
 // Freeze ends the bulk-ingest phase and builds the read indexes: each
@@ -727,7 +713,6 @@ func (d *Dataset) freezeLocked() {
 	}
 	d.scanDates = nil
 	d.view.Store(view)
-	d.publishSizeLocked()
 }
 
 // Frozen reports whether Freeze has run.

@@ -8,6 +8,7 @@ import (
 
 	"retrodns/internal/dnscore"
 	"retrodns/internal/simtime"
+	"retrodns/internal/x509lite"
 )
 
 // The corpus shards. A registered domain is owned by exactly one shard,
@@ -121,153 +122,129 @@ func (s *shard) freeze() {
 	s.idx.Store(idx)
 }
 
-// consume ingests one scan's share of records into this shard: every
-// accepted record whose certificate secures a name whose apex hashes here.
-// It scans the full record slice and filters by ownership — each shard
-// worker reads the shared input and writes only its own state, so workers
-// run lock-free relative to each other. In frozen mode the shard's index
-// is copied-on-write and republished only if it gained records, and
-// (domain, period) cells are journaled under gen; newly seen domains are
-// returned for the dataset-level merge.
-func (s *shard) consume(sid, nshards int, records []*Record, gates []uint8, gen uint64, frozen bool) []dnscore.Name {
+// routed is one record attachment on its way into a shard: the record and
+// the registered domain, owned by that shard, it indexes under.
+type routed struct {
+	rec  *Record
+	apex dnscore.Name
+}
+
+// certRoute is where one certificate's records go: its distinct registered
+// domains in SAN order, each with its owning shard.
+type certRoute []shardApex
+
+type shardApex struct {
+	apex dnscore.Name
+	sid  int
+}
+
+// routeOf resolves c's route. Pooled certificates are immutable and the
+// shard count is fixed, so their routes are memoized for the life of the
+// dataset (bounded by the pool, which never evicts either): a certificate
+// seen in every weekly scan has its SANs reduced to apexes and hashed
+// once. Caller holds d.mu.
+func (d *Dataset) routeOf(c *x509lite.Certificate) certRoute {
+	route, ok := d.routes[c]
+	if ok {
+		return route
+	}
+	for _, san := range c.SANs {
+		apex := san.RegisteredDomain()
+		if apex == "" {
+			continue
+		}
+		dup := false
+		for _, t := range route {
+			dup = dup || t.apex == apex
+		}
+		if !dup {
+			route = append(route, shardApex{apex, shardIndexOf(apex, len(d.shards))})
+		}
+	}
+	if d.intern {
+		d.routes[c] = route
+	}
+	return route
+}
+
+// routeLocked is the one pass over a scan that decides where everything
+// goes: each accepted record's attachments land in their owning shards'
+// buckets, in feed order. Caller holds d.mu.
+func (d *Dataset) routeLocked(records []*Record, gates []uint8, accepted int) [][]routed {
+	buckets := make([][]routed, len(d.shards))
+	// An even spread plus a quarter covers the hash's skew and the odd
+	// multi-domain certificate without a regrow.
+	even := accepted / len(d.shards)
+	for sid := range buckets {
+		buckets[sid] = make([]routed, 0, even+even/4+8)
+	}
+	for i, r := range records {
+		if gates[i] != 0 {
+			continue
+		}
+		for _, t := range d.routeOf(r.Cert) {
+			buckets[t.sid] = append(buckets[t.sid], routed{r, t.apex})
+		}
+	}
+	return buckets
+}
+
+// consume ingests this shard's bucket of one scan. Shards share nothing, so
+// buckets are consumed in parallel. In frozen mode the index is
+// copied-on-write and republished, (domain, period) cells are journaled
+// under gen, and newly seen domains are returned for the dataset-level
+// merge.
+func (s *shard) consume(bucket []routed, gen uint64, frozen bool) []dnscore.Name {
+	if len(bucket) == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	var apexes []dnscore.Name
 	if !frozen {
-		for i, r := range records {
-			if gates[i] != 0 {
-				continue
-			}
-			apexes = apexes[:0]
-			for _, san := range r.Cert.SANs {
-				apex := san.RegisteredDomain()
-				if apex == "" || containsName(apexes, apex) {
-					continue
-				}
-				apexes = append(apexes, apex)
-				if shardIndexOf(apex, nshards) != sid {
-					continue
-				}
-				s.byDomain[apex] = append(s.byDomain[apex], r)
-				s.attach++
-			}
+		for _, e := range bucket {
+			s.byDomain[e.apex] = append(s.byDomain[e.apex], e.rec)
 		}
+		s.attach += len(bucket)
 		return nil
 	}
 	old := s.idx.Load()
-	var next *shardIndex
+	next := old.clone()
 	var newDomains []dnscore.Name
-	for i, r := range records {
-		if gates[i] != 0 {
-			continue
+	for _, e := range bucket {
+		recs, existed := next.byDomain[e.apex]
+		next.byDomain[e.apex] = insertRecord(recs, e.rec)
+		// existed reflects next.byDomain, which accumulates within the
+		// batch — each new apex passes here exactly once.
+		if !existed {
+			newDomains = append(newDomains, e.apex)
 		}
-		apexes = apexes[:0]
-		for _, san := range r.Cert.SANs {
-			apex := san.RegisteredDomain()
-			if apex == "" || containsName(apexes, apex) {
-				continue
-			}
-			apexes = append(apexes, apex)
-			if shardIndexOf(apex, nshards) != sid {
-				continue
-			}
-			if next == nil {
-				next = old.clone()
-			}
-			recs, existed := next.byDomain[apex]
-			next.byDomain[apex] = insertRecord(recs, r)
-			next.attach++
-			// existed reflects next.byDomain, which accumulates within the
-			// batch — each new apex passes here exactly once.
-			if !existed {
-				newDomains = append(newDomains, apex)
-			}
-			if r.ScanDate.InStudy() {
-				s.dirtyCells[DirtyCell{apex, simtime.PeriodOf(r.ScanDate)}] = gen
-			}
+		if e.rec.ScanDate.InStudy() {
+			s.dirtyCells[DirtyCell{e.apex, simtime.PeriodOf(e.rec.ScanDate)}] = gen
 		}
 	}
-	if next != nil {
-		if len(newDomains) > 0 {
-			merged := make([]dnscore.Name, 0, len(old.domains)+len(newDomains))
-			merged = append(merged, old.domains...)
-			merged = append(merged, newDomains...)
-			sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-			next.domains = merged
-		}
-		s.idx.Store(next)
+	next.attach += len(bucket)
+	if len(newDomains) > 0 {
+		next.domains = mergeDomains(old.domains, newDomains)
 	}
+	s.idx.Store(next)
 	return newDomains
 }
 
-// consumeSerialLocked is the single-pass ingest path for small scans (and
-// single-shard datasets): one walk over the records routes each apex
-// directly to its shard, avoiding the per-shard rescans of the parallel
-// path. Caller holds d.mu, which excludes every other writer; shard locks
-// are still taken around index publication for uniformity with the
-// parallel path.
-func (d *Dataset) consumeSerialLocked(records []*Record, gates []uint8, gen uint64, frozen bool) [][]dnscore.Name {
-	nsh := len(d.shards)
-	newDomainsBy := make([][]dnscore.Name, nsh)
-	var nexts []*shardIndex
-	if frozen {
-		nexts = make([]*shardIndex, nsh)
+// mergeDomains returns the sorted union of a sorted domain list and the
+// disjoint batches of newly seen domains, always copying so prior
+// snapshots never observe the mutation.
+func mergeDomains(sorted []dnscore.Name, added ...[]dnscore.Name) []dnscore.Name {
+	n := len(sorted)
+	for _, a := range added {
+		n += len(a)
 	}
-	var apexes []dnscore.Name
-	for i, r := range records {
-		if gates[i] != 0 {
-			continue
-		}
-		apexes = apexes[:0]
-		for _, san := range r.Cert.SANs {
-			apex := san.RegisteredDomain()
-			if apex == "" || containsName(apexes, apex) {
-				continue
-			}
-			apexes = append(apexes, apex)
-			sid := shardIndexOf(apex, nsh)
-			s := d.shards[sid]
-			if !frozen {
-				s.byDomain[apex] = append(s.byDomain[apex], r)
-				s.attach++
-				continue
-			}
-			next := nexts[sid]
-			if next == nil {
-				next = s.idx.Load().clone()
-				nexts[sid] = next
-			}
-			recs, existed := next.byDomain[apex]
-			next.byDomain[apex] = insertRecord(recs, r)
-			next.attach++
-			if !existed {
-				newDomainsBy[sid] = append(newDomainsBy[sid], apex)
-			}
-			if r.ScanDate.InStudy() {
-				s.dirtyCells[DirtyCell{apex, simtime.PeriodOf(r.ScanDate)}] = gen
-			}
-		}
+	merged := make([]dnscore.Name, 0, n)
+	merged = append(merged, sorted...)
+	for _, a := range added {
+		merged = append(merged, a...)
 	}
-	if frozen {
-		for sid, next := range nexts {
-			if next == nil {
-				continue
-			}
-			s := d.shards[sid]
-			if added := newDomainsBy[sid]; len(added) > 0 {
-				old := s.idx.Load()
-				merged := make([]dnscore.Name, 0, len(old.domains)+len(added))
-				merged = append(merged, old.domains...)
-				merged = append(merged, added...)
-				sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
-				next.domains = merged
-			}
-			s.mu.Lock()
-			s.idx.Store(next)
-			s.mu.Unlock()
-		}
-	}
-	return newDomainsBy
+	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
+	return merged
 }
 
 // FNV-1a 64-bit, hand-rolled so routing a name allocates nothing.
@@ -294,8 +271,7 @@ func shardIndexOf(domain dnscore.Name, n int) int {
 }
 
 // parallelIngestThreshold is the record count below which ingest stays
-// serial: fan-out overhead (goroutines, per-shard rescans) only pays for
-// itself on bulk scans. Weekly incremental scans of the toy world are two
+// serial: goroutine fan-out only pays for itself on bulk scans. Weekly incremental scans of the toy world are two
 // orders of magnitude under it.
 const parallelIngestThreshold = 2048
 

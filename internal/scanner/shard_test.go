@@ -24,8 +24,8 @@ func bigBatch(t *testing.T, date simtime.Date, n int) []*Record {
 }
 
 // TestShardCountInvariance ingests the same scans into datasets sharded
-// 1, 3, and 8 ways — serial and parallel ingest paths — and requires every
-// public read to be identical.
+// 1, 3, and 8 ways — bulk scans consumed by parallel shard workers, small
+// ones serially — and requires every public read to be identical.
 func TestShardCountInvariance(t *testing.T) {
 	big := bigBatch(t, 7, 3000)
 	small, smallBatch := badBatch(14)
@@ -70,12 +70,13 @@ func TestShardCountInvariance(t *testing.T) {
 	}
 }
 
-// TestParallelIngestMatchesSerial pins the serial fast path and the
-// parallel fan-out to identical results on the same large scan.
+// TestParallelIngestMatchesSerial pins the routed path to identical
+// results whether the shard buckets are consumed one after another (scans
+// under the threshold) or by parallel workers, on the same large scan.
 func TestParallelIngestMatchesSerial(t *testing.T) {
 	big := bigBatch(t, 7, int(parallelIngestThreshold)+500)
 	serial := NewDatasetShards(4)
-	// Split into sub-threshold chunks: always the serial path.
+	// Split into sub-threshold chunks: one worker throughout.
 	for lo := 0; lo < len(big); lo += 500 {
 		hi := lo + 500
 		if hi > len(big) {

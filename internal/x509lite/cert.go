@@ -82,7 +82,15 @@ type Certificate struct {
 	// safe under concurrent readers; Sign resets it. Because of this field,
 	// certificates must not be copied by value — use Clone.
 	fp atomic.Pointer[Fingerprint]
+	// names memoizes NamesCanonical under the same immutability contract:
+	// 0 unknown, else namesOK or namesBad.
+	names atomic.Uint32
 }
+
+const (
+	namesOK  = 1
+	namesBad = 2
+)
 
 // Clone returns a deep copy of the certificate's public fields with a
 // fresh fingerprint memo. Tests that perturb a certificate start from a
@@ -150,6 +158,29 @@ func (c *Certificate) Fingerprint() Fingerprint {
 	copy(out[:], h.Sum(nil))
 	c.fp.Store(&out)
 	return out
+}
+
+// NamesCanonical reports whether the certificate secures at least one name
+// and every SAN is in dnscore's canonical form (dnscore.IsCanonical) — the
+// ingest gate's per-certificate check, memoized like Fingerprint so a
+// certificate observed in every weekly scan is walked once, and safe when
+// several datasets gate one shared instance concurrently.
+func (c *Certificate) NamesCanonical() bool {
+	if v := c.names.Load(); v != 0 {
+		return v == namesOK
+	}
+	v := uint32(namesOK)
+	if len(c.SANs) == 0 {
+		v = namesBad
+	}
+	for _, san := range c.SANs {
+		if !dnscore.IsCanonical(string(san)) {
+			v = namesBad
+			break
+		}
+	}
+	c.names.Store(v)
+	return v == namesOK
 }
 
 // Covers reports whether the certificate secures name, honoring single-

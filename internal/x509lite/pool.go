@@ -28,10 +28,10 @@ type Pool struct {
 	// InternName, when set, canonicalizes the SAN strings of a
 	// certificate on first insertion (typically through a shared string
 	// pool, so SANs repeated across certificate generations share
-	// backing bytes). It runs under the stripe lock, before the
-	// certificate becomes visible to other interners. Callers must only
-	// hand Intern certificates they own at that point: the SAN slice of
-	// a first-seen certificate is rewritten in place.
+	// backing bytes). It runs under the stripe lock. The pool then keeps
+	// its own copy of the certificate carrying the interned names: the
+	// certificate handed to Intern is never written, so a feed may hand
+	// one instance to several pools at once.
 	InternName func(dnscore.Name) dnscore.Name
 
 	stripes [certPoolStripes]certPoolStripe
@@ -56,10 +56,10 @@ func NewPool() *Pool {
 	return p
 }
 
-// Intern returns the pool's canonical instance for c, inserting c itself
-// if its fingerprint is new. A nil pool or certificate passes through
-// unchanged. On insertion the certificate's SANs are canonicalized via
-// InternName (when set); lookups never mutate anything.
+// Intern returns the pool's canonical instance for c. A nil pool or
+// certificate passes through unchanged. A new fingerprint inserts c itself,
+// or — when InternName is set — a copy of c whose SANs went through
+// InternName; c is only ever read.
 func (p *Pool) Intern(c *Certificate) *Certificate {
 	if p == nil || c == nil {
 		return c
@@ -78,9 +78,15 @@ func (p *Pool) Intern(c *Certificate) *Certificate {
 		return got
 	}
 	if p.InternName != nil {
-		for i, san := range c.SANs {
-			c.SANs[i] = p.InternName(san)
+		own := c.Clone()
+		for i, san := range own.SANs {
+			own.SANs[i] = p.InternName(san)
+			if san == own.Subject {
+				own.Subject = own.SANs[i]
+			}
 		}
+		own.fp.Store(c.fp.Load())
+		c = own
 	}
 	st.m[fp] = c
 	p.size.Add(1)

@@ -65,9 +65,17 @@ func TestPoolInternNameCanonicalizesFirstSeen(t *testing.T) {
 		return n
 	}
 	c := poolCert(5, "www.b.example", "mail.b.example")
-	p.Intern(c)
+	got := p.Intern(c)
 	if len(interned) != 2 {
 		t.Fatalf("InternName ran %d times, want 2 (once per SAN)", len(interned))
+	}
+	// The pool keeps a copy carrying the interned names; the certificate it
+	// was handed stays as it was, so other pools may be reading it.
+	if got == c || got.Fingerprint() != c.Fingerprint() || len(got.SANs) != 2 {
+		t.Fatalf("pooled instance %v is not a distinct copy of %v", got, c)
+	}
+	if again := p.Intern(c); again != got {
+		t.Fatal("second intern of the same instance missed the pooled copy")
 	}
 	// Lookups never re-canonicalize.
 	p.Intern(poolCert(5, "www.b.example", "mail.b.example"))

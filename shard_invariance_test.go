@@ -19,6 +19,12 @@ import (
 // must serialize to the exact same JSON report, byte for byte, and agree
 // on every funnel count and the quarantine journal. Shard count, worker
 // count, and fan-out strategy are execution knobs, never analysis inputs.
+//
+// The matrix runs twice: over the scanner's own records, and over the same
+// scans written to scans.csv and read back through one ScanCSV reader —
+// records that share certificate instances and ports arrays across weeks,
+// which is what the ingest route memo and the gate's per-certificate memo
+// key on.
 func TestShardCountInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study replay")
@@ -35,7 +41,31 @@ func TestShardCountInvariance(t *testing.T) {
 	for i, d := range dates {
 		scans[i] = sc.ScanWeek(d)
 	}
+	t.Run("scanner records", func(t *testing.T) { shardCountInvariance(t, w, scans) })
+	t.Run("csv-read records", func(t *testing.T) { shardCountInvariance(t, w, viaScanCSV(t, scans)) })
+}
 
+// viaScanCSV writes scans out as one scans.csv and reads them back through
+// a single reader, regrouped by scan date.
+func viaScanCSV(t *testing.T, scans [][]*scanner.Record) [][]*scanner.Record {
+	t.Helper()
+	rd := scanner.NewScanCSV(bytes.NewReader(scansCSV(scans)))
+	rd.OnQuarantine = func(reason, detail string) { t.Fatalf("row quarantined: %s: %s", reason, detail) }
+	out := make([][]*scanner.Record, len(scans))
+	for i, scan := range scans {
+		for range scan {
+			rec, err := rd.Next()
+			if err != nil {
+				t.Fatalf("scan %d: %v", i, err)
+			}
+			out[i] = append(out[i], rec)
+		}
+	}
+	return out
+}
+
+func shardCountInvariance(t *testing.T, w *world.World, scans [][]*scanner.Record) {
+	dates := w.ScanDates()
 	pipeline := func(ds *scanner.Dataset, workers int, cached, legacy bool) *core.Pipeline {
 		p := &core.Pipeline{
 			Params: core.DefaultParams(), Dataset: ds, Meta: w.Meta,

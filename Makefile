@@ -3,12 +3,13 @@
 
 GO ?= go
 
-.PHONY: ci vet build test race fuzz-smoke lint bench bench-all bench-report benchgate bench-baseline smoke-serve smoke-scale smoke-chaos smoke-load smoke-spill profile-classify
+.PHONY: ci vet build test race fuzz-smoke lint bench bench-all bench-report benchgate bench-baseline bench-record bench-compare smoke-bench smoke-serve smoke-scale smoke-chaos smoke-load load-baseline smoke-spill profile-classify
 
 ci: lint vet build test race fuzz-smoke
 
 # The fault-tolerance conventions from PR 3, machine-checked: no panic(
-# reachable from data paths, no Must* constructors outside static tables.
+# reachable from data paths, no Must* constructors outside static tables —
+# and no manifest growing back under internal/wal or internal/segment.
 lint:
 	./scripts/lint.sh
 
@@ -88,6 +89,26 @@ benchgate: bench-report
 bench-baseline: bench-report
 	$(GO) run ./cmd/benchdiff -update -baseline BENCH_BASELINE.json -report $(BENCHDIR)/run-report.json -bench $(BENCHDIR)/bench.txt
 
+# The benchmark of record (bench/, BENCHMARK.json): four paper-shaped
+# workloads, end-to-end metrics plus the per-layer ledger. bench-record
+# writes one results file; bench-compare judges two of them (exit 1 on a
+# worse metric or a differing exact count):
+#   make bench-record && cp $(BENCHDIR)/bench-of-record.json before.json
+#   ... change something ...
+#   make bench-record && make bench-compare A=before.json B=$(BENCHDIR)/bench-of-record.json
+bench-record:
+	mkdir -p $(BENCHDIR)
+	$(GO) run ./bench run -seed 1 -out $(BENCHDIR)/bench-of-record.json
+
+bench-compare:
+	$(GO) run ./bench compare $(A) $(B)
+
+# The same benchmark as a correctness gate: BENCHMARK.json's command once
+# per workload, failing unless each run's verdict line says correct=true
+# with zero failed operations. Timings are advisory here.
+smoke-bench:
+	./scripts/smoke_bench.sh
+
 # CPU profile of the classification hot path: one uncached pipeline run
 # over a 50k-domain synthetic corpus (no simulator in the profile). Open
 # with `go tool pprof $(BENCHDIR)/classify.pprof`.
@@ -115,12 +136,17 @@ smoke-scale:
 smoke-chaos:
 	./scripts/smoke_chaos.sh
 
-# Load gate: cmd/loadgen against retrodnsd at -replicas 1 and 2 on a
-# 50k-domain corpus, byte-identical endpoint bodies across replica
-# counts, p99/QPS gated against LOAD_BASELINE.json, and the >=2x
-# prerendered-hit speedup over BENCH_BASELINE.json (cmd/benchdiff).
+# Load gate: cmd/loadgen against one retrodnsd on a 50k-domain corpus,
+# every endpoint answering, a clean drain, and p99/QPS gated against the
+# recorded LOAD_BASELINE.json (cmd/benchdiff).
 smoke-load:
 	./scripts/smoke_load.sh
+
+# Re-record LOAD_BASELINE.json from a run on this box (benchdiff -update
+# -baseline LOAD_BASELINE.json -load ...); commit the result. The numbers
+# in that file are only ever written this way, never typed.
+load-baseline:
+	./scripts/smoke_load.sh record
 
 # Out-of-core gate: a 200k-domain synthetic corpus classified three ways —
 # fully resident, spilled to segments under a tight -mem-budget-mb, and

@@ -19,7 +19,8 @@
 //
 //	benchdiff -baseline BENCH_BASELINE.json -report run.json -bench bench.txt
 //	benchdiff -update -baseline BENCH_BASELINE.json -report run.json -bench bench.txt
-//	benchdiff -baseline LOAD_BASELINE.json -load load-r1.json -load load-r2.json
+//	benchdiff -baseline LOAD_BASELINE.json -load load.json
+//	benchdiff -update -baseline LOAD_BASELINE.json -load load.json
 //	benchdiff -baseline BENCH_BASELINE.json -bench bench.txt -min-speedup 'BenchmarkServeQuery/hit=2.0'
 //
 // Exit codes: 0 gate passed, 1 gate failed, 2 usage or I/O error.
@@ -87,17 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		// the embedded metrics snapshot is scrape surface, not gate input,
 		// and only bloats the committed file.
 		current.Metrics = nil
-		f, err := os.Create(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "benchdiff:", err)
-			return 2
-		}
-		if err := current.Encode(f); err != nil {
-			f.Close()
-			fmt.Fprintln(stderr, "benchdiff:", err)
-			return 2
-		}
-		if err := f.Close(); err != nil {
+		if err := current.WriteFile(*baselinePath); err != nil {
 			fmt.Fprintln(stderr, "benchdiff:", err)
 			return 2
 		}
@@ -131,8 +122,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 // report, raw bench output, and/or loadgen reports. Bench samples parsed
 // from -bench replace any embedded in the report: the gate should see
 // what this run measured, not what the report writer happened to embed.
-// Load samples from every -load file are concatenated (the smoke script
-// passes one file per replica count, with distinct sample labels).
+// Load samples from every -load file are concatenated (runs are told
+// apart by loadgen's -label prefix on the sample names).
 func loadCurrent(reportPath, benchPath string, loadPaths []string) (*report.RunReport, error) {
 	var current *report.RunReport
 	if reportPath != "" {

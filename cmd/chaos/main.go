@@ -546,7 +546,7 @@ func (h *harness) campaignDuplicate(c *campaign) error {
 }
 
 // campaignDrain: SIGTERM mid-ingest — the graceful path. The drain must
-// flush the WAL tail and manifest so the restart recovers with zero
+// leave a whole, fsynced WAL so the restart recovers with zero
 // damage-class faults.
 func (h *harness) campaignDrain(c *campaign) error {
 	d, err := h.start(h.daemonArgs(c.dataDir(), filepath.Join(c.dir, "phase1.json"),

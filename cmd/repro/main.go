@@ -104,10 +104,8 @@ func main() {
 	w := world.New(cfg)
 	progress("running study clock and weekly scans (%d days)...", simtime.StudyDays)
 	ds := w.RunShards(*shards)
-	if len(w.Errors) > 0 {
-		for _, err := range w.Errors {
-			fmt.Fprintf(os.Stderr, "world error: %v\n", err)
-		}
+	if err := w.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	if q := ds.Quarantine(); q.Total > 0 {
@@ -123,25 +121,11 @@ func main() {
 	progress("running detection pipeline...")
 	metrics := obsv.NewRegistry()
 	ds.SetMetrics(metrics)
-	w.PDNSDB.SetMetrics(metrics)
-	w.CT.SetMetrics(metrics)
-	pipe := &core.Pipeline{Params: core.DefaultParams(), Dataset: ds, Meta: w.Meta, PDNS: w.PDNSDB, CT: w.CT, Workers: *workers, Cache: core.NewClassifyCache(), Metrics: metrics}
-	res := pipe.Run()
+	res := w.Pipeline(ds, *workers, core.NewClassifyCache(), metrics).Run()
 	progress("%s", res.Stats)
 
 	if *repJSON != "" {
-		doc := report.BuildRunReport(res, ds.Quarantine(), metrics)
-		out := os.Stdout
-		if *repJSON != "-" {
-			f, err := os.Create(*repJSON)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "report-json:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := doc.Encode(out); err != nil {
+		if err := report.BuildRunReport(res, ds.Quarantine(), metrics).WriteFile(*repJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "report-json:", err)
 			os.Exit(1)
 		}
@@ -221,8 +205,7 @@ func main() {
 		lockCfg.RegistryLockAll = true
 		lw := world.New(lockCfg)
 		lds := lw.Run()
-		lp := &core.Pipeline{Params: core.DefaultParams(), Dataset: lds, Meta: lw.Meta, PDNS: lw.PDNSDB, CT: lw.CT, Workers: *workers}
-		lres := lp.Run()
+		lres := lw.Pipeline(lds, *workers, nil, nil).Run()
 		truthHijacked := 0
 		for _, truth := range lw.TruthList() {
 			if truth.Kind == "hijacked" {
@@ -262,18 +245,7 @@ func runSynthClassify(domains int, seed int64, shards, workers int, repJSON stri
 	fmt.Println(report.Funnel(res))
 	fmt.Print(res.Stats)
 	if repJSON != "" {
-		doc := report.BuildRunReport(res, ds.Quarantine(), nil)
-		out := os.Stdout
-		if repJSON != "-" {
-			f, err := os.Create(repJSON)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "report-json:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := doc.Encode(out); err != nil {
+		if err := report.BuildRunReport(res, ds.Quarantine(), nil).WriteFile(repJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "report-json:", err)
 			os.Exit(1)
 		}

@@ -128,14 +128,7 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		w.PDNSDB.SetMetrics(metrics)
-		w.CT.SetMetrics(metrics)
-		pipe := &core.Pipeline{
-			Params: core.DefaultParams(), Dataset: ds, Meta: w.Meta,
-			PDNS: w.PDNSDB, CT: w.CT, DNSSEC: w.SecLog,
-			Workers: *workers, Cache: core.NewClassifyCache(),
-			Metrics: metrics,
-		}
+		pipe := w.Pipeline(ds, *workers, core.NewClassifyCache(), metrics)
 		for _, date := range w.ScanDates() {
 			if err := ds.Append(date, sc.ScanWeek(date)); err != nil {
 				fmt.Fprintf(os.Stderr, "ingest %s: %v\n", date, err)
@@ -172,20 +165,13 @@ func main() {
 				os.Exit(1)
 			}
 		}
-		w.PDNSDB.SetMetrics(metrics)
-		w.CT.SetMetrics(metrics)
-		pipe := &core.Pipeline{
-			Params: core.DefaultParams(), Dataset: ds, Meta: w.Meta,
-			PDNS: w.PDNSDB, CT: w.CT, DNSSEC: w.SecLog,
-			Workers: *workers, Cache: core.NewClassifyCache(),
-			Metrics: metrics,
-		}
+		pipe := w.Pipeline(ds, *workers, core.NewClassifyCache(), metrics)
 		res = pipe.Run()
 	}
 	fmt.Fprint(os.Stderr, res.Stats)
 
 	if *reportJSON != "" {
-		if err := writeRunReport(*reportJSON, res, dataset, metrics); err != nil {
+		if err := report.BuildRunReport(res, dataset.Quarantine(), metrics).WriteFile(*reportJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "report-json:", err)
 			os.Exit(1)
 		}
@@ -312,7 +298,7 @@ func runSynth(cfg synthRun, metrics *obsv.Registry) {
 	fmt.Fprint(os.Stderr, res.Stats)
 
 	if cfg.reportJSON != "" {
-		if err := writeRunReport(cfg.reportJSON, res, ds, metrics); err != nil {
+		if err := report.BuildRunReport(res, ds.Quarantine(), metrics).WriteFile(cfg.reportJSON); err != nil {
 			fmt.Fprintln(os.Stderr, "report-json:", err)
 			os.Exit(1)
 		}
@@ -327,33 +313,12 @@ func runSynth(cfg synthRun, metrics *obsv.Registry) {
 	fmt.Println(report.Funnel(res))
 }
 
-// writeRunReport emits the machine-readable run report — the document
-// cmd/benchdiff gates CI on — to a file or stdout.
-func writeRunReport(path string, res *core.Result, ds *scanner.Dataset, metrics *obsv.Registry) error {
-	doc := report.BuildRunReport(res, ds.Quarantine(), metrics)
-	if path == "-" {
-		return doc.Encode(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := doc.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // checkWorldErrors aborts on world-generation failures.
 func checkWorldErrors(w *world.World) {
-	if len(w.Errors) == 0 {
-		return
+	if err := w.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	for _, err := range w.Errors {
-		fmt.Fprintf(os.Stderr, "world error: %v\n", err)
-	}
-	os.Exit(1)
 }
 
 // score compares verdicts to ground truth and prints recall/precision —

@@ -11,7 +11,6 @@
 //	retrodnsd -listen :8080                  # analyze once, serve forever
 //	retrodnsd -listen :8080 -follow          # re-analyze and swap after every scan
 //	retrodnsd -data-dir d -scans-csv s.csv   # durable CSV ingest with warm restarts
-//	retrodnsd -listen :8080 -replicas 4      # consistent-hash routing over 4 engines
 //	curl localhost:8080/v1/healthz
 //	curl localhost:8080/v1/funnel
 //	curl localhost:8080/v1/shortlist
@@ -66,10 +65,9 @@ func run() error {
 		strict      = flag.Bool("strict", false, "treat any record the ingest gate would quarantine as a fatal error")
 		follow      = flag.Bool("follow", false, "ingest scan-by-scan, re-analyzing and swapping the snapshot after each scan")
 		interval    = flag.Duration("scan-interval", 0, "pause between scans in -follow mode (0 = replay as fast as possible)")
-		lruSize     = flag.Int("lru", serve.DefaultLRUSize, "rendered-response cache entries per replica (negative disables)")
+		lruSize     = flag.Int("lru", serve.DefaultLRUSize, "rendered-response cache entries (negative disables)")
 		rate        = flag.Float64("rate", 0, "token-bucket request rate limit per second (0 disables)")
 		burst       = flag.Int("burst", 0, "rate-limiter burst capacity (defaults to 1 when -rate is set)")
-		replicas    = flag.Int("replicas", 1, "serving engine replicas behind consistent-hash routing")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant request rate limit per second, keyed on "+serve.TenantHeader+" (0 disables)")
 		tenantBurst = flag.Int("tenant-burst", 0, "per-tenant burst capacity (defaults to 1 when -tenant-rate is set)")
 		reqTimeout  = flag.Duration("request-timeout", 10*time.Second, "per-request handler timeout")
@@ -107,28 +105,20 @@ func run() error {
 	}
 
 	metrics := obsv.NewRegistry()
-	opts := serve.Options{
+	engine := serve.NewEngine(serve.Options{
 		LRUSize:          lruFlag(*lruSize),
 		RatePerSec:       *rate,
 		Burst:            *burst,
 		TenantRatePerSec: *tenantRate,
 		TenantBurst:      *tenantBurst,
-	}
-	// -replicas 1 serves a bare engine (no routing layer on the hot
-	// path); anything higher puts N engines behind the consistent-hash
-	// router, which also exposes the /v1/replicas fanout.
-	var pub snapshotPublisher = serve.NewEngine(opts)
-	if *replicas > 1 {
-		pub = serve.NewRouter(*replicas, opts)
-		fmt.Fprintf(os.Stderr, "routing across %d replicas\n", *replicas)
-	}
-	pub.SetMetrics(metrics)
+	})
+	engine.SetMetrics(metrics)
 
 	// One mux, one listener: the query API and the scrape surface share
 	// -listen; -metrics-addr adds an optional side listener for setups
 	// that keep scrapes off the serving port.
 	mux := http.NewServeMux()
-	mux.Handle("/v1/", pub.Handler())
+	mux.Handle("/v1/", engine.Handler())
 	metrics.Mount(mux)
 	srv := &http.Server{
 		Handler:           http.TimeoutHandler(mux, *reqTimeout, `{"error":"request timed out"}`+"\n"),
@@ -178,13 +168,13 @@ func run() error {
 		dur *durable
 	)
 	if *scansCSV != "" {
-		res, ds, dur, err = ingestCSV(ctx, pub, metrics, csvConfig{
+		res, ds, dur, err = ingestCSV(ctx, engine, metrics, csvConfig{
 			path: *scansCSV, dataDir: *dataDir, shards: *shards,
 			snapshotEvery: *snapEvery, workers: *workers, strict: *strict,
 			follow: *follow, interval: *interval, spill: spill,
 		})
 	} else {
-		res, ds, err = ingest(ctx, pub, metrics, ingestConfig{
+		res, ds, err = ingest(ctx, engine, metrics, ingestConfig{
 			seed: *seed, stable: *stable, campaigns: !*noCampaigns,
 			coverage: *coverage, workers: *workers, strict: *strict,
 			follow: *follow, interval: *interval,
@@ -223,9 +213,9 @@ func run() error {
 		}
 	}
 
-	// The durable store closes inside the drain window: Close flushes the
-	// WAL tail and fsyncs a manifest with the final generation, so a clean
-	// SIGTERM loses nothing.
+	// The durable store closes inside the drain window: Close fsyncs and
+	// closes the WAL, and every appended batch was already fsynced before
+	// it was applied, so a clean SIGTERM loses nothing.
 	if dur != nil {
 		if err := dur.Close(); err != nil {
 			fmt.Fprintln(os.Stderr, "wal close:", err)
@@ -233,7 +223,7 @@ func run() error {
 	}
 
 	if *reportJSON != "" && res != nil {
-		if err := writeRunReport(*reportJSON, res, ds, metrics, pub, *replicas, dur); err != nil {
+		if err := writeRunReport(*reportJSON, res, ds, metrics, engine, dur); err != nil {
 			return fmt.Errorf("report-json: %w", err)
 		}
 	}
@@ -265,19 +255,6 @@ func servePprof(addr string) (string, func(context.Context) error, error) {
 	return ln.Addr().String(), srv.Shutdown, nil
 }
 
-// snapshotPublisher is what the ingest loops need from the serving
-// layer: somewhere to install each generation and the stats/handler
-// surface around it. *serve.Engine (one replica) and *serve.Router
-// (consistent-hash fanout) both satisfy it, so ingest and the shutdown
-// report are agnostic to -replicas.
-type snapshotPublisher interface {
-	Publish(*serve.Snapshot)
-	Current() *serve.Snapshot
-	Handler() http.Handler
-	SetMetrics(*obsv.Registry)
-	Stats() serve.Stats
-}
-
 // lruFlag maps the -lru flag onto serve.Options.LRUSize, where 0 means
 // "use the default" rather than "disabled" — a user passing -lru 0 wants
 // caching off.
@@ -303,7 +280,7 @@ type ingestConfig struct {
 // a snapshot per generation (-follow) or once for the whole corpus. It
 // returns the final result and dataset for the shutdown report; a nil
 // result means the context was cancelled before the first analysis.
-func ingest(ctx context.Context, pub snapshotPublisher, metrics *obsv.Registry, cfg ingestConfig) (*core.Result, *scanner.Dataset, error) {
+func ingest(ctx context.Context, engine *serve.Engine, metrics *obsv.Registry, cfg ingestConfig) (*core.Result, *scanner.Dataset, error) {
 	wcfg := world.DefaultConfig()
 	wcfg.Seed = cfg.seed
 	wcfg.StableDomains = cfg.stable
@@ -317,7 +294,7 @@ func ingest(ctx context.Context, pub snapshotPublisher, metrics *obsv.Registry, 
 
 	if !cfg.follow {
 		ds := w.Run()
-		if err := worldErrors(w); err != nil {
+		if err := w.Err(); err != nil {
 			return nil, nil, err
 		}
 		if q := ds.Quarantine(); q.Total > 0 {
@@ -327,27 +304,22 @@ func ingest(ctx context.Context, pub snapshotPublisher, metrics *obsv.Registry, 
 			}
 		}
 		ds.SetMetrics(metrics)
-		w.PDNSDB.SetMetrics(metrics)
-		w.CT.SetMetrics(metrics)
-		pipe := newPipeline(w, ds, metrics, cfg.workers)
-		res := pipe.Run()
-		pub.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
+		res := w.Pipeline(ds, cfg.workers, core.NewClassifyCache(), metrics).Run()
+		engine.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
 		fmt.Fprintf(os.Stderr, "published snapshot gen=%d hijacked=%d targeted=%d\n",
 			ds.Generation(), len(res.Hijacked), len(res.Targeted))
 		return res, ds, nil
 	}
 
 	w.RunClock()
-	if err := worldErrors(w); err != nil {
+	if err := w.Err(); err != nil {
 		return nil, nil, err
 	}
 	sc := w.Scanner()
 	ds := scanner.NewDataset()
 	ds.SetStrict(cfg.strict)
 	ds.SetMetrics(metrics)
-	w.PDNSDB.SetMetrics(metrics)
-	w.CT.SetMetrics(metrics)
-	pipe := newPipeline(w, ds, metrics, cfg.workers)
+	pipe := w.Pipeline(ds, cfg.workers, core.NewClassifyCache(), metrics)
 
 	var res *core.Result
 	for _, date := range w.ScanDates() {
@@ -360,7 +332,7 @@ func ingest(ctx context.Context, pub snapshotPublisher, metrics *obsv.Registry, 
 			return res, ds, fmt.Errorf("ingest %s: %w", date, err)
 		}
 		res = pipe.Run()
-		pub.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
+		engine.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
 		fmt.Fprintf(os.Stderr, "scan %s: published gen=%d dirty=%d hijacked=%d targeted=%d\n",
 			date, ds.Generation(), res.Stats.DirtyCells, len(res.Hijacked), len(res.Targeted))
 		if cfg.interval > 0 {
@@ -425,7 +397,7 @@ const followPoll = 100 * time.Millisecond
 // generation, so the API answers from the pre-crash state before the feed
 // advances it. There is no simulated world behind a CSV feed, so the
 // auxiliary sources are empty — same shape as retrodns -synth.
-func ingestCSV(ctx context.Context, pub snapshotPublisher, metrics *obsv.Registry, cfg csvConfig) (*core.Result, *scanner.Dataset, *durable, error) {
+func ingestCSV(ctx context.Context, engine *serve.Engine, metrics *obsv.Registry, cfg csvConfig) (*core.Result, *scanner.Dataset, *durable, error) {
 	dur := &durable{}
 	var ds *scanner.Dataset
 	cache := core.NewClassifyCache()
@@ -462,7 +434,7 @@ func ingestCSV(ctx context.Context, pub snapshotPublisher, metrics *obsv.Registr
 		// Warm boot: serve the recovered generation before reading a byte
 		// of feed.
 		res = pipe.Run()
-		pub.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
+		engine.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
 		fmt.Fprintf(os.Stderr, "published recovered snapshot gen=%d\n", ds.Generation())
 	}
 
@@ -496,7 +468,7 @@ func ingestCSV(ctx context.Context, pub snapshotPublisher, metrics *obsv.Registr
 			continue
 		}
 		res = pipe.Run()
-		pub.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
+		engine.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
 		fmt.Fprintf(os.Stderr, "scan %s: published gen=%d dirty=%d hijacked=%d targeted=%d\n",
 			date, ds.Generation(), res.Stats.DirtyCells, len(res.Hijacked), len(res.Targeted))
 		if dur.store != nil {
@@ -526,37 +498,15 @@ func ingestCSV(ctx context.Context, pub snapshotPublisher, metrics *obsv.Registr
 	return res, ds, dur, nil
 }
 
-// newPipeline wires the analysis pipeline the same way both CLIs do.
-func newPipeline(w *world.World, ds *scanner.Dataset, metrics *obsv.Registry, workers int) *core.Pipeline {
-	return &core.Pipeline{
-		Params: core.DefaultParams(), Dataset: ds, Meta: w.Meta,
-		PDNS: w.PDNSDB, CT: w.CT, DNSSEC: w.SecLog,
-		Workers: workers, Cache: core.NewClassifyCache(),
-		Metrics: metrics,
-	}
-}
-
-// worldErrors folds world-generation failures into one error.
-func worldErrors(w *world.World) error {
-	if len(w.Errors) == 0 {
-		return nil
-	}
-	for _, err := range w.Errors {
-		fmt.Fprintf(os.Stderr, "world error: %v\n", err)
-	}
-	return fmt.Errorf("world generation failed with %d errors", len(w.Errors))
-}
-
 // writeRunReport emits the run report with the serving section attached —
 // the only producer that fills it in — plus, in durable mode, the WAL
 // section describing what boot recovered.
-func writeRunReport(path string, res *core.Result, ds *scanner.Dataset, metrics *obsv.Registry, pub snapshotPublisher, replicas int, dur *durable) error {
+func writeRunReport(path string, res *core.Result, ds *scanner.Dataset, metrics *obsv.Registry, engine *serve.Engine, dur *durable) error {
 	doc := report.BuildRunReport(res, ds.Quarantine(), metrics)
-	st := pub.Stats()
+	st := engine.Stats()
 	doc.Serve = &report.ServeSection{
 		Generation: st.Generation,
 		Swaps:      st.Swaps,
-		Replicas:   replicas,
 		Requests:   st.Requests,
 	}
 	if dur != nil && dur.rec != nil {
@@ -571,16 +521,5 @@ func writeRunReport(path string, res *core.Result, ds *scanner.Dataset, metrics 
 			doc.WAL.Quarantined = dur.rec.Faults
 		}
 	}
-	if path == "-" {
-		return doc.Encode(os.Stdout)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := doc.Encode(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	return doc.WriteFile(path)
 }

@@ -61,11 +61,8 @@ func main() {
 	fmt.Fprintf(os.Stderr, "generating world (seed %d)...\n", cfg.Seed)
 	w := world.New(cfg)
 	ds := w.Run()
-	if len(w.Errors) > 0 {
-		for _, err := range w.Errors {
-			fmt.Fprintln(os.Stderr, "world error:", err)
-		}
-		os.Exit(1)
+	if err := w.Err(); err != nil {
+		fatal(err)
 	}
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {

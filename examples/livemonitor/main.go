@@ -91,13 +91,7 @@ func followStudy(metricsAddr string) {
 
 	ds := scanner.NewDataset()
 	ds.SetMetrics(metrics)
-	w.PDNSDB.SetMetrics(metrics)
-	w.CT.SetMetrics(metrics)
-	pipe := &core.Pipeline{
-		Params: core.DefaultParams(), Dataset: ds, Meta: w.Meta,
-		PDNS: w.PDNSDB, CT: w.CT, DNSSEC: w.SecLog,
-		Cache: core.NewClassifyCache(), Metrics: metrics,
-	}
+	pipe := w.Pipeline(ds, 0, core.NewClassifyCache(), metrics)
 
 	seen := make(map[dnscore.Name]bool)
 	var res *core.Result

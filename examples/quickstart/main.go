@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 
-	"retrodns/internal/core"
 	"retrodns/internal/report"
 	"retrodns/internal/world"
 )
@@ -28,8 +27,8 @@ func main() {
 	w := world.New(cfg)
 	fmt.Println("simulating four years of Internet history...")
 	dataset := w.Run()
-	if len(w.Errors) > 0 {
-		fmt.Fprintln(os.Stderr, "simulation errors:", w.Errors)
+	if err := w.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	domains, records := dataset.Size()
@@ -37,14 +36,7 @@ func main() {
 
 	// The paper's methodology: deployment maps → pattern classification →
 	// shortlist → inspection against pDNS and CT → pivot.
-	pipeline := &core.Pipeline{
-		Params:  core.DefaultParams(),
-		Dataset: dataset,
-		Meta:    w.Meta,
-		PDNS:    w.PDNSDB,
-		CT:      w.CT,
-	}
-	res := pipeline.Run()
+	res := w.Pipeline(dataset, 0, nil, nil).Run()
 
 	fmt.Println(report.Funnel(res))
 	fmt.Printf("first five hijacked findings:\n")

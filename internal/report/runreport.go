@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -61,7 +62,6 @@ type QuarantineSection struct {
 type ServeSection struct {
 	Generation uint64           `json:"generation"`
 	Swaps      uint64           `json:"swaps"`
-	Replicas   int              `json:"replicas,omitempty"`
 	Requests   map[string]int64 `json:"requests,omitempty"`
 }
 
@@ -249,6 +249,23 @@ func (r RunReport) Encode(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
+}
+
+// WriteFile encodes the report to path, or to stdout when path is "-" —
+// the -report-json convention every binary shares.
+func (r RunReport) WriteFile(path string) error {
+	if path == "-" {
+		return r.Encode(os.Stdout)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := r.Encode(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadRunReport parses a document Encode produced. Strict like ReadJSON:

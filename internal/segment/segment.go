@@ -4,8 +4,8 @@
 // per-key offset index. The scanner seals cold shards into segments and
 // serves DomainRecords windows back off disk (mmap when the platform has
 // it, plain ReadAt streaming otherwise); the WAL layer shares the same
-// CRC-32C framing for its snapshot files and manifest, so the two storage
-// layers verify one format.
+// CRC-32C framing for its snapshot files, so the two storage layers
+// verify one format.
 //
 // A segment file is one frame:
 //
@@ -40,17 +40,14 @@ import (
 	"path/filepath"
 )
 
-// Typed refusals. Everything a damaged segment, frame, or manifest can
-// provoke maps to one of these (possibly wrapped).
+// Typed refusals. Everything a damaged segment or frame can provoke maps
+// to one of these (possibly wrapped).
 var (
 	// ErrBadFrame reports a frame with the wrong magic, a truncated body,
 	// or a CRC mismatch.
 	ErrBadFrame = errors.New("segment: invalid frame")
 	// ErrBadSegment reports a structurally invalid segment payload.
 	ErrBadSegment = errors.New("segment: invalid segment")
-	// ErrBadManifest reports an unreadable or mis-schemaed manifest; the
-	// store recovers by scanning the directory instead.
-	ErrBadManifest = errors.New("segment: invalid manifest")
 	// ErrUnsortedKeys reports a Writer.Add call out of key order.
 	ErrUnsortedKeys = errors.New("segment: keys not strictly ascending")
 	// ErrClosed reports a read through a closed Reader.
@@ -70,7 +67,7 @@ const (
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // Frame wraps payload as magic ++ payload ++ u32le CRC-32C(payload) — the
-// shared framing for segment files, WAL snapshot files, and manifests.
+// shared framing for segment files and WAL snapshot files.
 func Frame(magic string, payload []byte) []byte {
 	buf := make([]byte, 0, len(magic)+len(payload)+4)
 	buf = append(buf, magic...)

@@ -1,60 +1,36 @@
 package segment
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // The segment store: one directory of immutable seg-<shard>-<gen>.bin
-// files registered in a CRC-framed, fsynced manifest.json. The manifest
-// is an index, not the source of truth — a corrupt or missing manifest is
-// recovered by scanning the directory for well-formed segment names, the
-// same stance the WAL takes toward its own manifest — so no manifest
-// state can ever make sealed data unreachable.
+// files. Each file is CRC-framed, written atomically, and names its own
+// (shard, generation), so the directory is its own index: callers hold the
+// name of every segment they sealed (a dataset snapshot records them) and
+// open by name. Anything else in the directory — including a
+// manifest.json left by an older build — is ignored.
 
 const (
-	manifestName   = "manifest.json"
-	manifestMagic  = "RDSM"
-	manifestSchema = "retrodns/segment-manifest/v1"
-	segPrefix      = "seg-"
-	segSuffix      = ".bin"
-	// KeepGenerations is Prune's default retention per shard: the newest
-	// segment plus one fallback, mirroring the WAL's keepSnapshots — an
-	// older dataset snapshot may still reference the previous generation.
-	KeepGenerations = 2
+	segPrefix = "seg-"
+	segSuffix = ".bin"
 )
 
-// Info describes one sealed segment, as recorded in the manifest.
+// Info describes one sealed segment.
 type Info struct {
-	Shard   int    `json:"shard"`
-	Gen     uint64 `json:"generation"`
-	File    string `json:"file"`
-	Entries int    `json:"entries"`
-	Bytes   int64  `json:"bytes"`
+	Shard int
+	Gen   uint64
+	File  string
+	Bytes int64
 }
 
-type manifestDoc struct {
-	Schema   string `json:"schema"`
-	Segments []Info `json:"segments"`
-}
-
-type segKey struct {
-	shard int
-	gen   uint64
-}
-
-// Store owns one spill directory. Safe for concurrent use.
+// Store owns one spill directory. Safe for concurrent use: it holds no
+// mutable state, and every write is an atomic rename.
 type Store struct {
 	dir string
-
-	mu        sync.Mutex
-	segs      map[segKey]Info
-	rescanned bool
 }
 
 // SegName renders the canonical segment file name for (shard, gen).
@@ -74,10 +50,7 @@ func parseSegName(name string) (shard int, gen uint64, ok bool) {
 	return shard, gen, true
 }
 
-// OpenStore opens (creating if needed) the segment directory and loads
-// its manifest. A damaged manifest is not an error: the store rebuilds
-// its index by scanning the directory and reports the fall-back through
-// RecoveredByScan.
+// OpenStore opens (creating if needed) the segment directory.
 func OpenStore(dir string) (*Store, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("segment: store dir required")
@@ -85,98 +58,16 @@ func OpenStore(dir string) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	st := &Store{dir: dir, segs: make(map[segKey]Info)}
-	segs, err := readManifest(dir)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			st.rescanned = true
-		}
-		segs = scanDir(dir)
-	}
-	for _, info := range segs {
-		st.segs[segKey{info.Shard, info.Gen}] = info
-	}
-	return st, nil
+	return &Store{dir: dir}, nil
 }
 
 // Dir returns the store directory.
 func (st *Store) Dir() string { return st.dir }
 
-// RecoveredByScan reports that the manifest was damaged at open and the
-// index was rebuilt from the directory listing.
-func (st *Store) RecoveredByScan() bool {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.rescanned
-}
-
-// readManifest loads and verifies the framed manifest. A missing file
-// surfaces as an os.IsNotExist error; anything malformed is
-// ErrBadManifest.
-func readManifest(dir string) ([]Info, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, err
-	}
-	payload, err := Unframe(manifestMagic, data)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
-	}
-	var doc manifestDoc
-	if err := json.Unmarshal(payload, &doc); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
-	}
-	if doc.Schema != manifestSchema {
-		return nil, fmt.Errorf("%w: schema %q", ErrBadManifest, doc.Schema)
-	}
-	return doc.Segments, nil
-}
-
-// scanDir rebuilds the segment index from well-formed file names. Entry
-// counts are left zero — OpenSeg reads the real header anyway.
-func scanDir(dir string) []Info {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil
-	}
-	var out []Info
-	for _, e := range entries {
-		if shard, gen, ok := parseSegName(e.Name()); ok {
-			info := Info{Shard: shard, Gen: gen, File: e.Name()}
-			if fi, err := e.Info(); err == nil {
-				info.Bytes = fi.Size()
-			}
-			out = append(out, info)
-		}
-	}
-	return out
-}
-
-// writeManifestLocked publishes the current index atomically (framed,
-// fsynced). Caller holds st.mu.
-func (st *Store) writeManifestLocked() error {
-	doc := manifestDoc{Schema: manifestSchema}
-	for _, info := range st.segs {
-		doc.Segments = append(doc.Segments, info)
-	}
-	sort.Slice(doc.Segments, func(i, j int) bool {
-		a, b := doc.Segments[i], doc.Segments[j]
-		if a.Shard != b.Shard {
-			return a.Shard < b.Shard
-		}
-		return a.Gen < b.Gen
-	})
-	payload, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return AtomicWrite(st.dir, manifestName, Frame(manifestMagic, append(payload, '\n')))
-}
-
-// Seal writes the writer's segment atomically, registers it in the
-// manifest (fsynced), and returns its Info. Re-sealing the same
-// (shard, gen) replaces the file — the bytes are a pure function of the
-// shard state, so the replacement is idempotent.
+// Seal writes the writer's segment atomically (tmp, fsync, rename,
+// directory fsync) and returns its Info. Re-sealing the same (shard, gen)
+// replaces the file — the bytes are a pure function of the shard state,
+// so the replacement is idempotent.
 func (st *Store) Seal(w *Writer) (Info, error) {
 	data, err := w.Bytes()
 	if err != nil {
@@ -186,44 +77,12 @@ func (st *Store) Seal(w *Writer) (Info, error) {
 	if err := AtomicWrite(st.dir, name, data); err != nil {
 		return Info{}, err
 	}
-	info := Info{
-		Shard: w.Shard(), Gen: w.Gen(), File: name,
-		Entries: w.Count(), Bytes: int64(len(data)),
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.segs[segKey{info.Shard, info.Gen}] = info
-	if err := st.writeManifestLocked(); err != nil {
-		return Info{}, err
-	}
-	return info, nil
+	return Info{Shard: w.Shard(), Gen: w.Gen(), File: name, Bytes: int64(len(data))}, nil
 }
 
-// Lookup returns the Info for (shard, gen) if registered.
-func (st *Store) Lookup(shard int, gen uint64) (Info, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	info, ok := st.segs[segKey{shard, gen}]
-	return info, ok
-}
-
-// Latest returns the newest registered segment for shard.
-func (st *Store) Latest(shard int) (Info, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	var best Info
-	found := false
-	for k, info := range st.segs {
-		if k.shard == shard && (!found || info.Gen > best.Gen) {
-			best, found = info, true
-		}
-	}
-	return best, found
-}
-
-// OpenSeg opens a registered segment for reading and cross-checks the
-// sealed identity against the file name — a renamed or cross-copied file
-// is refused as ErrBadSegment.
+// OpenSeg opens a sealed segment for reading and cross-checks the sealed
+// identity against the file name — a renamed or cross-copied file is
+// refused as ErrBadSegment.
 func (st *Store) OpenSeg(info Info, mode Mode) (*Reader, error) {
 	r, err := OpenFile(filepath.Join(st.dir, info.File), mode)
 	if err != nil {
@@ -236,43 +95,12 @@ func (st *Store) OpenSeg(info Info, mode Mode) (*Reader, error) {
 	return r, nil
 }
 
-// OpenName opens a segment by file name (as referenced from a dataset
-// snapshot), registering it if the manifest lost it.
+// OpenName opens a segment by file name, as referenced from a dataset
+// snapshot.
 func (st *Store) OpenName(name string, mode Mode) (*Reader, error) {
 	shard, gen, ok := parseSegName(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: bad segment name %q", ErrBadSegment, name)
 	}
 	return st.OpenSeg(Info{Shard: shard, Gen: gen, File: name}, mode)
-}
-
-// Prune removes all but the newest keep generations per shard (keep <= 0
-// selects KeepGenerations) and rewrites the manifest. Best-effort on the
-// unlink; the manifest only drops entries whose files are gone or were
-// successfully removed.
-func (st *Store) Prune(keep int) error {
-	if keep <= 0 {
-		keep = KeepGenerations
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	byShard := make(map[int][]Info)
-	for _, info := range st.segs {
-		byShard[info.Shard] = append(byShard[info.Shard], info)
-	}
-	changed := false
-	for _, infos := range byShard {
-		sort.Slice(infos, func(i, j int) bool { return infos[i].Gen > infos[j].Gen })
-		for _, info := range infos[min(len(infos), keep):] {
-			err := os.Remove(filepath.Join(st.dir, info.File))
-			if err == nil || os.IsNotExist(err) {
-				delete(st.segs, segKey{info.Shard, info.Gen})
-				changed = true
-			}
-		}
-	}
-	if !changed {
-		return nil
-	}
-	return st.writeManifestLocked()
 }

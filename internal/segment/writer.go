@@ -34,9 +34,6 @@ func NewWriter(shard int, gen uint64) *Writer {
 // the shard's certificate table here). May be called before or after Add.
 func (w *Writer) SetCommon(b []byte) { w.common = b }
 
-// Count returns the number of entries added so far.
-func (w *Writer) Count() int { return w.count }
-
 // Add appends one key/value entry. Keys must be strictly ascending.
 func (w *Writer) Add(key string, value []byte) error {
 	if w.err != nil {

@@ -52,10 +52,6 @@ type Options struct {
 	// TenantBurst is each tenant bucket's capacity; values below 1
 	// become 1.
 	TenantBurst int
-	// Replica labels this engine's replica-scoped metric series (swap
-	// counters, LRU shard gauges); empty means "0". The Router sets it
-	// per replica so N engines sharing one registry stay distinguishable.
-	Replica string
 	// Now overrides the engine's clock (tests and benchmarks); nil means
 	// time.Now.
 	Now func() time.Time
@@ -79,7 +75,6 @@ type Engine struct {
 	cache   *shardedLRU
 	limiter *tokenBucket
 	tenants *tenantLimiter
-	replica string
 
 	snap  atomic.Pointer[Snapshot]
 	swaps atomic.Uint64
@@ -111,15 +106,11 @@ func NewEngine(opts Options) *Engine {
 	e := &Engine{
 		now:      opts.Now,
 		cache:    newLRU(size),
-		replica:  opts.Replica,
 		requests: make(map[string]*atomic.Int64, len(endpoints)),
 		met:      make(map[string]endpointMetrics, len(endpoints)),
 	}
 	if e.now == nil {
 		e.now = time.Now
-	}
-	if e.replica == "" {
-		e.replica = "0"
 	}
 	if opts.RatePerSec > 0 {
 		e.limiter = newTokenBucket(opts.RatePerSec, opts.Burst)
@@ -136,13 +127,11 @@ func NewEngine(opts Options) *Engine {
 // SetMetrics points the engine's instrumentation at a registry: request
 // and latency series per endpoint, rate-limit refusals, snapshot
 // generation/swap gauges, response-cache counters, and per-shard LRU
-// occupancy gauges. Replica-scoped series (swaps, shard gauges) carry a
-// "replica" label so multiple engines can share one registry. Call
-// before serving; a nil registry detaches.
+// occupancy gauges. Call before serving; a nil registry detaches.
 func (e *Engine) SetMetrics(reg *obsv.Registry) {
 	e.reg = reg
 	e.met = make(map[string]endpointMetrics, len(endpoints))
-	e.cache.setMetrics(reg, e.replica)
+	e.cache.setMetrics(reg)
 	if reg == nil {
 		e.ratelimited, e.swapsMet = nil, nil
 		e.generation = nil
@@ -155,14 +144,14 @@ func (e *Engine) SetMetrics(reg *obsv.Registry) {
 	reg.SetHelp(MetricServeLatencySec, "API request latency, by endpoint.")
 	reg.SetHelp(MetricServeRateLimited, "Requests refused by the token-bucket rate limiters.")
 	reg.SetHelp(MetricServeGeneration, "Dataset generation of the published snapshot.")
-	reg.SetHelp(MetricServeSwaps, "Snapshot swaps published since the engine started, by replica.")
+	reg.SetHelp(MetricServeSwaps, "Snapshot swaps published since the engine started.")
 	reg.SetHelp(MetricServeCacheHits, "Rendered responses served from the LRU.")
 	reg.SetHelp(MetricServeCacheMisses, "Rendered responses built because the LRU missed.")
 	reg.SetHelp(MetricServeCacheEvictions, "LRU entries evicted past capacity.")
 	reg.SetHelp(MetricServeCachePurged, "Stale-generation LRU entries purged on Publish.")
 	reg.SetHelp(MetricServePrerendered, "Response bodies pre-rendered into the published snapshot.")
-	reg.SetHelp(MetricServeLRUShardEntries, "Live entries per LRU shard, by replica and shard.")
-	reg.SetHelp(MetricServeLRUShardBytes, "Body bytes held per LRU shard, by replica and shard.")
+	reg.SetHelp(MetricServeLRUShardEntries, "Live entries per LRU shard.")
+	reg.SetHelp(MetricServeLRUShardBytes, "Body bytes held per LRU shard.")
 	reg.SetHelp(MetricServeTenants, "Live per-tenant rate-limit buckets.")
 	for _, ep := range endpoints {
 		e.met[ep] = endpointMetrics{
@@ -172,12 +161,12 @@ func (e *Engine) SetMetrics(reg *obsv.Registry) {
 	}
 	e.ratelimited = reg.Counter(MetricServeRateLimited)
 	e.generation = reg.Gauge(MetricServeGeneration)
-	e.swapsMet = reg.Counter(MetricServeSwaps, "replica", e.replica)
+	e.swapsMet = reg.Counter(MetricServeSwaps)
 	e.cacheHits = reg.Counter(MetricServeCacheHits)
 	e.cacheMisses = reg.Counter(MetricServeCacheMisses)
 	e.cacheEvict = reg.Counter(MetricServeCacheEvictions)
 	e.cachePurge = reg.Counter(MetricServeCachePurged)
-	e.prerenderedG = reg.Gauge(MetricServePrerendered, "replica", e.replica)
+	e.prerenderedG = reg.Gauge(MetricServePrerendered)
 	e.tenantsG = reg.Gauge(MetricServeTenants)
 }
 

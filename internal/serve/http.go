@@ -24,41 +24,30 @@ type errorDoc struct {
 	Generation uint64 `json:"generation,omitempty"`
 }
 
-// Route is a parsed /v1 request: which endpoint, and the path key
-// (domain name or pattern label) when the endpoint takes one.
-type Route struct {
-	Endpoint string
-	Key      string
-}
-
-// ParseRoute resolves a URL path to its /v1 route. It replaces
-// net/http's ServeMux on the request path: the five-endpoint API needs
-// only a prefix cut and a switch, which costs no allocations and no
-// per-request handler-map walk (and lets callers reuse request objects —
-// nothing here mutates the request). Unknown paths, including anything
-// outside /v1/, return ok=false.
-func ParseRoute(path string) (Route, bool) {
+// parseRoute resolves a URL path to its /v1 endpoint and, where the
+// endpoint takes one, its path key (domain name or pattern label). It
+// stands in for net/http's ServeMux on the request path: the
+// five-endpoint API needs only a prefix cut and a switch, which costs no
+// allocations and no per-request handler-map walk. Unknown paths,
+// including anything outside /v1/, return ok=false.
+func parseRoute(path string) (endpoint, key string, ok bool) {
 	rest, found := strings.CutPrefix(path, "/v1/")
 	if !found {
-		return Route{}, false
+		return "", "", false
 	}
 	switch rest {
-	case "shortlist":
-		return Route{Endpoint: "shortlist"}, true
-	case "funnel":
-		return Route{Endpoint: "funnel"}, true
-	case "healthz":
-		return Route{Endpoint: "healthz"}, true
+	case "shortlist", "funnel", "healthz":
+		return rest, "", true
 	}
 	if key, found := strings.CutPrefix(rest, "domain/"); found &&
 		key != "" && !strings.Contains(key, "/") {
-		return Route{Endpoint: "domain", Key: key}, true
+		return "domain", key, true
 	}
 	if key, found := strings.CutPrefix(rest, "patterns/"); found &&
 		key != "" && !strings.Contains(key, "/") {
-		return Route{Endpoint: "patterns", Key: key}, true
+		return "patterns", key, true
 	}
-	return Route{}, false
+	return "", "", false
 }
 
 // Handler returns the /v1 API: five read endpoints over the published
@@ -68,10 +57,16 @@ func ParseRoute(path string) (Route, bool) {
 // are absolute) alongside whatever else the process serves.
 func (e *Engine) Handler() http.Handler { return e }
 
-// ServeHTTP dispatches one request: route parse, method gate, then the
-// instrumented endpoint path.
+// ServeHTTP serves one request: route parse, method gate, then the
+// per-endpoint concerns — request counting, the global and per-tenant
+// rate limiters, the no-snapshot-yet gate, and latency/error metrics.
+// The snapshot is loaded here, once, and handed down — handlers never
+// touch e.snap themselves — and the request is never mutated. The clock
+// is only read when something needs it (a limiter or the latency
+// histogram), so an uninstrumented, unlimited engine serves without a
+// single time.Now call.
 func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	rt, ok := ParseRoute(r.URL.Path)
+	endpoint, key, ok := parseRoute(r.URL.Path)
 	if !ok {
 		writeError(w, http.StatusNotFound,
 			"unknown endpoint; have /v1/domain/{name} /v1/shortlist /v1/funnel /v1/patterns/{label} /v1/healthz", 0)
@@ -82,19 +77,8 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, "method not allowed; use GET", 0)
 		return
 	}
-	e.ServeRoute(w, r, rt)
-}
-
-// ServeRoute runs one already-parsed route through the per-endpoint
-// concerns: request counting, the global and per-tenant rate limiters,
-// the no-snapshot-yet gate, and latency/error metrics. The snapshot is
-// loaded here, once, and handed down — handlers never touch e.snap
-// themselves. The clock is only read when something needs it (a limiter
-// or the latency histogram), so an uninstrumented, unlimited engine
-// serves without a single time.Now call.
-func (e *Engine) ServeRoute(w http.ResponseWriter, r *http.Request, rt Route) {
-	e.requests[rt.Endpoint].Add(1)
-	m := e.met[rt.Endpoint]
+	e.requests[endpoint].Add(1)
+	m := e.met[endpoint]
 	m.requests.Inc()
 
 	var start time.Time
@@ -115,26 +99,26 @@ func (e *Engine) ServeRoute(w http.ResponseWriter, r *http.Request, rt Route) {
 		writeError(w, code, "tenant rate limit exceeded", 0)
 	default:
 		snap := e.snap.Load()
-		if snap == nil && rt.Endpoint != "healthz" {
+		if snap == nil && endpoint != "healthz" {
 			code = http.StatusServiceUnavailable
 			writeError(w, code, "no snapshot published yet", 0)
 			break
 		}
-		switch rt.Endpoint {
+		switch endpoint {
 		case "domain":
-			code = e.handleDomain(w, rt.Key, snap)
+			code = e.handleDomain(w, key, snap)
 		case "shortlist":
 			code = e.serveRendered(w, snap, snap.shortlistBody, "shortlist|g", snap.shortlist)
 		case "funnel":
 			code = e.serveRendered(w, snap, snap.funnelBody, "funnel|g", snap.funnel)
 		case "patterns":
-			code = e.handlePatterns(w, rt.Key, snap)
+			code = e.handlePatterns(w, key, snap)
 		case "healthz":
 			code = e.handleHealthz(w, snap)
 		}
 	}
 	if code >= 400 && e.reg != nil {
-		e.reg.Counter(MetricServeErrors, "endpoint", rt.Endpoint, "code", strconv.Itoa(code)).Inc()
+		e.reg.Counter(MetricServeErrors, "endpoint", endpoint, "code", strconv.Itoa(code)).Inc()
 	}
 	if timed {
 		m.latency.Observe(e.now().Sub(start).Seconds())

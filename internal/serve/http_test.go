@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -215,6 +216,8 @@ func TestErrorResponses(t *testing.T) {
 		{"/v1/domain/unknown.example", http.StatusNotFound},
 		{"/v1/patterns/bogus", http.StatusNotFound},
 		{"/v1/nope", http.StatusNotFound},
+		// Not one of the five endpoints: answered with their list.
+		{"/v1/replicas", http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		rr := get(t, h, tc.path)
@@ -228,6 +231,9 @@ func TestErrorResponses(t *testing.T) {
 		}
 		if doc.Error == "" {
 			t.Errorf("%s: empty error message", tc.path)
+		}
+		if tc.path == "/v1/replicas" && !strings.HasSuffix(doc.Error, "/v1/patterns/{label} /v1/healthz") {
+			t.Errorf("%s: error %q does not list the five endpoints", tc.path, doc.Error)
 		}
 	}
 	// Known-endpoint errors carry the generation they were answered under.
@@ -397,10 +403,10 @@ func TestEndpointMetrics(t *testing.T) {
 	if got := reg.Gauge(MetricServeGeneration).Value(); got != 7 {
 		t.Errorf("generation gauge = %d, want 7", got)
 	}
-	if got := reg.Counter(MetricServeSwaps, "replica", "0").Value(); got != 1 {
+	if got := reg.Counter(MetricServeSwaps).Value(); got != 1 {
 		t.Errorf("swap counter = %d, want 1", got)
 	}
-	if got := reg.Gauge(MetricServePrerendered, "replica", "0").Value(); got == 0 {
+	if got := reg.Gauge(MetricServePrerendered).Value(); got == 0 {
 		t.Error("prerendered gauge not set on publish")
 	}
 	if got := reg.Histogram(MetricServeLatencySec, obsv.DurationBuckets, "endpoint", "funnel").Count(); got != 2 {
@@ -414,5 +420,43 @@ func TestGenerationSourcedFromDataset(t *testing.T) {
 	snap := BuildSnapshot(testResult(), nil, testBuilt)
 	if snap.Generation != 7 {
 		t.Fatalf("generation = %d, want 7 (from Result.Stats)", snap.Generation)
+	}
+}
+
+// TestEnginePurgeOnPublish asserts Publish drops stale-generation LRU
+// entries immediately.
+func TestEnginePurgeOnPublish(t *testing.T) {
+	e, h := lazyEngine(t, Options{})
+	get(t, h, "/v1/domain/victim.gov.xx") // miss → cached under gen 7
+	if st := e.Stats(); st.CacheLen != 1 {
+		t.Fatalf("cache len = %d, want 1", st.CacheLen)
+	}
+	res := testResult()
+	res.Stats.Generation = 8
+	e.Publish(BuildSnapshotOpts(res, nil, testBuilt, BuildOptions{PrerenderDomains: -1}))
+	st := e.Stats()
+	if st.CacheLen != 0 {
+		t.Errorf("stale entry survived publish: len = %d", st.CacheLen)
+	}
+	if st.CachePurged != 1 {
+		t.Errorf("purged = %d, want 1", st.CachePurged)
+	}
+}
+
+func TestMethodNotAllowed(t *testing.T) {
+	_, h := testEngine(t, Options{})
+	rr := httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("POST", "/v1/funnel", nil))
+	if rr.Code != http.StatusMethodNotAllowed {
+		t.Fatalf("POST /v1/funnel = %d, want 405", rr.Code)
+	}
+	if allow := rr.Header().Get("Allow"); allow != "GET, HEAD" {
+		t.Errorf("Allow = %q", allow)
+	}
+	// HEAD is admitted wherever GET is.
+	rr = httptest.NewRecorder()
+	h.ServeHTTP(rr, httptest.NewRequest("HEAD", "/v1/funnel", nil))
+	if rr.Code != http.StatusOK {
+		t.Errorf("HEAD /v1/funnel = %d, want 200", rr.Code)
 	}
 }

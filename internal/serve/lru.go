@@ -70,8 +70,7 @@ func newLRU(max int) *shardedLRU {
 	return c
 }
 
-// fnv32 is FNV-1a over the key, allocation-free; it picks both the cache
-// shard and (in the router) the replica ring position.
+// fnv32 is FNV-1a over the key, allocation-free; it picks the cache shard.
 func fnv32(key string) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
@@ -85,17 +84,16 @@ func (c *shardedLRU) shard(key string) *lruShard {
 	return &c.shards[fnv32(key)%lruShardCount]
 }
 
-// setMetrics wires the per-shard occupancy gauges, labeled by replica and
-// shard index so multi-replica engines stay distinguishable.
-func (c *shardedLRU) setMetrics(reg *obsv.Registry, replica string) {
+// setMetrics wires the per-shard occupancy gauges, labeled by shard index.
+func (c *shardedLRU) setMetrics(reg *obsv.Registry) {
 	for i := range c.shards {
 		if reg == nil {
 			c.entryGauges[i], c.byteGauges[i] = nil, nil
 			continue
 		}
 		shard := strconv.Itoa(i)
-		c.entryGauges[i] = reg.Gauge(MetricServeLRUShardEntries, "replica", replica, "shard", shard)
-		c.byteGauges[i] = reg.Gauge(MetricServeLRUShardBytes, "replica", replica, "shard", shard)
+		c.entryGauges[i] = reg.Gauge(MetricServeLRUShardEntries, "shard", shard)
+		c.byteGauges[i] = reg.Gauge(MetricServeLRUShardBytes, "shard", shard)
 	}
 }
 

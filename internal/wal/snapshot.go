@@ -1,6 +1,6 @@
 package wal
 
-// Snapshot files and the manifest. A snapshot is one file:
+// Snapshot files. A snapshot is one file:
 //
 //	"RDSS" ++ payload ++ CRC-32C(payload)
 //	payload = uvarint(len(dataset)) ++ EncodeSnapshot bytes
@@ -10,17 +10,14 @@ package wal
 // so a crash leaves either the old state or the new — never a half file
 // under the published name. The framing is segment.Frame, the same
 // magic ++ payload ++ CRC-32C envelope the segment store uses, so both
-// durability layers fail torn files the same way. manifest.json points at
-// the newest snapshot and records the last generation known durable; it is
-// advisory for recovery (the directory scan is authoritative) but its
-// last_generation field is what the drain path fsyncs so a graceful exit
-// never loses the in-flight generation. The manifest is CRC-framed too
-// ("RDMF" ++ JSON ++ CRC-32C); a legacy bare-JSON manifest from an older
-// build still reads.
+// durability layers fail torn files the same way. The file name carries
+// the generation, so the directory listing is the only index: recovery
+// tries snap-*.bin newest generation first and takes the first one that
+// verifies. Anything else in the directory — including a manifest.json
+// left by an older build — is ignored.
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -33,34 +30,15 @@ import (
 )
 
 const (
-	snapMagic     = "RDSS"
-	manifestMagic = "RDMF"
-	manifestName  = "manifest.json"
-	walName       = "wal.log"
-	snapPrefix    = "snap-"
-	snapSuffix    = ".bin"
+	snapMagic  = "RDSS"
+	walName    = "wal.log"
+	snapPrefix = "snap-"
+	snapSuffix = ".bin"
 	// keepSnapshots retains the newest N snapshot files; older ones are
 	// pruned after each successful write (the previous one stays as a
 	// fallback if the newest is damaged on disk).
 	keepSnapshots = 2
 )
-
-// manifest is the JSON document at <dir>/manifest.json.
-type manifest struct {
-	Schema string `json:"schema"`
-	// Snapshot names the newest snapshot file ("" before the first).
-	Snapshot string `json:"snapshot"`
-	// Generation is the generation the named snapshot captured.
-	Generation uint64 `json:"generation"`
-	// Shards is the dataset shard count, pinned so a restart cannot
-	// silently reshard the corpus.
-	Shards int `json:"shards"`
-	// LastGeneration is the last generation known durable (snapshot or
-	// fsynced WAL tail); refreshed on snapshot and on graceful close.
-	LastGeneration uint64 `json:"last_generation"`
-}
-
-const manifestSchema = "retrodns/wal-manifest/v1"
 
 func snapName(gen uint64) string {
 	return fmt.Sprintf("%s%08d%s", snapPrefix, gen, snapSuffix)
@@ -80,11 +58,11 @@ func snapGen(name string) (uint64, bool) {
 }
 
 // writeSnapshotFile serializes ds (+ cache, which may be nil) into
-// <dir>/snap-<gen>.bin atomically and returns the file name.
-func writeSnapshotFile(dir string, gen uint64, ds *scanner.Dataset, cache *core.ClassifyCache) (string, error) {
+// <dir>/snap-<gen>.bin atomically.
+func writeSnapshotFile(dir string, gen uint64, ds *scanner.Dataset, cache *core.ClassifyCache) error {
 	var dsBuf, cacheBuf strings.Builder
 	if err := ds.EncodeSnapshot(&dsBuf); err != nil {
-		return "", err
+		return err
 	}
 	if cache != nil {
 		if err := cache.EncodeState(&cacheBuf); err != nil {
@@ -98,11 +76,7 @@ func writeSnapshotFile(dir string, gen uint64, ds *scanner.Dataset, cache *core.
 	payload = binary.AppendUvarint(payload, uint64(cacheBuf.Len()))
 	payload = append(payload, cacheBuf.String()...)
 
-	name := snapName(gen)
-	if err := segment.AtomicWrite(dir, name, segment.Frame(snapMagic, payload)); err != nil {
-		return "", err
-	}
-	return name, nil
+	return segment.AtomicWrite(dir, snapName(gen), segment.Frame(snapMagic, payload))
 }
 
 // loadSnapshotFile reads and verifies one snapshot file, returning the
@@ -145,96 +119,30 @@ func loadSnapshotFile(path string, spill *scanner.SpillOptions) (*scanner.Datase
 	return ds, cacheBytes, nil
 }
 
-// snapshotCandidates lists snapshot files in dir, manifest's choice first,
-// then the rest newest-generation-first.
-func snapshotCandidates(dir string, man *manifest) []string {
+// listSnapshots names the snapshot files in dir, newest generation first.
+func listSnapshots(dir string) []string {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil
 	}
-	type cand struct {
-		name string
-		gen  uint64
-	}
-	var cands []cand
-	for _, e := range entries {
-		if gen, ok := snapGen(e.Name()); ok {
-			cands = append(cands, cand{e.Name(), gen})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].gen > cands[j].gen })
 	var names []string
-	if man != nil && man.Snapshot != "" {
-		names = append(names, man.Snapshot)
-	}
-	for _, c := range cands {
-		if len(names) == 0 || names[0] != c.name {
-			names = append(names, c.name)
+	for _, e := range entries {
+		if _, ok := snapGen(e.Name()); ok {
+			names = append(names, e.Name())
 		}
 	}
+	sort.Slice(names, func(i, j int) bool {
+		a, _ := snapGen(names[i])
+		b, _ := snapGen(names[j])
+		return a > b
+	})
 	return names
 }
 
 // pruneSnapshots removes all but the newest keepSnapshots snapshot files.
 func pruneSnapshots(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
+	names := listSnapshots(dir)
+	for _, name := range names[min(len(names), keepSnapshots):] {
+		os.Remove(filepath.Join(dir, name))
 	}
-	type cand struct {
-		name string
-		gen  uint64
-	}
-	var cands []cand
-	for _, e := range entries {
-		if gen, ok := snapGen(e.Name()); ok {
-			cands = append(cands, cand{e.Name(), gen})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].gen > cands[j].gen })
-	for _, c := range cands[min(len(cands), keepSnapshots):] {
-		os.Remove(filepath.Join(dir, c.name))
-	}
-}
-
-// readManifest loads manifest.json if present; a missing file is not an
-// error (nil, nil), a malformed one is ErrBadManifest. The current format
-// is CRC-framed ("RDMF" ++ JSON ++ CRC-32C); a bare-JSON manifest written
-// by an older build is accepted unframed so upgrades recover warm.
-func readManifest(dir string) (*manifest, error) {
-	data, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	doc := data
-	if strings.HasPrefix(string(data), manifestMagic) {
-		// Framed manifest: a CRC mismatch here is real damage, not a
-		// format downgrade — the legacy path must not mask it.
-		if doc, err = segment.Unframe(manifestMagic, data); err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
-		}
-	}
-	var man manifest
-	if err := json.Unmarshal(doc, &man); err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadManifest, err)
-	}
-	if man.Schema != manifestSchema {
-		return nil, fmt.Errorf("%w: schema %q", ErrBadManifest, man.Schema)
-	}
-	return &man, nil
-}
-
-// writeManifest publishes the manifest atomically with directory fsync,
-// CRC-framed so recovery can tell a damaged manifest from a valid one
-// instead of trusting whatever JSON parses.
-func writeManifest(dir string, man *manifest) error {
-	man.Schema = manifestSchema
-	data, err := json.MarshalIndent(man, "", "  ")
-	if err != nil {
-		return err
-	}
-	return segment.AtomicWrite(dir, manifestName, segment.Frame(manifestMagic, append(data, '\n')))
 }

@@ -1,15 +1,12 @@
 package wal
 
 import (
-	"bytes"
-	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
 	"testing"
 
 	"retrodns/internal/scanner"
-	"retrodns/internal/segment"
 )
 
 // publicFingerprint reads a dataset purely through its public API, so
@@ -38,81 +35,6 @@ func publicFingerprint(t *testing.T, ds *scanner.Dataset) map[string]any {
 	}
 	fp["windows"] = wins
 	return fp
-}
-
-// TestStoreManifestDamageRecovers corrupts manifest.json after a snapshot:
-// recovery must fall back to the directory scan, count the damage under
-// the bad_manifest reason, and come back byte-identical — never panic.
-func TestStoreManifestDamageRecovers(t *testing.T) {
-	g := testGen(t)
-	corrupt := map[string]func([]byte) []byte{
-		"garbage":       func([]byte) []byte { return []byte("not a manifest at all") },
-		"flipped bit":   func(b []byte) []byte { b[len(b)/2] ^= 0x40; return b },
-		"truncated":     func(b []byte) []byte { return b[:len(b)/2] },
-		"unframed lies": func([]byte) []byte { return []byte(`{"schema":"wrong/schema","snapshot":"snap-99999999.bin"}`) },
-	}
-	for name, mangle := range corrupt {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			s, _ := openStore(t, dir, 1000)
-			appendAll(t, s, g)
-			if err := s.Snapshot(); err != nil {
-				t.Fatal(err)
-			}
-			wantGen := s.Generation()
-			manPath := filepath.Join(dir, manifestName)
-			data, err := os.ReadFile(manPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(manPath, mangle(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			_, rec := openStore(t, dir, 1000)
-			if !rec.Warm || rec.Generation != wantGen {
-				t.Fatalf("recovery under damaged manifest: %+v (want gen %d)", rec, wantGen)
-			}
-			if rec.Faults[FaultBadManifest] == 0 {
-				t.Fatalf("manifest damage not counted: %v", rec.Faults)
-			}
-			if want, got := snapshotBytes(t, reference(t, g, 4)), snapshotBytes(t, rec.Dataset); !bytes.Equal(want, got) {
-				t.Fatal("recovery under damaged manifest not byte-identical")
-			}
-		})
-	}
-}
-
-// TestStoreLegacyManifestReads accepts a pre-framing bare-JSON manifest:
-// an upgraded binary must still recover warm from it without faults.
-func TestStoreLegacyManifestReads(t *testing.T) {
-	dir := t.TempDir()
-	g := testGen(t)
-	s, _ := openStore(t, dir, 1000)
-	appendAll(t, s, g)
-	if err := s.Snapshot(); err != nil {
-		t.Fatal(err)
-	}
-	wantGen := s.Generation()
-	// Rewrite the manifest the way older builds did: bare JSON, no frame.
-	manPath := filepath.Join(dir, manifestName)
-	framed, err := os.ReadFile(manPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := segment.Unframe(manifestMagic, framed)
-	if err != nil {
-		t.Fatalf("published manifest not framed: %v", err)
-	}
-	if err := os.WriteFile(manPath, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, rec := openStore(t, dir, 1000)
-	if !rec.Warm || rec.Generation != wantGen {
-		t.Fatalf("legacy manifest recovery: %+v (want gen %d)", rec, wantGen)
-	}
-	if len(rec.Faults) != 0 {
-		t.Fatalf("legacy manifest counted faults: %v", rec.Faults)
-	}
 }
 
 // TestStoreSpillRoundTrip runs the full durability loop out of core: a

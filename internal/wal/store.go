@@ -39,14 +39,12 @@ const (
 	FaultOutOfOrder    = "out_of_order_generation"
 	FaultClockSkew     = "clock_skew"
 	FaultBadSnapshot   = "bad_snapshot"
-	FaultBadManifest   = "bad_manifest"
 )
 
 // walFaults is the display/registration order of the reasons above.
 var walFaults = []string{
 	FaultTornTail, FaultCRCMismatch, FaultBadFrame,
 	FaultDupGeneration, FaultOutOfOrder, FaultClockSkew, FaultBadSnapshot,
-	FaultBadManifest,
 }
 
 // Options configures Open.
@@ -135,23 +133,13 @@ func Open(opts Options) (*Store, *Recovery, error) {
 	s.initMetrics(opts.Metrics)
 	rec := &Recovery{Faults: make(map[string]int64)}
 
-	man, err := readManifest(opts.Dir)
-	if err != nil {
-		// A damaged manifest is recoverable: the directory scan finds
-		// snapshots without it.
-		rec.Faults[FaultBadManifest]++
-		s.fault(FaultBadManifest)
-		man = nil
-	}
-
-	// Newest loadable snapshot wins; damaged ones count and fall through.
+	// The recovery rule: the newest snapshot that verifies wins (damaged
+	// ones count and fall through to the next older, then to a cold
+	// dataset), and the WAL tail replays on top of it.
 	var cacheBytes []byte
-	for _, name := range snapshotCandidates(opts.Dir, man) {
+	for _, name := range listSnapshots(opts.Dir) {
 		ds, cb, err := loadSnapshotFile(filepath.Join(opts.Dir, name), opts.Spill)
 		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
 			rec.Faults[FaultBadSnapshot]++
 			s.fault(FaultBadSnapshot)
 			continue
@@ -393,16 +381,7 @@ func (s *Store) Snapshot() error {
 		s.appendsSince = 0
 		return nil
 	}
-	name, err := writeSnapshotFile(s.dir, gen, s.ds, s.cache)
-	if err != nil {
-		return err
-	}
-	if err := writeManifest(s.dir, &manifest{
-		Snapshot:       name,
-		Generation:     gen,
-		Shards:         s.ds.Shards(),
-		LastGeneration: gen,
-	}); err != nil {
+	if err := writeSnapshotFile(s.dir, gen, s.ds, s.cache); err != nil {
 		return err
 	}
 	// The snapshot is durable and published: frames up to gen are now
@@ -419,9 +398,9 @@ func (s *Store) Snapshot() error {
 	return nil
 }
 
-// Close flushes the WAL tail and fsyncs a manifest carrying the final
-// generation — the graceful-drain contract: nothing the daemon published
-// is lost to a clean SIGTERM.
+// Close fsyncs and closes the WAL — the graceful-drain contract: nothing
+// the daemon published is lost to a clean SIGTERM (every batch was already
+// fsynced before it was applied; this covers the file handle itself).
 func (s *Store) Close() error {
 	if s.closed {
 		return nil
@@ -435,14 +414,6 @@ func (s *Store) Close() error {
 		if err := s.wal.Close(); err != nil {
 			errs = append(errs, err)
 		}
-	}
-	man, _ := readManifest(s.dir)
-	if man == nil {
-		man = &manifest{Shards: s.ds.Shards()}
-	}
-	man.LastGeneration = s.ds.Generation()
-	if err := writeManifest(s.dir, man); err != nil {
-		errs = append(errs, err)
 	}
 	return errors.Join(errs...)
 }

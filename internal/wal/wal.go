@@ -1,6 +1,6 @@
 // Package wal is retrodnsd's durability layer: an append-only, CRC-framed
 // write-ahead log of Dataset.Append batches plus periodic whole-state
-// snapshot files (dataset + classify cache + manifest). A warm restart
+// snapshot files (dataset + classify cache). A warm restart
 // loads the newest valid snapshot, replays the WAL frames past it, and
 // resumes at the exact generation the dying process had published —
 // refusing torn tails, CRC mismatches, duplicate or out-of-order
@@ -41,8 +41,6 @@ var (
 	// ErrBadSnapshot reports a snapshot file that fails its checksum or
 	// does not decode.
 	ErrBadSnapshot = errors.New("wal: invalid snapshot file")
-	// ErrBadManifest reports an unreadable manifest.json.
-	ErrBadManifest = errors.New("wal: invalid manifest")
 	// ErrClosed reports use of a closed store.
 	ErrClosed = errors.New("wal: store closed")
 )

@@ -28,15 +28,7 @@ func fidelity(t *testing.T) (*World, *core.Result) {
 	fidelityOnce.Do(func() {
 		fidelityW = New(smallConfig())
 		fidelityDS = fidelityW.Run()
-		p := &core.Pipeline{
-			Params:  core.DefaultParams(),
-			Dataset: fidelityDS,
-			Meta:    fidelityW.Meta,
-			PDNS:    fidelityW.PDNSDB,
-			CT:      fidelityW.CT,
-			DNSSEC:  fidelityW.SecLog,
-		}
-		fidelityRes = p.Run()
+		fidelityRes = fidelityW.Pipeline(fidelityDS, 0, nil, nil).Run()
 	})
 	if len(fidelityW.Errors) != 0 {
 		t.Fatalf("world errors: %v", fidelityW.Errors)

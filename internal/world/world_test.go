@@ -5,6 +5,7 @@ import (
 
 	"retrodns/internal/core"
 	"retrodns/internal/dnscore"
+	"retrodns/internal/obsv"
 	"retrodns/internal/scanner"
 )
 
@@ -41,15 +42,32 @@ func runPipelineDS(t *testing.T, w *World) (*core.Result, *scanner.Dataset) {
 		}
 		t.Fatal("world run produced errors")
 	}
-	p := &core.Pipeline{
-		Params:  core.DefaultParams(),
-		Dataset: ds,
-		Meta:    w.Meta,
-		PDNS:    w.PDNSDB,
-		CT:      w.CT,
-		DNSSEC:  w.SecLog,
+	return w.Pipeline(ds, 0, nil, nil).Run(), ds
+}
+
+// TestPipelineWiresEverySource pins the one world-backed pipeline
+// constructor every binary and example calls: all four auxiliary sources
+// the world simulates are attached — a pipeline missing DNSSEC still
+// runs, it just never sets the §7.1 downgrade annotation, so nothing
+// else would notice — and the caller's dataset, workers, cache and
+// registry arrive untouched.
+func TestPipelineWiresEverySource(t *testing.T) {
+	w := New(smallConfig())
+	ds, cache, reg := scanner.NewDataset(), core.NewClassifyCache(), obsv.NewRegistry()
+	p := w.Pipeline(ds, 3, cache, reg)
+	if p.Meta == nil || p.PDNS == nil || p.CT == nil || p.DNSSEC == nil {
+		t.Fatalf("unwired source: Meta=%v PDNS=%v CT=%v DNSSEC=%v",
+			p.Meta != nil, p.PDNS != nil, p.CT != nil, p.DNSSEC != nil)
 	}
-	return p.Run(), ds
+	if p.Dataset != ds || p.Workers != 3 || p.Cache != cache || p.Metrics != reg {
+		t.Fatalf("caller arguments not passed through: %+v", p)
+	}
+	if p.Params != core.DefaultParams() {
+		t.Fatalf("Params = %+v, want the defaults", p.Params)
+	}
+	if p := w.Pipeline(ds, 0, nil, nil); p.Cache != nil || p.Metrics != nil {
+		t.Fatal("nil cache/metrics must stay nil (uncached, uninstrumented)")
+	}
 }
 
 func TestWorldEndToEnd(t *testing.T) {

@@ -13,6 +13,13 @@
 #      and campaigns, tests, and examples. Data paths must use the
 #      error-returning forms.
 #
+#   3. No `manifest` identifier in non-test Go under internal/wal or
+#      internal/segment. Both stores are directories of immutable,
+#      CRC-framed, self-naming files; the directory listing is the index,
+#      and a derived copy of it is state nothing needs and every write
+#      must keep in step. Comments may say a stray manifest.json is
+#      ignored.
+#
 # Run via `make lint` (part of `make ci`).
 set -u
 cd "$(dirname "$0")/.."
@@ -20,7 +27,7 @@ cd "$(dirname "$0")/.."
 fail=0
 
 # Non-test library and CLI sources. Examples are demos with static
-# fixture zones and are exempt from both rules.
+# fixture zones and are exempt from every rule.
 srcs=$(find internal cmd -name '*.go' ! -name '*_test.go' | sort)
 
 # ---- Rule 1: panic( allowlist -------------------------------------------
@@ -94,6 +101,13 @@ while IFS=: read -r file line content; do
 done <<EOF
 $(grep -nE '(^|[^[:alnum:]_])(\w+\.)?Must[A-Z][A-Za-z]*\(' $srcs /dev/null)
 EOF
+
+# ---- Rule 3: no manifest in the two stores ------------------------------
+if grep -ni 'manifest' $(printf '%s\n' $srcs | grep -E '^internal/(wal|segment)/') /dev/null \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
+    echo "lint: manifest identifier under internal/wal or internal/segment — the directory listing is the index" >&2
+    fail=1
+fi
 
 if [ "$fail" -ne 0 ]; then
     echo "lint: FAILED" >&2

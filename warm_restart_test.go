@@ -3,6 +3,7 @@ package retrodns_bench
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -45,16 +46,18 @@ func writeSynthCSV(t *testing.T, domains int, seed int64, scans int) (string, in
 }
 
 // runDaemonPhase simulates one retrodnsd process lifetime over a durable
-// data dir: recover, re-analyze, feed the CSV, snapshot, close. A fresh
-// metrics registry per call models the fresh process. stopAfter > 0
-// simulates a kill: the phase returns after that many appends WITHOUT
-// closing the store — no final snapshot, no manifest update, the WAL tail
+// data dir (opts names it, the shard count, the snapshot cadence and,
+// optionally, a spill dir): recover, re-analyze, feed the CSV, snapshot,
+// close. A fresh metrics registry per call models the fresh process.
+// stopAfter > 0 simulates a kill: the phase returns after that many
+// appends WITHOUT closing the store — no final snapshot, the WAL tail
 // exactly as the dying process left it. A completed phase (stopAfter = 0)
 // returns the canonical run-report encoding the chaos harness compares.
-func runDaemonPhase(t *testing.T, dir, csvPath string, shards, every, stopAfter int) ([]byte, *wal.Recovery, uint64) {
+func runDaemonPhase(t *testing.T, opts wal.Options, csvPath string, stopAfter int) ([]byte, *wal.Recovery, uint64) {
 	t.Helper()
 	reg := obsv.NewRegistry()
-	store, rec, err := wal.Open(wal.Options{Dir: dir, Shards: shards, SnapshotEvery: every, Metrics: reg})
+	opts.Metrics = reg
+	store, rec, err := wal.Open(opts)
 	if err != nil {
 		t.Fatalf("wal open: %v", err)
 	}
@@ -116,33 +119,72 @@ func runDaemonPhase(t *testing.T, dir, csvPath string, shards, every, stopAfter 
 
 // TestWarmRestartBytesIdentical is the acceptance pin for the durability
 // layer: for every fault class — plain kill, torn tail, garbled byte,
-// duplicated log — and for shard counts 1 and 8, a daemon killed
-// mid-ingest and restarted over the damaged directory must finish with a
-// canonical run report byte-identical to an uninterrupted run's, at the
-// same generation, with the recovery fault counters accounting for
-// exactly the damage injected and nothing else.
+// duplicated log, a crash between snapshot write and log rotation, a
+// manifest.json left in the data and spill dirs by an older build — and
+// for shard counts 1 and 8, a daemon killed mid-ingest and restarted over
+// the damaged directory must finish with a canonical run report
+// byte-identical to an uninterrupted run's, at the same generation, with
+// the recovery fault counters accounting for exactly the damage injected
+// and nothing else.
 func TestWarmRestartBytesIdentical(t *testing.T) {
 	csvPath, scans := writeSynthCSV(t, 250, 17, 5)
 	const killAfter = 2
 	for _, shards := range []int{1, 8} {
-		want, _, wantGen := runDaemonPhase(t, t.TempDir(), csvPath, shards, 2, 0)
+		want, _, wantGen := runDaemonPhase(t, wal.Options{Dir: t.TempDir(), Shards: shards, SnapshotEvery: 2}, csvPath, 0)
 		if wantGen != uint64(scans)+1 {
 			t.Fatalf("baseline generation %d, want %d", wantGen, scans+1)
 		}
-		for _, fault := range []string{"kill", "torn", "garble", "duplicate"} {
+		for _, fault := range []string{"kill", "torn", "garble", "duplicate", "unrotated", "stray-manifest", "stray-garbage"} {
 			t.Run(fmt.Sprintf("shards=%d/%s", shards, fault), func(t *testing.T) {
 				dir := t.TempDir()
-				// The kill case snapshots normally; the damage cases pin
-				// snapshots off so the injected fault is guaranteed to
-				// land on live WAL frames.
-				every := 1000
-				if fault == "kill" {
-					every = killAfter
+				opts := wal.Options{Dir: dir, Shards: shards, SnapshotEvery: killAfter}
+				// The kill and stray-file cases snapshot normally (the
+				// stray-file ones out of core, so there is a spill dir to
+				// litter); the damage cases pin snapshots off so the
+				// injected fault is guaranteed to land on live WAL frames.
+				stray := strings.HasPrefix(fault, "stray-")
+				switch {
+				case stray:
+					opts.Spill = &scanner.SpillOptions{Dir: filepath.Join(dir, "segments"), BudgetBytes: 0}
+				case fault != "kill":
+					opts.SnapshotEvery = 1000
 				}
-				_, _, killedGen := runDaemonPhase(t, dir, csvPath, shards, every, killAfter)
+				_, _, killedGen := runDaemonPhase(t, opts, csvPath, killAfter)
+				opts.SnapshotEvery = 2
 				walPath := filepath.Join(dir, "wal.log")
 				frames := 0
 				switch fault {
+				case "stray-manifest", "stray-garbage":
+					// Not a snapshot, not a segment, not the log: ignored,
+					// whether it parses (and names a snapshot that never
+					// existed) or not.
+					doc := []byte("not a manifest at all")
+					if fault == "stray-manifest" {
+						doc = []byte(`{"schema":"retrodns/wal-manifest/v1","snapshot":"snap-99999999.bin","generation":99999999,"shards":3,"last_generation":99999999}`)
+					}
+					for _, d := range []string{dir, opts.Spill.Dir} {
+						if err := os.WriteFile(filepath.Join(d, "manifest.json"), doc, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+				case "unrotated":
+					// The crash window inside Store.Snapshot: the snapshot
+					// file is durable, the log it covers not yet truncated.
+					data, err := os.ReadFile(walPath)
+					if err != nil {
+						t.Fatal(err)
+					}
+					frames = killAfter
+					store, _, err := wal.Open(opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := errors.Join(store.Snapshot(), store.Close()); err != nil {
+						t.Fatal(err)
+					}
+					if err := os.WriteFile(walPath, data, 0o644); err != nil {
+						t.Fatal(err)
+					}
 				case "torn":
 					fi, err := os.Stat(walPath)
 					if err != nil {
@@ -178,7 +220,7 @@ func TestWarmRestartBytesIdentical(t *testing.T) {
 					}
 				}
 
-				got, rec, gen := runDaemonPhase(t, dir, csvPath, shards, 2, 0)
+				got, rec, gen := runDaemonPhase(t, opts, csvPath, 0)
 				if !rec.Warm {
 					t.Fatal("recovery was not warm")
 				}
@@ -190,16 +232,21 @@ func TestWarmRestartBytesIdentical(t *testing.T) {
 					wantFaults[wal.FaultTornTail] = 1
 				case "garble":
 					wantFaults[wal.FaultCRCMismatch] = 1
-				case "duplicate":
+				case "duplicate", "unrotated":
 					wantFaults[wal.FaultDupGeneration] = int64(frames)
 				}
 				if fmt.Sprint(rec.Faults) != fmt.Sprint(wantFaults) {
 					t.Fatalf("recovery faults %v, want %v", rec.Faults, wantFaults)
 				}
-				// Generations never mix: recovery lands at or before the
-				// killed generation, the finished run at the baseline's.
-				if rec.Generation > killedGen {
-					t.Fatalf("recovered generation %d past killed %d", rec.Generation, killedGen)
+				// Generations never mix: recovery lands at the killed
+				// generation (before it when the log's tail was damaged),
+				// the finished run at the baseline's.
+				lostTail := fault == "torn" || fault == "garble"
+				if rec.Generation > killedGen || (!lostTail && rec.Generation != killedGen) {
+					t.Fatalf("recovered generation %d, killed at %d", rec.Generation, killedGen)
+				}
+				if (fault == "unrotated" || stray) && rec.FromSnapshot == "" {
+					t.Fatalf("recovery ignored the snapshot: %+v", rec)
 				}
 				if gen != wantGen {
 					t.Fatalf("final generation %d, want %d", gen, wantGen)

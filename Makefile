@@ -29,8 +29,10 @@ test:
 # swap are exercised under the race detector here (includes
 # TestPipelineDeterminism, TestDatasetConcurrentReads,
 # TestAppendConcurrentReads, TestIncrementalReplayEquivalence,
-# TestConcurrentRegistry, TestFollowScrapeRace, and
-# TestSnapshotSwapConsistency; internal/core covers the arena and
+# TestConcurrentRegistry, TestFollowScrapeRace,
+# TestSnapshotSwapConsistency, and TestSnapshotNotAliasedUnderAppend (no
+# published snapshot reads state the cached pipeline extends in place);
+# internal/core covers the arena and
 # slice-set deployment code on every parallel path; internal/scanner's
 # TestReaderRecordsFeedTwoDatasets drives two datasets' parallel ingest
 # phases over one CSV reader's shared certificates and ports arrays). The
@@ -42,8 +44,9 @@ race:
 
 # Ten seconds of coverage-guided fuzzing per parser: DNS names (also the
 # IsCanonical differential), zone-file snapshots, certificate chains, the
-# JSON report round trip, WAL and segment replay, and scans.csv rows
-# (memoized reader against the reference ParseScanRow). Enough to
+# JSON report round trip, WAL and segment replay, scans.csv rows
+# (memoized reader against the reference ParseScanRow), and /v1/domain
+# bodies (assembled from shared tails against the reference render). Enough to
 # catch a freshly introduced data-shaped panic without stalling CI; run
 # `go test -fuzz=<target> ./internal/<pkg>` open-endedly when hunting.
 fuzz-smoke:
@@ -54,6 +57,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentReplay -fuzztime=10s ./internal/segment
 	$(GO) test -run='^$$' -fuzz=FuzzScanCSVRow -fuzztime=10s ./internal/scanner
+	$(GO) test -run='^$$' -fuzz=FuzzDomainBody -fuzztime=10s ./internal/serve
 
 # The incremental-engine benchmarks: append+cached-rerun vs full rerun
 # (the headline >=10x), certificate-fingerprint memoization, the
@@ -61,10 +65,11 @@ fuzz-smoke:
 # allocs/row), paper-shaped sharded ingest and classification over the
 # synthetic corpus (shard counts 1/4/8 — the benchmark itself fails if
 # shards=8 runs over 1.25x shards=1 — plus the interning on/off
-# retained-heap comparison), and the serving layer's query latency (cold
-# render vs LRU hit).
+# retained-heap comparison), the serving layer's query latency (reference
+# render, LRU hit, prerendered singleton, templated domain body), and the
+# snapshot build the follow loop pays per scan (default vs reference).
 bench:
-	$(GO) test -bench='BenchmarkIncrementalAppend|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkScanCSVNext|BenchmarkIngestShards|BenchmarkIngestIntern|BenchmarkSynthClassify|BenchmarkServeQuery|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=3 -run='^$$' .
+	$(GO) test -bench='BenchmarkIncrementalAppend|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkScanCSVNext|BenchmarkIngestShards|BenchmarkIngestIntern|BenchmarkSynthClassify|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=3 -run='^$$' .
 
 # Every benchmark in the harness (tables, figures, scale sweeps, ablations).
 bench-all:
@@ -77,7 +82,7 @@ BENCHDIR ?= /tmp/retrodns-bench
 bench-report:
 	mkdir -p $(BENCHDIR)
 	$(GO) run ./cmd/retrodns -stable 80 -seed 1 -report-json $(BENCHDIR)/run-report.json 2>/dev/null >/dev/null
-	$(GO) test -bench='BenchmarkIncrementalAppend$$|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkScanCSVNext|BenchmarkIngestShards|BenchmarkSynthClassify|BenchmarkDeploymentAnyIP|BenchmarkServeQuery|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=1 -run='^$$' . | tee $(BENCHDIR)/bench.txt
+	$(GO) test -bench='BenchmarkIncrementalAppend$$|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkScanCSVNext|BenchmarkIngestShards|BenchmarkSynthClassify|BenchmarkDeploymentAnyIP|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=1 -run='^$$' . | tee $(BENCHDIR)/bench.txt
 
 # Fail on funnel drift or a >20% perf regression against the committed
 # baseline (see cmd/benchdiff).

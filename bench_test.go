@@ -588,16 +588,16 @@ func (s *benchSink) Write(p []byte) (int, error) {
 func (s *benchSink) ok() bool { return s.code == 0 || s.code == http.StatusOK }
 
 // BenchmarkServeQuery measures the query engine's response path over the
-// standard bench world across its three serving tiers: "cold" renders a
-// per-domain response from the snapshot on every request (prerendering
-// and cache disabled), "lru" serves those same domain bodies from the
-// warmed key-sharded LRU, and "hit" serves the build-time prerendered
-// zero-copy bodies of the hot singleton endpoints. The benchgate guards
-// all three against the committed baseline, and the load gate requires
-// "hit" to beat the baseline's render-then-cache era by ≥2x. The harness
-// reuses requests and a counting sink (see benchSink) instead of
-// allocating httptest recorders, so the numbers track the engine, not
-// the test scaffolding.
+// standard bench world across its serving tiers: "cold" renders a
+// per-domain response per request (the reference mode, cache disabled),
+// "lru" serves those same domain bodies from the warmed key-sharded LRU,
+// "hit" serves the build-time prerendered zero-copy bodies of the hot
+// singleton endpoints, and "domain" serves default-mode domain bodies
+// assembled from the snapshot's shared tails — and fails itself if that
+// path allocates. The benchgate guards all four against the committed
+// baseline. The harness reuses requests and a counting sink (see
+// benchSink) instead of allocating httptest recorders, so the numbers
+// track the engine, not the test scaffolding.
 func BenchmarkServeQuery(b *testing.B) {
 	fx := getStudy(b)
 	lazy := serve.BuildSnapshotOpts(fx.result, fx.dataset, time.Now(),
@@ -607,8 +607,17 @@ func BenchmarkServeQuery(b *testing.B) {
 		b.Fatalf("prerender incomplete: %d bodies for %d domains", full.Prerendered(), full.Domains())
 	}
 
+	// Domains with no candidate: in the default mode these are the
+	// templated ones.
+	flagged := make(map[dnscore.Name]bool)
+	for _, c := range fx.result.Candidates {
+		flagged[c.Domain] = true
+	}
 	domainPaths := make([]string, 0, 16)
 	for name := range fx.result.History {
+		if flagged[name] {
+			continue
+		}
 		domainPaths = append(domainPaths, "/v1/domain/"+string(name))
 		if len(domainPaths) == cap(domainPaths) {
 			break
@@ -645,6 +654,74 @@ func BenchmarkServeQuery(b *testing.B) {
 	b.Run("cold", func(b *testing.B) { run(b, lazy, serve.Options{LRUSize: -1}, domainPaths) })
 	b.Run("lru", func(b *testing.B) { run(b, lazy, serve.Options{}, domainPaths) })
 	b.Run("hit", func(b *testing.B) { run(b, full, serve.Options{}, singletons) })
+	b.Run("domain", func(b *testing.B) {
+		if full.BodiesRendered() >= full.Domains() {
+			b.Fatalf("no templated domain: %d of %d rendered whole", full.BodiesRendered(), full.Domains())
+		}
+		run(b, full, serve.Options{}, domainPaths)
+		b.StopTimer()
+		e := serve.NewEngine(serve.Options{})
+		e.Publish(full)
+		req := httptest.NewRequest("GET", domainPaths[0], nil)
+		sink := &benchSink{header: make(http.Header, 4)}
+		if allocs := testing.AllocsPerRun(100, func() { e.ServeHTTP(sink, req) }); allocs > 0 {
+			b.Fatalf("templated domain hit allocates %.1f/op, want 0", allocs)
+		}
+	})
+}
+
+// followState is the state the daemon's follow loop is in after its last
+// scan: a 2500-domain x 104-scan synthetic corpus appended scan by scan
+// under a cached pipeline (the follow-durable workload's shape). Built
+// once per process.
+func followState(b *testing.B) (*core.Result, *scanner.Dataset) {
+	b.Helper()
+	followOnce.Do(func() {
+		g := synth.New(synth.Config{Domains: 2500, Seed: 1, Scans: 104})
+		followDS = scanner.NewDatasetShards(scanner.DefaultShards)
+		pipe := &core.Pipeline{
+			Params: core.DefaultParams(), Dataset: followDS, PDNS: pdns.NewDB(),
+			Cache: core.NewClassifyCache(),
+		}
+		for _, d := range g.ScanDates() {
+			if err := followDS.Append(d, g.Scan(d)); err != nil {
+				b.Fatal(err)
+			}
+			followRes = pipe.Run()
+		}
+	})
+	return followRes, followDS
+}
+
+var (
+	followOnce sync.Once
+	followRes  *core.Result
+	followDS   *scanner.Dataset
+)
+
+// BenchmarkBuildSnapshot measures what the follow loop pays between a
+// cached run and Publish: "default" interns one body tail per distinct
+// category history, "reference" flattens a DomainDoc per domain (what the
+// default mode's bytes are tested against, and roughly what every build
+// cost when bodies were rendered per domain).
+func BenchmarkBuildSnapshot(b *testing.B) {
+	res, ds := followState(b)
+	run := func(opts serve.BuildOptions) func(b *testing.B) {
+		return func(b *testing.B) {
+			b.ReportAllocs()
+			var snap *serve.Snapshot
+			for i := 0; i < b.N; i++ {
+				snap = serve.BuildSnapshotOpts(res, ds, time.Time{}, opts)
+			}
+			if snap.Domains() != 2500 {
+				b.Fatalf("snapshot indexes %d domains, want 2500", snap.Domains())
+			}
+			b.ReportMetric(float64(snap.BodyTemplates()), "templates")
+			b.ReportMetric(float64(snap.BodiesRendered()), "rendered")
+		}
+	}
+	b.Run("default", run(serve.BuildOptions{}))
+	b.Run("reference", run(serve.BuildOptions{PrerenderDomains: -1}))
 }
 
 // BenchmarkFingerprint measures the certificate-digest memoization:

@@ -65,7 +65,7 @@ func run() error {
 		strict      = flag.Bool("strict", false, "treat any record the ingest gate would quarantine as a fatal error")
 		follow      = flag.Bool("follow", false, "ingest scan-by-scan, re-analyzing and swapping the snapshot after each scan")
 		interval    = flag.Duration("scan-interval", 0, "pause between scans in -follow mode (0 = replay as fast as possible)")
-		lruSize     = flag.Int("lru", serve.DefaultLRUSize, "rendered-response cache entries (negative disables)")
+		lruSize     = flag.Int("lru", serve.DefaultLRUSize, "rendered-response cache entries (negative disables); every body is served from the snapshot, so nothing reaches it by default")
 		rate        = flag.Float64("rate", 0, "token-bucket request rate limit per second (0 disables)")
 		burst       = flag.Int("burst", 0, "rate-limiter burst capacity (defaults to 1 when -rate is set)")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant request rate limit per second, keyed on "+serve.TenantHeader+" (0 disables)")
@@ -505,9 +505,12 @@ func writeRunReport(path string, res *core.Result, ds *scanner.Dataset, metrics 
 	doc := report.BuildRunReport(res, ds.Quarantine(), metrics)
 	st := engine.Stats()
 	doc.Serve = &report.ServeSection{
-		Generation: st.Generation,
-		Swaps:      st.Swaps,
-		Requests:   st.Requests,
+		Generation:     st.Generation,
+		Swaps:          st.Swaps,
+		Prerendered:    st.Prerendered,
+		BodyTemplates:  st.BodyTemplates,
+		BodiesRendered: st.BodiesRendered,
+		Requests:       st.Requests,
 	}
 	if dur != nil && dur.rec != nil {
 		doc.WAL = &report.WALSection{

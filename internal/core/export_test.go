@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"retrodns/internal/dnscore"
@@ -68,5 +69,62 @@ func TestExportIndexesEveryDomain(t *testing.T) {
 	}
 	if e.Domain("absent.example") != nil {
 		t.Error("lookup of unknown domain returned an entry")
+	}
+}
+
+// TestExportOrderFromRun asserts the order Export takes from Run's roster —
+// with pivot-only names merged in — is exactly what sorting produces, entry
+// for entry, and that a roster that no longer covers History is not trusted.
+func TestExportOrderFromRun(t *testing.T) {
+	history := map[dnscore.Name]map[simtime.Period]Category{
+		"delta.org":    {2: CategoryNoisy},
+		"bravo.gov.xx": {0: CategoryStable, 1: CategoryTransient},
+		"alpha.com":    {0: CategoryStable},
+	}
+	findings := []*Finding{
+		// Pivot-only, sorting before, between and after the classified names.
+		{Domain: "zulu.gov.xx", Verdict: VerdictHijacked},
+		{Domain: "aaa.gov.xx", Verdict: VerdictHijacked},
+		{Domain: "charlie.gov.xx", Verdict: VerdictHijacked},
+		{Domain: "bravo.gov.xx", Verdict: VerdictHijacked},
+		{Domain: "charlie.gov.xx", Verdict: VerdictHijacked},
+	}
+	sorted := (&Result{History: history, Hijacked: findings}).Export()
+	want := []dnscore.Name{"aaa.gov.xx", "alpha.com", "bravo.gov.xx", "charlie.gov.xx", "delta.org", "zulu.gov.xx"}
+	if len(sorted.Domains) != len(want) {
+		t.Fatalf("exported %d domains, want %d", len(sorted.Domains), len(want))
+	}
+	for i, d := range sorted.Domains {
+		if d.Domain != want[i] {
+			t.Fatalf("sorted export has %s at %d, want order %v", d.Domain, i, want)
+		}
+	}
+	if n := len(sorted.Domain("charlie.gov.xx").Findings); n != 2 {
+		t.Errorf("charlie findings = %d, want 2", n)
+	}
+
+	for name, roster := range map[string][]dnscore.Name{
+		// The dataset roster: sorted, a superset of History's keys.
+		"run":      {"alpha.com", "bravo.gov.xx", "cold.example", "delta.org", "echo.example"},
+		"stale":    {"alpha.com", "bravo.gov.xx"},
+		"repeated": {"alpha.com", "alpha.com", "bravo.gov.xx", "delta.org"},
+	} {
+		got := (&Result{History: history, Hijacked: findings, roster: roster}).Export()
+		if !reflect.DeepEqual(got, sorted) {
+			t.Errorf("%s roster: export differs from the sorted export", name)
+		}
+	}
+
+	// And on a real Run — classified, shortlisted and pivot-only domains —
+	// the roster path is taken and agrees with the sorted one.
+	res := buildPipelineWorld(t).Run()
+	if len(res.roster) < len(res.History) {
+		t.Fatalf("Run left a roster of %d names for %d classified domains", len(res.roster), len(res.History))
+	}
+	bare := &Result{History: res.History, Candidates: res.Candidates, Hijacked: res.Hijacked, Targeted: res.Targeted}
+	if got, want := res.Export(), bare.Export(); !reflect.DeepEqual(got, want) {
+		t.Error("Run's export differs from the sorted export of the same result")
+	} else if len(got.Domains) <= len(res.History) {
+		t.Errorf("export has %d domains for %d classified: no pivot-only entry", len(got.Domains), len(res.History))
 	}
 }

@@ -135,6 +135,9 @@ type Result struct {
 	Candidates []*Candidate
 	// History maps every observed domain to its per-period category.
 	History map[dnscore.Name]map[simtime.Period]Category
+	// roster is the dataset's sorted domain list as Run walked it (a
+	// superset of History's keys), kept so Export need not sort them again.
+	roster []dnscore.Name
 	// Stats carries the per-stage wall-clock and throughput counters of
 	// this run. Execution metadata only: excluded from determinism
 	// comparisons.
@@ -202,6 +205,7 @@ func (p *Pipeline) Run() *Result {
 	sp := root.Child("freeze")
 	p.Dataset.Freeze()
 	domains := p.Dataset.Domains()
+	res.roster = domains
 	res.Stats.Quarantined = p.Dataset.Quarantine().Total
 	stage(sp, len(domains), 1, 0)
 
@@ -359,23 +363,7 @@ func (p *Pipeline) periodsInData() []simtime.Period {
 // §4.2 split (96.5% stable vs 0.35% noisy) leans hard toward stable, and
 // a domain classifiable in half its periods has a usable history.
 func rollupCategory(byPeriod map[simtime.Period]Category) Category {
-	if len(byPeriod) == 0 {
-		return CategoryNoisy
-	}
-	var counts [CategoryNoisy + 1]int
-	for _, c := range byPeriod {
-		counts[c]++
-	}
-	switch {
-	case counts[CategoryTransient] > 0:
-		return CategoryTransient
-	case counts[CategoryTransition] > 0:
-		return CategoryTransition
-	case counts[CategoryNoisy]*2 > len(byPeriod):
-		return CategoryNoisy
-	default:
-		return CategoryStable
-	}
+	return periodCategories(byPeriod).rollup()
 }
 
 func orgsOf(meta *ipmeta.Directory) *ipmeta.OrgTable {

@@ -56,13 +56,18 @@ type QuarantineSection struct {
 }
 
 // ServeSection captures the serving layer at report time: the snapshot
-// generation that was live, how many Publish swaps got it there, and
+// generation that was live, how many Publish swaps got it there, how its
+// bodies are held (responses served without rendering; of the domain
+// bodies, how many distinct shared tails and how many rendered whole), and
 // per-endpoint request totals. All of it depends on what traffic the
 // daemon happened to receive, so Canonical() strips the whole section.
 type ServeSection struct {
-	Generation uint64           `json:"generation"`
-	Swaps      uint64           `json:"swaps"`
-	Requests   map[string]int64 `json:"requests,omitempty"`
+	Generation     uint64           `json:"generation"`
+	Swaps          uint64           `json:"swaps"`
+	Prerendered    int              `json:"prerendered_bodies"`
+	BodyTemplates  int              `json:"body_templates"`
+	BodiesRendered int              `json:"bodies_rendered"`
+	Requests       map[string]int64 `json:"requests,omitempty"`
 }
 
 // WALSection captures the durability layer at report time: what boot

@@ -13,9 +13,12 @@ func TestServeSectionStrippedFromCanonical(t *testing.T) {
 		Schema: RunReportSchema,
 		Funnel: map[string]int{"domains": 1},
 		Serve: &ServeSection{
-			Generation: 9,
-			Swaps:      3,
-			Requests:   map[string]int64{"funnel": 12, "healthz": 2},
+			Generation:     9,
+			Swaps:          3,
+			Prerendered:    2508,
+			BodyTemplates:  4,
+			BodiesRendered: 14,
+			Requests:       map[string]int64{"funnel": 12, "healthz": 2},
 		},
 	}
 	if got := r.Canonical().Serve; got != nil {
@@ -35,6 +38,9 @@ func TestServeSectionStrippedFromCanonical(t *testing.T) {
 	}
 	if back.Serve == nil || back.Serve.Generation != 9 || back.Serve.Swaps != 3 {
 		t.Fatalf("serve section did not round-trip: %+v", back.Serve)
+	}
+	if back.Serve.Prerendered != 2508 || back.Serve.BodyTemplates != 4 || back.Serve.BodiesRendered != 14 {
+		t.Errorf("body counts did not round-trip: %+v", back.Serve)
 	}
 	if back.Serve.Requests["funnel"] != 12 {
 		t.Errorf("requests round-trip: %v", back.Serve.Requests)

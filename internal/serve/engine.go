@@ -22,6 +22,8 @@ const (
 	MetricServeCacheEvictions  = "retrodns_serve_cache_evictions_total"
 	MetricServeCachePurged     = "retrodns_serve_cache_purged_total"
 	MetricServePrerendered     = "retrodns_serve_prerendered_bodies"
+	MetricServeBodyTemplates   = "retrodns_serve_body_templates"
+	MetricServeBodiesRendered  = "retrodns_serve_bodies_rendered"
 	MetricServeLRUShardEntries = "retrodns_serve_lru_shard_entries"
 	MetricServeLRUShardBytes   = "retrodns_serve_lru_shard_bytes"
 	MetricServeTenants         = "retrodns_serve_tenant_buckets"
@@ -38,7 +40,9 @@ const DefaultLRUSize = 1024
 // LRU and no rate limiting.
 type Options struct {
 	// LRUSize bounds the rendered-JSON response cache: 0 means
-	// DefaultLRUSize, negative disables caching entirely.
+	// DefaultLRUSize, negative disables caching entirely. Only a
+	// reference-mode snapshot renders on request, so only it reaches the
+	// cache.
 	LRUSize int
 	// RatePerSec enables the global token-bucket request limiter;
 	// <= 0 disables it.
@@ -66,10 +70,10 @@ type endpointMetrics struct {
 
 // Engine is the embeddable query engine: it holds the current Snapshot
 // behind an atomic pointer (readers load it once per request and never
-// lock; Publish stores a fully-built successor), serves pre-rendered
-// bodies zero-copy with the sharded LRU as fallback, and enforces the
-// global and per-tenant rate limits. All methods are safe for concurrent
-// use.
+// lock; Publish stores a fully-built successor), serves every body from
+// the snapshot — the sharded LRU fronts only the reference mode's
+// render-on-request documents — and enforces the global and per-tenant
+// rate limits. All methods are safe for concurrent use.
 type Engine struct {
 	now     func() time.Time
 	cache   *shardedLRU
@@ -93,6 +97,8 @@ type Engine struct {
 	cacheEvict   *obsv.Counter
 	cachePurge   *obsv.Counter
 	prerenderedG *obsv.Gauge
+	templatesG   *obsv.Gauge
+	renderedG    *obsv.Gauge
 	tenantsG     *obsv.Gauge
 }
 
@@ -136,7 +142,7 @@ func (e *Engine) SetMetrics(reg *obsv.Registry) {
 		e.ratelimited, e.swapsMet = nil, nil
 		e.generation = nil
 		e.cacheHits, e.cacheMisses, e.cacheEvict, e.cachePurge = nil, nil, nil, nil
-		e.prerenderedG, e.tenantsG = nil, nil
+		e.prerenderedG, e.templatesG, e.renderedG, e.tenantsG = nil, nil, nil, nil
 		return
 	}
 	reg.SetHelp(MetricServeRequests, "API requests received, by endpoint.")
@@ -149,7 +155,9 @@ func (e *Engine) SetMetrics(reg *obsv.Registry) {
 	reg.SetHelp(MetricServeCacheMisses, "Rendered responses built because the LRU missed.")
 	reg.SetHelp(MetricServeCacheEvictions, "LRU entries evicted past capacity.")
 	reg.SetHelp(MetricServeCachePurged, "Stale-generation LRU entries purged on Publish.")
-	reg.SetHelp(MetricServePrerendered, "Response bodies pre-rendered into the published snapshot.")
+	reg.SetHelp(MetricServePrerendered, "Responses the published snapshot serves with no rendering on request.")
+	reg.SetHelp(MetricServeBodyTemplates, "Distinct body tails the published snapshot's domain bodies share (one per category history).")
+	reg.SetHelp(MetricServeBodiesRendered, "Domain bodies the published snapshot holds rendered whole (candidate, finding or escaped name).")
 	reg.SetHelp(MetricServeLRUShardEntries, "Live entries per LRU shard.")
 	reg.SetHelp(MetricServeLRUShardBytes, "Body bytes held per LRU shard.")
 	reg.SetHelp(MetricServeTenants, "Live per-tenant rate-limit buckets.")
@@ -167,6 +175,8 @@ func (e *Engine) SetMetrics(reg *obsv.Registry) {
 	e.cacheEvict = reg.Counter(MetricServeCacheEvictions)
 	e.cachePurge = reg.Counter(MetricServeCachePurged)
 	e.prerenderedG = reg.Gauge(MetricServePrerendered)
+	e.templatesG = reg.Gauge(MetricServeBodyTemplates)
+	e.renderedG = reg.Gauge(MetricServeBodiesRendered)
 	e.tenantsG = reg.Gauge(MetricServeTenants)
 }
 
@@ -185,6 +195,8 @@ func (e *Engine) Publish(s *Snapshot) {
 	e.generation.Set(int64(s.Generation))
 	e.swapsMet.Inc()
 	e.prerenderedG.Set(int64(s.Prerendered()))
+	e.templatesG.Set(int64(s.BodyTemplates()))
+	e.renderedG.Set(int64(s.BodiesRendered()))
 }
 
 // Current returns the published snapshot, or nil before the first
@@ -205,10 +217,15 @@ type Stats struct {
 	// response-LRU counters; CacheLen is its current size.
 	CacheHits, CacheMisses, CacheEvictions, CachePurged int64
 	CacheLen                                            int
-	// Prerendered is how many bodies the published snapshot carries
-	// pre-rendered; Tenants is the live per-tenant bucket count.
-	Prerendered int
-	Tenants     int
+	// Prerendered is how many responses the published snapshot serves
+	// without rendering; of its domain bodies, BodiesRendered are held whole
+	// and the rest share BodyTemplates tails, so (domains - BodiesRendered) /
+	// BodyTemplates is the intern ratio. Tenants is the live per-tenant
+	// bucket count.
+	Prerendered    int
+	BodyTemplates  int
+	BodiesRendered int
+	Tenants        int
 }
 
 // Stats snapshots the engine's counters.
@@ -220,6 +237,8 @@ func (e *Engine) Stats() Stats {
 	if s := e.snap.Load(); s != nil {
 		st.Generation = s.Generation
 		st.Prerendered = s.Prerendered()
+		st.BodyTemplates = s.BodyTemplates()
+		st.BodiesRendered = s.BodiesRendered()
 	}
 	for ep, c := range e.requests {
 		if n := c.Load(); n > 0 {

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"retrodns/internal/dnscore"
@@ -17,6 +18,16 @@ import (
 const GenerationHeader = "X-Retrodns-Generation"
 
 const contentTypeJSON = "application/json; charset=utf-8"
+
+var contentTypeValue = []string{contentTypeJSON}
+
+// setOKHeaders stamps a success response's two headers with shared value
+// slices — net/http only reads them — so no request allocates one. Both
+// keys are in canonical form already, so the map is assigned directly.
+func setOKHeaders(h http.Header, snap *Snapshot) {
+	h["Content-Type"] = contentTypeValue
+	h[GenerationHeader] = snap.genValue
+}
 
 // errorDoc is the JSON error envelope.
 type errorDoc struct {
@@ -129,9 +140,7 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // nothing else — the zero-copy fast path every prerendered endpoint
 // takes.
 func (e *Engine) serveBody(w http.ResponseWriter, snap *Snapshot, body []byte) int {
-	h := w.Header()
-	h.Set("Content-Type", contentTypeJSON)
-	h.Set(GenerationHeader, snap.genHeader)
+	setOKHeaders(w.Header(), snap)
 	w.Write(body)
 	return http.StatusOK
 }
@@ -150,9 +159,7 @@ func (e *Engine) serveRendered(w http.ResponseWriter, snap *Snapshot, body []byt
 // bounded set of real documents (request-shaped keys like unknown domain
 // names would otherwise let a client churn the cache).
 func (e *Engine) serveDoc(w http.ResponseWriter, cacheKey string, snap *Snapshot, doc any) int {
-	h := w.Header()
-	h.Set("Content-Type", contentTypeJSON)
-	h.Set(GenerationHeader, snap.genHeader)
+	setOKHeaders(w.Header(), snap)
 	if body, ok := e.cache.get(cacheKey); ok {
 		e.cacheHits.Inc()
 		w.Write(body)
@@ -184,22 +191,51 @@ func writeError(w http.ResponseWriter, code int, msg string, gen uint64) {
 	w.Write(append(body, '\n'))
 }
 
+// domainBufs recycles the buffers templated domain bodies are assembled
+// in; Write does not retain its argument, so one goes back as it returns.
+var domainBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // handleDomain serves /v1/domain/{name}.
 func (e *Engine) handleDomain(w http.ResponseWriter, raw string, snap *Snapshot) int {
-	name, err := dnscore.ParseName(raw)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad domain name: %v", err), snap.Generation)
-		return http.StatusBadRequest
+	// A name already in canonical form — what every listing hands out —
+	// skips ParseName's lower-casing and label split.
+	name := dnscore.Name(raw)
+	if !dnscore.IsCanonical(raw) {
+		var err error
+		if name, err = dnscore.ParseName(raw); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad domain name: %v", err), snap.Generation)
+			return http.StatusBadRequest
+		}
 	}
-	doc, ok := snap.domains[name]
+	return e.serveDomain(w, name, snap)
+}
+
+// serveDomain writes one indexed domain's document: in the reference mode
+// rendered through the LRU, else from the snapshot — whole, or head +
+// generation + mid + name + the history's shared tail assembled in a
+// pooled buffer and written with the same single Write.
+func (e *Engine) serveDomain(w http.ResponseWriter, name dnscore.Name, snap *Snapshot) int {
+	if doc, ok := snap.docs[name]; ok {
+		return e.serveDoc(w, "domain|"+string(name)+"|g"+snap.genHeader, snap, doc)
+	}
+	ref, ok := snap.bodies[name]
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("domain %s not in snapshot", name), snap.Generation)
 		return http.StatusNotFound
 	}
-	if body, ok := snap.domainBody[name]; ok {
-		return e.serveBody(w, snap, body)
+	if ref < 0 {
+		return e.serveBody(w, snap, snap.rendered[^ref])
 	}
-	return e.serveDoc(w, "domain|"+string(name)+"|g"+snap.genHeader, snap, doc)
+	buf := domainBufs.Get().(*[]byte)
+	body := append((*buf)[:0], domainHead...)
+	body = append(body, snap.genHeader...)
+	body = append(body, domainMid...)
+	body = append(body, name...)
+	body = append(body, snap.tails[ref]...)
+	e.serveBody(w, snap, body)
+	*buf = body
+	domainBufs.Put(buf)
+	return http.StatusOK
 }
 
 // handlePatterns serves /v1/patterns/{label}. Labels are matched

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -116,6 +117,20 @@ func TestDomainEndpointGolden(t *testing.T) {
 		}},
 		Findings: []report.JSONFinding{report.FindingJSON(res.Hijacked[0])},
 	})
+	// No candidate, no finding: assembled from its history's shared tail.
+	// The URL's name is canonicalized before the lookup.
+	steady := DomainDoc{
+		Generation: 7,
+		Domain:     "steady.com",
+		Category:   "stable",
+		Verdict:    "inconclusive",
+		Periods: []PeriodDoc{
+			{Period: 0, Start: p0.Start().String(), End: p0.End().String(), Category: "stable"},
+			{Period: 1, Start: p1.Start().String(), End: p1.End().String(), Category: "stable"},
+		},
+	}
+	golden(t, get(t, h, "/v1/domain/steady.com"), 7, steady)
+	golden(t, get(t, h, "/v1/domain/Steady.COM."), 7, steady)
 }
 
 func TestShortlistEndpointGolden(t *testing.T) {
@@ -265,8 +280,8 @@ func TestRateLimiting(t *testing.T) {
 	}
 }
 
-// lazyEngine publishes a snapshot with domain prerendering disabled, so
-// /v1/domain requests exercise the LRU fallback path.
+// lazyEngine publishes a reference-mode snapshot, so /v1/domain requests
+// render per request through the LRU.
 func lazyEngine(t *testing.T, opts Options) (*Engine, http.Handler) {
 	t.Helper()
 	if opts.Now == nil {
@@ -294,10 +309,11 @@ func TestResponseCacheHit(t *testing.T) {
 }
 
 // TestPrerenderServedZeroCopy asserts the default build serves singleton
-// and domain endpoints from prerendered bodies: no cache traffic at all.
+// and domain endpoints from the snapshot — no cache traffic at all — at
+// any roster size, including one past DefaultPrerenderDomains.
 func TestPrerenderServedZeroCopy(t *testing.T) {
 	e, h := testEngine(t, Options{})
-	for _, path := range []string{"/v1/funnel", "/v1/shortlist", "/v1/patterns/T1", "/v1/domain/victim.gov.xx"} {
+	for _, path := range []string{"/v1/funnel", "/v1/shortlist", "/v1/patterns/T1", "/v1/domain/victim.gov.xx", "/v1/domain/steady.com"} {
 		if rr := get(t, h, path); rr.Code != http.StatusOK {
 			t.Fatalf("%s = %d", path, rr.Code)
 		}
@@ -310,10 +326,43 @@ func TestPrerenderServedZeroCopy(t *testing.T) {
 	if st.Prerendered != 2+len(PatternLabels)+2 {
 		t.Errorf("prerendered = %d, want %d", st.Prerendered, 2+len(PatternLabels)+2)
 	}
+	if st.BodyTemplates != 1 || st.BodiesRendered != 1 {
+		t.Errorf("templates=%d rendered=%d, want 1/1", st.BodyTemplates, st.BodiesRendered)
+	}
+
+	// A hand-built roster past the old prerender budget: every domain is
+	// still served from the snapshot, from three shared tails.
+	res := testResult()
+	histories := []map[simtime.Period]core.Category{
+		{0: core.CategoryStable, 1: core.CategoryStable},
+		{1: core.CategoryStable},
+		{0: core.CategoryNoisy, 1: core.CategoryTransition},
+	}
+	const extra = DefaultPrerenderDomains + 5
+	for i := 0; i < extra; i++ {
+		res.History[dnscore.Name(fmt.Sprintf("d%06d.example", i))] = histories[i%len(histories)]
+	}
+	big := BuildSnapshot(res, nil, testBuilt)
+	e.Publish(big)
+	for _, path := range []string{"/v1/domain/d000000.example", "/v1/domain/d131076.example", "/v1/domain/victim.gov.xx"} {
+		if rr := get(t, h, path); rr.Code != http.StatusOK {
+			t.Fatalf("%s = %d", path, rr.Code)
+		}
+	}
+	st = e.Stats()
+	if st.CacheHits != 0 || st.CacheMisses != 0 {
+		t.Errorf("roster past the budget touched the LRU: hits=%d misses=%d", st.CacheHits, st.CacheMisses)
+	}
+	if want := big.Domains() + 2 + len(PatternLabels); big.Domains() != extra+2 || st.Prerendered != want {
+		t.Errorf("domains=%d prerendered=%d, want %d/%d", big.Domains(), st.Prerendered, extra+2, want)
+	}
+	if st.BodyTemplates != len(histories) || st.BodiesRendered != 1 {
+		t.Errorf("templates=%d rendered=%d, want %d/1", st.BodyTemplates, st.BodiesRendered, len(histories))
+	}
 }
 
 // TestPrerenderMatchesLazy asserts byte-identical bodies between the
-// prerendered fast path and the lazy render-through-LRU fallback.
+// default mode and the reference render-through-LRU mode.
 func TestPrerenderMatchesLazy(t *testing.T) {
 	_, pre := testEngine(t, Options{})
 	_, lazy := lazyEngine(t, Options{})
@@ -406,8 +455,11 @@ func TestEndpointMetrics(t *testing.T) {
 	if got := reg.Counter(MetricServeSwaps).Value(); got != 1 {
 		t.Errorf("swap counter = %d, want 1", got)
 	}
-	if got := reg.Gauge(MetricServePrerendered).Value(); got == 0 {
-		t.Error("prerendered gauge not set on publish")
+	if got := reg.Gauge(MetricServePrerendered).Value(); got != int64(2+len(PatternLabels)+2) {
+		t.Errorf("prerendered gauge = %d, want %d", got, 2+len(PatternLabels)+2)
+	}
+	if tmpl, whole := reg.Gauge(MetricServeBodyTemplates).Value(), reg.Gauge(MetricServeBodiesRendered).Value(); tmpl != 1 || whole != 1 {
+		t.Errorf("body gauges: templates=%d rendered=%d, want 1/1", tmpl, whole)
 	}
 	if got := reg.Histogram(MetricServeLatencySec, obsv.DurationBuckets, "endpoint", "funnel").Count(); got != 2 {
 		t.Errorf("latency observations = %d, want 2", got)

@@ -1,14 +1,17 @@
 // Package serve is the read side of the system: an embeddable query
 // engine that turns each pipeline Result into an immutable Snapshot with
-// precomputed per-domain, per-period, and per-pattern indexes, swaps
-// snapshots atomically (RCU-style — readers never lock, writers publish
-// a fully-built successor), fronts the renderers with a bounded LRU of
-// rendered JSON, and exposes the paper's §4 artifacts as versioned HTTP
-// endpoints. cmd/retrodnsd is the daemon wrapping it; the engine itself
-// embeds into any process that already runs the pipeline.
+// precomputed per-domain, per-period, and per-pattern indexes and every
+// response body either rendered or reduced to a shared template at build
+// time, swaps snapshots atomically (RCU-style — readers never lock,
+// writers publish a fully-built successor), and exposes the paper's §4
+// artifacts as versioned HTTP endpoints. A bounded LRU of rendered JSON
+// fronts only the render-on-request reference mode. cmd/retrodnsd is the
+// daemon wrapping it; the engine itself embeds into any process that
+// already runs the pipeline.
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"strconv"
 	"time"
@@ -106,6 +109,13 @@ type PatternsDoc struct {
 // the snapshot is only ever read, so request handlers share it freely
 // across goroutines with no locking, and every field of every response
 // body derives from the same generation by construction.
+//
+// Aliasing rule: once BuildSnapshot returns, the snapshot holds no
+// *core.Candidate, *core.Finding, deployment map or History map —
+// core.ClassifyCache extends cached deployment maps in place on the next
+// Run, so a body that read one at request time could mix generations.
+// Domains with candidates or findings are rendered (default mode) or
+// flattened into DomainDocs (reference mode) at build, never on request.
 type Snapshot struct {
 	// Generation is the dataset generation the snapshot was built from.
 	Generation uint64
@@ -116,47 +126,69 @@ type Snapshot struct {
 	lastScan    simtime.Date
 	hasLastScan bool
 
-	domains   map[dnscore.Name]*DomainDoc
 	shortlist *ShortlistDoc
 	funnel    *FunnelDoc
 	patterns  map[string]*PatternsDoc
 
-	// genHeader is Generation pre-formatted for the X-Retrodns-Generation
-	// header, so the request path never calls FormatUint.
+	// genHeader is Generation pre-formatted, for the body's "generation"
+	// value and, as genValue, the X-Retrodns-Generation header slice every
+	// response of this snapshot shares: the request path never formats it.
 	genHeader string
+	genValue  []string
 
-	// Pre-rendered response bodies: rendering moves off the request path
-	// entirely for shortlist/funnel/patterns (always) and for up to
-	// BuildOptions.PrerenderDomains per-domain docs. Bodies are shared
-	// read-only byte slices written straight to the wire; a corpus past
-	// the domain budget falls back to on-demand rendering through the
-	// engine's sharded LRU.
+	// Pre-rendered singleton bodies: shared read-only byte slices written
+	// straight to the wire.
 	shortlistBody []byte
 	funnelBody    []byte
 	patternsBody  map[string][]byte
-	domainBody    map[dnscore.Name][]byte
-	prerendered   int
+
+	// Domain bodies, default mode. A /v1/domain document is domainHead +
+	// generation + domainMid + name + tail, and for a domain with no
+	// candidate and no finding the tail — category, verdict, period rows —
+	// depends only on its per-period category history, which it shares with
+	// most of the roster (§4.2: 96.5% of domains are stable in every
+	// period). bodies maps such a name to its history's index in tails,
+	// rendered once per distinct history; a domain with a candidate or
+	// finding (or a name JSON would escape) maps to the complement of its
+	// index in rendered, its whole body.
+	bodies   map[dnscore.Name]int32
+	tails    [][]byte
+	rendered [][]byte
+
+	// docs is the reference mode (BuildOptions.PrerenderDomains < 0): every
+	// domain flattened at build, rendered by encoding/json per request
+	// through the engine's LRU — what the default mode's bytes are tested
+	// against. Exactly one of bodies and docs is set.
+	docs map[dnscore.Name]*DomainDoc
+
+	prerendered int
 }
 
 // Domains returns the number of indexed domains.
-func (s *Snapshot) Domains() int { return len(s.domains) }
+func (s *Snapshot) Domains() int { return len(s.bodies) + len(s.docs) }
 
-// Prerendered returns how many response bodies were rendered at build
-// time (the shortlist/funnel/pattern singletons plus budgeted domains).
+// Prerendered returns how many responses are served from the snapshot
+// with no rendering on request: the shortlist/funnel/pattern singletons
+// plus, in the default mode, one per domain.
 func (s *Snapshot) Prerendered() int { return s.prerendered }
 
-// DefaultPrerenderDomains is the per-domain prerender budget when
-// BuildOptions leaves PrerenderDomains zero: 128k domains (~50–100 MB of
-// rendered JSON at typical doc sizes) — comfortably past the 50k synth
-// world while keeping a 1M-domain corpus from tripling its footprint.
+// BodyTemplates returns how many distinct tails the domain bodies share.
+func (s *Snapshot) BodyTemplates() int { return len(s.tails) }
+
+// BodiesRendered returns how many domain bodies were rendered whole.
+func (s *Snapshot) BodiesRendered() int { return len(s.rendered) }
+
+// DefaultPrerenderDomains was the roster size past which no domain body
+// was prerendered. It bounds nothing any more — a templated body costs one
+// index entry, so every domain is served from the snapshot at any roster
+// size — and stays only because bench/ compiles against it.
 const DefaultPrerenderDomains = 1 << 17
 
 // BuildOptions tunes BuildSnapshotOpts.
 type BuildOptions struct {
-	// PrerenderDomains bounds how many per-domain bodies are rendered at
-	// build time: 0 means DefaultPrerenderDomains, negative disables
-	// domain prerendering (shortlist/funnel/patterns are always
-	// prerendered — they are singletons).
+	// PrerenderDomains selects how domain bodies are served: negative is
+	// the reference path (flatten at build, render per request through the
+	// LRU), anything else serves every domain from the snapshot.
 	PrerenderDomains int
 }
 
@@ -170,6 +202,42 @@ func renderDoc(doc any) []byte {
 		return nil
 	}
 	return append(body, '\n')
+}
+
+// The fixed seams of a rendered DomainDoc. Generation and Domain are its
+// first two fields, so what follows the name mentions neither.
+const (
+	domainHead = "{\n  \"generation\": "
+	domainMid  = ",\n  \"domain\": \""
+	// tailProbe is the placeholder name tails are rendered under, at
+	// generation 0; tailCut is what that render starts with.
+	tailProbe = "x"
+	tailCut   = domainHead + "0" + domainMid + tailProbe
+)
+
+// renderTail renders what every candidate-free, finding-free domain with
+// d's history shares: the reference render of such a domain, cut after the
+// name, so the bytes are encoding/json's own. Should the seams ever move
+// the cut fails, nil comes back and the caller renders the domain whole.
+func renderTail(d *core.DomainExport) []byte {
+	body := renderDoc(domainDoc(0, &core.DomainExport{Domain: tailProbe, Rollup: d.Rollup, Periods: d.Periods}))
+	tail, ok := bytes.CutPrefix(body, []byte(tailCut))
+	if !ok {
+		return nil
+	}
+	return tail
+}
+
+// plainName reports whether encoding/json writes name verbatim between
+// the quotes: printable ASCII other than the characters it escapes.
+func plainName(name string) bool {
+	for i := 0; i < len(name); i++ {
+		switch c := name[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			return false
+		}
+	}
+	return true
 }
 
 // shortlistReason names why a candidate survived §4.3 pruning.
@@ -203,26 +271,53 @@ func candidateDoc(c *core.Candidate) CandidateDoc {
 	return doc
 }
 
+// domainDoc flattens one exported domain under a generation.
+func domainDoc(gen uint64, d *core.DomainExport) *DomainDoc {
+	doc := &DomainDoc{
+		Generation: gen,
+		Domain:     string(d.Domain),
+		Category:   d.Rollup.String(),
+		Verdict:    d.Verdict().String(),
+	}
+	for p := simtime.Period(0); p < simtime.NumPeriods; p++ {
+		if cat, ok := d.Periods.At(p); ok {
+			doc.Periods = append(doc.Periods, PeriodDoc{
+				Period: int(p), Start: p.Start().String(), End: p.End().String(),
+				Category: cat.String(),
+			})
+		}
+	}
+	for _, c := range d.Candidates {
+		doc.Candidates = append(doc.Candidates, candidateDoc(c))
+	}
+	for _, f := range d.Findings {
+		doc.Findings = append(doc.Findings, report.FindingJSON(f))
+	}
+	return doc
+}
+
 // BuildSnapshot indexes one pipeline Result for serving. The generation
 // is taken from the dataset when one is supplied (the live -follow
 // shape), else from the Result's own stats; built stamps the snapshot's
-// age for /v1/healthz. The Result is read, never retained mutably — the
-// caller may keep running the pipeline while the snapshot serves.
+// age for /v1/healthz. The Result is read, never retained (see Snapshot's
+// aliasing rule) — the caller may keep running the pipeline while the
+// snapshot serves.
 func BuildSnapshot(res *core.Result, ds *scanner.Dataset, built time.Time) *Snapshot {
 	return BuildSnapshotOpts(res, ds, built, BuildOptions{})
 }
 
-// BuildSnapshotOpts is BuildSnapshot with an explicit prerender budget.
+// BuildSnapshotOpts is BuildSnapshot with the reference path selectable.
 func BuildSnapshotOpts(res *core.Result, ds *scanner.Dataset, built time.Time, opts BuildOptions) *Snapshot {
 	gen := res.Stats.Generation
 	if ds != nil {
 		gen = ds.Generation()
 	}
+	genHeader := strconv.FormatUint(gen, 10)
 	snap := &Snapshot{
 		Generation: gen,
 		Built:      built,
-		genHeader:  strconv.FormatUint(gen, 10),
-		domains:    make(map[dnscore.Name]*DomainDoc),
+		genHeader:  genHeader,
+		genValue:   []string{genHeader},
 		patterns:   make(map[string]*PatternsDoc),
 	}
 	if ds != nil {
@@ -230,47 +325,72 @@ func BuildSnapshotOpts(res *core.Result, ds *scanner.Dataset, built time.Time, o
 	}
 
 	export := res.Export()
+	if opts.PrerenderDomains < 0 {
+		snap.docs = make(map[dnscore.Name]*DomainDoc, len(export.Domains))
+	} else {
+		snap.bodies = make(map[dnscore.Name]int32, len(export.Domains))
+	}
 
-	// Per-domain docs, plus the pattern lists they imply.
-	patternDomains := make(map[string][]string, len(PatternLabels))
+	// One walk over the sorted roster indexes every domain's body and
+	// tallies what the pattern lists and the funnel's per-period breakdown
+	// need, in arrays indexed by category, pattern and period.
+	var (
+		tailOf     = make(map[core.PeriodCategories]int32)
+		byRollup   [core.CategoryNoisy + 1][]string
+		byPattern  [core.PatternT2 + 1][]string
+		periodCats [simtime.NumPeriods][core.CategoryNoisy + 1]int
+	)
 	for _, d := range export.Domains {
-		doc := &DomainDoc{
-			Generation: gen,
-			Domain:     string(d.Domain),
-			Category:   d.Rollup.String(),
-			Verdict:    d.Verdict().String(),
+		name := string(d.Domain)
+		byRollup[d.Rollup] = append(byRollup[d.Rollup], name)
+		for p, c := range d.Periods {
+			if c != 0 {
+				periodCats[p][c-1]++
+			}
 		}
-		for p := simtime.Period(0); p < simtime.NumPeriods; p++ {
-			cat, ok := d.Categories[p]
+		var seen [core.PatternT2 + 1]bool
+		for _, c := range d.Candidates {
+			if pat := c.Pattern; (pat == core.PatternT1 || pat == core.PatternT2) && !seen[pat] {
+				seen[pat] = true
+				byPattern[pat] = append(byPattern[pat], name)
+			}
+		}
+
+		if snap.docs != nil {
+			snap.docs[d.Domain] = domainDoc(gen, d)
+			continue
+		}
+		if len(d.Candidates) == 0 && len(d.Findings) == 0 && plainName(name) {
+			id, ok := tailOf[d.Periods]
 			if !ok {
+				id = -1
+				if tail := renderTail(d); tail != nil {
+					id = int32(len(snap.tails))
+					snap.tails = append(snap.tails, tail)
+				}
+				tailOf[d.Periods] = id
+			}
+			if id >= 0 {
+				snap.bodies[d.Domain] = id
 				continue
 			}
-			doc.Periods = append(doc.Periods, PeriodDoc{
-				Period: int(p), Start: p.Start().String(), End: p.End().String(),
-				Category: cat.String(),
-			})
 		}
-		seenPattern := map[string]bool{}
-		for _, c := range d.Candidates {
-			doc.Candidates = append(doc.Candidates, candidateDoc(c))
-			if label := c.Pattern.String(); (label == "T1" || label == "T2") && !seenPattern[label] {
-				seenPattern[label] = true
-				patternDomains[label] = append(patternDomains[label], string(d.Domain))
-			}
-		}
-		for _, f := range d.Findings {
-			doc.Findings = append(doc.Findings, report.FindingJSON(f))
-		}
-		snap.domains[d.Domain] = doc
-		patternDomains[d.Rollup.String()] = append(patternDomains[d.Rollup.String()], string(d.Domain))
+		snap.bodies[d.Domain] = ^int32(len(snap.rendered))
+		snap.rendered = append(snap.rendered, renderDoc(domainDoc(gen, d)))
+	}
+	snap.prerendered = len(snap.bodies)
+
+	// export.Domains is sorted, so the per-label lists arrive sorted.
+	lists := map[string][]string{"T1": byPattern[core.PatternT1], "T2": byPattern[core.PatternT2]}
+	for cat, domains := range byRollup {
+		lists[core.Category(cat).String()] = domains
 	}
 	for _, label := range PatternLabels {
-		// export.Domains is sorted, so the per-label lists arrive sorted.
 		snap.patterns[label] = &PatternsDoc{
 			Generation: gen,
 			Label:      label,
-			Count:      len(patternDomains[label]),
-			Domains:    patternDomains[label],
+			Count:      len(lists[label]),
+			Domains:    lists[label],
 		}
 	}
 
@@ -291,41 +411,37 @@ func BuildSnapshotOpts(res *core.Result, ds *scanner.Dataset, built time.Time, o
 		})
 	}
 
-	// Funnel: global counts plus the per-period breakdown.
+	// Funnel: global counts plus the per-period breakdown. A period gets a
+	// row when any domain has a category in it or a candidate or finding is
+	// dated there.
 	snap.funnel = &FunnelDoc{Generation: gen, Funnel: report.FunnelCounts(res)}
-	perPeriod := make(map[simtime.Period]*PeriodFunnelDoc)
-	periodDoc := func(p simtime.Period) *PeriodFunnelDoc {
-		doc := perPeriod[p]
-		if doc == nil {
-			doc = &PeriodFunnelDoc{
-				Period: int(p), Start: p.Start().String(), End: p.End().String(),
-				Categories: make(map[string]int),
-			}
-			perPeriod[p] = doc
-		}
-		return doc
-	}
-	for _, d := range export.Domains {
-		for p, cat := range d.Categories {
-			periodDoc(p).Categories[cat.String()]++
-		}
-	}
+	var periodCandidates, periodFindings [simtime.NumPeriods]int
 	for _, c := range res.Candidates {
-		periodDoc(c.Period).Candidates++
+		if c.Period.Valid() {
+			periodCandidates[c.Period]++
+		}
 	}
 	for _, f := range res.Findings() {
-		periodDoc(simtime.PeriodOf(f.Date)).Findings++
+		periodFindings[simtime.PeriodOf(f.Date)]++
 	}
 	for p := simtime.Period(0); p < simtime.NumPeriods; p++ {
-		if doc, ok := perPeriod[p]; ok {
-			snap.funnel.Periods = append(snap.funnel.Periods, *doc)
+		cats := make(map[string]int)
+		for cat, n := range periodCats[p] {
+			if n > 0 {
+				cats[core.Category(cat).String()] = n
+			}
 		}
+		if len(cats) == 0 && periodCandidates[p] == 0 && periodFindings[p] == 0 {
+			continue
+		}
+		snap.funnel.Periods = append(snap.funnel.Periods, PeriodFunnelDoc{
+			Period: int(p), Start: p.Start().String(), End: p.End().String(),
+			Categories: cats, Candidates: periodCandidates[p], Findings: periodFindings[p],
+		})
 	}
 
-	// Pre-render response bodies. The singletons are always rendered —
-	// they are the hot endpoints and there is exactly one body each.
-	// Per-domain docs render up to the budget; the generation is embedded
-	// in every body, so nothing can be reused across builds.
+	// The singletons are always rendered — they are the hot endpoints and
+	// there is exactly one body each.
 	if body := renderDoc(snap.shortlist); body != nil {
 		snap.shortlistBody = body
 		snap.prerendered++
@@ -339,19 +455,6 @@ func BuildSnapshotOpts(res *core.Result, ds *scanner.Dataset, built time.Time, o
 		if body := renderDoc(doc); body != nil {
 			snap.patternsBody[label] = body
 			snap.prerendered++
-		}
-	}
-	budget := opts.PrerenderDomains
-	if budget == 0 {
-		budget = DefaultPrerenderDomains
-	}
-	if budget > 0 && len(snap.domains) <= budget {
-		snap.domainBody = make(map[dnscore.Name][]byte, len(snap.domains))
-		for name, doc := range snap.domains {
-			if body := renderDoc(doc); body != nil {
-				snap.domainBody[name] = body
-				snap.prerendered++
-			}
 		}
 	}
 	return snap

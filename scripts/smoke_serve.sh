@@ -4,8 +4,10 @@
 #   1. build retrodnsd and start it on a small -follow world (ephemeral port)
 #   2. poll /v1/healthz until the first snapshot is published
 #   3. hit every /v1 endpoint and require a generation in each response,
-#      including a /v1/domain/{name} lookup for a domain extracted from
-#      the /v1/patterns/stable listing
+#      including two /v1/domain/{name} lookups — a domain from the
+#      /v1/patterns/stable listing (body assembled from a shared tail) and
+#      one from /v1/shortlist (body rendered whole) — whose body generation
+#      must equal the X-Retrodns-Generation header
 #   4. SIGTERM the daemon and require a clean drain (exit 0) plus a run
 #      report carrying the serve section
 #
@@ -83,20 +85,47 @@ grep -qi '^x-retrodns-generation:' "$workdir/headers.txt" || {
 
 # Pull a real domain out of the stable-pattern listing (classification
 # needs a full period of scans, so poll while the replay advances) and
-# look it up individually.
-domain=
-for _ in $(seq 1 600); do
-    domain=$(fetch /v1/patterns/stable | sed -n 's/^    "\(.*\)"[,]*$/\1/p' | head -1)
-    [ -n "$domain" ] && break
-    sleep 0.1
-done
+# one out of the shortlist, and look each up individually: the first is
+# served from its history's shared tail, the second — it carries a
+# candidate — from a body rendered whole. Either way the generation in
+# the body must be the one in the header.
+poll_domain() { # $1 = listing path, $2 = sed expression extracting a name
+    local name=
+    for _ in $(seq 1 600); do
+        name=$(fetch "$1" | sed -n "$2" | head -1)
+        [ -n "$name" ] && break
+        sleep 0.1
+    done
+    echo "$name"
+}
+check_domain() { # $1 = domain, $2 = which path it exercises
+    curl -fsS -D "$workdir/domain.headers" -o "$workdir/domain.json" "http://$addr/v1/domain/$1"
+    body_gen=$(sed -n 's/^  "generation": \([0-9]*\),$/\1/p' "$workdir/domain.json")
+    header_gen=$(tr -d '\r' <"$workdir/domain.headers" | sed -n 's/^[Xx]-[Rr]etrodns-[Gg]eneration: //p')
+    if [ -z "$body_gen" ] || [ "$body_gen" != "$header_gen" ]; then
+        echo "smoke-serve: /v1/domain/$1 ($2): body generation '$body_gen' vs header '$header_gen'" >&2
+        cat "$workdir/domain.json" >&2
+        exit 1
+    fi
+    grep -q "\"domain\": \"$1\"" "$workdir/domain.json" || {
+        echo "smoke-serve: /v1/domain/$1 ($2) does not name the domain" >&2
+        exit 1
+    }
+}
+domain=$(poll_domain /v1/patterns/stable 's/^    "\(.*\)"[,]*$/\1/p')
 if [ -z "$domain" ]; then
     echo "smoke-serve: no stable domain appeared in /v1/patterns/stable" >&2
     exit 1
 fi
-fetch "/v1/domain/$domain" >"$workdir/domain.json"
-grep -q '"generation"' "$workdir/domain.json" || {
-    echo "smoke-serve: /v1/domain/$domain missing generation" >&2
+check_domain "$domain" "shared tail"
+flagged=$(poll_domain /v1/shortlist 's/^      "domain": "\(.*\)",$/\1/p')
+if [ -z "$flagged" ]; then
+    echo "smoke-serve: no candidate appeared in /v1/shortlist" >&2
+    exit 1
+fi
+check_domain "$flagged" "rendered whole"
+grep -q '"candidates"' "$workdir/domain.json" || {
+    echo "smoke-serve: /v1/domain/$flagged carries no candidates" >&2
     exit 1
 }
 
@@ -110,9 +139,11 @@ if [ "$status" -ne 0 ]; then
     echo "smoke-serve: daemon exited $status on SIGTERM" >&2
     exit 1
 fi
-grep -q '"serve"' "$workdir/report.json" || {
-    echo "smoke-serve: run report missing serve section" >&2
-    exit 1
-}
+for key in '"serve"' '"prerendered_bodies"' '"body_templates"' '"bodies_rendered"'; do
+    grep -q "$key" "$workdir/report.json" || {
+        echo "smoke-serve: run report missing $key" >&2
+        exit 1
+    }
+done
 
-echo "smoke-serve: ok (domain=$domain addr=$addr)"
+echo "smoke-serve: ok (domain=$domain flagged=$flagged addr=$addr)"

@@ -35,7 +35,10 @@ test:
 # internal/core covers the arena and
 # slice-set deployment code on every parallel path; internal/scanner's
 # TestReaderRecordsFeedTwoDatasets drives two datasets' parallel ingest
-# phases over one CSV reader's shared certificates and ports arrays). The
+# phases over one CSV reader's shared certificates and ports arrays,
+# TestSpilledWindowsSharedReadOnly four readers over the ports arrays the
+# records of a decoded window share, TestPinnedViewReadsDuringUnspill a
+# reader on a pinned ShardView while its shard unspills under it). The
 # root run pins warm-restart byte-identity across every WAL fault class
 # under -race.
 race:
@@ -45,7 +48,8 @@ race:
 # Ten seconds of coverage-guided fuzzing per parser: DNS names (also the
 # IsCanonical differential), zone-file snapshots, certificate chains, the
 # JSON report round trip, WAL and segment replay, scans.csv rows
-# (memoized reader against the reference ParseScanRow), and /v1/domain
+# (memoized reader against the reference ParseScanRow), segment windows
+# (slab decoder against the per-record reference), and /v1/domain
 # bodies (assembled from shared tails against the reference render). Enough to
 # catch a freshly introduced data-shaped panic without stalling CI; run
 # `go test -fuzz=<target> ./internal/<pkg>` open-endedly when hunting.
@@ -57,11 +61,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentReplay -fuzztime=10s ./internal/segment
 	$(GO) test -run='^$$' -fuzz=FuzzScanCSVRow -fuzztime=10s ./internal/scanner
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeWindow -fuzztime=10s ./internal/scanner
 	$(GO) test -run='^$$' -fuzz=FuzzDomainBody -fuzztime=10s ./internal/serve
 
 # The incremental-engine benchmarks: append+cached-rerun vs full rerun
 # (the headline >=10x), certificate-fingerprint memoization, the
-# allocation cost of bulk scan ingest, the scans.csv reader (rows/s and
+# allocation cost of bulk scan ingest, the corpus generator (records/s and
+# allocs/record), the scans.csv reader (rows/s and
 # allocs/row), paper-shaped sharded ingest and classification over the
 # synthetic corpus (shard counts 1/4/8 — the benchmark itself fails if
 # shards=8 runs over 1.25x shards=1 — plus the interning on/off
@@ -69,7 +75,7 @@ fuzz-smoke:
 # render, LRU hit, prerendered singleton, templated domain body), and the
 # snapshot build the follow loop pays per scan (default vs reference).
 bench:
-	$(GO) test -bench='BenchmarkIncrementalAppend|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkScanCSVNext|BenchmarkIngestShards|BenchmarkIngestIntern|BenchmarkSynthClassify|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=3 -run='^$$' .
+	$(GO) test -bench='BenchmarkIncrementalAppend|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkSynthEmit|BenchmarkScanCSVNext|BenchmarkIngestShards|BenchmarkIngestIntern|BenchmarkSynthClassify|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=3 -run='^$$' .
 
 # Every benchmark in the harness (tables, figures, scale sweeps, ablations).
 bench-all:

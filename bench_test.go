@@ -8,7 +8,9 @@ package retrodns_bench
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
@@ -840,6 +842,36 @@ func BenchmarkScanCSVNext(b *testing.B) {
 	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(total*b.N)/b.Elapsed().Seconds(), "rows/s")
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(total*b.N), "allocs/row")
+}
+
+// BenchmarkSynthEmit measures the corpus generator the way worldgen and the
+// benchmark of record drive it — EmitScan into FormatScanRow into an
+// encoding/csv writer — on a batch-archive-shaped corpus cut to 26 scans:
+// records per second and allocations per record. It is every workload's
+// setup_s.
+func BenchmarkSynthEmit(b *testing.B) {
+	g := synth.New(synth.Config{Domains: 4000, Seed: 1, Scans: 26})
+	dates := g.ScanDates()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	records := 0
+	for i := 0; i < b.N; i++ {
+		cw := csv.NewWriter(io.Discard)
+		for _, date := range dates {
+			g.EmitScan(date, func(r *scanner.Record) {
+				records++
+				if err := cw.Write(scanner.FormatScanRow(r)); err != nil {
+					b.Fatal(err)
+				}
+			})
+		}
+		cw.Flush()
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(records)/b.Elapsed().Seconds(), "records/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(records), "allocs/record")
 }
 
 // BenchmarkIngestShards measures paper-shaped bulk ingest (validate gate,

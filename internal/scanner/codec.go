@@ -231,40 +231,109 @@ func encodeRecord(w *BinWriter, r *Record, certIdx uint64) {
 	w.Bool(r.Sensitive)
 }
 
+// decodeRecord decodes one record into a fresh allocation of its own: the
+// form for decoders whose records outlive one another (WAL batches, rds1
+// snapshots). Windows read off a segment go through decodeRecords.
 func decodeRecord(r *BinReader, certs []*x509lite.Certificate) *Record {
 	rec := &Record{}
+	decodeRecordInto(r, certs, rec, nil)
+	return rec
+}
+
+// decodeRecordInto is the one record decoder: it overwrites every field of
+// *rec, and every malformed input (IP bytes, port range, cert index, bool
+// value, blob and count bounds) latches ErrCodec on r, after which *rec is
+// unspecified and the caller must drop it.
+//
+// With a non-nil prev, a ports list or country equal to prev's is not
+// allocated again: rec takes prev's Ports array and Country string. Inside
+// one domain's window that is nearly every record (the same hosts answer on
+// the same ports week after week), and it puts decoded records under the
+// rule ScanCSV's already live under: Ports is shared between records and
+// read-only from the moment the decoder returns.
+func decodeRecordInto(r *BinReader, certs []*x509lite.Certificate, rec, prev *Record) {
 	rec.ScanDate = simtime.Date(r.Int())
-	ipRaw := r.Blob()
-	if len(ipRaw) > 0 {
-		if addr, ok := netip.AddrFromSlice(ipRaw); ok {
-			rec.IP = addr
-		} else {
+	var ip netip.Addr
+	if ipRaw := r.Blob(); len(ipRaw) > 0 {
+		var ok bool
+		if ip, ok = netip.AddrFromSlice(ipRaw); !ok {
 			r.fail("ip bytes")
 		}
 	}
+	rec.IP = ip
+	// Ports: one pass that checks every value and compares it with prev's,
+	// then a second over the same bytes only when a new array is needed.
 	nports := r.Count()
+	start := r.off
+	same := prev != nil && len(prev.Ports) == nports
 	for i := 0; i < nports; i++ {
 		p := r.Uvarint()
 		if p > math.MaxUint16 {
 			r.fail("port range")
-			return rec
+			return
 		}
-		rec.Ports = append(rec.Ports, uint16(p))
+		same = same && prev.Ports[i] == uint16(p)
 	}
+	var ports []uint16
+	switch {
+	case nports == 0 || r.err != nil:
+	case same:
+		ports = prev.Ports
+	default:
+		ports = make([]uint16, nports)
+		r.off = start
+		for i := range ports {
+			ports[i] = uint16(r.Uvarint())
+		}
+	}
+	rec.Ports = ports
 	rec.ASN = ipmeta.ASN(r.Uvarint())
-	rec.Country = ipmeta.CountryCode(r.String())
-	certIdx := r.Uvarint()
-	if r.err == nil && certIdx > 0 {
+	if country := r.Blob(); prev != nil && string(country) == string(prev.Country) {
+		rec.Country = prev.Country
+	} else {
+		rec.Country = ipmeta.CountryCode(country)
+	}
+	var cert *x509lite.Certificate
+	if certIdx := r.Uvarint(); r.err == nil && certIdx > 0 {
 		if certIdx > uint64(len(certs)) {
 			r.fail("cert index")
 		} else {
-			rec.Cert = certs[certIdx-1]
+			cert = certs[certIdx-1]
 		}
 	}
+	rec.Cert = cert
 	rec.CrtShID = r.Int()
 	rec.Trusted = r.Bool()
 	rec.Sensitive = r.Bool()
+}
+
+// slabRecord hands out the next Record of *slab, refilling it when empty
+// with the smaller of want and recordSlab. The bound is what keeps a few
+// retained records from pinning everything decoded beside them.
+func slabRecord(slab *[]Record, want int) *Record {
+	if len(*slab) == 0 {
+		*slab = make([]Record, min(want, recordSlab))
+	}
+	rec := &(*slab)[0]
+	*slab = (*slab)[1:]
 	return rec
+}
+
+// decodeRecords decodes n consecutive records into slabs, each record
+// sharing what it repeats of the one before it (see decodeRecordInto). It
+// stops at the first latched error; the caller checks r.Err and drops the
+// result whole.
+func decodeRecords(r *BinReader, certs []*x509lite.Certificate, n int) []*Record {
+	out := make([]*Record, 0, n)
+	var slab []Record
+	var prev *Record
+	for j := 0; j < n && r.err == nil; j++ {
+		rec := slabRecord(&slab, n-j)
+		decodeRecordInto(r, certs, rec, prev)
+		out = append(out, rec)
+		prev = rec
+	}
+	return out
 }
 
 // certTable assigns a dense index to each distinct certificate (by

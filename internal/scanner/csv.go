@@ -54,23 +54,54 @@ const (
 var ErrBadScanRow = errors.New("scanner: bad scan row")
 
 // FormatScanRow renders one record as a scans.csv row. The inverse of
-// ParseScanRow up to the lossy cert projection described above.
+// ParseScanRow up to the lossy cert projection described above. The row is
+// built in one buffer and the fields are substrings of one string, so a
+// retained field keeps its whole row alive.
 func FormatScanRow(r *Record) []string {
-	ports := make([]string, len(r.Ports))
+	var ends [scanCSVFields]int
+	buf := make([]byte, 0, 256)
+	buf = r.ScanDate.Time().AppendFormat(buf, "2006-01-02")
+	ends[0] = len(buf)
+	if r.IP.IsValid() {
+		buf = r.IP.AppendTo(buf)
+	} else {
+		buf = append(buf, r.IP.String()...)
+	}
+	ends[1] = len(buf)
 	for i, p := range r.Ports {
-		ports[i] = strconv.Itoa(int(p))
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = strconv.AppendUint(buf, uint64(p), 10)
 	}
-	names := make([]string, len(r.Cert.SANs))
+	ends[2] = len(buf)
+	buf = strconv.AppendUint(buf, uint64(r.ASN), 10)
+	ends[3] = len(buf)
+	buf = append(buf, r.Country...)
+	ends[4] = len(buf)
+	buf = strconv.AppendInt(buf, r.CrtShID, 10)
+	ends[5] = len(buf)
+	buf = append(buf, r.Cert.Issuer...)
+	ends[6] = len(buf)
+	buf = strconv.AppendBool(buf, r.Trusted)
+	ends[7] = len(buf)
+	buf = strconv.AppendBool(buf, r.Sensitive)
+	ends[8] = len(buf)
 	for i, n := range r.Cert.SANs {
-		names[i] = string(n)
+		if i > 0 {
+			buf = append(buf, ' ')
+		}
+		buf = append(buf, n...)
 	}
-	return []string{
-		r.ScanDate.String(), r.IP.String(), strings.Join(ports, " "),
-		strconv.FormatUint(uint64(r.ASN), 10), string(r.Country),
-		strconv.FormatInt(r.CrtShID, 10), r.Cert.Issuer,
-		strconv.FormatBool(r.Trusted), strconv.FormatBool(r.Sensitive),
-		strings.Join(names, " "),
+	ends[9] = len(buf)
+	row := string(buf)
+	fields := make([]string, scanCSVFields)
+	start := 0
+	for i, end := range ends {
+		fields[i] = row[start:end]
+		start = end
 	}
+	return fields
 }
 
 // ParseScanDate parses the scan_date column (ISO calendar day).
@@ -230,9 +261,10 @@ const (
 	// corpus whose certificates turn over keeps hitting as long as one
 	// scan's worth fits.
 	readerMemoCap = 1 << 18
-	// recordSlab is how many Records one allocation hands out. Small, so a
-	// slab is not kept alive long by a few surviving records once a spilled
-	// shard lets go of the rest.
+	// recordSlab is the most Records one allocation hands out (slabRecord),
+	// here and in the window decoder. Small, so a slab is not kept alive
+	// long by a few surviving records once the rest are let go: a spilled
+	// shard dropping its payloads, a caller keeping two records of a window.
 	recordSlab = 32
 )
 
@@ -388,11 +420,7 @@ func (c *ScanCSV) parseLine(line []byte) (*Record, error) {
 		country = ipmeta.CountryCode(head[4])
 		memoPut(c, c.countries, string(country), country)
 	}
-	if len(c.slab) == 0 {
-		c.slab = make([]Record, recordSlab)
-	}
-	rec := &c.slab[0]
-	c.slab = c.slab[1:]
+	rec := slabRecord(&c.slab, recordSlab)
 	*rec = Record{ScanDate: c.date, IP: ip, Ports: ports, ASN: asn, Country: country}
 	ct.fill(rec)
 	return rec, nil

@@ -4,10 +4,14 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net/netip"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
 	"retrodns/internal/simtime"
+	"retrodns/internal/x509lite"
 )
 
 func csvLine(t *testing.T, r *Record) string {
@@ -54,6 +58,44 @@ func TestScanRowRoundTrip(t *testing.T) {
 	}
 	if _, _, ok := ValidateRecord(got); !ok {
 		t.Fatal("round-tripped record fails the ingest gate")
+	}
+}
+
+// TestFormatScanRowFields holds the one-buffer FormatScanRow to the
+// field-at-a-time rendering it replaced, on the records whose fields differ
+// in kind: IPv6 and zero addresses, no and many ports, no names, a negative
+// CT id.
+func TestFormatScanRowFields(t *testing.T) {
+	reference := func(r *Record) []string {
+		ports := make([]string, len(r.Ports))
+		for i, p := range r.Ports {
+			ports[i] = strconv.Itoa(int(p))
+		}
+		names := make([]string, len(r.Cert.SANs))
+		for i, n := range r.Cert.SANs {
+			names[i] = string(n)
+		}
+		return []string{
+			r.ScanDate.String(), r.IP.String(), strings.Join(ports, " "),
+			strconv.FormatUint(uint64(r.ASN), 10), string(r.Country),
+			strconv.FormatInt(r.CrtShID, 10), r.Cert.Issuer,
+			strconv.FormatBool(r.Trusted), strconv.FormatBool(r.Sensitive),
+			strings.Join(names, " "),
+		}
+	}
+	date := simtime.ScanDates(0, 20)[0]
+	many := mkCert(t, leKey, "Let's Encrypt", date-1, date+90, "a.example", "mail.a.example", "vpn.a.example")
+	records := []*Record{
+		testScanRecord(t, date, 1),
+		testScanRecord(t, simtime.StudyEnd-1, 2),
+		{ScanDate: date, IP: netip.MustParseAddr("2001:db8::7"), Ports: []uint16{25, 443, 65535}, ASN: 4294967295, Country: "NL", Cert: many, CrtShID: -3},
+		{ScanDate: date, IP: netip.MustParseAddr("::ffff:192.0.2.7"), Cert: many, Trusted: true},
+		{ScanDate: date, Cert: &x509lite.Certificate{}, Sensitive: true},
+	}
+	for i, r := range records {
+		if got, want := FormatScanRow(r), reference(r); !slices.Equal(got, want) {
+			t.Errorf("record %d:\n got %q\nwant %q", i, got, want)
+		}
 	}
 }
 

@@ -435,11 +435,7 @@ func decodeSpilledShard(r *BinReader, d *Dataset, store *segment.Store, mode seg
 	for i, c := range certs {
 		certs[i] = d.pool.Cert(c)
 	}
-	sr := &spillReader{
-		seg: seg, file: segFile, gen: seg.Gen(),
-		certs: certs, met: &d.segmet,
-	}
-	return &shardIndex{domains: doms, attach: attach, spill: sr}, nil
+	return &shardIndex{domains: doms, attach: attach, spill: newSpillReader(seg, segFile, certs, &d.segmet)}, nil
 }
 
 // AccountRestored replays the restored corpus into the dataset's metric

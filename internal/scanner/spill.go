@@ -22,6 +22,7 @@ package scanner
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -81,10 +82,14 @@ type segmentMetrics struct {
 // use. The single-entry memo covers the pipeline's access pattern — a
 // shard-affine worker asks for the same domain's window once per period
 // before moving to the next domain.
+//
+// Nobody closes a spillReader. The index snapshot holding it stays readable
+// for as long as a ShardView pins it, well after the shard unspilled or
+// resealed, so the segment's mapping and descriptor are released by a
+// finalizer once no index references the reader any more.
 type spillReader struct {
 	seg   *segment.Reader
 	file  string
-	gen   uint64
 	certs []*x509lite.Certificate
 	met   *atomic.Pointer[segmentMetrics]
 
@@ -92,6 +97,14 @@ type spillReader struct {
 	memoOK  bool
 	memoKey dnscore.Name
 	memoVal []*Record
+}
+
+// newSpillReader wraps an open segment whose common blob decoded to certs
+// (the canonical pooled instances) and takes over closing it.
+func newSpillReader(seg *segment.Reader, file string, certs []*x509lite.Certificate, met *atomic.Pointer[segmentMetrics]) *spillReader {
+	sr := &spillReader{seg: seg, file: file, certs: certs, met: met}
+	runtime.SetFinalizer(sr, func(sr *spillReader) { sr.seg.Close() })
+	return sr
 }
 
 // records returns the full date-sorted window for domain, decoding it from
@@ -119,6 +132,9 @@ func (sr *spillReader) records(domain dnscore.Name) []*Record {
 	m.reads.Inc()
 	m.readBytes.Add(int64(len(value)))
 	window, err := decodeWindow(value, sr.certs)
+	// value may alias the mapping the finalizer unmaps, and the caller's
+	// index can be the last reference to sr.
+	runtime.KeepAlive(sr)
 	if err != nil {
 		m.readErrors.Inc()
 		return nil
@@ -146,17 +162,13 @@ func encodeWindow(window []*Record, table *certTable) []byte {
 }
 
 // decodeWindow is the inverse of encodeWindow, resolving certificates
-// against the shard's canonical pooled instances.
+// against the shard's canonical pooled instances. The records come out of
+// slabs and share what they repeat (decodeRecords), so a window costs a
+// handful of allocations however many records it holds; a malformed value
+// yields ErrCodec and no records, never part of a window.
 func decodeWindow(value []byte, certs []*x509lite.Certificate) ([]*Record, error) {
 	r := NewBinReader(value)
-	n := r.Count()
-	out := make([]*Record, 0, n)
-	for j := 0; j < n; j++ {
-		if r.err != nil {
-			break
-		}
-		out = append(out, decodeRecord(r, certs))
-	}
+	out := decodeRecords(r, certs, r.Count())
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -297,14 +309,10 @@ func (d *Dataset) sealShardLocked(sid int) error {
 	if err != nil {
 		return fmt.Errorf("%w: reopen sealed shard %d: %v", ErrSpill, sid, err)
 	}
-	sr := &spillReader{
-		seg: r, file: info.File, gen: gen,
-		// table.certs are the canonical pooled instances the resident index
-		// held; reads hand them back by pointer, so a spilled shard's
-		// records carry the very same certificates.
-		certs: table.certs,
-		met:   &d.segmet,
-	}
+	// table.certs are the canonical pooled instances the resident index
+	// held; reads hand them back by pointer, so a spilled shard's records
+	// carry the very same certificates.
+	sr := newSpillReader(r, info.File, table.certs, &d.segmet)
 	next := &shardIndex{domains: idx.domains, attach: idx.attach, spill: sr}
 	s.mu.Lock()
 	s.idx.Store(next)
@@ -316,7 +324,9 @@ func (d *Dataset) sealShardLocked(sid int) error {
 }
 
 // unspillShardLocked replays shard sid's segment back into a resident
-// index snapshot and releases the reader. Caller holds d.mu.
+// index snapshot. The reader is left open: index snapshots published
+// earlier may still be pinned by a ShardView and keep reading through it.
+// Caller holds d.mu.
 func (d *Dataset) unspillShardLocked(sid int) error {
 	s := d.shards[sid]
 	idx := s.idx.Load()
@@ -351,7 +361,6 @@ func (d *Dataset) unspillShardLocked(sid int) error {
 	s.mu.Lock()
 	s.idx.Store(next)
 	s.mu.Unlock()
-	sr.seg.Close()
 	d.segmet.Load().unspills.Inc()
 	return nil
 }

@@ -3,10 +3,16 @@ package scanner
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"net/netip"
+	"os"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
+	"retrodns/internal/dnscore"
 	"retrodns/internal/obsv"
 	"retrodns/internal/segment"
 	"retrodns/internal/simtime"
@@ -229,5 +235,183 @@ func TestSpillSegmentLossSurfacesTyped(t *testing.T) {
 	}
 	if _, err := DecodeSnapshotSpill(buf.Bytes(), SpillOptions{Dir: t.TempDir(), BudgetBytes: 0}); !errors.Is(err, ErrSpill) {
 		t.Fatalf("decode against empty store = %v, want ErrSpill", err)
+	}
+}
+
+// pinnedViewFixture is the zero-budget persist corpus in one read mode, the
+// shard view owning d0.example pinned, and what that view reads.
+type pinnedViewFixture struct {
+	d    *Dataset
+	reg  *obsv.Registry
+	dir  string
+	view ShardView
+	want map[dnscore.Name][]string
+}
+
+func newPinnedViewFixture(t *testing.T, mode segment.Mode) *pinnedViewFixture {
+	t.Helper()
+	fx := &pinnedViewFixture{d: NewDatasetShards(8), reg: obsv.NewRegistry(), dir: t.TempDir()}
+	fx.d.SetMetrics(fx.reg)
+	if err := fx.d.ConfigureSpill(SpillOptions{Dir: fx.dir, BudgetBytes: 0, Mode: mode}); err != nil {
+		t.Fatal(err)
+	}
+	ingestPersistCorpus(t, fx.d)
+	fx.view = fx.d.ShardViewFor("d0.example")
+	fx.want = viewWindows(fx.view)
+	if len(fx.want) < 2 || len(fx.want["d0.example"]) != 3 {
+		t.Fatalf("pinned view holds %v; want d0.example and a neighbour, three records each", fx.want)
+	}
+	return fx
+}
+
+// viewWindows reads every window of the view's shard.
+func viewWindows(v ShardView) map[dnscore.Name][]string {
+	out := map[dnscore.Name][]string{}
+	for _, domain := range v.Domains() {
+		for _, r := range v.DomainRecords(domain, 0, 0) {
+			out[domain] = append(out[domain], recordRow(r))
+		}
+	}
+	return out
+}
+
+// appendToD0 appends one record for d0.example at the i-th scan date past
+// the corpus: under the zero budget that unspills d0's shard and reseals it.
+func (fx *pinnedViewFixture) appendToD0(t *testing.T, i int) {
+	t.Helper()
+	date := simtime.ScanDates(0, 120)[3+i]
+	cert := mkCert(t, leKey, "Let's Encrypt", date-1, date+90, "d0.example")
+	if err := fx.d.Append(date, []*Record{{
+		ScanDate: date, IP: netip.MustParseAddr("10.9.9.9"), Ports: []uint16{443},
+		ASN: 64512, Country: "GR", Cert: cert, Trusted: true,
+	}}); err != nil {
+		t.Fatalf("Append: %v", err)
+	}
+}
+
+func (fx *pinnedViewFixture) readErrors() int64 {
+	var n int64
+	for _, s := range fx.reg.Snapshot() {
+		if s.Name == MetricSegmentReadErrors {
+			n += s.Value
+		}
+	}
+	return n
+}
+
+// TestPinnedViewSurvivesUnspill holds ShardView to its contract across the
+// one event that used to break it: an Append that unspills the view's shard
+// closed the segment reader the pinned index still read through, and every
+// domain but the memoized one came back empty with a read error counted.
+func TestPinnedViewSurvivesUnspill(t *testing.T) {
+	for _, mode := range []segment.Mode{segment.ModeAuto, segment.ModeStream} {
+		t.Run(mode.String(), func(t *testing.T) {
+			fx := newPinnedViewFixture(t, mode)
+			fx.appendToD0(t, 0)
+			if got := viewWindows(fx.view); !reflect.DeepEqual(got, fx.want) {
+				t.Fatalf("pinned view changed under an unspilling Append:\n got %v\nwant %v", got, fx.want)
+			}
+			if n := fx.readErrors(); n != 0 {
+				t.Fatalf("%s = %d", MetricSegmentReadErrors, n)
+			}
+			if got := len(fx.d.DomainRecords("d0.example", 0, 0)); got != 4 {
+				t.Fatalf("live dataset serves %d records for d0.example, want 4", got)
+			}
+		})
+	}
+}
+
+// TestPinnedViewReadsDuringUnspill is the same contract with the reader in
+// flight: one goroutine loops over the pinned view while its shard is
+// unspilled and resealed five times under it.
+func TestPinnedViewReadsDuringUnspill(t *testing.T) {
+	for _, mode := range []segment.Mode{segment.ModeAuto, segment.ModeStream} {
+		t.Run(mode.String(), func(t *testing.T) {
+			fx := newPinnedViewFixture(t, mode)
+			stop := make(chan struct{})
+			done := make(chan error, 1)
+			go func() {
+				for reads := 0; ; reads++ {
+					select {
+					case <-stop:
+						if reads == 0 {
+							done <- errors.New("reader never ran")
+							return
+						}
+						done <- nil
+						return
+					default:
+					}
+					if got := viewWindows(fx.view); !reflect.DeepEqual(got, fx.want) {
+						done <- fmt.Errorf("read %d through the pinned view:\n got %v\nwant %v", reads, got, fx.want)
+						return
+					}
+				}
+			}()
+			for i := 0; i < 5; i++ {
+				fx.appendToD0(t, i)
+			}
+			close(stop)
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+			if n := fx.readErrors(); n != 0 {
+				t.Fatalf("%s = %d", MetricSegmentReadErrors, n)
+			}
+		})
+	}
+}
+
+// TestUnspilledSegmentReleasedWithLastView checks the other half of the
+// reader's lifetime: what unspill no longer closes is closed once no index
+// snapshot references it. Descriptors are counted the Linux way.
+func TestUnspilledSegmentReleasedWithLastView(t *testing.T) {
+	openSegments := func(dir string) int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("no /proc/self/fd: %v", err)
+		}
+		n := 0
+		for _, e := range entries {
+			if target, err := os.Readlink("/proc/self/fd/" + e.Name()); err == nil && strings.HasPrefix(target, dir) {
+				n++
+			}
+		}
+		return n
+	}
+	// settles collects until exactly want segments are open, or gives up.
+	settles := func(dir string, want, tries int) bool {
+		for try := 0; try < tries; try++ {
+			runtime.GC()
+			if openSegments(dir) == want {
+				return true
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		return false
+	}
+	for _, mode := range []segment.Mode{segment.ModeAuto, segment.ModeStream} {
+		t.Run(mode.String(), func(t *testing.T) {
+			fx := newPinnedViewFixture(t, mode)
+			live := fx.d.SpilledShards()
+			// The corpus's own two Appends each unspilled and resealed shards.
+			if !settles(fx.dir, live, 400) {
+				t.Fatalf("%d segments open for %d spilled shards", openSegments(fx.dir), live)
+			}
+			fx.appendToD0(t, 0)
+			if settles(fx.dir, live, 10) {
+				t.Fatal("the segment a pinned view reads through was released")
+			}
+			if got := openSegments(fx.dir); got != live+1 {
+				t.Fatalf("%d segments open with one unspilled segment pinned, want %d", got, live+1)
+			}
+			if got := viewWindows(fx.view); !reflect.DeepEqual(got, fx.want) {
+				t.Fatalf("pinned view changed:\n got %v\nwant %v", got, fx.want)
+			}
+			fx.view = ShardView{}
+			if !settles(fx.dir, live, 400) {
+				t.Fatalf("%d segments still open after the last view let go, want %d", openSegments(fx.dir), live)
+			}
+		})
 	}
 }

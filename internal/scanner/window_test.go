@@ -1,0 +1,415 @@
+package scanner
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"net/netip"
+	"reflect"
+	"runtime"
+	"slices"
+	"sync"
+	"testing"
+	"time"
+
+	"retrodns/internal/dnscore"
+	"retrodns/internal/ipmeta"
+	"retrodns/internal/simtime"
+	"retrodns/internal/x509lite"
+)
+
+// refDecodeRecord is the record decoder as it stood before the slab form:
+// one heap Record, one ports array and one country string per record. The
+// production decoder (decodeRecordInto) is held to it check for check.
+func refDecodeRecord(r *BinReader, certs []*x509lite.Certificate) *Record {
+	rec := &Record{}
+	rec.ScanDate = simtime.Date(r.Int())
+	ipRaw := r.Blob()
+	if len(ipRaw) > 0 {
+		if addr, ok := netip.AddrFromSlice(ipRaw); ok {
+			rec.IP = addr
+		} else {
+			r.fail("ip bytes")
+		}
+	}
+	nports := r.Count()
+	for i := 0; i < nports; i++ {
+		p := r.Uvarint()
+		if p > math.MaxUint16 {
+			r.fail("port range")
+			return rec
+		}
+		rec.Ports = append(rec.Ports, uint16(p))
+	}
+	rec.ASN = ipmeta.ASN(r.Uvarint())
+	rec.Country = ipmeta.CountryCode(r.String())
+	certIdx := r.Uvarint()
+	if r.err == nil && certIdx > 0 {
+		if certIdx > uint64(len(certs)) {
+			r.fail("cert index")
+		} else {
+			rec.Cert = certs[certIdx-1]
+		}
+	}
+	rec.CrtShID = r.Int()
+	rec.Trusted = r.Bool()
+	rec.Sensitive = r.Bool()
+	return rec
+}
+
+// refDecodeWindow is the per-record reference loop decodeWindow replaced.
+func refDecodeWindow(value []byte, certs []*x509lite.Certificate) ([]*Record, error) {
+	r := NewBinReader(value)
+	n := r.Count()
+	out := make([]*Record, 0, n)
+	for j := 0; j < n; j++ {
+		if r.err != nil {
+			break
+		}
+		out = append(out, refDecodeRecord(r, certs))
+	}
+	if r.err != nil {
+		return nil, r.err
+	}
+	if r.Len() != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes in window", ErrCodec, r.Len())
+	}
+	return out, nil
+}
+
+// windowCerts is the shard cert table the codec tests decode against. The
+// codec only ever hands the pointers back, so bare certificates do.
+func windowCerts() []*x509lite.Certificate {
+	certs := make([]*x509lite.Certificate, 3)
+	for i := range certs {
+		name := dnscore.Name(fmt.Sprintf("c%d.example", i))
+		certs[i] = &x509lite.Certificate{Serial: uint64(i) + 1, Subject: name, SANs: []dnscore.Name{name}}
+	}
+	return certs
+}
+
+// encodeTestWindow is encodeWindow with the certificate given as a table
+// index (0 = none), so a window can also name an index the table lacks.
+func encodeTestWindow(window []*Record, certIdx []uint64) []byte {
+	var w BinWriter
+	w.Uvarint(uint64(len(window)))
+	for i, rec := range window {
+		encodeRecord(&w, rec, certIdx[i])
+	}
+	return w.Bytes()
+}
+
+// sameDecode holds decodeWindow to the reference on one input: the same
+// records, or the same ErrCodec and no records at all.
+func sameDecode(t *testing.T, label string, value []byte, certs []*x509lite.Certificate) {
+	t.Helper()
+	want, wantErr := refDecodeWindow(value, certs)
+	got, gotErr := decodeWindow(value, certs)
+	if wantErr != nil {
+		if gotErr == nil || gotErr.Error() != wantErr.Error() || !errors.Is(gotErr, ErrCodec) {
+			t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
+		}
+		if got != nil {
+			t.Fatalf("%s: %d records beside error %v", label, len(got), gotErr)
+		}
+		return
+	}
+	if gotErr != nil {
+		t.Fatalf("%s: error %v, reference decoded %d records", label, gotErr, len(want))
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: records differ from the reference\n got %v\nwant %v", label, derefs(got), derefs(want))
+	}
+}
+
+// recordRow renders every field of a record, the certificate by
+// fingerprint, so windows of different datasets compare as strings.
+func recordRow(r *Record) string {
+	return fmt.Sprint(r.ScanDate, r.IP, r.Ports, r.ASN, r.Country, r.Cert.Fingerprint(), r.CrtShID, r.Trusted, r.Sensitive)
+}
+
+func derefs(window []*Record) []Record {
+	out := make([]Record, len(window))
+	for i, r := range window {
+		out[i] = *r
+	}
+	return out
+}
+
+// testWindow is a window and, record by record, the cert-table index it is
+// encoded with.
+type testWindow struct {
+	window  []*Record
+	certIdx []uint64
+}
+
+// testWindows covers what a record can hold: IPv4, IPv6, 4-in-6 and zero
+// addresses; no, one and many ports; no certificate; ports and country
+// repeating from the record before, changing, and changing back; windows on
+// both sides of the slab bound.
+func testWindows() map[string]testWindow {
+	v4 := netip.MustParseAddr("192.0.2.7")
+	v6 := netip.MustParseAddr("2001:db8::7")
+	mapped := netip.MustParseAddr("::ffff:192.0.2.7")
+	out := map[string]testWindow{"empty": {}}
+
+	mixed := []*Record{
+		{ScanDate: 10, IP: v4, Ports: []uint16{443}, ASN: 64512, Country: "GR", CrtShID: 7, Trusted: true},
+		{ScanDate: 17, IP: v6, Ports: []uint16{443}, ASN: 64512, Country: "GR", CrtShID: -7, Sensitive: true},
+		{ScanDate: 17, IP: mapped, Ports: nil, ASN: 0, Country: ""},
+		{ScanDate: 24, IP: netip.Addr{}, Ports: []uint16{25, 443, 465, 993, 65535}, ASN: math.MaxUint32, Country: "NL"},
+		{ScanDate: 24, IP: v4, Ports: []uint16{25, 443, 465, 993, 65535}, ASN: 1, Country: "NL"},
+		{ScanDate: 31, IP: v4, Ports: []uint16{25, 443, 465, 993, 0}, ASN: 1, Country: "N"},
+		{ScanDate: 31, IP: v4, Ports: []uint16{25}, ASN: 1, Country: "NLX"},
+		{ScanDate: 38, IP: v4, Ports: []uint16{443}, ASN: 1, Country: "GR"},
+		{ScanDate: 38, IP: v4, Ports: nil, ASN: 1, Country: "GR"},
+		{ScanDate: 38, IP: v4, Ports: nil, ASN: 1, Country: "GR"},
+	}
+	out["mixed"] = testWindow{mixed, []uint64{1, 1, 0, 3, 3, 2, 0, 1, 1, 0}}
+
+	for _, n := range []int{1, recordSlab - 1, recordSlab, recordSlab + 1, 3*recordSlab + 4} {
+		var window []*Record
+		var idx []uint64
+		for i := 0; i < n; i++ {
+			rec := &Record{
+				ScanDate: simtime.Date(7 * i), IP: netip.AddrFrom4([4]byte{10, 0, byte(i >> 8), byte(i)}),
+				Ports: []uint16{443}, ASN: 64512, Country: "GR", CrtShID: int64(i), Trusted: true,
+			}
+			if i%40 == 39 { // the rare week a host moves
+				rec.Ports, rec.Country = []uint16{443, 8443}, "MD"
+			}
+			window = append(window, rec)
+			idx = append(idx, uint64(i%3)+1)
+		}
+		out[fmt.Sprintf("steady-%d", n)] = testWindow{window, idx}
+	}
+	return out
+}
+
+// TestDecodeWindowMatchesReference is the differential table: whole
+// windows, every truncation of each, and the malformed values each check in
+// the decoder exists for.
+func TestDecodeWindowMatchesReference(t *testing.T) {
+	certs := windowCerts()
+	for name, tw := range testWindows() {
+		value := encodeTestWindow(tw.window, tw.certIdx)
+		got, err := decodeWindow(value, certs)
+		if err != nil || len(got) != len(tw.window) {
+			t.Fatalf("%s: decoded %d of %d records, err %v", name, len(got), len(tw.window), err)
+		}
+		for cut := 0; cut <= len(value); cut++ {
+			sameDecode(t, fmt.Sprintf("%s[:%d]", name, cut), value[:cut], certs)
+		}
+		sameDecode(t, name+"+trailing", append(slices.Clone(value), 0), certs)
+		sameDecode(t, name+" against an empty cert table", value, nil)
+	}
+
+	// One good record, then a second one malformed in each way the decoder
+	// refuses. The good record must not come back beside the error.
+	good := &Record{ScanDate: 10, IP: netip.MustParseAddr("192.0.2.7"), Ports: []uint16{443}, ASN: 1, Country: "GR"}
+	bad := map[string]func(w *BinWriter){
+		"ip of five bytes": func(w *BinWriter) { w.Int(17); w.Blob([]byte{1, 2, 3, 4, 5}) },
+		"port past 65535":  func(w *BinWriter) { w.Int(17); w.Blob(nil); w.Uvarint(2); w.Uvarint(443); w.Uvarint(65536) },
+		"port count past the input": func(w *BinWriter) {
+			w.Int(17)
+			w.Blob(nil)
+			w.Uvarint(1 << 40)
+		},
+		"country past the input": func(w *BinWriter) { w.Int(17); w.Blob(nil); w.Uvarint(0); w.Uvarint(1); w.Uvarint(1 << 30) },
+		"cert index past the table": func(w *BinWriter) {
+			w.Int(17)
+			w.Blob(nil)
+			w.Uvarint(0)
+			w.Uvarint(1)
+			w.String("GR")
+			w.Uvarint(4)
+			w.Int(0)
+			w.Bool(true)
+			w.Bool(false)
+		},
+		"bool of two": func(w *BinWriter) {
+			w.Int(17)
+			w.Blob(nil)
+			w.Uvarint(0)
+			w.Uvarint(1)
+			w.String("GR")
+			w.Uvarint(0)
+			w.Int(0)
+			w.buf = append(w.buf, 2, 0)
+		},
+		"overlong varint": func(w *BinWriter) {
+			w.buf = append(w.buf, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
+		},
+	}
+	for name, second := range bad {
+		var w BinWriter
+		w.Uvarint(2)
+		encodeRecord(&w, good, 1)
+		second(&w)
+		if _, err := refDecodeWindow(w.Bytes(), certs); !errors.Is(err, ErrCodec) {
+			t.Fatalf("%s: the reference accepts it (%v); the case tests nothing", name, err)
+		}
+		sameDecode(t, name, w.Bytes(), certs)
+	}
+	sameDecode(t, "count past the input", []byte{200, 1}, certs)
+}
+
+// FuzzDecodeWindow holds the same equality on arbitrary bytes.
+func FuzzDecodeWindow(f *testing.F) {
+	for _, tw := range testWindows() {
+		if value := encodeTestWindow(tw.window, tw.certIdx); len(value) < 1<<10 {
+			f.Add(value)
+		}
+	}
+	certs := windowCerts()
+	f.Fuzz(func(t *testing.T, value []byte) {
+		sameDecode(t, "fuzz", value, certs)
+	})
+}
+
+// TestDecodedWindowSharing pins what records of one window share and what
+// they must not: an unchanged ports list or country is the previous
+// record's, a changed one is its own, and an empty list stays nil.
+func TestDecodedWindowSharing(t *testing.T) {
+	tw := testWindows()["mixed"]
+	got, err := decodeWindow(encodeTestWindow(tw.window, tw.certIdx), windowCerts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharesPorts := func(i, j int) bool { return &got[i].Ports[0] == &got[j].Ports[0] }
+	if !sharesPorts(0, 1) || !sharesPorts(3, 4) {
+		t.Error("equal consecutive ports lists decoded into separate arrays")
+	}
+	if sharesPorts(4, 5) {
+		t.Error("records with different ports share an array")
+	}
+	for _, i := range []int{2, 8, 9} {
+		if got[i].Ports != nil {
+			t.Errorf("record %d: empty ports list decoded as %v, want nil", i, got[i].Ports)
+		}
+	}
+}
+
+// TestDecodedWindowRetention keeps two records of a 100-record window and
+// drops the rest. Records recordSlab apart must sit in different
+// allocations — SetFinalizer only accepts the first word of one, so it
+// doubles as the probe — and the slab between the two kept records must be
+// collectable while they are still in use.
+func TestDecodedWindowRetention(t *testing.T) {
+	var window []*Record
+	for i := 0; i < 100; i++ {
+		window = append(window, &Record{
+			ScanDate: simtime.Date(7 * i), IP: netip.AddrFrom4([4]byte{10, 0, 0, byte(i)}),
+			Ports: []uint16{443}, ASN: 64512, Country: "GR",
+		})
+	}
+	decoded, err := decodeWindow(encodeTestWindow(window, make([]uint64, len(window))), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("record %d does not start an allocation (%v): slabs are not bounded at recordSlab", recordSlab, p)
+			}
+		}()
+		runtime.SetFinalizer(decoded[recordSlab], func(*Record) { close(freed) })
+		// Only probes that record 2*recordSlab starts a third allocation.
+		runtime.SetFinalizer(decoded[2*recordSlab], func(*Record) {})
+		runtime.SetFinalizer(decoded[2*recordSlab], nil)
+	}()
+	first, third := decoded[0], decoded[2*recordSlab]
+	decoded = nil
+	deadline := time.After(10 * time.Second)
+	for collected := false; !collected; {
+		runtime.GC()
+		select {
+		case <-freed:
+			collected = true
+		case <-deadline:
+			t.Fatal("the slab between two retained records was never collected")
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if first.ScanDate != 0 || third.ScanDate != simtime.Date(7*2*recordSlab) || third.Ports[0] != 443 {
+		t.Fatalf("retained records damaged: %+v %+v", *first, *third)
+	}
+}
+
+// TestSpilledWindowsSharedReadOnly reads the windows of one spilled shard
+// from four goroutines at once, two through Dataset.DomainRecords and two
+// through a ShardView, and requires every window to equal the resident
+// dataset's. Under -race it is also the proof that nothing writes a decoded
+// record, or the Ports array it shares with its neighbours, after the
+// decoder returned it.
+func TestSpilledWindowsSharedReadOnly(t *testing.T) {
+	ingest := func(d *Dataset) {
+		dates := simtime.ScanDates(0, 7*12)[:12]
+		for si, date := range dates {
+			var recs []*Record
+			for i := 0; i < 24; i++ {
+				name := dnscore.Name(fmt.Sprintf("s%d.example", i))
+				cert := mkCert(t, leKey, "Let's Encrypt", dates[0]-1, dates[0]+365, name)
+				for h := 0; h < 1+i%3; h++ {
+					rec := &Record{
+						ScanDate: date, IP: netip.AddrFrom4([4]byte{10, byte(i), byte(h), 1}),
+						Ports: []uint16{443}, ASN: 64512, Country: "GR", Cert: cert, Trusted: true,
+					}
+					if (si+i)%5 == 0 {
+						rec.Ports, rec.Country = []uint16{443, 8443}, "NL"
+					}
+					recs = append(recs, rec)
+				}
+			}
+			if err := d.AddScan(date, recs); err != nil {
+				t.Fatalf("AddScan: %v", err)
+			}
+		}
+		d.Freeze()
+	}
+	resident := NewDatasetShards(1)
+	ingest(resident)
+	want := map[dnscore.Name][]string{}
+	for _, domain := range resident.Domains() {
+		for _, r := range resident.DomainRecords(domain, 0, 0) {
+			want[domain] = append(want[domain], recordRow(r))
+		}
+	}
+
+	spilled := NewDatasetShards(1)
+	if err := spilled.ConfigureSpill(SpillOptions{Dir: t.TempDir(), BudgetBytes: 0}); err != nil {
+		t.Fatal(err)
+	}
+	ingest(spilled)
+	if spilled.SpilledShards() != 1 {
+		t.Fatal("shard not spilled")
+	}
+	view := spilled.ShardView(0)
+	readers := []func(dnscore.Name) []*Record{
+		func(n dnscore.Name) []*Record { return spilled.DomainRecords(n, 0, 0) },
+		func(n dnscore.Name) []*Record { return view.DomainRecords(n, 0, 0) },
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			domains := resident.Domains()
+			for pass := 0; pass < 20; pass++ {
+				for i := range domains {
+					domain := domains[(i+g*7)%len(domains)]
+					var got []string
+					for _, r := range readers[g%2](domain) {
+						got = append(got, recordRow(r))
+					}
+					if !slices.Equal(got, want[domain]) {
+						t.Errorf("reader %d: %s diverged from the resident window\n got %v\nwant %v", g, domain, got, want[domain])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}

@@ -20,9 +20,9 @@
 package synth
 
 import (
-	"fmt"
 	"math"
 	"net/netip"
+	"strconv"
 
 	"retrodns/internal/dnscore"
 	"retrodns/internal/ipmeta"
@@ -133,9 +133,9 @@ func (g *Generator) Scan(date simtime.Date) []*scanner.Record {
 // the generator.
 func (g *Generator) EmitScan(date simtime.Date, emit func(*scanner.Record)) {
 	for idx := 0; idx < g.cfg.Domains; idx++ {
-		cert := g.stableCert(idx)
-		sensitive := anySensitive(cert.SANs)
 		k := g.DeploySize(idx)
+		cert := g.stableCert(idx, k)
+		sensitive := stableSensitive[len(cert.SANs)-1]
 		asn, country := g.meta(idx)
 		for h := 0; h < k; h++ {
 			emit(&scanner.Record{
@@ -156,25 +156,48 @@ func (g *Generator) EmitScan(date simtime.Date, emit func(*scanner.Record)) {
 	}
 }
 
-// nameOf returns the registered domain at rank idx. Two labels with a
-// single-label TLD, so RegisteredDomain is the name itself.
+// nameOf returns the registered domain at rank idx, d%08d.example. Two
+// labels with a single-label TLD, so RegisteredDomain is the name itself.
 func nameOf(idx int) dnscore.Name {
-	return dnscore.Name(fmt.Sprintf("d%08d.example", idx))
+	digits := strconv.Itoa(idx)
+	return dnscore.Name("d" + "00000000"[min(len(digits), 8):] + digits + ".example")
 }
 
-// stableCert builds the domain's long-lived certificate: identical bytes
-// every call, valid across the whole study, manually validated by the
-// synthetic commercial CA. Popular domains secure more subdomains (some
-// sensitive), mirroring how large deployments look in CUIDS.
-func (g *Generator) stableCert(idx int) *x509lite.Certificate {
-	apex := nameOf(idx)
-	k := g.DeploySize(idx)
-	sans := []dnscore.Name{apex, "www." + apex}
-	if k >= 4 {
-		sans = append(sans, "mail."+apex)
+// stableLabels are the subdomains a stable certificate secures beside its
+// apex, in the order a growing deployment takes them up: www always, mail
+// from four hosts, vpn from eight.
+var stableLabels = [...]dnscore.Name{"www.", "mail.", "vpn."}
+
+// stableSensitive[n] is the sensitive flag of a stable certificate securing
+// the first n stableLabels — what Scanner.ScanWeek would annotate. No
+// keyword of the paper's rule matches an apex (a d, digits, .example), so
+// the labels decide it for every domain at once.
+var stableSensitive = func() (flags [len(stableLabels) + 1]bool) {
+	apex := nameOf(0)
+	flags[0] = scanner.IsSensitiveName(apex)
+	for i, label := range stableLabels {
+		flags[i+1] = flags[i] || scanner.IsSensitiveName(label+apex)
 	}
+	return flags
+}()
+
+// stableCert builds the long-lived certificate of the domain at rank idx,
+// whose deployment size is k: identical bytes every call, valid across the
+// whole study, manually validated by the synthetic commercial CA. Popular
+// domains secure more subdomains (some sensitive), mirroring how large
+// deployments look in CUIDS.
+func (g *Generator) stableCert(idx, k int) *x509lite.Certificate {
+	labels := stableLabels[:1]
 	if k >= 8 {
-		sans = append(sans, "vpn."+apex)
+		labels = stableLabels[:3]
+	} else if k >= 4 {
+		labels = stableLabels[:2]
+	}
+	apex := nameOf(idx)
+	sans := make([]dnscore.Name, 1, 1+len(labels))
+	sans[0] = apex
+	for _, label := range labels {
+		sans = append(sans, label+apex)
 	}
 	c := &x509lite.Certificate{
 		Serial:    uint64(idx) + 1,
@@ -251,17 +274,6 @@ func (g *Generator) ip(idx, h int) netip.Addr {
 	b[2] = byte(v >> 16)
 	b[3] = byte(v >> 24)
 	return netip.AddrFrom4(b)
-}
-
-// anySensitive reports whether any SAN matches the paper's sensitive-
-// subdomain rule, matching what Scanner.ScanWeek would annotate.
-func anySensitive(sans []dnscore.Name) bool {
-	for _, san := range sans {
-		if scanner.IsSensitiveName(san) {
-			return true
-		}
-	}
-	return false
 }
 
 // sigBytes expands a hash into a 32-byte deterministic signature stand-in

@@ -2,7 +2,10 @@ package retrodns_bench
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"retrodns/internal/core"
@@ -19,7 +22,10 @@ import (
 // every final JSON report must be byte-identical to the in-order one. The
 // matrix runs over the scanner's own records and once more over the same
 // scans read back through one ScanCSV reader (see viaScanCSV), whose
-// records share certificates across scans however those are then ordered.
+// records share certificates across scans however those are then ordered;
+// and each order runs once more through AppendAfter with a real barrier —
+// the batch encoded, written to a log file and fsynced, as internal/wal
+// does it — whose every third batch is first refused by a failing barrier.
 func TestAppendOrderInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full study replay")
@@ -42,7 +48,12 @@ func TestAppendOrderInvariance(t *testing.T) {
 
 func appendOrderInvariance(t *testing.T, w *world.World, scans [][]*scanner.Record) {
 	dates := w.ScanDates()
-	finalJSON := func(order []int, cached bool) []byte {
+	log, err := os.Create(filepath.Join(t.TempDir(), "barrier.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	finalJSON := func(order []int, cached, barrier bool) []byte {
 		ds := scanner.NewDataset()
 		pipe := &core.Pipeline{
 			Params: core.DefaultParams(), Dataset: ds, Meta: w.Meta,
@@ -51,8 +62,27 @@ func appendOrderInvariance(t *testing.T, w *world.World, scans [][]*scanner.Reco
 		if cached {
 			pipe.Cache = core.NewClassifyCache()
 		}
-		for _, i := range order {
-			if err := ds.Append(dates[i], scans[i]); err != nil {
+		for n, i := range order {
+			var durable func() error
+			if barrier {
+				gen := ds.Generation()
+				durable = func() error {
+					if ds.Generation() > gen && gen != 0 {
+						t.Errorf("Append(%s): generation moved before the barrier returned", dates[i])
+					}
+					if _, err := log.Write(scanner.EncodeBatch(dates[i], scans[i])); err != nil {
+						return err
+					}
+					return log.Sync()
+				}
+				if n%3 == 2 {
+					refused := errors.New("refused")
+					if err := ds.AppendAfter(dates[i], scans[i], func() error { return refused }); !errors.Is(err, refused) {
+						t.Fatalf("AppendAfter(%s) behind a failing barrier: %v", dates[i], err)
+					}
+				}
+			}
+			if err := ds.AppendAfter(dates[i], scans[i], durable); err != nil {
 				t.Fatalf("Append(%s): %v", dates[i], err)
 			}
 			if cached {
@@ -72,7 +102,7 @@ func appendOrderInvariance(t *testing.T, w *world.World, scans [][]*scanner.Reco
 	for i := range inOrder {
 		inOrder[i] = i
 	}
-	want := finalJSON(inOrder, false)
+	want := finalJSON(inOrder, false, false)
 	if bytes.Equal(want, []byte("{}")) || len(want) < 100 {
 		t.Fatalf("baseline report suspiciously small:\n%s", want)
 	}
@@ -91,14 +121,19 @@ func appendOrderInvariance(t *testing.T, w *world.World, scans [][]*scanner.Reco
 
 	for name, order := range orders {
 		for _, cached := range []bool{false, true} {
-			got := finalJSON(order, cached)
+			got := finalJSON(order, cached, false)
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s (cached=%v): final report differs from in-order ingest", name, cached)
 			}
 		}
+		if got := finalJSON(order, true, true); !bytes.Equal(got, want) {
+			t.Errorf("%s (cached, behind a barrier): final report differs from in-order ingest", name)
+		}
 	}
-	// The in-order cached run must agree too.
-	if got := finalJSON(inOrder, true); !bytes.Equal(got, want) {
-		t.Error("in-order cached run differs from uncached baseline")
+	// The in-order cached run must agree too, with and without a barrier.
+	for _, barrier := range []bool{false, true} {
+		if got := finalJSON(inOrder, true, barrier); !bytes.Equal(got, want) {
+			t.Errorf("in-order cached run (barrier=%v) differs from uncached baseline", barrier)
+		}
 	}
 }

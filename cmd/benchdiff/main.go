@@ -6,7 +6,8 @@
 //   - any funnel count drifted — the seeded world is deterministic, so a
 //     single-domain difference means the methodology changed, or
 //   - a benchmark or a substantial pipeline stage regressed past the
-//     tolerance (default 20%).
+//     tolerance (default 20%). A benchmark's repeated lines are folded to
+//     one sample first: fastest ns/op, lowest allocs/op.
 //
 // It also gates serving throughput: repeatable -load flags merge
 // cmd/loadgen reports (retrodns/load-report/v1) into the comparison, and
@@ -148,7 +149,7 @@ func loadCurrent(reportPath, benchPath string, loadPaths []string) (*report.RunR
 		if len(samples) == 0 {
 			return nil, fmt.Errorf("%s: no benchmark samples found", benchPath)
 		}
-		current.Bench = samples
+		current.Bench = foldBench(samples)
 	}
 	if len(loadPaths) > 0 {
 		current.Load = nil

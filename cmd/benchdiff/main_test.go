@@ -81,6 +81,57 @@ func TestHealthyBenchPasses(t *testing.T) {
 	}
 }
 
+// TestRepeatedBenchLinesFold pins what repeated lines mean to the gate:
+// one sample a benchmark, the fastest ns/op and the lowest allocs/op of its
+// repeats. One slow repeat among fast ones is noise and passes; a benchmark
+// slow (or allocating more) in every repeat fails, once.
+func TestRepeatedBenchLinesFold(t *testing.T) {
+	gate := func(bench string) (int, string) {
+		path := filepath.Join(t.TempDir(), "bench.txt")
+		if err := os.WriteFile(path, []byte(bench), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-baseline", filepath.Join("testdata", "baseline.json"), "-bench", path}, &stdout, &stderr)
+		return code, stderr.String()
+	}
+	if code, stderr := gate(`BenchmarkAddScan-8   6000   301000 ns/op   48456 B/op   787 allocs/op
+BenchmarkAddScan-8   9000   189000 ns/op   48456 B/op   787 allocs/op
+BenchmarkAddScan-8   7000   262000 ns/op   48456 B/op   787 allocs/op
+`); code != 0 {
+		t.Errorf("noisy repeats around an in-tolerance best failed the gate:\n%s", stderr)
+	}
+	code, stderr := gate(`BenchmarkAddScan-8   6000   301000 ns/op   48456 B/op   787 allocs/op
+BenchmarkAddScan-8   7000   240000 ns/op   48456 B/op   787 allocs/op
+BenchmarkAddScan-8   7000   262000 ns/op   48456 B/op   787 allocs/op
+`)
+	if code != 1 || strings.Count(stderr, "FAIL: ") != 1 || !strings.Contains(stderr, "188000 -> 240000 ns/op") {
+		t.Errorf("exit = %d, want one failure naming the fastest repeat:\n%s", code, stderr)
+	}
+
+	folded := foldBench([]report.BenchSample{
+		{Name: "A", N: 10, NsPerOp: 500, AllocsPerOp: 12},
+		{Name: "B", N: 10, NsPerOp: 70},
+		{Name: "A", N: 30, NsPerOp: 300, AllocsPerOp: 14},
+		{Name: "A", N: 20, NsPerOp: 400, AllocsPerOp: 11},
+	})
+	want := []report.BenchSample{
+		{Name: "A", N: 30, NsPerOp: 300, AllocsPerOp: 11},
+		{Name: "B", N: 10, NsPerOp: 70},
+	}
+	if len(folded) != len(want) || folded[0] != want[0] || folded[1] != want[1] {
+		t.Errorf("foldBench = %+v, want %+v", folded, want)
+	}
+	// The allocation floor is held to the baseline's like any single sample.
+	b := &report.RunReport{Bench: []report.BenchSample{{Name: "A", N: 30, NsPerOp: 300, AllocsPerOp: 10}}}
+	c := &report.RunReport{Bench: foldBench([]report.BenchSample{
+		{Name: "A", N: 30, NsPerOp: 300, AllocsPerOp: 13}, {Name: "A", N: 30, NsPerOp: 310, AllocsPerOp: 14},
+	})}
+	if res := compare(b, c, 0.20); len(res.Failures) != 1 || !strings.Contains(res.Failures[0], "10 -> 13 allocs/op") {
+		t.Errorf("failures = %v, want the lowest allocs/op held to the baseline's", res.Failures)
+	}
+}
+
 func TestFunnelDriftFails(t *testing.T) {
 	b := loadFixture(t, "baseline.json")
 	c := loadFixture(t, "baseline.json")

@@ -9,7 +9,6 @@ import (
 	"retrodns/internal/dnscore"
 	"retrodns/internal/report"
 	"retrodns/internal/serve"
-	"retrodns/internal/simtime"
 
 	"net/http/httptest"
 	"strings"
@@ -84,12 +83,11 @@ func TestSampleName(t *testing.T) {
 // loadTestResult mirrors the serve package's synthetic fixture closely
 // enough for an end-to-end loadgen run against a live engine.
 func loadTestResult() *core.Result {
+	var stable core.PeriodCategories
+	stable.Set(0, core.CategoryStable)
 	res := &core.Result{
-		History: map[dnscore.Name]map[simtime.Period]core.Category{
-			"steady.com":  {0: core.CategoryStable},
-			"busy.org":    {0: core.CategoryStable},
-			"victim.net":  {0: core.CategoryStable},
-			"fourth.info": {0: core.CategoryStable},
+		History: map[dnscore.Name]core.PeriodCategories{
+			"steady.com": stable, "busy.org": stable, "victim.net": stable, "fourth.info": stable,
 		},
 		Funnel: core.FunnelStats{
 			Domains: 4, Maps: 4,

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"retrodns/internal/dnscore"
@@ -33,11 +34,10 @@ type cellState struct {
 type domainCells struct {
 	cells [simtime.NumPeriods]cellState
 	// byPeriod is the domain's category history as last published into a
-	// Result. It is copy-on-write: a run that changes any entry clones the
-	// map before mutating, so a Result handed out by an earlier run keeps
-	// its snapshot even as later Appends re-run the pipeline (asserted by
+	// Result — by value, so a Result handed out by an earlier run keeps its
+	// snapshot even as later Appends re-run the pipeline (asserted by
 	// TestCachedHistoryNotAliased).
-	byPeriod map[simtime.Period]Category
+	byPeriod PeriodCategories
 }
 
 // ClassifyCache memoizes the build-and-classify stage of Pipeline.Run
@@ -52,12 +52,11 @@ type domainCells struct {
 //
 // The cache is owned by at most one Pipeline at a time: Run mutates it
 // without locking (the per-cell work is partitioned per domain across the
-// worker pool). Result.History is safe to retain across Appends: per-domain
-// category histories are published copy-on-write, so a later Run never
-// mutates a map an earlier Result holds. Deployment maps inside Candidates
-// and Classifications, by contrast, still alias cache-owned state that an
-// incremental extension may update in place; consume those before the next
-// Append.
+// worker pool). Result.History is safe to retain across Appends: every Run
+// fills a map of its own with category histories held by value. Deployment
+// maps inside Candidates and Classifications, by contrast, still alias
+// cache-owned state that an incremental extension may update in place;
+// consume those before the next Append.
 type ClassifyCache struct {
 	dataset  *scanner.Dataset
 	gen      uint64
@@ -102,7 +101,9 @@ func (c *ClassifyCache) reset(ds *scanner.Dataset) {
 // exactly as the cold path does — same maps, same classifications, same
 // order — reusing cached cells where the dataset's dirty journal proves
 // nothing changed. Cached cells are retained across runs, so this path
-// never touches an arena. It returns the workers' summed busy time, the
+// never touches an arena. The dirty journal is read where it lives: each
+// worker asks its shard's pinned view for a domain's dirty periods as it
+// reaches the domain. It returns the workers' summed busy time, the
 // journaled dirty-cell count, and the per-shard fragments.
 func (p *Pipeline) classifyCached(params Params, workers int, periods []simtime.Period, scansByPeriod map[simtime.Period][]simtime.Date, sp *obsv.Span) (busy time.Duration, dirtyCells int, frags []shardClassifyOut) {
 	cache := p.Cache
@@ -116,25 +117,17 @@ func (p *Pipeline) classifyCached(params Params, workers int, periods []simtime.
 	// rebuild or extend; periods that gained a scan date re-classify every
 	// cell against the new scan roster (presence and edge checks shift even
 	// for domains with no new records).
-	var dirtyMask map[dnscore.Name]uint16
+	since, tracked := cache.gen, cache.gen != 0
 	var periodMask uint16
-	dirtyCellCount := 0
-	if cache.gen != 0 {
-		cells, dirtyPeriods := p.Dataset.DirtySince(cache.gen)
-		dirtyCellCount = len(cells)
-		dirtyMask = make(map[dnscore.Name]uint16, len(cells))
-		for _, c := range cells {
-			dirtyMask[c.Domain] |= 1 << uint(c.Period)
-		}
-		for _, per := range dirtyPeriods {
-			periodMask |= 1 << uint(per)
-		}
+	if tracked {
+		periodMask = p.Dataset.DirtyPeriodMask(since)
 	}
 
 	// Cell containers are created serially — workers then write only into
 	// their own shard's domains' fixed-size cell arrays.
 	nsh := p.Dataset.Shards()
 	frags = make([]shardClassifyOut, nsh)
+	dirtyBy := make([]int, nsh)
 	views := make([]scanner.ShardView, nsh)
 	cells := make([][]*domainCells, nsh)
 	for sid := 0; sid < nsh; sid++ {
@@ -163,17 +156,15 @@ func (p *Pipeline) classifyCached(params Params, workers int, periods []simtime.
 		for i, domain := range f.domains {
 			dc := cells[sid][i]
 			o := &f.outs[i]
-			mask := dirtyMask[domain]
-			// Copy-on-write over the published history: hist starts as the map
-			// the previous Result may hold and is cloned before the first entry
-			// this run actually changes, so retained Results keep their snapshot.
-			hist := dc.byPeriod
-			cloned := false
+			var mask uint16
+			if tracked {
+				mask = v.DirtyMask(i, since)
+				dirtyBy[sid] += bits.OnesCount16(mask)
+			}
 			for _, period := range periods {
 				ps := &dc.cells[period]
 				bit := uint16(1) << uint(period)
 				scans := scansByPeriod[period]
-				recomputed := true
 				switch {
 				case !ps.built:
 					rebuildCell(v, params, domain, period, scans, ps)
@@ -195,37 +186,27 @@ func (p *Pipeline) classifyCached(params Params, workers int, periods []simtime.
 					if ps.m != nil {
 						o.hits++
 					}
-					recomputed = false
 				}
 				if ps.m == nil {
 					continue
 				}
 				o.maps++
-				if recomputed {
-					if c, ok := hist[period]; !ok || c != ps.class.Category {
-						if !cloned {
-							next := make(map[simtime.Period]Category, len(periods))
-							for k, v := range hist {
-								next[k] = v
-							}
-							hist, cloned = next, true
-						}
-						hist[period] = ps.class.Category
-					}
-				}
+				dc.byPeriod.Set(period, ps.class.Category)
 				if ps.class.Category == CategoryTransient {
 					o.transients = append(o.transients, ps.class)
 				}
 			}
-			dc.byPeriod = hist
-			o.byPeriod = hist
+			o.byPeriod = dc.byPeriod
 		}
 		f.fold()
 		f.finish(child, start)
 	})
 	cache.gen = p.Dataset.Generation()
 	cache.paramsFP = fp
-	return busy, dirtyCellCount, frags
+	for _, n := range dirtyBy {
+		dirtyCells += n
+	}
+	return busy, dirtyCells, frags
 }
 
 // rebuildCell computes a cell from scratch over its full record window,

@@ -48,13 +48,9 @@ func TestCachedHistoryNotAliased(t *testing.T) {
 		pipe.Dataset.Append(s.date, s.recs)
 	}
 	old := pipe.Run()
-	snapshot := make(map[dnscore.Name]map[simtime.Period]Category, len(old.History))
+	snapshot := make(map[dnscore.Name]PeriodCategories, len(old.History))
 	for d, h := range old.History {
-		hc := make(map[simtime.Period]Category, len(h))
-		for per, cat := range h {
-			hc[per] = cat
-		}
-		snapshot[d] = hc
+		snapshot[d] = h
 	}
 
 	for _, s := range scans[half:] {

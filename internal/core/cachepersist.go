@@ -68,15 +68,18 @@ func (c *ClassifyCache) EncodeState(out io.Writer) error {
 				return err
 			}
 		}
-		hist := make([]simtime.Period, 0, len(dc.byPeriod))
-		for p := range dc.byPeriod {
-			hist = append(hist, p)
+		nhist := 0
+		for _, c := range dc.byPeriod {
+			if c != 0 {
+				nhist++
+			}
 		}
-		sort.Slice(hist, func(i, j int) bool { return hist[i] < hist[j] })
-		w.Uvarint(uint64(len(hist)))
-		for _, p := range hist {
-			w.Int(int64(p))
-			w.Uvarint(uint64(dc.byPeriod[p]))
+		w.Uvarint(uint64(nhist))
+		for p, c := range dc.byPeriod {
+			if c != 0 {
+				w.Int(int64(p))
+				w.Uvarint(uint64(c - 1))
+			}
 		}
 	}
 	_, err := out.Write(w.Bytes())
@@ -190,16 +193,13 @@ func (c *ClassifyCache) DecodeState(data []byte, ds *scanner.Dataset) error {
 			}
 		}
 		nhist := r.Count()
-		if nhist > 0 {
-			dc.byPeriod = make(map[simtime.Period]Category, nhist)
-			for j := 0; j < nhist; j++ {
-				p := simtime.Period(r.Int())
-				cat := Category(r.Uvarint())
-				if !p.Valid() || cat > CategoryNoisy {
-					return fmt.Errorf("%w: history entry %v/%v", ErrCacheState, p, cat)
-				}
-				dc.byPeriod[p] = cat
+		for j := 0; j < nhist; j++ {
+			p := simtime.Period(r.Int())
+			cat := Category(r.Uvarint())
+			if !p.Valid() || cat > CategoryNoisy {
+				return fmt.Errorf("%w: history entry %v/%v", ErrCacheState, p, cat)
 			}
+			dc.byPeriod.Set(p, cat)
 		}
 		byDomain[domain] = dc
 	}

@@ -9,7 +9,6 @@ import (
 
 	"retrodns/internal/dnscore"
 	"retrodns/internal/scanner"
-	"retrodns/internal/simtime"
 )
 
 // restorePipeline serializes pipe's dataset and cache, decodes both into
@@ -47,7 +46,7 @@ func restorePipeline(t *testing.T, pipe *Pipeline) *Pipeline {
 // (TestWarmRestartBytesIdentical).
 type resultDigest struct {
 	Funnel     FunnelStats
-	History    map[dnscore.Name]map[simtime.Period]Category
+	History    map[dnscore.Name]PeriodCategories
 	Hijacked   []string
 	Targeted   []string
 	Candidates []string

@@ -18,21 +18,18 @@ func (pc PeriodCategories) At(p simtime.Period) (Category, bool) {
 	return Category(pc[p] - 1), pc[p] != 0
 }
 
-// periodCategories flattens one History entry, probing periods in order
-// until every entry is accounted for: a few lookups in a map this small
-// cost less than starting an iteration over it.
-func periodCategories(byPeriod map[simtime.Period]Category) (pc PeriodCategories) {
-	left := len(byPeriod)
-	for p := simtime.Period(0); p < simtime.NumPeriods && left > 0; p++ {
-		if c, ok := byPeriod[p]; ok {
-			pc[p] = uint8(c) + 1
-			left--
-		}
-	}
-	return pc
-}
+// Set records period p's category.
+func (pc *PeriodCategories) Set(p simtime.Period, c Category) { pc[p] = uint8(c) + 1 }
 
-// rollup applies rollupCategory's precedence to the flattened history.
+// rollup reduces a domain's per-period categories to one label, with the
+// precedence the paper's domain-level percentages imply: any transient
+// period marks the domain transient; otherwise any transition marks it
+// transition; otherwise majority-noisy (strictly more than half of the
+// periods) marks it noisy; otherwise it is stable. An exact half-noisy
+// split is NOT a majority and resolves to stable — the paper's §4.2 split
+// (96.5% stable vs 0.35% noisy) leans hard toward stable, and a domain
+// classifiable in half its periods has a usable history. A domain with no
+// classified period at all (pivot-only) is noisy.
 func (pc PeriodCategories) rollup() Category {
 	var counts [CategoryNoisy + 1]int
 	n := 0
@@ -90,10 +87,9 @@ func (d *DomainExport) Verdict() Verdict {
 // ResultExport is the snapshot-export view of a Result: one DomainExport
 // per domain the run said anything about (classified, shortlisted, or
 // found via pivot), addressable by name and iterable in sorted order.
-// The export copies each category history but aliases the Result's
-// candidates and findings; treat those as read-only, and — under a
-// ClassifyCache, which extends their deployment maps in place — consume
-// them before the next Run.
+// The export aliases the Result's candidates and findings; treat those as
+// read-only, and — under a ClassifyCache, which extends their deployment
+// maps in place — consume them before the next Run.
 type ResultExport struct {
 	// Domains is sorted by domain name.
 	Domains []*DomainExport
@@ -134,7 +130,7 @@ func (r *Result) Export() *ResultExport {
 	}
 
 	// A candidate's or finding's domain with no History entry is pivot-only:
-	// never classified, its rollup is rollupCategory's empty-history noisy.
+	// never classified, its rollup is the empty history's noisy.
 	var pivotOnly []*DomainExport
 	pivotByName := map[dnscore.Name]*DomainExport{}
 	entry := func(name dnscore.Name) *DomainExport {
@@ -143,7 +139,7 @@ func (r *Result) Export() *ResultExport {
 		}
 		d := pivotByName[name]
 		if d == nil {
-			d = &DomainExport{Domain: name, Rollup: rollupCategory(nil)}
+			d = &DomainExport{Domain: name, Rollup: PeriodCategories{}.rollup()}
 			pivotByName[name] = d
 			pivotOnly = append(pivotOnly, d)
 		}
@@ -188,14 +184,13 @@ func (r *Result) exportClassified(roster []dnscore.Name) []*DomainExport {
 	slab := make([]DomainExport, 0, len(r.History))
 	out := make([]*DomainExport, 0, len(r.History))
 	for _, name := range roster {
-		byPeriod, ok := r.History[name]
+		pc, ok := r.History[name]
 		if !ok {
 			continue
 		}
 		if len(slab) == cap(slab) {
 			return nil
 		}
-		pc := periodCategories(byPeriod)
 		slab = append(slab, DomainExport{Domain: name, Rollup: pc.rollup(), Periods: pc})
 		out = append(out, &slab[len(slab)-1])
 	}

@@ -11,10 +11,10 @@ import (
 func TestExportIndexesEveryDomain(t *testing.T) {
 	dep := &Deployment{ScanDates: []simtime.Date{simtime.MustParse("2017-07-10")}}
 	res := &Result{
-		History: map[dnscore.Name]map[simtime.Period]Category{
+		History: histories(map[dnscore.Name]map[simtime.Period]Category{
 			"bravo.gov.xx": {0: CategoryStable, 1: CategoryTransient},
 			"alpha.com":    {0: CategoryStable},
-		},
+		}),
 		Candidates: []*Candidate{
 			{Domain: "bravo.gov.xx", Period: 1, Pattern: PatternT1, Transient: dep, Sensitive: true},
 		},
@@ -76,11 +76,11 @@ func TestExportIndexesEveryDomain(t *testing.T) {
 // with pivot-only names merged in — is exactly what sorting produces, entry
 // for entry, and that a roster that no longer covers History is not trusted.
 func TestExportOrderFromRun(t *testing.T) {
-	history := map[dnscore.Name]map[simtime.Period]Category{
+	history := histories(map[dnscore.Name]map[simtime.Period]Category{
 		"delta.org":    {2: CategoryNoisy},
 		"bravo.gov.xx": {0: CategoryStable, 1: CategoryTransient},
 		"alpha.com":    {0: CategoryStable},
-	}
+	})
 	findings := []*Finding{
 		// Pivot-only, sorting before, between and after the classified names.
 		{Domain: "zulu.gov.xx", Verdict: VerdictHijacked},

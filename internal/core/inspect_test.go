@@ -72,7 +72,7 @@ func newT1Fixture(t *testing.T, withPDNS bool, certIssuedAt simtime.Date) *t1Fix
 	if cl.Category != CategoryTransient || cl.Pattern != PatternT1 {
 		t.Fatalf("fixture misclassified: %s %s", cl.Category, cl.Pattern)
 	}
-	sh := &Shortlister{Params: DefaultParams(), History: map[dnscore.Name]map[simtime.Period]Category{}}
+	sh := &Shortlister{Params: DefaultParams(), History: map[dnscore.Name]PeriodCategories{}}
 	cands, _ := sh.Shortlist(cl)
 	if len(cands) != 1 {
 		t.Fatalf("fixture shortlisted %d candidates", len(cands))
@@ -171,11 +171,11 @@ func newT2Fixture(t *testing.T, withPDNS, withCT, anomalous bool) (*Inspector, *
 	if cl.Category != CategoryTransient || cl.Pattern != PatternT2 {
 		t.Fatalf("fixture misclassified: %s %s", cl.Category, cl.Pattern)
 	}
-	history := map[dnscore.Name]map[simtime.Period]Category{}
+	history := map[dnscore.Name]PeriodCategories{}
 	if anomalous {
-		history["mgov.ae"] = map[simtime.Period]Category{
+		history["mgov.ae"] = categories(map[simtime.Period]Category{
 			0: CategoryStable, 1: CategoryTransient, 2: CategoryStable,
-		}
+		})
 	}
 	sh := &Shortlister{Params: DefaultParams(), History: history}
 	cands, _ := sh.Shortlist(cl)

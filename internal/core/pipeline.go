@@ -61,7 +61,7 @@ type Pipeline struct {
 // the cold and the cached path fill these identically, so the merge below
 // them is shared.
 type classifyOut struct {
-	byPeriod     map[simtime.Period]Category
+	byPeriod     PeriodCategories
 	maps         int
 	transients   []*Classification
 	hits, misses int
@@ -134,7 +134,7 @@ type Result struct {
 	// Candidates carries every shortlisted candidate for diagnostics.
 	Candidates []*Candidate
 	// History maps every observed domain to its per-period category.
-	History map[dnscore.Name]map[simtime.Period]Category
+	History map[dnscore.Name]PeriodCategories
 	// roster is the dataset's sorted domain list as Run walked it (a
 	// superset of History's keys), kept so Export need not sort them again.
 	roster []dnscore.Name
@@ -171,7 +171,6 @@ func (p *Pipeline) Run() *Result {
 	workers := p.workerCount()
 
 	res := &Result{
-		History: make(map[dnscore.Name]map[simtime.Period]Category),
 		Funnel: FunnelStats{
 			DomainCategories: make(map[Category]int),
 			MapCategories:    make(map[Category]int),
@@ -206,6 +205,7 @@ func (p *Pipeline) Run() *Result {
 	p.Dataset.Freeze()
 	domains := p.Dataset.Domains()
 	res.roster = domains
+	res.History = make(map[dnscore.Name]PeriodCategories, len(domains))
 	res.Stats.Quarantined = p.Dataset.Quarantine().Total
 	stage(sp, len(domains), 1, 0)
 
@@ -352,18 +352,6 @@ func (p *Pipeline) Run() *Result {
 // periodsInData returns the study periods covered by the dataset.
 func (p *Pipeline) periodsInData() []simtime.Period {
 	return p.Dataset.Periods()
-}
-
-// rollupCategory reduces a domain's per-period categories to one label,
-// with the precedence the paper's domain-level percentages imply: any
-// transient period marks the domain transient; otherwise any transition
-// marks it transition; otherwise majority-noisy (strictly more than half
-// of the periods) marks it noisy; otherwise it is stable. An exact
-// half-noisy split is NOT a majority and resolves to stable — the paper's
-// §4.2 split (96.5% stable vs 0.35% noisy) leans hard toward stable, and
-// a domain classifiable in half its periods has a usable history.
-func rollupCategory(byPeriod map[simtime.Period]Category) Category {
-	return periodCategories(byPeriod).rollup()
 }
 
 func orgsOf(meta *ipmeta.Directory) *ipmeta.OrgTable {

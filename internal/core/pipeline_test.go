@@ -365,7 +365,7 @@ func TestRollupCategory(t *testing.T) {
 		{map[simtime.Period]Category{0: CategoryNoisy}, CategoryNoisy},
 	}
 	for i, c := range cases {
-		if got := rollupCategory(c.in); got != c.want {
+		if got := categories(c.in).rollup(); got != c.want {
 			t.Errorf("case %d: rollup = %s, want %s", i, got, c.want)
 		}
 	}

@@ -52,10 +52,12 @@ func (f *shardClassifyOut) fold() {
 		f.maps += o.maps
 		f.hits += o.hits
 		f.misses += o.misses
-		for _, cat := range o.byPeriod {
-			f.mapCats[cat]++
+		for _, c := range o.byPeriod {
+			if c != 0 {
+				f.mapCats[c-1]++
+			}
 		}
-		f.domCats[rollupCategory(o.byPeriod)]++
+		f.domCats[o.byPeriod.rollup()]++
 		f.transients = append(f.transients, o.transients...)
 	}
 }
@@ -77,7 +79,7 @@ func shardSpanName(sid int) string {
 // maps and classifications of non-transient cells — the overwhelming
 // majority — recycle immediately, so steady state allocates almost nothing
 // per record. Only transient classifications (retained in the Result) and
-// the per-domain history maps survive the stage.
+// the per-domain histories survive the stage.
 func (p *Pipeline) classifyShards(params Params, workers int, periods []simtime.Period, scansByPeriod map[simtime.Period][]simtime.Date, sp *obsv.Span) (time.Duration, []shardClassifyOut) {
 	nsh := p.Dataset.Shards()
 	frags := make([]shardClassifyOut, nsh)
@@ -112,10 +114,7 @@ func (p *Pipeline) classifyShards(params Params, workers int, periods []simtime.
 				m := buildMapFrom(domain, period, recs, len(scans), ar)
 				o.maps++
 				c := params.classifyWith(m, scans, ar)
-				if o.byPeriod == nil {
-					o.byPeriod = make(map[simtime.Period]Category, len(periods))
-				}
-				o.byPeriod[period] = c.Category
+				o.byPeriod.Set(period, c.Category)
 				if c.Category == CategoryTransient {
 					o.transients = append(o.transients, c)
 				} else {
@@ -150,10 +149,7 @@ func (p *Pipeline) classifyLegacy(params Params, workers int, domains []dnscore.
 			}
 			o.maps++
 			c := params.Classify(m, scansByPeriod[period])
-			if o.byPeriod == nil {
-				o.byPeriod = make(map[simtime.Period]Category, len(periods))
-			}
-			o.byPeriod[period] = c.Category
+			o.byPeriod.Set(period, c.Category)
 			if c.Category == CategoryTransient {
 				o.transients = append(o.transients, c)
 			}
@@ -185,7 +181,7 @@ func mergeClassifyFrags(res *Result, frags []shardClassifyOut) []*Classification
 			}
 		}
 		for j, domain := range f.domains {
-			if bp := f.outs[j].byPeriod; bp != nil {
+			if bp := f.outs[j].byPeriod; bp != (PeriodCategories{}) {
 				res.History[domain] = bp
 			}
 		}

@@ -56,7 +56,7 @@ type Shortlister struct {
 	// History maps domain → period → category, for the consecutive-
 	// transient and truly-anomalous checks. The pipeline fills it with
 	// every classification before shortlisting.
-	History map[dnscore.Name]map[simtime.Period]Category
+	History map[dnscore.Name]PeriodCategories
 }
 
 // categoryAt returns the domain's category in the given period and whether
@@ -65,12 +65,7 @@ func (s *Shortlister) categoryAt(domain dnscore.Name, p simtime.Period) (Categor
 	if !p.Valid() {
 		return 0, false
 	}
-	byPeriod, ok := s.History[domain]
-	if !ok {
-		return 0, false
-	}
-	c, ok := byPeriod[p]
-	return c, ok
+	return s.History[domain].At(p)
 }
 
 // consecutiveTransients counts how many consecutive periods ending at p

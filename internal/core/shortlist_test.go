@@ -88,9 +88,9 @@ func TestShortlistKeepsTrulyAnomalous(t *testing.T) {
 	m.Period = 1
 	cl2.Map = &m
 	cl = &cl2
-	history := map[dnscore.Name]map[simtime.Period]Category{
+	history := histories(map[dnscore.Name]map[simtime.Period]Category{
 		"victim-sl.com": {0: CategoryStable, 1: CategoryTransient, 2: CategoryStable},
-	}
+	})
 	sh := &Shortlister{Params: DefaultParams(), History: history}
 	cands, _ := sh.Shortlist(cl)
 	if len(cands) != 1 || !cands[0].TrulyAnomalous {
@@ -109,9 +109,9 @@ func TestShortlistPruneRepeatedTransients(t *testing.T) {
 	// this and prior periods transient via a synthetic later period map.
 	// Simpler: mark periods 0..2 transient and shortlist a synthetic
 	// classification for period 2.
-	history["victim-sl.com"] = map[simtime.Period]Category{
+	history["victim-sl.com"] = categories(map[simtime.Period]Category{
 		0: CategoryTransient, 1: CategoryTransient, 2: CategoryTransient,
-	}
+	})
 	cl2 := *cl
 	m := *cl.Map
 	m.Period = 2
@@ -171,10 +171,27 @@ func TestShortlistIgnoresNonTransient(t *testing.T) {
 	}
 }
 
-func historyOf(cl *Classification) map[dnscore.Name]map[simtime.Period]Category {
-	return map[dnscore.Name]map[simtime.Period]Category{
+func historyOf(cl *Classification) map[dnscore.Name]PeriodCategories {
+	return histories(map[dnscore.Name]map[simtime.Period]Category{
 		cl.Map.Domain: {cl.Map.Period: cl.Category},
+	})
+}
+
+// categories flattens a literal per-period category map into the form a
+// Result's History holds; histories does so for a whole literal History.
+func categories(byPeriod map[simtime.Period]Category) (pc PeriodCategories) {
+	for p, c := range byPeriod {
+		pc.Set(p, c)
 	}
+	return pc
+}
+
+func histories(m map[dnscore.Name]map[simtime.Period]Category) map[dnscore.Name]PeriodCategories {
+	out := make(map[dnscore.Name]PeriodCategories, len(m))
+	for name, byPeriod := range m {
+		out[name] = categories(byPeriod)
+	}
+	return out
 }
 
 // TestNaiveBaselinePrecision shows what the corroboration stages buy: the

@@ -24,11 +24,15 @@ import (
 // periods already transient. Independent per domain, so Pipeline.Run walks
 // it shard-affine over the worker pool and merges the per-shard fragments
 // back into domain order (mergeByDomain).
-func (p *Pipeline) stitchDomain(params Params, v scanner.ShardView, domain dnscore.Name, periods []simtime.Period, scansByPeriod map[simtime.Period][]simtime.Date, byPeriod map[simtime.Period]Category) []*Classification {
+func (p *Pipeline) stitchDomain(params Params, v scanner.ShardView, domain dnscore.Name, periods []simtime.Period, scansByPeriod map[simtime.Period][]simtime.Date, byPeriod PeriodCategories) []*Classification {
 	var out []*Classification
+	transient := func(p simtime.Period) bool {
+		c, ok := byPeriod.At(p)
+		return ok && c == CategoryTransient
+	}
 	for i := 0; i+1 < len(periods); i++ {
 		a, b := periods[i], periods[i+1]
-		if byPeriod[a] == CategoryTransient || byPeriod[b] == CategoryTransient {
+		if transient(a) || transient(b) {
 			continue // already handled by single-period analysis
 		}
 		if c := stitchPair(params, v, domain, a, b, scansByPeriod); c != nil {

@@ -66,4 +66,24 @@ func TestReadJSONRejections(t *testing.T) {
 	if doc.Funnel["domains"] != 3 {
 		t.Errorf("funnel = %v", doc.Funnel)
 	}
+	// An empty list in a field the encoding omits when empty must survive the
+	// round trip as what it decodes to the second time: absent.
+	for _, field := range []string{"attacker_ns", "victim_asns", "victim_ccs"} {
+		in := `{"hijacked":[{"domain":"a.example","` + field + `":[]}],"targeted":[{"` + field + `":[]}]}`
+		doc, err := ReadJSON(bytes.NewReader([]byte(in)))
+		if err != nil {
+			t.Fatalf("ReadJSON(%s): %v", in, err)
+		}
+		var buf bytes.Buffer
+		if err := doc.Encode(&buf); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("own encoding of %s rejected: %v", in, err)
+		}
+		if !reflect.DeepEqual(doc, again) {
+			t.Errorf("%s: round trip diverged:\n%+v\nvs\n%+v", in, doc, again)
+		}
+	}
 }

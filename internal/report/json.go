@@ -125,7 +125,9 @@ func WriteJSON(w io.Writer, res *core.Result) error {
 // ReadJSON parses a document WriteJSON produced — the consumer side of
 // the stable export format. Strict by construction: unknown fields,
 // mistyped values, and trailing data are all ErrBadReport, so a truncated
-// or hand-mangled export fails loudly instead of reading as empty.
+// or hand-mangled export fails loudly instead of reading as empty. An
+// empty attacker_ns, victim_asns or victim_ccs list reads as absent: the
+// encoding omits both, so it cannot tell them apart.
 func ReadJSON(r io.Reader) (*JSONReport, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -135,6 +137,20 @@ func ReadJSON(r io.Reader) (*JSONReport, error) {
 	}
 	if dec.More() {
 		return nil, fmt.Errorf("%w: trailing data after document", ErrBadReport)
+	}
+	for _, findings := range [][]JSONFinding{doc.Hijacked, doc.Targeted} {
+		for i := range findings {
+			f := &findings[i]
+			if len(f.AttackerNS) == 0 {
+				f.AttackerNS = nil
+			}
+			if len(f.VictimASNs) == 0 {
+				f.VictimASNs = nil
+			}
+			if len(f.VictimCCs) == 0 {
+				f.VictimCCs = nil
+			}
+		}
 	}
 	return &doc, nil
 }

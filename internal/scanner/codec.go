@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
+	"slices"
 
 	"retrodns/internal/dnscore"
 	"retrodns/internal/ipmeta"
@@ -341,20 +342,30 @@ func decodeRecords(r *BinReader, certs []*x509lite.Certificate, n int) []*Record
 type certTable struct {
 	idx   map[x509lite.Fingerprint]uint64
 	certs []*x509lite.Certificate
+	// last is the certificate add answered most recently, at index lastIdx.
+	// A domain's records follow one another and mostly carry one
+	// certificate, so a run of them costs one fingerprint lookup.
+	last    *x509lite.Certificate
+	lastIdx uint64
 }
 
-func newCertTable() *certTable {
-	return &certTable{idx: make(map[x509lite.Fingerprint]uint64)}
+// newCertTable makes a table expecting some hint distinct certificates.
+func newCertTable(hint int) *certTable {
+	return &certTable{idx: make(map[x509lite.Fingerprint]uint64, hint)}
 }
 
 func (t *certTable) add(c *x509lite.Certificate) uint64 {
-	fp := c.Fingerprint()
-	if i, ok := t.idx[fp]; ok {
-		return i
+	if c == t.last {
+		return t.lastIdx
 	}
-	i := uint64(len(t.certs))
-	t.idx[fp] = i
-	t.certs = append(t.certs, c)
+	fp := c.Fingerprint()
+	i, ok := t.idx[fp]
+	if !ok {
+		i = uint64(len(t.certs))
+		t.idx[fp] = i
+		t.certs = append(t.certs, c)
+	}
+	t.last, t.lastIdx = c, i
 	return i
 }
 
@@ -381,9 +392,18 @@ func decodeCertTable(r *BinReader) []*x509lite.Certificate {
 // for a WAL frame body. Nil records are preserved positionally (a strict
 // dataset must see the same batch shape on replay that it saw live).
 func EncodeBatch(date simtime.Date, records []*Record) []byte {
-	var w BinWriter
+	return AppendBatch(nil, date, records)
+}
+
+// AppendBatch appends EncodeBatch's encoding of the batch to dst, growing
+// it once, so a caller framing the batch builds the frame in one buffer.
+func AppendBatch(dst []byte, date simtime.Date, records []*Record) []byte {
+	// A record and its share of the certificate table come to some 120 bytes
+	// on the synthetic corpora; an underestimate only costs a regrow.
+	w := BinWriter{buf: slices.Grow(dst, 16+128*len(records))}
 	w.Int(int64(date))
-	table := newCertTable()
+	// One certificate a record is the common feed: a host's long-lived own.
+	table := newCertTable(len(records))
 	idxs := make([]uint64, len(records))
 	for i, rec := range records {
 		if rec != nil && rec.Cert != nil {

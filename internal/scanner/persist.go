@@ -19,6 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"retrodns/internal/dnscore"
@@ -122,10 +124,12 @@ func (d *Dataset) EncodeSnapshot(out io.Writer) error {
 	for _, date := range view.scanDates {
 		w.Int(int64(date))
 	}
-	w.Uvarint(uint64(len(d.dirtyPeriods)))
-	for _, p := range sortedPeriodKeys(d.dirtyPeriods) {
-		w.Int(int64(p))
-		w.Uvarint(d.dirtyPeriods[p])
+	w.Uvarint(uint64(bits.OnesCount16(d.dirtyPeriods.since(0))))
+	for p, gen := range d.dirtyPeriods {
+		if gen != 0 {
+			w.Int(int64(p))
+			w.Uvarint(gen)
+		}
 	}
 	w.Uvarint(d.quarSeq)
 	encodeQuar(&w, &d.quar)
@@ -134,14 +138,14 @@ func (d *Dataset) EncodeSnapshot(out io.Writer) error {
 	// sorted order, records in window order, so the table layout is
 	// deterministic. Spilled shards keep their certificates in their
 	// segment's common blob and do not contribute.
-	table := newCertTable()
+	table := newCertTable(int(d.pool.certs.Size()))
 	for _, s := range d.shards {
 		idx := s.idx.Load()
 		if idx.spill != nil {
 			continue
 		}
-		for _, domain := range idx.domains {
-			for _, rec := range idx.byDomain[domain] {
+		for _, window := range idx.windows {
+			for _, rec := range window {
 				if rec.Cert != nil {
 					table.add(rec.Cert)
 				}
@@ -161,33 +165,17 @@ func (d *Dataset) EncodeSnapshot(out io.Writer) error {
 			// payloads. Journals and the domain roster stay inline — they
 			// are resident state the segment does not carry.
 			w.String(idx.spill.file)
-			encodeQuar(&w, &s.quar)
-			w.Uvarint(uint64(len(s.dirtyCells)))
-			for _, cell := range sortedDirtyCells(s.dirtyCells) {
-				w.String(string(cell.Domain))
-				w.Int(int64(cell.Period))
-				w.Uvarint(s.dirtyCells[cell])
-			}
-			w.Uvarint(uint64(idx.attach))
-			w.Uvarint(uint64(len(idx.domains)))
-			for _, domain := range idx.domains {
-				w.String(string(domain))
-			}
-			s.mu.RUnlock()
-			continue
 		}
 		encodeQuar(&w, &s.quar)
-		w.Uvarint(uint64(len(s.dirtyCells)))
-		for _, cell := range sortedDirtyCells(s.dirtyCells) {
-			w.String(string(cell.Domain))
-			w.Int(int64(cell.Period))
-			w.Uvarint(s.dirtyCells[cell])
-		}
+		idx.encodeDirty(&w)
 		w.Uvarint(uint64(idx.attach))
 		w.Uvarint(uint64(len(idx.domains)))
-		for _, domain := range idx.domains {
-			window := idx.byDomain[domain]
+		for i, domain := range idx.domains {
 			w.String(string(domain))
+			if idx.spill != nil {
+				continue
+			}
+			window := idx.windows[i]
 			w.Uvarint(uint64(len(window)))
 			for _, rec := range window {
 				certIdx := uint64(0)
@@ -259,6 +247,9 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 	for i := 0; i < nper; i++ {
 		p := simtime.Period(r.Int())
 		gen := r.Uvarint()
+		if !p.Valid() {
+			r.fail("dirty period")
+		}
 		if r.err == nil {
 			d.dirtyPeriods[p] = gen
 		}
@@ -288,21 +279,14 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 			segFile = r.String()
 		}
 		decodeQuar(r, &s.quar)
-		ncells := r.Count()
-		for i := 0; i < ncells; i++ {
-			if r.err != nil {
-				return nil, r.err
-			}
-			cell := DirtyCell{
-				Domain: dnscore.Name(r.String()),
-				Period: simtime.Period(r.Int()),
-			}
-			s.dirtyCells[cell] = r.Uvarint()
-		}
+		cells := decodeDirty(r)
 		attach := int(r.Uvarint())
 		ndom := r.Count()
 		if spilled {
 			idx, err := decodeSpilledShard(r, d, store, opts.Mode, sid, nshards, segFile, attach, ndom)
+			if err == nil {
+				idx.dirty, err = alignDirty(idx.domains, cells)
+			}
 			if err != nil {
 				return nil, err
 			}
@@ -313,9 +297,9 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 			continue
 		}
 		idx := &shardIndex{
-			byDomain: make(map[dnscore.Name][]*Record, ndom),
-			domains:  make([]dnscore.Name, 0, ndom),
-			attach:   attach,
+			domains: make([]dnscore.Name, 0, ndom),
+			windows: make([][]*Record, 0, ndom),
+			attach:  attach,
 		}
 		for i := 0; i < ndom; i++ {
 			if r.err != nil {
@@ -342,13 +326,21 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 			}) {
 				return nil, fmt.Errorf("%w: window for %q not sorted", ErrSnapshotState, domain)
 			}
-			idx.byDomain[domain] = window
+			idx.windows = append(idx.windows, window)
 			idx.domains = append(idx.domains, domain)
 		}
 		if !sort.SliceIsSorted(idx.domains, func(a, b int) bool {
 			return idx.domains[a] < idx.domains[b]
 		}) {
 			return nil, fmt.Errorf("%w: shard %d domain list not sorted", ErrSnapshotState, sid)
+		}
+		idx.pos = rankDomains(idx.domains)
+		if len(idx.pos) != len(idx.domains) {
+			return nil, fmt.Errorf("%w: shard %d lists a domain twice", ErrSnapshotState, sid)
+		}
+		var err error
+		if idx.dirty, err = alignDirty(idx.domains, cells); err != nil {
+			return nil, err
 		}
 		s.byDomain = nil
 		s.attach = attach
@@ -465,25 +457,50 @@ func (d *Dataset) AccountRestored() {
 	d.publishSizeLocked()
 }
 
-func sortedPeriodKeys(m map[simtime.Period]uint64) []simtime.Period {
-	keys := make([]simtime.Period, 0, len(m))
-	for p := range m {
-		keys = append(keys, p)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
+// encodeDirty writes the shard's dirty journal: every cell that ever
+// gained a record through Append with the generation it last did, in
+// domain then period order.
+func (idx *shardIndex) encodeDirty(w *BinWriter) {
+	n := 0
+	idx.eachDirty(0, func(DirtyCell, uint64) { n++ })
+	w.Uvarint(uint64(n))
+	idx.eachDirty(0, func(cell DirtyCell, at uint64) {
+		w.String(string(cell.Domain))
+		w.Int(int64(cell.Period))
+		w.Uvarint(at)
+	})
 }
 
-func sortedDirtyCells(m map[DirtyCell]uint64) []DirtyCell {
-	cells := make([]DirtyCell, 0, len(m))
-	for c := range m {
-		cells = append(cells, c)
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Domain != cells[j].Domain {
-			return cells[i].Domain < cells[j].Domain
+// decodeDirty reads what encodeDirty wrote. The shard's domain list, whose
+// ranks index the journal in memory, follows later in the payload
+// (alignDirty).
+func decodeDirty(r *BinReader) map[DirtyCell]uint64 {
+	n := r.Count()
+	cells := make(map[DirtyCell]uint64, n)
+	for i := 0; i < n && r.err == nil; i++ {
+		cell := DirtyCell{dnscore.Name(r.String()), simtime.Period(r.Int())}
+		if !cell.Period.Valid() {
+			r.fail("dirty cell period")
 		}
-		return cells[i].Period < cells[j].Period
-	})
+		cells[cell] = r.Uvarint()
+	}
 	return cells
+}
+
+// alignDirty lays decoded cells out by their domain's rank in the shard's
+// sorted list; a cell naming a domain the shard does not hold is a corrupt
+// payload.
+func alignDirty(domains []dnscore.Name, cells map[DirtyCell]uint64) ([]periodGens, error) {
+	if len(cells) == 0 {
+		return nil, nil
+	}
+	dirty := make([]periodGens, len(domains))
+	for cell, gen := range cells {
+		i, ok := slices.BinarySearch(domains, cell.Domain)
+		if !ok {
+			return nil, fmt.Errorf("%w: dirty cell for %q, which the shard does not hold", ErrSnapshotState, cell.Domain)
+		}
+		dirty[i][cell.Period] = gen
+	}
+	return dirty, nil
 }

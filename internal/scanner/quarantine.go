@@ -219,12 +219,12 @@ func badNameDetail(c *x509lite.Certificate) string {
 
 // gateRecordsLocked is ingest phase A: validate one scan's records — in
 // parallel chunks for bulk scans — and return a per-record gate slice
-// (0 = valid, else reason+1) plus the accepted count. Rejections journal
-// into the owning shard's quarantine in feed order; in strict mode the
-// first malformed record (lowest index, deterministic regardless of worker
-// count) aborts the whole scan with a typed error before anything is
-// journaled or ingested (atomic reject, so a strict caller can stop a feed
-// without half-applied state). Caller holds d.mu.
+// (0 = valid, else reason+1) plus the accepted count. Nothing is journaled
+// here (journalRejectsLocked does that when the scan is published); in
+// strict mode the first malformed record (lowest index, deterministic
+// regardless of worker count) aborts the whole scan with a typed error
+// before anything is journaled or ingested (atomic reject, so a strict
+// caller can stop a feed without half-applied state). Caller holds d.mu.
 func (d *Dataset) gateRecordsLocked(date simtime.Date, records []*Record) ([]uint8, int, error) {
 	if len(records) == 0 {
 		return nil, 0, nil
@@ -241,6 +241,28 @@ func (d *Dataset) gateRecordsLocked(date simtime.Date, records []*Record) ([]uin
 	for i, g := range gates {
 		if g == 0 {
 			accepted++
+		} else if d.strict {
+			_, detail, _ := validateRecord(records[i])
+			return nil, 0, fmt.Errorf("%w: scan %s record %d: %s (%s)", ErrQuarantined, date, i, detail, QuarantineReason(g-1))
+		}
+	}
+	return gates, accepted, nil
+}
+
+// journalRejectsLocked journals what the gates refused of one scan: the
+// scan date itself at the dataset level (a scan dated outside the study
+// window is refused as a whole — its date must not enter the scan-date
+// index, where it would distort every period roster — and belongs to no
+// shard), then each refused record, in feed order, into the shard that
+// would have owned it. Caller holds d.mu.
+func (d *Dataset) journalRejectsLocked(date simtime.Date, dateOK bool, records []*Record, gates []uint8) {
+	if !dateOK {
+		d.quarSeq++
+		d.quar.add(QuarBadDate, date, badDateDetail(date), d.quarSeq)
+		d.met.quarantined[QuarBadDate].Inc()
+	}
+	for i, g := range gates {
+		if g == 0 {
 			continue
 		}
 		// Rejections are rare; recomputing the detail string here keeps the
@@ -248,14 +270,14 @@ func (d *Dataset) gateRecordsLocked(date simtime.Date, records []*Record) ([]uin
 		// (TestGateValidRecordAllocatesNothing).
 		reason := QuarantineReason(g - 1)
 		_, detail, _ := validateRecord(records[i])
-		if d.strict {
-			return nil, 0, fmt.Errorf("%w: scan %s record %d: %s (%s)", ErrQuarantined, date, i, detail, reason)
-		}
 		d.quarSeq++
 		d.quarShardFor(records[i]).quar.add(reason, date, detail, d.quarSeq)
 		d.met.quarantined[reason].Inc()
 	}
-	return gates, accepted, nil
+}
+
+func badDateDetail(date simtime.Date) string {
+	return fmt.Sprintf("scan date %s outside study window", date)
 }
 
 // quarShardFor routes a rejected record to the shard that would have owned
@@ -299,22 +321,4 @@ func (d *Dataset) Quarantine() QuarantineReport {
 		merged.examples = merged.examples[:maxQuarExamples]
 	}
 	return merged.report()
-}
-
-// gateDate validates the scan-date argument itself: a scan dated outside
-// the study window is refused as a whole (its date must not enter the
-// scan-date index, where it would distort every period roster). Date
-// rejections journal at the dataset level — they belong to no shard.
-func (d *Dataset) gateDate(date simtime.Date) (bool, error) {
-	if date.InStudy() {
-		return true, nil
-	}
-	detail := fmt.Sprintf("scan date %s outside study window", date)
-	if d.strict {
-		return false, fmt.Errorf("%w: %s", ErrQuarantined, detail)
-	}
-	d.quarSeq++
-	d.quar.add(QuarBadDate, date, detail, d.quarSeq)
-	d.met.quarantined[QuarBadDate].Inc()
-	return false, nil
 }

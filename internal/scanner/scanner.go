@@ -265,7 +265,7 @@ type Dataset struct {
 	// scan date (which changes the period's scan roster for every domain,
 	// not just those with new records). Per-cell journals live in the
 	// shards.
-	dirtyPeriods map[simtime.Period]uint64
+	dirtyPeriods periodGens
 
 	// quar journals scan-date-level rejections; record-level rejections
 	// journal into the owning shard. quarSeq orders rejections globally so
@@ -491,11 +491,10 @@ func NewDatasetShards(n int) *Dataset {
 		n = maxShards
 	}
 	d := &Dataset{
-		shards:       make([]*shard, n),
-		dirtyPeriods: make(map[simtime.Period]uint64),
-		pool:         NewPool(),
-		intern:       true,
-		routes:       make(map[*x509lite.Certificate]certRoute),
+		shards: make([]*shard, n),
+		pool:   NewPool(),
+		intern: true,
+		routes: make(map[*x509lite.Certificate]certRoute),
 	}
 	for i := range d.shards {
 		d.shards[i] = newShard()
@@ -542,7 +541,7 @@ func (d *Dataset) AddScan(date simtime.Date, records []*Record) error {
 	if d.view.Load() != nil {
 		panic("scanner: AddScan on a frozen Dataset (use Append)")
 	}
-	return d.ingestLocked(date, records, false)
+	return d.ingestLocked(date, records, false, nil)
 }
 
 // Append ingests the records of one scan into a frozen dataset without
@@ -556,22 +555,43 @@ func (d *Dataset) AddScan(date simtime.Date, records []*Record) error {
 // AddScan; a rejected scan still advances the generation so incremental
 // consumers observe that ingest was attempted.
 func (d *Dataset) Append(date simtime.Date, records []*Record) error {
+	return d.AppendAfter(date, records, nil)
+}
+
+// AppendAfter is Append with a barrier between building the batch and
+// showing it: the batch is gated, interned, routed and merged into each
+// touched shard's successor index, then durable (if not nil) is called
+// exactly once, and only when it returns nil is anything published. A
+// durability layer runs its fsync beside the staging and joins it there
+// (internal/wal), so no reader ever sees a batch that is not on disk.
+//
+// When durable fails, its error is returned and nothing observable moved:
+// Generation, every window, Domains, DirtySince, Quarantine and Size read
+// as before the call, and the same batch may be appended again. What
+// staging did outside the batch stays: certificates interned into the
+// pool, a spilled shard made resident, the implied first Freeze. A
+// strict-mode refusal or an unspill failure returns before durable is
+// called. durable runs under the dataset's write lock and must not call
+// back into the dataset.
+func (d *Dataset) AppendAfter(date simtime.Date, records []*Record, durable func() error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return d.ingestLocked(date, records, true)
+	return d.ingestLocked(date, records, true, durable)
 }
 
 // ingestLocked is the shared ingest path: gate the scan date, validate
 // records (gate, parallel over chunks), dedup certificates through the
 // pool (intern, parallel over chunks), resolve every record's registered
 // domains and owning shards in one pass (route), let each shard take its
-// own bucket (consume, parallel over shards), then publish the
-// dataset-global view and metrics. Caller holds d.mu; appendMode selects
-// Append semantics (implied freeze, generation bump, dirty journaling).
-func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode bool) error {
-	dateOK, err := d.gateDate(date)
-	if err != nil {
-		return err
+// own bucket (stage, parallel over shards), pass the barrier, then publish
+// the shards' successor indexes, the quarantine journal, the dataset-global
+// view and metrics. Caller holds d.mu; appendMode selects Append semantics
+// (implied freeze, generation bump, dirty journaling, a barrier — bulk
+// ingest accumulates in place while it stages).
+func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode bool, durable func() error) error {
+	dateOK := date.InStudy()
+	if !dateOK && d.strict {
+		return fmt.Errorf("%w: %s", ErrQuarantined, badDateDetail(date))
 	}
 	gates, accepted, err := d.gateRecordsLocked(date, records)
 	if err != nil {
@@ -586,10 +606,6 @@ func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode 
 			d.publishSizeLocked() // the implied freeze, if any, did land
 			return err
 		}
-	} else if !dateOK && accepted == 0 {
-		// Out-of-window bulk scan with nothing valid: the date rejection is
-		// journaled, nothing else changes.
-		return nil
 	}
 	if d.intern && accepted > 0 {
 		d.internRecordsLocked(records, gates)
@@ -598,12 +614,33 @@ func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode 
 	if appendMode {
 		gen = d.view.Load().generation + 1
 	}
+	nextIdx := make([]*shardIndex, len(d.shards))
 	newDomainsBy := make([][]dnscore.Name, len(d.shards))
 	if accepted > 0 {
 		buckets := d.routeLocked(records, gates, accepted)
 		forShards(len(d.shards), shardWorkers(len(records), len(d.shards)), func(sid int) {
-			newDomainsBy[sid] = d.shards[sid].consume(buckets[sid], gen, appendMode)
+			nextIdx[sid], newDomainsBy[sid] = d.shards[sid].stage(buckets[sid], gen, appendMode)
 		})
+	}
+	if durable != nil {
+		if err := durable(); err != nil {
+			d.publishSizeLocked() // the freeze, interning and unspill, if any, did land
+			return err
+		}
+	}
+	d.journalRejectsLocked(date, dateOK, records, gates)
+	if !appendMode && !dateOK && accepted == 0 {
+		// Out-of-window bulk scan with nothing valid: the rejections are
+		// journaled, nothing else changes.
+		return nil
+	}
+	for sid, next := range nextIdx {
+		if next != nil {
+			s := d.shards[sid]
+			s.mu.Lock()
+			s.idx.Store(next)
+			s.mu.Unlock()
+		}
 	}
 	if appendMode {
 		old := d.view.Load()
@@ -760,34 +797,36 @@ func insertDate(dates []simtime.Date, date simtime.Date) []simtime.Date {
 // (domain, period) cells that gained records, and the study periods that
 // gained scan dates (every domain's cell in such a period must be
 // re-examined — the period's scan roster feeds presence and edge checks
-// even for domains with no new records). Per-shard journals are merged and
-// sorted, so the result is deterministic and independent of the shard
-// count. DirtySince(0) reports everything journaled since Freeze.
+// even for domains with no new records). It is the reference view of the
+// journal the shard indexes carry (the pipeline reads ShardView.DirtyMask):
+// cells sorted by domain then period, so the result is deterministic and
+// independent of the shard count. DirtySince(0) reports everything
+// journaled since Freeze.
 func (d *Dataset) DirtySince(gen uint64) ([]DirtyCell, []simtime.Period) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	var cells []DirtyCell
 	for _, s := range d.shards {
-		for c, g := range s.dirtyCells {
-			if g > gen {
-				cells = append(cells, c)
-			}
+		if idx := s.idx.Load(); idx != nil {
+			idx.eachDirty(gen, func(cell DirtyCell, _ uint64) { cells = append(cells, cell) })
 		}
 	}
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].Domain != cells[j].Domain {
-			return cells[i].Domain < cells[j].Domain
-		}
-		return cells[i].Period < cells[j].Period
-	})
+	// Each shard's cells arrive in order and no two shards share a domain.
+	sort.SliceStable(cells, func(i, j int) bool { return cells[i].Domain < cells[j].Domain })
 	var periods []simtime.Period
 	for p, g := range d.dirtyPeriods {
 		if g > gen {
-			periods = append(periods, p)
+			periods = append(periods, simtime.Period(p))
 		}
 	}
-	sort.Slice(periods, func(i, j int) bool { return periods[i] < periods[j] })
 	return cells, periods
+}
+
+// DirtyPeriodMask is DirtySince's period list alone, bit p for period p.
+func (d *Dataset) DirtyPeriodMask(gen uint64) uint16 {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	return d.dirtyPeriods.since(gen)
 }
 
 // periodsOf reduces sorted scan dates to the distinct study periods.

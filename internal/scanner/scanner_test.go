@@ -1,11 +1,16 @@
 package scanner
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
 	"net/netip"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"retrodns/internal/ctlog"
@@ -343,7 +348,39 @@ func TestAppendEquivalence(t *testing.T) {
 		reverse.Append(dates[i], scans[dates[i]])
 	}
 
-	for name, ds := range map[string]*Dataset{"half-appended": half, "reverse-appended": reverse} {
+	// Appended in order, each batch's barrier failing once first: the failed
+	// attempt must move nothing a reader can observe, and leave a dataset that
+	// takes the same batch again as if it had never been offered.
+	clean, retried := NewDataset(), NewDataset()
+	clean.Freeze()
+	retried.Freeze()
+	errBarrier := errors.New("log device gone")
+	for _, d := range dates {
+		if err := clean.Append(d, scans[d]); err != nil {
+			t.Fatal(err)
+		}
+		before := datasetFingerprint(t, retried)
+		calls := 0
+		err := retried.AppendAfter(d, scans[d], func() error { calls++; return errBarrier })
+		if !errors.Is(err, errBarrier) || calls != 1 {
+			t.Fatalf("AppendAfter(%s) = %v after %d barrier calls, want the barrier's error after 1", d, err, calls)
+		}
+		if after := datasetFingerprint(t, retried); !reflect.DeepEqual(before, after) {
+			t.Fatalf("failed barrier at %s moved observable state:\nbefore %v\nafter  %v", d, before, after)
+		}
+		if err := retried.Append(d, scans[d]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var cleanSnap, retriedSnap bytes.Buffer
+	if err := errors.Join(clean.EncodeSnapshot(&cleanSnap), retried.EncodeSnapshot(&retriedSnap)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(cleanSnap.Bytes(), retriedSnap.Bytes()) {
+		t.Error("snapshot after failed barriers differs from one that never saw a failure")
+	}
+
+	for name, ds := range map[string]*Dataset{"half-appended": half, "reverse-appended": reverse, "barrier-retried": retried} {
 		if !ds.Frozen() {
 			t.Fatalf("%s: not frozen after Append", name)
 		}
@@ -426,6 +463,88 @@ func TestAppendDirtyTracking(t *testing.T) {
 	if cells, periods = ds.DirtySince(ds.Generation()); len(cells) != 0 || len(periods) != 0 {
 		t.Fatalf("DirtySince(current) = %v, %v", cells, periods)
 	}
+
+	// DirtySince is derived from the shard indexes; it must list what the
+	// journal it replaced listed, cell for cell and in the same order, over
+	// several shards, new domains, out-of-order scans, refused records and a
+	// failed barrier.
+	multi := NewDatasetShards(3)
+	if err := multi.AddScan(7, bigBatch(t, 7, 300)); err != nil {
+		t.Fatal(err)
+	}
+	multi.Freeze()
+	ref := cellJournal{}
+	requireJournal := func(step string) {
+		t.Helper()
+		for gen := uint64(0); gen <= multi.Generation(); gen++ {
+			got, _ := multi.DirtySince(gen)
+			if want := ref.since(gen); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: DirtySince(%d) lists %d cells, the map journal %d:\n got %v\nwant %v", step, gen, len(got), len(want), got, want)
+			}
+		}
+	}
+	requireJournal("after freeze")
+	_, refused := badBatch(14)
+	late := bigBatch(t, simtime.DaysPerPeriod+7, 400) // period 1; domains big00151.. are new
+	early := bigBatch(t, 0, 120)                      // sorts before everything ingested
+	for _, b := range []struct {
+		date    simtime.Date
+		records []*Record
+		fail    bool
+	}{
+		{14, refused, false}, {simtime.DaysPerPeriod + 7, late, false}, {21, nil, false},
+		{0, early, true}, {0, early, false}, {28, bigBatch(t, 28, 40), false},
+	} {
+		step := fmt.Sprintf("append %s (fail=%v)", b.date, b.fail)
+		if b.fail {
+			if err := multi.AppendAfter(b.date, b.records, func() error { return errors.New("no") }); err == nil {
+				t.Fatalf("%s: failed barrier returned nil", step)
+			}
+		} else {
+			if err := multi.Append(b.date, b.records); err != nil {
+				t.Fatalf("%s: %v", step, err)
+			}
+			ref.append(multi.Generation(), b.records)
+		}
+		requireJournal(step)
+	}
+	if cells, _ := multi.DirtySince(0); len(cells) < 250 {
+		t.Fatalf("journal holds %d cells: the comparison covered too little", len(cells))
+	}
+}
+
+// cellJournal is the dirty journal the way it was kept before the shard
+// indexes carried it: one map entry per cell, written for every routed
+// record, listed by collecting and sorting.
+type cellJournal map[DirtyCell]uint64
+
+func (j cellJournal) append(gen uint64, records []*Record) {
+	for _, r := range records {
+		if _, _, ok := validateRecord(r); !ok {
+			continue
+		}
+		for _, san := range r.Cert.SANs {
+			if apex := san.RegisteredDomain(); apex != "" {
+				j[DirtyCell{apex, simtime.PeriodOf(r.ScanDate)}] = gen
+			}
+		}
+	}
+}
+
+func (j cellJournal) since(gen uint64) []DirtyCell {
+	var cells []DirtyCell
+	for c, g := range j {
+		if g > gen {
+			cells = append(cells, c)
+		}
+	}
+	sort.Slice(cells, func(a, b int) bool {
+		if cells[a].Domain != cells[b].Domain {
+			return cells[a].Domain < cells[b].Domain
+		}
+		return cells[a].Period < cells[b].Period
+	})
+	return cells
 }
 
 // TestAppendConcurrentReads interleaves Append with readers hammering the
@@ -479,6 +598,88 @@ func TestAppendConcurrentReads(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
+
+	// A blocked barrier. While AppendAfter waits in it the batch is staged but
+	// must be invisible: every reader that does see it — lock-free, through a
+	// view taken meanwhile, or through the locked DirtySince — must find the
+	// barrier already released, and a view pinned beforehand never sees it.
+	const domain = "kyvernisi.gr"
+	batch := f.scanner.ScanWeek(812) // the transient, in a period of its own
+	if len(batch) == 0 {
+		t.Fatal("empty batch")
+	}
+	gen := ds.Generation()
+	pinned := ds.ShardViewFor(domain)
+	rank := sort.Search(len(pinned.Domains()), func(i int) bool { return pinned.Domains()[i] >= domain })
+	oldWindow := len(pinned.DomainRecords(domain, 0, 0))
+	entered, release := make(chan struct{}), make(chan struct{})
+	var released atomic.Bool
+	appended := make(chan error, 1)
+	go func() {
+		appended <- ds.AppendAfter(812, batch, func() error {
+			close(entered)
+			<-release
+			released.Store(true)
+			return nil
+		})
+	}()
+	<-entered
+	// sawBatch reports what one read saw; the flag is loaded after the read, so
+	// a read that saw the batch before the release is caught.
+	check := func(what string, sawBatch bool) {
+		if sawBatch && !released.Load() {
+			t.Errorf("%s showed the batch while its barrier was blocked", what)
+		}
+	}
+	var reads atomic.Int64
+	stop = make(chan struct{})
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				check("Generation", ds.Generation() != gen)
+				check("DomainRecords", len(ds.DomainRecords(domain, 0, 0)) != oldWindow)
+				v := ds.ShardViewFor(domain)
+				check("a fresh ShardView", len(v.DomainRecords(domain, 0, 0)) != oldWindow || v.DirtyMask(rank, gen) != 0)
+				check("ScanDates", len(ds.ScanDates(812, 813)) != 0)
+				if len(pinned.DomainRecords(domain, 0, 0)) != oldWindow || pinned.DirtyMask(rank, gen) != 0 {
+					t.Error("a pinned ShardView moved")
+				}
+				reads.Add(1)
+			}
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// Blocks on the dataset lock for as long as the barrier does.
+		cells, periods := ds.DirtySince(gen)
+		check("DirtySince", len(cells) != 0 || len(periods) != 0)
+	}()
+	for reads.Load() < 200 {
+		runtime.Gosched()
+	}
+	close(release)
+	if err := <-appended; err != nil {
+		t.Fatal(err)
+	}
+	close(stop)
+	wg.Wait()
+	cells, periods := ds.DirtySince(gen)
+	if ds.Generation() != gen+1 || len(ds.DomainRecords(domain, 0, 0)) != oldWindow+len(batch) ||
+		len(cells) != 1 || len(periods) != 1 || ds.ShardViewFor(domain).DirtyMask(rank, gen) == 0 {
+		t.Fatalf("released batch not published: gen %d (was %d), window %d (was %d), dirty %v %v",
+			ds.Generation(), gen, len(ds.DomainRecords(domain, 0, 0)), oldWindow, cells, periods)
+	}
+	if len(pinned.DomainRecords(domain, 0, 0)) != oldWindow || pinned.DirtyMask(rank, gen) != 0 {
+		t.Error("the pinned ShardView sees the published batch")
+	}
 }
 
 func TestIsSensitiveName(t *testing.T) {

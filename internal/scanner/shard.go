@@ -2,6 +2,7 @@ package scanner
 
 import (
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -31,14 +32,21 @@ import (
 // indexes beyond its own snapshot's length, so the sharing is race-free
 // under the single-writer dataset mutex.
 type shardIndex struct {
-	// byDomain maps a registered domain owned by this shard to every record
-	// whose certificate secures a name under it, sorted by scan date
-	// (stable, preserving ingest order within a date). nil when the shard
-	// is spilled — the payloads then live in spill's segment.
-	byDomain map[dnscore.Name][]*Record
-	// domains is this shard's sorted domain list. Always resident, spilled
-	// or not.
+	// domains is this shard's sorted domain list; windows and dirty are
+	// indexed by a domain's rank in it. Always resident, spilled or not.
 	domains []dnscore.Name
+	// pos maps a domain to its rank. Snapshots share one map until a domain
+	// is added. nil when the shard is spilled.
+	pos map[dnscore.Name]int32
+	// windows[i] holds every record whose certificate secures a name under
+	// domains[i], sorted by scan date (stable, preserving ingest order
+	// within a date). nil when the shard is spilled — the payloads then
+	// live in spill's segment.
+	windows [][]*Record
+	// dirty[i][p] is the dataset generation at which domains[i] last gained
+	// a record in period p, zero for never: the shard's dirty journal. nil
+	// until the first Append into the shard; resident even when spilled.
+	dirty []periodGens
 	// attach counts record attachments (a record indexed under two apexes
 	// counts twice).
 	attach int
@@ -47,25 +55,80 @@ type shardIndex struct {
 	spill *spillReader
 }
 
+// periodGens is one row of the dirty journal: per study period, the
+// dataset generation at which it last gained something, zero for never.
+type periodGens [simtime.NumPeriods]uint64
+
+// since reports the periods journaled after gen, bit p for period p.
+func (g *periodGens) since(gen uint64) (mask uint16) {
+	for p, at := range g {
+		if at > gen {
+			mask |= 1 << uint(p)
+		}
+	}
+	return mask
+}
+
 // records returns the full date-sorted record window for domain, from
 // memory or off the shard's segment.
 func (idx *shardIndex) records(domain dnscore.Name) []*Record {
 	if idx.spill != nil {
 		return idx.spill.records(domain)
 	}
-	return idx.byDomain[domain]
+	if i, ok := idx.pos[domain]; ok {
+		return idx.windows[i]
+	}
+	return nil
 }
 
-// clone copies the index's domain map for copy-on-write Append; the
-// domain list and record slices are shared until modified.
-func (idx *shardIndex) clone() *shardIndex {
-	next := &shardIndex{
-		byDomain: make(map[dnscore.Name][]*Record, len(idx.byDomain)+1),
-		domains:  idx.domains,
-		attach:   idx.attach,
+// eachDirty calls fn for every cell journaled after gen, with the generation
+// it last was, in domain then period order: the one order DirtySince lists
+// and the snapshot stores.
+func (idx *shardIndex) eachDirty(gen uint64, fn func(cell DirtyCell, at uint64)) {
+	for i := range idx.dirty {
+		for p, at := range idx.dirty[i] {
+			if at > gen {
+				fn(DirtyCell{idx.domains[i], simtime.Period(p)}, at)
+			}
+		}
 	}
-	for n, recs := range idx.byDomain {
-		next.byDomain[n] = recs
+}
+
+// rankDomains maps each name of a sorted domain list to its rank.
+func rankDomains(domains []dnscore.Name) map[dnscore.Name]int32 {
+	pos := make(map[dnscore.Name]int32, len(domains))
+	for i, n := range domains {
+		pos[n] = int32(i)
+	}
+	return pos
+}
+
+// successor starts the copy-on-write successor of a resident index for an
+// Append that adds the given domains (distinct, none present yet): rows
+// are copied and, when domains are added, moved to their new ranks. The
+// record slices themselves stay shared until modified.
+func (idx *shardIndex) successor(added []dnscore.Name) *shardIndex {
+	n := len(idx.domains) + len(added)
+	next := &shardIndex{
+		domains: idx.domains,
+		pos:     idx.pos,
+		windows: make([][]*Record, n),
+		dirty:   make([]periodGens, n),
+		attach:  idx.attach,
+	}
+	if len(added) == 0 {
+		copy(next.windows, idx.windows)
+		copy(next.dirty, idx.dirty)
+		return next
+	}
+	next.domains = mergeDomains(idx.domains, added)
+	next.pos = rankDomains(next.domains)
+	for i, domain := range idx.domains {
+		j := next.pos[domain]
+		next.windows[j] = idx.windows[i]
+		if idx.dirty != nil {
+			next.dirty[j] = idx.dirty[i]
+		}
 	}
 	return next
 }
@@ -80,18 +143,12 @@ type shard struct {
 	// idx holds the shard's current immutable index snapshot, nil until
 	// the dataset freezes.
 	idx atomic.Pointer[shardIndex]
-	// dirtyCells journals, per (domain, period) cell owned by this shard,
-	// the dataset generation at which it last gained records.
-	dirtyCells map[DirtyCell]uint64
 	// quar journals record-level rejections routed to this shard.
 	quar quarantine
 }
 
 func newShard() *shard {
-	return &shard{
-		byDomain:   make(map[dnscore.Name][]*Record),
-		dirtyCells: make(map[DirtyCell]uint64),
-	}
+	return &shard{byDomain: make(map[dnscore.Name][]*Record)}
 }
 
 // counts returns the shard's (domains, record attachments), from the index
@@ -109,15 +166,19 @@ func (s *shard) counts() (int, int) {
 func (s *shard) freeze() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	idx := &shardIndex{byDomain: s.byDomain, attach: s.attach}
-	for _, recs := range idx.byDomain {
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].ScanDate < recs[j].ScanDate })
-	}
-	idx.domains = make([]dnscore.Name, 0, len(idx.byDomain))
-	for n := range idx.byDomain {
+	idx := &shardIndex{attach: s.attach}
+	idx.domains = make([]dnscore.Name, 0, len(s.byDomain))
+	for n := range s.byDomain {
 		idx.domains = append(idx.domains, n)
 	}
 	sort.Slice(idx.domains, func(i, j int) bool { return idx.domains[i] < idx.domains[j] })
+	idx.pos = rankDomains(idx.domains)
+	idx.windows = make([][]*Record, len(idx.domains))
+	for i, n := range idx.domains {
+		recs := s.byDomain[n]
+		sort.SliceStable(recs, func(i, j int) bool { return recs[i].ScanDate < recs[j].ScanDate })
+		idx.windows[i] = recs
+	}
 	s.byDomain = nil
 	s.idx.Store(idx)
 }
@@ -189,14 +250,15 @@ func (d *Dataset) routeLocked(records []*Record, gates []uint8, accepted int) []
 	return buckets
 }
 
-// consume ingests this shard's bucket of one scan. Shards share nothing, so
-// buckets are consumed in parallel. In frozen mode the index is
-// copied-on-write and republished, (domain, period) cells are journaled
-// under gen, and newly seen domains are returned for the dataset-level
-// merge.
-func (s *shard) consume(bucket []routed, gen uint64, frozen bool) []dnscore.Name {
+// stage takes this shard's bucket of one scan. Shards share nothing, so
+// buckets are staged in parallel. Before Freeze the records simply
+// accumulate. On a frozen shard nothing is published here: the returned
+// successor index carries the merged windows and the (domain, period)
+// cells journaled under gen, for ingestLocked to store once the batch may
+// be seen, along with the newly seen domains for the dataset-level merge.
+func (s *shard) stage(bucket []routed, gen uint64, frozen bool) (*shardIndex, []dnscore.Name) {
 	if len(bucket) == 0 {
-		return nil
+		return nil, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -205,29 +267,35 @@ func (s *shard) consume(bucket []routed, gen uint64, frozen bool) []dnscore.Name
 			s.byDomain[e.apex] = append(s.byDomain[e.apex], e.rec)
 		}
 		s.attach += len(bucket)
-		return nil
+		return nil, nil
 	}
 	old := s.idx.Load()
-	next := old.clone()
-	var newDomains []dnscore.Name
-	for _, e := range bucket {
-		recs, existed := next.byDomain[e.apex]
-		next.byDomain[e.apex] = insertRecord(recs, e.rec)
-		// existed reflects next.byDomain, which accumulates within the
-		// batch — each new apex passes here exactly once.
-		if !existed {
-			newDomains = append(newDomains, e.apex)
+	// A record's rank in the old index serves in the successor too, unless
+	// the batch brings a domain the shard has not seen yet.
+	rank := make([]int32, len(bucket))
+	var added []dnscore.Name
+	for k, e := range bucket {
+		i, ok := old.pos[e.apex]
+		if !ok {
+			added = append(added, e.apex)
 		}
+		rank[k] = i
+	}
+	slices.Sort(added)
+	added = slices.Compact(added)
+	next := old.successor(added)
+	for k, e := range bucket {
+		i := rank[k]
+		if len(added) > 0 {
+			i = next.pos[e.apex]
+		}
+		next.windows[i] = insertRecord(next.windows[i], e.rec)
 		if e.rec.ScanDate.InStudy() {
-			s.dirtyCells[DirtyCell{e.apex, simtime.PeriodOf(e.rec.ScanDate)}] = gen
+			next.dirty[i][simtime.PeriodOf(e.rec.ScanDate)] = gen
 		}
 	}
 	next.attach += len(bucket)
-	if len(newDomains) > 0 {
-		next.domains = mergeDomains(old.domains, newDomains)
-	}
-	s.idx.Store(next)
-	return newDomains
+	return next, added
 }
 
 // mergeDomains returns the sorted union of a sorted domain list and the

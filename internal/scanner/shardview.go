@@ -49,6 +49,16 @@ func (v ShardView) Domains() []dnscore.Name {
 	return v.idx.domains
 }
 
+// DirtyMask reports the periods (bit p for period p) in which the i-th
+// domain of Domains() gained a record after generation since: the domain's
+// row of the dirty journal DirtySince lists, as of the view's snapshot.
+func (v ShardView) DirtyMask(i int, since uint64) uint16 {
+	if v.idx == nil || v.idx.dirty == nil {
+		return 0
+	}
+	return v.idx.dirty[i].since(since)
+}
+
 // DomainRecords returns the records of a domain owned by this shard within
 // [from, to), in scan-date order — the per-shard counterpart of
 // Dataset.DomainRecords with identical window semantics (zero bounds

@@ -4,7 +4,7 @@ package scanner
 // configured memory budget, whole frozen shards are sealed into immutable
 // segment files (internal/segment) and their in-memory record payloads
 // dropped; the shard keeps its sorted domain list, attachment count,
-// dirty-cell journal, and quarantine journal resident, so every index-level
+// dirty journal, and quarantine journal resident, so every index-level
 // read (Domains, DirtySince, counts, reports) is untouched. Record windows
 // of a spilled shard are decoded back out of the segment on demand, through
 // the same binary codec that wrote them and the same canonical pooled
@@ -291,10 +291,10 @@ func (d *Dataset) sealShardLocked(sid int) error {
 		return nil
 	}
 	gen := d.view.Load().generation
-	table := newCertTable()
+	table := newCertTable(0)
 	w := segment.NewWriter(sid, gen)
-	for _, domain := range idx.domains {
-		if err := w.Add(string(domain), encodeWindow(idx.byDomain[domain], table)); err != nil {
+	for i, domain := range idx.domains {
+		if err := w.Add(string(domain), encodeWindow(idx.windows[i], table)); err != nil {
 			return fmt.Errorf("%w: seal shard %d: %v", ErrSpill, sid, err)
 		}
 	}
@@ -313,7 +313,7 @@ func (d *Dataset) sealShardLocked(sid int) error {
 	// held; reads hand them back by pointer, so a spilled shard's records
 	// carry the very same certificates.
 	sr := newSpillReader(r, info.File, table.certs, &d.segmet)
-	next := &shardIndex{domains: idx.domains, attach: idx.attach, spill: sr}
+	next := &shardIndex{domains: idx.domains, dirty: idx.dirty, attach: idx.attach, spill: sr}
 	s.mu.Lock()
 	s.idx.Store(next)
 	s.mu.Unlock()
@@ -334,22 +334,20 @@ func (d *Dataset) unspillShardLocked(sid int) error {
 		return nil
 	}
 	sr := idx.spill
-	byDomain := make(map[dnscore.Name][]*Record, len(idx.domains))
-	i := 0
+	windows := make([][]*Record, 0, len(idx.domains))
 	err := sr.seg.Walk(func(key string, value []byte) error {
-		if i >= len(idx.domains) || string(idx.domains[i]) != key {
+		if i := len(windows); i >= len(idx.domains) || string(idx.domains[i]) != key {
 			return fmt.Errorf("%w: segment domain %q does not match shard %d index", ErrSpill, key, sid)
 		}
 		window, err := decodeWindow(value, sr.certs)
 		if err != nil {
 			return fmt.Errorf("%w: replay %q: %v", ErrSpill, key, err)
 		}
-		byDomain[idx.domains[i]] = window
-		i++
+		windows = append(windows, window)
 		return nil
 	})
-	if err == nil && i != len(idx.domains) {
-		err = fmt.Errorf("%w: segment for shard %d holds %d domains, index %d", ErrSpill, sid, i, len(idx.domains))
+	if err == nil && len(windows) != len(idx.domains) {
+		err = fmt.Errorf("%w: segment for shard %d holds %d domains, index %d", ErrSpill, sid, len(windows), len(idx.domains))
 	}
 	if err != nil {
 		if errors.Is(err, ErrSpill) {
@@ -357,7 +355,10 @@ func (d *Dataset) unspillShardLocked(sid int) error {
 		}
 		return fmt.Errorf("%w: %v", ErrSpill, err)
 	}
-	next := &shardIndex{byDomain: byDomain, domains: idx.domains, attach: idx.attach}
+	next := &shardIndex{
+		domains: idx.domains, pos: rankDomains(idx.domains), windows: windows,
+		dirty: idx.dirty, attach: idx.attach,
+	}
 	s.mu.Lock()
 	s.idx.Store(next)
 	s.mu.Unlock()

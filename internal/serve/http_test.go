@@ -18,6 +18,15 @@ import (
 	"retrodns/internal/simtime"
 )
 
+// categories flattens a literal per-period category map into the form a
+// Result's History holds.
+func categories(byPeriod map[simtime.Period]core.Category) (pc core.PeriodCategories) {
+	for p, c := range byPeriod {
+		pc.Set(p, c)
+	}
+	return pc
+}
+
 // testResult builds a small, fully-synthetic pipeline result: one
 // hijacked domain with a T1 candidate in period 1, one quietly stable
 // domain, generation 7. Every golden body below derives from it.
@@ -37,9 +46,9 @@ func testResult() *core.Result {
 		PDNS: true, CT: true, AttackerASN: 64500, AttackerCC: "RU",
 	}
 	res := &core.Result{
-		History: map[dnscore.Name]map[simtime.Period]core.Category{
-			"victim.gov.xx": {0: core.CategoryStable, 1: core.CategoryTransient},
-			"steady.com":    {0: core.CategoryStable, 1: core.CategoryStable},
+		History: map[dnscore.Name]core.PeriodCategories{
+			"victim.gov.xx": categories(map[simtime.Period]core.Category{0: core.CategoryStable, 1: core.CategoryTransient}),
+			"steady.com":    categories(map[simtime.Period]core.Category{0: core.CategoryStable, 1: core.CategoryStable}),
 		},
 		Candidates: []*core.Candidate{cand},
 		Hijacked:   []*core.Finding{find},
@@ -333,10 +342,10 @@ func TestPrerenderServedZeroCopy(t *testing.T) {
 	// A hand-built roster past the old prerender budget: every domain is
 	// still served from the snapshot, from three shared tails.
 	res := testResult()
-	histories := []map[simtime.Period]core.Category{
-		{0: core.CategoryStable, 1: core.CategoryStable},
-		{1: core.CategoryStable},
-		{0: core.CategoryNoisy, 1: core.CategoryTransition},
+	histories := []core.PeriodCategories{
+		categories(map[simtime.Period]core.Category{0: core.CategoryStable, 1: core.CategoryStable}),
+		categories(map[simtime.Period]core.Category{1: core.CategoryStable}),
+		categories(map[simtime.Period]core.Category{0: core.CategoryNoisy, 1: core.CategoryTransition}),
 	}
 	const extra = DefaultPrerenderDomains + 5
 	for i := 0; i < extra; i++ {

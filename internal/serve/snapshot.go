@@ -204,6 +204,46 @@ func renderDoc(doc any) []byte {
 	return append(body, '\n')
 }
 
+// renderPatterns is renderDoc for a pattern listing, the one singleton whose
+// size follows the roster: when the label and every name are what
+// encoding/json writes verbatim (plainName) the same bytes are appended
+// directly; any other document goes through renderDoc whole.
+func renderPatterns(doc *PatternsDoc) []byte {
+	size := 96 + len(doc.Label)
+	plain := plainName(doc.Label)
+	for _, name := range doc.Domains {
+		plain = plain && plainName(name)
+		size += len(name) + len(",\n    \"\"")
+	}
+	if !plain {
+		return renderDoc(doc)
+	}
+	b := make([]byte, 0, size)
+	b = append(b, "{\n  \"generation\": "...)
+	b = strconv.AppendUint(b, doc.Generation, 10)
+	b = append(b, ",\n  \"label\": \""...)
+	b = append(b, doc.Label...)
+	b = append(b, "\",\n  \"count\": "...)
+	b = strconv.AppendInt(b, int64(doc.Count), 10)
+	b = append(b, ",\n  \"domains\": "...)
+	switch {
+	case doc.Domains == nil:
+		b = append(b, "null"...)
+	case len(doc.Domains) == 0:
+		b = append(b, "[]"...)
+	default:
+		sep := "[\n    \""
+		for _, name := range doc.Domains {
+			b = append(b, sep...)
+			b = append(b, name...)
+			b = append(b, '"')
+			sep = ",\n    \""
+		}
+		b = append(b, "\n  ]"...)
+	}
+	return append(b, "\n}\n"...)
+}
+
 // The fixed seams of a rendered DomainDoc. Generation and Domain are its
 // first two fields, so what follows the name mentions neither.
 const (
@@ -452,7 +492,7 @@ func BuildSnapshotOpts(res *core.Result, ds *scanner.Dataset, built time.Time, o
 	}
 	snap.patternsBody = make(map[string][]byte, len(snap.patterns))
 	for label, doc := range snap.patterns {
-		if body := renderDoc(doc); body != nil {
+		if body := renderPatterns(doc); body != nil {
 			snap.patternsBody[label] = body
 			snap.prerendered++
 		}

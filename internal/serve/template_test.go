@@ -155,7 +155,7 @@ func TestTemplatedBodiesMatchReference(t *testing.T) {
 		}
 		res := testResult()
 		for _, name := range names {
-			res.History[name] = map[simtime.Period]core.Category{0: core.CategoryStable, 1: core.CategoryStable}
+			res.History[name] = categories(map[simtime.Period]core.Category{0: core.CategoryStable, 1: core.CategoryStable})
 		}
 		snap := requireBodiesMatchReference(t, res, nil)
 		for _, name := range names {
@@ -172,6 +172,44 @@ func TestTemplatedBodiesMatchReference(t *testing.T) {
 	})
 }
 
+// TestPatternListingsMatchReference is the differential test of the listing
+// writer: for every label and every shape of domain list — nil, empty, one
+// name, many, and lists holding each kind of name encoding/json would
+// escape — renderPatterns returns renderDoc's bytes.
+func TestPatternListingsMatchReference(t *testing.T) {
+	many := make([]string, 300)
+	for i := range many {
+		many[i] = fmt.Sprintf("d%08d.example", i)
+	}
+	lists := map[string][]string{
+		"nil": nil, "empty": {}, "one": {"steady.com"}, "many": many,
+		"escaped-only": {`quo"te.example`},
+	}
+	for _, name := range []string{
+		`back\slash.example`, "less<than.example", "amp&ersand.example", "ctl\x01byte.example",
+		"del\x7fbyte.example", "ünï.example", "bad\xffutf8.example", "line\u2028sep.example",
+	} {
+		lists["escaped:"+name] = []string{"alpha.com", name, "zulu.org"}
+	}
+	labels := append([]string{`we"ird`, ""}, PatternLabels...)
+	for _, label := range labels {
+		for shape, domains := range lists {
+			for _, gen := range []uint64{0, 7, 1<<64 - 1} {
+				doc := &PatternsDoc{Generation: gen, Label: label, Count: len(domains), Domains: domains}
+				if got, want := renderPatterns(doc), renderDoc(doc); !bytes.Equal(got, want) {
+					t.Fatalf("label %q, %s list, generation %d: rendered\n%s\nreference\n%s", label, shape, gen, got, want)
+				}
+			}
+		}
+	}
+	// A negative count is not something BuildSnapshot produces, but the
+	// document type allows it.
+	doc := &PatternsDoc{Label: "stable", Count: -3, Domains: []string{"a.example"}}
+	if got, want := renderPatterns(doc), renderDoc(doc); !bytes.Equal(got, want) {
+		t.Fatalf("negative count: rendered\n%s\nreference\n%s", got, want)
+	}
+}
+
 // FuzzDomainBody is the seam check under arbitrary input: any name, any
 // category history, any generation — the served bytes equal the reference
 // render and nothing panics.
@@ -181,11 +219,11 @@ func FuzzDomainBody(f *testing.F) {
 	f.Add("x", []byte{}, uint64(1<<64-1))
 	f.Add("ünï.example", []byte{2}, uint64(10))
 	f.Fuzz(func(t *testing.T, name string, cats []byte, gen uint64) {
-		history := map[simtime.Period]core.Category{}
+		var history core.PeriodCategories
 		for p, c := range cats {
 			// 0 leaves the period unclassified; 1..4 are the categories.
 			if p < simtime.NumPeriods && c%5 != 0 {
-				history[simtime.Period(p)] = core.Category(c%5 - 1)
+				history.Set(simtime.Period(p), core.Category(c%5-1))
 			}
 		}
 		res := testResult()

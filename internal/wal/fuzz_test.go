@@ -15,8 +15,8 @@ import (
 func FuzzWALReplay(f *testing.F) {
 	g := synth.New(synth.Config{Domains: 6, Seed: 3, Scans: 2})
 	dates := g.ScanDates()
-	valid := encodeFrame(2, dates[0], g.Scan(dates[0]))
-	two := append(append([]byte(nil), valid...), encodeFrame(3, dates[1], g.Scan(dates[1]))...)
+	valid := appendFrame(nil, 2, dates[0], g.Scan(dates[0]))
+	two := append(append([]byte(nil), valid...), appendFrame(nil, 3, dates[1], g.Scan(dates[1]))...)
 
 	f.Add([]byte(nil))
 	f.Add(valid)
@@ -27,8 +27,8 @@ func FuzzWALReplay(f *testing.F) {
 	garbled[len(garbled)-3] ^= 0xff
 	f.Add(garbled) // CRC mismatch in last frame
 	short := append([]byte(nil), valid[:frameHeader]...)
-	f.Add(short)                                   // header only
-	f.Add(encodeFrame(9, simtime.StudyStart, nil)) // empty batch
+	f.Add(short)                                        // header only
+	f.Add(appendFrame(nil, 9, simtime.StudyStart, nil)) // empty batch
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames := 0

@@ -2,15 +2,17 @@ package wal
 
 // Store is the durable spine under a live retrodnsd: every accepted
 // Dataset.Append batch is framed, written, and fsynced to the WAL *before*
-// it is applied, so any state the daemon ever published is recoverable.
-// Periodic snapshots bound replay time and let a warm restart skip
-// reclassification of clean cells entirely.
+// anything of it is visible, so any state the daemon ever published is
+// recoverable. Periodic snapshots bound replay time and let a warm restart
+// skip reclassification of clean cells entirely.
 
 import (
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
+	"time"
 
 	"retrodns/internal/core"
 	"retrodns/internal/obsv"
@@ -27,7 +29,15 @@ const (
 	MetricWALReplayed     = "retrodns_wal_replayed_batches_total"
 	MetricWALQuarantined  = "retrodns_wal_quarantined_total"
 	MetricWALRecoveredGen = "retrodns_wal_recovered_generation"
+	MetricWALAppendSec    = "retrodns_wal_append_seconds"
 )
+
+// appendSteps are the steps of one Store.Append, MetricWALAppendSec's step
+// label. encode, stage and publish follow one another on the caller's
+// goroutine; sync is the writer goroutine's write + fsync, running beside
+// stage; sync_wait is what the caller still waited for it once staging was
+// done — near zero when the CPU is the long pole, near sync on a slow disk.
+var appendSteps = []string{"encode", "stage", "sync", "sync_wait", "publish"}
 
 // Quarantine reasons for MetricWALQuarantined. Every refusal on the
 // durability path counts under exactly one of these.
@@ -95,6 +105,15 @@ type storeMetrics struct {
 	replayed     *obsv.Counter
 	quarantined  map[string]*obsv.Counter
 	recoveredGen *obsv.Gauge
+	appendSec    map[string]*obsv.Histogram
+}
+
+// step records that one step of an Append took from start until now, and
+// returns now.
+func (m *storeMetrics) step(step string, start time.Time) time.Time {
+	now := time.Now()
+	m.appendSec[step].Observe(now.Sub(start).Seconds())
+	return now
 }
 
 // Store owns the WAL file and snapshot directory for one dataset.
@@ -107,6 +126,13 @@ type Store struct {
 
 	wal     *os.File
 	walSize int64
+	// frame is the encode buffer, reused from one Append to the next.
+	frame []byte
+	// failed latches the first log write or fsync error. Whether that frame
+	// is on disk is unknown from then on, so Append refuses until a
+	// Snapshot has rewritten the state and emptied the log (or the
+	// directory is reopened and recovery decides).
+	failed error
 
 	appendsSince int
 	lastSnapGen  uint64
@@ -206,6 +232,7 @@ func (s *Store) initMetrics(reg *obsv.Registry) {
 	reg.SetHelp(MetricWALReplayed, "WAL frames applied during recovery.")
 	reg.SetHelp(MetricWALQuarantined, "Durability-layer refusals, by reason.")
 	reg.SetHelp(MetricWALRecoveredGen, "Dataset generation recovered to at boot.")
+	reg.SetHelp(MetricWALAppendSec, "Where one durable append's time goes, by step (sync runs beside stage).")
 	s.met.appends = reg.Counter(MetricWALAppends)
 	s.met.records = reg.Counter(MetricWALRecords)
 	s.met.bytes = reg.Counter(MetricWALBytes)
@@ -215,6 +242,10 @@ func (s *Store) initMetrics(reg *obsv.Registry) {
 		s.met.quarantined[reason] = reg.Counter(MetricWALQuarantined, "reason", reason)
 	}
 	s.met.recoveredGen = reg.Gauge(MetricWALRecoveredGen)
+	s.met.appendSec = make(map[string]*obsv.Histogram, len(appendSteps))
+	for _, step := range appendSteps {
+		s.met.appendSec[step] = reg.Histogram(MetricWALAppendSec, obsv.DurationBuckets, "step", step)
+	}
 }
 
 func (s *Store) fault(reason string) {
@@ -292,13 +323,22 @@ func (s *Store) replayWAL(rec *Recovery) error {
 	return nil
 }
 
-// Append writes the batch to the WAL (fsynced) and only then applies it to
-// the dataset: a batch the dataset has seen is always recoverable, and a
-// torn write is a batch the dataset never saw. A scan date outside the
-// study window is refused with ErrClockSkew before either side sees it.
+// Append makes the batch durable and then visible, in that order: the frame
+// is encoded, a goroutine writes and fsyncs it while this one stages the
+// batch in the dataset (Dataset.AppendAfter), and the dataset publishes
+// only once the fsync has returned. A batch any reader has seen is always
+// recoverable, and a torn write is a batch no reader ever saw. A scan date
+// outside the study window is refused with ErrClockSkew before either side
+// sees it.
+//
+// A failed write or fsync publishes nothing and latches: every later
+// Append returns the same error (see Store.failed).
 func (s *Store) Append(date simtime.Date, records []*scanner.Record) error {
 	if s.closed {
 		return ErrClosed
+	}
+	if s.failed != nil {
+		return s.failed
 	}
 	if !date.InStudy() {
 		s.fault(FaultClockSkew)
@@ -309,17 +349,35 @@ func (s *Store) Append(date simtime.Date, records []*scanner.Record) error {
 	if cur == 0 {
 		want = 2
 	}
-	frame := encodeFrame(want, date, records)
-	if _, err := s.wal.Write(frame); err != nil {
-		// The write may have landed partially; recovery's torn-tail
-		// handling owns that case. Trim what we can see now.
-		s.restoreWALSize()
+	t := time.Now()
+	s.frame = appendFrame(s.frame[:0], want, date, records)
+	frame := s.frame
+	t = s.met.step("encode", t)
+
+	synced := make(chan error, 1)
+	go func() {
+		start := time.Now()
+		_, err := s.wal.Write(frame)
+		if err == nil {
+			err = s.wal.Sync()
+		}
+		s.met.step("sync", start)
+		synced <- err
+	}()
+	// Joined exactly once: at the barrier, or here when the dataset refused
+	// the batch before reaching it and the writer still owns the file.
+	join := sync.OnceValue(func() error { return <-synced })
+	err := s.ds.AppendAfter(date, records, func() error {
+		t = s.met.step("stage", t)
+		err := join()
+		t = s.met.step("sync_wait", t)
 		return err
+	})
+	if syncErr := join(); syncErr != nil {
+		s.failed = fmt.Errorf("wal: log write failed, appends refused until a snapshot or reopen: %w", syncErr)
+		return s.failed
 	}
-	if err := s.wal.Sync(); err != nil {
-		return err
-	}
-	if err := s.ds.Append(date, records); err != nil {
+	if err != nil {
 		// The dataset refused (e.g. strict-mode quarantine): the frame
 		// must not survive, or replay would apply what the live process
 		// rejected.
@@ -328,6 +386,7 @@ func (s *Store) Append(date simtime.Date, records []*scanner.Record) error {
 		}
 		return err
 	}
+	s.met.step("publish", t)
 	s.walSize += int64(len(frame))
 	s.appendsSince++
 	s.met.appends.Inc()
@@ -337,12 +396,6 @@ func (s *Store) Append(date simtime.Date, records []*scanner.Record) error {
 		return fmt.Errorf("wal: generation skew: dataset at %d, wal framed %d", got, want)
 	}
 	return nil
-}
-
-// restoreWALSize re-trims the log to the last known-good boundary after a
-// failed write.
-func (s *Store) restoreWALSize() {
-	_ = s.truncateTo(s.walSize)
 }
 
 func (s *Store) truncateTo(n int64) error {
@@ -377,7 +430,7 @@ func (s *Store) Snapshot() error {
 	if gen == 0 {
 		return nil // nothing durable to capture
 	}
-	if gen == s.lastSnapGen {
+	if gen == s.lastSnapGen && s.failed == nil {
 		s.appendsSince = 0
 		return nil
 	}
@@ -391,6 +444,7 @@ func (s *Store) Snapshot() error {
 		return err
 	}
 	s.walSize = 0
+	s.failed = nil
 	s.appendsSince = 0
 	s.lastSnapGen = gen
 	s.met.snapshots.Inc()
@@ -400,7 +454,7 @@ func (s *Store) Snapshot() error {
 
 // Close fsyncs and closes the WAL — the graceful-drain contract: nothing
 // the daemon published is lost to a clean SIGTERM (every batch was already
-// fsynced before it was applied; this covers the file handle itself).
+// fsynced before it was visible; this covers the file handle itself).
 func (s *Store) Close() error {
 	if s.closed {
 		return nil

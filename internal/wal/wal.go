@@ -57,15 +57,19 @@ const (
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// encodeFrame renders one WAL frame for an Append batch.
-func encodeFrame(gen uint64, date simtime.Date, records []*scanner.Record) []byte {
-	body := binary.AppendUvarint(nil, gen)
-	body = append(body, scanner.EncodeBatch(date, records)...)
-	frame := make([]byte, frameHeader, frameHeader+len(body))
-	binary.LittleEndian.PutUint32(frame[0:], frameMagic)
-	binary.LittleEndian.PutUint32(frame[4:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(frame[8:], crc32.Checksum(body, crcTable))
-	return append(frame, body...)
+// appendFrame appends one WAL frame for an Append batch to dst: the header
+// is reserved first and patched once the body, encoded in place behind it,
+// has a length and a checksum.
+func appendFrame(dst []byte, gen uint64, date simtime.Date, records []*scanner.Record) []byte {
+	start := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = binary.AppendUvarint(dst, gen)
+	dst = scanner.AppendBatch(dst, date, records)
+	header, body := dst[start:], dst[start+frameHeader:]
+	binary.LittleEndian.PutUint32(header[0:], frameMagic)
+	binary.LittleEndian.PutUint32(header[4:], uint32(len(body)))
+	binary.LittleEndian.PutUint32(header[8:], crc32.Checksum(body, crcTable))
+	return dst
 }
 
 // Replay walks the framed log in data, invoking fn once per valid frame in

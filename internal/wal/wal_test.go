@@ -2,11 +2,15 @@ package wal
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"retrodns/internal/core"
+	"retrodns/internal/pdns"
 	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
 	"retrodns/internal/synth"
@@ -196,8 +200,8 @@ func TestStoreFaultClasses(t *testing.T) {
 	t.Run("out of order generation", func(t *testing.T) {
 		dir := t.TempDir()
 		// Hand-build a log with a generation gap: 2 then 4.
-		frames := append(encodeFrame(2, dates[0], g.Scan(dates[0])),
-			encodeFrame(4, dates[2], g.Scan(dates[2]))...)
+		frames := append(appendFrame(nil, 2, dates[0], g.Scan(dates[0])),
+			appendFrame(nil, 4, dates[2], g.Scan(dates[2]))...)
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -232,6 +236,175 @@ func TestStoreRefusesClockSkew(t *testing.T) {
 	_, rec := openStore(t, dir, 1000)
 	if rec.Generation != gen {
 		t.Fatal("skewed append left durable residue")
+	}
+}
+
+// TestStrictRefusalLeavesNoFrame: a strict dataset refuses a batch before
+// the barrier, while the writer goroutine already has the frame. The store
+// waits for the writer and cuts the frame away, so the log, the next
+// append and a later recovery are those of a run never offered the batch.
+func TestStrictRefusalLeavesNoFrame(t *testing.T) {
+	dir := t.TempDir()
+	g := testGen(t)
+	dates := g.ScanDates()
+	s, rec := openStore(t, dir, 1000)
+	rec.Dataset.SetStrict(true)
+	if err := s.Append(dates[0], g.Scan(dates[0])); err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		fi, err := os.Stat(s.walPath())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	gen, logSize := s.Generation(), size()
+	bad := append(g.Scan(dates[1]), &scanner.Record{ScanDate: dates[1]})
+	if err := s.Append(dates[1], bad); !errors.Is(err, scanner.ErrQuarantined) {
+		t.Fatalf("Append of a malformed record to a strict dataset = %v, want ErrQuarantined", err)
+	}
+	if s.Generation() != gen || size() != logSize {
+		t.Fatalf("refused batch left generation %d (was %d), log %d bytes (was %d)", s.Generation(), gen, size(), logSize)
+	}
+	for _, date := range dates[1:] {
+		if err := s.Append(date, g.Scan(date)); err != nil {
+			t.Fatalf("Append after the refusal: %v", err)
+		}
+	}
+	_, rec2 := openStore(t, dir, 1000)
+	if len(rec2.Faults) != 0 || !bytes.Equal(snapshotBytes(t, reference(t, g, 4)), snapshotBytes(t, rec2.Dataset)) {
+		t.Fatalf("recovery after a refused batch: %+v, want the uninterrupted state", rec2)
+	}
+}
+
+// TestAppendFailureIsSticky closes the log's descriptor under the store, so
+// the next frame cannot be written: that Append returns the error with the
+// dataset exactly where it was, every later Append returns the same error
+// without touching the file, reopening the directory recovers the state a
+// clean run of the surviving appends reaches, and on the live store a
+// successful Snapshot — which rewrites the state and empties the log — is
+// what lifts the refusal.
+func TestAppendFailureIsSticky(t *testing.T) {
+	dir := t.TempDir()
+	g := testGen(t)
+	dates := g.ScanDates()
+	s, rec := openStore(t, dir, 1000)
+	for _, date := range dates[:2] {
+		if err := s.Append(date, g.Scan(date)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gen, before := s.Generation(), snapshotBytes(t, rec.Dataset)
+	if err := s.wal.Close(); err != nil {
+		t.Fatal(err)
+	}
+	first := s.Append(dates[2], g.Scan(dates[2]))
+	if first == nil {
+		t.Fatal("Append on a closed log succeeded")
+	}
+	if s.Generation() != gen || !bytes.Equal(before, snapshotBytes(t, rec.Dataset)) {
+		t.Fatal("failed Append moved the dataset")
+	}
+	for _, date := range dates[2:] {
+		if err := s.Append(date, g.Scan(date)); err != first {
+			t.Fatalf("Append after a failed write = %v, want the first failure %v", err, first)
+		}
+	}
+	if s.Generation() != gen {
+		t.Fatal("refused Append moved the dataset")
+	}
+
+	_, rec2 := openStore(t, dir, 1000)
+	prefix := scanner.NewDatasetShards(4)
+	for _, date := range dates[:2] {
+		if err := prefix.Append(date, g.Scan(date)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rec2.Generation != gen || len(rec2.Faults) != 0 || !bytes.Equal(snapshotBytes(t, prefix), snapshotBytes(t, rec2.Dataset)) {
+		t.Fatalf("recovery after a failed write: %+v, want the two-append state at generation %d", rec2, gen)
+	}
+
+	// Back on the first store: a snapshot fails while the log is unusable and
+	// leaves the refusal in place; given a working descriptor it clears it.
+	if err := s.Snapshot(); err == nil {
+		t.Fatal("Snapshot truncated a closed log")
+	}
+	if err := s.Append(dates[2], g.Scan(dates[2])); err != first {
+		t.Fatalf("Append after a failed snapshot = %v, want %v", err, first)
+	}
+	var err error
+	if s.wal, err = os.OpenFile(s.walPath(), os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	for _, date := range dates[2:] {
+		if err := s.Append(date, g.Scan(date)); err != nil {
+			t.Fatalf("Append after the clearing snapshot: %v", err)
+		}
+	}
+	_, rec3 := openStore(t, dir, 1000)
+	if want, got := snapshotBytes(t, reference(t, g, 4)), snapshotBytes(t, rec3.Dataset); !bytes.Equal(want, got) {
+		t.Fatal("state after the cleared failure diverged from uninterrupted ingest")
+	}
+}
+
+// TestDiskBytesPinned holds the three durable encodings to the bytes the
+// commit before the overlapped append wrote for the same input (sha256
+// recorded there, before the change): the log after three appends, the
+// snapshot file of the resulting state, and the classify cache's state.
+// What that commit wrote, this one opens, and the other way round.
+func TestDiskBytesPinned(t *testing.T) {
+	const (
+		wantLog   = "c15fc0741a15dc71f728122dff1ce06fadf485d547480d223afba521d8f3e14c"
+		wantSnap  = "4666ff3526085f8e514c23d0e3a219507454dace725e7438455fd658134bd4a0"
+		wantCache = "c8f9101b0d95be5f17ca412b19858893e5fe2028f4aa2e8608b0e0770fdc58b7"
+	)
+	dir := t.TempDir()
+	// Three scans over two periods, with enough transients to give the cache
+	// deployment maps worth encoding.
+	g := synth.New(synth.Config{Domains: 300, Seed: 11, Scans: 3, CadenceDays: 100, TransientPerMille: 40})
+	s, rec, err := Open(Options{Dir: dir, Shards: 4, SnapshotEvery: 1000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	pipe := &core.Pipeline{
+		Params: core.DefaultParams(), Dataset: rec.Dataset, PDNS: pdns.NewDB(), Workers: 2, Cache: rec.Cache,
+	}
+	for _, date := range g.ScanDates() {
+		if err := s.Append(date, g.Scan(date)); err != nil {
+			t.Fatal(err)
+		}
+		pipe.Run()
+	}
+	sum := func(b []byte) string { return fmt.Sprintf("%x", sha256.Sum256(b)) }
+	log, err := os.ReadFile(filepath.Join(dir, walName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sum(log); got != wantLog {
+		t.Errorf("wal.log (%d bytes) sha256 %s, want %s", len(log), got, wantLog)
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, snapName(rec.Dataset.Generation())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sum(snap); got != wantSnap {
+		t.Errorf("%s (%d bytes) sha256 %s, want %s", snapName(rec.Dataset.Generation()), len(snap), got, wantSnap)
+	}
+	var cache bytes.Buffer
+	if err := rec.Cache.EncodeState(&cache); err != nil {
+		t.Fatal(err)
+	}
+	if got := sum(cache.Bytes()); got != wantCache {
+		t.Errorf("cache state (%d bytes) sha256 %s, want %s", cache.Len(), got, wantCache)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"retrodns/internal/pdns"
 	"retrodns/internal/report"
 	"retrodns/internal/scanner"
+	"retrodns/internal/simtime"
 	"retrodns/internal/synth"
 	"retrodns/internal/wal"
 )
@@ -119,7 +120,9 @@ func runDaemonPhase(t *testing.T, opts wal.Options, csvPath string, stopAfter in
 
 // TestWarmRestartBytesIdentical is the acceptance pin for the durability
 // layer: for every fault class — plain kill, torn tail, garbled byte,
-// duplicated log, a crash between snapshot write and log rotation, a
+// duplicated log, a crash between snapshot write and log rotation, a kill
+// inside an append's barrier (the batch staged through AppendAfter and its
+// frame on disk, whole or half written, but nothing published), a
 // manifest.json left in the data and spill dirs by an older build — and
 // for shard counts 1 and 8, a daemon killed mid-ingest and restarted over
 // the damaged directory must finish with a canonical run report
@@ -129,24 +132,45 @@ func runDaemonPhase(t *testing.T, opts wal.Options, csvPath string, stopAfter in
 func TestWarmRestartBytesIdentical(t *testing.T) {
 	csvPath, scans := writeSynthCSV(t, 250, 17, 5)
 	const killAfter = 2
+	// The frame of the append after the kill point, byte for byte as a store
+	// writes it (a frame does not depend on the shard count): cut from the log
+	// of a donor run that got one append further with snapshots off.
+	donor := wal.Options{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 1000}
+	runDaemonPhase(t, donor, csvPath, killAfter+1)
+	donorLog, err := os.ReadFile(filepath.Join(donor.Dir, "wal.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errFound := errors.New("found")
+	off, err := wal.Replay(donorLog, func(gen uint64, _ simtime.Date, _ []*scanner.Record) error {
+		if gen == killAfter+2 {
+			return errFound
+		}
+		return nil
+	})
+	if err != errFound {
+		t.Fatalf("donor log holds no frame for generation %d: %v", killAfter+2, err)
+	}
+	stagedFrame := donorLog[off:]
 	for _, shards := range []int{1, 8} {
 		want, _, wantGen := runDaemonPhase(t, wal.Options{Dir: t.TempDir(), Shards: shards, SnapshotEvery: 2}, csvPath, 0)
 		if wantGen != uint64(scans)+1 {
 			t.Fatalf("baseline generation %d, want %d", wantGen, scans+1)
 		}
-		for _, fault := range []string{"kill", "torn", "garble", "duplicate", "unrotated", "stray-manifest", "stray-garbage"} {
+		for _, fault := range []string{"kill", "torn", "garble", "duplicate", "unrotated", "staged", "staged-torn", "stray-manifest", "stray-garbage"} {
 			t.Run(fmt.Sprintf("shards=%d/%s", shards, fault), func(t *testing.T) {
 				dir := t.TempDir()
 				opts := wal.Options{Dir: dir, Shards: shards, SnapshotEvery: killAfter}
-				// The kill and stray-file cases snapshot normally (the
-				// stray-file ones out of core, so there is a spill dir to
-				// litter); the damage cases pin snapshots off so the
+				// The kill, staged and stray-file cases snapshot normally
+				// (the stray-file ones out of core, so there is a spill dir
+				// to litter); the damage cases pin snapshots off so the
 				// injected fault is guaranteed to land on live WAL frames.
 				stray := strings.HasPrefix(fault, "stray-")
+				staged := strings.HasPrefix(fault, "staged")
 				switch {
 				case stray:
 					opts.Spill = &scanner.SpillOptions{Dir: filepath.Join(dir, "segments"), BudgetBytes: 0}
-				case fault != "kill":
+				case fault != "kill" && !staged:
 					opts.SnapshotEvery = 1000
 				}
 				_, _, killedGen := runDaemonPhase(t, opts, csvPath, killAfter)
@@ -154,6 +178,26 @@ func TestWarmRestartBytesIdentical(t *testing.T) {
 				walPath := filepath.Join(dir, "wal.log")
 				frames := 0
 				switch fault {
+				case "staged", "staged-torn":
+					// Killed inside the next append's barrier: the writer had
+					// the frame on disk, or half of it, and the dataset had
+					// the batch staged; no reader ever saw it. Recovery may
+					// apply the whole frame — it was durable — and must drop
+					// the half, and the feed converges either way.
+					frame := stagedFrame
+					if fault == "staged-torn" {
+						frame = frame[:len(frame)/2]
+					}
+					wf, err := os.OpenFile(walPath, os.O_WRONLY|os.O_APPEND, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := wf.Write(frame); err != nil {
+						t.Fatal(err)
+					}
+					if err := wf.Close(); err != nil {
+						t.Fatal(err)
+					}
 				case "stray-manifest", "stray-garbage":
 					// Not a snapshot, not a segment, not the log: ignored,
 					// whether it parses (and names a snapshot that never
@@ -228,7 +272,7 @@ func TestWarmRestartBytesIdentical(t *testing.T) {
 				// under its reason, nothing else counted.
 				wantFaults := map[string]int64{}
 				switch fault {
-				case "torn":
+				case "torn", "staged-torn":
 					wantFaults[wal.FaultTornTail] = 1
 				case "garble":
 					wantFaults[wal.FaultCRCMismatch] = 1
@@ -239,13 +283,18 @@ func TestWarmRestartBytesIdentical(t *testing.T) {
 					t.Fatalf("recovery faults %v, want %v", rec.Faults, wantFaults)
 				}
 				// Generations never mix: recovery lands at the killed
-				// generation (before it when the log's tail was damaged),
-				// the finished run at the baseline's.
+				// generation (before it when the log's tail was damaged,
+				// one past it when the dying process left a whole frame it
+				// had not published yet), the finished run at the baseline's.
 				lostTail := fault == "torn" || fault == "garble"
-				if rec.Generation > killedGen || (!lostTail && rec.Generation != killedGen) {
+				wantRecovered := killedGen
+				if fault == "staged" {
+					wantRecovered++
+				}
+				if rec.Generation > wantRecovered || (!lostTail && rec.Generation != wantRecovered) {
 					t.Fatalf("recovered generation %d, killed at %d", rec.Generation, killedGen)
 				}
-				if (fault == "unrotated" || stray) && rec.FromSnapshot == "" {
+				if (fault == "unrotated" || stray || staged) && rec.FromSnapshot == "" {
 					t.Fatalf("recovery ignored the snapshot: %+v", rec)
 				}
 				if gen != wantGen {

@@ -48,8 +48,9 @@ race:
 # Ten seconds of coverage-guided fuzzing per parser: DNS names (also the
 # IsCanonical differential), zone-file snapshots, certificate chains, the
 # JSON report round trip, WAL and segment replay, scans.csv rows
-# (memoized reader against the reference ParseScanRow), segment windows
-# (slab decoder against the per-record reference), and /v1/domain
+# (memoized reader against the reference ParseScanRow; the in-place
+# certificate-serial hash against hash/fnv), segment windows (slab decoder,
+# fresh and into a cursor's dirty slab, against the per-record reference), and /v1/domain
 # bodies (assembled from shared tails against the reference render). Enough to
 # catch a freshly introduced data-shaped panic without stalling CI; run
 # `go test -fuzz=<target> ./internal/<pkg>` open-endedly when hunting.
@@ -61,6 +62,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentReplay -fuzztime=10s ./internal/segment
 	$(GO) test -run='^$$' -fuzz=FuzzScanCSVRow -fuzztime=10s ./internal/scanner
+	$(GO) test -run='^$$' -fuzz=FuzzSynthCertSerial -fuzztime=10s ./internal/scanner
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWindow -fuzztime=10s ./internal/scanner
 	$(GO) test -run='^$$' -fuzz=FuzzDomainBody -fuzztime=10s ./internal/serve
 
@@ -170,7 +172,7 @@ load-baseline:
 # Out-of-core gate: a 200k-domain synthetic corpus classified three ways —
 # fully resident, spilled to segments under a tight -mem-budget-mb, and
 # reloaded from the saved corpus in a fresh process — with byte-identical
-# findings, residency gauges in the run report, and a peak-RSS ceiling on
-# the spilled classify.
+# findings and residency gauges in the run report; both peak RSS figures are
+# printed (bench's batch-spilled / batch-archive peak_rss_mb gate the ratio).
 smoke-spill:
 	./scripts/smoke_spill.sh

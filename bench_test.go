@@ -1254,6 +1254,7 @@ func BenchmarkSpilledClassify(b *testing.B) {
 		b.Fatal("corpus not spilled")
 	}
 	db := pdns.NewDB()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := &core.Pipeline{Params: core.DefaultParams(), Dataset: ds, PDNS: db}

@@ -103,10 +103,14 @@ func (p *Pipeline) classifyShards(params Params, workers int, periods []simtime.
 		f.domains = v.Domains()
 		f.outs = make([]classifyOut, len(f.domains))
 		ar := &arenas[w]
+		// The cursor's records are the worker's scratch as the arena's
+		// maps are: the next domain overwrites them on a spilled shard.
+		cur := v.Cursor()
 		for i, domain := range f.domains {
 			o := &f.outs[i]
+			cur.Seek(i)
 			for pi, period := range periods {
-				recs := v.DomainRecords(domain, period.Start(), period.End())
+				recs := cur.Records(period.Start(), period.End())
 				if len(recs) == 0 {
 					continue
 				}
@@ -116,6 +120,9 @@ func (p *Pipeline) classifyShards(params Params, workers int, periods []simtime.
 				c := params.classifyWith(m, scans, ar)
 				o.byPeriod.Set(period, c.Category)
 				if c.Category == CategoryTransient {
+					for _, d := range m.Deployments {
+						cur.Keep(d.Records)
+					}
 					o.transients = append(o.transients, c)
 				} else {
 					// Nothing retains the map or the classification: the

@@ -34,8 +34,14 @@ func FuzzParseName(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, s string) {
 		n, err := ParseName(s)
-		if got, want := IsCanonical(s), err == nil && string(n) == s; got != want {
-			t.Fatalf("IsCanonical(%q) = %v, ParseName says %v (%q, %v)", s, got, want, n, err)
+		// parseName is the reference both shortcuts answer to: IsCanonical,
+		// and ParseName returning an already canonical s as it stands.
+		ref, refErr := parseName(s)
+		if n != ref || (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
+			t.Fatalf("ParseName(%q) = (%q, %v), the full parse (%q, %v)", s, n, err, ref, refErr)
+		}
+		if got, want := IsCanonical(s), refErr == nil && string(ref) == s; got != want {
+			t.Fatalf("IsCanonical(%q) = %v, the full parse says %v (%q, %v)", s, got, want, ref, refErr)
 		}
 		if err != nil {
 			return

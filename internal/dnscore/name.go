@@ -33,6 +33,15 @@ var (
 // (as in _acme-challenge or _dmarc); underscores anywhere else are
 // rejected.
 func ParseName(s string) (Name, error) {
+	if IsCanonical(s) {
+		return Name(s), nil // nothing to fold, trim or split: no garbage
+	}
+	return parseName(s)
+}
+
+// parseName is ParseName in full: the path that canonicalizes, and that says
+// why a name is refused.
+func parseName(s string) (Name, error) {
 	s = strings.TrimSuffix(strings.ToLower(s), ".")
 	if s == "" {
 		return "", nil // the root

@@ -320,13 +320,12 @@ func slabRecord(slab *[]Record, want int) *Record {
 	return rec
 }
 
-// decodeRecords decodes n consecutive records into slabs, each record
-// sharing what it repeats of the one before it (see decodeRecordInto). It
-// stops at the first latched error; the caller checks r.Err and drops the
-// result whole.
-func decodeRecords(r *BinReader, certs []*x509lite.Certificate, n int) []*Record {
-	out := make([]*Record, 0, n)
-	var slab []Record
+// decodeRecords decodes n consecutive records onto out, each record sharing
+// what it repeats of the one before it (see decodeRecordInto). The records
+// come out of slab for as long as it lasts and out of fresh bounded slabs
+// after that (all of them, given a nil slab). It stops at the first latched
+// error; the caller checks r.Err and drops the result whole.
+func decodeRecords(r *BinReader, certs []*x509lite.Certificate, n int, out []*Record, slab []Record) []*Record {
 	var prev *Record
 	for j := 0; j < n && r.err == nil; j++ {
 		rec := slabRecord(&slab, n-j)

@@ -21,7 +21,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/netip"
 	"strconv"
@@ -239,17 +238,12 @@ func parseCertTail(crtsh, issuer, trusted, sensitive, names string) (certTail, e
 // synthCertSerial derives the reconstructed certificate's serial from the
 // fields the CSV actually carries, so equal rows yield equal certs.
 func synthCertSerial(names, issuer string, crtshID int64) uint64 {
-	h := fnv.New64a()
-	io.WriteString(h, names)
-	h.Write([]byte{0})
-	io.WriteString(h, issuer)
-	h.Write([]byte{0})
-	var buf [8]byte
+	h := fnvAdd(fnvAdd(fnvOffset64, names), "\x00")
+	h = fnvAdd(fnvAdd(h, issuer), "\x00")
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(uint64(crtshID) >> (8 * i))
+		h = (h ^ uint64(byte(uint64(crtshID)>>(8*i)))) * fnvPrime64
 	}
-	h.Write(buf[:])
-	return h.Sum64()
+	return h
 }
 
 const (

@@ -3,6 +3,7 @@ package scanner
 import (
 	"bytes"
 	"errors"
+	"hash/fnv"
 	"io"
 	"net/netip"
 	"slices"
@@ -195,6 +196,35 @@ func TestScanCSVTruncatedTail(t *testing.T) {
 		}
 		if len(quars) != 1 || quars[0] != CSVQuarBadRow {
 			t.Fatalf("quarantine calls: %v", quars)
+		}
+	})
+}
+
+// refSynthCertSerial is synthCertSerial as it stood on hash/fnv: three heap
+// objects a first-sight certificate, and the serial every corpus on disk was
+// fingerprinted with.
+func refSynthCertSerial(names, issuer string, crtshID int64) uint64 {
+	h := fnv.New64a()
+	io.WriteString(h, names)
+	h.Write([]byte{0})
+	io.WriteString(h, issuer)
+	h.Write([]byte{0})
+	var buf [8]byte
+	for i := 0; i < 8; i++ {
+		buf[i] = byte(uint64(crtshID) >> (8 * i))
+	}
+	h.Write(buf[:])
+	return h.Sum64()
+}
+
+// FuzzSynthCertSerial holds the in-place hash to that reference.
+func FuzzSynthCertSerial(f *testing.F) {
+	f.Add("", "", int64(0))
+	f.Add("mail.mfa.gov.kg www.mfa.gov.kg", "Let's Encrypt Authority X3", int64(1394170951))
+	f.Add("a\x00b", "\x00", int64(-1))
+	f.Fuzz(func(t *testing.T, names, issuer string, crtshID int64) {
+		if got, want := synthCertSerial(names, issuer, crtshID), refSynthCertSerial(names, issuer, crtshID); got != want {
+			t.Fatalf("synthCertSerial(%q, %q, %d) = %#x, reference %#x", names, issuer, crtshID, got, want)
 		}
 	})
 }

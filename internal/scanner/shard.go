@@ -321,8 +321,10 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-func fnvString(s string) uint64 {
-	h := uint64(fnvOffset64)
+func fnvString(s string) uint64 { return fnvAdd(fnvOffset64, s) }
+
+// fnvAdd folds s into the running hash h.
+func fnvAdd(h uint64, s string) uint64 {
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
 		h *= fnvPrime64

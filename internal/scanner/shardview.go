@@ -70,3 +70,58 @@ func (v ShardView) DomainRecords(domain dnscore.Name, from, to simtime.Date) []*
 	}
 	return windowRecords(v.idx.records(domain), from, to)
 }
+
+// WindowCursor is one reader's position in a view's shard: Seek to a domain
+// by rank, then take its records period by period. It is the read path for a
+// caller that walks the whole shard and keeps almost nothing — the uncached
+// classify pass — and what it saves is per domain: on a resident shard the
+// name lookup (Seek indexes the window array), on a spilled one the window's
+// Records, which are decoded into storage the cursor owns and overwrites on
+// the next Seek. Whatever must outlive that goes through Keep.
+//
+// A cursor is not safe for concurrent use; any number of cursors may read
+// one view at once.
+type WindowCursor struct {
+	idx    *shardIndex
+	window []*Record
+	// slab and ptrs back window on a spilled shard (decodeWindowInto).
+	slab []Record
+	ptrs []*Record
+}
+
+// Cursor returns a cursor over the view's shard, positioned nowhere.
+func (v ShardView) Cursor() *WindowCursor {
+	return &WindowCursor{idx: v.idx}
+}
+
+// Seek positions the cursor on the i-th domain of Domains(). On a spilled
+// shard that is the domain's one segment read, and it invalidates every
+// record the cursor handed out before that was not passed to Keep.
+func (c *WindowCursor) Seek(i int) {
+	if sr := c.idx.spill; sr != nil {
+		c.window = sr.read(c.idx.domains[i], c)
+	} else {
+		c.window = c.idx.windows[i]
+	}
+}
+
+// Records returns the current domain's records within [from, to), as
+// ShardView.DomainRecords would: read-only, and valid until the next Seek.
+func (c *WindowCursor) Records(from, to simtime.Date) []*Record {
+	return windowRecords(c.window, from, to)
+}
+
+// Keep makes records this cursor returned safe to hold past the next Seek:
+// each pointer in recs is replaced, in place, by one to a copy the cursor
+// will never overwrite. On a resident shard the records are the shard's own
+// and nothing is copied.
+func (c *WindowCursor) Keep(recs []*Record) {
+	if len(recs) == 0 || c.idx.spill == nil {
+		return
+	}
+	kept := make([]Record, len(recs))
+	for i, r := range recs {
+		kept[i] = *r
+		recs[i] = &kept[i]
+	}
+}

@@ -1,7 +1,9 @@
 package scanner
 
 import (
+	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -87,5 +89,117 @@ func TestShardViewMatchesDataset(t *testing.T) {
 	}
 	if got := pinned.DomainRecords("good.com", 0, 0); got != nil {
 		t.Fatalf("pinned view saw the append: %v", got)
+	}
+}
+
+// windowCorpora is the window corpus resident and spilled, three shards each.
+func windowCorpora(t *testing.T) map[string]*Dataset {
+	t.Helper()
+	resident := NewDatasetShards(3)
+	ingestWindowCorpus(t, resident, true)
+	return map[string]*Dataset{"resident": resident, "spilled": spilledWindowCorpus(t, 3, true)}
+}
+
+// TestCursorMatchesDomainRecords holds a cursor to the read path it stands
+// in for: every domain × period (and the unbounded window) reads what
+// ShardView.DomainRecords reads, resident and spilled, whatever order the
+// domains are sought in.
+func TestCursorMatchesDomainRecords(t *testing.T) {
+	bounds := [][2]simtime.Date{{0, 0}}
+	for p := simtime.Period(0); p < 4; p++ {
+		bounds = append(bounds, [2]simtime.Date{p.Start(), p.End()})
+	}
+	for name, ds := range windowCorpora(t) {
+		read := 0
+		for sid := 0; sid < ds.Shards(); sid++ {
+			v := ds.ShardView(sid)
+			n := len(v.Domains())
+			forward := make([]int, n)
+			for i := range forward {
+				forward[i] = i
+			}
+			reverse := slices.Clone(forward)
+			slices.Reverse(reverse)
+			orders := map[string][]int{"forward": forward, "reverse": reverse, "shuffled": rand.New(rand.NewSource(int64(sid))).Perm(n)}
+			for order, ranks := range orders {
+				cur := v.Cursor()
+				for _, i := range ranks {
+					cur.Seek(i)
+					for _, b := range bounds {
+						got, want := cur.Records(b[0], b[1]), v.DomainRecords(v.Domains()[i], b[0], b[1])
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%s shard %d %s: %s [%d,%d) read %v through the cursor, %v through the view",
+								name, sid, order, v.Domains()[i], b[0], b[1], derefs(got), derefs(want))
+						}
+						read += len(got)
+					}
+				}
+			}
+		}
+		if read == 0 {
+			t.Fatalf("%s: every window empty", name)
+		}
+	}
+}
+
+// TestCursorKeep pins both halves of Keep. Spilled: a kept window reads the
+// same after 100 further Seeks, while the pointers the cursor handed out are
+// by then another domain's rows (the slab is reused — what Keep is for).
+// Resident: the records are the shard's own and Keep swaps nothing.
+func TestCursorKeep(t *testing.T) {
+	for name, ds := range windowCorpora(t) {
+		v := ds.ShardView(0)
+		cur := v.Cursor()
+		for i := range v.Domains() { // the slab has grown to the longest window
+			cur.Seek(i)
+		}
+		cur.Seek(0)
+		handed := slices.Clone(cur.Records(0, 0))
+		kept := slices.Clone(handed)
+		want := derefs(kept)
+		cur.Keep(kept)
+		for k := 1; k <= 100; k++ {
+			cur.Seek(k % len(v.Domains()))
+		}
+		// The walk ends away from domain 0, on a window at least as long.
+		if cur.Seek(1); len(cur.Records(0, 0)) < len(want) {
+			t.Fatalf("%s: domain 1 has the shorter window; the fixture tests nothing", name)
+		}
+		if got := derefs(kept); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: kept records changed under later Seeks:\n got %v\nwant %v", name, got, want)
+		}
+		switch overwritten := !reflect.DeepEqual(derefs(handed), want); {
+		case name == "spilled" && (!overwritten || kept[0] == handed[0]):
+			t.Errorf("spilled: the cursor did not reuse its slab, or Keep left a pointer into it")
+		case name == "resident" && (overwritten || kept[0] != handed[0]):
+			t.Errorf("resident: Keep copied records of a resident shard")
+		}
+	}
+}
+
+// TestCursorSeekAllocs is the point of the cursor on a spilled shard: once
+// its slab has grown to the shard's longest window, a domain costs no Record
+// allocations — what is left is the first record's ports array and country
+// (these hosts never move, so the records after it share both).
+func TestCursorSeekAllocs(t *testing.T) {
+	v := spilledWindowCorpus(t, 1, false).ShardView(0)
+	cur := v.Cursor()
+	n := len(v.Domains())
+	for i := 0; i < n; i++ {
+		cur.Seek(i)
+	}
+	i, records := 0, 0
+	avg := testing.AllocsPerRun(200, func() {
+		cur.Seek(i % n)
+		for p := simtime.Period(0); p < 4; p++ {
+			records += len(cur.Records(p.Start(), p.End()))
+		}
+		i++
+	})
+	if records == 0 {
+		t.Fatal("no records read")
+	}
+	if avg > 3 {
+		t.Fatalf("a steady-state spilled Seek + four Records allocates %.1f times, want <= 3", avg)
 	}
 }

@@ -108,10 +108,7 @@ func newSpillReader(seg *segment.Reader, file string, certs []*x509lite.Certific
 }
 
 // records returns the full date-sorted window for domain, decoding it from
-// the segment. DomainRecords has no error return, so a damaged entry (the
-// segment was CRC-verified at open, so this means bit rot after open or a
-// codec bug) counts retrodns_segment_read_errors_total and reads as an
-// absent domain.
+// the segment into records of its own (see read).
 func (sr *spillReader) records(domain dnscore.Name) []*Record {
 	sr.mu.Lock()
 	if sr.memoOK && sr.memoKey == domain {
@@ -120,6 +117,21 @@ func (sr *spillReader) records(domain dnscore.Name) []*Record {
 		return v
 	}
 	sr.mu.Unlock()
+	window := sr.read(domain, nil)
+	if window != nil {
+		sr.mu.Lock()
+		sr.memoOK, sr.memoKey, sr.memoVal = true, domain, window
+		sr.mu.Unlock()
+	}
+	return window
+}
+
+// read is the one segment read: domain's window decoded into c's storage,
+// or into records of its own when c is nil. Window reads have no error
+// return, so a damaged entry (the segment was CRC-verified at open, so this
+// means bit rot after open or a codec bug) counts
+// retrodns_segment_read_errors_total and reads as an absent domain.
+func (sr *spillReader) read(domain dnscore.Name, c *WindowCursor) []*Record {
 	m := sr.met.Load()
 	value, ok, err := sr.seg.Get(string(domain))
 	if err != nil {
@@ -131,7 +143,7 @@ func (sr *spillReader) records(domain dnscore.Name) []*Record {
 	}
 	m.reads.Inc()
 	m.readBytes.Add(int64(len(value)))
-	window, err := decodeWindow(value, sr.certs)
+	window, err := decodeWindowInto(value, sr.certs, c)
 	// value may alias the mapping the finalizer unmaps, and the caller's
 	// index can be the last reference to sr.
 	runtime.KeepAlive(sr)
@@ -139,9 +151,6 @@ func (sr *spillReader) records(domain dnscore.Name) []*Record {
 		m.readErrors.Inc()
 		return nil
 	}
-	sr.mu.Lock()
-	sr.memoOK, sr.memoKey, sr.memoVal = true, domain, window
-	sr.mu.Unlock()
 	return window
 }
 
@@ -167,8 +176,26 @@ func encodeWindow(window []*Record, table *certTable) []byte {
 // handful of allocations however many records it holds; a malformed value
 // yields ErrCodec and no records, never part of a window.
 func decodeWindow(value []byte, certs []*x509lite.Certificate) ([]*Record, error) {
+	return decodeWindowInto(value, certs, nil)
+}
+
+// decodeWindowInto is decodeWindow into the storage of c, overwriting the
+// window c decoded before; a nil c gives the window records of its own.
+func decodeWindowInto(value []byte, certs []*x509lite.Certificate, c *WindowCursor) ([]*Record, error) {
 	r := NewBinReader(value)
-	out := decodeRecords(r, certs, r.Count())
+	n := r.Count()
+	var out []*Record
+	var slab []Record
+	if c == nil {
+		out = make([]*Record, 0, n)
+	} else {
+		if cap(c.slab) < n {
+			grown := max(n, 2*cap(c.slab))
+			c.slab, c.ptrs = make([]Record, grown), make([]*Record, 0, grown)
+		}
+		out, slab = c.ptrs[:0], c.slab[:n]
+	}
+	out = decodeRecords(r, certs, n, out, slab)
 	if r.err != nil {
 		return nil, r.err
 	}

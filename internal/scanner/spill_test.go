@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -321,39 +322,62 @@ func TestPinnedViewSurvivesUnspill(t *testing.T) {
 	}
 }
 
-// TestPinnedViewReadsDuringUnspill is the same contract with the reader in
-// flight: one goroutine loops over the pinned view while its shard is
-// unspilled and resealed five times under it.
+// cursorWindows is viewWindows through a cursor of the caller's own.
+func cursorWindows(v ShardView) map[dnscore.Name][]string {
+	out := map[dnscore.Name][]string{}
+	cur := v.Cursor()
+	for i, domain := range v.Domains() {
+		cur.Seek(i)
+		for _, r := range cur.Records(0, 0) {
+			out[domain] = append(out[domain], recordRow(r))
+		}
+	}
+	return out
+}
+
+// TestPinnedViewReadsDuringUnspill is the same contract with the readers in
+// flight: one goroutine loops over the pinned view through DomainRecords and
+// four more through a cursor each, while the shard is unspilled and resealed
+// five times under them.
 func TestPinnedViewReadsDuringUnspill(t *testing.T) {
 	for _, mode := range []segment.Mode{segment.ModeAuto, segment.ModeStream} {
 		t.Run(mode.String(), func(t *testing.T) {
 			fx := newPinnedViewFixture(t, mode)
+			readers := []func(ShardView) map[dnscore.Name][]string{viewWindows, cursorWindows, cursorWindows, cursorWindows, cursorWindows}
 			stop := make(chan struct{})
-			done := make(chan error, 1)
-			go func() {
-				for reads := 0; ; reads++ {
-					select {
-					case <-stop:
+			done := make(chan error, len(readers))
+			var started sync.WaitGroup
+			started.Add(len(readers))
+			for g, read := range readers {
+				go func() {
+					for reads := 0; ; reads++ {
+						select {
+						case <-stop:
+							done <- nil
+							return
+						default:
+						}
+						got := read(fx.view)
 						if reads == 0 {
-							done <- errors.New("reader never ran")
+							started.Done()
+						}
+						if !reflect.DeepEqual(got, fx.want) {
+							done <- fmt.Errorf("reader %d, read %d through the pinned view:\n got %v\nwant %v", g, reads, got, fx.want)
 							return
 						}
-						done <- nil
-						return
-					default:
 					}
-					if got := viewWindows(fx.view); !reflect.DeepEqual(got, fx.want) {
-						done <- fmt.Errorf("read %d through the pinned view:\n got %v\nwant %v", reads, got, fx.want)
-						return
-					}
-				}
-			}()
+				}()
+			}
+			// Every reader is past its first pass before the shard moves.
+			started.Wait()
 			for i := 0; i < 5; i++ {
 				fx.appendToD0(t, i)
 			}
 			close(stop)
-			if err := <-done; err != nil {
-				t.Fatal(err)
+			for range readers {
+				if err := <-done; err != nil {
+					t.Error(err)
+				}
 			}
 			if n := fx.readErrors(); n != 0 {
 				t.Fatalf("%s = %d", MetricSegmentReadErrors, n)

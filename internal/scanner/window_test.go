@@ -100,26 +100,35 @@ func encodeTestWindow(window []*Record, certIdx []uint64) []byte {
 }
 
 // sameDecode holds decodeWindow to the reference on one input: the same
-// records, or the same ErrCodec and no records at all.
-func sameDecode(t *testing.T, label string, value []byte, certs []*x509lite.Certificate) {
+// records, or the same ErrCodec and no records at all. Then the same again
+// decoding into dirty, a cursor whose slab still holds whatever the input
+// before this one left there: a refused window must not come back as the
+// part that decoded, nor as rows of the previous one.
+func sameDecode(t *testing.T, label string, value []byte, certs []*x509lite.Certificate, dirty *WindowCursor) {
 	t.Helper()
 	want, wantErr := refDecodeWindow(value, certs)
+	check := func(label string, got []*Record, gotErr error) {
+		t.Helper()
+		if wantErr != nil {
+			if gotErr == nil || gotErr.Error() != wantErr.Error() || !errors.Is(gotErr, ErrCodec) {
+				t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
+			}
+			if got != nil {
+				t.Fatalf("%s: %d records beside error %v", label, len(got), gotErr)
+			}
+			return
+		}
+		if gotErr != nil {
+			t.Fatalf("%s: error %v, reference decoded %d records", label, gotErr, len(want))
+		}
+		if !reflect.DeepEqual(derefs(got), derefs(want)) {
+			t.Fatalf("%s: records differ from the reference\n got %v\nwant %v", label, derefs(got), derefs(want))
+		}
+	}
 	got, gotErr := decodeWindow(value, certs)
-	if wantErr != nil {
-		if gotErr == nil || gotErr.Error() != wantErr.Error() || !errors.Is(gotErr, ErrCodec) {
-			t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
-		}
-		if got != nil {
-			t.Fatalf("%s: %d records beside error %v", label, len(got), gotErr)
-		}
-		return
-	}
-	if gotErr != nil {
-		t.Fatalf("%s: error %v, reference decoded %d records", label, gotErr, len(want))
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("%s: records differ from the reference\n got %v\nwant %v", label, derefs(got), derefs(want))
-	}
+	check(label, got, gotErr)
+	got, gotErr = decodeWindowInto(value, certs, dirty)
+	check(label+" into a dirty slab", got, gotErr)
 }
 
 // recordRow renders every field of a record, the certificate by
@@ -190,7 +199,7 @@ func testWindows() map[string]testWindow {
 // windows, every truncation of each, and the malformed values each check in
 // the decoder exists for.
 func TestDecodeWindowMatchesReference(t *testing.T) {
-	certs := windowCerts()
+	certs, dirty := windowCerts(), &WindowCursor{}
 	for name, tw := range testWindows() {
 		value := encodeTestWindow(tw.window, tw.certIdx)
 		got, err := decodeWindow(value, certs)
@@ -198,10 +207,10 @@ func TestDecodeWindowMatchesReference(t *testing.T) {
 			t.Fatalf("%s: decoded %d of %d records, err %v", name, len(got), len(tw.window), err)
 		}
 		for cut := 0; cut <= len(value); cut++ {
-			sameDecode(t, fmt.Sprintf("%s[:%d]", name, cut), value[:cut], certs)
+			sameDecode(t, fmt.Sprintf("%s[:%d]", name, cut), value[:cut], certs, dirty)
 		}
-		sameDecode(t, name+"+trailing", append(slices.Clone(value), 0), certs)
-		sameDecode(t, name+" against an empty cert table", value, nil)
+		sameDecode(t, name+"+trailing", append(slices.Clone(value), 0), certs, dirty)
+		sameDecode(t, name+" against an empty cert table", value, nil, dirty)
 	}
 
 	// One good record, then a second one malformed in each way the decoder
@@ -249,9 +258,9 @@ func TestDecodeWindowMatchesReference(t *testing.T) {
 		if _, err := refDecodeWindow(w.Bytes(), certs); !errors.Is(err, ErrCodec) {
 			t.Fatalf("%s: the reference accepts it (%v); the case tests nothing", name, err)
 		}
-		sameDecode(t, name, w.Bytes(), certs)
+		sameDecode(t, name, w.Bytes(), certs, dirty)
 	}
-	sameDecode(t, "count past the input", []byte{200, 1}, certs)
+	sameDecode(t, "count past the input", []byte{200, 1}, certs, dirty)
 }
 
 // FuzzDecodeWindow holds the same equality on arbitrary bytes.
@@ -261,9 +270,9 @@ func FuzzDecodeWindow(f *testing.F) {
 			f.Add(value)
 		}
 	}
-	certs := windowCerts()
+	certs, dirty := windowCerts(), &WindowCursor{}
 	f.Fuzz(func(t *testing.T, value []byte) {
-		sameDecode(t, "fuzz", value, certs)
+		sameDecode(t, "fuzz", value, certs, dirty)
 	})
 }
 
@@ -337,74 +346,93 @@ func TestDecodedWindowRetention(t *testing.T) {
 	}
 }
 
-// TestSpilledWindowsSharedReadOnly reads the windows of one spilled shard
-// from four goroutines at once, two through Dataset.DomainRecords and two
-// through a ShardView, and requires every window to equal the resident
-// dataset's. Under -race it is also the proof that nothing writes a decoded
-// record, or the Ports array it shares with its neighbours, after the
-// decoder returned it.
-func TestSpilledWindowsSharedReadOnly(t *testing.T) {
-	ingest := func(d *Dataset) {
-		dates := simtime.ScanDates(0, 7*12)[:12]
-		for si, date := range dates {
-			var recs []*Record
-			for i := 0; i < 24; i++ {
-				name := dnscore.Name(fmt.Sprintf("s%d.example", i))
-				cert := mkCert(t, leKey, "Let's Encrypt", dates[0]-1, dates[0]+365, name)
-				for h := 0; h < 1+i%3; h++ {
-					rec := &Record{
-						ScanDate: date, IP: netip.AddrFrom4([4]byte{10, byte(i), byte(h), 1}),
-						Ports: []uint16{443}, ASN: 64512, Country: "GR", Cert: cert, Trusted: true,
-					}
-					if (si+i)%5 == 0 {
-						rec.Ports, rec.Country = []uint16{443, 8443}, "NL"
-					}
-					recs = append(recs, rec)
+// ingestWindowCorpus loads the corpus the spilled-window tests read: 24
+// domains of one to three hosts each, four weekly scans in each of the first
+// three periods; with moves, a host answers on other ports from another
+// country one week in five.
+func ingestWindowCorpus(t *testing.T, d *Dataset, moves bool) {
+	t.Helper()
+	var dates []simtime.Date
+	for p := simtime.Period(0); p < 3; p++ {
+		dates = append(dates, simtime.ScansInPeriod(p)[:4]...)
+	}
+	for si, date := range dates {
+		var recs []*Record
+		for i := 0; i < 24; i++ {
+			name := dnscore.Name(fmt.Sprintf("s%d.example", i))
+			cert := mkCert(t, leKey, "Let's Encrypt", dates[0]-1, dates[len(dates)-1]+90, name)
+			for h := 0; h < 1+i%3; h++ {
+				rec := &Record{
+					ScanDate: date, IP: netip.AddrFrom4([4]byte{10, byte(i), byte(h), 1}),
+					Ports: []uint16{443}, ASN: 64512, Country: "GR", Cert: cert, Trusted: true,
 				}
-			}
-			if err := d.AddScan(date, recs); err != nil {
-				t.Fatalf("AddScan: %v", err)
+				if moves && (si+i)%5 == 0 {
+					rec.Ports, rec.Country = []uint16{443, 8443}, "NL"
+				}
+				recs = append(recs, rec)
 			}
 		}
-		d.Freeze()
+		if err := d.AddScan(date, recs); err != nil {
+			t.Fatalf("AddScan: %v", err)
+		}
 	}
+	d.Freeze()
+}
+
+// spilledWindowCorpus is ingestWindowCorpus with every shard on disk.
+func spilledWindowCorpus(t *testing.T, shards int, moves bool) *Dataset {
+	t.Helper()
+	d := NewDatasetShards(shards)
+	if err := d.ConfigureSpill(SpillOptions{Dir: t.TempDir(), BudgetBytes: 0}); err != nil {
+		t.Fatal(err)
+	}
+	ingestWindowCorpus(t, d, moves)
+	if d.SpilledShards() != shards {
+		t.Fatalf("%d of %d shards spilled", d.SpilledShards(), shards)
+	}
+	return d
+}
+
+// TestSpilledWindowsSharedReadOnly reads the windows of one spilled shard
+// from six goroutines at once — two through Dataset.DomainRecords, two
+// through a ShardView and two through a cursor each — and requires every
+// window to equal the resident dataset's. Under -race it is also the proof
+// that nothing writes a decoded record, or the Ports array it shares with
+// its neighbours, after the decoder returned it, and that a cursor writes
+// nothing but its own slab.
+func TestSpilledWindowsSharedReadOnly(t *testing.T) {
 	resident := NewDatasetShards(1)
-	ingest(resident)
+	ingestWindowCorpus(t, resident, true)
+	domains := resident.Domains() // one shard: a domain's index is its rank
 	want := map[dnscore.Name][]string{}
-	for _, domain := range resident.Domains() {
+	for _, domain := range domains {
 		for _, r := range resident.DomainRecords(domain, 0, 0) {
 			want[domain] = append(want[domain], recordRow(r))
 		}
 	}
 
-	spilled := NewDatasetShards(1)
-	if err := spilled.ConfigureSpill(SpillOptions{Dir: t.TempDir(), BudgetBytes: 0}); err != nil {
-		t.Fatal(err)
-	}
-	ingest(spilled)
-	if spilled.SpilledShards() != 1 {
-		t.Fatal("shard not spilled")
-	}
+	spilled := spilledWindowCorpus(t, 1, true)
 	view := spilled.ShardView(0)
-	readers := []func(dnscore.Name) []*Record{
-		func(n dnscore.Name) []*Record { return spilled.DomainRecords(n, 0, 0) },
-		func(n dnscore.Name) []*Record { return view.DomainRecords(n, 0, 0) },
+	readers := []func(*WindowCursor, int) []*Record{
+		func(_ *WindowCursor, i int) []*Record { return spilled.DomainRecords(domains[i], 0, 0) },
+		func(_ *WindowCursor, i int) []*Record { return view.DomainRecords(domains[i], 0, 0) },
+		func(cur *WindowCursor, i int) []*Record { cur.Seek(i); return cur.Records(0, 0) },
 	}
 	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
+	for g := 0; g < 2*len(readers); g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			domains := resident.Domains()
+			cur := view.Cursor()
 			for pass := 0; pass < 20; pass++ {
-				for i := range domains {
-					domain := domains[(i+g*7)%len(domains)]
+				for k := range domains {
+					i := (k + g*7) % len(domains)
 					var got []string
-					for _, r := range readers[g%2](domain) {
+					for _, r := range readers[g%len(readers)](cur, i) {
 						got = append(got, recordRow(r))
 					}
-					if !slices.Equal(got, want[domain]) {
-						t.Errorf("reader %d: %s diverged from the resident window\n got %v\nwant %v", g, domain, got, want[domain])
+					if !slices.Equal(got, want[domains[i]]) {
+						t.Errorf("reader %d: %s diverged from the resident window\n got %v\nwant %v", g, domains[i], got, want[domains[i]])
 						return
 					}
 				}

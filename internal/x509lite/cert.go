@@ -144,18 +144,69 @@ func (c *Certificate) canonical() []byte {
 	return b
 }
 
+// appendCanonical appends canonical()'s bytes to b without building any of
+// them first: up to eight SANs (all but a handful of certificates) are
+// insertion-sorted in place on the stack and written out joined, so the
+// caller's buffer is the only storage. canonical stays as the reference
+// (TestAppendCanonicalMatchesReference) and as what Sign and Verify use.
+func (c *Certificate) appendCanonical(b []byte) []byte {
+	var few [8]string
+	sans := few[:0]
+	if len(c.SANs) > len(few) {
+		many := make([]string, len(c.SANs))
+		for i, s := range c.SANs {
+			many[i] = string(s)
+		}
+		sort.Strings(many)
+		sans = many
+	} else {
+		for _, s := range c.SANs {
+			i := len(sans)
+			sans = append(sans, "")
+			for ; i > 0 && sans[i-1] > string(s); i-- {
+				sans[i] = sans[i-1]
+			}
+			sans[i] = string(s)
+		}
+	}
+	joined := max(len(sans)-1, 0) // the commas
+	for _, s := range sans {
+		joined += len(s)
+	}
+	field := func(b []byte, f string) []byte {
+		return append(binary.BigEndian.AppendUint32(b, uint32(len(f))), f...)
+	}
+	b = binary.BigEndian.AppendUint64(b, c.Serial)
+	b = field(b, string(c.Subject))
+	b = binary.BigEndian.AppendUint32(b, uint32(joined))
+	for i, s := range sans {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, s...)
+	}
+	ca := "leaf"
+	if c.IsCA {
+		ca = "ca"
+	}
+	for _, f := range [...]string{c.Issuer, c.IssuerID, string(c.Method), ca, c.SubjectKeyID, c.SubjectKeyHex} {
+		b = field(b, f)
+	}
+	b = binary.BigEndian.AppendUint64(b, uint64(int64(c.NotBefore)))
+	return binary.BigEndian.AppendUint64(b, uint64(int64(c.NotAfter)))
+}
+
 // Fingerprint computes the certificate's identity digest, memoized after
 // the first call. The signature is included so re-issued certificates with
-// fresh signatures are distinct; Sign invalidates the memo.
+// fresh signatures are distinct; Sign invalidates the memo. The encoding is
+// built in a stack buffer (a leaf's runs to ~200 bytes), so the memo is the
+// only allocation of a first call.
 func (c *Certificate) Fingerprint() Fingerprint {
 	if p := c.fp.Load(); p != nil {
 		return *p
 	}
-	h := sha256.New()
-	h.Write(c.canonical())
-	h.Write(c.Signature)
-	var out Fingerprint
-	copy(out[:], h.Sum(nil))
+	var buf [512]byte
+	out := Fingerprint(sha256.Sum256(append(c.appendCanonical(buf[:0]), c.Signature...)))
 	c.fp.Store(&out)
 	return out
 }

@@ -1,7 +1,10 @@
 package x509lite
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -140,6 +143,49 @@ func TestFingerprintSANOrderInsensitive(t *testing.T) {
 	}
 	_ = a
 	_ = b
+}
+
+// TestAppendCanonicalMatchesReference holds the encoder Fingerprint uses to
+// canonical(), the reference Sign and Verify still go through: 0, 1, 4 and
+// 10 SANs (both sides of the stack-sorted eight, given in descending order
+// and with a duplicate), CA and leaf, signed and unsigned; and the digest to
+// SHA-256 over the reference bytes plus signature, with at most the memo
+// allocated where the SANs fit the stack.
+func TestAppendCanonicalMatchesReference(t *testing.T) {
+	key := NewSigningKey("diff", 3)
+	for _, n := range []int{0, 1, 4, 10} {
+		for _, isCA := range []bool{false, true} {
+			for _, signed := range []bool{false, true} {
+				c := &Certificate{
+					Serial: 1<<40 + uint64(n), Subject: "mail.example.com", Issuer: "Diff CA",
+					NotBefore: -3, NotAfter: 87, Method: ValidationHTTP01, IsCA: isCA,
+				}
+				for i := n; i > 0; i-- {
+					c.SANs = append(c.SANs, dnscore.Name(fmt.Sprintf("h%d.example.com", i%7)))
+				}
+				if isCA {
+					c.SubjectKeyID, c.SubjectKeyHex = "sub-key", "00ff"
+				}
+				if signed {
+					key.Sign(c)
+				}
+				label := fmt.Sprintf("sans=%d ca=%v signed=%v", n, isCA, signed)
+				want := c.canonical()
+				if got := c.appendCanonical(nil); !bytes.Equal(got, want) {
+					t.Fatalf("%s: appendCanonical\n got %q\nwant %q", label, got, want)
+				}
+				if got := c.appendCanonical([]byte("prefix")); !bytes.Equal(got, append([]byte("prefix"), want...)) {
+					t.Fatalf("%s: appendCanonical does not append", label)
+				}
+				if got, want := c.Fingerprint(), Fingerprint(sha256.Sum256(append(want, c.Signature...))); got != want {
+					t.Fatalf("%s: fingerprint %s, reference %s", label, got.Hex(), want.Hex())
+				}
+				if allocs := testing.AllocsPerRun(20, func() { c.fp.Store(nil); c.Fingerprint() }); n <= 8 && allocs > 1 {
+					t.Errorf("%s: a first Fingerprint allocates %.0f times, want the memo alone", label, allocs)
+				}
+			}
+		}
+	}
 }
 
 func TestCovers(t *testing.T) {

@@ -35,7 +35,10 @@ test:
 # internal/core covers the arena and
 # slice-set deployment code on every parallel path; internal/scanner's
 # TestReaderRecordsFeedTwoDatasets drives two datasets' parallel ingest
-# phases over one CSV reader's shared certificates and ports arrays,
+# phases over one CSV reader's shared certificates and ports arrays, the
+# reader's read-ahead tests (TestScanCSVAbandonedReaderStops,
+# TestScanCSVReadErrorMidStream, TestScanCSVQuarantineOnCallerGoroutine, and
+# the differential tests at one-row chunks) its producer beside the caller,
 # TestSpilledWindowsSharedReadOnly four readers over the ports arrays the
 # records of a decoded window share, TestPinnedViewReadsDuringUnspill a
 # reader on a pinned ShardView while its shard unspills under it). The
@@ -48,7 +51,8 @@ race:
 # Ten seconds of coverage-guided fuzzing per parser: DNS names (also the
 # IsCanonical differential), zone-file snapshots, certificate chains, the
 # JSON report round trip, WAL and segment replay, scans.csv rows
-# (memoized reader against the reference ParseScanRow; the in-place
+# (memoized reader against the reference ParseScanRow, at the default
+# read-ahead chunking and at chunks of one to three rows; the in-place
 # certificate-serial hash against hash/fnv), segment windows (slab decoder,
 # fresh and into a cursor's dirty slab, against the per-record reference), and /v1/domain
 # bodies (assembled from shared tails against the reference render). Enough to
@@ -69,17 +73,19 @@ fuzz-smoke:
 # The incremental-engine benchmarks: append+cached-rerun vs full rerun
 # (the headline >=10x), certificate-fingerprint memoization, the
 # allocation cost of bulk scan ingest, the corpus generator (records/s and
-# allocs/record), the scans.csv reader (rows/s and
-# allocs/row), paper-shaped sharded ingest and classification over the
-# synthetic corpus (shard counts 1/4/8 — the benchmark itself fails if
-# shards=8 runs over 1.25x shards=1 — plus the interning on/off
+# allocs/record), the scans.csv reader alone and the bulk load it feeds
+# (NewScanCSV -> Next -> AddScan per date -> Freeze, where the reader's
+# read-ahead overlaps parse with staging; rows/s and allocs/row),
+# paper-shaped sharded ingest and classification over the synthetic corpus
+# (shard counts 1/4/8 — the benchmark itself fails if shards=8 runs over
+# 1.25x shards=1 — plus the interning on/off
 # retained-heap comparison), the serving layer's query latency (reference
 # render, LRU hit, prerendered singleton, templated domain body), the
 # snapshot build the follow loop pays per scan (default vs reference), and
 # one scan of the durable follow loop end to end (Feeder.Tick -> cached Run
 # -> BuildSnapshot on a WAL in a temp dir: ns/scan, allocs/scan).
 bench:
-	$(GO) test -bench='BenchmarkIncrementalAppend|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkSynthEmit|BenchmarkScanCSVNext|BenchmarkIngestShards|BenchmarkIngestIntern|BenchmarkSynthClassify|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkDurableTick|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=3 -run='^$$' .
+	$(GO) test -bench='BenchmarkIncrementalAppend|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkSynthEmit|BenchmarkScanCSVNext|BenchmarkBulkIngestCSV|BenchmarkIngestShards|BenchmarkIngestIntern|BenchmarkSynthClassify|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkDurableTick|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=3 -run='^$$' .
 
 # Every benchmark in the harness (tables, figures, scale sweeps, ablations).
 bench-all:
@@ -98,7 +104,7 @@ bench-report:
 	mkdir -p $(BENCHDIR)
 	$(GO) run ./cmd/retrodns -stable 80 -seed 1 -report-json $(BENCHDIR)/run-report.json 2>/dev/null >/dev/null
 	rm -f $(BENCHDIR)/bench.txt
-	for pass in 1 2 3 4 5; do $(GO) test -bench='BenchmarkIncrementalAppend$$|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkScanCSVNext|BenchmarkIngestShards|BenchmarkSynthClassify|BenchmarkDeploymentAnyIP|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkDurableTick|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=1 -run='^$$' . | tee -a $(BENCHDIR)/bench.txt; done
+	for pass in 1 2 3 4 5; do $(GO) test -bench='BenchmarkIncrementalAppend$$|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkScanCSVNext|BenchmarkBulkIngestCSV|BenchmarkIngestShards|BenchmarkSynthClassify|BenchmarkDeploymentAnyIP|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkDurableTick|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=1 -run='^$$' . | tee -a $(BENCHDIR)/bench.txt; done
 
 # Fail on funnel drift or a >20% perf regression against the committed
 # baseline (see cmd/benchdiff).

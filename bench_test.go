@@ -905,6 +905,51 @@ func BenchmarkScanCSVNext(b *testing.B) {
 	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(total*b.N), "allocs/row")
 }
 
+// BenchmarkBulkIngestCSV measures the one-shot bulk load end to end on the
+// same CSV: NewScanCSV → Next until the scan date changes → AddScan → …
+// → Freeze, the loop the benchmark of record's batch workloads run. Unlike
+// BenchmarkScanCSVNext its consumer works, so the reader's read-ahead
+// parsing the next scan while AddScan stages this one shows here.
+func BenchmarkBulkIngestCSV(b *testing.B) {
+	_, scans, total := synthScans(b)
+	csv := scansCSV(scans)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd := scanner.NewScanCSV(bytes.NewReader(csv))
+		ds := scanner.NewDatasetShards(scanner.DefaultShards)
+		var batch []*scanner.Record
+		flush := func() {
+			if len(batch) > 0 {
+				if err := ds.AddScan(batch[0].ScanDate, batch); err != nil {
+					b.Fatal(err)
+				}
+			}
+			batch = nil
+		}
+		for {
+			rec, err := rd.Next()
+			if err != nil {
+				break
+			}
+			if len(batch) > 0 && rec.ScanDate != batch[0].ScanDate {
+				flush()
+			}
+			batch = append(batch, rec)
+		}
+		flush()
+		ds.Freeze()
+		if _, nr := ds.Size(); nr != total {
+			b.Fatalf("ingested %d records, want %d", nr, total)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(total*b.N)/b.Elapsed().Seconds(), "rows/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(total*b.N), "allocs/row")
+}
+
 // BenchmarkSynthEmit measures the corpus generator the way worldgen and the
 // benchmark of record drive it — EmitScan into FormatScanRow into an
 // encoding/csv writer — on a batch-archive-shaped corpus cut to 26 scans:

@@ -22,9 +22,11 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"retrodns/internal/dnscore"
@@ -163,6 +165,37 @@ func parseScanIP(s string) (netip.Addr, error) {
 	return ip, nil
 }
 
+// parseLineIP is parseScanIP over the read buffer. A plain dotted quad —
+// four decimal octets of at most 255 without a leading zero, nothing else —
+// is decoded in place; anything else goes to parseScanIP, so what is
+// accepted, and the error text, stay the reference's. The reference's error
+// holds its input, so handing it every row would copy every address.
+func parseLineIP(b []byte) (netip.Addr, error) {
+	var quad [4]byte
+	i := 0
+	for k := range quad {
+		if k > 0 {
+			if i == len(b) || b[i] != '.' {
+				return parseScanIP(string(b))
+			}
+			i++
+		}
+		start, v := i, 0
+		for i < len(b) && i-start < 3 && '0' <= b[i] && b[i] <= '9' {
+			v = v*10 + int(b[i]-'0')
+			i++
+		}
+		if i == start || v > 255 || (b[start] == '0' && i-start > 1) {
+			return parseScanIP(string(b))
+		}
+		quad[k] = byte(v)
+	}
+	if i != len(b) {
+		return parseScanIP(string(b))
+	}
+	return netip.AddrFrom4(quad), nil
+}
+
 func parseScanPorts(s string) ([]uint16, error) {
 	var ports []uint16
 	for _, p := range strings.Fields(s) {
@@ -181,6 +214,23 @@ func parseScanASN(s string) (ipmeta.ASN, error) {
 		return 0, fmt.Errorf("%w: asn %q", ErrBadScanRow, s)
 	}
 	return ipmeta.ASN(asn), nil
+}
+
+// parseLineASN is parseScanASN over the read buffer, the way parseLineIP is
+// parseScanIP's: decimal digits that fit 32 bits are decoded in place, and
+// anything else goes to parseScanASN for the verdict and the error text.
+func parseLineASN(b []byte) (ipmeta.ASN, error) {
+	var v uint64
+	for _, d := range b {
+		if d < '0' || d > '9' || v > math.MaxUint32 {
+			return parseScanASN(string(b))
+		}
+		v = v*10 + uint64(d-'0')
+	}
+	if len(b) == 0 || v > math.MaxUint32 {
+		return parseScanASN(string(b))
+	}
+	return ipmeta.ASN(v), nil
 }
 
 // certTail is the decoded crtsh_id,issuer,trusted,sensitive,names tail of a
@@ -260,6 +310,12 @@ const (
 	// long by a few surviving records once the rest are let go: a spilled
 	// shard dropping its payloads, a caller keeping two records of a window.
 	recordSlab = 32
+	// readAheadRows is the most records one read-ahead chunk carries, and
+	// readAheadChunks how many chunks the producer queues before it stops:
+	// the reader parses at most ~9 k rows past the caller. A bound of 64
+	// chunks raised a follow loop's peak RSS by up to 15 %; 8 did not.
+	readAheadRows   = 1 << 10
+	readAheadChunks = 8
 )
 
 // ScanCSV reads scans.csv rows from a (possibly still growing) stream.
@@ -275,7 +331,17 @@ const (
 // and all, and copies what it keeps, so no Record references the read
 // buffer. Records of one reader therefore share *Certificate instances and
 // Ports backing arrays; both are read-only from the moment Next returns.
+//
+// Parsing runs ahead of the caller: a producer goroutine fills chunks of
+// parsed rows, each with the quarantines that fell between its records, and
+// stops on its own once readAheadChunks are queued or the input has no
+// further complete line; Next restarts it when the queue runs low. So a
+// bulk load parses the next rows while the caller stages the last ones, and
+// OnQuarantine is still called on the caller's goroutine, at its line's
+// place among the records.
 type ScanCSV struct {
+	// The producer's state: only the running producer touches it, and
+	// FinishTail and PartialTail once none runs.
 	br      *bufio.Reader
 	partial []byte
 	started bool // first complete line seen (header handling done)
@@ -287,24 +353,56 @@ type ScanCSV struct {
 	certs     map[string]certTail
 	slab      []Record
 
-	// memoCap is readerMemoCap, a field only so tests can fill a memo with
-	// a few rows.
-	memoCap int
+	// The hand-off, under mu: ready is broadcast when a chunk is queued
+	// and when the producer stops.
+	mu      sync.Mutex
+	ready   sync.Cond
+	running bool
+	queue   []*csvChunk
+
+	// The caller's state: the chunk Next is delivering, its next record
+	// and quarantine, and whether the last Next returned the error that
+	// ended the input (only then is partial the caller's torn tail).
+	cur     *csvChunk
+	ri, qi  int
+	drained bool
+
+	// memoCap is readerMemoCap, and chunkRows and maxChunks readAheadRows
+	// and readAheadChunks: fields only so tests can fill a memo, or split
+	// the input into chunks, with a few rows.
+	memoCap, chunkRows, maxChunks int
 
 	// OnQuarantine, when set, receives one call per skipped input line
 	// with a reason (CSVQuarBadRow, CSVQuarTruncatedTail) and a detail.
 	OnQuarantine func(reason, detail string)
 }
 
+// csvChunk is a run of consecutive input lines the producer parsed.
+type csvChunk struct {
+	recs  []*Record
+	quars []csvQuar // in line order
+	err   error     // what ended the input after the run; nil if it filled
+}
+
+// csvQuar is a bad row that came after the chunk's first at records.
+type csvQuar struct {
+	at     int
+	detail string
+}
+
 // NewScanCSV wraps r in a scans.csv reader.
 func NewScanCSV(r io.Reader) *ScanCSV {
-	return &ScanCSV{
+	c := &ScanCSV{
 		br:        bufio.NewReaderSize(r, 64<<10),
 		ports:     make(map[string][]uint16),
 		countries: make(map[string]ipmeta.CountryCode),
 		certs:     make(map[string]certTail),
 		memoCap:   readerMemoCap,
+		chunkRows: readAheadRows,
+		maxChunks: readAheadChunks,
 	}
+	c.ready.L = &c.mu
+	return c
 }
 
 // memoPut records v under key in one of c's capped memos.
@@ -317,9 +415,82 @@ func memoPut[V any](c *ScanCSV, m map[string]V, key string, v V) {
 
 // Next returns the next well-formed record. It returns io.EOF when the
 // underlying stream has no further complete line; a trailing partial line
-// stays buffered so a growing file can complete it later.
+// stays buffered so a growing file can complete it later. A read error
+// comes after every record read before it, and a later Next reads on. Once
+// Next has returned an error no producer runs until Next is called again.
 func (c *ScanCSV) Next() (*Record, error) {
+	c.drained = false
 	for {
+		if ch := c.cur; ch != nil {
+			for c.qi < len(ch.quars) && ch.quars[c.qi].at <= c.ri {
+				q := ch.quars[c.qi]
+				c.qi++
+				c.quarantine(CSVQuarBadRow, q.detail)
+			}
+			if c.ri < len(ch.recs) {
+				c.ri++
+				return ch.recs[c.ri-1], nil
+			}
+			c.cur = nil
+			if ch.err != nil {
+				c.drained = true
+				return nil, ch.err
+			}
+		}
+		c.cur, c.ri, c.qi = c.take(), 0, 0
+	}
+}
+
+// take pops the next queued chunk, first starting the producer if it is
+// stopped, the queue is at most half full and the input has not ended in
+// it, then waiting for a chunk if none is queued.
+func (c *ScanCSV) take() *csvChunk {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.queue)
+	if !c.running && n <= c.maxChunks/2 && (n == 0 || c.queue[n-1].err == nil) {
+		c.running = true
+		go c.produce()
+	}
+	for len(c.queue) == 0 {
+		c.ready.Wait()
+	}
+	ch := c.queue[0]
+	n = copy(c.queue, c.queue[1:])
+	c.queue[n] = nil
+	c.queue = c.queue[:n]
+	return ch
+}
+
+// produce queues chunks until maxChunks are waiting or the input has no
+// further complete line. It never waits on Next, so the producer of a
+// reader its caller drops stops by itself.
+func (c *ScanCSV) produce() {
+	for stop := false; !stop; {
+		ch := c.fill()
+		c.mu.Lock()
+		c.queue = append(c.queue, ch)
+		stop = ch.err != nil || len(c.queue) >= c.maxChunks
+		c.running = !stop
+		c.ready.Broadcast()
+		c.mu.Unlock()
+	}
+}
+
+// waitIdle returns once no producer runs.
+func (c *ScanCSV) waitIdle() {
+	c.mu.Lock()
+	for c.running {
+		c.ready.Wait()
+	}
+	c.mu.Unlock()
+}
+
+// fill runs the line loop until the chunk holds chunkRows records or the
+// stream has no further complete line.
+func (c *ScanCSV) fill() *csvChunk {
+	ch := &csvChunk{recs: make([]*Record, 0, c.chunkRows)}
+	for len(ch.recs) < c.chunkRows {
 		line, err := c.br.ReadSlice('\n')
 		if err != nil {
 			// No newline yet: hold what arrived for the next read.
@@ -328,9 +499,10 @@ func (c *ScanCSV) Next() (*Record, error) {
 				continue
 			}
 			if errors.Is(err, io.EOF) {
-				return nil, io.EOF
+				err = io.EOF
 			}
-			return nil, err
+			ch.err = err
+			return ch
 		}
 		if len(c.partial) > 0 {
 			// line views partial's array until the next read appends to it,
@@ -349,11 +521,12 @@ func (c *ScanCSV) Next() (*Record, error) {
 		}
 		rec, err := c.parseLine(line)
 		if err != nil {
-			c.quarantine(CSVQuarBadRow, err.Error())
+			ch.quars = append(ch.quars, csvQuar{len(ch.recs), err.Error()})
 			continue
 		}
-		return rec, nil
+		ch.recs = append(ch.recs, rec)
 	}
+	return ch
 }
 
 var scanCSVHeaderPrefix = []byte(ScanCSVHeader[0] + ",")
@@ -382,7 +555,7 @@ func (c *ScanCSV) parseLine(line []byte) (*Record, error) {
 		}
 		c.dateStr, c.date = s, date
 	}
-	ip, err := parseScanIP(string(head[1]))
+	ip, err := parseLineIP(head[1])
 	if err != nil {
 		return nil, err
 	}
@@ -394,7 +567,7 @@ func (c *ScanCSV) parseLine(line []byte) (*Record, error) {
 		}
 		memoPut(c, c.ports, s, ports)
 	}
-	asn, err := parseScanASN(string(head[3]))
+	asn, err := parseLineASN(head[3])
 	if err != nil {
 		return nil, err
 	}
@@ -422,21 +595,26 @@ func (c *ScanCSV) parseLine(line []byte) (*Record, error) {
 
 // FinishTail declares end of input for a bounded read: a non-empty partial
 // line still buffered is a torn tail — quarantined, not a parse error — and
-// is dropped so a subsequent Next sees a clean stream.
+// is dropped so a subsequent Next sees a clean stream. Only the tail the
+// last Next stopped at counts: a reader still inside its input has none.
+//
+// FinishTail and PartialTail first wait for the read-ahead to stop, so once
+// either returns the reader no longer reads its source until Next is called.
 func (c *ScanCSV) FinishTail() {
-	if len(c.partial) == 0 {
+	if !c.PartialTail() {
 		return
 	}
-	detail := string(c.partial)
-	if len(detail) > 80 {
-		detail = detail[:80]
-	}
+	detail := fmt.Sprintf("%d bytes: %q", len(c.partial), c.partial[:min(len(c.partial), 80)])
 	c.partial = c.partial[:0]
-	c.quarantine(CSVQuarTruncatedTail, fmt.Sprintf("%d bytes: %q", len(detail), detail))
+	c.quarantine(CSVQuarTruncatedTail, detail)
 }
 
-// PartialTail reports whether a torn final line is currently buffered.
-func (c *ScanCSV) PartialTail() bool { return len(c.partial) > 0 }
+// PartialTail reports whether the last Next stopped at a torn final line,
+// which is held until the line completes or FinishTail drops it.
+func (c *ScanCSV) PartialTail() bool {
+	c.waitIdle()
+	return c.drained && len(c.partial) > 0
+}
 
 func (c *ScanCSV) quarantine(reason, detail string) {
 	if c.OnQuarantine != nil {

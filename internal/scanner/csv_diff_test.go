@@ -39,21 +39,38 @@ func synthCSV(cfg synth.Config) string {
 	return sb.String()
 }
 
-// csvEvent is what became of one input line: a record, or a quarantine.
+// csvEvent is what became of one input line: a record, or a quarantine
+// and its detail.
 type csvEvent struct {
-	rec    *scanner.Record
-	reason string
+	rec            *scanner.Record
+	reason, detail string
 }
 
+// readAhead is a reader's chunking: rows per chunk and chunks queued, the
+// zero value the default.
+type readAhead struct{ rows, chunks int }
+
+// readAheads are the chunkings the differential tests read at: the default,
+// and chunks of one to three rows with one to three queued, so bad rows,
+// runs of them and a torn tail fall on every side of a chunk boundary.
+var readAheads = []readAhead{{}, {1, 1}, {1, 3}, {2, 1}, {3, 2}}
+
 // eventReader wraps src in a reader that logs quarantines into the
-// returned event list, in line order with the records drain appends.
-func eventReader(src io.Reader, caps int) (*scanner.ScanCSV, *[]csvEvent) {
+// returned event list, in line order with the records drain appends. The
+// list is written from OnQuarantine and from drain without a lock, so under
+// -race a quarantine reported off the caller's goroutine fails the test.
+func eventReader(src io.Reader, caps int, ra readAhead) (*scanner.ScanCSV, *[]csvEvent) {
 	c := scanner.NewScanCSV(src)
 	if caps > 0 {
 		c.SetMemoCap(caps)
 	}
+	if ra != (readAhead{}) {
+		c.SetReadAhead(ra.rows, ra.chunks)
+	}
 	events := new([]csvEvent)
-	c.OnQuarantine = func(reason, detail string) { *events = append(*events, csvEvent{reason: reason}) }
+	c.OnQuarantine = func(reason, detail string) {
+		*events = append(*events, csvEvent{reason: reason, detail: detail})
+	}
 	return c, events
 }
 
@@ -81,7 +98,8 @@ func referenceEvents(data string) []csvEvent {
 		i := strings.IndexByte(data, '\n')
 		if i < 0 {
 			if data != "" {
-				events = append(events, csvEvent{reason: scanner.CSVQuarTruncatedTail})
+				detail := fmt.Sprintf("%d bytes: %q", len(data), data[:min(len(data), 80)])
+				events = append(events, csvEvent{reason: scanner.CSVQuarTruncatedTail, detail: detail})
 			}
 			return events
 		}
@@ -97,7 +115,7 @@ func referenceEvents(data string) []csvEvent {
 		}
 		rec, err := scanner.ParseScanRow(strings.Split(line, ","))
 		if err != nil {
-			events = append(events, csvEvent{reason: scanner.CSVQuarBadRow})
+			events = append(events, csvEvent{reason: scanner.CSVQuarBadRow, detail: err.Error()})
 			continue
 		}
 		events = append(events, csvEvent{rec: rec})
@@ -139,8 +157,9 @@ func sameEvents(tb testing.TB, label string, got, want []csvEvent) {
 		tb.Fatalf("%s: %d events, reference has %d", label, len(got), len(want))
 	}
 	for i := range want {
-		if got[i].reason != want[i].reason {
-			tb.Fatalf("%s: event %d: reader says %q, reference says %q", label, i, got[i].reason, want[i].reason)
+		if got[i].reason != want[i].reason || got[i].detail != want[i].detail {
+			tb.Fatalf("%s: event %d: reader says %q %q, reference says %q %q",
+				label, i, got[i].reason, got[i].detail, want[i].reason, want[i].detail)
 		}
 		if want[i].rec == nil {
 			continue
@@ -152,33 +171,35 @@ func sameEvents(tb testing.TB, label string, got, want []csvEvent) {
 }
 
 // checkAgainstReference reads data whole and in torn pieces, through a
-// default reader and one whose memos hold two entries, and requires the
-// reference's events every time.
+// default reader and one whose memos hold two entries, at every chunking in
+// readAheads, and requires the reference's events every time.
 func checkAgainstReference(tb testing.TB, data string, tornSeed int64) {
 	tb.Helper()
 	want := referenceEvents(data)
 	for _, caps := range []int{0, 2} {
-		c, events := eventReader(strings.NewReader(data), caps)
-		drain(tb, c, events)
-		c.FinishTail()
-		sameEvents(tb, fmt.Sprintf("whole, caps=%d", caps), *events, want)
-
-		// A growing file: the writer lands a few bytes at a time and the
-		// reader runs to EOF in between, so lines complete across resumes.
-		var src bytes.Buffer
-		c, events = eventReader(&src, caps)
-		rng := rand.New(rand.NewSource(tornSeed))
-		for rest := data; rest != ""; {
-			n := 1 + rng.Intn(300)
-			if n > len(rest) {
-				n = len(rest)
-			}
-			src.WriteString(rest[:n])
-			rest = rest[n:]
+		for _, ra := range readAheads {
+			c, events := eventReader(strings.NewReader(data), caps, ra)
 			drain(tb, c, events)
+			c.FinishTail()
+			sameEvents(tb, fmt.Sprintf("whole, caps=%d, read-ahead %v", caps, ra), *events, want)
+
+			// A growing file: the writer lands a few bytes at a time and the
+			// reader runs to EOF in between, so lines complete across resumes.
+			var src bytes.Buffer
+			c, events = eventReader(&src, caps, ra)
+			rng := rand.New(rand.NewSource(tornSeed))
+			for rest := data; rest != ""; {
+				n := 1 + rng.Intn(300)
+				if n > len(rest) {
+					n = len(rest)
+				}
+				src.WriteString(rest[:n])
+				rest = rest[n:]
+				drain(tb, c, events)
+			}
+			c.FinishTail()
+			sameEvents(tb, fmt.Sprintf("torn, caps=%d, read-ahead %v", caps, ra), *events, want)
 		}
-		c.FinishTail()
-		sameEvents(tb, fmt.Sprintf("torn, caps=%d", caps), *events, want)
 	}
 }
 
@@ -213,8 +234,30 @@ func hostileRows() []string {
 		strings.Replace(goodRow, "2017-01-08", "", 1),
 		strings.Replace(goodRow, "84.205.1.9", "84.205.1.999", 1),
 		strings.Replace(goodRow, "84.205.1.9", "084.205.1.9", 1),
+		strings.Replace(goodRow, "84.205.1.9", "84.205.1.09", 1),
+		strings.Replace(goodRow, "84.205.1.9", "84.205.1.0", 1),
+		strings.Replace(goodRow, "84.205.1.9", "0.0.0.0", 1),
+		strings.Replace(goodRow, "84.205.1.9", "255.255.255.255", 1),
+		strings.Replace(goodRow, "84.205.1.9", "256.205.1.9", 1),
+		strings.Replace(goodRow, "84.205.1.9", "1000.205.1.9", 1),
+		strings.Replace(goodRow, "84.205.1.9", "84.205.1", 1),
+		strings.Replace(goodRow, "84.205.1.9", "84.205.1.9.7", 1),
+		strings.Replace(goodRow, "84.205.1.9", "84.205..9", 1),
+		strings.Replace(goodRow, "84.205.1.9", "84.205.1.", 1),
+		strings.Replace(goodRow, "84.205.1.9", "84.205.1.9x", 1),
+		strings.Replace(goodRow, "84.205.1.9", "84.205.1.9 ", 1),
+		strings.Replace(goodRow, "84.205.1.9", " 84.205.1.9", 1),
+		strings.Replace(goodRow, "84.205.1.9", "+84.205.1.9", 1),
+		strings.Replace(goodRow, "84.205.1.9", "84.205.1.9%eth0", 1),
+		strings.Replace(goodRow, "84.205.1.9", "::ffff:84.205.1.9", 1),
+		strings.Replace(goodRow, "84.205.1.9", "", 1),
 		strings.Replace(goodRow, "443 8443", "443 70000", 1),
 		strings.Replace(goodRow, "35506", "as35506", 1),
+		strings.Replace(goodRow, "35506", "035506", 1),
+		strings.Replace(goodRow, "35506", "4294967295", 1),
+		strings.Replace(goodRow, "35506", "4294967296", 1),
+		strings.Replace(goodRow, "35506", "+35506", 1),
+		strings.Replace(goodRow, ",35506,", ",,", 1),
 		strings.Replace(goodRow, ",1001,", ",0x3e9,", 1),
 		strings.Replace(goodRow, "true,false", "yes,false", 1),
 		strings.Replace(goodRow, "true,false", "true,", 1),
@@ -254,7 +297,7 @@ func TestScanCSVSharesWhatRepeats(t *testing.T) {
 		strings.Replace(goodRow, "Let's Encrypt", "DigiCert", 1),
 		strings.Replace(goodRow, ",1001,", ",1002,", 1),
 	}
-	c, events := eventReader(strings.NewReader(strings.Join(rows, "\n")+"\n"), 0)
+	c, events := eventReader(strings.NewReader(strings.Join(rows, "\n")+"\n"), 0, readAhead{})
 	drain(t, c, events)
 	if len(*events) != len(rows) {
 		t.Fatalf("%d events, want %d", len(*events), len(rows))
@@ -286,10 +329,12 @@ func FuzzScanCSVRow(f *testing.F) {
 		data := goodRow + "\n" + line + "\n" + line + "\n"
 		want := referenceEvents(data)
 		for _, caps := range []int{0, 1} {
-			c, events := eventReader(strings.NewReader(data), caps)
-			drain(t, c, events)
-			c.FinishTail()
-			sameEvents(t, fmt.Sprintf("caps=%d", caps), *events, want)
+			for _, ra := range readAheads {
+				c, events := eventReader(strings.NewReader(data), caps, ra)
+				drain(t, c, events)
+				c.FinishTail()
+				sameEvents(t, fmt.Sprintf("caps=%d, read-ahead %v", caps, ra), *events, want)
+			}
 		}
 	})
 }
@@ -298,7 +343,7 @@ func FuzzScanCSVRow(f *testing.F) {
 // records by consecutive scan date.
 func readBatches(tb testing.TB, data string) [][]*scanner.Record {
 	tb.Helper()
-	c, events := eventReader(strings.NewReader(data), 0)
+	c, events := eventReader(strings.NewReader(data), 0, readAhead{})
 	drain(tb, c, events)
 	var batches [][]*scanner.Record
 	for _, ev := range *events {

@@ -3,6 +3,7 @@ package scanner
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"io"
 	"net/netip"
@@ -198,6 +199,70 @@ func TestScanCSVTruncatedTail(t *testing.T) {
 			t.Fatalf("quarantine calls: %v", quars)
 		}
 	})
+}
+
+// TestScanCSVTruncatedTailDetail pins the truncated_tail detail: the torn
+// line's whole length, then its first 80 bytes quoted.
+func TestScanCSVTruncatedTailDetail(t *testing.T) {
+	tail := strings.Repeat("x", 5000)
+	c := NewScanCSV(strings.NewReader(goodRowForDetail + "\n" + tail))
+	var details []string
+	c.OnQuarantine = func(reason, detail string) { details = append(details, reason+": "+detail) }
+	if _, err := c.Next(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Next(); !errors.Is(err, io.EOF) {
+		t.Fatalf("want EOF, got %v", err)
+	}
+	c.FinishTail()
+	want := `truncated_tail: 5000 bytes: "` + strings.Repeat("x", 80) + `"`
+	if len(details) != 1 || details[0] != want {
+		t.Fatalf("quarantine calls %q, want [%q]", details, want)
+	}
+}
+
+const goodRowForDetail = "2017-01-08,84.205.1.9,443,35506,GR,1001,Let's Encrypt,true,false,www.mfa.gov.kg"
+
+// TestParseLineIPMatchesReference holds the in-place dotted-quad decoder to
+// parseScanIP, value and error text, on every address built from four
+// octets out of a list of valid, malformed and out-of-range ones, and on
+// each of those with bytes around it.
+func TestParseLineIPMatchesReference(t *testing.T) {
+	octets := []string{"", "0", "00", "01", "1", "9", "10", "25", "99", "100", "199", "249", "255", "256", "300", "999", "1000", "a", "-1", " 1", "1 "}
+	check := func(s string) {
+		got, gerr := parseLineIP([]byte(s))
+		want, werr := parseScanIP(s)
+		if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("parseLineIP(%q) = %v, %v; parseScanIP says %v, %v", s, got, gerr, want, werr)
+		}
+	}
+	for _, a := range octets {
+		for _, b := range octets {
+			for _, c := range octets {
+				for _, d := range octets {
+					check(a + "." + b + "." + c + "." + d)
+				}
+			}
+		}
+	}
+	for _, s := range []string{"", ".", "...", "1.2.3", "1.2.3.4.", "1.2.3.4.5", "1.2.3.4x", "x1.2.3.4", "1.2.3.4%eth0",
+		"::1", "2001:db8::1", "::ffff:1.2.3.4", "1.2.3.4:80", "1..2.3", "１.2.3.4"} {
+		check(s)
+	}
+}
+
+// TestParseLineASNMatchesReference holds the in-place ASN decoder to
+// parseScanASN, value and error text, around the 32-bit edge and on what
+// strconv refuses in base 10.
+func TestParseLineASNMatchesReference(t *testing.T) {
+	for _, s := range []string{"", "0", "00", "007", "35506", "4294967295", "04294967295", "4294967296",
+		"9999999999", "10000000000", "99999999999999999999999", "+1", "-1", "1_000", "0x10", " 1", "1 ", "as1", "1.0", "١"} {
+		got, gerr := parseLineASN([]byte(s))
+		want, werr := parseScanASN(s)
+		if got != want || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+			t.Fatalf("parseLineASN(%q) = %v, %v; parseScanASN says %v, %v", s, got, gerr, want, werr)
+		}
+	}
 }
 
 // refSynthCertSerial is synthCertSerial as it stood on hash/fnv: three heap

@@ -9,7 +9,8 @@ ci: lint vet build test race fuzz-smoke
 
 # The fault-tolerance conventions from PR 3, machine-checked: no panic(
 # reachable from data paths, no Must* constructors outside static tables —
-# and no manifest growing back under internal/wal or internal/segment.
+# and no manifest growing back under internal/wal or internal/segment —
+# plus gofmt: any file `gofmt -l` lists fails the target.
 lint:
 	./scripts/lint.sh
 
@@ -79,13 +80,15 @@ fuzz-smoke:
 # paper-shaped sharded ingest and classification over the synthetic corpus
 # (shard counts 1/4/8 — the benchmark itself fails if shards=8 runs over
 # 1.25x shards=1 — plus the interning on/off
-# retained-heap comparison), the serving layer's query latency (reference
-# render, LRU hit, prerendered singleton, templated domain body), the
+# retained-heap comparison; classification over a 4 000 x 104 archive
+# with its records in scan order and copied domain-major), the serving
+# layer's query latency (reference render, LRU hit, prerendered
+# singleton, templated domain body), the
 # snapshot build the follow loop pays per scan (default vs reference), and
 # one scan of the durable follow loop end to end (Feeder.Tick -> cached Run
 # -> BuildSnapshot on a WAL in a temp dir: ns/scan, allocs/scan).
 bench:
-	$(GO) test -bench='BenchmarkIncrementalAppend|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkSynthEmit|BenchmarkScanCSVNext|BenchmarkBulkIngestCSV|BenchmarkIngestShards|BenchmarkIngestIntern|BenchmarkSynthClassify|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkDurableTick|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=3 -run='^$$' .
+	$(GO) test -bench='BenchmarkIncrementalAppend|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkSynthEmit|BenchmarkScanCSVNext|BenchmarkBulkIngestCSV|BenchmarkIngestShards|BenchmarkIngestIntern|BenchmarkSynthClassify|BenchmarkArchiveClassify|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkDurableTick|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=3 -run='^$$' .
 
 # Every benchmark in the harness (tables, figures, scale sweeps, ablations).
 bench-all:
@@ -104,7 +107,7 @@ bench-report:
 	mkdir -p $(BENCHDIR)
 	$(GO) run ./cmd/retrodns -stable 80 -seed 1 -report-json $(BENCHDIR)/run-report.json 2>/dev/null >/dev/null
 	rm -f $(BENCHDIR)/bench.txt
-	for pass in 1 2 3 4 5; do $(GO) test -bench='BenchmarkIncrementalAppend$$|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkScanCSVNext|BenchmarkBulkIngestCSV|BenchmarkIngestShards|BenchmarkSynthClassify|BenchmarkDeploymentAnyIP|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkDurableTick|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=1 -run='^$$' . | tee -a $(BENCHDIR)/bench.txt; done
+	for pass in 1 2 3 4 5; do $(GO) test -bench='BenchmarkIncrementalAppend$$|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkScanCSVNext|BenchmarkBulkIngestCSV|BenchmarkIngestShards|BenchmarkSynthClassify|BenchmarkArchiveClassify|BenchmarkDeploymentAnyIP|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkDurableTick|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=1 -run='^$$' . | tee -a $(BENCHDIR)/bench.txt; done
 
 # Fail on funnel drift or a >20% perf regression against the committed
 # baseline (see cmd/benchdiff).

@@ -863,6 +863,32 @@ var (
 	synthTotal   int
 )
 
+// archiveScans generates the longitudinal synth corpus once per process:
+// 4 000 domains x 104 weekly scans, the shape of the benchmark of record's
+// batch-archive workload. Four scans leave a domain's records a few
+// hundred KB apart at most; 104 spread them over the whole ~45 MB corpus,
+// which is what the classify pass meets on an ingested archive.
+func archiveScans(b *testing.B) (dates []simtime.Date, scans [][]*scanner.Record, total int) {
+	b.Helper()
+	archiveOnce.Do(func() {
+		g := synth.New(synth.Config{Domains: 4000, Seed: 11, Scans: 104})
+		archiveDates = g.ScanDates()
+		archiveBatches = make([][]*scanner.Record, len(archiveDates))
+		for i, d := range archiveDates {
+			archiveBatches[i] = g.Scan(d)
+			archiveTotal += len(archiveBatches[i])
+		}
+	})
+	return archiveDates, archiveBatches, archiveTotal
+}
+
+var (
+	archiveOnce    sync.Once
+	archiveDates   []simtime.Date
+	archiveBatches [][]*scanner.Record
+	archiveTotal   int
+)
+
 // scansCSV renders scans as one scans.csv, header included.
 func scansCSV(scans [][]*scanner.Record) []byte {
 	var buf bytes.Buffer
@@ -1076,6 +1102,44 @@ func BenchmarkSynthClassify(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(total*b.N)/b.Elapsed().Seconds(), "records/s")
+}
+
+// BenchmarkArchiveClassify runs the classification funnel over the
+// longitudinal corpus (archiveScans), where a domain's records are spread
+// over the whole corpus. The records are laid out two ways:
+// layout=scan-order as ingest allocates them (each scan's records
+// together, so one domain's records lie a scan apart), and
+// layout=domain-major as a copy of the same records with each domain's
+// contiguous. Both datasets are built before either arm runs. The gap
+// between the two is what the classify pass still pays for memory latency.
+func BenchmarkArchiveClassify(b *testing.B) {
+	dates, scans, total := archiveScans(b)
+	ingest := func(scans [][]*scanner.Record) *scanner.Dataset {
+		ds := scanner.NewDatasetShards(scanner.DefaultShards)
+		for j, d := range dates {
+			if err := ds.AddScan(d, scans[j]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		ds.Freeze()
+		return ds
+	}
+	scanOrder := ingest(scans)
+	domainOrder := ingest(domainMajor(scanOrder, scans))
+	classify := func(b *testing.B, ds *scanner.Dataset) {
+		db := pdns.NewDB()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p := &core.Pipeline{Params: core.DefaultParams(), Dataset: ds, PDNS: db}
+			res := p.Run()
+			if res.Funnel.Domains == 0 {
+				b.Fatal("empty funnel")
+			}
+		}
+		b.ReportMetric(float64(total*b.N)/b.Elapsed().Seconds(), "records/s")
+	}
+	b.Run("layout=scan-order", func(b *testing.B) { classify(b, scanOrder) })
+	b.Run("layout=domain-major", func(b *testing.B) { classify(b, domainOrder) })
 }
 
 // BenchmarkDeploymentAnyIP guards the representative-IP lookup on the

@@ -175,8 +175,16 @@ func insertCountry(ccs []ipmeta.CountryCode, cc ipmeta.CountryCode) []ipmeta.Cou
 
 // addCert appends the certificate to the set unless its fingerprint is
 // already present (first observation wins; same fingerprint implies same
-// certificate content).
+// certificate content). A pooled certificate is its fingerprint's one
+// instance, so a pointer match settles the common case without loading the
+// certificate; the fingerprint scan covers datasets built with interning
+// off, where equal certificates arrive as distinct instances.
 func (d *Deployment) addCert(c *x509lite.Certificate) {
+	for i := range d.Certs {
+		if d.Certs[i].Cert == c {
+			return
+		}
+	}
 	fp := c.Fingerprint()
 	for i := range d.Certs {
 		if d.Certs[i].FP == fp {
@@ -278,6 +286,7 @@ func mergeRecordsArena(m *DeploymentMap, records []*scanner.Record, ar *classify
 	}
 	deps := m.Deployments
 	added := 0
+	ar.prefetch(records)
 	for _, r := range records {
 		if !haveLast || r.ScanDate != last {
 			m.PresentScans++

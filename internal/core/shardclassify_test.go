@@ -103,9 +103,9 @@ func TestShardSkewStat(t *testing.T) {
 	}{
 		{"no fragments", nil, 0},
 		{"single shard", []shardClassifyOut{frag(5, time.Millisecond)}, 0},
-		{"empty shards ignored", []shardClassifyOut{frag(5, 2 * time.Millisecond), frag(0, time.Millisecond)}, 0},
-		{"two shards", []shardClassifyOut{frag(5, 3 * time.Millisecond), frag(7, time.Millisecond)}, 3},
-		{"zero busy ignored", []shardClassifyOut{frag(5, 4 * time.Millisecond), frag(3, 0), frag(2, 2 * time.Millisecond)}, 2},
+		{"empty shards ignored", []shardClassifyOut{frag(5, 2*time.Millisecond), frag(0, time.Millisecond)}, 0},
+		{"two shards", []shardClassifyOut{frag(5, 3*time.Millisecond), frag(7, time.Millisecond)}, 3},
+		{"zero busy ignored", []shardClassifyOut{frag(5, 4*time.Millisecond), frag(3, 0), frag(2, 2*time.Millisecond)}, 2},
 	}
 	for _, tc := range cases {
 		if got := shardSkew(tc.frags); got != tc.want {

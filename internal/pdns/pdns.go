@@ -63,7 +63,7 @@ type DB struct {
 	// Per-query-kind lookup counters, populated by SetMetrics; the nil
 	// handles of an uninstrumented DB no-op.
 	metResolutions, metWhoResolvedTo, metSubdomain *obsv.Counter
-	metRows                                       *obsv.Gauge
+	metRows                                        *obsv.Gauge
 }
 
 // MetricLookups is the pDNS query counter family, labeled by kind —

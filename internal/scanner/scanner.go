@@ -55,18 +55,24 @@ func IsSensitiveName(name dnscore.Name) bool {
 // a scan date, with the ports it was returned on. It mirrors the rows of
 // the paper's Table 1.
 type Record struct {
+	// The fields the deployment-map build reads come first, within the
+	// record's first 64 bytes: a classify pass over a window of records
+	// allocated in scan order is bound by the first load of each, and one
+	// line (two at worst) then serves them all. The codecs name every
+	// field, so the order is not on disk or the wire.
+
 	// ScanDate is the weekly scan this record came from.
 	ScanDate simtime.Date
-	// IP is the responding host.
-	IP netip.Addr
-	// Ports lists the TLS ports on which this certificate was returned.
-	Ports []uint16
 	// ASN is the origin AS of IP per the prefix table.
 	ASN ipmeta.ASN
+	// IP is the responding host.
+	IP netip.Addr
 	// Country is IP's geolocation.
 	Country ipmeta.CountryCode
 	// Cert is the certificate presented.
 	Cert *x509lite.Certificate
+	// Ports lists the TLS ports on which this certificate was returned.
+	Ports []uint16
 	// CrtShID is the CT log entry ID for the certificate, 0 if unlogged.
 	CrtShID int64
 	// Trusted reports browser trust at scan time (Apple/Microsoft/Mozilla).
@@ -730,15 +736,12 @@ func (d *Dataset) freezeLocked() {
 	forShards(nsh, shardWorkers(d.records, nsh), func(sid int) {
 		d.shards[sid].freeze()
 	})
-	domainCount := 0
-	for _, s := range d.shards {
-		domainCount += len(s.idx.Load().domains)
+	perShard := make([][]dnscore.Name, nsh)
+	for sid, s := range d.shards {
+		perShard[sid] = s.idx.Load().domains
 	}
-	domains := make([]dnscore.Name, 0, domainCount)
-	for _, s := range d.shards {
-		domains = append(domains, s.idx.Load().domains...)
-	}
-	sort.Slice(domains, func(i, j int) bool { return domains[i] < domains[j] })
+	domains := mergeDomains(nil, perShard...)
+	domainCount := len(domains)
 	sort.Slice(d.scanDates, func(i, j int) bool { return d.scanDates[i] < d.scanDates[j] })
 	view := &datasetView{
 		generation:  1,

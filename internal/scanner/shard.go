@@ -299,19 +299,50 @@ func (s *shard) stage(bucket []routed, gen uint64, frozen bool) (*shardIndex, []
 }
 
 // mergeDomains returns the sorted union of a sorted domain list and the
-// disjoint batches of newly seen domains, always copying so prior
-// snapshots never observe the mutation.
+// disjoint sorted batches of newly seen domains, always copying so prior
+// snapshots never observe the mutation. The lists are already sorted, so
+// this is a k-way merge over a heap of list heads: n names from k lists
+// cost about n·log2(k) comparisons, not the n·log2(n) of sorting the union.
 func mergeDomains(sorted []dnscore.Name, added ...[]dnscore.Name) []dnscore.Name {
-	n := len(sorted)
-	for _, a := range added {
-		n += len(a)
+	h := make([][]dnscore.Name, 0, 1+len(added))
+	n := 0
+	for _, l := range append([][]dnscore.Name{sorted}, added...) {
+		if len(l) > 0 {
+			h = append(h, l)
+			n += len(l)
+		}
+	}
+	down := func(i int) {
+		for {
+			c := 2*i + 1
+			if c >= len(h) {
+				return
+			}
+			if c+1 < len(h) && h[c+1][0] < h[c][0] {
+				c++
+			}
+			if h[i][0] < h[c][0] {
+				return
+			}
+			h[i], h[c] = h[c], h[i]
+			i = c
+		}
+	}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		down(i)
 	}
 	merged := make([]dnscore.Name, 0, n)
-	merged = append(merged, sorted...)
-	for _, a := range added {
-		merged = append(merged, a...)
+	for len(h) > 1 {
+		merged = append(merged, h[0][0])
+		if h[0] = h[0][1:]; len(h[0]) == 0 {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		down(0)
 	}
-	sort.Slice(merged, func(i, j int) bool { return merged[i] < merged[j] })
+	if len(h) == 1 {
+		merged = append(merged, h[0]...)
+	}
 	return merged
 }
 

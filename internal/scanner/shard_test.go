@@ -2,7 +2,9 @@ package scanner
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -246,5 +248,45 @@ func TestEstimatedBytesGrows(t *testing.T) {
 	}
 	if grown := ds.EstimatedBytes(); grown <= small {
 		t.Fatalf("estimate did not grow: %d -> %d", small, grown)
+	}
+}
+
+// TestMergeDomainsMatchesSort pins the k-way merge against sorting the
+// union, over empty, single, lopsided and interleaved list shapes, and
+// checks the result never aliases an input.
+func TestMergeDomainsMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		k := 1 + rng.Intn(10)
+		lists := make([][]dnscore.Name, k)
+		var union []dnscore.Name
+		for i, n := 0, rng.Intn(500); i < n; i++ {
+			name := dnscore.Name(fmt.Sprintf("d%06d.example", rng.Intn(1e6)))
+			if slices.Contains(union, name) {
+				continue
+			}
+			union = append(union, name)
+			l := rng.Intn(k)
+			if trial%3 == 0 {
+				l = 0 // lopsided: one long list beside short ones
+			}
+			lists[l] = append(lists[l], name)
+		}
+		for _, l := range lists {
+			slices.Sort(l)
+		}
+		got := mergeDomains(lists[0], lists[1:]...)
+		slices.Sort(union)
+		if !slices.Equal(got, union) {
+			t.Fatalf("trial %d: merge of %d lists = %v, want %v", trial, k, got, union)
+		}
+		if len(got) > 0 {
+			got[0] = "mutated"
+			for _, l := range lists {
+				if len(l) > 0 && l[0] == "mutated" {
+					t.Fatalf("trial %d: merged list aliases an input", trial)
+				}
+			}
+		}
 	}
 }

@@ -20,6 +20,10 @@
 #      must keep in step. Comments may say a stray manifest.json is
 #      ignored.
 #
+#   4. gofmt: every Go file in the module (tests, examples and the bench
+#      harness included) is gofmt-clean. Drift fails the build with the
+#      file list.
+#
 # Run via `make lint` (part of `make ci`).
 set -u
 cd "$(dirname "$0")/.."
@@ -106,6 +110,20 @@ EOF
 if grep -ni 'manifest' $(printf '%s\n' $srcs | grep -E '^internal/(wal|segment)/') /dev/null \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
     echo "lint: manifest identifier under internal/wal or internal/segment — the directory listing is the index" >&2
+    fail=1
+fi
+
+# ---- Rule 4: gofmt-clean ------------------------------------------------
+# The module's Go files, minus the benchmark's build and work directories
+# (bench/run.sh puts a Go cache and generated inputs there).
+if ! command -v gofmt >/dev/null; then
+    echo "lint: gofmt not on PATH" >&2
+    fail=1
+fi
+unformatted=$(find . -name '*.go' -not -path './.git/*' -not -path './.bench_build/*' \
+    -not -path './.bench_work/*' -print0 | xargs -0 gofmt -l)
+if [ -n "$unformatted" ]; then
+    printf 'lint: %s: not gofmt-clean — run gofmt -w\n' $unformatted >&2
     fail=1
 fi
 

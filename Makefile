@@ -43,11 +43,14 @@ test:
 # TestSpilledWindowsSharedReadOnly four readers over the ports arrays the
 # records of a decoded window share, TestPinnedViewReadsDuringUnspill a
 # reader on a pinned ShardView while its shard unspills under it). The
-# root run pins warm-restart byte-identity across every WAL fault class
-# under -race.
+# root run takes the restart rows of the configuration table
+# (configurations_test.go): a durable daemon killed mid-feed under every
+# WAL fault class, recovered, and held under -race both to the
+# uninterrupted daemon's canonical run report and to the single-goroutine
+# reference pipeline (reference_test.go).
 race:
 	$(GO) test -race ./internal/core ./internal/scanner ./internal/obsv ./internal/serve ./internal/wal ./internal/segment
-	$(GO) test -race -run TestWarmRestartBytesIdentical .
+	$(GO) test -race -run '^TestWarmRestartBytesIdentical$$' .
 
 # Ten seconds of coverage-guided fuzzing per parser: DNS names (also the
 # IsCanonical differential), zone-file snapshots, certificate chains, the
@@ -55,8 +58,11 @@ race:
 # (memoized reader against the reference ParseScanRow, at the default
 # read-ahead chunking and at chunks of one to three rows; the in-place
 # certificate-serial hash against hash/fnv), segment windows (slab decoder,
-# fresh and into a cursor's dirty slab, against the per-record reference), and /v1/domain
-# bodies (assembled from shared tails against the reference render). Enough to
+# fresh and into a cursor's dirty slab, against the per-record reference),
+# /v1/domain bodies (assembled from shared tails against the reference
+# render), and execution configurations (random shards, workers, cache, ingest order,
+# spill budget, WAL fault, stitching and record layout over random synth
+# corpora, against the single-goroutine reference pipeline). Enough to
 # catch a freshly introduced data-shaped panic without stalling CI; run
 # `go test -fuzz=<target> ./internal/<pkg>` open-endedly when hunting.
 fuzz-smoke:
@@ -70,6 +76,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzSynthCertSerial -fuzztime=10s ./internal/scanner
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWindow -fuzztime=10s ./internal/scanner
 	$(GO) test -run='^$$' -fuzz=FuzzDomainBody -fuzztime=10s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzConfigurations -fuzztime=10s .
 
 # The incremental-engine benchmarks: append+cached-rerun vs full rerun
 # (the headline >=10x), certificate-fingerprint memoization, the

@@ -1125,7 +1125,7 @@ func BenchmarkArchiveClassify(b *testing.B) {
 		return ds
 	}
 	scanOrder := ingest(scans)
-	domainOrder := ingest(domainMajor(scanOrder, scans))
+	domainOrder := ingest(domainMajor(dates, scans))
 	classify := func(b *testing.B, ds *scanner.Dataset) {
 		db := pdns.NewDB()
 		b.ResetTimer()

@@ -46,7 +46,6 @@ func main() {
 		synthDomains = flag.Int("synth-domains", 0, "generate a paper-scale synthetic corpus with this many registered domains instead of simulating a world")
 		zipfS        = flag.Float64("zipf-s", 1.1, "zipf exponent for synthetic deployment popularity")
 		synthScans   = flag.Int("synth-scans", 4, "number of synthetic scan dates")
-		legacyFan    = flag.Bool("legacy-fanout", false, "classify with the pre-shard-affine per-domain fan-out (uncached; A/B reference — findings must be identical)")
 
 		spillDir    = flag.String("spill-dir", "", "segment-store directory for the out-of-core corpus (enables spill)")
 		memBudgetMB = flag.Int("mem-budget-mb", -1, "resident corpus budget in MiB: <0 unlimited, 0 spill every frozen shard, >0 ceiling (requires -spill-dir)")
@@ -88,7 +87,7 @@ func main() {
 			domains: *synthDomains, zipfS: *zipfS, scans: *synthScans,
 			seed: *seed, shards: *shards, workers: *workers,
 			strict: *strict, jsonOut: *jsonOut, reportJSON: *reportJSON,
-			legacyFanout: *legacyFan, spill: spill, sf: sf,
+			spill: spill, sf: sf,
 		}, metrics)
 		return
 	}
@@ -206,7 +205,6 @@ type synthRun struct {
 	seed                            int64
 	strict, jsonOut                 bool
 	reportJSON                      string
-	legacyFanout                    bool
 	spill                           *scanner.SpillOptions
 	sf                              spillFlags
 }
@@ -283,13 +281,6 @@ func runSynth(cfg synthRun, metrics *obsv.Registry) {
 		// only pays off across repeated runs, and retaining a cached
 		// classification per (domain, period) cell would defeat the
 		// memory budget the corpus was loaded under.
-		pipe.Cache = nil
-	}
-	if cfg.legacyFanout {
-		// The legacy per-domain fan-out only exists on the uncached path;
-		// scripts/smoke_scale.sh diffs its findings against the default
-		// shard-affine engine.
-		pipe.LegacyFanout = true
 		pipe.Cache = nil
 	}
 	start := time.Now()

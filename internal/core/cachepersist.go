@@ -21,6 +21,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"retrodns/internal/dnscore"
@@ -86,7 +87,7 @@ func (c *ClassifyCache) EncodeState(out io.Writer) error {
 	return err
 }
 
-// encodeCell writes one built cell. Record pointers are translated to
+// encodeCell writes one built cell. Deployment records are written as
 // indexes into the domain's period window as the dataset currently holds
 // it; the cell's recCount bounds the prefix the map was built from.
 func encodeCell(w *scanner.BinWriter, ds *scanner.Dataset, domain dnscore.Name, period simtime.Period, ps *cellState) error {
@@ -101,10 +102,6 @@ func encodeCell(w *scanner.BinWriter, ds *scanner.Dataset, domain dnscore.Name, 
 		return fmt.Errorf("%w: %s %v window %d < recCount %d",
 			ErrCacheState, domain, period, len(window), ps.recCount)
 	}
-	recIdx := make(map[*scanner.Record]int, ps.recCount)
-	for i := 0; i < ps.recCount; i++ {
-		recIdx[window[i]] = i
-	}
 	m := ps.m
 	w.Uvarint(uint64(m.PresentScans))
 	w.Uvarint(uint64(m.TotalScans))
@@ -114,19 +111,26 @@ func encodeCell(w *scanner.BinWriter, ds *scanner.Dataset, domain dnscore.Name, 
 		depIdx[dep] = di
 		w.Uvarint(uint64(dep.ASN))
 		w.Uvarint(uint64(len(dep.Records)))
-		prev := -1
-		for _, rec := range dep.Records {
-			i, ok := recIdx[rec]
-			if !ok {
+		// A map files each record of the window prefix under its origin
+		// AS's deployment, in window order, so a deployment's records are
+		// the prefix's records of its AS. They are matched by content, not
+		// by pointer: a spilled shard decodes a fresh window on every read,
+		// so a cell built over one holds copies of the window's records.
+		prev, k := -1, 0
+		for i, rec := range window[:ps.recCount] {
+			if rec.ASN != dep.ASN {
+				continue
+			}
+			if k == len(dep.Records) || !sameObservation(dep.Records[k], rec) {
 				return fmt.Errorf("%w: %s %v deployment record not in window prefix",
 					ErrCacheState, domain, period)
 			}
-			if i <= prev {
-				return fmt.Errorf("%w: %s %v deployment records out of window order",
-					ErrCacheState, domain, period)
-			}
 			w.Uvarint(uint64(i - prev - 1)) // gap-coded ascending indexes
-			prev = i
+			prev, k = i, k+1
+		}
+		if k != len(dep.Records) {
+			return fmt.Errorf("%w: %s %v deployment records are not the window prefix's",
+				ErrCacheState, domain, period)
 		}
 	}
 	class := ps.class
@@ -214,6 +218,19 @@ func (c *ClassifyCache) DecodeState(data []byte, ds *scanner.Dataset) error {
 	c.paramsFP = paramsFP
 	c.byDomain = byDomain
 	return nil
+}
+
+// sameObservation reports whether two records carry the same observation:
+// the same record, or a copy of it.
+func sameObservation(a, b *scanner.Record) bool {
+	if a == b {
+		return true
+	}
+	return a.ScanDate == b.ScanDate && a.ASN == b.ASN && a.IP == b.IP &&
+		a.Country == b.Country && a.CrtShID == b.CrtShID &&
+		a.Trusted == b.Trusted && a.Sensitive == b.Sensitive &&
+		slices.Equal(a.Ports, b.Ports) &&
+		(a.Cert == b.Cert || a.Cert != nil && b.Cert != nil && a.Cert.Fingerprint() == b.Cert.Fingerprint())
 }
 
 func decodeCell(r *scanner.BinReader, ds *scanner.Dataset, domain dnscore.Name, period simtime.Period, ps *cellState) error {

@@ -91,6 +91,41 @@ func TestCacheStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheStateRoundTripSpilled encodes the cache of a dataset whose
+// shards all live on disk. A spilled shard decodes a fresh window on every
+// read, so the cached records are copies of the window's, never the same
+// pointers: the encoding must match them by content, and the restored
+// cache must replay every cell.
+func TestCacheStateRoundTripSpilled(t *testing.T) {
+	scans, pipe := incrementalWorld(t, 4, false)
+	if err := pipe.Dataset.ConfigureSpill(scanner.SpillOptions{Dir: t.TempDir(), BudgetBytes: 0}); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range scans {
+		pipe.Dataset.Append(s.date, s.recs)
+	}
+	base := pipe.Run()
+	if pipe.Dataset.SpilledShards() == 0 {
+		t.Fatal("nothing spilled")
+	}
+	var ccBuf bytes.Buffer
+	if err := pipe.Cache.EncodeState(&ccBuf); err != nil {
+		t.Fatalf("cache encode over spilled shards: %v", err)
+	}
+	cache := NewClassifyCache()
+	if err := cache.DecodeState(ccBuf.Bytes(), pipe.Dataset); err != nil {
+		t.Fatalf("cache decode: %v", err)
+	}
+	pipe.Cache = cache
+	got := pipe.Run()
+	if !reflect.DeepEqual(digestResult(base), digestResult(got)) {
+		t.Fatal("restored pipeline Result diverged from original")
+	}
+	if got.Stats.CacheMisses != 0 || got.Stats.CacheHits == 0 {
+		t.Fatalf("restored run: %d misses, %d hits; want every cell a hit", got.Stats.CacheMisses, got.Stats.CacheHits)
+	}
+}
+
 // TestCacheStateRestoreThenAppend restores mid-study and replays the rest
 // through Append — the snapshot + WAL-replay shape. Every post-restore
 // Result must match the uninterrupted pipeline's.

@@ -87,8 +87,8 @@ type PipelineStats struct {
 	// ShardSkew is the classify stage's max/min summed per-shard busy-time
 	// ratio: 1.0 means the shards finished in lock-step, larger values mean
 	// the deterministic merge waited on straggler shards. 0 when fewer than
-	// two shards did measurable work (single-shard datasets, legacy
-	// fan-out). Execution metadata, like every timing in this struct.
+	// two shards did measurable work (single-shard datasets). Execution
+	// metadata, like every timing in this struct.
 	ShardSkew float64
 	// Quarantined is the number of malformed records the dataset's ingest
 	// gate refused over its lifetime (scanner.Dataset.Quarantine): a

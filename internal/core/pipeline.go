@@ -36,13 +36,6 @@ type Pipeline struct {
 	// runtime.GOMAXPROCS(0). The result is byte-identical regardless of
 	// the setting.
 	Workers int
-	// LegacyFanout forces the pre-shard-affine build-and-classify fan-out
-	// (per-domain over the globally merged domain list, no arena). Kept as
-	// the A/B reference for the byte-identity invariant — output is
-	// identical either way; only allocation and locality differ. Uncached
-	// runs only: a Run with Cache set always takes the cached shard-affine
-	// path.
-	LegacyFanout bool
 	// Cache, when set, memoizes build-and-classify across Runs over the
 	// same dataset: only cells the dataset journaled as dirty since the
 	// last analyzed generation recompute, the rest replay verbatim. The
@@ -224,8 +217,6 @@ func (p *Pipeline) Run() *Result {
 	case p.Cache != nil:
 		busy, res.Stats.DirtyCells, frags = p.classifyCached(params, workers, periods, scansByPeriod, sp)
 		res.Stats.Generation = p.Dataset.Generation()
-	case p.LegacyFanout:
-		busy, frags = p.classifyLegacy(params, workers, domains, periods, scansByPeriod)
 	default:
 		busy, frags = p.classifyShards(params, workers, periods, scansByPeriod, sp)
 	}

@@ -23,13 +23,15 @@ import (
 //   - Transient classifications are interleaved back into global domain
 //     order by mergeByDomain; see its determinism argument.
 //
-// The result is byte-identical to the legacy per-domain fan-out for any
-// (shards, workers) pair, which TestShardCountInvariance and
-// TestPipelineLegacyFanoutIdentical assert on report JSON.
+// The result is byte-identical for any (shards, workers) pair, and equal
+// to a single-goroutine reference written straight from the paper's five
+// steps (the root package's reference_test.go), which the configuration
+// table and fuzz target there assert on findings, funnel, shortlist and
+// history.
 
 // shardClassifyOut is one shard's fragment of the build-and-classify
-// stage: the shard's domain list, the per-domain slots (filled exactly as
-// the legacy path fills them), and the folded funnel partials.
+// stage: the shard's domain list, the per-domain slots, and the folded
+// funnel partials.
 type shardClassifyOut struct {
 	domains    []dnscore.Name
 	outs       []classifyOut
@@ -140,33 +142,6 @@ func (p *Pipeline) classifyShards(params Params, workers int, periods []simtime.
 	return busy, frags
 }
 
-// classifyLegacy is the pre-shard-affine per-domain fan-out over the
-// globally merged domain list, kept behind Pipeline.LegacyFanout as the
-// A/B reference for the byte-identity invariant (scripts/smoke_scale.sh
-// diffs its findings against the shard-affine path). It produces a single
-// fragment covering every domain, so the downstream merge is shared.
-func (p *Pipeline) classifyLegacy(params Params, workers int, domains []dnscore.Name, periods []simtime.Period, scansByPeriod map[simtime.Period][]simtime.Date) (time.Duration, []shardClassifyOut) {
-	outs := make([]classifyOut, len(domains))
-	busy := parallelFor(len(domains), workers, func(i int) {
-		o := &outs[i]
-		for _, period := range periods {
-			m := BuildMap(p.Dataset, domains[i], period)
-			if m == nil {
-				continue
-			}
-			o.maps++
-			c := params.Classify(m, scansByPeriod[period])
-			o.byPeriod.Set(period, c.Category)
-			if c.Category == CategoryTransient {
-				o.transients = append(o.transients, c)
-			}
-		}
-	})
-	frag := shardClassifyOut{domains: domains, outs: outs}
-	frag.fold()
-	return busy, []shardClassifyOut{frag}
-}
-
 // mergeClassifyFrags folds the shard fragments into the Result — funnel
 // partials sum, history fragments insert under disjoint keys — and returns
 // the transient classifications restored to global domain order.
@@ -178,8 +153,8 @@ func mergeClassifyFrags(res *Result, frags []shardClassifyOut) []*Classification
 		res.Stats.CacheHits += f.hits
 		res.Stats.CacheMisses += f.misses
 		for cat := Category(0); cat <= CategoryNoisy; cat++ {
-			// Only categories that occur get a key, matching the legacy
-			// merge's increment-on-occurrence map shape.
+			// Only categories that occur get a key: the funnel's maps are
+			// increment-on-occurrence.
 			if n := f.mapCats[cat]; n > 0 {
 				res.Funnel.MapCategories[cat] += n
 			}
@@ -245,7 +220,7 @@ func mergeByDomain(lists [][]*Classification) []*Classification {
 // shardSkew is the max/min ratio of summed per-shard classify busy time
 // over shards that did work — the load-balance figure surfaced as
 // PipelineStats.ShardSkew. 0 means "no signal": fewer than two shards did
-// measurable work (including every legacy-fanout run).
+// measurable work (every single-shard run).
 func shardSkew(frags []shardClassifyOut) float64 {
 	var minB, maxB time.Duration
 	n := 0

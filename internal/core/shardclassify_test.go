@@ -8,34 +8,6 @@ import (
 	"retrodns/internal/dnscore"
 )
 
-// TestPipelineLegacyFanoutIdentical is the A/B pin for the shard-affine
-// classify engine: the retained legacy per-domain fan-out must produce
-// identical results — funnel, history, findings, candidates — for serial
-// and 8-way workers, with and without stitching. Shard affinity is an
-// execution strategy, never an analysis input.
-func TestPipelineLegacyFanoutIdentical(t *testing.T) {
-	for _, stitch := range []bool{false, true} {
-		for _, workers := range []int{1, 8} {
-			run := func(legacy bool) *Result {
-				p := buildPipelineWorld(t)
-				p.Params.StitchPeriods = stitch
-				p.Workers = workers
-				p.LegacyFanout = legacy
-				return p.Run()
-			}
-			affine, legacy := run(false), run(true)
-			requireIdenticalResults(t, affine, legacy)
-			if t.Failed() {
-				t.Fatalf("diverged at workers=%d stitch=%v", workers, stitch)
-			}
-			if legacy.Stats.ShardSkew != 0 {
-				t.Errorf("legacy fan-out reported shard skew %.2f, want 0 (no per-shard signal)",
-					legacy.Stats.ShardSkew)
-			}
-		}
-	}
-}
-
 // TestMergeByDomain pins the k-way fragment merge: per-shard lists that
 // ascend by domain with disjoint domain sets interleave into the exact
 // global domain order, with a domain's consecutive run kept intact.

@@ -54,25 +54,36 @@ func buildMapView(v scanner.ShardView, domain dnscore.Name, period simtime.Perio
 	return buildMapFrom(domain, period, records, totalScans, nil)
 }
 
+// stitchPair reads the domain's maps of periods a and b through the
+// shard view and applies the stitch rule to them.
 func stitchPair(params Params, v scanner.ShardView, domain dnscore.Name, a, b simtime.Period, scansByPeriod map[simtime.Period][]simtime.Date) *Classification {
 	mapA := buildMapView(v, domain, a, len(scansByPeriod[a]))
 	mapB := buildMapView(v, domain, b, len(scansByPeriod[b]))
 	if mapA == nil || mapB == nil {
 		return nil
 	}
-	scansA, scansB := scansByPeriod[a], scansByPeriod[b]
+	return params.Stitch(mapA, mapB, scansByPeriod[a], scansByPeriod[b])
+}
+
+// Stitch is the cross-period rule over one domain's maps of two
+// consecutive analyzed periods, mapA's before mapB's, with each period's
+// scan roster. It returns the synthesized transient classification of a
+// deployment that straddles the boundary between them, or nil. The maps
+// are only read: the classification shares their deployments.
+func (p Params) Stitch(mapA, mapB *DeploymentMap, scansA, scansB []simtime.Date) *Classification {
 	if len(scansA) < 4 || len(scansB) < 4 {
 		return nil
 	}
-	clsA := params.Classify(mapA, scansA)
-	clsB := params.Classify(mapB, scansB)
+	domain, a := mapA.Domain, mapA.Period
+	clsA := p.Classify(mapA, scansA)
+	clsB := p.Classify(mapB, scansB)
 	// A stable background must exist on both sides — the transient is
 	// anomalous relative to it.
 	if len(clsA.Stables) == 0 || len(clsB.Stables) == 0 {
 		return nil
 	}
 
-	margin := params.EdgeMarginScans
+	margin := p.EdgeMarginScans
 	byASN := func(deps []*Deployment) map[ipmeta.ASN]*Deployment {
 		m := make(map[ipmeta.ASN]*Deployment, len(deps))
 		for _, d := range deps {
@@ -109,7 +120,7 @@ func stitchPair(params Params, v scanner.ShardView, domain dnscore.Name, a, b si
 			continue // persists through b: a transition, not a transient
 		}
 		span := int(dB.Last().Sub(dA.First())) + simtime.DaysPerWeek
-		if span > params.TransientMaxDays {
+		if span > p.TransientMaxDays {
 			continue
 		}
 		merged := mergeDeployments(dA, dB)

@@ -326,11 +326,12 @@ const (
 //
 // Rows are split in place in the read buffer and whatever a row repeats
 // from an earlier one is served from a memo: the scan date, the ports list,
-// the country code, and — keyed on the raw crtsh_id..names tail — the
-// certificate. A miss takes ParseScanRow's decode of that column, checks
-// and all, and copies what it keeps, so no Record references the read
-// buffer. Records of one reader therefore share *Certificate instances and
-// Ports backing arrays; both are read-only from the moment Next returns.
+// the country code, the issuer, and — keyed on the raw crtsh_id..names
+// tail — the certificate. A miss takes ParseScanRow's decode of that
+// column, checks and all, and copies what it keeps, so no Record
+// references the read buffer. Records of one reader therefore share
+// *Certificate instances and Ports backing arrays; both are read-only from
+// the moment Next returns.
 //
 // Parsing runs ahead of the caller: a producer goroutine fills chunks of
 // parsed rows, each with the quarantines that fell between its records, and
@@ -350,6 +351,7 @@ type ScanCSV struct {
 	date      simtime.Date
 	ports     map[string][]uint16
 	countries map[string]ipmeta.CountryCode
+	issuers   map[string]string
 	certs     map[string]certTail
 	slab      []Record
 
@@ -396,6 +398,7 @@ func NewScanCSV(r io.Reader) *ScanCSV {
 		br:        bufio.NewReaderSize(r, 64<<10),
 		ports:     make(map[string][]uint16),
 		countries: make(map[string]ipmeta.CountryCode),
+		issuers:   make(map[string]string),
 		certs:     make(map[string]certTail),
 		memoCap:   readerMemoCap,
 		chunkRows: readAheadRows,
@@ -573,11 +576,19 @@ func (c *ScanCSV) parseLine(line []byte) (*Record, error) {
 	}
 	ct, ok := c.certs[string(tail)]
 	if !ok {
-		// The key is the one copy of the tail; the certificate's issuer and
-		// names are substrings of it.
+		// The key is the one copy of the tail; the certificate's names are
+		// substrings of it. Its issuer comes from a memo of its own: a
+		// pooled certificate keeps its issuer after the reader is gone, and
+		// must not keep this row's tail alive with it (the pool re-interns
+		// names, not the issuer).
 		s := string(tail)
 		f := strings.SplitN(s, ",", 5)
-		if ct, err = parseCertTail(f[0], f[1], f[2], f[3], f[4]); err != nil {
+		issuer, ok := c.issuers[f[1]]
+		if !ok {
+			issuer = strings.Clone(f[1])
+			memoPut(c, c.issuers, issuer, issuer)
+		}
+		if ct, err = parseCertTail(f[0], issuer, f[2], f[3], f[4]); err != nil {
 			return nil, err
 		}
 		memoPut(c, c.certs, s, ct)

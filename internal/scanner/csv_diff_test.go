@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"retrodns/internal/core"
 	"retrodns/internal/pdns"
@@ -24,6 +25,7 @@ import (
 	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
 	"retrodns/internal/synth"
+	"retrodns/internal/x509lite"
 )
 
 // synthCSV renders a synth corpus as scans.csv, header included.
@@ -400,6 +402,36 @@ func TestIngestedRecordsDoNotPinLines(t *testing.T) {
 	if limit := est + est/4; grown > limit {
 		t.Fatalf("heap grew %d bytes for a corpus the model puts at %d (limit %d); the csv is %d bytes",
 			grown, est, limit, len(csv))
+	}
+}
+
+// TestPooledIssuersShareOneString ingests a corpus through ScanCSV, drops
+// the reader, and requires the pooled certificates of one issuer to share
+// one issuer string. A certificate whose issuer is a substring of its row's
+// crtsh_id..names tail keeps that tail alive for as long as the pool keeps
+// the certificate, and every certificate then holds a string of its own.
+func TestPooledIssuersShareOneString(t *testing.T) {
+	ds := scanner.NewDataset()
+	for _, batch := range readBatches(t, synthCSV(synth.Config{Domains: 400, Scans: 4, Seed: 5, TransientPerMille: 200})) {
+		if err := ds.AddScan(batch[0].ScanDate, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds.Freeze()
+	data := map[string]*byte{}
+	certs := map[*x509lite.Certificate]bool{}
+	for _, domain := range ds.Domains() {
+		for _, r := range ds.DomainRecords(domain, 0, 0) {
+			certs[r.Cert] = true
+			p := unsafe.StringData(r.Cert.Issuer)
+			if q, ok := data[r.Cert.Issuer]; ok && q != p {
+				t.Fatalf("issuer %q: two pooled certificates hold two copies of it", r.Cert.Issuer)
+			}
+			data[r.Cert.Issuer] = p
+		}
+	}
+	if len(data) < 2 || len(certs) <= len(data) {
+		t.Fatalf("corpus too plain: %d issuers over %d pooled certificates", len(data), len(certs))
 	}
 }
 

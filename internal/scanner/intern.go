@@ -1,7 +1,6 @@
 package scanner
 
 import (
-	"net/netip"
 	"strings"
 	"sync"
 
@@ -14,13 +13,13 @@ import (
 // weekly scan for four years, and a long-lived certificate is observed
 // once per (IP, scan). Without interning each observation drags its own
 // string and certificate allocations through ingest and keeps them live in
-// the indexes. The Pool collapses them: names and IP renderings intern
-// through a striped string pool (one canonical backing array per distinct
-// string), and certificates dedup through the fingerprint-keyed
-// x509lite.Pool, with first-seen certificates' SANs canonicalized through
-// the same string pool. The pool lives as long as its dataset and never
-// evicts, so its size is bounded by the number of distinct values in the
-// feed, not by the number of observations.
+// the indexes. The Pool collapses them: names intern through a striped
+// string pool (one canonical backing array per distinct string), and
+// certificates dedup through the fingerprint-keyed x509lite.Pool, with
+// first-seen certificates' SANs canonicalized through the same string
+// pool. The pool lives as long as its dataset and never evicts, so its
+// size is bounded by the number of distinct values in the feed, not by the
+// number of observations.
 
 // internStripes spreads the string pool over independent locks so parallel
 // ingest workers do not serialize. Must be a power of two.
@@ -75,25 +74,18 @@ func (si *stringInterner) stats() (count int, bytes int64) {
 	return count, bytes
 }
 
-// Pool is a dataset's interning state: a shared string pool for DNS names,
-// a memo of IP-address string renderings, and a fingerprint-keyed
-// certificate dedup pool. All methods are safe for concurrent use and
-// nil-tolerant (a nil pool passes values through).
+// Pool is a dataset's interning state: a shared string pool for DNS names
+// and a fingerprint-keyed certificate dedup pool. All methods are safe for
+// concurrent use and nil-tolerant (a nil pool passes values through).
 type Pool struct {
 	names stringInterner
-
-	ipMu    sync.RWMutex
-	ips     map[netip.Addr]string
-	ipBytes int64
-
 	certs *x509lite.Pool
 }
 
 // NewPool creates an empty intern pool whose certificate pool
 // canonicalizes SAN strings through the name pool.
 func NewPool() *Pool {
-	p := &Pool{ips: make(map[netip.Addr]string)}
-	p.certs = x509lite.NewPool()
+	p := &Pool{certs: x509lite.NewPool()}
 	p.certs.InternName = p.Name
 	return p
 }
@@ -104,30 +96,6 @@ func (p *Pool) Name(n dnscore.Name) dnscore.Name {
 		return n
 	}
 	return dnscore.Name(p.names.intern(string(n)))
-}
-
-// IPString returns the canonical string rendering of addr, computing and
-// memoizing it on first sight. Exports and reports that render millions of
-// records reuse one string per distinct address.
-func (p *Pool) IPString(addr netip.Addr) string {
-	if p == nil {
-		return addr.String()
-	}
-	p.ipMu.RLock()
-	s, ok := p.ips[addr]
-	p.ipMu.RUnlock()
-	if ok {
-		return s
-	}
-	p.ipMu.Lock()
-	defer p.ipMu.Unlock()
-	if s, ok := p.ips[addr]; ok {
-		return s
-	}
-	s = addr.String()
-	p.ips[addr] = s
-	p.ipBytes += int64(len(s))
-	return s
 }
 
 // Cert returns the canonical pooled instance of c (see x509lite.Pool):
@@ -145,7 +113,8 @@ type PoolStats struct {
 	// total payload bytes.
 	Names     int
 	NameBytes int64
-	// IPStrings and IPBytes count memoized address renderings.
+	// IPStrings and IPBytes are always 0: the pool memoizes no address
+	// renderings. The benchmark harness still reads them.
 	IPStrings int
 	IPBytes   int64
 	// Certs counts distinct certificates in the dedup pool.
@@ -159,9 +128,6 @@ func (p *Pool) Stats() PoolStats {
 	}
 	var st PoolStats
 	st.Names, st.NameBytes = p.names.stats()
-	p.ipMu.RLock()
-	st.IPStrings, st.IPBytes = len(p.ips), p.ipBytes
-	p.ipMu.RUnlock()
 	st.Certs = p.certs.Size()
 	return st
 }

@@ -378,7 +378,7 @@ func (d *Dataset) SetMetrics(reg *obsv.Registry) {
 	reg.SetHelp(MetricDatasetGen, "Dataset index generation (1 at Freeze, +1 per Append).")
 	reg.SetHelp(MetricCorpusShardDomains, "Registered domains indexed per corpus shard.")
 	reg.SetHelp(MetricCorpusShardRecords, "Record attachments indexed per corpus shard.")
-	reg.SetHelp(MetricInternStrings, "Distinct strings (names + IP renderings) interned in the pool.")
+	reg.SetHelp(MetricInternStrings, "Distinct name strings interned in the pool.")
 	reg.SetHelp(MetricCertPoolSize, "Distinct certificates interned in the dedup pool.")
 	reg.SetHelp(MetricCorpusBytes, "Estimated resident bytes of the indexed corpus (model-based).")
 	d.met.scans = reg.Counter(MetricIngestScans)
@@ -449,7 +449,7 @@ func (d *Dataset) publishSizeLocked() {
 		}
 	}
 	st := d.pool.Stats()
-	d.met.internized.Set(int64(st.Names + st.IPStrings))
+	d.met.internized.Set(int64(st.Names))
 	d.met.certPool.Set(st.Certs)
 	total := d.estimatedBytesLocked(st)
 	spilled := d.spilledBytesLocked()
@@ -513,8 +513,7 @@ func NewDatasetShards(n int) *Dataset {
 func (d *Dataset) Shards() int { return len(d.shards) }
 
 // Pool returns the dataset's intern pool (never nil). Callers may use it
-// to share interned names and IP renderings with structures derived from
-// the corpus.
+// to share interned names with structures derived from the corpus.
 func (d *Dataset) Pool() *Pool { return d.pool }
 
 // SetIntern enables or disables the interning layer for subsequent ingest
@@ -1045,6 +1044,6 @@ func (d *Dataset) estimatedBytesLocked(st PoolStats) int64 {
 	return int64(records)*estRecordBytes +
 		int64(attach)*estAttachBytes +
 		int64(domains)*estDomainEntryBytes +
-		st.NameBytes + st.IPBytes +
+		st.NameBytes +
 		st.Certs*estCertBytes
 }

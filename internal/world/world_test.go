@@ -1,11 +1,16 @@
 package world
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"testing"
 
 	"retrodns/internal/core"
 	"retrodns/internal/dnscore"
 	"retrodns/internal/obsv"
+	"retrodns/internal/report"
 	"retrodns/internal/scanner"
 )
 
@@ -75,7 +80,45 @@ func TestWorldEndToEnd(t *testing.T) {
 		t.Skip("full study simulation")
 	}
 	w := New(smallConfig())
-	res := runPipeline(t, w)
+	// Run's scan series, scan by scan, so the pin below can hash each one.
+	w.RunClock()
+	ds := scanner.NewDatasetShards(scanner.DefaultShards)
+	sc := w.Scanner()
+	scans := sha256.New()
+	for _, date := range w.ScanDates() {
+		recs := sc.ScanWeek(date)
+		scans.Write(scanner.EncodeBatch(date, recs))
+		if err := ds.AddScan(date, recs); err != nil {
+			t.Fatalf("AddScan %s: %v", date, err)
+		}
+	}
+	if err := w.Err(); err != nil {
+		t.Fatal(err)
+	}
+	// Two workers, so the run report's worker counts are the same on
+	// every machine.
+	res := w.Pipeline(ds, 2, nil, nil).Run()
+
+	// The world's bytes are pinned: every scan's batch encoding in date
+	// order, the findings JSON and the canonical run report. A change to
+	// the simulation's speed must not move them; a change that means to
+	// move them updates these digests.
+	var findings, canonical bytes.Buffer
+	if err := report.WriteJSON(&findings, res); err != nil {
+		t.Fatal(err)
+	}
+	if err := report.BuildRunReport(res, ds.Quarantine(), nil).Canonical().Encode(&canonical); err != nil {
+		t.Fatal(err)
+	}
+	for _, pin := range []struct{ what, got, want string }{
+		{"scans", hex.EncodeToString(scans.Sum(nil)), "d6ff97e6aea9ccb8214854b9f00505dc84364af5d2e6793979069e5431477aac"},
+		{"findings JSON", fmt.Sprintf("%x", sha256.Sum256(findings.Bytes())), "ef0c228b4d88f2bf942ab3182dd2e743bcb2e087ad454b7e005090ca3aeb348a"},
+		{"canonical run report", fmt.Sprintf("%x", sha256.Sum256(canonical.Bytes())), "1c38c5f7ccce8d8e1321c6aa7813cba17ca8d35d34159f18ad6965298b06c6be"},
+	} {
+		if pin.got != pin.want {
+			t.Errorf("%s digest %s, pinned %s", pin.what, pin.got, pin.want)
+		}
+	}
 
 	expHijacked, expTargeted := w.ExpectedVictims()
 	gotHijacked := make(map[dnscore.Name]*core.Finding)

@@ -5,9 +5,9 @@
 #      seed and require byte-identical output (worldgen determinism)
 #   2. ingest + classify the same corpus through retrodns -synth-domains
 #      with 1 shard and with 8 shards and require identical findings JSON
-#      (shard-count invariance at the binary level), then re-run with
-#      -legacy-fanout and require the pre-shard-affine classify engine to
-#      produce the same findings byte for byte
+#      (shard-count invariance at the binary level), then run the
+#      single-goroutine reference pipeline (reference_test.go) over the
+#      same corpus and require the binary's findings byte for byte
 #   3. require the run report to carry the corpus gauges the sharded
 #      dataset publishes (shard occupancy, intern pool sizes, estimated
 #      corpus bytes)
@@ -53,11 +53,15 @@ cmp -s "$workdir/findings-1.json" "$workdir/findings-8.json" || {
     exit 1
 }
 
-"$workdir/retrodns" -synth-domains "$DOMAINS" -seed 7 -shards 8 -json -legacy-fanout \
-    >"$workdir/findings-legacy.json" 2>"$workdir/run-legacy.log"
-cmp -s "$workdir/findings-8.json" "$workdir/findings-legacy.json" || {
-    echo "smoke-scale: findings differ between shard-affine and -legacy-fanout" >&2
-    diff "$workdir/findings-8.json" "$workdir/findings-legacy.json" | head >&2
+REFERENCE_DOMAINS="$DOMAINS" REFERENCE_FINDINGS="$workdir/findings-ref.json" \
+    go test -count=1 -run '^TestReferenceAtScale$' . >"$workdir/reference.log" 2>&1 || {
+    echo "smoke-scale: the pipeline diverged from the reference" >&2
+    tail -20 "$workdir/reference.log" >&2
+    exit 1
+}
+cmp -s "$workdir/findings-8.json" "$workdir/findings-ref.json" || {
+    echo "smoke-scale: findings differ between retrodns and the reference" >&2
+    diff "$workdir/findings-8.json" "$workdir/findings-ref.json" | head >&2
     exit 1
 }
 

@@ -38,8 +38,11 @@ test:
 # TestReaderRecordsFeedTwoDatasets drives two datasets' parallel ingest
 # phases over one CSV reader's shared certificates and ports arrays, the
 # reader's read-ahead tests (TestScanCSVAbandonedReaderStops,
+# TestScanCSVReadAheadCeiling, TestScanCSVReadAheadScanWide,
 # TestScanCSVReadErrorMidStream, TestScanCSVQuarantineOnCallerGoroutine, and
-# the differential tests at one-row chunks) its producer beside the caller,
+# the differential tests at one-row chunks and at one, two and four parse
+# workers) its producer beside the caller and its parse workers beside each
+# other,
 # TestSpilledWindowsSharedReadOnly four readers over the ports arrays the
 # records of a decoded window share, TestPinnedViewReadsDuringUnspill a
 # reader on a pinned ShardView while its shard unspills under it). The
@@ -56,7 +59,8 @@ race:
 # IsCanonical differential), zone-file snapshots, certificate chains, the
 # JSON report round trip, WAL and segment replay, scans.csv rows
 # (memoized reader against the reference ParseScanRow, at the default
-# read-ahead chunking and at chunks of one to three rows; the in-place
+# read-ahead chunking and at chunks of one to three rows, and every chunking
+# of more than one row again at one, two and four parse workers; the in-place
 # certificate-serial hash against hash/fnv), segment windows (slab decoder,
 # fresh and into a cursor's dirty slab, against the per-record reference),
 # /v1/domain bodies (assembled from shared tails against the reference
@@ -83,7 +87,9 @@ fuzz-smoke:
 # allocation cost of bulk scan ingest, the corpus generator (records/s and
 # allocs/record), the scans.csv reader alone and the bulk load it feeds
 # (NewScanCSV -> Next -> AddScan per date -> Freeze, where the reader's
-# read-ahead overlaps parse with staging; rows/s and allocs/row),
+# read-ahead overlaps parse with staging; rows/s and allocs/row), on the
+# 20k x 4 synth corpus and, as BenchmarkBulkIngestCSVFirstSighting, on a
+# 60k x 2 one that is mostly first sightings,
 # paper-shaped sharded ingest and classification over the synthetic corpus
 # (shard counts 1/4/8 — the benchmark itself fails if shards=8 runs over
 # 1.25x shards=1 — plus the interning on/off

@@ -938,7 +938,29 @@ func BenchmarkScanCSVNext(b *testing.B) {
 // parsing the next scan while AddScan stages this one shows here.
 func BenchmarkBulkIngestCSV(b *testing.B) {
 	_, scans, total := synthScans(b)
-	csv := scansCSV(scans)
+	benchBulkIngest(b, scansCSV(scans), total)
+}
+
+// BenchmarkBulkIngestCSVFirstSighting is the same load over a corpus that
+// is mostly first sightings: 60k domains x 2 scans, so the first scan
+// brings every certificate to the reader's memos and the dataset's pool,
+// routes and shard maps, all empty until then. It is read-mixed's load in
+// small (140k x 4 there), where the first scan's parse and AddScan take
+// most of the time.
+func BenchmarkBulkIngestCSVFirstSighting(b *testing.B) {
+	g := synth.New(synth.Config{Domains: 60000, Seed: 11, Scans: 2})
+	var scans [][]*scanner.Record
+	total := 0
+	for _, d := range g.ScanDates() {
+		scans = append(scans, g.Scan(d))
+		total += len(scans[len(scans)-1])
+	}
+	benchBulkIngest(b, scansCSV(scans), total)
+}
+
+// benchBulkIngest bulk-loads csv, which holds total rows, once per
+// iteration, and reports rows/s and allocations per row.
+func benchBulkIngest(b *testing.B, csv []byte, total int) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()

@@ -21,9 +21,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
 	"net/netip"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -310,12 +312,23 @@ const (
 	// long by a few surviving records once the rest are let go: a spilled
 	// shard dropping its payloads, a caller keeping two records of a window.
 	recordSlab = 32
-	// readAheadRows is the most records one read-ahead chunk carries, and
-	// readAheadChunks how many chunks the producer queues before it stops:
-	// the reader parses at most ~9 k rows past the caller. A bound of 64
-	// chunks raised a follow loop's peak RSS by up to 15 %; 8 did not.
-	readAheadRows   = 1 << 10
-	readAheadChunks = 8
+	// readAheadRows is the most lines one read-ahead chunk carries, and
+	// readAheadChunks the floor of how many chunks the producer queues
+	// before it stops: a follow loop's small scans read ahead by the floor
+	// (a floor of 64 chunks raised its peak RSS by up to 15 %; 8 did not).
+	// Past the floor the producer reads on to the end of the scan after the
+	// caller's, so a bulk load parses the next scan whole while its caller
+	// stages this one — but stops at readAheadCeiling queued lines, parsed
+	// or quarantined, so an input whose scan date never changes (or that
+	// holds no well-formed row to date) queues no more than one memo's
+	// worth.
+	readAheadRows    = 1 << 10
+	readAheadChunks  = 8
+	readAheadCeiling = readerMemoCap
+	// certMemoShards is how many shards the certificate memo is split
+	// over, by a hash of the tail, so the insert phase can fill them in
+	// parallel. A power of two, at least maxWorkers.
+	certMemoShards = 32
 )
 
 // ScanCSV reads scans.csv rows from a (possibly still growing) stream.
@@ -324,43 +337,69 @@ const (
 // in follow mode the caller waits and calls Next again, and any partial
 // line buffered at EOF is completed once the writer appends its remainder.
 //
-// Rows are split in place in the read buffer and whatever a row repeats
-// from an earlier one is served from a memo: the scan date, the ports list,
-// the country code, the issuer, and — keyed on the raw crtsh_id..names
-// tail — the certificate. A miss takes ParseScanRow's decode of that
-// column, checks and all, and copies what it keeps, so no Record
-// references the read buffer. Records of one reader therefore share
-// *Certificate instances and Ports backing arrays; both are read-only from
-// the moment Next returns.
+// Rows are split in the reader's buffer and whatever a row repeats from an
+// earlier one is served from a memo: the scan date, the ports list, the
+// country code, the issuer, and — keyed on the raw crtsh_id..names tail —
+// the certificate. A miss takes ParseScanRow's decode of that column,
+// checks and all, and copies what it keeps, so no Record references the
+// read buffer. Records of one reader therefore share *Certificate
+// instances and Ports backing arrays; both are read-only from the moment
+// Next returns.
 //
-// Parsing runs ahead of the caller: a producer goroutine fills chunks of
-// parsed rows, each with the quarantines that fell between its records, and
-// stops on its own once readAheadChunks are queued or the input has no
-// further complete line; Next restarts it when the queue runs low. So a
-// bulk load parses the next rows while the caller stages the last ones, and
-// OnQuarantine is still called on the caller's goroutine, at its line's
-// place among the records.
+// Parsing runs ahead of the caller: a producer goroutine frames chunks of
+// input lines, parses them, and queues the records with the quarantines
+// that fell between them. It stops on its own once the queue holds the
+// floor of readAheadChunks and reaches past the end of the scan after the
+// caller's (or holds readAheadCeiling lines), or the input has no further
+// complete line; Next restarts it when the queue runs low. So a bulk load
+// parses the next scan while the caller stages this one, and OnQuarantine
+// is still called on the caller's goroutine, at its line's place among the
+// records.
+//
+// Each chunk parses across GOMAXPROCS workers, in two phases. In the
+// lookup phase each worker takes a contiguous run of the lines and looks
+// the repeating columns up in the memos as they stood at the chunk's
+// start, decoding whatever misses. In the insert phase the producer alone
+// walks the rows in line order and
+// memoizes each miss — or, when an earlier row of the chunk memoized the
+// same key first, swaps in the memo's value — so rows with one tail come
+// back with one certificate whichever chunk and worker they fell to. The
+// certificate memo, by far the largest, is split by a hash of the tail over
+// shards the workers fill in parallel, each shard by one worker in line
+// order.
 type ScanCSV struct {
 	// The producer's state: only the running producer touches it, and
-	// FinishTail and PartialTail once none runs.
+	// FinishTail and PartialTail once none runs. Its parse workers read
+	// the memos in the lookup phase, which nothing writes until the phase
+	// joins, and in the insert phase each writes only its own certs shards.
 	br      *bufio.Reader
 	partial []byte
 	started bool // first complete line seen (header handling done)
 
-	dateStr   string // scan_date column of the last row; "" before the first
-	date      simtime.Date
 	ports     map[string][]uint16
 	countries map[string]ipmeta.CountryCode
 	issuers   map[string]string
-	certs     map[string]certTail
-	slab      []Record
+	certs     [certMemoShards]map[string]certTail
+	seed      maphash.Seed // hashes a tail to its certs shard
+
+	lines    []byte // the chunk's framed lines, back to back
+	ends     []int  // where each line ends in lines
+	rows     []csvRow
+	workers  []csvWorker
+	lastDate simtime.Date // of the last record queued, once dated
+	dated    bool
 
 	// The hand-off, under mu: ready is broadcast when a chunk is queued
-	// and when the producer stops.
-	mu      sync.Mutex
-	ready   sync.Cond
-	running bool
-	queue   []*csvChunk
+	// and when the producer stops. ahead counts the scan-date changes in
+	// the chunk Next is delivering (curScans of them) and in the queue;
+	// queued counts the queued lines, records and quarantines alike.
+	mu       sync.Mutex
+	ready    sync.Cond
+	running  bool
+	queue    []*csvChunk
+	ahead    int
+	curScans int
+	queued   int
 
 	// The caller's state: the chunk Next is delivering, its next record
 	// and quarantine, and whether the last Next returned the error that
@@ -369,10 +408,12 @@ type ScanCSV struct {
 	ri, qi  int
 	drained bool
 
-	// memoCap is readerMemoCap, and chunkRows and maxChunks readAheadRows
-	// and readAheadChunks: fields only so tests can fill a memo, or split
-	// the input into chunks, with a few rows.
-	memoCap, chunkRows, maxChunks int
+	// memoCap, chunkRows, maxChunks and maxLines are readerMemoCap,
+	// readAheadRows, readAheadChunks and readAheadCeiling, and workers has
+	// parseWorkers() entries: fields only so tests can fill a memo, put
+	// chunk and worker boundaries between any two lines, or reach the
+	// ceiling, with a few lines.
+	memoCap, chunkRows, maxChunks, maxLines int
 
 	// OnQuarantine, when set, receives one call per skipped input line
 	// with a reason (CSVQuarBadRow, CSVQuarTruncatedTail) and a detail.
@@ -384,13 +425,44 @@ type csvChunk struct {
 	recs  []*Record
 	quars []csvQuar // in line order
 	err   error     // what ended the input after the run; nil if it filled
+	// scans counts the records whose scan date differs from the record
+	// queued before them.
+	scans int
 }
+
+// lines is how many input lines the chunk holds, parsed or quarantined.
+func (ch *csvChunk) lines() int { return len(ch.recs) + len(ch.quars) }
 
 // csvQuar is a bad row that came after the chunk's first at records.
 type csvQuar struct {
 	at     int
 	detail string
 }
+
+// csvRow is what the lookup phase made of one line: a record with every
+// column decoded, or the error that refused the line, and which memoized
+// columns missed. The record holds the values decoded for those; the
+// insert phase memoizes them under the keys kept here.
+type csvRow struct {
+	rec         *Record
+	err         error
+	portsKey    string
+	tailKey     string // never empty for a parsed row: the tail has commas
+	tailShard   int    // the certs shard of the tail, when it missed
+	portsMiss   bool
+	countryMiss bool
+}
+
+// csvWorker is one parse worker's own state, kept across chunks: the scan
+// date of the last row it parsed and the slab its records come out of.
+type csvWorker struct {
+	dateStr string // "" before its first row
+	date    simtime.Date
+	slab    []Record
+}
+
+// parseWorkers is how many workers a reader parses a chunk across.
+func parseWorkers() int { return min(runtime.GOMAXPROCS(0), maxWorkers) }
 
 // NewScanCSV wraps r in a scans.csv reader.
 func NewScanCSV(r io.Reader) *ScanCSV {
@@ -399,21 +471,31 @@ func NewScanCSV(r io.Reader) *ScanCSV {
 		ports:     make(map[string][]uint16),
 		countries: make(map[string]ipmeta.CountryCode),
 		issuers:   make(map[string]string),
-		certs:     make(map[string]certTail),
+		seed:      maphash.MakeSeed(),
+		workers:   make([]csvWorker, parseWorkers()),
 		memoCap:   readerMemoCap,
 		chunkRows: readAheadRows,
 		maxChunks: readAheadChunks,
+		maxLines:  readAheadCeiling,
+	}
+	for i := range c.certs {
+		c.certs[i] = make(map[string]certTail)
 	}
 	c.ready.L = &c.mu
 	return c
 }
 
-// memoPut records v under key in one of c's capped memos.
-func memoPut[V any](c *ScanCSV, m map[string]V, key string, v V) {
-	if len(m) >= c.memoCap {
+// memoOrPut returns the value m holds under key, putting v there first if
+// it holds none. A memo that holds limit entries is emptied before the put.
+func memoOrPut[V any](m map[string]V, limit int, key string, v V) V {
+	if got, ok := m[key]; ok {
+		return got
+	}
+	if len(m) >= limit {
 		clear(m)
 	}
 	m[key] = v
+	return v
 }
 
 // Next returns the next well-formed record. It returns io.EOF when the
@@ -445,13 +527,15 @@ func (c *ScanCSV) Next() (*Record, error) {
 }
 
 // take pops the next queued chunk, first starting the producer if it is
-// stopped, the queue is at most half full and the input has not ended in
-// it, then waiting for a chunk if none is queued.
+// stopped, the queue is short and the input has not ended in it, then
+// waiting for a chunk if none is queued.
 func (c *ScanCSV) take() *csvChunk {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.ahead -= c.curScans // the chunk Next was delivering is done
+	c.curScans = 0
 	n := len(c.queue)
-	if !c.running && n <= c.maxChunks/2 && (n == 0 || c.queue[n-1].err == nil) {
+	if !c.running && c.short() && (n == 0 || c.queue[n-1].err == nil) {
 		c.running = true
 		go c.produce()
 	}
@@ -462,10 +546,27 @@ func (c *ScanCSV) take() *csvChunk {
 	n = copy(c.queue, c.queue[1:])
 	c.queue[n] = nil
 	c.queue = c.queue[:n]
+	c.queued -= ch.lines()
+	c.curScans = ch.scans
 	return ch
 }
 
-// produce queues chunks until maxChunks are waiting or the input has no
+// full reports whether the producer may stop: the queue holds the floor
+// and either reaches past the end of the scan after the caller's — two
+// scan-date changes on from the start of the chunk Next is delivering — or
+// holds the ceiling's lines. Caller holds mu.
+func (c *ScanCSV) full() bool {
+	return len(c.queue) >= c.maxChunks && (c.ahead >= 2 || c.queued >= c.maxLines)
+}
+
+// short reports whether a stopped producer should start again: the queue
+// is down to half the floor, or short of the next scan's end with at most
+// half the ceiling's lines. Caller holds mu.
+func (c *ScanCSV) short() bool {
+	return len(c.queue) <= c.maxChunks/2 || (c.ahead < 2 && c.queued <= c.maxLines/2)
+}
+
+// produce queues chunks until the queue is full or the input has no
 // further complete line. It never waits on Next, so the producer of a
 // reader its caller drops stops by itself.
 func (c *ScanCSV) produce() {
@@ -473,7 +574,9 @@ func (c *ScanCSV) produce() {
 		ch := c.fill()
 		c.mu.Lock()
 		c.queue = append(c.queue, ch)
-		stop = ch.err != nil || len(c.queue) >= c.maxChunks
+		c.ahead += ch.scans
+		c.queued += ch.lines()
+		stop = ch.err != nil || c.full()
 		c.running = !stop
 		c.ready.Broadcast()
 		c.mu.Unlock()
@@ -489,11 +592,12 @@ func (c *ScanCSV) waitIdle() {
 	c.mu.Unlock()
 }
 
-// fill runs the line loop until the chunk holds chunkRows records or the
-// stream has no further complete line.
+// fill frames up to chunkRows lines, or as many complete lines as the
+// stream holds, and parses them into a chunk.
 func (c *ScanCSV) fill() *csvChunk {
-	ch := &csvChunk{recs: make([]*Record, 0, c.chunkRows)}
-	for len(ch.recs) < c.chunkRows {
+	ch := &csvChunk{}
+	c.lines, c.ends = c.lines[:0], c.ends[:0]
+	for len(c.ends) < c.chunkRows {
 		line, err := c.br.ReadSlice('\n')
 		if err != nil {
 			// No newline yet: hold what arrived for the next read.
@@ -505,11 +609,11 @@ func (c *ScanCSV) fill() *csvChunk {
 				err = io.EOF
 			}
 			ch.err = err
-			return ch
+			break
 		}
 		if len(c.partial) > 0 {
 			// line views partial's array until the next read appends to it,
-			// by which time the row has been decoded.
+			// by which time it has been copied into lines.
 			line = append(c.partial, line...)
 			c.partial = line[:0]
 		}
@@ -522,22 +626,100 @@ func (c *ScanCSV) fill() *csvChunk {
 		if first && bytes.HasPrefix(line, scanCSVHeaderPrefix) {
 			continue // header row
 		}
-		rec, err := c.parseLine(line)
-		if err != nil {
-			ch.quars = append(ch.quars, csvQuar{len(ch.recs), err.Error()})
-			continue
-		}
-		ch.recs = append(ch.recs, rec)
+		c.lines = append(c.lines, line...)
+		c.ends = append(c.ends, len(c.lines))
 	}
+	c.lookup()
+	c.insert(ch)
 	return ch
 }
 
 var scanCSVHeaderPrefix = []byte(ScanCSVHeader[0] + ",")
 
-// parseLine is ParseScanRow over the read buffer: same columns, same
-// order, same errors, with the repeating columns answered from the memos.
-// The string(bytes) map indexes and comparisons below do not allocate.
-func (c *ScanCSV) parseLine(line []byte) (*Record, error) {
+// lookup is a chunk's lookup phase: one contiguous run of lines per
+// worker.
+func (c *ScanCSV) lookup() {
+	n := len(c.ends)
+	if cap(c.rows) < n {
+		c.rows = make([]csvRow, n)
+	}
+	c.rows = c.rows[:n]
+	forChunks(n, len(c.workers), func(w, lo, hi int) {
+		c.parseRows(&c.workers[w], lo, hi)
+	})
+}
+
+// parseRows parses lines [lo, hi) of the chunk into their rows.
+func (c *ScanCSV) parseRows(w *csvWorker, lo, hi int) {
+	start := 0
+	if lo > 0 {
+		start = c.ends[lo-1]
+	}
+	for i := lo; i < hi; i++ {
+		row := &c.rows[i]
+		*row = csvRow{}
+		row.rec, row.err = c.parseLine(w, row, c.lines[start:c.ends[i]])
+		start = c.ends[i]
+	}
+}
+
+// insert is a chunk's insert phase, in line order: every parsed row's
+// misses are memoized, or answered from the memo when an earlier row got
+// there first, and the rows become the chunk. The small memos are the
+// producer's alone; the certs shards are split over the workers.
+func (c *ScanCSV) insert(ch *csvChunk) {
+	ch.recs = make([]*Record, 0, len(c.rows))
+	misses := 0
+	for i := range c.rows {
+		row := &c.rows[i]
+		rec := row.rec
+		if rec == nil {
+			ch.quars = append(ch.quars, csvQuar{len(ch.recs), row.err.Error()})
+			continue
+		}
+		if row.portsMiss {
+			rec.Ports = memoOrPut(c.ports, c.memoCap, row.portsKey, rec.Ports)
+		}
+		if row.tailKey != "" {
+			// The issuer gets a memo of its own: a pooled certificate keeps
+			// its issuer after the reader is gone, and must not keep this
+			// row's tail alive with it (the pool re-interns names, not the
+			// issuer). The certificate is this row's own until memoized, so
+			// it takes the memo's copy when an earlier row put one there.
+			rec.Cert.Issuer = memoOrPut(c.issuers, c.memoCap, rec.Cert.Issuer, rec.Cert.Issuer)
+			misses++
+		}
+		if row.countryMiss {
+			rec.Country = memoOrPut(c.countries, c.memoCap, string(rec.Country), rec.Country)
+		}
+		if c.dated && rec.ScanDate != c.lastDate {
+			ch.scans++
+		}
+		c.lastDate, c.dated = rec.ScanDate, true
+		ch.recs = append(ch.recs, rec)
+	}
+	if misses == 0 {
+		return
+	}
+	limit := max(1, c.memoCap/certMemoShards)
+	k := min(len(c.workers), certMemoShards, misses)
+	forChunks(k, k, func(w, _, _ int) {
+		for i := range c.rows {
+			row := &c.rows[i]
+			if row.tailKey != "" && row.tailShard%k == w {
+				rec := row.rec
+				memoOrPut(c.certs[row.tailShard], limit, row.tailKey, certTail{rec.Cert, rec.CrtShID, rec.Trusted, rec.Sensitive}).fill(rec)
+			}
+		}
+	})
+}
+
+// parseLine is ParseScanRow over one framed line: same columns, same
+// order, same errors, with the repeating columns answered from the memos
+// and the worker's last date. What misses is decoded and noted in row for
+// the insert phase. The string(bytes) map indexes and comparisons below do
+// not allocate.
+func (c *ScanCSV) parseLine(w *csvWorker, row *csvRow, line []byte) (*Record, error) {
 	var head [5][]byte // scan_date, ip, ports, asn, country
 	tail := line
 	for i := range head {
@@ -550,13 +732,13 @@ func (c *ScanCSV) parseLine(line []byte) (*Record, error) {
 	if n := len(head) + 1 + bytes.Count(tail, []byte{','}); n != scanCSVFields {
 		return nil, fieldCountErr(n)
 	}
-	if c.dateStr == "" || string(head[0]) != c.dateStr {
+	if w.dateStr == "" || string(head[0]) != w.dateStr {
 		s := string(head[0])
 		date, err := ParseScanDate(s)
 		if err != nil {
 			return nil, err
 		}
-		c.dateStr, c.date = s, date
+		w.dateStr, w.date = s, date
 	}
 	ip, err := parseLineIP(head[1])
 	if err != nil {
@@ -568,38 +750,40 @@ func (c *ScanCSV) parseLine(line []byte) (*Record, error) {
 		if ports, err = parseScanPorts(s); err != nil {
 			return nil, err
 		}
-		memoPut(c, c.ports, s, ports)
+		row.portsKey, row.portsMiss = s, true
 	}
 	asn, err := parseLineASN(head[3])
 	if err != nil {
 		return nil, err
 	}
-	ct, ok := c.certs[string(tail)]
+	shard := int(maphash.Bytes(c.seed, tail) & (certMemoShards - 1))
+	ct, ok := c.certs[shard][string(tail)]
 	if !ok {
 		// The key is the one copy of the tail; the certificate's names are
-		// substrings of it. Its issuer comes from a memo of its own: a
-		// pooled certificate keeps its issuer after the reader is gone, and
-		// must not keep this row's tail alive with it (the pool re-interns
-		// names, not the issuer).
+		// substrings of it.
 		s := string(tail)
-		f := strings.SplitN(s, ",", 5)
+		var f [5]string // the field count check left exactly four commas
+		rest := s
+		for i := range f[:4] {
+			f[i], rest, _ = strings.Cut(rest, ",")
+		}
+		f[4] = rest
 		issuer, ok := c.issuers[f[1]]
 		if !ok {
 			issuer = strings.Clone(f[1])
-			memoPut(c, c.issuers, issuer, issuer)
 		}
 		if ct, err = parseCertTail(f[0], issuer, f[2], f[3], f[4]); err != nil {
 			return nil, err
 		}
-		memoPut(c, c.certs, s, ct)
+		row.tailKey, row.tailShard = s, shard
 	}
 	country, ok := c.countries[string(head[4])]
 	if !ok {
 		country = ipmeta.CountryCode(head[4])
-		memoPut(c, c.countries, string(country), country)
+		row.countryMiss = true
 	}
-	rec := slabRecord(&c.slab, recordSlab)
-	*rec = Record{ScanDate: c.date, IP: ip, Ports: ports, ASN: asn, Country: country}
+	rec := slabRecord(&w.slab, recordSlab)
+	*rec = Record{ScanDate: w.date, IP: ip, Ports: ports, ASN: asn, Country: country}
 	ct.fill(rec)
 	return rec, nil
 }

@@ -48,14 +48,40 @@ type csvEvent struct {
 	reason, detail string
 }
 
-// readAhead is a reader's chunking: rows per chunk and chunks queued, the
-// zero value the default.
-type readAhead struct{ rows, chunks int }
+// readAhead is a reader's read-ahead: lines per chunk, the floor of chunks
+// queued, the ceiling of lines queued and the parse workers per chunk, each
+// zero for the default.
+type readAhead struct{ rows, chunks, ceiling, workers int }
 
-// readAheads are the chunkings the differential tests read at: the default,
-// and chunks of one to three rows with one to three queued, so bad rows,
-// runs of them and a torn tail fall on every side of a chunk boundary.
-var readAheads = []readAhead{{}, {1, 1}, {1, 3}, {2, 1}, {3, 2}}
+// String names a read-ahead by its chunking, and its ceiling and workers
+// when they are set.
+func (ra readAhead) String() string {
+	s := fmt.Sprintf("{%d %d}", ra.rows, ra.chunks)
+	if ra.ceiling != 0 {
+		s += fmt.Sprintf(" ceiling %d", ra.ceiling)
+	}
+	if ra.workers != 0 {
+		s += fmt.Sprintf(" workers %d", ra.workers)
+	}
+	return s
+}
+
+// readAheads are the read-aheads the differential tests read at: the
+// default chunking, and chunks of one to three rows with one to three
+// queued, at the default worker count; and every chunking of more than one
+// row, chunks of seven included, at one, two and four workers. So bad rows,
+// runs of them and a torn tail fall on every side of a chunk boundary and
+// of a worker's run.
+var readAheads = func() []readAhead {
+	ras := []readAhead{{}, {rows: 1, chunks: 1}, {rows: 1, chunks: 3}, {rows: 2, chunks: 1}, {rows: 3, chunks: 2}}
+	for _, workers := range []int{1, 2, 4} {
+		for _, ra := range []readAhead{{}, {rows: 2, chunks: 1}, {rows: 3, chunks: 2}, {rows: 7, chunks: 2}} {
+			ra.workers = workers
+			ras = append(ras, ra)
+		}
+	}
+	return ras
+}()
 
 // eventReader wraps src in a reader that logs quarantines into the
 // returned event list, in line order with the records drain appends. The
@@ -66,9 +92,7 @@ func eventReader(src io.Reader, caps int, ra readAhead) (*scanner.ScanCSV, *[]cs
 	if caps > 0 {
 		c.SetMemoCap(caps)
 	}
-	if ra != (readAhead{}) {
-		c.SetReadAhead(ra.rows, ra.chunks)
-	}
+	c.SetReadAhead(ra.rows, ra.chunks, ra.ceiling, ra.workers)
 	events := new([]csvEvent)
 	c.OnQuarantine = func(reason, detail string) {
 		*events = append(*events, csvEvent{reason: reason, detail: detail})
@@ -291,29 +315,44 @@ func TestScanCSVMatchesReference(t *testing.T) {
 // TestScanCSVSharesWhatRepeats pins the memo's two halves: rows with the
 // same tail come back with the same certificate instance (which is what
 // lets a dataset's gate and pool recognise it), and rows that differ in
-// any identifying column do not.
+// any identifying column do not. The tail's first two rows fall to
+// different workers of one chunk, so both miss the memo and the insert
+// phase has to make them one; later rows fall in later chunks.
 func TestScanCSVSharesWhatRepeats(t *testing.T) {
+	at := func(ip string) string { return strings.Replace(goodRow, "84.205.1.9", ip, 1) }
 	rows := []string{
 		goodRow,
-		strings.Replace(goodRow, "84.205.1.9", "84.205.1.10", 1),
 		strings.Replace(goodRow, "Let's Encrypt", "DigiCert", 1),
+		at("84.205.1.10"),
 		strings.Replace(goodRow, ",1001,", ",1002,", 1),
+		at("84.205.1.11"),
+		at("84.205.1.12"),
+		at("84.205.1.13"),
+		at("84.205.1.14"),
+		at("84.205.1.15"),
 	}
-	c, events := eventReader(strings.NewReader(strings.Join(rows, "\n")+"\n"), 0, readAhead{})
-	drain(t, c, events)
-	if len(*events) != len(rows) {
-		t.Fatalf("%d events, want %d", len(*events), len(rows))
-	}
-	rec := func(i int) *scanner.Record { return (*events)[i].rec }
-	if rec(0).Cert != rec(1).Cert {
-		t.Error("rows with one tail did not share a certificate instance")
-	}
-	if &rec(0).Ports[0] != &rec(1).Ports[0] {
-		t.Error("rows with one ports column did not share a ports array")
-	}
-	for _, i := range []int{2, 3} {
-		if rec(i).Cert == rec(0).Cert || rec(i).Cert.Fingerprint() == rec(0).Cert.Fingerprint() {
-			t.Errorf("row %d differs from row 0 in one tail column but shares its certificate", i)
+	same, differ := []int{2, 4, 5, 6, 7, 8}, []int{1, 3}
+	for _, ra := range []readAhead{{}, {rows: 4, chunks: 1, workers: 2}, {rows: 4, chunks: 1, workers: 4}, {rows: 3, chunks: 2, workers: 3}, {rows: 1, chunks: 1}} {
+		c, events := eventReader(strings.NewReader(strings.Join(rows, "\n")+"\n"), 0, ra)
+		drain(t, c, events)
+		if len(*events) != len(rows) {
+			t.Fatalf("read-ahead %v: %d events, want %d", ra, len(*events), len(rows))
+		}
+		rec := func(i int) *scanner.Record { return (*events)[i].rec }
+		for _, i := range same {
+			if rec(i).Cert != rec(0).Cert {
+				t.Errorf("read-ahead %v: rows 0 and %d have one tail but not one certificate instance", ra, i)
+			}
+		}
+		for i := range rows {
+			if &rec(i).Ports[0] != &rec(0).Ports[0] {
+				t.Errorf("read-ahead %v: rows 0 and %d have one ports column but not one ports array", ra, i)
+			}
+		}
+		for _, i := range differ {
+			if rec(i).Cert == rec(0).Cert || rec(i).Cert.Fingerprint() == rec(0).Cert.Fingerprint() {
+				t.Errorf("read-ahead %v: row %d differs from row 0 in one tail column but shares its certificate", ra, i)
+			}
 		}
 	}
 }
@@ -488,5 +527,73 @@ func TestReaderRecordsFeedTwoDatasets(t *testing.T) {
 	}
 	if nd, nr := bulk.Size(); nd == 0 || nr == 0 {
 		t.Fatalf("empty corpus: %d domains, %d records", nd, nr)
+	}
+}
+
+// TestFirstWideScanSizingKeepsEverything ingests two wide scans whose
+// certificates partly overlap — the first sizes the first-sighting tables,
+// the second lands in tables that already hold entries — and holds the
+// dataset to the same scans ingested row by row, which never sizes
+// anything, on the pool, Size and every window, and to the scans ingested
+// with interning off on Size, every window and the findings. (Row by row,
+// each row's AddScan lists its scan date again, which changes the
+// findings' scan counts, so those are not compared there.)
+func TestFirstWideScanSizingKeepsEverything(t *testing.T) {
+	csv := synthCSV(synth.Config{Domains: 2500, Scans: 2, Seed: 13, TransientPerMille: 300})
+	load := func(rowByRow, intern bool) *scanner.Dataset {
+		ds := scanner.NewDataset()
+		ds.SetIntern(intern)
+		batches := readBatches(t, csv)
+		if len(batches) != 2 || len(batches[0]) < 2500 {
+			t.Fatalf("corpus shape: %d scans", len(batches))
+		}
+		for _, batch := range batches {
+			step := len(batch)
+			if rowByRow {
+				step = 1
+			}
+			for lo := 0; lo < len(batch); lo += step {
+				if err := ds.AddScan(batch[0].ScanDate, batch[lo:min(lo+step, len(batch))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		ds.Freeze()
+		return ds
+	}
+	findings := func(ds *scanner.Dataset) []byte {
+		res := (&core.Pipeline{Params: core.DefaultParams(), Dataset: ds, PDNS: pdns.NewDB()}).Run()
+		var buf bytes.Buffer
+		if err := report.WriteJSON(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	wide, rows, off := load(false, true), load(true, true), load(false, false)
+	if a, b := wide.Pool().Stats(), rows.Pool().Stats(); a != b {
+		t.Errorf("pool stats: wide scans %v, row by row %v", a, b)
+	}
+	if st := wide.Pool().Stats(); st.Certs == 0 || st.Names == 0 {
+		t.Fatalf("nothing pooled: %v", st)
+	}
+	nd, nr := wide.Size()
+	for name, ds := range map[string]*scanner.Dataset{"row by row": rows, "interning off": off} {
+		if d, r := ds.Size(); d != nd || r != nr {
+			t.Errorf("Size: wide scans (%d, %d), %s (%d, %d)", nd, nr, name, d, r)
+		}
+		for _, domain := range wide.Domains() {
+			a, b := wide.DomainRecords(domain, 0, 0), ds.DomainRecords(domain, 0, 0)
+			if len(a) != len(b) {
+				t.Fatalf("%s: %s has %d records, wide scans %d", name, domain, len(b), len(a))
+			}
+			for i := range a {
+				if field := recordDiff(a[i], b[i]); field != "" {
+					t.Fatalf("%s: %s record %d: %s differs", name, domain, i, field)
+				}
+			}
+		}
+	}
+	if a, b := findings(wide), findings(off); !bytes.Equal(a, b) {
+		t.Fatalf("findings differ with interning off\nwide:\n%s\noff:\n%s", a, b)
 	}
 }

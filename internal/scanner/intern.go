@@ -25,10 +25,15 @@ import (
 // ingest workers do not serialize. Must be a power of two.
 const internStripes = 64
 
+// A stripe takes a plain mutex and one lookup: a name reaches the pool only
+// with a certificate it has not seen, so a miss is the common case, and an
+// optimistic read-locked lookup ahead of the locked one would only repeat
+// it.
 type internStripe struct {
-	mu    sync.RWMutex
+	mu    sync.Mutex
 	m     map[string]string
 	bytes int64
+	_     [64 - 24]byte // a cache line of its own: parallel workers lock neighbours
 }
 
 // stringInterner is a concurrency-safe string pool: intern returns the
@@ -43,12 +48,6 @@ func (si *stringInterner) intern(s string) string {
 		return ""
 	}
 	st := &si.stripes[fnvString(s)&(internStripes-1)]
-	st.mu.RLock()
-	got, ok := st.m[s]
-	st.mu.RUnlock()
-	if ok {
-		return got
-	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if got, ok := st.m[s]; ok {
@@ -63,13 +62,25 @@ func (si *stringInterner) intern(s string) string {
 	return c
 }
 
+// reserve sizes every empty stripe for its share of about n strings.
+func (si *stringInterner) reserve(n int) {
+	for i := range si.stripes {
+		st := &si.stripes[i]
+		st.mu.Lock()
+		if len(st.m) == 0 {
+			st.m = make(map[string]string, n/internStripes)
+		}
+		st.mu.Unlock()
+	}
+}
+
 func (si *stringInterner) stats() (count int, bytes int64) {
 	for i := range si.stripes {
 		st := &si.stripes[i]
-		st.mu.RLock()
+		st.mu.Lock()
 		count += len(st.m)
 		bytes += st.bytes
-		st.mu.RUnlock()
+		st.mu.Unlock()
 	}
 	return count, bytes
 }

@@ -230,7 +230,7 @@ func (d *Dataset) gateRecordsLocked(date simtime.Date, records []*Record) ([]uin
 		return nil, 0, nil
 	}
 	gates := make([]uint8, len(records))
-	forChunks(len(records), ingestWorkers(len(records)), func(lo, hi int) {
+	forChunks(len(records), ingestWorkers(len(records)), func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if reason, _, ok := validateRecord(records[i]); !ok {
 				gates[i] = uint8(reason) + 1

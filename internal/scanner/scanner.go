@@ -286,8 +286,11 @@ type Dataset struct {
 	pool   *Pool
 	intern bool
 	// routes memoizes, per pooled certificate, where its records go (see
-	// routeOf).
+	// routeLocked).
 	routes map[*x509lite.Certificate]certRoute
+	// sized is set once a wide scan has sized the first-sighting tables
+	// (see sizeTablesLocked).
+	sized bool
 
 	// met holds the dataset's metric handles, populated by SetMetrics.
 	// The nil handles of an uninstrumented dataset no-op.
@@ -585,10 +588,11 @@ func (d *Dataset) AppendAfter(date simtime.Date, records []*Record, durable func
 }
 
 // ingestLocked is the shared ingest path: gate the scan date, validate
-// records (gate, parallel over chunks), dedup certificates through the
-// pool (intern, parallel over chunks), resolve every record's registered
-// domains and owning shards in one pass (route), let each shard take its
-// own bucket (stage, parallel over shards), pass the barrier, then publish
+// records (gate, parallel over chunks), size the first-sighting tables on
+// the first wide scan, dedup certificates through the pool and resolve
+// every record's registered domains and owning shards (route, parallel
+// over chunks), let each shard take its own buckets (stage, parallel over
+// shards), pass the barrier, then publish
 // the shards' successor indexes, the quarantine journal, the dataset-global
 // view and metrics. Caller holds d.mu; appendMode selects Append semantics
 // (implied freeze, generation bump, dirty journaling, a barrier — bulk
@@ -612,9 +616,7 @@ func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode 
 			return err
 		}
 	}
-	if d.intern && accepted > 0 {
-		d.internRecordsLocked(records, gates)
-	}
+	d.sizeTablesLocked(records, gates, accepted)
 	gen := uint64(0)
 	if appendMode {
 		gen = d.view.Load().generation + 1
@@ -688,24 +690,58 @@ func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode 
 	return spillErr
 }
 
-// internRecordsLocked routes the accepted records of a scan through the
-// dedup pool: each record's certificate is replaced by the pool's
-// canonical instance (a first-seen certificate is copied in, the copy's SAN
-// strings canonicalized through the string pool). Runs before shard
-// fan-out so shards only ever index pooled certificates. Caller holds
-// d.mu; the records are not yet visible to any reader.
-func (d *Dataset) internRecordsLocked(records []*Record, gates []uint8) {
-	forChunks(len(records), ingestWorkers(len(records)), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if gates[i] != 0 {
-				continue
-			}
-			r := records[i]
-			if c := d.pool.Cert(r.Cert); c != r.Cert {
-				r.Cert = c
-			}
+// sizeTablesLocked sizes the first-sighting tables — the intern pool's
+// certificate and name stripes, the route memo and every shard's
+// accumulation map — from the first scan of at least
+// parallelIngestThreshold accepted records, in one step rather than by
+// doubling while the scan stages: the first scan of a bulk load is nearly
+// all first sightings. The scan's distinct certificate instances bound its
+// distinct certificates, and their SANs its distinct names and domains: a
+// certificate on many addresses is counted once, as the CSV reader hands
+// all its rows one instance. A table is sized only while it is empty, so
+// nothing already ingested is dropped. Caller holds d.mu.
+func (d *Dataset) sizeTablesLocked(records []*Record, gates []uint8, accepted int) {
+	if d.sized || accepted < parallelIngestThreshold {
+		return
+	}
+	d.sized = true
+	certs, names := distinctCerts(records, gates, accepted)
+	// The tables are independent, and making a large one is mostly
+	// faulting in fresh memory, so they are made in parallel.
+	var jobs []func()
+	if d.intern {
+		jobs = append(jobs,
+			func() { d.pool.certs.Reserve(certs) },
+			func() { d.pool.names.reserve(names) },
+			func() {
+				if len(d.routes) == 0 {
+					d.routes = make(map[*x509lite.Certificate]certRoute, certs)
+				}
+			})
+	}
+	// An even spread plus a quarter, as routeLocked sizes its buckets, of
+	// the records or, when fewer, the names.
+	even := min(accepted, names) / len(d.shards)
+	for _, s := range d.shards {
+		jobs = append(jobs, func() { s.reserve(even + even/4) })
+	}
+	forShards(len(jobs), ingestWorkers(accepted), func(i int) { jobs[i]() })
+}
+
+// distinctCerts counts the distinct certificate instances of the accepted
+// records and the SANs they carry, each instance once.
+func distinctCerts(records []*Record, gates []uint8, accepted int) (certs, names int) {
+	seen := make(map[*x509lite.Certificate]struct{}, accepted)
+	for i, r := range records {
+		if gates[i] != 0 {
+			continue
 		}
-	})
+		if _, ok := seen[r.Cert]; !ok {
+			seen[r.Cert] = struct{}{}
+			names += len(r.Cert.SANs)
+		}
+	}
+	return len(seen), names
 }
 
 // Freeze ends the bulk-ingest phase and builds the read indexes: each

@@ -1,9 +1,9 @@
 package scanner
 
 import (
+	"cmp"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -151,6 +151,16 @@ func newShard() *shard {
 	return &shard{byDomain: make(map[dnscore.Name][]*Record)}
 }
 
+// reserve sizes the accumulation map for about n domains while it is
+// empty. A frozen shard has none.
+func (s *shard) reserve(n int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.byDomain != nil && len(s.byDomain) == 0 {
+		s.byDomain = make(map[dnscore.Name][]*Record, n)
+	}
+}
+
 // counts returns the shard's (domains, record attachments), from the index
 // snapshot when frozen. Safe under d.mu (read or write).
 func (s *shard) counts() (int, int) {
@@ -171,17 +181,23 @@ func (s *shard) freeze() {
 	for n := range s.byDomain {
 		idx.domains = append(idx.domains, n)
 	}
-	sort.Slice(idx.domains, func(i, j int) bool { return idx.domains[i] < idx.domains[j] })
+	slices.Sort(idx.domains)
 	idx.pos = rankDomains(idx.domains)
 	idx.windows = make([][]*Record, len(idx.domains))
 	for i, n := range idx.domains {
+		// A bulk load adds its scans in date order, so most windows are
+		// sorted already.
 		recs := s.byDomain[n]
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].ScanDate < recs[j].ScanDate })
+		if !slices.IsSortedFunc(recs, byScanDate) {
+			slices.SortStableFunc(recs, byScanDate)
+		}
 		idx.windows[i] = recs
 	}
 	s.byDomain = nil
 	s.idx.Store(idx)
 }
+
+func byScanDate(a, b *Record) int { return cmp.Compare(a.ScanDate, b.ScanDate) }
 
 // routed is one record attachment on its way into a shard: the record and
 // the registered domain, owned by that shard, it indexes under.
@@ -199,16 +215,9 @@ type shardApex struct {
 	sid  int
 }
 
-// routeOf resolves c's route. Pooled certificates are immutable and the
-// shard count is fixed, so their routes are memoized for the life of the
-// dataset (bounded by the pool, which never evicts either): a certificate
-// seen in every weekly scan has its SANs reduced to apexes and hashed
-// once. Caller holds d.mu.
-func (d *Dataset) routeOf(c *x509lite.Certificate) certRoute {
-	route, ok := d.routes[c]
-	if ok {
-		return route
-	}
+// resolveRoute computes c's route.
+func (d *Dataset) resolveRoute(c *x509lite.Certificate) certRoute {
+	var route certRoute
 	for _, san := range c.SANs {
 		apex := san.RegisteredDomain()
 		if apex == "" {
@@ -222,79 +231,137 @@ func (d *Dataset) routeOf(c *x509lite.Certificate) certRoute {
 			route = append(route, shardApex{apex, shardIndexOf(apex, len(d.shards))})
 		}
 	}
-	if d.intern {
-		d.routes[c] = route
-	}
 	return route
 }
 
+// freshRoute is a route a scan's routing pass resolved, for the memo.
+type freshRoute struct {
+	cert  *x509lite.Certificate
+	route certRoute
+}
+
 // routeLocked is the one pass over a scan that decides where everything
-// goes: each accepted record's attachments land in their owning shards'
-// buckets, in feed order. Caller holds d.mu.
-func (d *Dataset) routeLocked(records []*Record, gates []uint8, accepted int) [][]routed {
-	buckets := make([][]routed, len(d.shards))
+// goes, run in parallel over contiguous runs of the records. Each accepted
+// record's certificate is swapped for the pool's canonical instance when
+// interning (a first-seen certificate is copied in, its SAN strings
+// canonicalized through the string pool), so shards only ever index pooled
+// certificates; its route is resolved; and its attachments land in its
+// run's bucket for each owning shard. buckets[sid] holds one bucket per
+// run, and taken in run order they are the shard's share of the scan in
+// feed order.
+//
+// Pooled certificates are immutable and the shard count is fixed, so their
+// routes are memoized for the life of the dataset (bounded by the pool,
+// which never evicts either): a certificate seen in every weekly scan has
+// its SANs reduced to apexes and hashed once. The runs only read the memo;
+// the routes they resolve are memoized once they join. Caller holds d.mu;
+// the records are not yet visible to any reader.
+func (d *Dataset) routeLocked(records []*Record, gates []uint8, accepted int) (buckets [][][]routed) {
+	workers := ingestWorkers(len(records))
+	buckets = make([][][]routed, len(d.shards))
+	for sid := range buckets {
+		buckets[sid] = make([][]routed, workers)
+	}
+	fresh := make([][]freshRoute, workers)
 	// An even spread plus a quarter covers the hash's skew and the odd
 	// multi-domain certificate without a regrow.
-	even := accepted / len(d.shards)
-	for sid := range buckets {
-		buckets[sid] = make([]routed, 0, even+even/4+8)
-	}
-	for i, r := range records {
-		if gates[i] != 0 {
-			continue
+	even := accepted / workers / len(d.shards)
+	forChunks(len(records), workers, func(run, lo, hi int) {
+		own := make([][]routed, len(d.shards))
+		for sid := range own {
+			own[sid] = make([]routed, 0, even+even/4+8)
 		}
-		for _, t := range d.routeOf(r.Cert) {
-			buckets[t.sid] = append(buckets[t.sid], routed{r, t.apex})
+		for i := lo; i < hi; i++ {
+			if gates[i] != 0 {
+				continue
+			}
+			r := records[i]
+			if d.intern {
+				if c := d.pool.Cert(r.Cert); c != r.Cert {
+					r.Cert = c
+				}
+			}
+			route, ok := d.routes[r.Cert]
+			if !ok {
+				route = d.resolveRoute(r.Cert)
+				if d.intern {
+					fresh[run] = append(fresh[run], freshRoute{r.Cert, route})
+				}
+			}
+			for _, t := range route {
+				own[t.sid] = append(own[t.sid], routed{r, t.apex})
+			}
+		}
+		for sid := range own {
+			buckets[sid][run] = own[sid]
+		}
+	})
+	for _, f := range fresh {
+		for _, fr := range f {
+			d.routes[fr.cert] = fr.route
 		}
 	}
 	return buckets
 }
 
-// stage takes this shard's bucket of one scan. Shards share nothing, so
-// buckets are staged in parallel. Before Freeze the records simply
-// accumulate. On a frozen shard nothing is published here: the returned
-// successor index carries the merged windows and the (domain, period)
-// cells journaled under gen, for ingestLocked to store once the batch may
-// be seen, along with the newly seen domains for the dataset-level merge.
-func (s *shard) stage(bucket []routed, gen uint64, frozen bool) (*shardIndex, []dnscore.Name) {
-	if len(bucket) == 0 {
+// stage takes this shard's buckets of one scan, in feed order. Shards
+// share nothing, so buckets are staged in parallel. Before Freeze the
+// records simply accumulate. On a frozen shard nothing is published here:
+// the returned successor index carries the merged windows and the (domain,
+// period) cells journaled under gen, for ingestLocked to store once the
+// batch may be seen, along with the newly seen domains for the
+// dataset-level merge.
+func (s *shard) stage(buckets [][]routed, gen uint64, frozen bool) (*shardIndex, []dnscore.Name) {
+	n := 0
+	for _, b := range buckets {
+		n += len(b)
+	}
+	if n == 0 {
 		return nil, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if !frozen {
-		for _, e := range bucket {
-			s.byDomain[e.apex] = append(s.byDomain[e.apex], e.rec)
+		for _, b := range buckets {
+			for _, e := range b {
+				s.byDomain[e.apex] = append(s.byDomain[e.apex], e.rec)
+			}
 		}
-		s.attach += len(bucket)
+		s.attach += n
 		return nil, nil
 	}
 	old := s.idx.Load()
 	// A record's rank in the old index serves in the successor too, unless
 	// the batch brings a domain the shard has not seen yet.
-	rank := make([]int32, len(bucket))
+	rank := make([]int32, 0, n)
 	var added []dnscore.Name
-	for k, e := range bucket {
-		i, ok := old.pos[e.apex]
-		if !ok {
-			added = append(added, e.apex)
+	for _, b := range buckets {
+		for _, e := range b {
+			i, ok := old.pos[e.apex]
+			if !ok {
+				added = append(added, e.apex)
+			}
+			rank = append(rank, i)
 		}
-		rank[k] = i
 	}
 	slices.Sort(added)
 	added = slices.Compact(added)
 	next := old.successor(added)
-	for k, e := range bucket {
-		i := rank[k]
-		if len(added) > 0 {
-			i = next.pos[e.apex]
-		}
-		next.windows[i] = insertRecord(next.windows[i], e.rec)
-		if e.rec.ScanDate.InStudy() {
-			next.dirty[i][simtime.PeriodOf(e.rec.ScanDate)] = gen
+	k := 0
+	for _, b := range buckets {
+		for _, e := range b {
+			i := rank[k]
+			k++
+			if len(added) > 0 {
+				i = next.pos[e.apex]
+			}
+			next.windows[i] = insertRecord(next.windows[i], e.rec)
+			if e.rec.ScanDate.InStudy() {
+				next.dirty[i][simtime.PeriodOf(e.rec.ScanDate)] = gen
+			}
 		}
 	}
-	next.attach += len(bucket)
+	next.attach += n
 	return next, added
 }
 
@@ -376,18 +443,17 @@ func shardIndexOf(domain dnscore.Name, n int) int {
 // orders of magnitude under it.
 const parallelIngestThreshold = 2048
 
+// maxWorkers caps a record-parallel phase: validation, interning and
+// parsing stop scaling past the memory bus.
+const maxWorkers = 16
+
 // ingestWorkers sizes the worker pool for a record-parallel phase:
-// 1 below the threshold, else bounded by GOMAXPROCS (capped — validation
-// and interning stop scaling past the memory bus).
+// 1 below the threshold, else GOMAXPROCS up to maxWorkers.
 func ingestWorkers(n int) int {
 	if n < parallelIngestThreshold {
 		return 1
 	}
-	w := runtime.GOMAXPROCS(0)
-	if w > 16 {
-		w = 16
-	}
-	return w
+	return min(runtime.GOMAXPROCS(0), maxWorkers)
 }
 
 // shardWorkers sizes the worker pool for the shard fan-out phase: never
@@ -429,32 +495,30 @@ func forShards(n, workers int, fn func(sid int)) {
 	wg.Wait()
 }
 
-// forChunks splits [0, n) into one contiguous chunk per worker and runs
-// fn(lo, hi) concurrently. Serial when workers <= 1. Chunk boundaries are
-// a pure function of (n, workers); workers write only their own chunk's
-// slots, so results are deterministic.
-func forChunks(n, workers int, fn func(lo, hi int)) {
+// forChunks splits [0, n) into at most workers contiguous chunks and runs
+// fn(chunk, lo, hi) concurrently, chunk counting from 0 in order. Serial
+// when workers <= 1. Chunk boundaries are a pure function of (n, workers);
+// workers write only their own chunk's slots, so results are
+// deterministic.
+func forChunks(n, workers int, fn func(chunk, lo, hi int)) {
 	if workers <= 1 || n <= 1 {
 		if n > 0 {
-			fn(0, n)
+			fn(0, 0, n)
 		}
 		return
 	}
 	if workers > n {
 		workers = n
 	}
-	chunk := (n + workers - 1) / workers
+	size := (n + workers - 1) / workers
 	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+	for chunk, lo := 0, 0; lo < n; chunk, lo = chunk+1, lo+size {
+		hi := min(lo+size, n)
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func() {
 			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+			fn(chunk, lo, hi)
+		}()
 	}
 	wg.Wait()
 }

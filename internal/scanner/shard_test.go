@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"retrodns/internal/dnscore"
 	"retrodns/internal/simtime"
@@ -205,6 +206,56 @@ func TestInternDedupsCertsAndNames(t *testing.T) {
 	}
 	if st := off.Pool().Stats(); st.Certs != 0 {
 		t.Fatalf("interning disabled but pool holds %d certs", st.Certs)
+	}
+}
+
+// TestReserveKeepsEntries sizes an interner and an accumulation map that
+// already hold entries, beside empty ones: nothing held is dropped, and a
+// frozen shard, which has no accumulation map, stays without one.
+func TestReserveKeepsEntries(t *testing.T) {
+	var si stringInterner
+	held := si.intern("www.held.example")
+	si.reserve(1 << 12)
+	if got := si.intern("www.held.example"); unsafe.StringData(got) != unsafe.StringData(held) {
+		t.Fatal("reserve dropped an interned string")
+	}
+	if n, _ := si.stats(); n != 1 {
+		t.Fatalf("%d strings interned, want 1", n)
+	}
+
+	s, empty := newShard(), newShard()
+	rec := quarRec(7, "84.205.1.1", quarCert(1, "www.held.example"))
+	s.stage([][]routed{{{rec, "held.example"}}}, 0, false)
+	s.reserve(1 << 12)
+	empty.reserve(1 << 12)
+	if got := s.byDomain["held.example"]; len(got) != 1 || got[0] != rec {
+		t.Fatalf("reserve dropped an accumulated window: %v", got)
+	}
+	if len(empty.byDomain) != 0 || empty.byDomain == nil {
+		t.Fatal("a reserved empty shard should be empty and ready")
+	}
+	s.freeze()
+	s.reserve(1 << 12)
+	if s.byDomain != nil {
+		t.Fatal("reserve gave a frozen shard an accumulation map")
+	}
+}
+
+// TestDistinctCertsCountsInstancesOnce sizes a scan where one certificate
+// sits on thousands of addresses, as a CDN's does: it counts once, with its
+// SANs, and gated records not at all.
+func TestDistinctCertsCountsInstancesOnce(t *testing.T) {
+	cdn := quarCert(1, "a.cdn.example", "b.cdn.example", "c.cdn.example")
+	own := quarCert(2, "www.own.example")
+	var recs []*Record
+	for i := 0; i < 3000; i++ {
+		recs = append(recs, quarRec(7, fmt.Sprintf("10.0.%d.%d", i>>8, i&255), cdn))
+	}
+	recs = append(recs, quarRec(7, "84.205.1.1", own), &Record{ScanDate: 7})
+	gates := make([]uint8, len(recs))
+	gates[len(recs)-1] = 1
+	if certs, names := distinctCerts(recs, gates, len(recs)-1); certs != 2 || names != 4 {
+		t.Fatalf("distinctCerts = (%d certs, %d names), want (2, 4)", certs, names)
 	}
 }
 

@@ -45,6 +45,7 @@ const certPoolStripes = 32
 type certPoolStripe struct {
 	mu sync.RWMutex
 	m  map[Fingerprint]*Certificate
+	_  [64 - 32]byte // a cache line of its own: parallel workers lock neighbours
 }
 
 // NewPool returns an empty certificate pool.
@@ -54,6 +55,23 @@ func NewPool() *Pool {
 		p.stripes[i].m = make(map[Fingerprint]*Certificate)
 	}
 	return p
+}
+
+// Reserve sizes the pool for about n distinct certificates at once, so a
+// bulk load's first wide scan does not grow the stripes by doubling. A
+// stripe that already holds certificates is left as it is.
+func (p *Pool) Reserve(n int) {
+	if p == nil {
+		return
+	}
+	for i := range p.stripes {
+		st := &p.stripes[i]
+		st.mu.Lock()
+		if len(st.m) == 0 {
+			st.m = make(map[Fingerprint]*Certificate, n/certPoolStripes)
+		}
+		st.mu.Unlock()
+	}
 }
 
 // Intern returns the pool's canonical instance for c. A nil pool or

@@ -42,6 +42,30 @@ func TestPoolInternDedups(t *testing.T) {
 	}
 }
 
+// TestPoolReserveKeepsEntries sizes a pool that already holds a
+// certificate and one that does not: the pooled instance survives, and
+// both pools go on deduplicating.
+func TestPoolReserveKeepsEntries(t *testing.T) {
+	p := NewPool()
+	a := poolCert(1, "www.a.example")
+	p.Intern(a)
+	p.Reserve(1 << 12)
+	if got := p.Intern(poolCert(1, "www.a.example")); got != a {
+		t.Fatal("Reserve dropped a pooled certificate")
+	}
+	empty := NewPool()
+	empty.Reserve(1 << 12)
+	b := poolCert(2, "www.b.example")
+	if empty.Intern(b) != b || empty.Intern(poolCert(2, "www.b.example")) != b {
+		t.Fatal("a reserved pool does not deduplicate")
+	}
+	if p.Size() != 1 || empty.Size() != 1 {
+		t.Fatalf("pool sizes %d and %d, want 1 and 1", p.Size(), empty.Size())
+	}
+	var nilPool *Pool
+	nilPool.Reserve(10)
+}
+
 func TestPoolNilTolerance(t *testing.T) {
 	var p *Pool
 	c := poolCert(3, "www.nil.example")

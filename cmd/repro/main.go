@@ -103,7 +103,8 @@ func main() {
 	progress("generating world (seed %d, %d stable domains, full campaign replay)...", cfg.Seed, cfg.StableDomains)
 	w := world.New(cfg)
 	progress("running study clock and weekly scans (%d days)...", simtime.StudyDays)
-	ds := w.RunShards(*shards)
+	metrics := obsv.NewRegistry()
+	ds := w.RunShards(*shards, metrics)
 	if err := w.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -119,8 +120,6 @@ func main() {
 	progress("%s; dataset: %d domains, %d records", w.Summary(), domains, records)
 
 	progress("running detection pipeline...")
-	metrics := obsv.NewRegistry()
-	ds.SetMetrics(metrics)
 	res := w.Pipeline(ds, *workers, core.NewClassifyCache(), metrics).Run()
 	progress("%s", res.Stats)
 

@@ -56,16 +56,15 @@ func main() {
 	)
 	flag.Parse()
 
-	sf := spillFlags{
-		dir: *spillDir, memBudgetMB: *memBudgetMB, readMode: *spillMode,
-		save: *spillSave, load: *spillLoad, printMaxRSS: *printMaxRSS,
+	spill, err := scanner.SpillFlags(*spillDir, *memBudgetMB, *spillMode)
+	if err == nil && spill == nil && (*spillSave || *spillLoad) {
+		err = fmt.Errorf("-spill-save/-spill-load require -spill-dir")
 	}
-	spill, err := sf.options()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	defer reportMaxRSS(sf.printMaxRSS)
+	defer reportMaxRSS(*printMaxRSS)
 
 	metrics := obsv.NewRegistry()
 	if *metricsAddr != "" {
@@ -82,16 +81,16 @@ func main() {
 		}()
 	}
 
-	if *synthDomains > 0 || sf.load {
+	if *synthDomains > 0 || *spillLoad {
 		runSynth(synthRun{
 			domains: *synthDomains, zipfS: *zipfS, scans: *synthScans,
 			seed: *seed, shards: *shards, workers: *workers,
 			strict: *strict, jsonOut: *jsonOut, reportJSON: *reportJSON,
-			spill: spill, sf: sf,
+			spill: spill, save: *spillSave, load: *spillLoad,
 		}, metrics)
 		return
 	}
-	if sf.save {
+	if *spillSave {
 		fmt.Fprintln(os.Stderr, "-spill-save only applies to -synth-domains mode")
 		os.Exit(1)
 	}
@@ -121,12 +120,7 @@ func main() {
 		dataset = ds
 		ds.SetStrict(*strict)
 		ds.SetMetrics(metrics)
-		if spill != nil {
-			if err := ds.ConfigureSpill(*spill); err != nil {
-				fmt.Fprintln(os.Stderr, "spill:", err)
-				os.Exit(1)
-			}
-		}
+		configureSpill(ds, spill)
 		pipe := w.Pipeline(ds, *workers, core.NewClassifyCache(), metrics)
 		for _, date := range w.ScanDates() {
 			if err := ds.Append(date, sc.ScanWeek(date)); err != nil {
@@ -144,7 +138,7 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, w.Summary())
 	} else {
-		ds := w.RunShards(*shards)
+		ds := w.RunShards(*shards, metrics)
 		dataset = ds
 		checkWorldErrors(w)
 		// Bulk ingest builds the dataset inside the scanner, so strict mode
@@ -157,13 +151,7 @@ func main() {
 			}
 		}
 		fmt.Fprintln(os.Stderr, w.Summary())
-		ds.SetMetrics(metrics)
-		if spill != nil {
-			if err := ds.ConfigureSpill(*spill); err != nil {
-				fmt.Fprintln(os.Stderr, "spill:", err)
-				os.Exit(1)
-			}
-		}
+		configureSpill(ds, spill)
 		pipe := w.Pipeline(ds, *workers, core.NewClassifyCache(), metrics)
 		res = pipe.Run()
 	}
@@ -206,7 +194,7 @@ type synthRun struct {
 	strict, jsonOut                 bool
 	reportJSON                      string
 	spill                           *scanner.SpillOptions
-	sf                              spillFlags
+	save, load                      bool
 }
 
 // runSynth ingests a paper-scale synthetic corpus (internal/synth) through
@@ -217,7 +205,7 @@ type synthRun struct {
 // simulation cannot reach.
 func runSynth(cfg synthRun, metrics *obsv.Registry) {
 	var ds *scanner.Dataset
-	if cfg.sf.load {
+	if cfg.load {
 		// Out-of-core restart: the corpus identity lives entirely in
 		// <spill-dir>/corpus.snap + the sealed segments; no synth ingest.
 		restored, err := loadCorpus(*cfg.spill)
@@ -242,12 +230,7 @@ func runSynth(cfg synthRun, metrics *obsv.Registry) {
 		ds = scanner.NewDatasetShards(cfg.shards)
 		ds.SetStrict(cfg.strict)
 		ds.SetMetrics(metrics)
-		if cfg.spill != nil {
-			if err := ds.ConfigureSpill(*cfg.spill); err != nil {
-				fmt.Fprintln(os.Stderr, "spill:", err)
-				os.Exit(1)
-			}
-		}
+		configureSpill(ds, cfg.spill)
 		start := time.Now()
 		for _, date := range g.ScanDates() {
 			if err := ds.Append(date, g.Scan(date)); err != nil {
@@ -261,7 +244,7 @@ func runSynth(cfg synthRun, metrics *obsv.Registry) {
 			ds.EstimatedBytes()>>20, ds.Pool().Stats().Certs)
 	}
 
-	if cfg.sf.save {
+	if cfg.save {
 		if err := saveCorpus(ds, cfg.spill.Dir); err != nil {
 			fmt.Fprintln(os.Stderr, "spill-save:", err)
 			os.Exit(1)
@@ -276,7 +259,7 @@ func runSynth(cfg synthRun, metrics *obsv.Registry) {
 		PDNS: pdns.NewDB(), Workers: cfg.workers,
 		Cache: core.NewClassifyCache(), Metrics: metrics,
 	}
-	if cfg.sf.load {
+	if cfg.load {
 		// One-shot classify of a restored corpus: the incremental cache
 		// only pays off across repeated runs, and retaining a cached
 		// classification per (domain, period) cell would defeat the

@@ -22,36 +22,6 @@ const (
 	corpusName  = "corpus.snap"
 )
 
-// spillFlags carries the raw -spill-* flag values.
-type spillFlags struct {
-	dir         string
-	memBudgetMB int
-	readMode    string
-	save, load  bool
-	printMaxRSS bool
-}
-
-// options converts the flags into scanner.SpillOptions (nil when spill is
-// disabled). -mem-budget-mb <0 keeps everything resident, 0 spills every
-// frozen shard, >0 is the resident-estimate ceiling in MiB.
-func (sf spillFlags) options() (*scanner.SpillOptions, error) {
-	if sf.dir == "" {
-		if sf.save || sf.load || sf.memBudgetMB >= 0 {
-			return nil, fmt.Errorf("-spill-save/-spill-load/-mem-budget-mb require -spill-dir")
-		}
-		return nil, nil
-	}
-	mode, err := segment.ParseMode(sf.readMode)
-	if err != nil {
-		return nil, err
-	}
-	budget := int64(-1)
-	if sf.memBudgetMB >= 0 {
-		budget = int64(sf.memBudgetMB) << 20
-	}
-	return &scanner.SpillOptions{Dir: sf.dir, BudgetBytes: budget, Mode: mode}, nil
-}
-
 // saveCorpus writes the frozen dataset as <dir>/corpus.snap atomically.
 // Spilled shards serialize as segment references, so the file stays small
 // for an out-of-core corpus — the bulk of the bytes are already in the
@@ -62,6 +32,18 @@ func saveCorpus(ds *scanner.Dataset, dir string) error {
 		return err
 	}
 	return segment.AtomicWrite(dir, corpusName, segment.Frame(corpusMagic, buf.Bytes()))
+}
+
+// configureSpill runs ds out of core under spill, when it is set, and exits
+// if the segment store cannot be opened.
+func configureSpill(ds *scanner.Dataset, spill *scanner.SpillOptions) {
+	if spill == nil {
+		return
+	}
+	if err := ds.ConfigureSpill(*spill); err != nil {
+		fmt.Fprintln(os.Stderr, "spill:", err)
+		os.Exit(1)
+	}
 }
 
 // loadCorpus reads <dir>/corpus.snap back under the given spill options.

@@ -36,10 +36,8 @@ import (
 
 	"retrodns/internal/core"
 	"retrodns/internal/obsv"
-	"retrodns/internal/pdns"
 	"retrodns/internal/report"
 	"retrodns/internal/scanner"
-	"retrodns/internal/segment"
 	"retrodns/internal/serve"
 	"retrodns/internal/simtime"
 	"retrodns/internal/wal"
@@ -86,22 +84,12 @@ func run() error {
 	if *dataDir != "" && *scansCSV == "" {
 		return fmt.Errorf("-data-dir requires -scans-csv (durable mode ingests a CSV feed)")
 	}
-	var spill *scanner.SpillOptions
-	if *spillDir != "" {
-		if *dataDir == "" {
-			return fmt.Errorf("-spill-dir requires -data-dir (the segment store lives beside the WAL)")
-		}
-		mode, err := segment.ParseMode(*spillMode)
-		if err != nil {
-			return err
-		}
-		budget := int64(-1)
-		if *memBudgetMB >= 0 {
-			budget = int64(*memBudgetMB) << 20
-		}
-		spill = &scanner.SpillOptions{Dir: *spillDir, BudgetBytes: budget, Mode: mode}
-	} else if *memBudgetMB >= 0 {
-		return fmt.Errorf("-mem-budget-mb requires -spill-dir")
+	spill, err := scanner.SpillFlags(*spillDir, *memBudgetMB, *spillMode)
+	if err != nil {
+		return err
+	}
+	if spill != nil && *dataDir == "" {
+		return fmt.Errorf("-spill-dir requires -data-dir (the segment store lives beside the WAL)")
 	}
 
 	metrics := obsv.NewRegistry()
@@ -165,14 +153,17 @@ func run() error {
 	var (
 		res *core.Result
 		ds  *scanner.Dataset
-		dur *durable
+		fl  *wal.Follow
 	)
 	if *scansCSV != "" {
-		res, ds, dur, err = ingestCSV(ctx, engine, metrics, csvConfig{
-			path: *scansCSV, dataDir: *dataDir, shards: *shards,
-			snapshotEvery: *snapEvery, workers: *workers, strict: *strict,
-			follow: *follow, interval: *interval, spill: spill,
-		})
+		fl, err = wal.OpenFollow(wal.Options{
+			Dir: *dataDir, Shards: *shards, SnapshotEvery: *snapEvery,
+			Metrics: metrics, Spill: spill,
+		}, *strict, core.DefaultParams(), *workers)
+		if err == nil {
+			err = followCSV(ctx, engine, fl, *scansCSV, *follow, *interval)
+			res, ds = fl.Result, fl.Dataset
+		}
 	} else {
 		res, ds, err = ingest(ctx, engine, metrics, ingestConfig{
 			seed: *seed, stable: *stable, campaigns: !*noCampaigns,
@@ -181,9 +172,7 @@ func run() error {
 		})
 	}
 	if err != nil {
-		if dur != nil {
-			dur.Close()
-		}
+		fl.Close()
 		return err
 	}
 
@@ -216,14 +205,12 @@ func run() error {
 	// The durable store closes inside the drain window: Close fsyncs and
 	// closes the WAL, and every appended batch was already fsynced before
 	// it was applied, so a clean SIGTERM loses nothing.
-	if dur != nil {
-		if err := dur.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, "wal close:", err)
-		}
+	if err := fl.Close(); err != nil {
+		fmt.Fprintln(os.Stderr, "wal close:", err)
 	}
 
 	if *reportJSON != "" && res != nil {
-		if err := writeRunReport(*reportJSON, res, ds, metrics, engine, dur); err != nil {
+		if err := writeRunReport(*reportJSON, res, ds, metrics, engine, fl); err != nil {
 			return fmt.Errorf("report-json: %w", err)
 		}
 	}
@@ -293,7 +280,7 @@ func ingest(ctx context.Context, engine *serve.Engine, metrics *obsv.Registry, c
 	w := world.New(wcfg)
 
 	if !cfg.follow {
-		ds := w.Run()
+		ds := w.RunShards(scanner.DefaultShards, metrics)
 		if err := w.Err(); err != nil {
 			return nil, nil, err
 		}
@@ -303,7 +290,6 @@ func ingest(ctx context.Context, engine *serve.Engine, metrics *obsv.Registry, c
 				return nil, nil, fmt.Errorf("strict: refusing to analyze a partially-malformed feed")
 			}
 		}
-		ds.SetMetrics(metrics)
 		res := w.Pipeline(ds, cfg.workers, core.NewClassifyCache(), metrics).Run()
 		engine.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
 		fmt.Fprintf(os.Stderr, "published snapshot gen=%d hijacked=%d targeted=%d\n",
@@ -332,9 +318,7 @@ func ingest(ctx context.Context, engine *serve.Engine, metrics *obsv.Registry, c
 			return res, ds, fmt.Errorf("ingest %s: %w", date, err)
 		}
 		res = pipe.Run()
-		engine.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
-		fmt.Fprintf(os.Stderr, "scan %s: published gen=%d dirty=%d hijacked=%d targeted=%d\n",
-			date, ds.Generation(), res.Stats.DirtyCells, len(res.Hijacked), len(res.Targeted))
+		publishScan(engine, date, res, ds)
 		if cfg.interval > 0 {
 			select {
 			case <-ctx.Done():
@@ -350,6 +334,13 @@ func ingest(ctx context.Context, engine *serve.Engine, metrics *obsv.Registry, c
 	return res, ds, nil
 }
 
+// publishScan publishes the analysis of the scan just appended.
+func publishScan(engine *serve.Engine, date simtime.Date, res *core.Result, ds *scanner.Dataset) {
+	engine.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
+	fmt.Fprintf(os.Stderr, "scan %s: published gen=%d dirty=%d hijacked=%d targeted=%d\n",
+		date, ds.Generation(), res.Stats.DirtyCells, len(res.Hijacked), len(res.Targeted))
+}
+
 // snapshotStamp derives the published snapshot's Built instant from the
 // data itself — the latest ingested scan date — rather than the wall
 // clock, so two daemons serving the same generation publish identical
@@ -361,147 +352,43 @@ func snapshotStamp(ds *scanner.Dataset) time.Time {
 	return simtime.StudyStart.Time()
 }
 
-type csvConfig struct {
-	path          string
-	dataDir       string
-	shards        int
-	snapshotEvery int
-	workers       int
-	strict        bool
-	follow        bool
-	interval      time.Duration
-	spill         *scanner.SpillOptions
-}
-
-// durable bundles the WAL store with what Open recovered, for the
-// shutdown path and the report's WAL section.
-type durable struct {
-	store *wal.Store
-	rec   *wal.Recovery
-}
-
-func (d *durable) Close() error {
-	if d == nil || d.store == nil {
-		return nil
+// followCSV runs the durable follow loop over the -scans-csv feed. A warm
+// boot republishes the recovered generation first, so the API answers from
+// the pre-crash state before the feed advances it; then every appended
+// scan publishes a snapshot.
+func followCSV(ctx context.Context, engine *serve.Engine, fl *wal.Follow, path string, follow bool, interval time.Duration) error {
+	ds, rec := fl.Dataset, fl.Recovery
+	if fl.Result != nil { // a warm boot
+		engine.Publish(serve.BuildSnapshot(fl.Result, ds, snapshotStamp(ds)))
+		fmt.Fprintf(os.Stderr, "published recovered snapshot gen=%d (snapshot=%q replayed=%d faults=%v)\n",
+			rec.Generation, rec.FromSnapshot, rec.ReplayedBatches, rec.Faults)
 	}
-	return d.store.Close()
-}
-
-// followPoll is how long -follow CSV ingest sleeps when the feed has no
-// complete new data.
-const followPoll = 100 * time.Millisecond
-
-// ingestCSV feeds scan records from a CSV file through the durable store
-// (when -data-dir is set) into the pipeline, publishing a snapshot per
-// appended scan. On a warm boot it first republishes the recovered
-// generation, so the API answers from the pre-crash state before the feed
-// advances it. There is no simulated world behind a CSV feed, so the
-// auxiliary sources are empty — same shape as retrodns -synth.
-func ingestCSV(ctx context.Context, engine *serve.Engine, metrics *obsv.Registry, cfg csvConfig) (*core.Result, *scanner.Dataset, *durable, error) {
-	dur := &durable{}
-	var ds *scanner.Dataset
-	cache := core.NewClassifyCache()
-	if cfg.dataDir != "" {
-		store, rec, err := wal.Open(wal.Options{
-			Dir: cfg.dataDir, Shards: cfg.shards,
-			SnapshotEvery: cfg.snapshotEvery, Metrics: metrics,
-			Spill: cfg.spill,
-		})
-		if err != nil {
-			return nil, nil, nil, fmt.Errorf("wal open %s: %w", cfg.dataDir, err)
-		}
-		dur.store, dur.rec = store, rec
-		ds, cache = rec.Dataset, rec.Cache
-		if rec.Warm {
-			fmt.Fprintf(os.Stderr, "recovered gen=%d (snapshot=%q replayed=%d faults=%v)\n",
-				rec.Generation, rec.FromSnapshot, rec.ReplayedBatches, rec.Faults)
-		}
-	} else {
-		ds = scanner.NewDatasetShards(cfg.shards)
-	}
-	ds.SetStrict(cfg.strict)
-	ds.SetMetrics(metrics)
-	if dur.rec != nil && dur.rec.Warm {
-		ds.AccountRestored()
-	}
-	pipe := &core.Pipeline{
-		Params: core.DefaultParams(), Dataset: ds, PDNS: pdns.NewDB(),
-		Workers: cfg.workers, Cache: cache, Metrics: metrics,
-	}
-
-	var res *core.Result
-	if ds.Frozen() {
-		// Warm boot: serve the recovered generation before reading a byte
-		// of feed.
-		res = pipe.Run()
-		engine.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
-		fmt.Fprintf(os.Stderr, "published recovered snapshot gen=%d\n", ds.Generation())
-	}
-
-	f, err := os.Open(cfg.path)
+	f, err := os.Open(path)
 	if err != nil {
-		return res, ds, dur, err
+		return err
 	}
 	defer f.Close()
-	feeder := wal.NewFeeder(f, ds, dur.store, metrics)
-	for {
-		select {
-		case <-ctx.Done():
-			return res, ds, dur, nil
-		default:
-		}
-		date, appended, err := feeder.Tick()
-		if err != nil {
-			return res, ds, dur, fmt.Errorf("ingest %s: %w", cfg.path, err)
-		}
-		if !appended {
-			if !cfg.follow {
-				// Bounded input: a torn final line is quarantined, not held.
-				feeder.Finish()
-				break
-			}
-			select {
-			case <-ctx.Done():
-				return res, ds, dur, nil
-			case <-time.After(followPoll):
-			}
-			continue
-		}
-		res = pipe.Run()
-		engine.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
-		fmt.Fprintf(os.Stderr, "scan %s: published gen=%d dirty=%d hijacked=%d targeted=%d\n",
-			date, ds.Generation(), res.Stats.DirtyCells, len(res.Hijacked), len(res.Targeted))
-		if dur.store != nil {
-			if _, err := dur.store.MaybeSnapshot(); err != nil {
-				return res, ds, dur, fmt.Errorf("snapshot: %w", err)
-			}
-		}
-		// The pause applies in bounded mode too: it is what gives the chaos
-		// harness a window to kill the daemon mid-ingest.
-		if cfg.interval > 0 {
-			select {
-			case <-ctx.Done():
-				return res, ds, dur, nil
-			case <-time.After(cfg.interval):
-			}
-		}
+	// The pause applies to bounded input too: it is what gives the chaos
+	// harness a window to kill the daemon mid-ingest.
+	err = fl.Run(ctx, f, follow, interval, func(date simtime.Date, res *core.Result) {
+		publishScan(engine, date, res, ds)
+	})
+	if err != nil {
+		return fmt.Errorf("ingest %s: %w", path, err)
 	}
-	if dur.store != nil {
-		if err := dur.store.Snapshot(); err != nil {
-			return res, ds, dur, fmt.Errorf("final snapshot: %w", err)
+	if ctx.Err() == nil {
+		if q := ds.Quarantine(); q.Total > 0 {
+			fmt.Fprintln(os.Stderr, q)
 		}
+		fmt.Fprintln(os.Stderr, "csv feed complete; serving final snapshot")
 	}
-	if q := ds.Quarantine(); q.Total > 0 {
-		fmt.Fprintln(os.Stderr, q)
-	}
-	fmt.Fprintln(os.Stderr, "csv feed complete; serving final snapshot")
-	return res, ds, dur, nil
+	return nil
 }
 
 // writeRunReport emits the run report with the serving section attached —
 // the only producer that fills it in — plus, in durable mode, the WAL
 // section describing what boot recovered.
-func writeRunReport(path string, res *core.Result, ds *scanner.Dataset, metrics *obsv.Registry, engine *serve.Engine, dur *durable) error {
+func writeRunReport(path string, res *core.Result, ds *scanner.Dataset, metrics *obsv.Registry, engine *serve.Engine, fl *wal.Follow) error {
 	doc := report.BuildRunReport(res, ds.Quarantine(), metrics)
 	st := engine.Stats()
 	doc.Serve = &report.ServeSection{
@@ -512,16 +399,17 @@ func writeRunReport(path string, res *core.Result, ds *scanner.Dataset, metrics 
 		BodiesRendered: st.BodiesRendered,
 		Requests:       st.Requests,
 	}
-	if dur != nil && dur.rec != nil {
+	if fl != nil && fl.Recovery != nil {
+		rec := fl.Recovery
 		doc.WAL = &report.WALSection{
-			Warm:                dur.rec.Warm,
-			FromSnapshot:        dur.rec.FromSnapshot,
-			RecoveredGeneration: dur.rec.Generation,
-			ReplayedBatches:     dur.rec.ReplayedBatches,
+			Warm:                rec.Warm,
+			FromSnapshot:        rec.FromSnapshot,
+			RecoveredGeneration: rec.Generation,
+			ReplayedBatches:     rec.ReplayedBatches,
 			Generation:          ds.Generation(),
 		}
-		if len(dur.rec.Faults) > 0 {
-			doc.WAL.Quarantined = dur.rec.Faults
+		if len(rec.Faults) > 0 {
+			doc.WAL.Quarantined = rec.Faults
 		}
 	}
 	return doc.WriteFile(path)

@@ -2,6 +2,7 @@ package retrodns_bench
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -44,7 +45,7 @@ type config struct {
 	ingest  string // "bulk" (AddScan), "in-order", "reversed", "shuffled" or "batches" (Append)
 	barrier bool   // Append through AppendAfter behind a log fsync; every third refused first
 	spill   string // "" (resident), "zero" or "tight" budget
-	restart string // "" or a daemon fed scans.csv: "uninterrupted", or a WAL fault after killAt scans
+	restart string // "" or a daemon fed scans.csv: "uninterrupted", "store-less", or a WAL fault after killAt scans
 	killAt  int
 	stitch  bool
 	records string // "scanner", "csv" (one ScanCSV), "domain-major" or "uninterned"
@@ -511,141 +512,143 @@ func firstDiff(got, want string) string {
 	return fmt.Sprintf("line %d\n got %.400s\nwant %.400s", i+1, at(g), at(w))
 }
 
-// The WAL faults a restart row injects into the data dir of a daemon
-// killed mid-feed, before a fresh one restarts over the damage.
-var walFaults = []string{"kill", "torn", "garble", "duplicate", "unrotated", "staged", "staged-torn", "stray-manifest", "stray-garbage"}
+// walFault is one WAL fault class: the damage a restart row does to a
+// killed daemon's data dir, and what recovery must make of it. snapshots:
+// the daemon snapshotted every killAt scans (else never, so the damage hits
+// live frames); spill: it had a spill dir. Recovery counts counted once,
+// or once per killed append if it is duplicate_generation; it lands ahead
+// generations past the kill, or before it if lostTail.
+type walFault struct {
+	name                                     string
+	snapshots, spill, lostTail, fromSnapshot bool
+	counted                                  string
+	ahead                                    uint64
+	damage                                   func(k *killed)
+}
 
-// runDaemonPhase is one retrodnsd lifetime over the data dir opts names,
-// with a fresh metrics registry: recover, re-analyze, feed the CSV,
-// snapshot, close. stopAfter > 0 is a kill after that many appends: the
-// store is never closed, the WAL tail left as the dying process left it. A
-// completed phase's canonical report embeds the registry, as the chaos
-// harness compares it.
-func runDaemonPhase(t *testing.T, cfg config, opts wal.Options, csvPath string, stopAfter int) (outcome, *wal.Recovery, uint64) {
+// killed is a killed daemon's data dir and the WAL a fresh one will find.
+type killed struct {
+	t    *testing.T
+	cfg  config
+	feed []byte
+	opts wal.Options
+	log  []byte
+}
+
+var walFaults = []walFault{
+	{name: "kill", snapshots: true, damage: func(*killed) {}},
+	{name: "torn", counted: wal.FaultTornTail, lostTail: true, damage: func(k *killed) { k.log = k.log[:len(k.log)-7] }},
+	{name: "garble", counted: wal.FaultCRCMismatch, lostTail: true, damage: func(k *killed) { k.log[len(k.log)-10] ^= 0x41 }},
+	// One frame per append survived in the log.
+	{name: "duplicate", counted: wal.FaultDupGeneration, damage: func(k *killed) { k.log = append(k.log, k.log...) }},
+	// The crash window inside Store.Snapshot: the snapshot file is durable,
+	// the log it covers not yet truncated.
+	{name: "unrotated", counted: wal.FaultDupGeneration, fromSnapshot: true, damage: func(k *killed) {
+		store, _, err := wal.Open(k.opts)
+		must(k.t, err)
+		must(k.t, errors.Join(store.Snapshot(), store.Close()))
+	}},
+	// Killed inside the next append's barrier: the frame was on disk, whole
+	// or half, and the batch staged; no reader saw it. Recovery may apply
+	// the whole frame — it was durable — and must drop the half; the feed
+	// converges either way.
+	{name: "staged", snapshots: true, ahead: 1, fromSnapshot: true, damage: func(k *killed) { k.log = append(k.log, stagedFrame(k)...) }},
+	{name: "staged-torn", snapshots: true, counted: wal.FaultTornTail, fromSnapshot: true, damage: func(k *killed) {
+		frame := stagedFrame(k)
+		k.log = append(k.log, frame[:len(frame)/2]...)
+	}},
+	// Not a snapshot, not a segment, not the log: ignored, whether it parses
+	// (and names a snapshot that never existed) or not.
+	{name: "stray-manifest", snapshots: true, spill: true, fromSnapshot: true, damage: func(k *killed) {
+		k.stray(`{"schema":"retrodns/wal-manifest/v1","snapshot":"snap-99999999.bin","generation":99999999,"shards":3,"last_generation":99999999}`)
+	}},
+	{name: "stray-garbage", snapshots: true, spill: true, fromSnapshot: true, damage: func(k *killed) { k.stray("not a manifest at all") }},
+}
+
+// stray leaves a manifest.json holding doc in the data dir and the spill dir.
+func (k *killed) stray(doc string) {
+	for _, d := range []string{k.opts.Dir, k.opts.Spill.Dir} {
+		must(k.t, os.WriteFile(filepath.Join(d, "manifest.json"), []byte(doc), 0o644))
+	}
+}
+
+// runDaemonPhase is one retrodnsd lifetime: a wal.Follow over opts with a
+// fresh metrics registry. stopAfter > 0 kills it after that many appends,
+// the store never closed. A completed phase's canonical report embeds the
+// registry, as the chaos harness compares it.
+func runDaemonPhase(t *testing.T, cfg config, opts wal.Options, feed []byte, stopAfter int) (outcome, *wal.Recovery, uint64) {
 	t.Helper()
 	reg := obsv.NewRegistry()
 	opts.Metrics = reg
-	store, rec, err := wal.Open(opts)
+	fl, err := wal.OpenFollow(opts, false, params(cfg.stitch), cfg.workers)
 	must(t, err)
-	ds := rec.Dataset
-	ds.SetMetrics(reg)
-	if rec.Warm {
-		ds.AccountRestored()
-	}
-	pipe := &core.Pipeline{Params: params(cfg.stitch), Dataset: ds, PDNS: pdns.NewDB(), Workers: cfg.workers, Cache: rec.Cache, Metrics: reg}
-	var res *core.Result
-	if ds.Frozen() {
-		res = pipe.Run() // republish the recovered generation first
-	}
-	f, err := os.Open(csvPath)
-	must(t, err)
-	defer f.Close()
-	feeder := wal.NewFeeder(f, ds, store, reg)
-	for appended := 1; ; appended++ {
-		_, ok, err := feeder.Tick()
-		must(t, err)
-		if !ok {
-			break
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
+	appended := 0
+	must(t, fl.Run(ctx, bytes.NewReader(feed), false, 0, func(simtime.Date, *core.Result) {
+		if appended++; appended == stopAfter {
+			kill()
 		}
-		res = pipe.Run()
-		if _, err := store.MaybeSnapshot(); err != nil {
-			t.Fatalf("snapshot: %v", err)
-		}
-		if stopAfter > 0 && appended >= stopAfter {
-			return outcome{}, rec, ds.Generation() // killed: the store is never closed
-		}
+	}))
+	if ctx.Err() != nil {
+		return outcome{}, fl.Recovery, fl.Dataset.Generation()
 	}
-	feeder.Finish()
-	must(t, errors.Join(store.Snapshot(), store.Close()))
-	if res == nil {
+	must(t, fl.Close())
+	if fl.Result == nil {
 		t.Fatal("phase produced no result")
 	}
-	return outcome{res, canonical(t, res, ds, reg), fmt.Sprint(ds.Quarantine())}, rec, ds.Generation()
+	return outcome{fl.Result, canonical(t, fl.Result, fl.Dataset, reg), fmt.Sprint(fl.Dataset.Quarantine())}, fl.Recovery, fl.Dataset.Generation()
 }
 
-// runRestart feeds the study's scans.csv to a durable daemon. Unless the
-// row is the uninterrupted run, the daemon is killed after cfg.killAt
-// scans, cfg.restart's damage is done to its data dir, and a fresh daemon
-// recovers and finishes the feed. Recovery must account for exactly the
-// damage injected and land on the right generation.
+// runRestart feeds the study's scans.csv to a durable daemon, to one
+// without a data dir (store-less), or to one killed after cfg.killAt scans
+// whose data dir a fault damages before a fresh daemon recovers and
+// finishes the feed, accounting for exactly the damage injected.
 func runRestart(t *testing.T, cfg config, s *studyInput) outcome {
 	t.Helper()
-	csvPath := filepath.Join(t.TempDir(), "scans.csv")
-	must(t, os.WriteFile(csvPath, scansCSV(s.scans), 0o644))
-	dir := t.TempDir()
-	walPath := filepath.Join(dir, "wal.log")
+	feed, dir := scansCSV(s.scans), t.TempDir()
 	opts := wal.Options{Dir: dir, Shards: cfg.shards, SnapshotEvery: 2}
-	fault, killAt := cfg.restart, cfg.killAt
-	staged, stray := strings.HasPrefix(fault, "staged"), strings.HasPrefix(fault, "stray-")
-	if cfg.spill != "" || stray {
-		// Out of core, so there is a spill dir to litter.
+	var fault walFault
+	i := slices.IndexFunc(walFaults, func(f walFault) bool { return f.name == cfg.restart })
+	if i >= 0 {
+		fault = walFaults[i]
+	}
+	if cfg.spill != "" || fault.spill {
 		opts.Spill = &scanner.SpillOptions{Dir: filepath.Join(dir, "segments"), BudgetBytes: 0}
 	}
-	wantGen := uint64(len(s.dates)) + 1
-	if fault == "uninterrupted" {
-		out, _, gen := runDaemonPhase(t, cfg, opts, csvPath, 0)
-		if gen != wantGen {
-			t.Fatalf("generation %d, want %d", gen, wantGen)
+	if cfg.restart == "store-less" {
+		opts.Dir = ""
+	}
+	var killedGen uint64
+	if i >= 0 {
+		opts.SnapshotEvery = 1000
+		if fault.snapshots {
+			opts.SnapshotEvery = cfg.killAt
 		}
+		_, _, killedGen = runDaemonPhase(t, cfg, opts, feed, cfg.killAt)
+		opts.SnapshotEvery = 2
+		walPath := filepath.Join(dir, "wal.log")
+		log, err := os.ReadFile(walPath)
+		must(t, err)
+		k := &killed{t, cfg, feed, opts, log}
+		fault.damage(k)
+		must(t, os.WriteFile(walPath, k.log, 0o644))
+	}
+
+	out, rec, gen := runDaemonPhase(t, cfg, opts, feed, 0)
+	if gen != uint64(len(s.dates))+1 {
+		t.Fatalf("final generation %d, want %d", gen, len(s.dates)+1)
+	}
+	if i < 0 {
 		return out
 	}
-	// The kill, staged and stray-file cases snapshot normally; the damage
-	// cases pin snapshots off so the fault lands on live WAL frames.
-	opts.SnapshotEvery = killAt
-	if fault != "kill" && !staged && !stray {
-		opts.SnapshotEvery = 1000
-	}
-	_, _, killedGen := runDaemonPhase(t, cfg, opts, csvPath, killAt)
-	opts.SnapshotEvery = 2
-	data, err := os.ReadFile(walPath)
-	must(t, err)
-	switch fault {
-	case "staged", "staged-torn":
-		// Killed inside the next append's barrier: the frame was on disk,
-		// whole or half, and the batch staged; no reader saw it. Recovery
-		// may apply the whole frame — it was durable — and must drop the
-		// half; the feed converges either way.
-		frame := stagedFrame(t, cfg, csvPath)
-		if fault == "staged-torn" {
-			frame = frame[:len(frame)/2]
-		}
-		data = append(data, frame...)
-	case "stray-manifest", "stray-garbage":
-		// Not a snapshot, not a segment, not the log: ignored, whether it
-		// parses (and names a snapshot that never existed) or not.
-		doc := []byte("not a manifest at all")
-		if fault == "stray-manifest" {
-			doc = []byte(`{"schema":"retrodns/wal-manifest/v1","snapshot":"snap-99999999.bin","generation":99999999,"shards":3,"last_generation":99999999}`)
-		}
-		for _, d := range []string{dir, opts.Spill.Dir} {
-			must(t, os.WriteFile(filepath.Join(d, "manifest.json"), doc, 0o644))
-		}
-	case "unrotated":
-		// The crash window inside Store.Snapshot: the snapshot file is
-		// durable, the log it covers not yet truncated.
-		store, _, err := wal.Open(opts)
-		must(t, err)
-		must(t, errors.Join(store.Snapshot(), store.Close()))
-	case "torn":
-		data = data[:len(data)-7]
-	case "garble":
-		data[len(data)-10] ^= 0x41
-	case "duplicate":
-		data = append(data, data...)
-	}
-	must(t, os.WriteFile(walPath, data, 0o644))
-
-	out, rec, gen := runDaemonPhase(t, cfg, opts, csvPath, 0)
 	// Exact fault accounting: every injected fault counted under its
 	// reason, nothing else counted.
 	wantFaults := map[string]int64{}
-	switch fault {
-	case "torn", "staged-torn":
-		wantFaults[wal.FaultTornTail] = 1
-	case "garble":
-		wantFaults[wal.FaultCRCMismatch] = 1
-	case "duplicate", "unrotated": // one frame per append survived in the log
-		wantFaults[wal.FaultDupGeneration] = int64(killAt)
+	if fault.counted == wal.FaultDupGeneration {
+		wantFaults[fault.counted] = int64(cfg.killAt)
+	} else if fault.counted != "" {
+		wantFaults[fault.counted] = 1
 	}
 	if fmt.Sprint(rec.Faults) != fmt.Sprint(wantFaults) {
 		t.Fatalf("recovery faults %v, want %v", rec.Faults, wantFaults)
@@ -655,22 +658,14 @@ func runRestart(t *testing.T, cfg config, s *studyInput) outcome {
 	// killed generation (before it when the log's tail was damaged, one
 	// past it when the dying process left a whole frame it had not
 	// published yet), the finished run at the uninterrupted one's.
-	lostTail := fault == "torn" || fault == "garble"
-	if wantWarm := !lostTail || killAt > 1; rec.Warm != wantWarm {
+	if wantWarm := !fault.lostTail || cfg.killAt > 1; rec.Warm != wantWarm {
 		t.Fatalf("recovery warm=%v, want %v", rec.Warm, wantWarm)
 	}
-	wantRecovered := killedGen
-	if fault == "staged" {
-		wantRecovered++
-	}
-	if rec.Generation > wantRecovered || (!lostTail && rec.Generation != wantRecovered) {
+	if want := killedGen + fault.ahead; rec.Generation > want || (!fault.lostTail && rec.Generation != want) {
 		t.Fatalf("recovered generation %d, killed at %d", rec.Generation, killedGen)
 	}
-	if (fault == "unrotated" || stray || staged) && rec.FromSnapshot == "" {
+	if fault.fromSnapshot && rec.FromSnapshot == "" {
 		t.Fatalf("recovery ignored the snapshot: %+v", rec)
-	}
-	if gen != wantGen {
-		t.Fatalf("final generation %d, want %d", gen, wantGen)
 	}
 	return out
 }
@@ -679,21 +674,20 @@ func runRestart(t *testing.T, cfg config, s *studyInput) outcome {
 // for byte as a store writes it (a frame does not depend on the shard
 // count): cut from the log of a donor run that got one append further with
 // snapshots off.
-func stagedFrame(t *testing.T, cfg config, csvPath string) []byte {
-	t.Helper()
-	donor := wal.Options{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 1000}
-	runDaemonPhase(t, cfg, donor, csvPath, cfg.killAt+1)
+func stagedFrame(k *killed) []byte {
+	donor := wal.Options{Dir: k.t.TempDir(), Shards: 1, SnapshotEvery: 1000}
+	runDaemonPhase(k.t, k.cfg, donor, k.feed, k.cfg.killAt+1)
 	log, err := os.ReadFile(filepath.Join(donor.Dir, "wal.log"))
-	must(t, err)
+	must(k.t, err)
 	errFound := errors.New("found")
 	off, err := wal.Replay(log, func(gen uint64, _ simtime.Date, _ []*scanner.Record) error {
-		if gen == uint64(cfg.killAt)+2 {
+		if gen == uint64(k.cfg.killAt)+2 {
 			return errFound
 		}
 		return nil
 	})
 	if err != errFound {
-		t.Fatalf("donor log holds no frame for generation %d: %v", cfg.killAt+2, err)
+		k.t.Fatalf("donor log holds no frame for generation %d: %v", k.cfg.killAt+2, err)
 	}
 	return log[off:]
 }
@@ -800,15 +794,16 @@ func configTable() map[string][]config {
 	}
 	add("TestLayoutInvariance", "", config{corpus: layoutSynth, shards: 3, workers: 8, cache: "restored", ingest: "shuffled", seed: 5, spill: "zero", records: "uninterned"})
 
-	// A durable daemon killed after two scans, its data dir damaged by each
-	// fault class, then restarted.
+	// A durable daemon, one without a data dir, and a durable one killed
+	// after two scans, its data dir damaged by each fault class, then
+	// restarted.
 	for _, shards := range []int{1, 8} {
-		for _, fault := range append([]string{"uninterrupted"}, walFaults...) {
-			c := config{corpus: restartSynth, shards: shards, workers: 2, cache: "warm", ingest: "in-order", restart: fault, records: "csv"}
-			if fault != "uninterrupted" {
+		for i, fault := range append([]walFault{{name: "uninterrupted"}, {name: "store-less"}}, walFaults...) {
+			c := config{corpus: restartSynth, shards: shards, workers: 2, cache: "warm", ingest: "in-order", restart: fault.name, records: "csv"}
+			if i >= 2 {
 				c.killAt = 2
 			}
-			c.group, c.name = fmt.Sprintf("shards=%d", shards), fault
+			c.group, c.name = fmt.Sprintf("shards=%d", shards), fault.name
 			tbl["TestWarmRestartBytesIdentical"] = append(tbl["TestWarmRestartBytesIdentical"], c)
 		}
 	}
@@ -913,7 +908,7 @@ func randomConfig(seed int64) config {
 	c.barrier = c.ingest != "bulk" && rng.Intn(2) == 0
 	if rng.Intn(4) == 0 {
 		// A durable daemon is cached and fed its scans.csv in date order.
-		c.restart, c.killAt = walFaults[rng.Intn(len(walFaults))], 1+rng.Intn(scans-1)
+		c.restart, c.killAt = walFaults[rng.Intn(len(walFaults))].name, 1+rng.Intn(scans-1)
 		c.cache, c.ingest, c.records, c.barrier = "warm", "in-order", "csv", false
 		if c.spill == "tight" {
 			c.spill = "zero"

@@ -9,6 +9,7 @@ import (
 	"retrodns/internal/core"
 	"retrodns/internal/dnscore"
 	"retrodns/internal/ipmeta"
+	"retrodns/internal/obsv"
 	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
 	"retrodns/internal/x509lite"
@@ -27,8 +28,9 @@ func testCert(serial uint64, sans ...dnscore.Name) *x509lite.Certificate {
 	return c
 }
 
-func testDataset() *scanner.Dataset {
+func testDataset(reg *obsv.Registry) *scanner.Dataset {
 	ds := scanner.NewDataset()
+	ds.SetMetrics(reg)
 	stable := testCert(1, "mail.kyvernisi.gr")
 	evil := testCert(2, "mail.kyvernisi.gr")
 	scans := simtime.ScansInPeriod(0)
@@ -86,7 +88,7 @@ func testFindings() (hijacked, targeted []*core.Finding) {
 }
 
 func TestTable1(t *testing.T) {
-	ds := testDataset()
+	ds := testDataset(nil)
 	out := Table1(ds, "kyvernisi.gr", 0, simtime.Period(0).End())
 	for _, want := range []string{"84.205.248.69", "95.179.131.225", "35506", "20473", "1394170951", "mail.kyvernisi.gr"} {
 		if !strings.Contains(out, want) {
@@ -99,7 +101,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestDeploymentMapFigure(t *testing.T) {
-	ds := testDataset()
+	ds := testDataset(nil)
 	m := core.BuildMap(ds, "kyvernisi.gr", 0)
 	scans := ds.ScanDates(0, simtime.Period(0).End())
 	out := DeploymentMapFigure(m, scans)
@@ -122,7 +124,7 @@ func TestDeploymentMapFigure(t *testing.T) {
 }
 
 func TestPatternGallery(t *testing.T) {
-	ds := testDataset()
+	ds := testDataset(nil)
 	out := PatternGallery(ds, core.DefaultParams(), map[string]dnscore.Name{
 		"T1 example": "kyvernisi.gr",
 		"absent":     "ghost.example.com",

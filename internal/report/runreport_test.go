@@ -19,9 +19,8 @@ import (
 // and determinism tests pin.
 func runReportFixture(t *testing.T) RunReport {
 	t.Helper()
-	ds := testDataset()
 	reg := obsv.NewRegistry()
-	ds.SetMetrics(reg)
+	ds := testDataset(reg)
 	p := &core.Pipeline{
 		Params: core.DefaultParams(), Dataset: ds, PDNS: pdns.NewDB(),
 		Metrics: reg, Workers: 2,

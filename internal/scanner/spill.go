@@ -53,6 +53,23 @@ type SpillOptions struct {
 	Mode segment.Mode
 }
 
+// SpillFlags turns the CLIs' -spill-dir, -mem-budget-mb and -spill-read-mode
+// values into SpillOptions, nil when dir is "": a budget < 0 is unlimited, 0
+// spills every frozen shard, > 0 is a ceiling in MiB.
+func SpillFlags(dir string, memBudgetMB int, readMode string) (*SpillOptions, error) {
+	if dir == "" && memBudgetMB >= 0 {
+		return nil, errors.New("-mem-budget-mb requires -spill-dir")
+	}
+	if dir == "" {
+		return nil, nil
+	}
+	mode, err := segment.ParseMode(readMode)
+	if err != nil {
+		return nil, err
+	}
+	return &SpillOptions{Dir: dir, BudgetBytes: max(-1, int64(memBudgetMB)<<20), Mode: mode}, nil
+}
+
 // spillState is the dataset's spill configuration and residency clock.
 // Guarded by d.mu.
 type spillState struct {

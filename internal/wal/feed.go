@@ -79,10 +79,6 @@ func NewFeeder(src io.Reader, ds *scanner.Dataset, store *Store, reg *obsv.Regis
 		for _, reason := range feedReasons {
 			f.quarantined[reason] = reg.Counter(MetricFeedQuarantined, "reason", reason)
 		}
-	} else {
-		for _, reason := range feedReasons {
-			f.quarantined[reason] = nil
-		}
 	}
 	f.csv.OnQuarantine = func(reason, detail string) {
 		f.quarantine(reason, 1)
@@ -90,10 +86,10 @@ func NewFeeder(src io.Reader, ds *scanner.Dataset, store *Store, reg *obsv.Regis
 	return f
 }
 
+// quarantine counts n rows under reason; without a registry the counters
+// are nil, which obsv counts as a no-op.
 func (f *Feeder) quarantine(reason string, n int64) {
-	if c, ok := f.quarantined[reason]; ok {
-		c.Add(n)
-	}
+	f.quarantined[reason].Add(n)
 }
 
 // Tick reads input until one clean batch has been appended. It returns

@@ -174,16 +174,10 @@ func Open(opts Options) (*Store, *Recovery, error) {
 		rec.Warm = true
 		break
 	}
+	var err error
 	if s.ds == nil {
-		shards := opts.Shards
-		if shards <= 0 {
-			shards = scanner.DefaultShards
-		}
-		s.ds = scanner.NewDatasetShards(shards)
-		if opts.Spill != nil {
-			if err := s.ds.ConfigureSpill(*opts.Spill); err != nil {
-				return nil, nil, err
-			}
+		if s.ds, err = newDataset(opts); err != nil {
+			return nil, nil, err
 		}
 	}
 	s.lastSnapGen = s.ds.Generation()
@@ -215,14 +209,22 @@ func Open(opts Options) (*Store, *Recovery, error) {
 	return s, rec, nil
 }
 
+// newDataset is a cold boot's dataset, out of core under opts.Spill if set.
+func newDataset(opts Options) (*scanner.Dataset, error) {
+	ds := scanner.NewDatasetShards(opts.Shards)
+	if opts.Spill != nil {
+		if err := ds.ConfigureSpill(*opts.Spill); err != nil {
+			return nil, err
+		}
+	}
+	return ds, nil
+}
+
 func (s *Store) walPath() string { return filepath.Join(s.dir, walName) }
 
 func (s *Store) initMetrics(reg *obsv.Registry) {
 	s.met.quarantined = make(map[string]*obsv.Counter, len(walFaults))
 	if reg == nil {
-		for _, reason := range walFaults {
-			s.met.quarantined[reason] = nil
-		}
 		return
 	}
 	reg.SetHelp(MetricWALAppends, "Batches appended to the WAL.")
@@ -249,9 +251,7 @@ func (s *Store) initMetrics(reg *obsv.Registry) {
 }
 
 func (s *Store) fault(reason string) {
-	if c, ok := s.met.quarantined[reason]; ok {
-		c.Inc()
-	}
+	s.met.quarantined[reason].Inc()
 }
 
 // replayWAL applies valid frames past the restored snapshot, truncates any

@@ -24,6 +24,7 @@ import (
 	"retrodns/internal/dnsserver"
 	"retrodns/internal/ipmeta"
 	"retrodns/internal/netsim"
+	"retrodns/internal/obsv"
 	"retrodns/internal/pdns"
 	"retrodns/internal/registrar"
 	"retrodns/internal/scanner"
@@ -425,14 +426,16 @@ func (w *World) issueInternal(at simtime.Date, days int, names ...dnscore.Name) 
 // resolve the tracked names (feeding pDNS); afterwards, run the weekly
 // scanner over the whole window and return the assembled dataset.
 func (w *World) Run() *scanner.Dataset {
-	return w.RunShards(scanner.DefaultShards)
+	return w.RunShards(scanner.DefaultShards, nil)
 }
 
 // RunShards is Run with an explicit shard count for the accumulating
-// dataset (see scanner.NewDatasetShards).
-func (w *World) RunShards(shards int) *scanner.Dataset {
+// dataset (see scanner.NewDatasetShards) and metrics attached to it before
+// the first scan, so the ingest counters count the whole study.
+func (w *World) RunShards(shards int, metrics *obsv.Registry) *scanner.Dataset {
 	w.RunClock()
 	ds := scanner.NewDatasetShards(shards)
+	ds.SetMetrics(metrics)
 	w.Scanner().RunStudyEveryInto(ds, simtime.StudyStart, simtime.StudyEnd, w.scanCadence())
 	return ds
 }

@@ -24,6 +24,11 @@
 #      harness included) is gofmt-clean. Drift fails the build with the
 #      file list.
 #
+#   5. No `wal.NewFeeder` call in non-test Go under internal/ or cmd/
+#      outside internal/wal. The durable follow loop is one type,
+#      wal.Follow; a caller that builds its own Feeder is a hand copy of
+#      that loop, and copies drift from the code the tests hold.
+#
 # Run via `make lint` (part of `make ci`).
 set -u
 cd "$(dirname "$0")/.."
@@ -124,6 +129,13 @@ unformatted=$(find . -name '*.go' -not -path './.git/*' -not -path './.bench_bui
     -not -path './.bench_work/*' -print0 | xargs -0 gofmt -l)
 if [ -n "$unformatted" ]; then
     printf 'lint: %s: not gofmt-clean — run gofmt -w\n' $unformatted >&2
+    fail=1
+fi
+
+# ---- Rule 5: one durable follow loop ------------------------------------
+if grep -n 'NewFeeder(' $(printf '%s\n' $srcs | grep -v '^internal/wal/') /dev/null \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
+    echo "lint: wal.NewFeeder outside internal/wal — drive the durable follow loop through wal.Follow" >&2
     fail=1
 fi
 

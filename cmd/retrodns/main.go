@@ -49,7 +49,7 @@ func main() {
 
 		spillDir    = flag.String("spill-dir", "", "segment-store directory for the out-of-core corpus (enables spill)")
 		memBudgetMB = flag.Int("mem-budget-mb", -1, "resident corpus budget in MiB: <0 unlimited, 0 spill every frozen shard, >0 ceiling (requires -spill-dir)")
-		spillMode   = flag.String("spill-read-mode", "auto", "how spilled segments are read: auto, mmap, or stream")
+		spillMode   = flag.String("spill-read-mode", "auto", "how spilled segments are read: auto (mmap where the platform has it) or stream")
 		spillSave   = flag.Bool("spill-save", false, "after ingest, write the corpus as <spill-dir>/corpus.snap and exit without classifying (synth mode only)")
 		spillLoad   = flag.Bool("spill-load", false, "skip ingest and classify <spill-dir>/corpus.snap under the spill budget (synth mode only)")
 		printMaxRSS = flag.Bool("print-maxrss", false, "print the process peak RSS to stderr on exit (maxrss_kb=N)")

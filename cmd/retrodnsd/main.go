@@ -24,6 +24,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -78,7 +79,7 @@ func run() error {
 		snapEvery   = flag.Int("snapshot-every", 4, "appends between automatic snapshots in -data-dir mode")
 		spillDir    = flag.String("spill-dir", "", "segment-store directory for the out-of-core corpus (enables cold-shard spill; -data-dir mode only)")
 		memBudgetMB = flag.Int("mem-budget-mb", -1, "resident corpus budget in MiB: <0 unlimited, 0 spill every frozen shard, >0 ceiling (requires -spill-dir)")
-		spillMode   = flag.String("spill-read-mode", "auto", "how spilled segments are read: auto, mmap, or stream")
+		spillMode   = flag.String("spill-read-mode", "auto", "how spilled segments are read: auto (mmap where the platform has it) or stream")
 	)
 	flag.Parse()
 	if *dataDir != "" && *scansCSV == "" {
@@ -117,13 +118,7 @@ func run() error {
 		return fmt.Errorf("listen %s: %w", *listen, err)
 	}
 	fmt.Fprintf(os.Stderr, "serving /v1 API on http://%s\n", ln.Addr())
-	serveErr := make(chan error, 1)
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			serveErr <- err
-		}
-		close(serveErr)
-	}()
+	serveErr := startServe(srv, ln)
 
 	var stopPprof func(context.Context) error
 	if *pprofAddr != "" {
@@ -176,28 +171,69 @@ func run() error {
 		return err
 	}
 
-	// Serve until signalled (or until the HTTP server dies on its own).
+	d := &daemon{
+		srv: srv, stopMetrics: stopMetrics, stopPprof: stopPprof, drain: *drain, fl: fl,
+		reportJSON: *reportJSON, res: res, ds: ds, metrics: metrics, engine: engine,
+	}
+	return d.serveUntil(ctx, serveErr)
+}
+
+// startServe runs srv on ln. The returned channel yields the error the
+// server fails with on its own and is closed once Serve has returned.
+func startServe(srv *http.Server, ln net.Listener) <-chan error {
+	serveErr := make(chan error, 1)
+	go func() {
+		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
+			serveErr <- err
+		}
+		close(serveErr)
+	}()
+	return serveErr
+}
+
+// daemon is what the serving tail of run works with once ingest is done:
+// the servers to drain, the durable loop to close, and what the run report
+// is written from.
+type daemon struct {
+	srv                    *http.Server
+	stopMetrics, stopPprof func(context.Context) error
+	drain                  time.Duration
+	fl                     *wal.Follow
+	reportJSON             string
+	res                    *core.Result
+	ds                     *scanner.Dataset
+	metrics                *obsv.Registry
+	engine                 *serve.Engine
+}
+
+// serveUntil serves until ctx is done or the HTTP server fails on its own.
+// Either way it drains the listeners, closes the durable store and writes
+// the run report, then returns the server's failure if that was what ended
+// the serving.
+func (d *daemon) serveUntil(ctx context.Context, serveErr <-chan error) error {
+	var failed error
 	select {
 	case <-ctx.Done():
 		fmt.Fprintln(os.Stderr, "shutdown signal received, draining...")
 	case err := <-serveErr:
 		if err != nil {
-			return fmt.Errorf("http server: %w", err)
+			failed = fmt.Errorf("http server: %w", err)
+			fmt.Fprintf(os.Stderr, "%v; draining...\n", failed)
 		}
 	}
 
-	drainCtx, cancelDrain := context.WithTimeout(context.Background(), *drain)
+	drainCtx, cancelDrain := context.WithTimeout(context.Background(), d.drain)
 	defer cancelDrain()
-	if err := srv.Shutdown(drainCtx); err != nil {
+	if err := d.srv.Shutdown(drainCtx); err != nil {
 		fmt.Fprintln(os.Stderr, "drain:", err)
 	}
-	if stopMetrics != nil {
-		if err := stopMetrics(drainCtx); err != nil {
+	if d.stopMetrics != nil {
+		if err := d.stopMetrics(drainCtx); err != nil {
 			fmt.Fprintln(os.Stderr, "metrics drain:", err)
 		}
 	}
-	if stopPprof != nil {
-		if err := stopPprof(drainCtx); err != nil {
+	if d.stopPprof != nil {
+		if err := d.stopPprof(drainCtx); err != nil {
 			fmt.Fprintln(os.Stderr, "pprof drain:", err)
 		}
 	}
@@ -205,16 +241,16 @@ func run() error {
 	// The durable store closes inside the drain window: Close fsyncs and
 	// closes the WAL, and every appended batch was already fsynced before
 	// it was applied, so a clean SIGTERM loses nothing.
-	if err := fl.Close(); err != nil {
+	if err := d.fl.Close(); err != nil {
 		fmt.Fprintln(os.Stderr, "wal close:", err)
 	}
 
-	if *reportJSON != "" && res != nil {
-		if err := writeRunReport(*reportJSON, res, ds, metrics, engine, fl); err != nil {
-			return fmt.Errorf("report-json: %w", err)
+	if d.reportJSON != "" && d.res != nil {
+		if err := d.writeRunReport(); err != nil {
+			return errors.Join(failed, fmt.Errorf("report-json: %w", err))
 		}
 	}
-	return nil
+	return failed
 }
 
 // servePprof starts the profiling side listener: its own mux carrying only
@@ -388,9 +424,9 @@ func followCSV(ctx context.Context, engine *serve.Engine, fl *wal.Follow, path s
 // writeRunReport emits the run report with the serving section attached —
 // the only producer that fills it in — plus, in durable mode, the WAL
 // section describing what boot recovered.
-func writeRunReport(path string, res *core.Result, ds *scanner.Dataset, metrics *obsv.Registry, engine *serve.Engine, fl *wal.Follow) error {
-	doc := report.BuildRunReport(res, ds.Quarantine(), metrics)
-	st := engine.Stats()
+func (d *daemon) writeRunReport() error {
+	doc := report.BuildRunReport(d.res, d.ds.Quarantine(), d.metrics)
+	st := d.engine.Stats()
 	doc.Serve = &report.ServeSection{
 		Generation:     st.Generation,
 		Swaps:          st.Swaps,
@@ -399,18 +435,18 @@ func writeRunReport(path string, res *core.Result, ds *scanner.Dataset, metrics 
 		BodiesRendered: st.BodiesRendered,
 		Requests:       st.Requests,
 	}
-	if fl != nil && fl.Recovery != nil {
-		rec := fl.Recovery
+	if d.fl != nil && d.fl.Recovery != nil {
+		rec := d.fl.Recovery
 		doc.WAL = &report.WALSection{
 			Warm:                rec.Warm,
 			FromSnapshot:        rec.FromSnapshot,
 			RecoveredGeneration: rec.Generation,
 			ReplayedBatches:     rec.ReplayedBatches,
-			Generation:          ds.Generation(),
+			Generation:          d.ds.Generation(),
 		}
 		if len(rec.Faults) > 0 {
 			doc.WAL.Quarantined = rec.Faults
 		}
 	}
-	return doc.WriteFile(path)
+	return doc.WriteFile(d.reportJSON)
 }

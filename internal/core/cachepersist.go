@@ -28,6 +28,7 @@ import (
 	"retrodns/internal/ipmeta"
 	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
+	"retrodns/internal/wire"
 )
 
 // ErrCacheState reports a cache snapshot that does not match the dataset
@@ -40,7 +41,7 @@ const cacheMagic = "rcc1"
 // EncodeState serializes the cache to w. Call only between pipeline runs
 // (the cache is single-writer by contract).
 func (c *ClassifyCache) EncodeState(out io.Writer) error {
-	var w scanner.BinWriter
+	var w wire.Writer
 	w.String(cacheMagic)
 	w.Uvarint(c.gen)
 	w.String(c.paramsFP)
@@ -90,7 +91,7 @@ func (c *ClassifyCache) EncodeState(out io.Writer) error {
 // encodeCell writes one built cell. Deployment records are written as
 // indexes into the domain's period window as the dataset currently holds
 // it; the cell's recCount bounds the prefix the map was built from.
-func encodeCell(w *scanner.BinWriter, ds *scanner.Dataset, domain dnscore.Name, period simtime.Period, ps *cellState) error {
+func encodeCell(w *wire.Writer, ds *scanner.Dataset, domain dnscore.Name, period simtime.Period, ps *cellState) error {
 	w.Uvarint(uint64(ps.recCount))
 	if ps.m == nil {
 		w.Bool(false)
@@ -170,7 +171,7 @@ func encodeCell(w *scanner.BinWriter, ds *scanner.Dataset, domain dnscore.Name, 
 // was serialized with, or a WAL-replayed extension of it — extensions only
 // grow windows past each cell's recCount, which extendCell handles).
 func (c *ClassifyCache) DecodeState(data []byte, ds *scanner.Dataset) error {
-	r := scanner.NewBinReader(data)
+	r := wire.NewReader(data)
 	if r.String() != cacheMagic {
 		return fmt.Errorf("%w: bad cache magic", ErrCacheState)
 	}
@@ -233,7 +234,7 @@ func sameObservation(a, b *scanner.Record) bool {
 		(a.Cert == b.Cert || a.Cert != nil && b.Cert != nil && a.Cert.Fingerprint() == b.Cert.Fingerprint())
 }
 
-func decodeCell(r *scanner.BinReader, ds *scanner.Dataset, domain dnscore.Name, period simtime.Period, ps *cellState) error {
+func decodeCell(r *wire.Reader, ds *scanner.Dataset, domain dnscore.Name, period simtime.Period, ps *cellState) error {
 	ps.built = true
 	ps.recCount = int(r.Uvarint())
 	hasMap := r.Bool()

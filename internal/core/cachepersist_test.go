@@ -9,6 +9,7 @@ import (
 
 	"retrodns/internal/dnscore"
 	"retrodns/internal/scanner"
+	"retrodns/internal/wire"
 )
 
 // restorePipeline serializes pipe's dataset and cache, decodes both into
@@ -212,7 +213,7 @@ func TestCacheStateDecodeRejectsGarbage(t *testing.T) {
 		cache := NewClassifyCache()
 		if err := cache.DecodeState(tc, pipe.Dataset); err == nil {
 			t.Fatalf("decode of %d-byte garbage succeeded", len(tc))
-		} else if !errors.Is(err, ErrCacheState) && !errors.Is(err, scanner.ErrCodec) {
+		} else if !errors.Is(err, ErrCacheState) && !errors.Is(err, wire.ErrMalformed) {
 			t.Fatalf("untyped decode error: %v", err)
 		}
 	}

@@ -1,17 +1,11 @@
 package scanner
 
-// Binary codec shared by the durability layer (internal/wal) and the
-// dataset/cache snapshot writers: varint-framed primitives plus the record
-// and certificate encodings used in WAL batch frames and snapshot payloads.
-//
-// Decoding operates on attacker-shaped bytes (a garbled WAL survives its
-// CRC check one time in 2^32), so every reader path returns typed errors —
-// never panics — and bounds every allocation against the remaining input.
+// The record and certificate encodings used in WAL batch frames, snapshot
+// payloads and segment windows, built on the internal/wire codec. Every
+// decoder here refuses malformed input with wire.ErrMalformed and never
+// panics.
 
 import (
-	"encoding/binary"
-	"errors"
-	"fmt"
 	"math"
 	"net/netip"
 	"slices"
@@ -19,161 +13,13 @@ import (
 	"retrodns/internal/dnscore"
 	"retrodns/internal/ipmeta"
 	"retrodns/internal/simtime"
+	"retrodns/internal/wire"
 	"retrodns/internal/x509lite"
 )
 
-// ErrCodec reports malformed input to any scanner binary decoder.
-var ErrCodec = errors.New("scanner: malformed binary encoding")
-
-// maxCodecBlob bounds any single length-prefixed string or byte field.
-const maxCodecBlob = 1 << 24
-
-// BinWriter appends varint-framed primitives to a byte slice. The zero
-// value is ready to use; Bytes returns the accumulated encoding.
-type BinWriter struct {
-	buf []byte
-}
-
-// Bytes returns the encoded payload.
-func (w *BinWriter) Bytes() []byte { return w.buf }
-
-// Uvarint appends an unsigned varint.
-func (w *BinWriter) Uvarint(v uint64) { w.buf = binary.AppendUvarint(w.buf, v) }
-
-// Int appends a signed value (zig-zag varint).
-func (w *BinWriter) Int(v int64) { w.buf = binary.AppendVarint(w.buf, v) }
-
-// Bool appends a boolean as one byte.
-func (w *BinWriter) Bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	w.buf = append(w.buf, b)
-}
-
-// String appends a length-prefixed string.
-func (w *BinWriter) String(s string) {
-	w.Uvarint(uint64(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// Blob appends a length-prefixed byte slice.
-func (w *BinWriter) Blob(b []byte) {
-	w.Uvarint(uint64(len(b)))
-	w.buf = append(w.buf, b...)
-}
-
-// BinReader consumes primitives written by BinWriter. The first malformed
-// read latches an error; subsequent reads return zero values, so decode
-// loops can run unchecked and test Err once at the end (plus anywhere a
-// value gates an allocation or index).
-type BinReader struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewBinReader wraps data for decoding.
-func NewBinReader(data []byte) *BinReader { return &BinReader{buf: data} }
-
-// Err returns the first decode error, if any.
-func (r *BinReader) Err() error { return r.err }
-
-// Len returns the number of unread bytes.
-func (r *BinReader) Len() int { return len(r.buf) - r.off }
-
-func (r *BinReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s at offset %d", ErrCodec, what, r.off)
-	}
-}
-
-// Uvarint reads an unsigned varint.
-func (r *BinReader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("uvarint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// Int reads a signed (zig-zag) varint.
-func (r *BinReader) Int() int64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail("varint")
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-// Bool reads a one-byte boolean.
-func (r *BinReader) Bool() bool {
-	if r.err != nil {
-		return false
-	}
-	if r.off >= len(r.buf) {
-		r.fail("bool")
-		return false
-	}
-	b := r.buf[r.off]
-	r.off++
-	if b > 1 {
-		r.fail("bool value")
-		return false
-	}
-	return b == 1
-}
-
-// String reads a length-prefixed string.
-func (r *BinReader) String() string {
-	b := r.Blob()
-	return string(b)
-}
-
-// Blob reads a length-prefixed byte slice (aliasing the input buffer).
-func (r *BinReader) Blob() []byte {
-	n := r.Uvarint()
-	if r.err != nil {
-		return nil
-	}
-	if n > maxCodecBlob || n > uint64(r.Len()) {
-		r.fail("blob length")
-		return nil
-	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
-// Count reads a length prefix that gates a loop of per-element decodes.
-// Each element consumes at least one input byte, so any count beyond the
-// remaining input is malformed — rejecting it here bounds allocations.
-func (r *BinReader) Count() int {
-	n := r.Uvarint()
-	if r.err != nil {
-		return 0
-	}
-	if n > uint64(r.Len()) {
-		r.fail("count")
-		return 0
-	}
-	return int(n)
-}
-
 // encodeCert writes every public certificate field, so the decoded cert's
 // canonical encoding — and therefore its fingerprint — matches the original.
-func encodeCert(w *BinWriter, c *x509lite.Certificate) {
+func encodeCert(w *wire.Writer, c *x509lite.Certificate) {
 	w.Uvarint(c.Serial)
 	w.String(string(c.Subject))
 	w.Uvarint(uint64(len(c.SANs)))
@@ -191,7 +37,7 @@ func encodeCert(w *BinWriter, c *x509lite.Certificate) {
 	w.Blob(c.Signature)
 }
 
-func decodeCert(r *BinReader) *x509lite.Certificate {
+func decodeCert(r *wire.Reader) *x509lite.Certificate {
 	c := &x509lite.Certificate{}
 	c.Serial = r.Uvarint()
 	c.Subject = dnscore.Name(r.String())
@@ -217,7 +63,7 @@ func decodeCert(r *BinReader) *x509lite.Certificate {
 // into a shared cert table (WAL frames and snapshots both store each
 // distinct certificate once). certIdx 0 means "no certificate"; table
 // entries are stored as index+1.
-func encodeRecord(w *BinWriter, r *Record, certIdx uint64) {
+func encodeRecord(w *wire.Writer, r *Record, certIdx uint64) {
 	w.Int(int64(r.ScanDate))
 	w.Blob(r.IP.AsSlice())
 	w.Uvarint(uint64(len(r.Ports)))
@@ -235,7 +81,7 @@ func encodeRecord(w *BinWriter, r *Record, certIdx uint64) {
 // decodeRecord decodes one record into a fresh allocation of its own: the
 // form for decoders whose records outlive one another (WAL batches, rds1
 // snapshots). Windows read off a segment go through decodeRecords.
-func decodeRecord(r *BinReader, certs []*x509lite.Certificate) *Record {
+func decodeRecord(r *wire.Reader, certs []*x509lite.Certificate) *Record {
 	rec := &Record{}
 	decodeRecordInto(r, certs, rec, nil)
 	return rec
@@ -243,7 +89,7 @@ func decodeRecord(r *BinReader, certs []*x509lite.Certificate) *Record {
 
 // decodeRecordInto is the one record decoder: it overwrites every field of
 // *rec, and every malformed input (IP bytes, port range, cert index, bool
-// value, blob and count bounds) latches ErrCodec on r, after which *rec is
+// value, blob and count bounds) latches wire.ErrMalformed on r, after which *rec is
 // unspecified and the caller must drop it.
 //
 // With a non-nil prev, a ports list or country equal to prev's is not
@@ -252,37 +98,37 @@ func decodeRecord(r *BinReader, certs []*x509lite.Certificate) *Record {
 // the same ports week after week), and it puts decoded records under the
 // rule ScanCSV's already live under: Ports is shared between records and
 // read-only from the moment the decoder returns.
-func decodeRecordInto(r *BinReader, certs []*x509lite.Certificate, rec, prev *Record) {
+func decodeRecordInto(r *wire.Reader, certs []*x509lite.Certificate, rec, prev *Record) {
 	rec.ScanDate = simtime.Date(r.Int())
 	var ip netip.Addr
 	if ipRaw := r.Blob(); len(ipRaw) > 0 {
 		var ok bool
 		if ip, ok = netip.AddrFromSlice(ipRaw); !ok {
-			r.fail("ip bytes")
+			r.Fail("ip bytes")
 		}
 	}
 	rec.IP = ip
 	// Ports: one pass that checks every value and compares it with prev's,
 	// then a second over the same bytes only when a new array is needed.
 	nports := r.Count()
-	start := r.off
+	start := r.Offset()
 	same := prev != nil && len(prev.Ports) == nports
 	for i := 0; i < nports; i++ {
 		p := r.Uvarint()
 		if p > math.MaxUint16 {
-			r.fail("port range")
+			r.Fail("port range")
 			return
 		}
 		same = same && prev.Ports[i] == uint16(p)
 	}
 	var ports []uint16
 	switch {
-	case nports == 0 || r.err != nil:
+	case nports == 0 || r.Err() != nil:
 	case same:
 		ports = prev.Ports
 	default:
 		ports = make([]uint16, nports)
-		r.off = start
+		r.Rewind(start)
 		for i := range ports {
 			ports[i] = uint16(r.Uvarint())
 		}
@@ -295,9 +141,9 @@ func decodeRecordInto(r *BinReader, certs []*x509lite.Certificate, rec, prev *Re
 		rec.Country = ipmeta.CountryCode(country)
 	}
 	var cert *x509lite.Certificate
-	if certIdx := r.Uvarint(); r.err == nil && certIdx > 0 {
+	if certIdx := r.Uvarint(); r.Err() == nil && certIdx > 0 {
 		if certIdx > uint64(len(certs)) {
-			r.fail("cert index")
+			r.Fail("cert index")
 		} else {
 			cert = certs[certIdx-1]
 		}
@@ -325,9 +171,9 @@ func slabRecord(slab *[]Record, want int) *Record {
 // come out of slab for as long as it lasts and out of fresh bounded slabs
 // after that (all of them, given a nil slab). It stops at the first latched
 // error; the caller checks r.Err and drops the result whole.
-func decodeRecords(r *BinReader, certs []*x509lite.Certificate, n int, out []*Record, slab []Record) []*Record {
+func decodeRecords(r *wire.Reader, certs []*x509lite.Certificate, n int, out []*Record, slab []Record) []*Record {
 	var prev *Record
-	for j := 0; j < n && r.err == nil; j++ {
+	for j := 0; j < n && r.Err() == nil; j++ {
 		rec := slabRecord(&slab, n-j)
 		decodeRecordInto(r, certs, rec, prev)
 		out = append(out, rec)
@@ -368,18 +214,18 @@ func (t *certTable) add(c *x509lite.Certificate) uint64 {
 	return i
 }
 
-func (t *certTable) encode(w *BinWriter) {
+func (t *certTable) encode(w *wire.Writer) {
 	w.Uvarint(uint64(len(t.certs)))
 	for _, c := range t.certs {
 		encodeCert(w, c)
 	}
 }
 
-func decodeCertTable(r *BinReader) []*x509lite.Certificate {
+func decodeCertTable(r *wire.Reader) []*x509lite.Certificate {
 	n := r.Count()
 	certs := make([]*x509lite.Certificate, 0, n)
 	for i := 0; i < n; i++ {
-		if r.err != nil {
+		if r.Err() != nil {
 			return certs
 		}
 		certs = append(certs, decodeCert(r))
@@ -399,7 +245,7 @@ func EncodeBatch(date simtime.Date, records []*Record) []byte {
 func AppendBatch(dst []byte, date simtime.Date, records []*Record) []byte {
 	// A record and its share of the certificate table come to some 120 bytes
 	// on the synthetic corpora; an underestimate only costs a regrow.
-	w := BinWriter{buf: slices.Grow(dst, 16+128*len(records))}
+	w := wire.NewWriter(slices.Grow(dst, 16+128*len(records)))
 	w.Int(int64(date))
 	// One certificate a record is the common feed: a host's long-lived own.
 	table := newCertTable(len(records))
@@ -424,13 +270,13 @@ func AppendBatch(dst []byte, date simtime.Date, records []*Record) []byte {
 
 // DecodeBatch is the inverse of EncodeBatch.
 func DecodeBatch(data []byte) (simtime.Date, []*Record, error) {
-	r := NewBinReader(data)
+	r := wire.NewReader(data)
 	date := simtime.Date(r.Int())
 	certs := decodeCertTable(r)
 	n := r.Count()
 	records := make([]*Record, 0, n)
 	for i := 0; i < n; i++ {
-		if r.err != nil {
+		if r.Err() != nil {
 			break
 		}
 		if !r.Bool() {
@@ -439,11 +285,8 @@ func DecodeBatch(data []byte) (simtime.Date, []*Record, error) {
 		}
 		records = append(records, decodeRecord(r, certs))
 	}
-	if r.err != nil {
-		return 0, nil, r.err
-	}
-	if r.Len() != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, r.Len())
+	if err := r.Finish(); err != nil {
+		return 0, nil, err
 	}
 	return date, records, nil
 }

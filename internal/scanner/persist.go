@@ -26,6 +26,7 @@ import (
 	"retrodns/internal/dnscore"
 	"retrodns/internal/segment"
 	"retrodns/internal/simtime"
+	"retrodns/internal/wire"
 )
 
 // ErrSnapshotState reports a snapshot payload that decoded structurally but
@@ -46,7 +47,7 @@ const (
 	snapshotMagicV2 = "rds2"
 )
 
-func encodeQuar(w *BinWriter, q *quarantine) {
+func encodeQuar(w *wire.Writer, q *quarantine) {
 	w.Uvarint(uint64(numQuarReasons))
 	for _, n := range q.counts {
 		w.Uvarint(uint64(n))
@@ -61,10 +62,10 @@ func encodeQuar(w *BinWriter, q *quarantine) {
 	}
 }
 
-func decodeQuar(r *BinReader, q *quarantine) {
+func decodeQuar(r *wire.Reader, q *quarantine) {
 	nreasons := r.Count()
 	if nreasons != int(numQuarReasons) {
-		r.fail("quarantine reason count")
+		r.Fail("quarantine reason count")
 		return
 	}
 	for i := 0; i < nreasons; i++ {
@@ -73,7 +74,7 @@ func decodeQuar(r *BinReader, q *quarantine) {
 	q.total = int(r.Uvarint())
 	nex := r.Count()
 	for i := 0; i < nex; i++ {
-		if r.err != nil {
+		if r.Err() != nil {
 			return
 		}
 		reason := QuarantineReason(r.Uvarint())
@@ -81,7 +82,7 @@ func decodeQuar(r *BinReader, q *quarantine) {
 		detail := r.String()
 		seq := r.Uvarint()
 		if reason >= numQuarReasons {
-			r.fail("quarantine reason")
+			r.Fail("quarantine reason")
 			return
 		}
 		q.examples = append(q.examples, quarExample{
@@ -110,7 +111,7 @@ func (d *Dataset) EncodeSnapshot(out io.Writer) error {
 		}
 	}
 
-	var w BinWriter
+	var w wire.Writer
 	if spilledAny {
 		w.String(snapshotMagicV2)
 	} else {
@@ -212,11 +213,11 @@ func DecodeSnapshotSpill(data []byte, opts SpillOptions) (*Dataset, error) {
 }
 
 func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
-	r := NewBinReader(data)
+	r := wire.NewReader(data)
 	magic := r.String()
 	v2 := magic == snapshotMagicV2
 	if magic != snapshotMagic && !v2 {
-		return nil, fmt.Errorf("%w: bad snapshot magic", ErrCodec)
+		return nil, fmt.Errorf("%w: bad snapshot magic", wire.ErrMalformed)
 	}
 	var store *segment.Store
 	if opts != nil {
@@ -230,8 +231,8 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 		return nil, fmt.Errorf("%w: snapshot references spilled segments; decode with a spill dir", ErrSnapshotState)
 	}
 	nshards := int(r.Uvarint())
-	if r.err != nil || nshards < 1 || nshards > maxShards {
-		return nil, fmt.Errorf("%w: shard count", ErrCodec)
+	if r.Err() != nil || nshards < 1 || nshards > maxShards {
+		return nil, fmt.Errorf("%w: shard count", wire.ErrMalformed)
 	}
 	d := NewDatasetShards(nshards)
 	generation := r.Uvarint()
@@ -248,9 +249,9 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 		p := simtime.Period(r.Int())
 		gen := r.Uvarint()
 		if !p.Valid() {
-			r.fail("dirty period")
+			r.Fail("dirty period")
 		}
-		if r.err == nil {
+		if r.Err() == nil {
 			d.dirtyPeriods[p] = gen
 		}
 	}
@@ -258,8 +259,8 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 	decodeQuar(r, &d.quar)
 
 	certs := decodeCertTable(r)
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
 	// Re-intern through the pool: SAN strings and certificates dedup into
 	// the same pools a live ingest would fill.
@@ -302,24 +303,20 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 			attach:  attach,
 		}
 		for i := 0; i < ndom; i++ {
-			if r.err != nil {
-				return nil, r.err
+			if r.Err() != nil {
+				return nil, r.Err()
 			}
 			domain := dnscore.Name(r.String())
 			nrec := r.Count()
 			window := make([]*Record, 0, nrec)
 			for j := 0; j < nrec; j++ {
-				if r.err != nil {
-					return nil, r.err
+				if r.Err() != nil {
+					return nil, r.Err()
 				}
 				window = append(window, decodeRecord(r, certs))
 			}
-			if r.err != nil {
-				return nil, r.err
-			}
-			if shardIndexOf(domain, nshards) != sid {
-				return nil, fmt.Errorf("%w: domain %q routed to shard %d, stored in %d",
-					ErrSnapshotState, domain, shardIndexOf(domain, nshards), sid)
+			if r.Err() != nil {
+				return nil, r.Err()
 			}
 			if !sort.SliceIsSorted(window, func(a, b int) bool {
 				return window[a].ScanDate < window[b].ScanDate
@@ -329,15 +326,10 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 			idx.windows = append(idx.windows, window)
 			idx.domains = append(idx.domains, domain)
 		}
-		if !sort.SliceIsSorted(idx.domains, func(a, b int) bool {
-			return idx.domains[a] < idx.domains[b]
-		}) {
-			return nil, fmt.Errorf("%w: shard %d domain list not sorted", ErrSnapshotState, sid)
+		if err := checkRoster(idx.domains, sid, nshards); err != nil {
+			return nil, err
 		}
 		idx.pos = rankDomains(idx.domains)
-		if len(idx.pos) != len(idx.domains) {
-			return nil, fmt.Errorf("%w: shard %d lists a domain twice", ErrSnapshotState, sid)
-		}
 		var err error
 		if idx.dirty, err = alignDirty(idx.domains, cells); err != nil {
 			return nil, err
@@ -347,11 +339,8 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 		s.idx.Store(idx)
 		domains = append(domains, idx.domains...)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCodec, r.Len())
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	if len(domains) != domainCount {
 		return nil, fmt.Errorf("%w: domain count %d != %d", ErrSnapshotState, len(domains), domainCount)
@@ -383,27 +372,34 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 	return d, nil
 }
 
+// checkRoster holds a decoded shard's domain roster, resident or spilled,
+// to what its index assumes: every domain routed to shard sid, and the list
+// strictly ascending, so no domain is listed twice.
+func checkRoster(doms []dnscore.Name, sid, nshards int) error {
+	for i, domain := range doms {
+		if home := shardIndexOf(domain, nshards); home != sid {
+			return fmt.Errorf("%w: domain %q routed to shard %d, stored in %d", ErrSnapshotState, domain, home, sid)
+		}
+		if i > 0 && doms[i-1] >= domain {
+			return fmt.Errorf("%w: shard %d domain list not strictly ascending at %q", ErrSnapshotState, sid, domain)
+		}
+	}
+	return nil
+}
+
 // decodeSpilledShard decodes a v2 spilled-shard section (domain roster
-// only) and opens its segment. The roster must be sorted, routed to this
-// shard, and match the segment's sealed identity and entry count.
-func decodeSpilledShard(r *BinReader, d *Dataset, store *segment.Store, mode segment.Mode, sid, nshards int, segFile string, attach, ndom int) (*shardIndex, error) {
+// only) and opens its segment. The roster must pass checkRoster and match
+// the segment's sealed identity and entry count.
+func decodeSpilledShard(r *wire.Reader, d *Dataset, store *segment.Store, mode segment.Mode, sid, nshards int, segFile string, attach, ndom int) (*shardIndex, error) {
 	doms := make([]dnscore.Name, 0, ndom)
-	for i := 0; i < ndom; i++ {
-		if r.err != nil {
-			return nil, r.err
-		}
-		domain := dnscore.Name(r.String())
-		if shardIndexOf(domain, nshards) != sid {
-			return nil, fmt.Errorf("%w: domain %q routed to shard %d, stored in %d",
-				ErrSnapshotState, domain, shardIndexOf(domain, nshards), sid)
-		}
-		doms = append(doms, domain)
+	for i := 0; i < ndom && r.Err() == nil; i++ {
+		doms = append(doms, dnscore.Name(r.String()))
 	}
-	if r.err != nil {
-		return nil, r.err
+	if r.Err() != nil {
+		return nil, r.Err()
 	}
-	if !sort.SliceIsSorted(doms, func(a, b int) bool { return doms[a] < doms[b] }) {
-		return nil, fmt.Errorf("%w: shard %d domain list not sorted", ErrSnapshotState, sid)
+	if err := checkRoster(doms, sid, nshards); err != nil {
+		return nil, err
 	}
 	seg, err := store.OpenName(segFile, mode)
 	if err != nil {
@@ -414,14 +410,11 @@ func decodeSpilledShard(r *BinReader, d *Dataset, store *segment.Store, mode seg
 		return nil, fmt.Errorf("%w: segment %s holds shard %d with %d domains, snapshot says shard %d with %d",
 			ErrSpill, segFile, seg.Shard(), seg.Count(), sid, len(doms))
 	}
-	cr := NewBinReader(seg.Common())
+	cr := wire.NewReader(seg.Common())
 	certs := decodeCertTable(cr)
-	if cr.err == nil && cr.Len() != 0 {
-		cr.fail("trailing common bytes")
-	}
-	if cr.err != nil {
+	if err := cr.Finish(); err != nil {
 		seg.Close()
-		return nil, fmt.Errorf("%w: segment %s cert table: %v", ErrSpill, segFile, cr.err)
+		return nil, fmt.Errorf("%w: segment %s cert table: %v", ErrSpill, segFile, err)
 	}
 	// Re-intern through the pool, same as the resident cert table.
 	for i, c := range certs {
@@ -460,7 +453,7 @@ func (d *Dataset) AccountRestored() {
 // encodeDirty writes the shard's dirty journal: every cell that ever
 // gained a record through Append with the generation it last did, in
 // domain then period order.
-func (idx *shardIndex) encodeDirty(w *BinWriter) {
+func (idx *shardIndex) encodeDirty(w *wire.Writer) {
 	n := 0
 	idx.eachDirty(0, func(DirtyCell, uint64) { n++ })
 	w.Uvarint(uint64(n))
@@ -474,13 +467,13 @@ func (idx *shardIndex) encodeDirty(w *BinWriter) {
 // decodeDirty reads what encodeDirty wrote. The shard's domain list, whose
 // ranks index the journal in memory, follows later in the payload
 // (alignDirty).
-func decodeDirty(r *BinReader) map[DirtyCell]uint64 {
+func decodeDirty(r *wire.Reader) map[DirtyCell]uint64 {
 	n := r.Count()
 	cells := make(map[DirtyCell]uint64, n)
-	for i := 0; i < n && r.err == nil; i++ {
+	for i := 0; i < n && r.Err() == nil; i++ {
 		cell := DirtyCell{dnscore.Name(r.String()), simtime.Period(r.Int())}
 		if !cell.Period.Valid() {
-			r.fail("dirty cell period")
+			r.Fail("dirty cell period")
 		}
 		cells[cell] = r.Uvarint()
 	}

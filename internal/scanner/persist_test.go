@@ -10,6 +10,7 @@ import (
 
 	"retrodns/internal/dnscore"
 	"retrodns/internal/simtime"
+	"retrodns/internal/wire"
 )
 
 // persistCorpus builds a small multi-scan, multi-shard dataset with some
@@ -154,7 +155,7 @@ func TestDecodeSnapshotRejectsGarbage(t *testing.T) {
 	} {
 		if _, err := DecodeSnapshot(tc); err == nil {
 			t.Fatalf("decode of %d-byte garbage succeeded", len(tc))
-		} else if !errors.Is(err, ErrCodec) && !errors.Is(err, ErrSnapshotState) {
+		} else if !errors.Is(err, wire.ErrMalformed) && !errors.Is(err, ErrSnapshotState) {
 			t.Fatalf("untyped decode error: %v", err)
 		}
 	}

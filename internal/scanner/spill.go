@@ -29,6 +29,7 @@ import (
 	"retrodns/internal/dnscore"
 	"retrodns/internal/obsv"
 	"retrodns/internal/segment"
+	"retrodns/internal/wire"
 	"retrodns/internal/x509lite"
 )
 
@@ -49,7 +50,7 @@ type SpillOptions struct {
 	// (EstimatedBytes minus spilled payloads). Negative means unlimited
 	// (spill configured but idle); zero means spill every non-empty shard.
 	BudgetBytes int64
-	// Mode selects how sealed segments are read back (auto/mmap/stream).
+	// Mode selects how sealed segments are read back (auto/stream).
 	Mode segment.Mode
 }
 
@@ -175,7 +176,7 @@ func (sr *spillReader) read(domain dnscore.Name, c *WindowCursor) []*Record {
 // value: a count followed by the records, certificates as indexes into the
 // shard's table.
 func encodeWindow(window []*Record, table *certTable) []byte {
-	var w BinWriter
+	var w wire.Writer
 	w.Uvarint(uint64(len(window)))
 	for _, rec := range window {
 		certIdx := uint64(0)
@@ -191,7 +192,7 @@ func encodeWindow(window []*Record, table *certTable) []byte {
 // against the shard's canonical pooled instances. The records come out of
 // slabs and share what they repeat (decodeRecords), so a window costs a
 // handful of allocations however many records it holds; a malformed value
-// yields ErrCodec and no records, never part of a window.
+// yields wire.ErrMalformed and no records, never part of a window.
 func decodeWindow(value []byte, certs []*x509lite.Certificate) ([]*Record, error) {
 	return decodeWindowInto(value, certs, nil)
 }
@@ -199,7 +200,7 @@ func decodeWindow(value []byte, certs []*x509lite.Certificate) ([]*Record, error
 // decodeWindowInto is decodeWindow into the storage of c, overwriting the
 // window c decoded before; a nil c gives the window records of its own.
 func decodeWindowInto(value []byte, certs []*x509lite.Certificate, c *WindowCursor) ([]*Record, error) {
-	r := NewBinReader(value)
+	r := wire.NewReader(value)
 	n := r.Count()
 	var out []*Record
 	var slab []Record
@@ -213,11 +214,8 @@ func decodeWindowInto(value []byte, certs []*x509lite.Certificate, c *WindowCurs
 		out, slab = c.ptrs[:0], c.slab[:n]
 	}
 	out = decodeRecords(r, certs, n, out, slab)
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in window", ErrCodec, r.Len())
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -342,7 +340,7 @@ func (d *Dataset) sealShardLocked(sid int) error {
 			return fmt.Errorf("%w: seal shard %d: %v", ErrSpill, sid, err)
 		}
 	}
-	var cw BinWriter
+	var cw wire.Writer
 	table.encode(&cw)
 	w.SetCommon(cw.Bytes())
 	info, err := d.spill.store.Seal(w)

@@ -439,3 +439,52 @@ func TestUnspilledSegmentReleasedWithLastView(t *testing.T) {
 		})
 	}
 }
+
+// TestSpilledRosterRefusesDuplicate crafts a CRC-valid v2 snapshot whose
+// spilled shard lists its first domain twice over a two-entry segment: the
+// roster [a, a] hides b. The spilled decoder must refuse it as the resident
+// one refuses a domain listed twice, not restore a shard that answers for a
+// twice and for b never.
+func TestSpilledRosterRefusesDuplicate(t *testing.T) {
+	dir := t.TempDir()
+	d := NewDatasetShards(1)
+	if err := d.ConfigureSpill(SpillOptions{Dir: dir, BudgetBytes: 0}); err != nil {
+		t.Fatal(err)
+	}
+	date := simtime.ScanDates(0, 60)[0]
+	var records []*Record
+	for i, name := range []dnscore.Name{"aa.example", "bb.example"} {
+		records = append(records, &Record{
+			ScanDate: date, IP: netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)}), Ports: []uint16{443},
+			ASN: 64512, Country: "GR", Cert: mkCert(t, leKey, "Let's Encrypt", date-1, date+90, name), Trusted: true,
+		})
+	}
+	if err := d.AddScan(date, records); err != nil {
+		t.Fatal(err)
+	}
+	d.Freeze()
+	if d.SpilledShards() != 1 {
+		t.Fatalf("%d shards spilled, want 1", d.SpilledShards())
+	}
+	var buf bytes.Buffer
+	if err := d.EncodeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	opts := SpillOptions{Dir: dir, BudgetBytes: 0}
+	if _, err := DecodeSnapshotSpill(buf.Bytes(), opts); err != nil {
+		t.Fatalf("the untouched snapshot does not decode: %v", err)
+	}
+	// The shard's roster closes the payload: ... "aa.example" "bb.example".
+	payload := buf.Bytes()
+	if !bytes.HasSuffix(payload, []byte("bb.example")) {
+		t.Fatal("the payload does not end with the roster")
+	}
+	copy(payload[len(payload)-len("bb.example"):], "aa.example")
+	if got, err := DecodeSnapshotSpill(payload, opts); !errors.Is(err, ErrSnapshotState) {
+		n := -1
+		if got != nil {
+			n = len(got.Domains())
+		}
+		t.Fatalf("roster [a, a] over segment [a, b]: err %v (%d domains), want ErrSnapshotState", err, n)
+	}
+}

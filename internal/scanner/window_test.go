@@ -15,13 +15,14 @@ import (
 	"retrodns/internal/dnscore"
 	"retrodns/internal/ipmeta"
 	"retrodns/internal/simtime"
+	"retrodns/internal/wire"
 	"retrodns/internal/x509lite"
 )
 
 // refDecodeRecord is the record decoder as it stood before the slab form:
 // one heap Record, one ports array and one country string per record. The
 // production decoder (decodeRecordInto) is held to it check for check.
-func refDecodeRecord(r *BinReader, certs []*x509lite.Certificate) *Record {
+func refDecodeRecord(r *wire.Reader, certs []*x509lite.Certificate) *Record {
 	rec := &Record{}
 	rec.ScanDate = simtime.Date(r.Int())
 	ipRaw := r.Blob()
@@ -29,14 +30,14 @@ func refDecodeRecord(r *BinReader, certs []*x509lite.Certificate) *Record {
 		if addr, ok := netip.AddrFromSlice(ipRaw); ok {
 			rec.IP = addr
 		} else {
-			r.fail("ip bytes")
+			r.Fail("ip bytes")
 		}
 	}
 	nports := r.Count()
 	for i := 0; i < nports; i++ {
 		p := r.Uvarint()
 		if p > math.MaxUint16 {
-			r.fail("port range")
+			r.Fail("port range")
 			return rec
 		}
 		rec.Ports = append(rec.Ports, uint16(p))
@@ -44,9 +45,9 @@ func refDecodeRecord(r *BinReader, certs []*x509lite.Certificate) *Record {
 	rec.ASN = ipmeta.ASN(r.Uvarint())
 	rec.Country = ipmeta.CountryCode(r.String())
 	certIdx := r.Uvarint()
-	if r.err == nil && certIdx > 0 {
+	if r.Err() == nil && certIdx > 0 {
 		if certIdx > uint64(len(certs)) {
-			r.fail("cert index")
+			r.Fail("cert index")
 		} else {
 			rec.Cert = certs[certIdx-1]
 		}
@@ -59,20 +60,17 @@ func refDecodeRecord(r *BinReader, certs []*x509lite.Certificate) *Record {
 
 // refDecodeWindow is the per-record reference loop decodeWindow replaced.
 func refDecodeWindow(value []byte, certs []*x509lite.Certificate) ([]*Record, error) {
-	r := NewBinReader(value)
+	r := wire.NewReader(value)
 	n := r.Count()
 	out := make([]*Record, 0, n)
 	for j := 0; j < n; j++ {
-		if r.err != nil {
+		if r.Err() != nil {
 			break
 		}
 		out = append(out, refDecodeRecord(r, certs))
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes in window", ErrCodec, r.Len())
+	if err := r.Finish(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -91,7 +89,7 @@ func windowCerts() []*x509lite.Certificate {
 // encodeTestWindow is encodeWindow with the certificate given as a table
 // index (0 = none), so a window can also name an index the table lacks.
 func encodeTestWindow(window []*Record, certIdx []uint64) []byte {
-	var w BinWriter
+	var w wire.Writer
 	w.Uvarint(uint64(len(window)))
 	for i, rec := range window {
 		encodeRecord(&w, rec, certIdx[i])
@@ -100,7 +98,7 @@ func encodeTestWindow(window []*Record, certIdx []uint64) []byte {
 }
 
 // sameDecode holds decodeWindow to the reference on one input: the same
-// records, or the same ErrCodec and no records at all. Then the same again
+// records, or the same wire.ErrMalformed and no records at all. Then the same again
 // decoding into dirty, a cursor whose slab still holds whatever the input
 // before this one left there: a refused window must not come back as the
 // part that decoded, nor as rows of the previous one.
@@ -110,7 +108,7 @@ func sameDecode(t *testing.T, label string, value []byte, certs []*x509lite.Cert
 	check := func(label string, got []*Record, gotErr error) {
 		t.Helper()
 		if wantErr != nil {
-			if gotErr == nil || gotErr.Error() != wantErr.Error() || !errors.Is(gotErr, ErrCodec) {
+			if gotErr == nil || gotErr.Error() != wantErr.Error() || !errors.Is(gotErr, wire.ErrMalformed) {
 				t.Fatalf("%s: error %v, reference %v", label, gotErr, wantErr)
 			}
 			if got != nil {
@@ -216,16 +214,16 @@ func TestDecodeWindowMatchesReference(t *testing.T) {
 	// One good record, then a second one malformed in each way the decoder
 	// refuses. The good record must not come back beside the error.
 	good := &Record{ScanDate: 10, IP: netip.MustParseAddr("192.0.2.7"), Ports: []uint16{443}, ASN: 1, Country: "GR"}
-	bad := map[string]func(w *BinWriter){
-		"ip of five bytes": func(w *BinWriter) { w.Int(17); w.Blob([]byte{1, 2, 3, 4, 5}) },
-		"port past 65535":  func(w *BinWriter) { w.Int(17); w.Blob(nil); w.Uvarint(2); w.Uvarint(443); w.Uvarint(65536) },
-		"port count past the input": func(w *BinWriter) {
+	bad := map[string]func(w *wire.Writer){
+		"ip of five bytes": func(w *wire.Writer) { w.Int(17); w.Blob([]byte{1, 2, 3, 4, 5}) },
+		"port past 65535":  func(w *wire.Writer) { w.Int(17); w.Blob(nil); w.Uvarint(2); w.Uvarint(443); w.Uvarint(65536) },
+		"port count past the input": func(w *wire.Writer) {
 			w.Int(17)
 			w.Blob(nil)
 			w.Uvarint(1 << 40)
 		},
-		"country past the input": func(w *BinWriter) { w.Int(17); w.Blob(nil); w.Uvarint(0); w.Uvarint(1); w.Uvarint(1 << 30) },
-		"cert index past the table": func(w *BinWriter) {
+		"country past the input": func(w *wire.Writer) { w.Int(17); w.Blob(nil); w.Uvarint(0); w.Uvarint(1); w.Uvarint(1 << 30) },
+		"cert index past the table": func(w *wire.Writer) {
 			w.Int(17)
 			w.Blob(nil)
 			w.Uvarint(0)
@@ -236,7 +234,7 @@ func TestDecodeWindowMatchesReference(t *testing.T) {
 			w.Bool(true)
 			w.Bool(false)
 		},
-		"bool of two": func(w *BinWriter) {
+		"bool of two": func(w *wire.Writer) {
 			w.Int(17)
 			w.Blob(nil)
 			w.Uvarint(0)
@@ -244,18 +242,19 @@ func TestDecodeWindowMatchesReference(t *testing.T) {
 			w.String("GR")
 			w.Uvarint(0)
 			w.Int(0)
-			w.buf = append(w.buf, 2, 0)
+			w.Byte(2)
+			w.Byte(0)
 		},
-		"overlong varint": func(w *BinWriter) {
-			w.buf = append(w.buf, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01)
+		"overlong varint": func(w *wire.Writer) {
+			*w = wire.NewWriter(append(w.Bytes(), 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01))
 		},
 	}
 	for name, second := range bad {
-		var w BinWriter
+		var w wire.Writer
 		w.Uvarint(2)
 		encodeRecord(&w, good, 1)
 		second(&w)
-		if _, err := refDecodeWindow(w.Bytes(), certs); !errors.Is(err, ErrCodec) {
+		if _, err := refDecodeWindow(w.Bytes(), certs); !errors.Is(err, wire.ErrMalformed) {
 			t.Fatalf("%s: the reference accepts it (%v); the case tests nothing", name, err)
 		}
 		sameDecode(t, name, w.Bytes(), certs, dirty)

@@ -35,7 +35,7 @@ func openMmap(path string) (*Reader, error) {
 		f.Close()
 		return nil, err
 	}
-	return newMmapReader(mm, f)
+	return newReader(mm, f, mm)
 }
 
 func munmap(b []byte) error { return syscall.Munmap(b) }

@@ -1,10 +1,11 @@
 package segment
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"sort"
+
+	"retrodns/internal/wire"
 )
 
 // Mode selects how OpenFile serves reads.
@@ -14,8 +15,6 @@ const (
 	// ModeAuto memory-maps the segment where the platform supports it and
 	// falls back to streaming ReadAt otherwise.
 	ModeAuto Mode = iota
-	// ModeMmap requires the memory-mapped path (fails where unsupported).
-	ModeMmap
 	// ModeStream forces the plain ReadAt path: only the header, common
 	// blob, and anchor index stay resident; entry reads hit the file.
 	ModeStream
@@ -23,14 +22,10 @@ const (
 
 // String renders the mode for flags and logs.
 func (m Mode) String() string {
-	switch m {
-	case ModeMmap:
-		return "mmap"
-	case ModeStream:
+	if m == ModeStream {
 		return "stream"
-	default:
-		return "auto"
 	}
+	return "auto"
 }
 
 // ParseMode parses a -spill-read-mode flag value.
@@ -38,12 +33,10 @@ func ParseMode(s string) (Mode, error) {
 	switch s {
 	case "", "auto":
 		return ModeAuto, nil
-	case "mmap":
-		return ModeMmap, nil
 	case "stream":
 		return ModeStream, nil
 	}
-	return ModeAuto, fmt.Errorf("segment: unknown read mode %q (auto|mmap|stream)", s)
+	return ModeAuto, fmt.Errorf("segment: unknown read mode %q (auto|stream)", s)
 }
 
 // Reader serves point lookups and full walks over one verified segment.
@@ -59,7 +52,8 @@ type Reader struct {
 	// entries holds the entries region when it is resident (in-memory
 	// open, or aliasing the mmap). nil in stream mode.
 	entries []byte
-	// Stream mode: reads go through f at entriesOff.
+	// Stream mode: reads go through f at entriesOff, the region's offset
+	// in the file.
 	f          *os.File
 	entriesOff int64
 	entriesLen int
@@ -68,221 +62,116 @@ type Reader struct {
 	closed bool
 }
 
-// byteReader is a minimal bounds-checked cursor over untrusted bytes. It
-// mirrors the scanner codec's latched-error discipline without importing
-// it (segment must stay dependency-free below the scanner).
-type byteReader struct {
-	buf []byte
-	off int
-	err error
+// badSegment wraps a codec refusal in ErrBadSegment.
+func badSegment(err error) error { return fmt.Errorf("%w: %w", ErrBadSegment, err) }
+
+// newReader is the one Reader constructor: it verifies the framed segment
+// image data and indexes it. Entry reads alias data — an in-memory image,
+// or the mapping mm, which Close releases along with f. With f set and no
+// mapping the reader streams instead: it keeps its own copy of the common
+// blob and reads entry windows from f, so data can go. A refused image
+// releases mm and f.
+func newReader(data []byte, f *os.File, mm []byte) (*Reader, error) {
+	r := &Reader{f: f, mm: mm}
+	if err := r.parse(data); err != nil {
+		if mm != nil {
+			munmap(mm)
+		}
+		if f != nil {
+			f.Close()
+		}
+		return nil, err
+	}
+	if f != nil && mm == nil {
+		r.common = append([]byte(nil), r.common...)
+		r.entries = nil
+	}
+	return r, nil
 }
 
-func (r *byteReader) fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s at offset %d", ErrBadSegment, what, r.off)
+// parse verifies a framed segment image and reads its header, common blob
+// and anchor index around the entries region into r. Every count is bounded
+// against the remaining input before it gates an allocation, so arbitrary
+// bytes cannot balloon memory; every structural refusal is ErrBadSegment.
+func (r *Reader) parse(data []byte) error {
+	payload, err := Unframe(fileMagic, data)
+	if err != nil {
+		return err
 	}
-}
-
-func (r *byteReader) len() int { return len(r.buf) - r.off }
-
-func (r *byteReader) uvarint(what string) uint64 {
-	if r.err != nil {
-		return 0
+	p := wire.NewReader(payload)
+	if ver := p.Byte(); p.Err() == nil && ver != formatVersion {
+		return fmt.Errorf("%w: version %d", ErrBadSegment, ver)
 	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.fail(what)
-		return 0
+	if shard := p.Uvarint(); shard > 1<<20 {
+		p.Fail("shard range")
+	} else {
+		r.shard = int(shard)
 	}
-	r.off += n
-	return v
-}
-
-// bytes returns n bytes aliasing the buffer, bounding n against the
-// remaining input.
-func (r *byteReader) bytes(n uint64, what string) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n > uint64(r.len()) {
-		r.fail(what)
-		return nil
-	}
-	b := r.buf[r.off : r.off+int(n)]
-	r.off += int(n)
-	return b
-}
-
-// parsed is the header/anchor skeleton shared by every open path.
-type parsed struct {
-	shard        int
-	gen          uint64
-	count        int
-	common       []byte
-	anchors      []anchor
-	entriesStart int // offset of the entries region within the payload
-	entriesLen   int
-}
-
-// parsePayload validates an unframed segment payload. Every count is
-// bounded against the remaining input before it gates an allocation, so
-// arbitrary bytes cannot balloon memory; every refusal is ErrBadSegment.
-func parsePayload(payload []byte) (*parsed, error) {
-	r := &byteReader{buf: payload}
-	ver := r.bytes(1, "version")
-	if r.err == nil && ver[0] != formatVersion {
-		return nil, fmt.Errorf("%w: version %d", ErrBadSegment, ver[0])
-	}
-	p := &parsed{}
-	shard := r.uvarint("shard")
-	if shard > 1<<20 {
-		r.fail("shard range")
-	}
-	p.shard = int(shard)
-	p.gen = r.uvarint("generation")
-	p.common = r.bytes(r.uvarint("common length"), "common")
-	count := r.uvarint("entry count")
+	r.gen = p.Uvarint()
+	r.common = p.Section()
 	// Every entry costs at least two bytes (two length prefixes).
-	if count > uint64(r.len()) {
-		r.fail("entry count range")
+	r.count = p.Count()
+	r.entries = p.Section()
+	r.entriesLen = len(r.entries)
+	r.entriesOff = int64(len(fileMagic) + p.Offset() - r.entriesLen)
+	if p.Err() == nil && r.count > r.entriesLen {
+		p.Fail("entry count vs region")
 	}
-	p.count = int(count)
-	entriesLen := r.uvarint("entries length")
-	p.entriesStart = r.off
-	entries := r.bytes(entriesLen, "entries region")
-	p.entriesLen = len(entries)
-	if r.err == nil && p.count > p.entriesLen {
-		r.fail("entry count vs region")
+	nanchors := p.Count()
+	if p.Err() == nil && nanchors != (r.count+anchorEvery-1)/anchorEvery {
+		p.Fail("anchor count mismatch")
 	}
-	nanchors := r.uvarint("anchor count")
-	if nanchors > uint64(r.len()) {
-		r.fail("anchor count range")
-	}
-	wantAnchors := uint64(0)
-	if p.count > 0 {
-		wantAnchors = (uint64(p.count) + anchorEvery - 1) / anchorEvery
-	}
-	if r.err == nil && nanchors != wantAnchors {
-		r.fail("anchor count mismatch")
-	}
-	if r.err == nil && nanchors > 0 {
-		p.anchors = make([]anchor, 0, nanchors)
+	if p.Err() == nil && nanchors > 0 {
+		r.anchors = make([]anchor, 0, nanchors)
 	}
 	var prev anchor
-	for i := uint64(0); i < nanchors && r.err == nil; i++ {
-		key := string(r.bytes(r.uvarint("anchor key length"), "anchor key"))
-		off := r.uvarint("anchor offset")
-		if r.err != nil {
-			break
+	for i := 0; i < nanchors && p.Err() == nil; i++ {
+		key := string(p.Section())
+		off := p.Uvarint()
+		switch {
+		case p.Err() != nil:
+		case off > uint64(r.entriesLen) || (i == 0 && off != 0):
+			p.Fail("anchor offset range")
+		case i > 0 && (key <= prev.key || off <= prev.off):
+			p.Fail("anchor order")
+		default:
+			prev = anchor{key: key, off: off}
+			r.anchors = append(r.anchors, prev)
 		}
-		if off > uint64(p.entriesLen) || (i == 0 && off != 0) {
-			r.fail("anchor offset range")
-			break
-		}
-		if i > 0 && (key <= prev.key || off <= prev.off) {
-			r.fail("anchor order")
-			break
-		}
-		prev = anchor{key: key, off: off}
-		p.anchors = append(p.anchors, prev)
 	}
-	if r.err != nil {
-		return nil, r.err
+	if err := p.Finish(); err != nil {
+		return badSegment(err)
 	}
-	if r.len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadSegment, r.len())
-	}
-	return p, nil
+	return nil
 }
 
 // Open verifies and indexes an in-memory segment image (a full framed
 // file). The Reader aliases data; keep it alive for the Reader's life.
-func Open(data []byte) (*Reader, error) {
-	payload, err := Unframe(fileMagic, data)
-	if err != nil {
-		return nil, err
-	}
-	p, err := parsePayload(payload)
-	if err != nil {
-		return nil, err
-	}
-	return &Reader{
-		shard: p.shard, gen: p.gen, count: p.count, common: p.common,
-		anchors: p.anchors, entries: payload[p.entriesStart : p.entriesStart+p.entriesLen],
-		entriesLen: p.entriesLen,
-	}, nil
-}
+func Open(data []byte) (*Reader, error) { return newReader(data, nil, nil) }
 
 // OpenFile verifies and indexes a segment file. ModeAuto prefers mmap
 // (entry reads are zero-copy and the pages stay file-backed, so the OS
 // can evict them under pressure); ModeStream retains only the header,
 // common blob, and anchors, reading entry windows with ReadAt.
 func OpenFile(path string, mode Mode) (*Reader, error) {
-	if mode == ModeAuto || mode == ModeMmap {
-		r, err := openMmap(path)
-		if err == nil {
-			return r, nil
-		}
-		if err != errMmapUnsupported {
-			// A real failure (unreadable file, bad CRC, bad structure)
-			// would fail the streaming path identically; surface it.
-			return nil, err
-		}
-		if mode == ModeMmap {
-			return nil, fmt.Errorf("%w: mmap unsupported on this platform", ErrBadSegment)
+	if mode == ModeAuto {
+		// Mapped, or a real failure (unreadable file, bad CRC, bad
+		// structure) that would fail the streaming path identically.
+		if r, err := openMmap(path); err != errMmapUnsupported {
+			return r, err
 		}
 	}
-
 	// Stream open: one full pass verifies the CRC and parses the header;
 	// the entries region is then dropped and re-read on demand.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := Unframe(fileMagic, data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	p, err := parsePayload(payload)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Reader{
-		shard: p.shard, gen: p.gen, count: p.count,
-		common:  append([]byte(nil), p.common...),
-		anchors: p.anchors,
-		f:       f,
-		// The entries region starts after the 4-byte magic plus the
-		// payload-relative header.
-		entriesOff: int64(len(fileMagic) + p.entriesStart),
-		entriesLen: p.entriesLen,
-	}, nil
-}
-
-// newMmapReader indexes a mapped file image; mm is released on Close.
-func newMmapReader(mm []byte, f *os.File) (*Reader, error) {
-	payload, err := Unframe(fileMagic, mm)
-	if err != nil {
-		munmap(mm)
-		f.Close()
-		return nil, err
-	}
-	p, err := parsePayload(payload)
-	if err != nil {
-		munmap(mm)
-		f.Close()
-		return nil, err
-	}
-	return &Reader{
-		shard: p.shard, gen: p.gen, count: p.count, common: p.common,
-		anchors: p.anchors, entries: payload[p.entriesStart : p.entriesStart+p.entriesLen],
-		entriesLen: p.entriesLen,
-		mm:         mm, f: f,
-	}, nil
+	return newReader(data, f, nil)
 }
 
 // Shard and Gen return the identity sealed into the segment.
@@ -340,12 +229,12 @@ func (r *Reader) Get(key string) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	br := &byteReader{buf: block}
-	for br.len() > 0 {
-		k := br.bytes(br.uvarint("entry key length"), "entry key")
-		v := br.bytes(br.uvarint("entry value length"), "entry value")
-		if br.err != nil {
-			return nil, false, br.err
+	br := wire.NewReader(block)
+	for br.Len() > 0 {
+		k := br.Section()
+		v := br.Section()
+		if br.Err() != nil {
+			return nil, false, badSegment(br.Err())
 		}
 		switch {
 		case string(k) == key:
@@ -364,13 +253,13 @@ func (r *Reader) Walk(fn func(key string, value []byte) error) error {
 	if err != nil {
 		return err
 	}
-	br := &byteReader{buf: block}
+	br := wire.NewReader(block)
 	seen := 0
-	for br.len() > 0 {
-		k := br.bytes(br.uvarint("entry key length"), "entry key")
-		v := br.bytes(br.uvarint("entry value length"), "entry value")
-		if br.err != nil {
-			return br.err
+	for br.Len() > 0 {
+		k := br.Section()
+		v := br.Section()
+		if br.Err() != nil {
+			return badSegment(br.Err())
 		}
 		seen++
 		if seen > r.count {

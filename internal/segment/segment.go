@@ -35,9 +35,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
+
+	"retrodns/internal/wire"
 )
 
 // Typed refusals. Everything a damaged segment or frame can provoke maps
@@ -63,16 +64,13 @@ const (
 	anchorEvery = 16
 )
 
-// crcTable is the Castagnoli polynomial, matching the WAL's framing.
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // Frame wraps payload as magic ++ payload ++ u32le CRC-32C(payload) — the
 // shared framing for segment files and WAL snapshot files.
 func Frame(magic string, payload []byte) []byte {
 	buf := make([]byte, 0, len(magic)+len(payload)+4)
 	buf = append(buf, magic...)
 	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(payload, crcTable))
+	return binary.LittleEndian.AppendUint32(buf, wire.Checksum(payload))
 }
 
 // Unframe verifies a Frame encoding and returns the payload (aliasing
@@ -84,7 +82,7 @@ func Unframe(magic string, data []byte) ([]byte, error) {
 	}
 	payload := data[len(magic) : len(data)-4]
 	want := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(payload, crcTable) != want {
+	if wire.Checksum(payload) != want {
 		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
 	}
 	return payload, nil

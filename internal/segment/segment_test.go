@@ -92,13 +92,30 @@ func TestOpenFileModes(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for _, mode := range []Mode{ModeAuto, ModeMmap, ModeStream} {
-		t.Run(mode.String(), func(t *testing.T) {
-			r, err := OpenFile(path, mode)
+	// "mmap" is the mapped path on its own, skipped where the platform has
+	// none; "auto" must take it wherever it exists.
+	open := map[string]func() (*Reader, error){
+		"auto":   func() (*Reader, error) { return OpenFile(path, ModeAuto) },
+		"mmap":   func() (*Reader, error) { return openMmap(path) },
+		"stream": func() (*Reader, error) { return OpenFile(path, ModeStream) },
+	}
+	probe, mmapErr := openMmap(path)
+	if mmapErr == nil {
+		probe.Close()
+	}
+	for name, open := range open {
+		t.Run(name, func(t *testing.T) {
+			r, err := open()
+			if name == "mmap" && err == errMmapUnsupported {
+				t.Skip("no mmap on this platform")
+			}
 			if err != nil {
-				t.Fatalf("OpenFile(%v): %v", mode, err)
+				t.Fatalf("open %s: %v", name, err)
 			}
 			defer r.Close()
+			if mapped := r.mm != nil; mapped != (name != "stream" && mmapErr == nil) {
+				t.Fatalf("%s: mapped = %v", name, mapped)
+			}
 			checkReader(t, r, want)
 			if err := r.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
@@ -111,14 +128,16 @@ func TestOpenFileModes(t *testing.T) {
 }
 
 func TestParseMode(t *testing.T) {
-	for s, want := range map[string]Mode{"": ModeAuto, "auto": ModeAuto, "mmap": ModeMmap, "stream": ModeStream} {
+	for s, want := range map[string]Mode{"": ModeAuto, "auto": ModeAuto, "stream": ModeStream} {
 		got, err := ParseMode(s)
 		if err != nil || got != want {
 			t.Fatalf("ParseMode(%q) = %v, %v", s, got, err)
 		}
 	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Fatal("ParseMode(bogus) accepted")
+	for _, s := range []string{"bogus", "mmap"} {
+		if _, err := ParseMode(s); err == nil {
+			t.Fatalf("ParseMode(%q) accepted", s)
+		}
 	}
 }
 

@@ -1,8 +1,9 @@
 package segment
 
 import (
-	"encoding/binary"
 	"fmt"
+
+	"retrodns/internal/wire"
 )
 
 // Writer accumulates one segment's sorted entries and renders the framed
@@ -13,7 +14,7 @@ type Writer struct {
 	shard   int
 	gen     uint64
 	common  []byte
-	entries []byte
+	entries wire.Writer
 	count   int
 	lastKey string
 	anchors []anchor
@@ -44,12 +45,10 @@ func (w *Writer) Add(key string, value []byte) error {
 		return w.err
 	}
 	if w.count%anchorEvery == 0 {
-		w.anchors = append(w.anchors, anchor{key: key, off: uint64(len(w.entries))})
+		w.anchors = append(w.anchors, anchor{key: key, off: uint64(w.entries.Len())})
 	}
-	w.entries = binary.AppendUvarint(w.entries, uint64(len(key)))
-	w.entries = append(w.entries, key...)
-	w.entries = binary.AppendUvarint(w.entries, uint64(len(value)))
-	w.entries = append(w.entries, value...)
+	w.entries.String(key)
+	w.entries.Blob(value)
 	w.lastKey = key
 	w.count++
 	return nil
@@ -61,22 +60,19 @@ func (w *Writer) Bytes() ([]byte, error) {
 	if w.err != nil {
 		return nil, w.err
 	}
-	payload := make([]byte, 0, 64+len(w.common)+len(w.entries)+len(w.anchors)*24)
-	payload = append(payload, formatVersion)
-	payload = binary.AppendUvarint(payload, uint64(w.shard))
-	payload = binary.AppendUvarint(payload, w.gen)
-	payload = binary.AppendUvarint(payload, uint64(len(w.common)))
-	payload = append(payload, w.common...)
-	payload = binary.AppendUvarint(payload, uint64(w.count))
-	payload = binary.AppendUvarint(payload, uint64(len(w.entries)))
-	payload = append(payload, w.entries...)
-	payload = binary.AppendUvarint(payload, uint64(len(w.anchors)))
+	p := wire.NewWriter(make([]byte, 0, 64+len(w.common)+w.entries.Len()+len(w.anchors)*24))
+	p.Byte(formatVersion)
+	p.Uvarint(uint64(w.shard))
+	p.Uvarint(w.gen)
+	p.Blob(w.common)
+	p.Uvarint(uint64(w.count))
+	p.Blob(w.entries.Bytes())
+	p.Uvarint(uint64(len(w.anchors)))
 	for _, a := range w.anchors {
-		payload = binary.AppendUvarint(payload, uint64(len(a.key)))
-		payload = append(payload, a.key...)
-		payload = binary.AppendUvarint(payload, a.off)
+		p.String(a.key)
+		p.Uvarint(a.off)
 	}
-	return Frame(fileMagic, payload), nil
+	return Frame(fileMagic, p.Bytes()), nil
 }
 
 // Shard and Gen return the identity the writer was created with.

@@ -17,7 +17,6 @@ package wal
 // left by an older build — is ignored.
 
 import (
-	"encoding/binary"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -27,6 +26,7 @@ import (
 	"retrodns/internal/core"
 	"retrodns/internal/scanner"
 	"retrodns/internal/segment"
+	"retrodns/internal/wire"
 )
 
 const (
@@ -71,12 +71,10 @@ func writeSnapshotFile(dir string, gen uint64, ds *scanner.Dataset, cache *core.
 			cacheBuf.Reset()
 		}
 	}
-	payload := binary.AppendUvarint(nil, uint64(dsBuf.Len()))
-	payload = append(payload, dsBuf.String()...)
-	payload = binary.AppendUvarint(payload, uint64(cacheBuf.Len()))
-	payload = append(payload, cacheBuf.String()...)
-
-	return segment.AtomicWrite(dir, snapName(gen), segment.Frame(snapMagic, payload))
+	var w wire.Writer
+	w.String(dsBuf.String())
+	w.String(cacheBuf.String())
+	return segment.AtomicWrite(dir, snapName(gen), segment.Frame(snapMagic, w.Bytes()))
 }
 
 // loadSnapshotFile reads and verifies one snapshot file, returning the
@@ -93,17 +91,11 @@ func loadSnapshotFile(path string, spill *scanner.SpillOptions) (*scanner.Datase
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %s: %v", ErrBadSnapshot, filepath.Base(path), err)
 	}
-	dsLen, n := binary.Uvarint(payload)
-	if n <= 0 || dsLen > uint64(len(payload)-n) {
-		return nil, nil, fmt.Errorf("%w: %s: dataset length", ErrBadSnapshot, filepath.Base(path))
+	r := wire.NewReader(payload)
+	dsBytes, cacheBytes := r.Section(), r.Section()
+	if r.Err() != nil {
+		return nil, nil, fmt.Errorf("%w: %s: section lengths: %v", ErrBadSnapshot, filepath.Base(path), r.Err())
 	}
-	dsBytes := payload[n : n+int(dsLen)]
-	rest := payload[n+int(dsLen):]
-	cacheLen, n := binary.Uvarint(rest)
-	if n <= 0 || cacheLen > uint64(len(rest)-n) {
-		return nil, nil, fmt.Errorf("%w: %s: cache length", ErrBadSnapshot, filepath.Base(path))
-	}
-	cacheBytes := rest[n : n+int(cacheLen)]
 	var ds *scanner.Dataset
 	if spill != nil {
 		ds, err = scanner.DecodeSnapshotSpill(dsBytes, *spill)
@@ -113,7 +105,7 @@ func loadSnapshotFile(path string, spill *scanner.SpillOptions) (*scanner.Datase
 	if err != nil {
 		return nil, nil, fmt.Errorf("%w: %s: %v", ErrBadSnapshot, filepath.Base(path), err)
 	}
-	if cacheLen == 0 {
+	if len(cacheBytes) == 0 {
 		return ds, nil, nil
 	}
 	return ds, cacheBytes, nil

@@ -140,10 +140,6 @@ type Store struct {
 	met          storeMetrics
 }
 
-// errStopReplay aborts a Replay walk from the apply callback; the frame it
-// stopped on is truncated away with the rest of the log.
-var errStopReplay = errors.New("wal: stop replay")
-
 // Open recovers state from dir and returns a store ready for appends. The
 // returned Recovery always carries a usable Dataset and Cache (fresh ones
 // on a cold boot). Fault counters for damage found during recovery are
@@ -264,7 +260,39 @@ func (s *Store) replayWAL(rec *Recovery) error {
 		}
 		return err
 	}
-	good, replayErr := Replay(data, func(gen uint64, date simtime.Date, records []*scanner.Record) error {
+	good, replayErr := Replay(data, s.applyFrame(rec))
+	if replayErr != nil {
+		switch {
+		case errors.Is(replayErr, ErrTornTail):
+			rec.Faults[FaultTornTail]++
+			s.fault(FaultTornTail)
+		case errors.Is(replayErr, ErrCRCMismatch):
+			rec.Faults[FaultCRCMismatch]++
+			s.fault(FaultCRCMismatch)
+		case errors.Is(replayErr, ErrBadFrame):
+			rec.Faults[FaultBadFrame]++
+			s.fault(FaultBadFrame)
+		case errors.Is(replayErr, ErrOutOfOrderGeneration):
+			// counted by applyFrame
+		default:
+			return replayErr
+		}
+	}
+	if good < len(data) {
+		if err := os.Truncate(s.walPath(), int64(good)); err != nil {
+			return err
+		}
+	}
+	s.walSize = int64(good)
+	return nil
+}
+
+// applyFrame is recovery's Replay callback: it applies the frames past the
+// restored generation, counts the stale and skewed ones it skips, and stops
+// the walk with ErrOutOfOrderGeneration at a generation gap, whose frame is
+// truncated away with the rest of the log.
+func (s *Store) applyFrame(rec *Recovery) func(gen uint64, date simtime.Date, records []*scanner.Record) error {
+	return func(gen uint64, date simtime.Date, records []*scanner.Record) error {
 		cur := s.ds.Generation()
 		want := cur + 1
 		if cur == 0 {
@@ -280,7 +308,7 @@ func (s *Store) replayWAL(rec *Recovery) error {
 		case gen != want:
 			rec.Faults[FaultOutOfOrder]++
 			s.fault(FaultOutOfOrder)
-			return errStopReplay
+			return fmt.Errorf("%w: frame gen %d, want %d", ErrOutOfOrderGeneration, gen, want)
 		}
 		if !date.InStudy() {
 			rec.Faults[FaultClockSkew]++
@@ -291,36 +319,10 @@ func (s *Store) replayWAL(rec *Recovery) error {
 			return fmt.Errorf("wal: replay apply gen %d: %w", gen, err)
 		}
 		rec.ReplayedBatches++
+		rec.Warm = true
 		s.met.replayed.Inc()
-		if rec.ReplayedBatches > 0 {
-			rec.Warm = true
-		}
 		return nil
-	})
-	if replayErr != nil {
-		switch {
-		case errors.Is(replayErr, ErrTornTail):
-			rec.Faults[FaultTornTail]++
-			s.fault(FaultTornTail)
-		case errors.Is(replayErr, ErrCRCMismatch):
-			rec.Faults[FaultCRCMismatch]++
-			s.fault(FaultCRCMismatch)
-		case errors.Is(replayErr, ErrBadFrame):
-			rec.Faults[FaultBadFrame]++
-			s.fault(FaultBadFrame)
-		case errors.Is(replayErr, errStopReplay):
-			// counted at the callback
-		default:
-			return replayErr
-		}
 	}
-	if good < len(data) {
-		if err := os.Truncate(s.walPath(), int64(good)); err != nil {
-			return err
-		}
-	}
-	s.walSize = int64(good)
-	return nil
 }
 
 // Append makes the batch durable and then visible, in that order: the frame

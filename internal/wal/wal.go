@@ -12,10 +12,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 
 	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
+	"retrodns/internal/wire"
 )
 
 // Typed refusals. Everything a garbled or truncated log can provoke maps
@@ -55,20 +55,18 @@ const (
 	maxFrameBody = 1 << 28
 )
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
 // appendFrame appends one WAL frame for an Append batch to dst: the header
 // is reserved first and patched once the body, encoded in place behind it,
 // has a length and a checksum.
 func appendFrame(dst []byte, gen uint64, date simtime.Date, records []*scanner.Record) []byte {
 	start := len(dst)
-	dst = append(dst, make([]byte, frameHeader)...)
-	dst = binary.AppendUvarint(dst, gen)
-	dst = scanner.AppendBatch(dst, date, records)
+	w := wire.NewWriter(append(dst, make([]byte, frameHeader)...))
+	w.Uvarint(gen)
+	dst = scanner.AppendBatch(w.Bytes(), date, records)
 	header, body := dst[start:], dst[start+frameHeader:]
 	binary.LittleEndian.PutUint32(header[0:], frameMagic)
 	binary.LittleEndian.PutUint32(header[4:], uint32(len(body)))
-	binary.LittleEndian.PutUint32(header[8:], crc32.Checksum(body, crcTable))
+	binary.LittleEndian.PutUint32(header[8:], wire.Checksum(body))
 	return dst
 }
 
@@ -96,14 +94,15 @@ func Replay(data []byte, fn func(gen uint64, date simtime.Date, records []*scann
 			return off, fmt.Errorf("%w: frame needs %d bytes, %d remain", ErrTornTail, frameHeader+bodyLen, len(rest))
 		}
 		body := rest[frameHeader : frameHeader+bodyLen]
-		if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(rest[8:]) {
+		if wire.Checksum(body) != binary.LittleEndian.Uint32(rest[8:]) {
 			return off, fmt.Errorf("%w: at offset %d", ErrCRCMismatch, off)
 		}
-		gen, n := binary.Uvarint(body)
-		if n <= 0 {
+		r := wire.NewReader(body)
+		gen := r.Uvarint()
+		if r.Err() != nil {
 			return off, fmt.Errorf("%w: unreadable generation at offset %d", ErrBadFrame, off)
 		}
-		date, records, err := scanner.DecodeBatch(body[n:])
+		date, records, err := scanner.DecodeBatch(body[r.Offset():])
 		if err != nil {
 			return off, fmt.Errorf("%w: batch at offset %d: %v", ErrBadFrame, off, err)
 		}

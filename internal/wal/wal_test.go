@@ -215,6 +215,21 @@ func TestStoreFaultClasses(t *testing.T) {
 		if rec.Generation != 2 || rec.ReplayedBatches != 1 {
 			t.Fatalf("recovered gen %d batches %d, want 2/1", rec.Generation, rec.ReplayedBatches)
 		}
+
+		// The same walk by hand on a cold store: the gap stops it with the
+		// exported sentinel, past the first frame only, counted once.
+		cold, _ := openStore(t, t.TempDir(), 1000)
+		walk := &Recovery{Faults: make(map[string]int64)}
+		good, err := Replay(frames, cold.applyFrame(walk))
+		if !errors.Is(err, ErrOutOfOrderGeneration) {
+			t.Fatalf("replay stopped with %v, want ErrOutOfOrderGeneration", err)
+		}
+		if first := len(appendFrame(nil, 2, dates[0], g.Scan(dates[0]))); good != first {
+			t.Fatalf("replay accepted %d bytes, want the first frame's %d", good, first)
+		}
+		if walk.Faults[FaultOutOfOrder] != 1 || walk.ReplayedBatches != 1 {
+			t.Fatalf("walk faults %v batches %d, want one out-of-order stop after one batch", walk.Faults, walk.ReplayedBatches)
+		}
 	})
 }
 
@@ -405,6 +420,63 @@ func TestDiskBytesPinned(t *testing.T) {
 	}
 	if got := sum(cache.Bytes()); got != wantCache {
 		t.Errorf("cache state (%d bytes) sha256 %s, want %s", cache.Len(), got, wantCache)
+	}
+}
+
+// TestSpilledDiskBytesPinned extends TestDiskBytesPinned to the out-of-core
+// formats: the sealed RDSG segment files of a zero-budget store and the
+// snapshot file whose dataset section is the rds2 (spilled-shard) encoding.
+// The sha256s were recorded before the storage codecs moved onto
+// internal/wire; a sibling fixture, not a new input, so the two tests move
+// together if a format ever changes on purpose.
+func TestSpilledDiskBytesPinned(t *testing.T) {
+	const (
+		wantSegs = "cfd017414e45aaf7fb712b016cf4ab6c5fde1d6fa734ec4a22545159a5c8dd7d"
+		wantSnap = "7037259c6a622cac4e62a456b1f6ae76d282fa5072bae7022260514f3575f3e5"
+	)
+	dir := t.TempDir()
+	segDir := filepath.Join(dir, "segments")
+	g := synth.New(synth.Config{Domains: 300, Seed: 11, Scans: 3, CadenceDays: 100, TransientPerMille: 40})
+	s, rec, err := Open(Options{Dir: dir, Shards: 4, SnapshotEvery: 1000,
+		Spill: &scanner.SpillOptions{Dir: segDir, BudgetBytes: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, date := range g.ScanDates() {
+		if err := s.Append(date, g.Scan(date)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(filepath.Join(dir, snapName(rec.Dataset.Generation())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(snap, []byte("rds2")) {
+		t.Fatal("zero-budget snapshot is not the rds2 encoding")
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(snap)); got != wantSnap {
+		t.Errorf("%s (%d bytes) sha256 %s, want %s", snapName(rec.Dataset.Generation()), len(snap), got, wantSnap)
+	}
+	// Every segment file the run sealed, by name then bytes, in name order.
+	names, err := filepath.Glob(filepath.Join(segDir, "seg-*.bin"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no sealed segments (%v)", err)
+	}
+	h := sha256.New()
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(h, "%s %d\n", filepath.Base(name), len(data))
+		h.Write(data)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != wantSegs {
+		t.Errorf("%d segment files sha256 %s, want %s", len(names), got, wantSegs)
 	}
 }
 

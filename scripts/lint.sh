@@ -29,6 +29,13 @@
 #      wal.Follow; a caller that builds its own Feeder is a hand copy of
 #      that loop, and copies drift from the code the tests hold.
 #
+#   6. No varint codec call (binary.Uvarint, binary.AppendVarint,
+#      binary.PutUvarint, binary.ReadUvarint, ...) and no crc32.MakeTable in
+#      non-test Go under internal/ or cmd/ outside internal/wire. Every
+#      durable byte goes through one audited cursor and one CRC table; a
+#      hand-rolled decoder beside it is a second set of bounds checks to
+#      get wrong.
+#
 # Run via `make lint` (part of `make ci`).
 set -u
 cd "$(dirname "$0")/.."
@@ -136,6 +143,14 @@ fi
 if grep -n 'NewFeeder(' $(printf '%s\n' $srcs | grep -v '^internal/wal/') /dev/null \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
     echo "lint: wal.NewFeeder outside internal/wal — drive the durable follow loop through wal.Follow" >&2
+    fail=1
+fi
+
+# ---- Rule 6: one binary codec --------------------------------------------
+if grep -nE 'binary\.(Append|Put|Read)?U?[vV]arint|crc32\.MakeTable' \
+    $(printf '%s\n' $srcs | grep -v '^internal/wire/') /dev/null \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
+    echo "lint: varint or CRC table outside internal/wire — encode and decode through wire.Writer/wire.Reader and wire.Checksum" >&2
     fail=1
 fi
 

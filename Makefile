@@ -75,6 +75,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzChainVerify -fuzztime=10s ./internal/x509lite
 	$(GO) test -run='^$$' -fuzz=FuzzReportJSONRoundTrip -fuzztime=10s ./internal/report
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzSnapshotFile -fuzztime=10s ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeState -fuzztime=10s ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentReplay -fuzztime=10s ./internal/segment
 	$(GO) test -run='^$$' -fuzz=FuzzScanCSVRow -fuzztime=10s ./internal/scanner
 	$(GO) test -run='^$$' -fuzz=FuzzSynthCertSerial -fuzztime=10s ./internal/scanner

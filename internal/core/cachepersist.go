@@ -2,30 +2,31 @@ package core
 
 // ClassifyCache serialization for the durability layer. A snapshot taken
 // right after a Pipeline.Run (cache generation == dataset generation)
-// captures each built (domain, period) cell: the record-window prefix the
-// deployment map was built from, the map's cross-deployment scan counts,
-// each deployment as an ASN plus the indexes of its records within the
-// window, the classification as indexes into the deployment list, and the
-// domain's published category history. On restore the deployments re-fold
-// from the dataset's restored windows with the same set-insert helpers the
-// cold build path uses, so a warm boot classifies only cells the WAL
-// replay dirtied — the clean ones replay their cached result verbatim.
+// captures each built (domain, period) cell as the decisions the cold path
+// cannot rebuild from the record window alone: the window prefix length
+// the deployment map was built from, the map's period scan count, and the
+// classification, with its transient and stable deployments as indexes
+// into the map's deployment list. The domain's published category history
+// follows the cells. The map itself is not stored: paper §4 step 1 makes it
+// a function of the window, so on restore buildMapFrom rebuilds it from the
+// dataset's restored window, the same call the cold path makes, and a warm
+// boot classifies only cells the WAL replay dirtied — the clean ones replay
+// their cached result verbatim.
 //
 // The restored cache must be paired with the dataset snapshot it was taken
-// against: DecodeState resolves record indexes through the dataset's
-// windows and fails (typed error, never a panic) on any mismatch, at which
-// point the caller falls back to a cold cache — correctness never depends
-// on the cache being restorable.
+// against, or a WAL-replayed extension of it: DecodeState reads each
+// cell's window prefix from the dataset and fails (typed error, never a
+// panic) on any mismatch it can see, at which point the caller falls back
+// to a cold cache — correctness never depends on the cache being
+// restorable.
 
 import (
 	"errors"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 
 	"retrodns/internal/dnscore"
-	"retrodns/internal/ipmeta"
 	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
 	"retrodns/internal/wire"
@@ -35,8 +36,9 @@ import (
 // it is being restored against.
 var ErrCacheState = errors.New("core: cache snapshot does not match dataset")
 
-// cacheMagic versions the classify-cache snapshot payload.
-const cacheMagic = "rcc1"
+// cacheMagic versions the classify-cache snapshot payload; a section under
+// any other magic, rcc1's stored deployments included, is refused.
+const cacheMagic = "rcc2"
 
 // EncodeState serializes the cache to w. Call only between pipeline runs
 // (the cache is single-writer by contract).
@@ -66,8 +68,8 @@ func (c *ClassifyCache) EncodeState(out io.Writer) error {
 			if !dc.cells[pi].built {
 				continue
 			}
-			if err := encodeCell(&w, c.dataset, domain, simtime.Period(pi), &dc.cells[pi]); err != nil {
-				return err
+			if err := encodeCell(&w, &dc.cells[pi]); err != nil {
+				return fmt.Errorf("%s %v: %w", domain, simtime.Period(pi), err)
 			}
 		}
 		nhist := 0
@@ -88,65 +90,32 @@ func (c *ClassifyCache) EncodeState(out io.Writer) error {
 	return err
 }
 
-// encodeCell writes one built cell. Deployment records are written as
-// indexes into the domain's period window as the dataset currently holds
-// it; the cell's recCount bounds the prefix the map was built from.
-func encodeCell(w *wire.Writer, ds *scanner.Dataset, domain dnscore.Name, period simtime.Period, ps *cellState) error {
+// encodeCell writes one built cell: its window prefix length, and for a
+// cell with a map the map's scan count and its classification.
+func encodeCell(w *wire.Writer, ps *cellState) error {
 	w.Uvarint(uint64(ps.recCount))
-	if ps.m == nil {
-		w.Bool(false)
+	m := ps.m
+	w.Bool(m != nil)
+	if m == nil {
 		return nil
 	}
-	w.Bool(true)
-	window := ds.DomainRecords(domain, period.Start(), period.End())
-	if len(window) < ps.recCount {
-		return fmt.Errorf("%w: %s %v window %d < recCount %d",
-			ErrCacheState, domain, period, len(window), ps.recCount)
-	}
-	m := ps.m
-	w.Uvarint(uint64(m.PresentScans))
 	w.Uvarint(uint64(m.TotalScans))
-	w.Uvarint(uint64(len(m.Deployments)))
+	class := ps.class
+	w.Bool(class != nil)
+	if class == nil {
+		return nil
+	}
 	depIdx := make(map[*Deployment]int, len(m.Deployments))
 	for di, dep := range m.Deployments {
 		depIdx[dep] = di
-		w.Uvarint(uint64(dep.ASN))
-		w.Uvarint(uint64(len(dep.Records)))
-		// A map files each record of the window prefix under its origin
-		// AS's deployment, in window order, so a deployment's records are
-		// the prefix's records of its AS. They are matched by content, not
-		// by pointer: a spilled shard decodes a fresh window on every read,
-		// so a cell built over one holds copies of the window's records.
-		prev, k := -1, 0
-		for i, rec := range window[:ps.recCount] {
-			if rec.ASN != dep.ASN {
-				continue
-			}
-			if k == len(dep.Records) || !sameObservation(dep.Records[k], rec) {
-				return fmt.Errorf("%w: %s %v deployment record not in window prefix",
-					ErrCacheState, domain, period)
-			}
-			w.Uvarint(uint64(i - prev - 1)) // gap-coded ascending indexes
-			prev, k = i, k+1
-		}
-		if k != len(dep.Records) {
-			return fmt.Errorf("%w: %s %v deployment records are not the window prefix's",
-				ErrCacheState, domain, period)
-		}
 	}
-	class := ps.class
-	if class == nil {
-		w.Bool(false)
-		return nil
-	}
-	w.Bool(true)
 	w.Uvarint(uint64(class.Category))
 	w.Uvarint(uint64(class.Pattern))
 	w.Uvarint(uint64(len(class.Transients)))
 	for i, dep := range class.Transients {
 		di, ok := depIdx[dep]
 		if !ok {
-			return fmt.Errorf("%w: %s %v transient not in deployment list", ErrCacheState, domain, period)
+			return fmt.Errorf("%w: transient not in deployment list", ErrCacheState)
 		}
 		w.Uvarint(uint64(di))
 		pattern := PatternNone
@@ -159,15 +128,15 @@ func encodeCell(w *wire.Writer, ds *scanner.Dataset, domain dnscore.Name, period
 	for _, dep := range class.Stables {
 		di, ok := depIdx[dep]
 		if !ok {
-			return fmt.Errorf("%w: %s %v stable not in deployment list", ErrCacheState, domain, period)
+			return fmt.Errorf("%w: stable not in deployment list", ErrCacheState)
 		}
 		w.Uvarint(uint64(di))
 	}
 	return nil
 }
 
-// DecodeState restores the cache from an EncodeState payload, resolving
-// record indexes against ds (which must be the dataset snapshot the cache
+// DecodeState restores the cache from an EncodeState payload, rebuilding
+// each cell's map from ds (which must be the dataset snapshot the cache
 // was serialized with, or a WAL-replayed extension of it — extensions only
 // grow windows past each cell's recCount, which extendCell handles).
 func (c *ClassifyCache) DecodeState(data []byte, ds *scanner.Dataset) error {
@@ -179,11 +148,16 @@ func (c *ClassifyCache) DecodeState(data []byte, ds *scanner.Dataset) error {
 	paramsFP := r.String()
 	byDomain := make(map[dnscore.Name]*domainCells)
 	ndom := r.Count()
+	var prev dnscore.Name
 	for i := 0; i < ndom; i++ {
 		if r.Err() != nil {
 			return r.Err()
 		}
 		domain := dnscore.Name(r.String())
+		if i > 0 && domain <= prev {
+			return fmt.Errorf("%w: domain %q out of order", ErrCacheState, domain)
+		}
+		prev = domain
 		mask := r.Uvarint()
 		if mask >= 1<<simtime.NumPeriods {
 			return fmt.Errorf("%w: period mask %#x", ErrCacheState, mask)
@@ -198,21 +172,20 @@ func (c *ClassifyCache) DecodeState(data []byte, ds *scanner.Dataset) error {
 			}
 		}
 		nhist := r.Count()
+		last := simtime.Period(-1)
 		for j := 0; j < nhist; j++ {
 			p := simtime.Period(r.Int())
 			cat := Category(r.Uvarint())
-			if !p.Valid() || cat > CategoryNoisy {
+			if !p.Valid() || p <= last || cat > CategoryNoisy {
 				return fmt.Errorf("%w: history entry %v/%v", ErrCacheState, p, cat)
 			}
 			dc.byPeriod.Set(p, cat)
+			last = p
 		}
 		byDomain[domain] = dc
 	}
-	if r.Err() != nil {
-		return r.Err()
-	}
-	if r.Len() != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrCacheState, r.Len())
+	if err := r.Finish(); err != nil {
+		return err
 	}
 	c.dataset = ds
 	c.gen = gen
@@ -221,19 +194,8 @@ func (c *ClassifyCache) DecodeState(data []byte, ds *scanner.Dataset) error {
 	return nil
 }
 
-// sameObservation reports whether two records carry the same observation:
-// the same record, or a copy of it.
-func sameObservation(a, b *scanner.Record) bool {
-	if a == b {
-		return true
-	}
-	return a.ScanDate == b.ScanDate && a.ASN == b.ASN && a.IP == b.IP &&
-		a.Country == b.Country && a.CrtShID == b.CrtShID &&
-		a.Trusted == b.Trusted && a.Sensitive == b.Sensitive &&
-		slices.Equal(a.Ports, b.Ports) &&
-		(a.Cert == b.Cert || a.Cert != nil && b.Cert != nil && a.Cert.Fingerprint() == b.Cert.Fingerprint())
-}
-
+// decodeCell reads what encodeCell wrote and rebuilds the cell's map over
+// the first recCount records of its window, as rebuildCell built it.
 func decodeCell(r *wire.Reader, ds *scanner.Dataset, domain dnscore.Name, period simtime.Period, ps *cellState) error {
 	ps.built = true
 	ps.recCount = int(r.Uvarint())
@@ -252,49 +214,16 @@ func decodeCell(r *wire.Reader, ds *scanner.Dataset, domain dnscore.Name, period
 	if !hasMap {
 		return nil
 	}
-	m := &DeploymentMap{Domain: domain, Period: period}
-	m.PresentScans = int(r.Uvarint())
-	m.TotalScans = int(r.Uvarint())
-	ndeps := r.Count()
-	for di := 0; di < ndeps; di++ {
-		if r.Err() != nil {
-			return r.Err()
-		}
-		dep := &Deployment{ASN: ipmeta.ASN(r.Uvarint())}
-		nrecs := r.Count()
-		idx := -1
-		for ri := 0; ri < nrecs; ri++ {
-			gap := r.Uvarint()
-			if r.Err() != nil {
-				return r.Err()
-			}
-			idx += int(gap) + 1
-			if idx >= ps.recCount || idx >= len(window) {
-				return fmt.Errorf("%w: %s %v record index %d out of prefix %d",
-					ErrCacheState, domain, period, idx, ps.recCount)
-			}
-			rec := window[idx]
-			// Re-fold the deployment exactly as buildMapFrom would.
-			dep.IPs = insertAddr(dep.IPs, rec.IP)
-			dep.Countries = insertCountry(dep.Countries, rec.Country)
-			if rec.Cert != nil {
-				dep.addCert(rec.Cert)
-			}
-			dep.Records = append(dep.Records, rec)
-			if n := len(dep.ScanDates); n == 0 || dep.ScanDates[n-1] != rec.ScanDate {
-				dep.ScanDates = append(dep.ScanDates, rec.ScanDate)
-			}
-		}
-		if len(dep.ScanDates) == 0 {
-			return fmt.Errorf("%w: %s %v empty deployment", ErrCacheState, domain, period)
-		}
-		m.Deployments = append(m.Deployments, dep)
+	if ps.recCount == 0 {
+		return fmt.Errorf("%w: %s %v map over no records", ErrCacheState, domain, period)
 	}
-	ps.m = m
+	totalScans := int(r.Uvarint())
 	hasClass := r.Bool()
 	if r.Err() != nil {
 		return r.Err()
 	}
+	m := buildMapFrom(domain, period, window[:ps.recCount], totalScans, nil)
+	ps.m = m
 	if !hasClass {
 		return nil
 	}

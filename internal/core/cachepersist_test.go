@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"retrodns/internal/dnscore"
+	"retrodns/internal/pdns"
 	"retrodns/internal/scanner"
+	"retrodns/internal/synth"
 	"retrodns/internal/wire"
 )
 
@@ -95,8 +97,8 @@ func TestCacheStateRoundTrip(t *testing.T) {
 // TestCacheStateRoundTripSpilled encodes the cache of a dataset whose
 // shards all live on disk. A spilled shard decodes a fresh window on every
 // read, so the cached records are copies of the window's, never the same
-// pointers: the encoding must match them by content, and the restored
-// cache must replay every cell.
+// pointers: the restored cache rebuilds its maps from the windows it reads
+// and must replay every cell.
 func TestCacheStateRoundTripSpilled(t *testing.T) {
 	scans, pipe := incrementalWorld(t, 4, false)
 	if err := pipe.Dataset.ConfigureSpill(scanner.SpillOptions{Dir: t.TempDir(), BudgetBytes: 0}); err != nil {
@@ -222,4 +224,60 @@ func TestCacheStateDecodeRejectsGarbage(t *testing.T) {
 	if err := cache.DecodeState(valid, scanner.NewDataset()); err == nil {
 		t.Fatal("decode against mismatched dataset succeeded")
 	}
+}
+
+// FuzzDecodeState holds DecodeState to its refusal contract over arbitrary
+// payloads against a small fixed dataset: a typed error or a restored
+// cache, never a panic. A restored cache re-encodes to a payload that
+// restores and re-encodes to the very same bytes, and a payload EncodeState
+// wrote re-encodes to itself (wire accepts a varint longer than it needs
+// to be, so an arbitrary accepted payload can differ from its re-encoding
+// in that alone).
+func FuzzDecodeState(f *testing.F) {
+	g := synth.New(synth.Config{Domains: 30, Seed: 3, Scans: 3, CadenceDays: 100, TransientPerMille: 60})
+	ds := scanner.NewDataset()
+	for _, date := range g.ScanDates() {
+		if err := ds.Append(date, g.Scan(date)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	pipe := &Pipeline{Params: DefaultParams(), Dataset: ds, PDNS: pdns.NewDB(), Workers: 1, Cache: NewClassifyCache()}
+	pipe.Run()
+	encode := func(c *ClassifyCache) []byte {
+		var buf bytes.Buffer
+		if err := c.EncodeState(&buf); err != nil {
+			f.Fatalf("EncodeState of a restored cache: %v", err)
+		}
+		return buf.Bytes()
+	}
+	valid := encode(pipe.Cache)
+	restored := NewClassifyCache()
+	if err := restored.DecodeState(valid, ds); err != nil {
+		f.Fatal(err)
+	}
+	if !bytes.Equal(encode(restored), valid) {
+		f.Fatal("a payload EncodeState wrote does not re-encode to itself")
+	}
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add(encode(NewClassifyCache()))
+	f.Add([]byte("\x04rcc1"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c := NewClassifyCache()
+		if err := c.DecodeState(data, ds); err != nil {
+			if !errors.Is(err, ErrCacheState) && !errors.Is(err, wire.ErrMalformed) {
+				t.Fatalf("untyped refusal: %v", err)
+			}
+			return
+		}
+		again := encode(c)
+		c2 := NewClassifyCache()
+		if err := c2.DecodeState(again, ds); err != nil {
+			t.Fatalf("re-encoded payload refused: %v", err)
+		}
+		if !bytes.Equal(encode(c2), again) {
+			t.Fatal("re-encoding is not a fixed point")
+		}
+	})
 }

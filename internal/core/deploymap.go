@@ -16,8 +16,10 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
+	"slices"
 	"sort"
 	"strings"
 
@@ -321,7 +323,7 @@ func mergeRecordsArena(m *DeploymentMap, records []*scanner.Record, ar *classify
 	// New deployments start at dates >= every existing deployment's first
 	// date, so the stable sort reproduces the cold build's order: ties on
 	// First keep existing (earlier-seen) deployments ahead.
-	sort.SliceStable(m.Deployments, func(i, j int) bool {
-		return m.Deployments[i].First() < m.Deployments[j].First()
+	slices.SortStableFunc(m.Deployments, func(a, b *Deployment) int {
+		return cmp.Compare(a.First(), b.First())
 	})
 }

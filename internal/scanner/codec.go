@@ -79,8 +79,8 @@ func encodeRecord(w *wire.Writer, r *Record, certIdx uint64) {
 }
 
 // decodeRecord decodes one record into a fresh allocation of its own: the
-// form for decoders whose records outlive one another (WAL batches, rds1
-// snapshots). Windows read off a segment go through decodeRecords.
+// form for WAL batches, whose records belong to different domains. Windows,
+// in a segment or a snapshot, go through decodeRecords.
 func decodeRecord(r *wire.Reader, certs []*x509lite.Certificate) *Record {
 	rec := &Record{}
 	decodeRecordInto(r, certs, rec, nil)
@@ -166,16 +166,22 @@ func slabRecord(slab *[]Record, want int) *Record {
 	return rec
 }
 
-// decodeRecords decodes n consecutive records onto out, each record sharing
-// what it repeats of the one before it (see decodeRecordInto). The records
-// come out of slab for as long as it lasts and out of fresh bounded slabs
-// after that (all of them, given a nil slab). It stops at the first latched
-// error; the caller checks r.Err and drops the result whole.
+// decodeRecords decodes n consecutive records of one window onto out, each
+// record sharing what it repeats of the one before it (see
+// decodeRecordInto). The records come out of slab for as long as it lasts
+// and out of fresh bounded slabs after that (all of them, given a nil
+// slab). A record dated before the one it follows latches wire.ErrMalformed:
+// DomainRecords binary-searches windows by date, so an unsorted one would
+// serve the wrong records. It stops at the first latched error; the caller
+// checks r.Err and drops the result whole.
 func decodeRecords(r *wire.Reader, certs []*x509lite.Certificate, n int, out []*Record, slab []Record) []*Record {
 	var prev *Record
 	for j := 0; j < n && r.Err() == nil; j++ {
 		rec := slabRecord(&slab, n-j)
 		decodeRecordInto(r, certs, rec, prev)
+		if prev != nil && rec.ScanDate < prev.ScanDate {
+			r.Fail("window date order")
+		}
 		out = append(out, rec)
 		prev = rec
 	}

@@ -10,9 +10,13 @@ package scanner
 // Certificates are stored once in a fingerprint-deduplicated table and
 // re-interned through the dataset's pool on decode, so the restored pool
 // gauges (retrodns_intern_strings, retrodns_cert_pool_size) match a live
-// ingest of the same corpus. Records indexed under several registered
-// domains are serialized per domain — the restored instances are distinct
-// pointers, which every consumer tolerates (windows are per-domain and all
+// ingest of the same corpus. Each resident domain's window is written and
+// read by the one window codec a segment entry uses (writeWindow,
+// readWindow), under the snapshot's certificate table, so the snapshot,
+// unspill and segment-read paths make the same checks, date order
+// included. Records indexed under several registered domains are
+// serialized per domain — the restored instances are distinct pointers,
+// which every consumer tolerates (windows are per-domain and all
 // cross-window counts are serialized explicitly).
 
 import (
@@ -30,7 +34,7 @@ import (
 )
 
 // ErrSnapshotState reports a snapshot payload that decoded structurally but
-// violates dataset invariants (wrong shard routing, unsorted windows).
+// violates dataset invariants (wrong shard routing, a domain listed twice).
 var ErrSnapshotState = errors.New("scanner: invalid snapshot state")
 
 // ErrNotFrozen reports an EncodeSnapshot call on an unfrozen dataset.
@@ -176,15 +180,7 @@ func (d *Dataset) EncodeSnapshot(out io.Writer) error {
 			if idx.spill != nil {
 				continue
 			}
-			window := idx.windows[i]
-			w.Uvarint(uint64(len(window)))
-			for _, rec := range window {
-				certIdx := uint64(0)
-				if rec.Cert != nil {
-					certIdx = table.add(rec.Cert) + 1
-				}
-				encodeRecord(&w, rec, certIdx)
-			}
+			writeWindow(&w, idx.windows[i], table)
 		}
 		s.mu.RUnlock()
 	}
@@ -306,25 +302,11 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 			if r.Err() != nil {
 				return nil, r.Err()
 			}
-			domain := dnscore.Name(r.String())
-			nrec := r.Count()
-			window := make([]*Record, 0, nrec)
-			for j := 0; j < nrec; j++ {
-				if r.Err() != nil {
-					return nil, r.Err()
-				}
-				window = append(window, decodeRecord(r, certs))
-			}
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			if !sort.SliceIsSorted(window, func(a, b int) bool {
-				return window[a].ScanDate < window[b].ScanDate
-			}) {
-				return nil, fmt.Errorf("%w: window for %q not sorted", ErrSnapshotState, domain)
-			}
-			idx.windows = append(idx.windows, window)
-			idx.domains = append(idx.domains, domain)
+			idx.domains = append(idx.domains, dnscore.Name(r.String()))
+			idx.windows = append(idx.windows, readWindow(r, certs, nil))
+		}
+		if r.Err() != nil {
+			return nil, r.Err()
 		}
 		if err := checkRoster(idx.domains, sid, nshards); err != nil {
 			return nil, err

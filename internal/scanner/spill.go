@@ -173,19 +173,25 @@ func (sr *spillReader) read(domain dnscore.Name, c *WindowCursor) []*Record {
 }
 
 // encodeWindow serializes one domain's record window as a segment entry
-// value: a count followed by the records, certificates as indexes into the
-// shard's table.
+// value (writeWindow).
 func encodeWindow(window []*Record, table *certTable) []byte {
 	var w wire.Writer
+	writeWindow(&w, window, table)
+	return w.Bytes()
+}
+
+// writeWindow is the one window encoding, a segment entry's value and a
+// resident domain's window in a snapshot alike: a count followed by the
+// records, certificates as indexes into the shard's or snapshot's table.
+func writeWindow(w *wire.Writer, window []*Record, table *certTable) {
 	w.Uvarint(uint64(len(window)))
 	for _, rec := range window {
 		certIdx := uint64(0)
 		if rec.Cert != nil {
 			certIdx = table.add(rec.Cert) + 1
 		}
-		encodeRecord(&w, rec, certIdx)
+		encodeRecord(w, rec, certIdx)
 	}
-	return w.Bytes()
 }
 
 // decodeWindow is the inverse of encodeWindow, resolving certificates
@@ -201,6 +207,18 @@ func decodeWindow(value []byte, certs []*x509lite.Certificate) ([]*Record, error
 // window c decoded before; a nil c gives the window records of its own.
 func decodeWindowInto(value []byte, certs []*x509lite.Certificate, c *WindowCursor) ([]*Record, error) {
 	r := wire.NewReader(value)
+	out := readWindow(r, certs, c)
+	if err := r.Finish(); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// readWindow reads what writeWindow wrote at r's cursor, into c's storage
+// or, with a nil c, into records of its own. A window out of date order
+// is refused like any malformed one (decodeRecords); on a latched error the
+// caller drops the result whole.
+func readWindow(r *wire.Reader, certs []*x509lite.Certificate, c *WindowCursor) []*Record {
 	n := r.Count()
 	var out []*Record
 	var slab []Record
@@ -213,11 +231,7 @@ func decodeWindowInto(value []byte, certs []*x509lite.Certificate, c *WindowCurs
 		}
 		out, slab = c.ptrs[:0], c.slab[:n]
 	}
-	out = decodeRecords(r, certs, n, out, slab)
-	if err := r.Finish(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return decodeRecords(r, certs, n, out, slab)
 }
 
 // ConfigureSpill attaches (or reconfigures) the out-of-core layer: opens

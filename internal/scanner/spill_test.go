@@ -8,6 +8,7 @@ import (
 	"os"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -17,6 +18,7 @@ import (
 	"retrodns/internal/obsv"
 	"retrodns/internal/segment"
 	"retrodns/internal/simtime"
+	"retrodns/internal/wire"
 )
 
 // tightBudget picks a budget that forces roughly half the spillable
@@ -486,5 +488,79 @@ func TestSpilledRosterRefusesDuplicate(t *testing.T) {
 			n = len(got.Domains())
 		}
 		t.Fatalf("roster [a, a] over segment [a, b]: err %v (%d domains), want ErrSnapshotState", err, n)
+	}
+}
+
+// TestUnsortedSegmentWindowRefused serves a spilled shard off a CRC-valid
+// segment whose one window holds its records out of date order.
+// DomainRecords binary-searches a window by date, so such a window would
+// serve the wrong records. The read path must count a read error and serve
+// no window, and the unspill an Append forces must refuse with ErrSpill.
+func TestUnsortedSegmentWindowRefused(t *testing.T) {
+	reg := obsv.NewRegistry()
+	d := NewDatasetShards(1)
+	d.SetMetrics(reg)
+	if err := d.ConfigureSpill(SpillOptions{Dir: t.TempDir(), BudgetBytes: 0}); err != nil {
+		t.Fatal(err)
+	}
+	const domain = dnscore.Name("aa.example")
+	dates := simtime.ScanDates(0, 60)
+	scan := func(i int) []*Record {
+		return []*Record{{
+			ScanDate: dates[i], IP: netip.AddrFrom4([4]byte{10, 0, 0, byte(i + 1)}), Ports: []uint16{443},
+			ASN: 64512, Country: "GR", Cert: mkCert(t, leKey, "Let's Encrypt", dates[i]-1, dates[i]+90, domain), Trusted: true,
+		}}
+	}
+	if err := d.AddScan(dates[0], scan(0)); err != nil {
+		t.Fatal(err)
+	}
+	d.Freeze()
+	for i := 1; i < 3; i++ {
+		if err := d.Append(dates[i], scan(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	window := d.DomainRecords(domain, 0, 0)
+	if len(window) != 3 || d.SpilledShards() != 1 {
+		t.Fatalf("%d records, %d shards spilled; want 3 and 1", len(window), d.SpilledShards())
+	}
+
+	// The same shard, its window written newest first.
+	slices.Reverse(window)
+	table := newCertTable(0)
+	w := segment.NewWriter(0, d.Generation()+1)
+	if err := w.Add(string(domain), encodeWindow(window, table)); err != nil {
+		t.Fatal(err)
+	}
+	var cw wire.Writer
+	table.encode(&cw)
+	w.SetCommon(cw.Bytes())
+	data, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, err := segment.Open(data)
+	if err != nil {
+		t.Fatalf("the crafted segment does not verify: %v", err)
+	}
+	s := d.shards[0]
+	idx := s.idx.Load()
+	s.idx.Store(&shardIndex{domains: idx.domains, dirty: idx.dirty, attach: idx.attach,
+		spill: newSpillReader(seg, "crafted", table.certs, &d.segmet)})
+
+	readErrors := func() int64 {
+		var n int64
+		for _, s := range reg.Snapshot() {
+			if s.Name == MetricSegmentReadErrors {
+				n += s.Value
+			}
+		}
+		return n
+	}
+	if got := d.DomainRecords(domain, 0, 0); got != nil || readErrors() != 1 {
+		t.Fatalf("unsorted window read as %d records with %d read errors; want none and 1", len(got), readErrors())
+	}
+	if err := d.Append(dates[3], scan(3)); !errors.Is(err, ErrSpill) {
+		t.Fatalf("Append unspilling the unsorted window: %v, want ErrSpill", err)
 	}
 }

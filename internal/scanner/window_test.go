@@ -58,7 +58,9 @@ func refDecodeRecord(r *wire.Reader, certs []*x509lite.Certificate) *Record {
 	return rec
 }
 
-// refDecodeWindow is the per-record reference loop decodeWindow replaced.
+// refDecodeWindow is the per-record reference loop decodeWindow replaced,
+// with the one window rule the loop did not have: a record dated before
+// the one it follows is refused.
 func refDecodeWindow(value []byte, certs []*x509lite.Certificate) ([]*Record, error) {
 	r := wire.NewReader(value)
 	n := r.Count()
@@ -67,7 +69,11 @@ func refDecodeWindow(value []byte, certs []*x509lite.Certificate) ([]*Record, er
 		if r.Err() != nil {
 			break
 		}
-		out = append(out, refDecodeRecord(r, certs))
+		rec := refDecodeRecord(r, certs)
+		if j > 0 && rec.ScanDate < out[j-1].ScanDate {
+			r.Fail("window date order")
+		}
+		out = append(out, rec)
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err
@@ -260,6 +266,17 @@ func TestDecodeWindowMatchesReference(t *testing.T) {
 		sameDecode(t, name, w.Bytes(), certs, dirty)
 	}
 	sameDecode(t, "count past the input", []byte{200, 1}, certs, dirty)
+
+	// Well-formed records out of date order: DomainRecords would binary
+	// search them wrongly, so the window is refused whole.
+	mixed := testWindows()["mixed"]
+	unsorted := slices.Clone(mixed.window)
+	unsorted[3], unsorted[7] = unsorted[7], unsorted[3]
+	value := encodeTestWindow(unsorted, mixed.certIdx)
+	if _, err := decodeWindow(value, certs); !errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("out-of-order window decoded (%v)", err)
+	}
+	sameDecode(t, "out of date order", value, certs, dirty)
 }
 
 // FuzzDecodeWindow holds the same equality on arbitrary bytes.

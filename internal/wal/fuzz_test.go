@@ -2,9 +2,13 @@ package wal
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"retrodns/internal/scanner"
+	"retrodns/internal/segment"
 	"retrodns/internal/simtime"
 	"retrodns/internal/synth"
 )
@@ -57,6 +61,58 @@ func FuzzWALReplay(f *testing.F) {
 		if err2 != nil || off2 != off || again != frames {
 			t.Fatalf("replay not deterministic: %d/%v vs %d/%v, %d vs %d frames",
 				off, err, off2, err2, frames, again)
+		}
+	})
+}
+
+// FuzzSnapshotFile holds snapshot recovery to its refusal contract:
+// arbitrary bytes read as a snapshot file either load or come back as
+// ErrBadSnapshot, never a panic. Each input is tried as the whole file and,
+// so that mutations reach the decoders behind the checksum, as the payload
+// of a well-framed one.
+func FuzzSnapshotFile(f *testing.F) {
+	g := synth.New(synth.Config{Domains: 6, Seed: 3, Scans: 2})
+	dir := f.TempDir()
+	s, _, err := Open(Options{Dir: dir, Shards: 2, SnapshotEvery: 1000})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, date := range g.ScanDates() {
+		if err := s.Append(date, g.Scan(date)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := s.Snapshot(); err != nil {
+		f.Fatal(err)
+	}
+	s.Close()
+	file, err := os.ReadFile(filepath.Join(dir, snapName(s.Generation())))
+	if err != nil {
+		f.Fatal(err)
+	}
+	payload, err := segment.Unframe(snapMagic, file)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(file)
+	f.Add(payload)
+	f.Add(append(slices.Clone(payload), 0)) // trailing bytes after the sections
+	f.Add(file[:len(file)/2])
+	f.Add([]byte(nil))
+
+	path := filepath.Join(f.TempDir(), snapName(1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, file := range [][]byte{data, segment.Frame(snapMagic, data)} {
+			if err := os.WriteFile(path, file, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			ds, _, err := loadSnapshotFile(path, nil)
+			if err != nil && !errors.Is(err, ErrBadSnapshot) {
+				t.Fatalf("untyped refusal: %v", err)
+			}
+			if err == nil && ds == nil {
+				t.Fatal("nil dataset without an error")
+			}
 		}
 	})
 }

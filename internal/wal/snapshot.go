@@ -6,6 +6,7 @@ package wal
 //	payload = uvarint(len(dataset)) ++ EncodeSnapshot bytes
 //	       ++ uvarint(len(cache))   ++ EncodeState bytes (len 0 = none)
 //
+// and nothing after the two sections: trailing bytes refuse the file.
 // written tmp-then-rename with fsyncs on both the file and the directory,
 // so a crash leaves either the old state or the new — never a half file
 // under the published name. The framing is segment.Frame, the same
@@ -93,8 +94,8 @@ func loadSnapshotFile(path string, spill *scanner.SpillOptions) (*scanner.Datase
 	}
 	r := wire.NewReader(payload)
 	dsBytes, cacheBytes := r.Section(), r.Section()
-	if r.Err() != nil {
-		return nil, nil, fmt.Errorf("%w: %s: section lengths: %v", ErrBadSnapshot, filepath.Base(path), r.Err())
+	if err := r.Finish(); err != nil {
+		return nil, nil, fmt.Errorf("%w: %s: sections: %v", ErrBadSnapshot, filepath.Base(path), err)
 	}
 	var ds *scanner.Dataset
 	if spill != nil {

@@ -30,6 +30,7 @@ const (
 	MetricWALQuarantined  = "retrodns_wal_quarantined_total"
 	MetricWALRecoveredGen = "retrodns_wal_recovered_generation"
 	MetricWALAppendSec    = "retrodns_wal_append_seconds"
+	MetricWALRestoreSec   = "retrodns_wal_restore_seconds"
 )
 
 // appendSteps are the steps of one Store.Append, MetricWALAppendSec's step
@@ -38,6 +39,11 @@ const (
 // stage; sync_wait is what the caller still waited for it once staging was
 // done — near zero when the CPU is the long pole, near sync on a slow disk.
 var appendSteps = []string{"encode", "stage", "sync", "sync_wait", "publish"}
+
+// restoreSteps are the steps of one Open, MetricWALRestoreSec's step label:
+// finding and decoding the newest snapshot that verifies (or making a cold
+// dataset), replaying the log on top of it, and restoring the cache.
+var restoreSteps = []string{"dataset", "replay", "cache"}
 
 // Quarantine reasons for MetricWALQuarantined. Every refusal on the
 // durability path counts under exactly one of these.
@@ -106,13 +112,14 @@ type storeMetrics struct {
 	quarantined  map[string]*obsv.Counter
 	recoveredGen *obsv.Gauge
 	appendSec    map[string]*obsv.Histogram
+	restoreSec   map[string]*obsv.Histogram
 }
 
-// step records that one step of an Append took from start until now, and
-// returns now.
-func (m *storeMetrics) step(step string, start time.Time) time.Time {
+// observe records on steps[step] that the step took from start until now,
+// and returns now.
+func observe(steps map[string]*obsv.Histogram, step string, start time.Time) time.Time {
 	now := time.Now()
-	m.appendSec[step].Observe(now.Sub(start).Seconds())
+	steps[step].Observe(now.Sub(start).Seconds())
 	return now
 }
 
@@ -158,6 +165,7 @@ func Open(opts Options) (*Store, *Recovery, error) {
 	// The recovery rule: the newest snapshot that verifies wins (damaged
 	// ones count and fall through to the next older, then to a cold
 	// dataset), and the WAL tail replays on top of it.
+	start := time.Now()
 	var cacheBytes []byte
 	for _, name := range listSnapshots(opts.Dir) {
 		ds, cb, err := loadSnapshotFile(filepath.Join(opts.Dir, name), opts.Spill)
@@ -177,10 +185,12 @@ func Open(opts Options) (*Store, *Recovery, error) {
 		}
 	}
 	s.lastSnapGen = s.ds.Generation()
+	start = observe(s.met.restoreSec, "dataset", start)
 
 	if err := s.replayWAL(rec); err != nil {
 		return nil, nil, err
 	}
+	start = observe(s.met.restoreSec, "replay", start)
 
 	s.cache = core.NewClassifyCache()
 	if len(cacheBytes) > 0 {
@@ -191,6 +201,7 @@ func Open(opts Options) (*Store, *Recovery, error) {
 			s.cache = core.NewClassifyCache()
 		}
 	}
+	observe(s.met.restoreSec, "cache", start)
 
 	wal, err := os.OpenFile(s.walPath(), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -231,6 +242,7 @@ func (s *Store) initMetrics(reg *obsv.Registry) {
 	reg.SetHelp(MetricWALQuarantined, "Durability-layer refusals, by reason.")
 	reg.SetHelp(MetricWALRecoveredGen, "Dataset generation recovered to at boot.")
 	reg.SetHelp(MetricWALAppendSec, "Where one durable append's time goes, by step (sync runs beside stage).")
+	reg.SetHelp(MetricWALRestoreSec, "Where one recovery's time goes, by step: snapshot decode, log replay, cache restore.")
 	s.met.appends = reg.Counter(MetricWALAppends)
 	s.met.records = reg.Counter(MetricWALRecords)
 	s.met.bytes = reg.Counter(MetricWALBytes)
@@ -243,6 +255,10 @@ func (s *Store) initMetrics(reg *obsv.Registry) {
 	s.met.appendSec = make(map[string]*obsv.Histogram, len(appendSteps))
 	for _, step := range appendSteps {
 		s.met.appendSec[step] = reg.Histogram(MetricWALAppendSec, obsv.DurationBuckets, "step", step)
+	}
+	s.met.restoreSec = make(map[string]*obsv.Histogram, len(restoreSteps))
+	for _, step := range restoreSteps {
+		s.met.restoreSec[step] = reg.Histogram(MetricWALRestoreSec, obsv.DurationBuckets, "step", step)
 	}
 }
 
@@ -354,7 +370,7 @@ func (s *Store) Append(date simtime.Date, records []*scanner.Record) error {
 	t := time.Now()
 	s.frame = appendFrame(s.frame[:0], want, date, records)
 	frame := s.frame
-	t = s.met.step("encode", t)
+	t = observe(s.met.appendSec, "encode", t)
 
 	synced := make(chan error, 1)
 	go func() {
@@ -363,16 +379,16 @@ func (s *Store) Append(date simtime.Date, records []*scanner.Record) error {
 		if err == nil {
 			err = s.wal.Sync()
 		}
-		s.met.step("sync", start)
+		observe(s.met.appendSec, "sync", start)
 		synced <- err
 	}()
 	// Joined exactly once: at the barrier, or here when the dataset refused
 	// the batch before reaching it and the writer still owns the file.
 	join := sync.OnceValue(func() error { return <-synced })
 	err := s.ds.AppendAfter(date, records, func() error {
-		t = s.met.step("stage", t)
+		t = observe(s.met.appendSec, "stage", t)
 		err := join()
-		t = s.met.step("sync_wait", t)
+		t = observe(s.met.appendSec, "sync_wait", t)
 		return err
 	})
 	if syncErr := join(); syncErr != nil {
@@ -388,7 +404,7 @@ func (s *Store) Append(date simtime.Date, records []*scanner.Record) error {
 		}
 		return err
 	}
-	s.met.step("publish", t)
+	observe(s.met.appendSec, "publish", t)
 	s.walSize += int64(len(frame))
 	s.appendsSince++
 	s.met.appends.Inc()

@@ -12,8 +12,10 @@ import (
 	"retrodns/internal/core"
 	"retrodns/internal/pdns"
 	"retrodns/internal/scanner"
+	"retrodns/internal/segment"
 	"retrodns/internal/simtime"
 	"retrodns/internal/synth"
+	"retrodns/internal/wire"
 )
 
 func testGen(t *testing.T) *synth.Generator {
@@ -367,16 +369,21 @@ func TestAppendFailureIsSticky(t *testing.T) {
 	}
 }
 
-// TestDiskBytesPinned holds the three durable encodings to the bytes the
-// commit before the overlapped append wrote for the same input (sha256
-// recorded there, before the change): the log after three appends, the
-// snapshot file of the resulting state, and the classify cache's state.
-// What that commit wrote, this one opens, and the other way round.
+// TestDiskBytesPinned holds the three durable encodings to recorded
+// sha256s: the log after three appends, the snapshot file of the resulting
+// state, and the classify cache's state. The log and the snapshot's dataset
+// section are the bytes the commit before the overlapped append wrote. The
+// cache state, and with it the whole snapshot file, were re-recorded when
+// the cache section moved from rcc1 (deployments as record indexes) to
+// rcc2 (classify's decisions only).
 func TestDiskBytesPinned(t *testing.T) {
 	const (
 		wantLog   = "c15fc0741a15dc71f728122dff1ce06fadf485d547480d223afba521d8f3e14c"
-		wantSnap  = "4666ff3526085f8e514c23d0e3a219507454dace725e7438455fd658134bd4a0"
-		wantCache = "c8f9101b0d95be5f17ca412b19858893e5fe2028f4aa2e8608b0e0770fdc58b7"
+		wantSnap  = "f46b1288c663a519a149fc68f6a1b88ee3ba2b0747dcc7435eea0acfb0b0b107"
+		wantCache = "a77b4e4cfb9c7b0bdb20da8707eb8f1a6d27bd547e00e8c9ccb1340f29fbaa82"
+		// The snapshot file's dataset section alone, which a cache-format
+		// change leaves where it was.
+		wantSnapDataset = "6b68a815e1d97ce6251afeb59f4f59f2ff5686051afd65accfe5673d8d2a6912"
 	)
 	dir := t.TempDir()
 	// Three scans over two periods, with enough transients to give the cache
@@ -414,6 +421,9 @@ func TestDiskBytesPinned(t *testing.T) {
 	if got := sum(snap); got != wantSnap {
 		t.Errorf("%s (%d bytes) sha256 %s, want %s", snapName(rec.Dataset.Generation()), len(snap), got, wantSnap)
 	}
+	if got := sum(datasetSection(t, snap)); got != wantSnapDataset {
+		t.Errorf("dataset section sha256 %s, want %s", got, wantSnapDataset)
+	}
 	var cache bytes.Buffer
 	if err := rec.Cache.EncodeState(&cache); err != nil {
 		t.Fatal(err)
@@ -423,16 +433,35 @@ func TestDiskBytesPinned(t *testing.T) {
 	}
 }
 
+// datasetSection returns the dataset section of a snapshot file: the
+// EncodeSnapshot bytes, without the cache section after them.
+func datasetSection(t *testing.T, snap []byte) []byte {
+	t.Helper()
+	payload, err := segment.Unframe(snapMagic, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := wire.NewReader(payload)
+	ds := r.Section()
+	if r.Err() != nil {
+		t.Fatal(r.Err())
+	}
+	return ds
+}
+
 // TestSpilledDiskBytesPinned extends TestDiskBytesPinned to the out-of-core
 // formats: the sealed RDSG segment files of a zero-budget store and the
 // snapshot file whose dataset section is the rds2 (spilled-shard) encoding.
 // The sha256s were recorded before the storage codecs moved onto
-// internal/wire; a sibling fixture, not a new input, so the two tests move
-// together if a format ever changes on purpose.
+// internal/wire, the file's again when its (empty) cache section became
+// rcc2; a sibling fixture, not a new input, so the two tests move together
+// if a format ever changes on purpose.
 func TestSpilledDiskBytesPinned(t *testing.T) {
 	const (
 		wantSegs = "cfd017414e45aaf7fb712b016cf4ab6c5fde1d6fa734ec4a22545159a5c8dd7d"
-		wantSnap = "7037259c6a622cac4e62a456b1f6ae76d282fa5072bae7022260514f3575f3e5"
+		wantSnap = "a4d5c051903cb3bdc9c9d72b4b769a3128740467061db68b5d4236c1c2887d69"
+		// The rds2 dataset section alone (see TestDiskBytesPinned).
+		wantSnapDataset = "ab8d842be0b356362e4cc58689ee37513414aa34485ed67a39ce126673476e3b"
 	)
 	dir := t.TempDir()
 	segDir := filepath.Join(dir, "segments")
@@ -460,6 +489,9 @@ func TestSpilledDiskBytesPinned(t *testing.T) {
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(snap)); got != wantSnap {
 		t.Errorf("%s (%d bytes) sha256 %s, want %s", snapName(rec.Dataset.Generation()), len(snap), got, wantSnap)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(datasetSection(t, snap))); got != wantSnapDataset {
+		t.Errorf("dataset section sha256 %s, want %s", got, wantSnapDataset)
 	}
 	// Every segment file the run sealed, by name then bytes, in name order.
 	names, err := filepath.Glob(filepath.Join(segDir, "seg-*.bin"))

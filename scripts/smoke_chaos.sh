@@ -43,6 +43,7 @@ baseline="$workdir/run/baseline/report.json"
 for fam in retrodns_wal_appends_total retrodns_wal_records_total \
     retrodns_wal_bytes_total retrodns_wal_snapshots_total \
     retrodns_wal_recovered_generation retrodns_wal_append_seconds \
+    retrodns_wal_restore_seconds \
     retrodns_feed_rows_total retrodns_feed_batches_total; do
     grep -q "\"$fam\"" "$baseline" || {
         echo "smoke-chaos: baseline run report missing $fam" >&2

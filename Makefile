@@ -174,10 +174,11 @@ smoke-serve:
 smoke-scale:
 	./scripts/smoke_scale.sh
 
-# Durability smoke: the chaos harness kills, truncates, garbles, and
-# duplicates a live retrodnsd's WAL, then requires byte-identical
-# recovery, accounted fault counters, and a >=5x warm-restart speedup
-# over a 50k-domain corpus.
+# Durability smoke: the chaos harness kills or drains a live retrodnsd and
+# damages its data dir with each internal/faults row (kill, torn, garble,
+# duplicate, unrotated, stray-manifest, stray-garbage), or skews or tears
+# its feed, then requires byte-identical recovery, exactly accounted
+# fault counters, and a >=5x warm-restart speedup over a 50k-domain corpus.
 smoke-chaos:
 	./scripts/smoke_chaos.sh
 

@@ -1,9 +1,9 @@
 // Command chaos is the durability harness for retrodnsd: it generates a
 // deterministic scans.csv corpus, records an uninterrupted baseline run,
-// then drives fault campaigns — kill mid-ingest, truncate-mid-write,
-// garble-a-byte, duplicate-append, graceful-drain kill, clock-skewed rows,
-// torn CSV tail — against live daemons and asserts three invariants on
-// each recovery:
+// then drives the campaigns of its table against live daemons. A campaign
+// stops a daemon mid-ingest (SIGKILL or SIGTERM) and damages its data dir
+// with one internal/faults row, or damages the feed instead, then restarts
+// over the result and asserts three invariants on the recovery:
 //
 //  1. quarantine counters account for every injected fault, by reason;
 //  2. generations never mix — every response's generation header matches
@@ -12,8 +12,9 @@
 //  3. recovered state is byte-identical to the uninterrupted run — the
 //     canonical run report and every sampled /v1 document compare equal.
 //
-// Exit status is nonzero if any campaign fails; -report-json emits a
-// machine-readable verdict per campaign.
+// With -warm-domains, a last campaign gates warm-restart time on a larger
+// corpus. Exit status is nonzero if any campaign fails; -report-json emits
+// a machine-readable verdict per campaign.
 package main
 
 import (
@@ -27,11 +28,14 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
+	"retrodns/internal/faults"
+	"retrodns/internal/obsv"
 	"retrodns/internal/report"
 	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
@@ -60,10 +64,78 @@ type config struct {
 	verbose   bool
 }
 
+// campaign is one fault scenario. One with a stop signal runs a daemon
+// over the corpus, stops it once ingest has passed -kill-at-gen, and
+// damages its data dir with fault (nil: leaves it as the stop did); one
+// without damages the feed with feed instead. A fresh daemon then recovers
+// and must count exactly fault's WAL refusals, and the feed refusals fed
+// names.
+type campaign struct {
+	name  string
+	stop  syscall.Signal
+	fault *faults.Fault
+	feed  func(csv []byte) ([]byte, error)
+	fed   map[string]int64
+}
+
+// skewRows is how many corpus rows the skew campaign re-dates.
+const skewRows = 3
+
+var campaigns = []campaign{
+	{name: "kill", stop: syscall.SIGKILL, fault: row("kill")},
+	{name: "truncate", stop: syscall.SIGKILL, fault: row("torn")},
+	{name: "garble", stop: syscall.SIGKILL, fault: row("garble")},
+	{name: "duplicate", stop: syscall.SIGKILL, fault: row("duplicate")},
+	{name: "unrotated", stop: syscall.SIGKILL, fault: row("unrotated")},
+	{name: "stray-manifest", stop: syscall.SIGKILL, fault: row("stray-manifest")},
+	{name: "stray-garbage", stop: syscall.SIGKILL, fault: row("stray-garbage")},
+	// The graceful path: the drain leaves a whole, fsynced log.
+	{name: "drain", stop: syscall.SIGTERM},
+	{name: "skew", feed: skewFeed, fed: map[string]int64{wal.FeedClockSkew: skewRows}},
+	{name: "tail", feed: tornFeed, fed: map[string]int64{wal.FeedTruncatedTail: 1}},
+}
+
+// row is the faults row named name.
+func row(name string) *faults.Fault {
+	return &faults.Rows[slices.IndexFunc(faults.Rows, func(f faults.Fault) bool { return f.Name == name })]
+}
+
+// skewFeed appends copies of the first skewRows rows re-dated past the
+// study window: the gate must divert them (clock_skew) without disturbing
+// the dataset.
+func skewFeed(csv []byte) ([]byte, error) {
+	lines := strings.SplitN(string(csv), "\n", skewRows+2)
+	if len(lines) < skewRows+2 {
+		return nil, fmt.Errorf("corpus holds fewer than %d rows", skewRows)
+	}
+	future := (simtime.StudyEnd + 30).Time().Format("2006-01-02")
+	out := slices.Clip(csv)
+	for _, line := range lines[1 : 1+skewRows] { // skip the header
+		_, rest, _ := strings.Cut(line, ",")
+		out = fmt.Appendf(out, "%s,%s\n", future, rest)
+	}
+	return out, nil
+}
+
+// tornFeed ends the feed mid-record, as a writer that died between row
+// bytes leaves it: the torn line is truncated_tail, and everything before
+// it ingests normally.
+func tornFeed(csv []byte) ([]byte, error) {
+	return append(slices.Clip(csv), "2017-03-05,10.0.0.1,443,64512,GR,9"...), nil
+}
+
 type campaignResult struct {
 	Name    string   `json:"name"`
 	Pass    bool     `json:"pass"`
 	Details []string `json:"details,omitempty"`
+	// The warm-restart gate's two boots to final health, and their ratio.
+	ColdMS int64   `json:"cold_ms,omitempty"`
+	WarmMS int64   `json:"warm_ms,omitempty"`
+	Ratio  float64 `json:"ratio,omitempty"`
+}
+
+func (r *campaignResult) failf(format string, args ...any) {
+	r.Details = append(r.Details, fmt.Sprintf(format, args...))
 }
 
 type chaosReport struct {
@@ -71,6 +143,28 @@ type chaosReport struct {
 	FinalGen  uint64           `json:"final_generation"`
 	Campaigns []campaignResult `json:"campaigns"`
 	Pass      bool             `json:"pass"`
+	failed    int
+}
+
+// record drives one campaign, adds its verdict and prints it. drive's error
+// is one more failure.
+func (r *chaosReport) record(name string, drive func(*campaignResult) error) {
+	res := campaignResult{Name: name}
+	if err := drive(&res); err != nil {
+		res.failf("%v", err)
+	}
+	res.Pass = len(res.Details) == 0
+	r.Campaigns = append(r.Campaigns, res)
+	status := "PASS"
+	if !res.Pass {
+		status = "FAIL"
+		r.failed++
+	}
+	r.Pass = r.failed == 0
+	fmt.Fprintf(os.Stderr, "campaign %-14s %s\n", res.Name, status)
+	for _, d := range res.Details {
+		fmt.Fprintf(os.Stderr, "  - %s\n", d)
+	}
 }
 
 func run() error {
@@ -82,14 +176,12 @@ func run() error {
 	flag.Int64Var(&cfg.seed, "seed", 11, "synth seed")
 	flag.IntVar(&cfg.shards, "shards", 4, "dataset shards")
 	flag.DurationVar(&cfg.interval, "scan-interval", 150*time.Millisecond, "daemon pause between scans (the kill window)")
-	var killAt uint64
-	flag.Uint64Var(&killAt, "kill-at-gen", 3, "kill once healthz reports at least this generation")
+	flag.Uint64Var(&cfg.killAtGen, "kill-at-gen", 3, "kill once healthz reports at least this generation")
 	flag.IntVar(&cfg.warmDoms, "warm-domains", 0, "also run the warm-restart speedup gate over a corpus this large (0 = skip)")
 	flag.Float64Var(&cfg.warmRatio, "warm-speedup", 5.0, "minimum warm/cold time-to-healthy ratio for the speedup gate")
 	flag.BoolVar(&cfg.verbose, "v", false, "echo daemon stderr")
 	reportPath := flag.String("report-json", "", "write the chaos verdict here ('-' for stdout)")
 	flag.Parse()
-	cfg.killAtGen = killAt
 	if cfg.bin == "" {
 		return fmt.Errorf("-retrodnsd is required")
 	}
@@ -105,62 +197,24 @@ func run() error {
 	}
 
 	h := &harness{cfg: cfg}
-	if err := h.writeCorpus(); err != nil {
+	g := synth.New(synth.Config{Domains: cfg.domains, Seed: cfg.seed, Scans: cfg.scans})
+	var err error
+	if h.corpus, err = writeCorpus(filepath.Join(cfg.workdir, "scans.csv"), g); err != nil {
 		return err
 	}
+	// The /v1 documents sampled for byte comparison, one domain among them.
+	h.paths = []string{"/v1/funnel", "/v1/shortlist", "/v1/patterns/T1", "/v1/patterns/stable",
+		"/v1/domain/" + string(g.Scan(g.ScanDates()[0])[0].Cert.SANs[0])}
 	if err := h.baseline(); err != nil {
 		return fmt.Errorf("baseline: %w", err)
 	}
 
-	campaigns := []struct {
-		name string
-		run  func(*campaign) error
-	}{
-		{"kill", h.campaignKill},
-		{"truncate", h.campaignTruncate},
-		{"garble", h.campaignGarble},
-		{"duplicate", h.campaignDuplicate},
-		{"drain", h.campaignDrain},
-		{"skew", h.campaignSkew},
-		{"tail", h.campaignTail},
-	}
-	out := chaosReport{Schema: "retrodns/chaos-report/v1", FinalGen: h.finalGen, Pass: true}
+	out := chaosReport{Schema: "retrodns/chaos-report/v1", FinalGen: h.corpus.finalGen}
 	for _, c := range campaigns {
-		cam := &campaign{h: h, name: c.name, dir: filepath.Join(cfg.workdir, c.name)}
-		err := c.run(cam)
-		if err != nil {
-			cam.failf("%v", err)
-		}
-		res := campaignResult{Name: c.name, Pass: len(cam.failures) == 0, Details: cam.failures}
-		out.Campaigns = append(out.Campaigns, res)
-		status := "PASS"
-		if !res.Pass {
-			status = "FAIL"
-			out.Pass = false
-		}
-		fmt.Fprintf(os.Stderr, "campaign %-10s %s\n", c.name, status)
-		for _, d := range cam.failures {
-			fmt.Fprintf(os.Stderr, "  - %s\n", d)
-		}
+		out.record(c.name, func(res *campaignResult) error { return h.run(c, res) })
 	}
 	if cfg.warmDoms > 0 {
-		cam := &campaign{h: h, name: "warmspeed", dir: filepath.Join(cfg.workdir, "warmspeed")}
-		if err := h.campaignWarmSpeed(cam); err != nil {
-			cam.failf("%v", err)
-		}
-		res := campaignResult{Name: "warmspeed", Pass: len(cam.failures) == 0, Details: cam.failures}
-		out.Campaigns = append(out.Campaigns, res)
-		if !res.Pass {
-			out.Pass = false
-		}
-		status := "PASS"
-		if !res.Pass {
-			status = "FAIL"
-		}
-		fmt.Fprintf(os.Stderr, "campaign %-10s %s\n", "warmspeed", status)
-		for _, d := range cam.failures {
-			fmt.Fprintf(os.Stderr, "  - %s\n", d)
-		}
+		out.record("warmspeed", h.warmSpeed)
 	}
 
 	if *reportPath != "" {
@@ -169,20 +223,10 @@ func run() error {
 		}
 	}
 	if !out.Pass {
-		return fmt.Errorf("%d campaign(s) failed", countFailed(out.Campaigns))
+		return fmt.Errorf("%d campaign(s) failed", out.failed)
 	}
 	fmt.Fprintln(os.Stderr, "all campaigns passed")
 	return nil
-}
-
-func countFailed(cs []campaignResult) int {
-	n := 0
-	for _, c := range cs {
-		if !c.Pass {
-			n++
-		}
-	}
-	return n
 }
 
 func writeJSON(path string, v any) error {
@@ -198,57 +242,52 @@ func writeJSON(path string, v any) error {
 	return os.WriteFile(path, data, 0o644)
 }
 
-// docPaths are the /v1 documents sampled for byte comparison. The domain
-// endpoint is filled in once the corpus names are known.
-var docPaths = []string{"/v1/funnel", "/v1/shortlist", "/v1/patterns/T1", "/v1/patterns/stable"}
+// corpus is a scans.csv on disk and the health a daemon reports once it
+// has ingested all of it.
+type corpus struct {
+	path     string
+	finalGen uint64
+	lastScan string
+}
+
+// writeCorpus renders g's corpus to path.
+func writeCorpus(path string, g *synth.Generator) (corpus, error) {
+	f, err := os.Create(path)
+	if err != nil {
+		return corpus{}, err
+	}
+	w := bufio.NewWriter(f)
+	_, err = g.WriteCSV(w)
+	if err == nil {
+		err = w.Flush()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	dates := g.ScanDates()
+	// The first Append freezes generation 1 and publishes 2.
+	return corpus{path, uint64(len(dates)) + 1, dates[len(dates)-1].String()}, err
+}
+
+func (c corpus) await(d *daemon, timeout time.Duration) error {
+	return d.pollHealth(timeout, func(hd healthDoc) bool {
+		return hd.Generation == c.finalGen && hd.LastScan == c.lastScan
+	})
+}
 
 type harness struct {
 	cfg config
 
-	csvPath   string
-	domain    string // a corpus domain for /v1/domain sampling
-	finalGen  uint64
-	lastScan  string
+	corpus    corpus
+	paths     []string          // the /v1 documents sampled
 	canonical []byte            // canonical baseline run report encoding
 	docs      map[string][]byte // baseline /v1 documents
 }
 
-// writeCorpus renders the synth corpus to scans.csv once; campaigns that
-// need a damaged feed copy and mutate it.
-func (h *harness) writeCorpus() error {
-	h.csvPath = filepath.Join(h.cfg.workdir, "scans.csv")
-	g := synth.New(synth.Config{Domains: h.cfg.domains, Seed: h.cfg.seed, Scans: h.cfg.scans})
-	f, err := os.Create(h.csvPath)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	fmt.Fprintln(w, strings.Join(scanner.ScanCSVHeader, ","))
-	dates := g.ScanDates()
-	for _, date := range dates {
-		g.EmitScan(date, func(r *scanner.Record) {
-			if h.domain == "" && len(r.Cert.SANs) > 0 {
-				h.domain = string(r.Cert.SANs[0])
-			}
-			fmt.Fprintln(w, strings.Join(scanner.FormatScanRow(r), ","))
-		})
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	h.finalGen = uint64(len(dates)) + 1 // first Append freezes gen 1, publishes 2
-	h.lastScan = dates[len(dates)-1].String()
-	return nil
-}
-
-func (h *harness) daemonArgs(dir, reportJSON string, extra ...string) []string {
+func (h *harness) daemonArgs(feed, dataDir, reportJSON string, extra ...string) []string {
 	args := []string{
-		"-scans-csv", h.csvPath,
-		"-data-dir", dir,
+		"-scans-csv", feed,
+		"-data-dir", dataDir,
 		"-shards", fmt.Sprint(h.cfg.shards),
 		"-report-json", reportJSON,
 	}
@@ -260,17 +299,17 @@ func (h *harness) daemonArgs(dir, reportJSON string, extra ...string) []string {
 func (h *harness) baseline() error {
 	dir := filepath.Join(h.cfg.workdir, "baseline")
 	rp := filepath.Join(dir, "report.json")
-	d, err := h.start(h.daemonArgs(filepath.Join(dir, "data"), rp,
+	d, err := h.start(h.daemonArgs(h.corpus.path, filepath.Join(dir, "data"), rp,
 		"-scan-interval", h.cfg.interval.String(), "-snapshot-every", "2"))
 	if err != nil {
 		return err
 	}
-	if err := h.awaitFinal(d); err != nil {
+	if err := h.corpus.await(d, 60*time.Second); err != nil {
 		d.kill()
 		return err
 	}
 	h.docs = make(map[string][]byte)
-	for _, p := range h.docPathsAll() {
+	for _, p := range h.paths {
 		body, _, err := h.fetch(d, p)
 		if err != nil {
 			d.kill()
@@ -281,419 +320,208 @@ func (h *harness) baseline() error {
 	if err := d.stopGracefully(); err != nil {
 		return err
 	}
-	doc, err := readRunReport(rp)
-	if err != nil {
-		return err
-	}
-	h.canonical, err = canonicalBytes(doc)
+	_, h.canonical, err = readRunReport(rp)
 	return err
 }
 
-func (h *harness) docPathsAll() []string {
-	return append(append([]string(nil), docPaths...), "/v1/domain/"+h.domain)
-}
-
-func (h *harness) awaitFinal(d *daemon) error {
-	return d.pollHealth(60*time.Second, func(hd healthDoc) bool {
-		return hd.Generation == h.finalGen && hd.LastScan == h.lastScan
-	})
-}
-
-func readRunReport(path string) (*report.RunReport, error) {
+// readRunReport reads the run report at path, and its canonical encoding.
+func readRunReport(path string) (*report.RunReport, []byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	return report.ReadRunReport(f)
-}
-
-func canonicalBytes(doc *report.RunReport) ([]byte, error) {
+	doc, err := report.ReadRunReport(f)
+	if err != nil {
+		return nil, nil, err
+	}
 	var buf bytes.Buffer
-	if err := doc.Canonical().Encode(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	err = doc.Canonical().Encode(&buf)
+	return doc, buf.Bytes(), err
 }
 
-// metricValue sums report metric samples matching name (and, when set,
-// one label pair).
-func metricValue(doc *report.RunReport, name, labelKey, labelVal string) int64 {
-	var sum int64
-	for _, s := range doc.Metrics {
-		if s.Name != name {
-			continue
+// quarantined is the nonzero samples of family in metrics, by reason.
+func quarantined(metrics []obsv.Sample, family string) map[string]int64 {
+	out := map[string]int64{}
+	for _, s := range metrics {
+		if s.Name == family && s.Value != 0 {
+			out[s.Labels["reason"]] += s.Value
 		}
-		if labelKey != "" && s.Labels[labelKey] != labelVal {
-			continue
-		}
-		sum += s.Value
 	}
-	return sum
+	return out
 }
 
-// campaign tracks one fault scenario's working state and failures.
-type campaign struct {
-	h        *harness
-	name     string
-	dir      string
-	failures []string
-}
-
-func (c *campaign) failf(format string, args ...any) {
-	c.failures = append(c.failures, fmt.Sprintf(format, args...))
-}
-
-func (c *campaign) dataDir() string { return filepath.Join(c.dir, "data") }
-func (c *campaign) walPath() string { return filepath.Join(c.dataDir(), "wal.log") }
-
-// runToKill starts a daemon over the corpus and SIGKILLs it once ingest
-// has passed kill-at-gen. snapshotEvery is set high so the whole log
-// survives for fault injection.
-func (c *campaign) runToKill(snapshotEvery int) error {
-	d, err := c.h.start(c.h.daemonArgs(c.dataDir(), filepath.Join(c.dir, "phase1.json"),
-		"-scan-interval", c.h.cfg.interval.String(),
-		"-snapshot-every", fmt.Sprint(snapshotEvery)))
+// run drives campaign c: the fault, the recovery, and the three
+// invariants.
+func (h *harness) run(c campaign, res *campaignResult) error {
+	dir := filepath.Join(h.cfg.workdir, c.name)
+	opts := wal.Options{Dir: filepath.Join(dir, "data"), Shards: h.cfg.shards}
+	var spill []string
+	if c.fault != nil && c.fault.Spill {
+		opts.Spill = &scanner.SpillOptions{Dir: filepath.Join(opts.Dir, "segments")}
+		spill = []string{"-spill-dir", opts.Spill.Dir, "-mem-budget-mb", "0"}
+	}
+	feed, frames, err := h.inject(c, dir, opts, spill)
 	if err != nil {
 		return err
 	}
-	if err := d.pollHealth(30*time.Second, func(hd healthDoc) bool {
-		return hd.Generation >= c.h.cfg.killAtGen
-	}); err != nil {
-		d.kill()
+	doc, err := h.recoverAndVerify(res, dir, feed, opts.Dir, spill)
+	if err != nil {
 		return err
 	}
-	d.kill()
+	// Recovery is warm unless the damage took the only frame the log held.
+	// (Whether it starts from a snapshot is the restart table's check: a
+	// SIGKILL may land before the first one is written.)
+	warm := c.fault == nil || !c.fault.LostTail || frames > 1
+	if c.stop != 0 && (doc.WAL == nil || doc.WAL.Warm != warm) {
+		res.failf("recovery: %+v, want warm=%v", doc.WAL, warm)
+	}
+	want := map[string]int64{}
+	if c.fault != nil {
+		want = c.fault.Want(frames)
+	}
+	got := quarantined(doc.Metrics, wal.MetricWALQuarantined)
+	if c.stop == syscall.SIGKILL {
+		// A SIGKILL lands anywhere: it may tear the frame it interrupted, or,
+		// where the daemon snapshotted, fall between a snapshot's rename and
+		// the log's rotation (the unrotated row). Each adds its own count.
+		if got[wal.FaultTornTail] == want[wal.FaultTornTail]+1 {
+			want[wal.FaultTornTail]++
+		}
+		if c.fault != nil && c.fault.Snapshots && frames > 0 && got[wal.FaultDupGeneration] == want[wal.FaultDupGeneration]+int64(frames) {
+			want[wal.FaultDupGeneration] += int64(frames)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		res.failf("wal quarantine %v, want %v", got, want)
+	}
+	fed := quarantined(doc.Metrics, wal.MetricFeedQuarantined)
+	for reason, n := range c.fed {
+		if fed[reason] != n {
+			res.failf("feed %s = %d, want %d", reason, fed[reason], n)
+		}
+	}
 	return nil
 }
 
-// recoverAndVerify restarts the daemon over the (possibly damaged) data
-// dir, waits for convergence, and runs the three shared assertions. The
-// returned report lets callers assert campaign-specific counters.
-func (c *campaign) recoverAndVerify(csvPath string) *report.RunReport {
-	rp := filepath.Join(c.dir, "report.json")
-	args := []string{
-		"-scans-csv", csvPath,
-		"-data-dir", c.dataDir(),
-		"-shards", fmt.Sprint(c.h.cfg.shards),
-		"-report-json", rp,
-		"-snapshot-every", "2",
+// inject does c's damage under dir: it damages the feed, or runs a daemon
+// over the corpus, stops it past -kill-at-gen and damages its data dir. It
+// returns the feed to recover from and the whole frames the log held before
+// the damage.
+func (h *harness) inject(c campaign, dir string, opts wal.Options, spill []string) (string, int, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", 0, err
 	}
-	d, err := c.h.start(args)
-	if err != nil {
-		c.failf("restart: %v", err)
-		return nil
-	}
-	if err := c.h.awaitFinal(d); err != nil {
-		d.kill()
-		c.failf("recovered daemon never converged: %v (log tail: %s)", err, d.logTail())
-		return nil
-	}
-	// Invariant 2: generations never mix. Every sampled document carries a
-	// generation header equal to its body's generation, all at finalGen.
-	for _, p := range c.h.docPathsAll() {
-		body, gen, err := c.h.fetch(d, p)
+	if c.feed != nil {
+		data, err := os.ReadFile(h.corpus.path)
+		if err == nil {
+			data, err = c.feed(data)
+		}
 		if err != nil {
-			c.failf("%s: %v", p, err)
-			continue
+			return "", 0, err
 		}
-		if gen != fmt.Sprint(c.h.finalGen) {
-			c.failf("%s: generation header %q, want %d", p, gen, c.h.finalGen)
-		}
-		if !bytes.Contains(body, []byte(fmt.Sprintf(`"generation": %d`, c.h.finalGen))) {
-			c.failf("%s: body generation differs from header %d", p, c.h.finalGen)
-		}
-		// Invariant 3a: documents byte-identical to the baseline's.
-		if want := c.h.docs[p]; !bytes.Equal(body, want) {
-			c.failf("%s: response differs from baseline", p)
-		}
+		feed := filepath.Join(dir, "scans-"+c.name+".csv")
+		return feed, 0, os.WriteFile(feed, data, 0o644)
 	}
-	if err := d.stopGracefully(); err != nil {
-		c.failf("graceful stop: %v", err)
-		return nil
+	every := "1000" // never, so the damage hits live frames
+	if c.fault != nil && c.fault.Snapshots {
+		every = "2"
 	}
-	doc, err := readRunReport(rp)
+	d, err := h.start(h.daemonArgs(h.corpus.path, opts.Dir, filepath.Join(dir, "phase1.json"),
+		append([]string{"-scan-interval", h.cfg.interval.String(), "-snapshot-every", every}, spill...)...))
 	if err != nil {
-		c.failf("report: %v", err)
-		return nil
-	}
-	// Invariant 3b: the canonical run report is byte-identical to the
-	// uninterrupted baseline's.
-	got, err := canonicalBytes(doc)
-	if err != nil {
-		c.failf("canonicalize: %v", err)
-		return doc
-	}
-	if !bytes.Equal(got, c.h.canonical) {
-		c.failf("canonical run report differs from baseline (%d vs %d bytes)", len(got), len(c.h.canonical))
-	}
-	return doc
-}
-
-func (c *campaign) requireFault(doc *report.RunReport, reason string, want int64) {
-	if doc == nil {
-		return
-	}
-	if got := metricValue(doc, wal.MetricWALQuarantined, "reason", reason); got != want {
-		c.failf("wal quarantine %s = %d, want %d", reason, got, want)
-	}
-}
-
-// campaignKill: SIGKILL mid-ingest, no further damage. Recovery replays
-// the WAL; whatever the kill tore (at most one tail frame) is quarantined.
-func (h *harness) campaignKill(c *campaign) error {
-	if err := c.runToKill(2); err != nil {
-		return err
-	}
-	doc := c.recoverAndVerify(h.csvPath)
-	if doc == nil {
-		return nil
-	}
-	if doc.WAL == nil || !doc.WAL.Warm {
-		c.failf("recovery was not warm: %+v", doc.WAL)
-	}
-	if torn := metricValue(doc, wal.MetricWALQuarantined, "reason", wal.FaultTornTail); torn > 1 {
-		c.failf("kill produced %d torn tails, want at most 1", torn)
-	}
-	return nil
-}
-
-// campaignTruncate: kill, then shear 7 bytes off the WAL — the shape of a
-// crash mid-write. Exactly one torn_tail must be quarantined.
-func (h *harness) campaignTruncate(c *campaign) error {
-	if err := c.runToKill(1000); err != nil {
-		return err
-	}
-	fi, err := os.Stat(c.walPath())
-	if err != nil {
-		return err
-	}
-	if fi.Size() < 8 {
-		return fmt.Errorf("wal too small to truncate (%d bytes)", fi.Size())
-	}
-	if err := os.Truncate(c.walPath(), fi.Size()-7); err != nil {
-		return err
-	}
-	doc := c.recoverAndVerify(h.csvPath)
-	c.requireFault(doc, wal.FaultTornTail, 1)
-	return nil
-}
-
-// campaignGarble: kill, then flip one byte inside the last frame's body.
-// The CRC catches it: exactly one crc_mismatch, and the damaged frame's
-// batch is re-ingested from the feed.
-func (h *harness) campaignGarble(c *campaign) error {
-	if err := c.runToKill(1000); err != nil {
-		return err
-	}
-	data, err := os.ReadFile(c.walPath())
-	if err != nil {
-		return err
-	}
-	if len(data) < 16 {
-		return fmt.Errorf("wal too small to garble (%d bytes)", len(data))
-	}
-	data[len(data)-10] ^= 0x41
-	if err := os.WriteFile(c.walPath(), data, 0o644); err != nil {
-		return err
-	}
-	doc := c.recoverAndVerify(h.csvPath)
-	c.requireFault(doc, wal.FaultCRCMismatch, 1)
-	return nil
-}
-
-// campaignDuplicate: kill, then append the whole log to itself — stale
-// generations must all be skipped, one duplicate_generation count each.
-func (h *harness) campaignDuplicate(c *campaign) error {
-	if err := c.runToKill(1000); err != nil {
-		return err
-	}
-	data, err := os.ReadFile(c.walPath())
-	if err != nil {
-		return err
-	}
-	frames := 0
-	if _, err := wal.Replay(data, func(uint64, simtime.Date, []*scanner.Record) error {
-		frames++
-		return nil
-	}); err != nil {
-		// A torn tail from the kill itself is fine; only complete frames
-		// duplicate.
-		fmt.Fprintf(os.Stderr, "  (duplicate: log tail already damaged: %v)\n", err)
-	}
-	if frames == 0 {
-		return fmt.Errorf("no complete frames to duplicate")
-	}
-	f, err := os.OpenFile(c.walPath(), os.O_WRONLY|os.O_APPEND, 0)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	doc := c.recoverAndVerify(h.csvPath)
-	if doc == nil {
-		return nil
-	}
-	if got := metricValue(doc, wal.MetricWALQuarantined, "reason", wal.FaultDupGeneration); got < int64(frames) {
-		c.failf("duplicate_generation = %d, want >= %d (one per duplicated frame)", got, frames)
-	}
-	return nil
-}
-
-// campaignDrain: SIGTERM mid-ingest — the graceful path. The drain must
-// leave a whole, fsynced WAL so the restart recovers with zero
-// damage-class faults.
-func (h *harness) campaignDrain(c *campaign) error {
-	d, err := h.start(h.daemonArgs(c.dataDir(), filepath.Join(c.dir, "phase1.json"),
-		"-scan-interval", h.cfg.interval.String(), "-snapshot-every", "1000"))
-	if err != nil {
-		return err
+		return "", 0, err
 	}
 	if err := d.pollHealth(30*time.Second, func(hd healthDoc) bool {
 		return hd.Generation >= h.cfg.killAtGen
 	}); err != nil {
 		d.kill()
-		return err
+		return "", 0, err
+	}
+	if c.stop == syscall.SIGKILL {
+		d.kill()
+	} else if err := d.stopGracefully(); err != nil {
+		return "", 0, fmt.Errorf("drain: %w", err)
+	}
+	if c.fault == nil {
+		return h.corpus.path, 0, nil
+	}
+	frames, err := faults.Frames(opts.Dir)
+	if err != nil {
+		return "", 0, err
+	}
+	return h.corpus.path, frames, c.fault.Damage(opts)
+}
+
+// recoverAndVerify restarts the daemon on feed over the (possibly damaged)
+// data dir, waits for convergence, and checks invariants 2 and 3. It
+// returns the daemon's run report for the campaign's counts.
+func (h *harness) recoverAndVerify(res *campaignResult, dir, feed, dataDir string, spill []string) (*report.RunReport, error) {
+	rp := filepath.Join(dir, "report.json")
+	d, err := h.start(h.daemonArgs(feed, dataDir, rp, append([]string{"-snapshot-every", "2"}, spill...)...))
+	if err != nil {
+		return nil, fmt.Errorf("restart: %w", err)
+	}
+	if err := h.corpus.await(d, 60*time.Second); err != nil {
+		d.kill()
+		return nil, fmt.Errorf("recovered daemon never converged: %w (log tail: %s)", err, d.logTail())
+	}
+	// Invariant 2: generations never mix. Every sampled document carries a
+	// generation header equal to its body's generation, all at finalGen.
+	final := h.corpus.finalGen
+	for _, p := range h.paths {
+		body, gen, err := h.fetch(d, p)
+		if err != nil {
+			res.failf("%s: %v", p, err)
+			continue
+		}
+		if gen != fmt.Sprint(final) {
+			res.failf("%s: generation header %q, want %d", p, gen, final)
+		}
+		if !bytes.Contains(body, []byte(fmt.Sprintf(`"generation": %d`, final))) {
+			res.failf("%s: body generation differs from header %d", p, final)
+		}
+		// Invariant 3a: documents byte-identical to the baseline's.
+		if want := h.docs[p]; !bytes.Equal(body, want) {
+			res.failf("%s: response differs from baseline", p)
+		}
 	}
 	if err := d.stopGracefully(); err != nil {
-		return fmt.Errorf("drain: %w", err)
+		return nil, fmt.Errorf("graceful stop: %w", err)
 	}
-	doc := c.recoverAndVerify(h.csvPath)
-	if doc == nil {
-		return nil
-	}
-	if doc.WAL == nil || !doc.WAL.Warm {
-		c.failf("drain recovery was not warm: %+v", doc.WAL)
-	}
-	for _, reason := range []string{wal.FaultTornTail, wal.FaultCRCMismatch, wal.FaultBadFrame, wal.FaultOutOfOrder} {
-		c.requireFault(doc, reason, 0)
-	}
-	return nil
-}
-
-// campaignSkew: the feed carries rows dated outside the study window. The
-// gate must divert them (clock_skew) without disturbing the dataset.
-func (h *harness) campaignSkew(c *campaign) error {
-	skewed, n, err := h.corpusWithSkewedRows(c.dir)
+	doc, got, err := readRunReport(rp)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("report: %w", err)
 	}
-	doc := c.recoverAndVerify(skewed)
-	if doc == nil {
-		return nil
+	// Invariant 3b: the canonical run report is byte-identical to the
+	// uninterrupted baseline's.
+	if !bytes.Equal(got, h.canonical) {
+		res.failf("canonical run report differs from baseline (%d vs %d bytes)", len(got), len(h.canonical))
 	}
-	if got := metricValue(doc, wal.MetricFeedQuarantined, "reason", wal.FeedClockSkew); got != int64(n) {
-		c.failf("feed clock_skew = %d, want %d", got, n)
-	}
-	return nil
+	return doc, nil
 }
 
-// corpusWithSkewedRows copies the corpus and appends rows re-dated past
-// the study window. Returns the copy's path and the number of rows added.
-func (h *harness) corpusWithSkewedRows(dir string) (string, int, error) {
+// warmSpeed: over a large corpus, a warm restart must reach the final
+// generation at least warm-speedup times faster than the cold boot that
+// built it, and the warm run must not recompute a single cell.
+func (h *harness) warmSpeed(res *campaignResult) error {
+	dir := filepath.Join(h.cfg.workdir, "warmspeed")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", 0, err
-	}
-	data, err := os.ReadFile(h.csvPath)
-	if err != nil {
-		return "", 0, err
-	}
-	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
-	const n = 3
-	if len(lines) < n+1 {
-		return "", 0, fmt.Errorf("corpus too small")
-	}
-	future := (simtime.StudyEnd + 30).Time().Format("2006-01-02")
-	var extra strings.Builder
-	for _, line := range lines[1 : 1+n] { // skip header
-		_, rest, _ := strings.Cut(line, ",")
-		fmt.Fprintf(&extra, "%s,%s\n", future, rest)
-	}
-	out := filepath.Join(dir, "scans-skew.csv")
-	return out, n, os.WriteFile(out, append(data, extra.String()...), 0o644)
-}
-
-// campaignTail: the feed ends mid-record — a writer died between row
-// bytes. The torn line is quarantined as truncated_tail; everything
-// before it ingests normally.
-func (h *harness) campaignTail(c *campaign) error {
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
 		return err
 	}
-	data, err := os.ReadFile(h.csvPath)
+	big, err := writeCorpus(filepath.Join(dir, "scans-big.csv"),
+		synth.New(synth.Config{Domains: h.cfg.warmDoms, Seed: h.cfg.seed, Scans: h.cfg.scans}))
 	if err != nil {
 		return err
 	}
-	torn := filepath.Join(c.dir, "scans-torn.csv")
-	partial := append(data, []byte("2017-03-05,10.0.0.1,443,64512,GR,9")...)
-	if err := os.WriteFile(torn, partial, 0o644); err != nil {
-		return err
-	}
-	doc := c.recoverAndVerify(torn)
-	if doc == nil {
-		return nil
-	}
-	if got := metricValue(doc, wal.MetricFeedQuarantined, "reason", wal.FeedTruncatedTail); got != 1 {
-		c.failf("feed truncated_tail = %d, want 1", got)
-	}
-	return nil
-}
-
-// campaignWarmSpeed: over a large corpus, a warm restart must reach the
-// final generation at least warm-speedup times faster than the cold boot
-// that built it, and the warm run must not recompute a single cell.
-func (h *harness) campaignWarmSpeed(c *campaign) error {
-	big := filepath.Join(c.dir, "scans-big.csv")
-	if err := os.MkdirAll(c.dir, 0o755); err != nil {
-		return err
-	}
-	g := synth.New(synth.Config{Domains: h.cfg.warmDoms, Seed: h.cfg.seed, Scans: h.cfg.scans})
-	f, err := os.Create(big)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	fmt.Fprintln(w, strings.Join(scanner.ScanCSVHeader, ","))
-	dates := g.ScanDates()
-	for _, date := range dates {
-		g.EmitScan(date, func(r *scanner.Record) {
-			fmt.Fprintln(w, strings.Join(scanner.FormatScanRow(r), ","))
-		})
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	finalGen := uint64(len(dates)) + 1
-	lastScan := dates[len(dates)-1].String()
-	await := func(d *daemon) error {
-		return d.pollHealth(10*time.Minute, func(hd healthDoc) bool {
-			return hd.Generation == finalGen && hd.LastScan == lastScan
-		})
-	}
-
-	run := func(phase string) (time.Duration, *report.RunReport, error) {
-		rp := filepath.Join(c.dir, phase+".json")
+	boot := func(phase string) (time.Duration, *report.RunReport, error) {
+		rp := filepath.Join(dir, phase+".json")
 		start := time.Now()
-		d, err := h.start([]string{
-			"-scans-csv", big,
-			"-data-dir", c.dataDir(),
-			"-shards", fmt.Sprint(h.cfg.shards),
-			"-report-json", rp,
-			"-snapshot-every", "1",
-		})
+		d, err := h.start(h.daemonArgs(big.path, filepath.Join(dir, "data"), rp, "-snapshot-every", "1"))
 		if err != nil {
 			return 0, nil, err
 		}
-		if err := await(d); err != nil {
+		if err := big.await(d, 10*time.Minute); err != nil {
 			d.kill()
 			return 0, nil, fmt.Errorf("%s boot never converged: %v", phase, err)
 		}
@@ -701,30 +529,31 @@ func (h *harness) campaignWarmSpeed(c *campaign) error {
 		if err := d.stopGracefully(); err != nil {
 			return 0, nil, err
 		}
-		doc, err := readRunReport(rp)
+		doc, _, err := readRunReport(rp)
 		return elapsed, doc, err
 	}
 
-	cold, _, err := run("cold")
+	cold, _, err := boot("cold")
 	if err != nil {
 		return err
 	}
-	warm, warmDoc, err := run("warm")
+	warm, warmDoc, err := boot("warm")
 	if err != nil {
 		return err
 	}
-	ratio := float64(cold) / float64(warm)
+	res.ColdMS, res.WarmMS = cold.Milliseconds(), warm.Milliseconds()
+	res.Ratio = float64(cold) / float64(warm)
 	fmt.Fprintf(os.Stderr, "  warmspeed: cold=%v warm=%v ratio=%.1fx (gate %.1fx)\n",
-		cold.Round(time.Millisecond), warm.Round(time.Millisecond), ratio, h.cfg.warmRatio)
-	if ratio < h.cfg.warmRatio {
-		c.failf("warm restart only %.1fx faster than cold boot (want >= %.1fx): cold=%v warm=%v",
-			ratio, h.cfg.warmRatio, cold, warm)
+		cold.Round(time.Millisecond), warm.Round(time.Millisecond), res.Ratio, h.cfg.warmRatio)
+	if res.Ratio < h.cfg.warmRatio {
+		res.failf("warm restart only %.1fx faster than cold boot (want >= %.1fx): cold=%v warm=%v",
+			res.Ratio, h.cfg.warmRatio, cold, warm)
 	}
 	if warmDoc.WAL == nil || !warmDoc.WAL.Warm {
-		c.failf("second boot was not warm: %+v", warmDoc.WAL)
+		res.failf("second boot was not warm: %+v", warmDoc.WAL)
 	}
 	if warmDoc.Cache.Misses != 0 {
-		c.failf("warm boot recomputed %d cells, want 0", warmDoc.Cache.Misses)
+		res.failf("warm boot recomputed %d cells, want 0", warmDoc.Cache.Misses)
 	}
 	return nil
 }

@@ -145,21 +145,8 @@ func writeSynth(out string, cfg synth.Config) {
 	}
 	defer f.Close()
 	bw := bufio.NewWriterSize(f, 1<<20)
-	cw := csv.NewWriter(bw)
-	if err := cw.Write(scanner.ScanCSVHeader); err != nil {
-		fatal(err)
-	}
-	rows := 0
-	for _, date := range dates {
-		g.EmitScan(date, func(r *scanner.Record) {
-			rows++
-			if err := cw.Write(scanner.FormatScanRow(r)); err != nil {
-				fatal(err)
-			}
-		})
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
+	rows, err := g.WriteCSV(bw)
+	if err != nil {
 		fatal(err)
 	}
 	if err := bw.Flush(); err != nil {

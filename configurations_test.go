@@ -17,6 +17,7 @@ import (
 
 	"retrodns/internal/core"
 	"retrodns/internal/dnscore"
+	"retrodns/internal/faults"
 	"retrodns/internal/obsv"
 	"retrodns/internal/pdns"
 	"retrodns/internal/report"
@@ -512,65 +513,37 @@ func firstDiff(got, want string) string {
 	return fmt.Sprintf("line %d\n got %.400s\nwant %.400s", i+1, at(g), at(w))
 }
 
-// walFault is one WAL fault class: the damage a restart row does to a
-// killed daemon's data dir, and what recovery must make of it. snapshots:
-// the daemon snapshotted every killAt scans (else never, so the damage hits
-// live frames); spill: it had a spill dir. Recovery counts counted once,
-// or once per killed append if it is duplicate_generation; it lands ahead
-// generations past the kill, or before it if lostTail.
+// walFault is one WAL fault class of the restart rows: a data-dir row of
+// internal/faults, or a staged row, whose damage needs a donor frame and is
+// stage's bytes appended to the killed daemon's log. Recovery lands ahead
+// generations past the kill, or before it if the row lost the log's tail.
 type walFault struct {
-	name                                     string
-	snapshots, spill, lostTail, fromSnapshot bool
-	counted                                  string
-	ahead                                    uint64
-	damage                                   func(k *killed)
+	faults.Fault
+	ahead uint64
+	stage func(t *testing.T, cfg config, feed []byte) []byte
 }
 
-// killed is a killed daemon's data dir and the WAL a fresh one will find.
-type killed struct {
-	t    *testing.T
-	cfg  config
-	feed []byte
-	opts wal.Options
-	log  []byte
-}
-
-var walFaults = []walFault{
-	{name: "kill", snapshots: true, damage: func(*killed) {}},
-	{name: "torn", counted: wal.FaultTornTail, lostTail: true, damage: func(k *killed) { k.log = k.log[:len(k.log)-7] }},
-	{name: "garble", counted: wal.FaultCRCMismatch, lostTail: true, damage: func(k *killed) { k.log[len(k.log)-10] ^= 0x41 }},
-	// One frame per append survived in the log.
-	{name: "duplicate", counted: wal.FaultDupGeneration, damage: func(k *killed) { k.log = append(k.log, k.log...) }},
-	// The crash window inside Store.Snapshot: the snapshot file is durable,
-	// the log it covers not yet truncated.
-	{name: "unrotated", counted: wal.FaultDupGeneration, fromSnapshot: true, damage: func(k *killed) {
-		store, _, err := wal.Open(k.opts)
-		must(k.t, err)
-		must(k.t, errors.Join(store.Snapshot(), store.Close()))
-	}},
-	// Killed inside the next append's barrier: the frame was on disk, whole
-	// or half, and the batch staged; no reader saw it. Recovery may apply
-	// the whole frame — it was durable — and must drop the half; the feed
-	// converges either way.
-	{name: "staged", snapshots: true, ahead: 1, fromSnapshot: true, damage: func(k *killed) { k.log = append(k.log, stagedFrame(k)...) }},
-	{name: "staged-torn", snapshots: true, counted: wal.FaultTornTail, fromSnapshot: true, damage: func(k *killed) {
-		frame := stagedFrame(k)
-		k.log = append(k.log, frame[:len(frame)/2]...)
-	}},
-	// Not a snapshot, not a segment, not the log: ignored, whether it parses
-	// (and names a snapshot that never existed) or not.
-	{name: "stray-manifest", snapshots: true, spill: true, fromSnapshot: true, damage: func(k *killed) {
-		k.stray(`{"schema":"retrodns/wal-manifest/v1","snapshot":"snap-99999999.bin","generation":99999999,"shards":3,"last_generation":99999999}`)
-	}},
-	{name: "stray-garbage", snapshots: true, spill: true, fromSnapshot: true, damage: func(k *killed) { k.stray("not a manifest at all") }},
-}
-
-// stray leaves a manifest.json holding doc in the data dir and the spill dir.
-func (k *killed) stray(doc string) {
-	for _, d := range []string{k.opts.Dir, k.opts.Spill.Dir} {
-		must(k.t, os.WriteFile(filepath.Join(d, "manifest.json"), []byte(doc), 0o644))
+// walFaults are faults.Rows in order, with the staged rows after unrotated.
+var walFaults = func() []walFault {
+	var rows []walFault
+	for _, f := range faults.Rows {
+		rows = append(rows, walFault{Fault: f})
+		if f.Name != "unrotated" {
+			continue
+		}
+		// Killed inside the next append's barrier: the frame was on disk,
+		// whole or half, and the batch staged; no reader saw it. Recovery
+		// may apply the whole frame — it was durable — and must drop the
+		// half; the feed converges either way.
+		rows = append(rows,
+			walFault{Fault: faults.Fault{Name: "staged", Snapshots: true, FromSnapshot: true}, ahead: 1, stage: stagedFrame},
+			walFault{Fault: faults.Fault{Name: "staged-torn", Snapshots: true, Counted: wal.FaultTornTail, FromSnapshot: true}, stage: func(t *testing.T, cfg config, feed []byte) []byte {
+				frame := stagedFrame(t, cfg, feed)
+				return frame[:len(frame)/2]
+			}})
 	}
-}
+	return rows
+}()
 
 // runDaemonPhase is one retrodnsd lifetime: a wal.Follow over opts with a
 // fresh metrics registry. stopAfter > 0 kills it after that many appends,
@@ -609,11 +582,11 @@ func runRestart(t *testing.T, cfg config, s *studyInput) outcome {
 	feed, dir := scansCSV(s.scans), t.TempDir()
 	opts := wal.Options{Dir: dir, Shards: cfg.shards, SnapshotEvery: 2}
 	var fault walFault
-	i := slices.IndexFunc(walFaults, func(f walFault) bool { return f.name == cfg.restart })
+	i := slices.IndexFunc(walFaults, func(f walFault) bool { return f.Name == cfg.restart })
 	if i >= 0 {
 		fault = walFaults[i]
 	}
-	if cfg.spill != "" || fault.spill {
+	if cfg.spill != "" || fault.Spill {
 		opts.Spill = &scanner.SpillOptions{Dir: filepath.Join(dir, "segments"), BudgetBytes: 0}
 	}
 	if cfg.restart == "store-less" {
@@ -622,17 +595,19 @@ func runRestart(t *testing.T, cfg config, s *studyInput) outcome {
 	var killedGen uint64
 	if i >= 0 {
 		opts.SnapshotEvery = 1000
-		if fault.snapshots {
+		if fault.Snapshots {
 			opts.SnapshotEvery = cfg.killAt
 		}
 		_, _, killedGen = runDaemonPhase(t, cfg, opts, feed, cfg.killAt)
 		opts.SnapshotEvery = 2
-		walPath := filepath.Join(dir, "wal.log")
-		log, err := os.ReadFile(walPath)
-		must(t, err)
-		k := &killed{t, cfg, feed, opts, log}
-		fault.damage(k)
-		must(t, os.WriteFile(walPath, k.log, 0o644))
+		if fault.stage == nil {
+			must(t, fault.Damage(opts))
+		} else {
+			walPath := filepath.Join(dir, wal.LogName)
+			log, err := os.ReadFile(walPath)
+			must(t, err)
+			must(t, os.WriteFile(walPath, append(log, fault.stage(t, cfg, feed)...), 0o644))
+		}
 	}
 
 	out, rec, gen := runDaemonPhase(t, cfg, opts, feed, 0)
@@ -643,13 +618,9 @@ func runRestart(t *testing.T, cfg config, s *studyInput) outcome {
 		return out
 	}
 	// Exact fault accounting: every injected fault counted under its
-	// reason, nothing else counted.
-	wantFaults := map[string]int64{}
-	if fault.counted == wal.FaultDupGeneration {
-		wantFaults[fault.counted] = int64(cfg.killAt)
-	} else if fault.counted != "" {
-		wantFaults[fault.counted] = 1
-	}
+	// reason, nothing else counted. A per-frame count is one per append:
+	// where the daemon never snapshotted, each append's frame survived.
+	wantFaults := fault.Want(cfg.killAt)
 	if fmt.Sprint(rec.Faults) != fmt.Sprint(wantFaults) {
 		t.Fatalf("recovery faults %v, want %v", rec.Faults, wantFaults)
 	}
@@ -658,13 +629,13 @@ func runRestart(t *testing.T, cfg config, s *studyInput) outcome {
 	// killed generation (before it when the log's tail was damaged, one
 	// past it when the dying process left a whole frame it had not
 	// published yet), the finished run at the uninterrupted one's.
-	if wantWarm := !fault.lostTail || cfg.killAt > 1; rec.Warm != wantWarm {
+	if wantWarm := !fault.LostTail || cfg.killAt > 1; rec.Warm != wantWarm {
 		t.Fatalf("recovery warm=%v, want %v", rec.Warm, wantWarm)
 	}
-	if want := killedGen + fault.ahead; rec.Generation > want || (!fault.lostTail && rec.Generation != want) {
+	if want := killedGen + fault.ahead; rec.Generation > want || (!fault.LostTail && rec.Generation != want) {
 		t.Fatalf("recovered generation %d, killed at %d", rec.Generation, killedGen)
 	}
-	if fault.fromSnapshot && rec.FromSnapshot == "" {
+	if fault.FromSnapshot && rec.FromSnapshot == "" {
 		t.Fatalf("recovery ignored the snapshot: %+v", rec)
 	}
 	return out
@@ -674,20 +645,20 @@ func runRestart(t *testing.T, cfg config, s *studyInput) outcome {
 // for byte as a store writes it (a frame does not depend on the shard
 // count): cut from the log of a donor run that got one append further with
 // snapshots off.
-func stagedFrame(k *killed) []byte {
-	donor := wal.Options{Dir: k.t.TempDir(), Shards: 1, SnapshotEvery: 1000}
-	runDaemonPhase(k.t, k.cfg, donor, k.feed, k.cfg.killAt+1)
-	log, err := os.ReadFile(filepath.Join(donor.Dir, "wal.log"))
-	must(k.t, err)
+func stagedFrame(t *testing.T, cfg config, feed []byte) []byte {
+	donor := wal.Options{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 1000}
+	runDaemonPhase(t, cfg, donor, feed, cfg.killAt+1)
+	log, err := os.ReadFile(filepath.Join(donor.Dir, wal.LogName))
+	must(t, err)
 	errFound := errors.New("found")
 	off, err := wal.Replay(log, func(gen uint64, _ simtime.Date, _ []*scanner.Record) error {
-		if gen == uint64(k.cfg.killAt)+2 {
+		if gen == uint64(cfg.killAt)+2 {
 			return errFound
 		}
 		return nil
 	})
 	if err != errFound {
-		k.t.Fatalf("donor log holds no frame for generation %d: %v", k.cfg.killAt+2, err)
+		t.Fatalf("donor log holds no frame for generation %d: %v", cfg.killAt+2, err)
 	}
 	return log[off:]
 }
@@ -798,12 +769,12 @@ func configTable() map[string][]config {
 	// after two scans, its data dir damaged by each fault class, then
 	// restarted.
 	for _, shards := range []int{1, 8} {
-		for i, fault := range append([]walFault{{name: "uninterrupted"}, {name: "store-less"}}, walFaults...) {
-			c := config{corpus: restartSynth, shards: shards, workers: 2, cache: "warm", ingest: "in-order", restart: fault.name, records: "csv"}
+		for i, fault := range append([]walFault{{Fault: faults.Fault{Name: "uninterrupted"}}, {Fault: faults.Fault{Name: "store-less"}}}, walFaults...) {
+			c := config{corpus: restartSynth, shards: shards, workers: 2, cache: "warm", ingest: "in-order", restart: fault.Name, records: "csv"}
 			if i >= 2 {
 				c.killAt = 2
 			}
-			c.group, c.name = fmt.Sprintf("shards=%d", shards), fault.name
+			c.group, c.name = fmt.Sprintf("shards=%d", shards), fault.Name
 			tbl["TestWarmRestartBytesIdentical"] = append(tbl["TestWarmRestartBytesIdentical"], c)
 		}
 	}
@@ -908,7 +879,7 @@ func randomConfig(seed int64) config {
 	c.barrier = c.ingest != "bulk" && rng.Intn(2) == 0
 	if rng.Intn(4) == 0 {
 		// A durable daemon is cached and fed its scans.csv in date order.
-		c.restart, c.killAt = walFaults[rng.Intn(len(walFaults))].name, 1+rng.Intn(scans-1)
+		c.restart, c.killAt = walFaults[rng.Intn(len(walFaults))].Name, 1+rng.Intn(scans-1)
 		c.cache, c.ingest, c.records, c.barrier = "warm", "in-order", "csv", false
 		if c.spill == "tight" {
 			c.spill = "zero"

@@ -2,7 +2,6 @@ package synth
 
 import (
 	"crypto/sha256"
-	"encoding/csv"
 	"encoding/hex"
 	"fmt"
 	"testing"
@@ -26,33 +25,25 @@ const (
 // weekly scans) a few dozen transient rows.
 var goldenConfig = Config{Domains: 1200, Seed: 7, Scans: 30, TransientPerMille: 40}
 
-// TestCorpusBytesPinned pins the sha256 of scans.csv as worldgen and the
-// benchmark write it (encoding/csv over FormatScanRow), and of the
+// TestCorpusBytesPinned pins the sha256 of scans.csv as WriteCSV writes it
+// (worldgen and chaos call it; the benchmark keeps its own copy), and of the
 // fingerprints of the certificates behind the rows, which cover the fields
 // the CSV projection drops (serial, validity, method, signature).
 func TestCorpusBytesPinned(t *testing.T) {
 	g := New(goldenConfig)
 	rows, certs := sha256.New(), sha256.New()
-	cw := csv.NewWriter(rows)
-	if err := cw.Write(scanner.ScanCSVHeader); err != nil {
+	if _, err := g.WriteCSV(rows); err != nil {
 		t.Fatal(err)
 	}
 	transients := 0
 	for _, date := range g.ScanDates() {
 		g.EmitScan(date, func(r *scanner.Record) {
-			if err := cw.Write(scanner.FormatScanRow(r)); err != nil {
-				t.Fatal(err)
-			}
 			fp := r.Cert.Fingerprint()
 			certs.Write(fp[:])
 			if r.Cert.Issuer == "Let's Encrypt" {
 				transients++
 			}
 		})
-	}
-	cw.Flush()
-	if err := cw.Error(); err != nil {
-		t.Fatal(err)
 	}
 	if transients < 10 {
 		t.Fatalf("golden config emitted %d transient rows; it no longer covers that branch", transients)

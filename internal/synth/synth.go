@@ -20,6 +20,8 @@
 package synth
 
 import (
+	"encoding/csv"
+	"io"
 	"math"
 	"net/netip"
 	"strconv"
@@ -154,6 +156,27 @@ func (g *Generator) EmitScan(date simtime.Date, emit func(*scanner.Record)) {
 			emit(r)
 		}
 	}
+}
+
+// WriteCSV writes the corpus as scans.csv: the header, then every scan's
+// rows in date order, through encoding/csv over scanner.FormatScanRow. It
+// returns the number of rows after the header.
+func (g *Generator) WriteCSV(w io.Writer) (rows int, err error) {
+	cw := csv.NewWriter(w)
+	err = cw.Write(scanner.ScanCSVHeader)
+	for _, date := range g.ScanDates() {
+		g.EmitScan(date, func(r *scanner.Record) {
+			if err == nil {
+				err = cw.Write(scanner.FormatScanRow(r))
+				rows++
+			}
+		})
+	}
+	cw.Flush()
+	if err == nil {
+		err = cw.Error()
+	}
+	return rows, err
 }
 
 // nameOf returns the registered domain at rank idx, d%08d.example. Two

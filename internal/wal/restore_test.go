@@ -104,7 +104,7 @@ func followReport(t *testing.T, opts Options, feed []byte) (string, *Recovery, *
 // canonical report.
 func TestRCC1CacheSectionRestoresCold(t *testing.T) {
 	dir := t.TempDir()
-	for _, name := range []string{"snap-00000003.bin", walName} {
+	for _, name := range []string{"snap-00000003.bin", LogName} {
 		data, err := os.ReadFile(filepath.Join("testdata", "rcc1", name))
 		if err != nil {
 			t.Fatal(err)

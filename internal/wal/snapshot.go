@@ -30,9 +30,11 @@ import (
 	"retrodns/internal/wire"
 )
 
+// LogName is the write-ahead log's file name in a data dir.
+const LogName = "wal.log"
+
 const (
 	snapMagic  = "RDSS"
-	walName    = "wal.log"
 	snapPrefix = "snap-"
 	snapSuffix = ".bin"
 	// keepSnapshots retains the newest N snapshot files; older ones are

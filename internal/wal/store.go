@@ -227,7 +227,7 @@ func newDataset(opts Options) (*scanner.Dataset, error) {
 	return ds, nil
 }
 
-func (s *Store) walPath() string { return filepath.Join(s.dir, walName) }
+func (s *Store) walPath() string { return filepath.Join(s.dir, LogName) }
 
 func (s *Store) initMetrics(reg *obsv.Registry) {
 	s.met.quarantined = make(map[string]*obsv.Counter, len(walFaults))

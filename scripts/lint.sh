@@ -36,6 +36,10 @@
 #      hand-rolled decoder beside it is a second set of bounds checks to
 #      get wrong.
 #
+#   7. No "wal.log" literal in non-test Go under internal/ or cmd/ outside
+#      internal/wal. The log's file name is wal.LogName; a copy of it is a
+#      second place that must change with the store's layout.
+#
 # Run via `make lint` (part of `make ci`).
 set -u
 cd "$(dirname "$0")/.."
@@ -151,6 +155,13 @@ if grep -nE 'binary\.(Append|Put|Read)?U?[vV]arint|crc32\.MakeTable' \
     $(printf '%s\n' $srcs | grep -v '^internal/wire/') /dev/null \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
     echo "lint: varint or CRC table outside internal/wire — encode and decode through wire.Writer/wire.Reader and wire.Checksum" >&2
+    fail=1
+fi
+
+# ---- Rule 7: the log's file name lives in wal ----------------------------
+if grep -nF '"wal.log"' $(printf '%s\n' $srcs | grep -v '^internal/wal/') /dev/null \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
+    echo "lint: \"wal.log\" literal outside internal/wal — use wal.LogName" >&2
     fail=1
 fi
 

@@ -3,14 +3,18 @@
 # WAL + snapshot layer, driven by the chaos harness:
 #
 #   1. build retrodnsd and cmd/chaos
-#   2. run every chaos campaign (kill mid-swap, truncated WAL tail,
-#      garbled byte, duplicated log, SIGTERM drain, clock-skewed feed,
-#      torn CSV line) against live daemon processes, asserting recovered
-#      state — /v1 documents and the canonical run report — is
-#      byte-identical to an uninterrupted run and that every injected
-#      fault lands in a quarantine counter
+#   2. run every chaos campaign against live daemon processes: a SIGKILL
+#      mid-ingest followed by each internal/faults data-dir row (kill,
+#      truncated WAL tail, garbled byte, duplicated log, unrotated log
+#      beside its snapshot, stray manifest.json valid or garbage, the
+#      last two with a spill dir), a SIGTERM drain, a clock-skewed feed
+#      and a torn CSV line; each asserts recovered state — /v1 documents
+#      and the canonical run report — is byte-identical to an
+#      uninterrupted run and that every injected fault lands in exactly
+#      its quarantine counter
 #   3. run the warm-restart speedup gate on a 50k-domain corpus: warm
-#      boot to final health must be at least 5x faster than cold
+#      boot to final health must be at least 5x faster than cold; the
+#      verdict JSON carries its cold_ms, warm_ms and ratio
 #   4. require the chaos verdict JSON to say pass, and require the
 #      retrodns_wal_* / retrodns_feed_* metric families in the daemon
 #      run reports the campaigns produced

@@ -369,12 +369,14 @@ func (h *harness) run(c campaign, res *campaignResult) error {
 	if err != nil {
 		return err
 	}
-	// Recovery is warm unless the damage took the only frame the log held.
-	// (Whether it starts from a snapshot is the restart table's check: a
-	// SIGKILL may land before the first one is written.)
+	// Recovery is warm unless the damage took the only frame the log held,
+	// and starts from a snapshot where the row says (inject waited for one).
 	warm := c.fault == nil || !c.fault.LostTail || frames > 1
 	if c.stop != 0 && (doc.WAL == nil || doc.WAL.Warm != warm) {
 		res.failf("recovery: %+v, want warm=%v", doc.WAL, warm)
+	}
+	if c.fault != nil && c.fault.FromSnapshot && (doc.WAL == nil || doc.WAL.FromSnapshot == "") {
+		res.failf("recovery: %+v, want it from a snapshot", doc.WAL)
 	}
 	want := map[string]int64{}
 	if c.fault != nil {
@@ -433,7 +435,11 @@ func (h *harness) inject(c campaign, dir string, opts wal.Options, spill []strin
 		return "", 0, err
 	}
 	if err := d.pollHealth(30*time.Second, func(hd healthDoc) bool {
-		return hd.Generation >= h.cfg.killAtGen
+		// A snapshotting row is about damage beside a snapshot: it stops
+		// once one is on disk, not wherever the stop lands in the first
+		// one's write.
+		snaps, _ := filepath.Glob(filepath.Join(opts.Dir, "snap-*.bin"))
+		return hd.Generation >= h.cfg.killAtGen && (c.fault == nil || !c.fault.Snapshots || len(snaps) > 0)
 	}); err != nil {
 		d.kill()
 		return "", 0, err

@@ -7,17 +7,26 @@ package scanner
 // so recovery resumes Append/DirtySince/report flows as if the process had
 // never died.
 //
-// Certificates are stored once in a fingerprint-deduplicated table and
-// re-interned through the dataset's pool on decode, so the restored pool
-// gauges (retrodns_intern_strings, retrodns_cert_pool_size) match a live
-// ingest of the same corpus. Each resident domain's window is written and
-// read by the one window codec a segment entry uses (writeWindow,
-// readWindow), under the snapshot's certificate table, so the snapshot,
-// unspill and segment-read paths make the same checks, date order
-// included. Records indexed under several registered domains are
-// serialized per domain — the restored instances are distinct pointers,
-// which every consumer tolerates (windows are per-domain and all
-// cross-window counts are serialized explicitly).
+// A shard at rest is a segment. A spilled shard's section names the file it
+// sealed to; a resident shard's section carries the image it would seal to,
+// inline, rendered by the seal path (shardSegment) and made resident by the
+// unspill path (adoptSegment, segmentWindows). So a window at rest has one
+// encoding, a segment entry, and every stored shard one set of checks. Each
+// image carries its shard's certificate table, re-interned through the
+// dataset's pool on decode, so the restored pool gauges match a live ingest
+// of the same corpus; and each shard's section is self-contained, so the
+// shards decode in parallel. Records indexed under
+// several registered domains are serialized per domain — the restored
+// instances are distinct pointers, which every consumer tolerates (windows
+// are per-domain and all cross-window counts are serialized explicitly).
+//
+// The payload, every field a wire primitive:
+//
+//	magic "rds3" ++ shards ++ generation ++ records ++ domains
+//	  ++ scan dates ++ dirty periods ++ quarantine seq ++ quarantine journal
+//	  ++ shards × section(shard)
+//	shard = spilled bool ++ (segment file name | section(segment image))
+//	  ++ quarantine journal ++ dirty journal ++ attach ++ domain roster
 
 import (
 	"errors"
@@ -25,31 +34,29 @@ import (
 	"io"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"retrodns/internal/dnscore"
 	"retrodns/internal/segment"
 	"retrodns/internal/simtime"
 	"retrodns/internal/wire"
+	"retrodns/internal/x509lite"
 )
 
 // ErrSnapshotState reports a snapshot payload that decoded structurally but
-// violates dataset invariants (wrong shard routing, a domain listed twice).
+// violates dataset invariants (wrong shard routing, a domain listed twice,
+// a shard image that does not match its roster).
 var ErrSnapshotState = errors.New("scanner: invalid snapshot state")
+
+// ErrSnapshotFormat reports a snapshot payload in a layout this build does
+// not read: an older one, whose shards were not segments, or none at all.
+// A store that meets one restores from an older snapshot or cold.
+var ErrSnapshotFormat = errors.New("scanner: unknown snapshot format")
 
 // ErrNotFrozen reports an EncodeSnapshot call on an unfrozen dataset.
 var ErrNotFrozen = errors.New("scanner: dataset not frozen")
 
-// snapshotMagic versions the dataset snapshot payload. V2 is emitted only
-// when at least one shard is spilled: spilled shards serialize a reference
-// to their sealed segment file instead of their record payloads, so the
-// snapshot of an out-of-core corpus stays small and decoding it never
-// materializes the spilled shards. A fully resident dataset always encodes
-// as v1, byte-identical with the pre-spill format.
-const (
-	snapshotMagic   = "rds1"
-	snapshotMagicV2 = "rds2"
-)
+// snapshotFormat is the magic of the dataset snapshot payload.
+const snapshotFormat = "rds3"
 
 func encodeQuar(w *wire.Writer, q *quarantine) {
 	w.Uvarint(uint64(numQuarReasons))
@@ -96,9 +103,10 @@ func decodeQuar(r *wire.Reader, q *quarantine) {
 	}
 }
 
-// EncodeSnapshot serializes the frozen dataset to w. The writer receives a
-// single contiguous payload; framing, checksums, and fsync discipline are
-// the caller's (internal/wal's) concern.
+// EncodeSnapshot serializes the frozen dataset to out, one payload in
+// several writes; framing, checksums, and fsync discipline are the caller's
+// (internal/wal's) concern. Each shard's section is written as soon as it is
+// rendered, so the only buffer beside the output is one shard's image.
 func (d *Dataset) EncodeSnapshot(out io.Writer) error {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -107,20 +115,8 @@ func (d *Dataset) EncodeSnapshot(out io.Writer) error {
 		return ErrNotFrozen
 	}
 
-	spilledAny := false
-	for _, s := range d.shards {
-		if idx := s.idx.Load(); idx != nil && idx.spill != nil {
-			spilledAny = true
-			break
-		}
-	}
-
 	var w wire.Writer
-	if spilledAny {
-		w.String(snapshotMagicV2)
-	} else {
-		w.String(snapshotMagic)
-	}
+	w.String(snapshotFormat)
 	w.Uvarint(uint64(len(d.shards)))
 	w.Uvarint(view.generation)
 	w.Uvarint(uint64(view.records))
@@ -138,99 +134,94 @@ func (d *Dataset) EncodeSnapshot(out io.Writer) error {
 	}
 	w.Uvarint(d.quarSeq)
 	encodeQuar(&w, &d.quar)
-
-	// Shared certificate table: walk resident shards in order, domains in
-	// sorted order, records in window order, so the table layout is
-	// deterministic. Spilled shards keep their certificates in their
-	// segment's common blob and do not contribute.
-	table := newCertTable(int(d.pool.certs.Size()))
-	for _, s := range d.shards {
-		idx := s.idx.Load()
-		if idx.spill != nil {
-			continue
-		}
-		for _, window := range idx.windows {
-			for _, rec := range window {
-				if rec.Cert != nil {
-					table.add(rec.Cert)
-				}
-			}
-		}
+	if _, err := out.Write(w.Bytes()); err != nil {
+		return err
 	}
-	table.encode(&w)
 
-	for _, s := range d.shards {
+	// A shard's section is ref ++ image ++ rest, behind its length.
+	var head, ref, rest wire.Writer
+	for sid, s := range d.shards {
 		s.mu.RLock()
 		idx := s.idx.Load()
-		if spilledAny {
-			w.Bool(idx.spill != nil)
-		}
+		ref, rest = wire.NewWriter(ref.Bytes()[:0]), wire.NewWriter(rest.Bytes()[:0])
+		ref.Bool(idx.spill != nil)
+		var image []byte
 		if idx.spill != nil {
-			// Spilled shard: reference the sealed segment instead of the
-			// payloads. Journals and the domain roster stay inline — they
-			// are resident state the segment does not carry.
-			w.String(idx.spill.file)
-		}
-		encodeQuar(&w, &s.quar)
-		idx.encodeDirty(&w)
-		w.Uvarint(uint64(idx.attach))
-		w.Uvarint(uint64(len(idx.domains)))
-		for i, domain := range idx.domains {
-			w.String(string(domain))
-			if idx.spill != nil {
-				continue
+			ref.String(idx.spill.file)
+		} else {
+			seg, _ := shardSegment(sid, view.generation, idx)
+			var err error
+			if image, err = seg.Bytes(); err != nil {
+				s.mu.RUnlock()
+				return fmt.Errorf("%w: shard %d image: %v", ErrSnapshotState, sid, err)
 			}
-			writeWindow(&w, idx.windows[i], table)
+			ref.Uvarint(uint64(len(image)))
+		}
+		// Journals and the domain roster stay beside the segment: they are
+		// resident state it does not carry.
+		encodeQuar(&rest, &s.quar)
+		idx.encodeDirty(&rest)
+		rest.Uvarint(uint64(idx.attach))
+		rest.Uvarint(uint64(len(idx.domains)))
+		for _, domain := range idx.domains {
+			rest.String(string(domain))
 		}
 		s.mu.RUnlock()
+		head = wire.NewWriter(head.Bytes()[:0])
+		head.Uvarint(uint64(ref.Len() + len(image) + rest.Len()))
+		for _, b := range [][]byte{head.Bytes(), ref.Bytes(), image, rest.Bytes()} {
+			if _, err := out.Write(b); err != nil {
+				return err
+			}
+		}
 	}
-
-	_, err := out.Write(w.Bytes())
-	return err
+	return nil
 }
 
 // DecodeSnapshot reconstructs a frozen dataset from an EncodeSnapshot
 // payload. The input is assumed checksummed by the caller; decode still
-// never panics and validates shard routing and window order, so a corrupt
-// payload yields a typed error, not a poisoned dataset. A v2 snapshot
-// (spilled shards) requires DecodeSnapshotSpill — without a segment store
-// the references cannot be resolved.
+// never panics and validates shard routing, every shard image against its
+// roster, and window order, so a corrupt payload yields a typed error, not
+// a poisoned dataset. A snapshot with spilled shards requires
+// DecodeSnapshotSpill — without a segment store the references cannot be
+// resolved.
 func DecodeSnapshot(data []byte) (*Dataset, error) {
 	return decodeSnapshot(data, nil)
 }
 
 // DecodeSnapshotSpill reconstructs a frozen dataset whose spilled shards
 // resolve against the segment store in opts.Dir, and leaves the dataset
-// configured with opts (so the budget keeps being enforced). Works on v1
-// snapshots too: the dataset decodes fully resident and the budget is
-// enforced before returning.
+// configured with opts (so the budget keeps being enforced): shards stored
+// inline decode resident, and the budget is enforced before returning.
 func DecodeSnapshotSpill(data []byte, opts SpillOptions) (*Dataset, error) {
 	return decodeSnapshot(data, &opts)
 }
 
+// decodeSnapshot reads the header, slices out each shard's section, and
+// then decodes the sections on parallel workers: each is self-contained,
+// and every worker writes only its own shard.
 func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 	r := wire.NewReader(data)
-	magic := r.String()
-	v2 := magic == snapshotMagicV2
-	if magic != snapshotMagic && !v2 {
-		return nil, fmt.Errorf("%w: bad snapshot magic", wire.ErrMalformed)
-	}
-	var store *segment.Store
-	if opts != nil {
-		var err error
-		store, err = segment.OpenStore(opts.Dir)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrSpill, err)
-		}
-	}
-	if v2 && store == nil {
-		return nil, fmt.Errorf("%w: snapshot references spilled segments; decode with a spill dir", ErrSnapshotState)
+	if magic := r.String(); r.Err() != nil {
+		return nil, r.Err()
+	} else if magic != snapshotFormat {
+		return nil, fmt.Errorf("%w: magic %q", ErrSnapshotFormat, magic)
 	}
 	nshards := int(r.Uvarint())
 	if r.Err() != nil || nshards < 1 || nshards > maxShards {
 		return nil, fmt.Errorf("%w: shard count", wire.ErrMalformed)
 	}
 	d := NewDatasetShards(nshards)
+	if opts != nil {
+		// The decoded dataset keeps the spill configuration: spilled shards
+		// resolve against its store, and the budget is enforced once they
+		// have decoded and on every subsequent Append.
+		store, err := segment.OpenStore(opts.Dir)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrSpill, err)
+		}
+		d.spill = &spillState{store: store, budget: opts.BudgetBytes, mode: opts.Mode, lastTouch: make([]uint64, nshards)}
+	}
 	generation := r.Uvarint()
 	records := int(r.Uvarint())
 	domainCount := int(r.Uvarint())
@@ -253,81 +244,29 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 	}
 	d.quarSeq = r.Uvarint()
 	decodeQuar(r, &d.quar)
-
-	certs := decodeCertTable(r)
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	// Re-intern through the pool: SAN strings and certificates dedup into
-	// the same pools a live ingest would fill.
-	for i, c := range certs {
-		certs[i] = d.pool.Cert(c)
-	}
-
-	var domains []dnscore.Name
-	for sid := 0; sid < nshards; sid++ {
-		s := d.shards[sid]
-		spilled := false
-		if v2 {
-			spilled = r.Bool()
-		}
-		var segFile string
-		if spilled {
-			segFile = r.String()
-		}
-		decodeQuar(r, &s.quar)
-		cells := decodeDirty(r)
-		attach := int(r.Uvarint())
-		ndom := r.Count()
-		if spilled {
-			idx, err := decodeSpilledShard(r, d, store, opts.Mode, sid, nshards, segFile, attach, ndom)
-			if err == nil {
-				idx.dirty, err = alignDirty(idx.domains, cells)
-			}
-			if err != nil {
-				return nil, err
-			}
-			s.byDomain = nil
-			s.attach = attach
-			s.idx.Store(idx)
-			domains = append(domains, idx.domains...)
-			continue
-		}
-		idx := &shardIndex{
-			domains: make([]dnscore.Name, 0, ndom),
-			windows: make([][]*Record, 0, ndom),
-			attach:  attach,
-		}
-		for i := 0; i < ndom; i++ {
-			if r.Err() != nil {
-				return nil, r.Err()
-			}
-			idx.domains = append(idx.domains, dnscore.Name(r.String()))
-			idx.windows = append(idx.windows, readWindow(r, certs, nil))
-		}
-		if r.Err() != nil {
-			return nil, r.Err()
-		}
-		if err := checkRoster(idx.domains, sid, nshards); err != nil {
-			return nil, err
-		}
-		idx.pos = rankDomains(idx.domains)
-		var err error
-		if idx.dirty, err = alignDirty(idx.domains, cells); err != nil {
-			return nil, err
-		}
-		s.byDomain = nil
-		s.attach = attach
-		s.idx.Store(idx)
-		domains = append(domains, idx.domains...)
+	sections := make([][]byte, nshards)
+	for sid := range sections {
+		sections[sid] = r.Section()
 	}
 	if err := r.Finish(); err != nil {
 		return nil, err
 	}
+
+	errs := make([]error, nshards)
+	forShards(nshards, shardWorkers(records, nshards), func(sid int) {
+		errs[sid] = d.decodeShard(sid, sections[sid])
+	})
+	rosters := make([][]dnscore.Name, nshards)
+	for sid, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+		rosters[sid] = d.shards[sid].idx.Load().domains
+	}
+	domains := mergeDomains(nil, rosters...)
 	if len(domains) != domainCount {
 		return nil, fmt.Errorf("%w: domain count %d != %d", ErrSnapshotState, len(domains), domainCount)
 	}
-	sort.Slice(domains, func(i, j int) bool { return domains[i] < domains[j] })
 	d.view.Store(&datasetView{
 		generation:  generation,
 		domains:     domains,
@@ -336,27 +275,82 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 		records:     records,
 		domainCount: domainCount,
 	})
-	if opts != nil {
-		// The decoded dataset keeps the spill configuration: the budget is
-		// enforced now (a v1 snapshot under a tight budget spills here) and
-		// on every subsequent Append. No other goroutine can hold d yet, so
-		// the *Locked paths run unlocked.
-		d.spill = &spillState{
-			store:     store,
-			budget:    opts.BudgetBytes,
-			mode:      opts.Mode,
-			lastTouch: make([]uint64, nshards),
-		}
-		if err := d.enforceSpillLocked(); err != nil {
-			return nil, err
-		}
+	// Shards stored inline under a tight budget spill here. No other
+	// goroutine can hold d yet, so the *Locked path runs unlocked.
+	if err := d.enforceSpillLocked(); err != nil {
+		return nil, err
 	}
 	return d, nil
 }
 
-// checkRoster holds a decoded shard's domain roster, resident or spilled,
-// to what its index assumes: every domain routed to shard sid, and the list
-// strictly ascending, so no domain is listed twice.
+// decodeShard decodes shard sid's section into its index: the roster and
+// journals, and the shard's segment — its sealed file in the spill store,
+// which the shard keeps reading through, or its inline image, whose windows
+// become resident. Either segment must be shard sid's over exactly the
+// roster. Writes shard sid and the concurrency-safe pool only.
+func (d *Dataset) decodeShard(sid int, section []byte) error {
+	s := d.shards[sid]
+	r := wire.NewReader(section)
+	// A file name and an image share one encoding: length, then bytes.
+	spilled, ref := r.Bool(), r.Section()
+	decodeQuar(r, &s.quar)
+	cells := decodeDirty(r)
+	attach := int(r.Uvarint())
+	ndom := r.Count()
+	roster := make([]dnscore.Name, 0, ndom)
+	for i := 0; i < ndom && r.Err() == nil; i++ {
+		roster = append(roster, dnscore.Name(r.String()))
+	}
+	if err := r.Finish(); err != nil {
+		return err
+	}
+	if err := checkRoster(roster, sid, len(d.shards)); err != nil {
+		return err
+	}
+	idx := &shardIndex{domains: roster, attach: attach}
+	if spilled {
+		if d.spill == nil {
+			return fmt.Errorf("%w: shard %d is spilled; decode with a spill dir", ErrSnapshotState, sid)
+		}
+		file := string(ref)
+		seg, err := d.spill.store.OpenName(file, d.spill.mode)
+		if err != nil {
+			return fmt.Errorf("%w: shard %d segment %s: %v", ErrSpill, sid, file, err)
+		}
+		certs, err := d.adoptSegment(seg, sid, roster)
+		if err != nil {
+			seg.Close()
+			return fmt.Errorf("%w: segment %s: %w", ErrSpill, file, err)
+		}
+		idx.spill = newSpillReader(seg, file, certs, &d.segmet)
+	} else {
+		seg, err := segment.Open(ref)
+		var certs []*x509lite.Certificate
+		if err == nil {
+			certs, err = d.adoptSegment(seg, sid, roster)
+		}
+		if err == nil {
+			idx.windows, err = segmentWindows(seg, roster, certs)
+		}
+		if err != nil {
+			return fmt.Errorf("%w: shard %d image: %w", ErrSnapshotState, sid, err)
+		}
+		idx.pos = rankDomains(roster)
+	}
+	dirty, err := alignDirty(roster, cells)
+	if err != nil {
+		return err
+	}
+	idx.dirty = dirty
+	s.byDomain = nil
+	s.attach = attach
+	s.idx.Store(idx)
+	return nil
+}
+
+// checkRoster holds a decoded shard's domain roster to what its index
+// assumes: every domain routed to shard sid, and the list strictly
+// ascending, so no domain is listed twice.
 func checkRoster(doms []dnscore.Name, sid, nshards int) error {
 	for i, domain := range doms {
 		if home := shardIndexOf(domain, nshards); home != sid {
@@ -367,42 +361,6 @@ func checkRoster(doms []dnscore.Name, sid, nshards int) error {
 		}
 	}
 	return nil
-}
-
-// decodeSpilledShard decodes a v2 spilled-shard section (domain roster
-// only) and opens its segment. The roster must pass checkRoster and match
-// the segment's sealed identity and entry count.
-func decodeSpilledShard(r *wire.Reader, d *Dataset, store *segment.Store, mode segment.Mode, sid, nshards int, segFile string, attach, ndom int) (*shardIndex, error) {
-	doms := make([]dnscore.Name, 0, ndom)
-	for i := 0; i < ndom && r.Err() == nil; i++ {
-		doms = append(doms, dnscore.Name(r.String()))
-	}
-	if r.Err() != nil {
-		return nil, r.Err()
-	}
-	if err := checkRoster(doms, sid, nshards); err != nil {
-		return nil, err
-	}
-	seg, err := store.OpenName(segFile, mode)
-	if err != nil {
-		return nil, fmt.Errorf("%w: shard %d segment %s: %v", ErrSpill, sid, segFile, err)
-	}
-	if seg.Shard() != sid || seg.Count() != len(doms) {
-		seg.Close()
-		return nil, fmt.Errorf("%w: segment %s holds shard %d with %d domains, snapshot says shard %d with %d",
-			ErrSpill, segFile, seg.Shard(), seg.Count(), sid, len(doms))
-	}
-	cr := wire.NewReader(seg.Common())
-	certs := decodeCertTable(cr)
-	if err := cr.Finish(); err != nil {
-		seg.Close()
-		return nil, fmt.Errorf("%w: segment %s cert table: %v", ErrSpill, segFile, err)
-	}
-	// Re-intern through the pool, same as the resident cert table.
-	for i, c := range certs {
-		certs[i] = d.pool.Cert(c)
-	}
-	return &shardIndex{domains: doms, attach: attach, spill: newSpillReader(seg, segFile, certs, &d.segmet)}, nil
 }
 
 // AccountRestored replays the restored corpus into the dataset's metric

@@ -26,13 +26,19 @@ func persistCorpus(t *testing.T, shards int) *Dataset {
 // existing dataset (which may carry a spill configuration).
 func ingestPersistCorpus(t *testing.T, d *Dataset) {
 	t.Helper()
+	ingestCorpusN(t, d, 12)
+}
+
+// ingestCorpusN is ingestPersistCorpus over n domains.
+func ingestCorpusN(t *testing.T, d *Dataset, n int) {
+	t.Helper()
 	dates := simtime.ScanDates(0, 40)
 	if len(dates) < 3 {
 		t.Fatalf("want >= 3 scan dates, got %d", len(dates))
 	}
 	for si, date := range dates[:3] {
 		var recs []*Record
-		for i := 0; i < 12; i++ {
+		for i := 0; i < n; i++ {
 			name := dnscore.Name("d" + strconv.Itoa(i) + ".example")
 			cert := mkCert(t, leKey, "Let's Encrypt", date-1, date+90, name)
 			ip := netip.AddrFrom4([4]byte{10, byte(si), byte(i), 1})
@@ -81,9 +87,14 @@ func datasetFingerprint(t *testing.T, d *Dataset) map[string]any {
 	return fp
 }
 
+// TestSnapshotRoundTrip restores a snapshot to the dataset it was taken
+// of, and re-encodes it to the same bytes. The 800-domain corpus is past
+// parallelIngestThreshold, so its shards decode on parallel workers.
 func TestSnapshotRoundTrip(t *testing.T) {
-	for _, shards := range []int{1, 8} {
-		d := persistCorpus(t, shards)
+	for _, tc := range []struct{ shards, domains int }{{1, 12}, {8, 12}, {8, 800}} {
+		shards := tc.shards
+		d := NewDatasetShards(shards)
+		ingestCorpusN(t, d, tc.domains)
 		var buf bytes.Buffer
 		if err := d.EncodeSnapshot(&buf); err != nil {
 			t.Fatalf("shards=%d encode: %v", shards, err)

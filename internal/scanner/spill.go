@@ -172,17 +172,16 @@ func (sr *spillReader) read(domain dnscore.Name, c *WindowCursor) []*Record {
 	return window
 }
 
-// encodeWindow serializes one domain's record window as a segment entry
-// value (writeWindow).
-func encodeWindow(window []*Record, table *certTable) []byte {
-	var w wire.Writer
+// encodeWindow appends one domain's record window to dst as a segment
+// entry value (writeWindow).
+func encodeWindow(dst []byte, window []*Record, table *certTable) []byte {
+	w := wire.NewWriter(dst)
 	writeWindow(&w, window, table)
 	return w.Bytes()
 }
 
-// writeWindow is the one window encoding, a segment entry's value and a
-// resident domain's window in a snapshot alike: a count followed by the
-// records, certificates as indexes into the shard's or snapshot's table.
+// writeWindow is the one window encoding, a segment entry's value: a count
+// followed by the records, certificates as indexes into the shard's table.
 func writeWindow(w *wire.Writer, window []*Record, table *certTable) {
 	w.Uvarint(uint64(len(window)))
 	for _, rec := range window {
@@ -336,27 +335,79 @@ func (d *Dataset) coldestResidentLocked() int {
 	return best
 }
 
-// sealShardLocked writes shard sid's record payloads into a segment at the
-// current generation, publishes a payload-free index snapshot backed by a
-// segment reader, and lets the resident windows go. Caller holds d.mu; the
-// shard is frozen and resident.
+// shardSegment renders a resident shard as a segment at generation gen:
+// one entry per domain of its roster, holding the domain's window
+// (encodeWindow), and the shard's certificate table as the common blob.
+// It returns the table's certificates too, the canonical pooled instances
+// the windows hold. A sealed spilled shard and a resident shard inline in a
+// snapshot are both this image.
+func shardSegment(sid int, gen uint64, idx *shardIndex) (*segment.Writer, []*x509lite.Certificate) {
+	table := newCertTable(len(idx.domains))
+	w := segment.NewWriter(sid, gen)
+	var value []byte // Add copies it, so one buffer serves every entry
+	for i, domain := range idx.domains {
+		value = encodeWindow(value[:0], idx.windows[i], table)
+		// A key out of order latches in w and fails its Bytes.
+		_ = w.Add(string(domain), value)
+	}
+	var cw wire.Writer
+	table.encode(&cw)
+	w.SetCommon(cw.Bytes())
+	return w, table.certs
+}
+
+// adoptSegment checks that seg is shard sid's segment over roster — sealed
+// for that shard, one entry per roster domain — and returns its certificate
+// table re-interned through the dataset's pool, so the certificates its
+// windows decode to are the ones a live ingest would hold.
+func (d *Dataset) adoptSegment(seg *segment.Reader, sid int, roster []dnscore.Name) ([]*x509lite.Certificate, error) {
+	if seg.Shard() != sid || seg.Count() != len(roster) {
+		return nil, fmt.Errorf("segment holds shard %d with %d domains, roster says shard %d with %d",
+			seg.Shard(), seg.Count(), sid, len(roster))
+	}
+	r := wire.NewReader(seg.Common())
+	certs := decodeCertTable(r)
+	if err := r.Finish(); err != nil {
+		return nil, fmt.Errorf("cert table: %w", err)
+	}
+	for i, c := range certs {
+		certs[i] = d.pool.Cert(c)
+	}
+	return certs, nil
+}
+
+// segmentWindows decodes every window of seg, whose keys must be exactly
+// roster, in order: the resident windows of the shard the segment holds.
+func segmentWindows(seg *segment.Reader, roster []dnscore.Name, certs []*x509lite.Certificate) ([][]*Record, error) {
+	windows := make([][]*Record, 0, len(roster))
+	err := seg.Walk(func(key string, value []byte) error {
+		if i := len(windows); i >= len(roster) || string(roster[i]) != key {
+			return fmt.Errorf("segment domain %q does not match the roster", key)
+		}
+		window, err := decodeWindow(value, certs)
+		if err != nil {
+			return fmt.Errorf("window %q: %w", key, err)
+		}
+		windows = append(windows, window)
+		return nil
+	})
+	if err == nil && len(windows) != len(roster) {
+		err = fmt.Errorf("segment holds %d domains, roster %d", len(windows), len(roster))
+	}
+	return windows, err
+}
+
+// sealShardLocked writes shard sid's segment (shardSegment) at the current
+// generation, publishes a payload-free index snapshot backed by a segment
+// reader, and lets the resident windows go. Caller holds d.mu; the shard
+// is frozen and resident.
 func (d *Dataset) sealShardLocked(sid int) error {
 	s := d.shards[sid]
 	idx := s.idx.Load()
 	if idx == nil || idx.spill != nil || len(idx.domains) == 0 {
 		return nil
 	}
-	gen := d.view.Load().generation
-	table := newCertTable(0)
-	w := segment.NewWriter(sid, gen)
-	for i, domain := range idx.domains {
-		if err := w.Add(string(domain), encodeWindow(idx.windows[i], table)); err != nil {
-			return fmt.Errorf("%w: seal shard %d: %v", ErrSpill, sid, err)
-		}
-	}
-	var cw wire.Writer
-	table.encode(&cw)
-	w.SetCommon(cw.Bytes())
+	w, certs := shardSegment(sid, d.view.Load().generation, idx)
 	info, err := d.spill.store.Seal(w)
 	if err != nil {
 		return fmt.Errorf("%w: seal shard %d: %v", ErrSpill, sid, err)
@@ -365,10 +416,10 @@ func (d *Dataset) sealShardLocked(sid int) error {
 	if err != nil {
 		return fmt.Errorf("%w: reopen sealed shard %d: %v", ErrSpill, sid, err)
 	}
-	// table.certs are the canonical pooled instances the resident index
-	// held; reads hand them back by pointer, so a spilled shard's records
-	// carry the very same certificates.
-	sr := newSpillReader(r, info.File, table.certs, &d.segmet)
+	// certs are the canonical pooled instances the resident index held;
+	// reads hand them back by pointer, so a spilled shard's records carry
+	// the very same certificates.
+	sr := newSpillReader(r, info.File, certs, &d.segmet)
 	next := &shardIndex{domains: idx.domains, dirty: idx.dirty, attach: idx.attach, spill: sr}
 	s.mu.Lock()
 	s.idx.Store(next)
@@ -380,36 +431,18 @@ func (d *Dataset) sealShardLocked(sid int) error {
 }
 
 // unspillShardLocked replays shard sid's segment back into a resident
-// index snapshot. The reader is left open: index snapshots published
-// earlier may still be pinned by a ShardView and keep reading through it.
-// Caller holds d.mu.
+// index snapshot (segmentWindows). The reader is left open: index
+// snapshots published earlier may still be pinned by a ShardView and keep
+// reading through it. Caller holds d.mu.
 func (d *Dataset) unspillShardLocked(sid int) error {
 	s := d.shards[sid]
 	idx := s.idx.Load()
 	if idx == nil || idx.spill == nil {
 		return nil
 	}
-	sr := idx.spill
-	windows := make([][]*Record, 0, len(idx.domains))
-	err := sr.seg.Walk(func(key string, value []byte) error {
-		if i := len(windows); i >= len(idx.domains) || string(idx.domains[i]) != key {
-			return fmt.Errorf("%w: segment domain %q does not match shard %d index", ErrSpill, key, sid)
-		}
-		window, err := decodeWindow(value, sr.certs)
-		if err != nil {
-			return fmt.Errorf("%w: replay %q: %v", ErrSpill, key, err)
-		}
-		windows = append(windows, window)
-		return nil
-	})
-	if err == nil && len(windows) != len(idx.domains) {
-		err = fmt.Errorf("%w: segment for shard %d holds %d domains, index %d", ErrSpill, sid, len(windows), len(idx.domains))
-	}
+	windows, err := segmentWindows(idx.spill.seg, idx.domains, idx.spill.certs)
 	if err != nil {
-		if errors.Is(err, ErrSpill) {
-			return err
-		}
-		return fmt.Errorf("%w: %v", ErrSpill, err)
+		return fmt.Errorf("%w: replay shard %d: %w", ErrSpill, sid, err)
 	}
 	next := &shardIndex{
 		domains: idx.domains, pos: rankDomains(idx.domains), windows: windows,

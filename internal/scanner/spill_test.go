@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/netip"
 	"os"
+	"path/filepath"
 	"reflect"
 	"runtime"
 	"slices"
@@ -135,11 +136,12 @@ func TestSpillUnspillOnAppend(t *testing.T) {
 	}
 }
 
-// TestSpillSnapshotV2 round-trips an out-of-core dataset through the v2
+// TestSpillSnapshotV2 round-trips an out-of-core dataset through a
 // snapshot: spilled shards serialize as segment references and decode
-// still spilled, with every read identical. A v1-only decoder must refuse
-// the v2 payload with a typed error, and a fully resident dataset must
-// keep emitting byte-identical v1 payloads even with spill configured.
+// still spilled, with every read identical. A decoder without a segment
+// store must refuse the references with a typed error, and a fully
+// resident dataset must emit the same bytes, one inline segment image per
+// shard, whether or not an idle spill is configured.
 func TestSpillSnapshotV2(t *testing.T) {
 	dir := t.TempDir()
 	d := NewDatasetShards(8)
@@ -153,10 +155,13 @@ func TestSpillSnapshotV2(t *testing.T) {
 	if err := d.EncodeSnapshot(&buf); err != nil {
 		t.Fatalf("encode: %v", err)
 	}
+	if bytes.Contains(buf.Bytes(), []byte("RDSG")) {
+		t.Fatal("spilled snapshot holds an inline shard image")
+	}
 	if _, err := DecodeSnapshot(buf.Bytes()); err == nil {
-		t.Fatal("v1 decode of v2 snapshot succeeded")
+		t.Fatal("decode of segment references without a store succeeded")
 	} else if !errors.Is(err, ErrSnapshotState) {
-		t.Fatalf("untyped v2 refusal: %v", err)
+		t.Fatalf("untyped refusal of segment references: %v", err)
 	}
 	got, err := DecodeSnapshotSpill(buf.Bytes(), SpillOptions{Dir: dir, BudgetBytes: 0})
 	if err != nil {
@@ -166,7 +171,7 @@ func TestSpillSnapshotV2(t *testing.T) {
 		t.Fatalf("restored %d spilled shards, want %d", got.SpilledShards(), d.SpilledShards())
 	}
 	if have := datasetFingerprint(t, got); !reflect.DeepEqual(want, have) {
-		t.Fatalf("v2 round trip diverged:\nwant %v\nhave %v", want, have)
+		t.Fatalf("spilled round trip diverged:\nwant %v\nhave %v", want, have)
 	}
 	// Restored datasets keep ingesting under the same budget.
 	next := simtime.ScanDates(0, 60)[3]
@@ -181,29 +186,34 @@ func TestSpillSnapshotV2(t *testing.T) {
 		t.Fatal("appended record not indexed")
 	}
 
-	// Resident corpus + spill configured (unlimited): still plain v1 bytes.
+	// Resident corpus + spill configured (unlimited): the same bytes.
 	plain := persistCorpus(t, 8)
-	var v1 bytes.Buffer
-	if err := plain.EncodeSnapshot(&v1); err != nil {
+	var resident bytes.Buffer
+	if err := plain.EncodeSnapshot(&resident); err != nil {
 		t.Fatal(err)
+	}
+	if n := bytes.Count(resident.Bytes(), []byte("RDSG")); n != 8 {
+		t.Fatalf("resident snapshot holds %d inline shard images, want 8", n)
 	}
 	idle := NewDatasetShards(8)
 	if err := idle.ConfigureSpill(SpillOptions{Dir: t.TempDir(), BudgetBytes: -1}); err != nil {
 		t.Fatal(err)
 	}
 	ingestPersistCorpus(t, idle)
-	var v1b bytes.Buffer
-	if err := idle.EncodeSnapshot(&v1b); err != nil {
+	var idleBuf bytes.Buffer
+	if err := idle.EncodeSnapshot(&idleBuf); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(v1.Bytes(), v1b.Bytes()) {
-		t.Fatal("resident dataset with idle spill did not emit v1-identical bytes")
+	if !bytes.Equal(resident.Bytes(), idleBuf.Bytes()) {
+		t.Fatal("resident dataset with idle spill did not emit the resident bytes")
 	}
 }
 
-// TestSpillV1SnapshotUnderBudget decodes a plain v1 snapshot through
-// DecodeSnapshotSpill with a zero budget: the corpus must come back fully
-// spilled and identical.
+// TestSpillV1SnapshotUnderBudget decodes a snapshot of a resident dataset,
+// every shard an inline image, through DecodeSnapshotSpill with a zero
+// budget: the corpus must come back fully spilled and identical, and each
+// segment file the budget sealed must hold the very bytes of the image the
+// snapshot carried inline for that shard.
 func TestSpillV1SnapshotUnderBudget(t *testing.T) {
 	d := persistCorpus(t, 8)
 	want := datasetFingerprint(t, d)
@@ -211,15 +221,37 @@ func TestSpillV1SnapshotUnderBudget(t *testing.T) {
 	if err := d.EncodeSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSnapshotSpill(buf.Bytes(), SpillOptions{Dir: t.TempDir(), BudgetBytes: 0})
+	dir := t.TempDir()
+	got, err := DecodeSnapshotSpill(buf.Bytes(), SpillOptions{Dir: dir, BudgetBytes: 0})
 	if err != nil {
-		t.Fatalf("DecodeSnapshotSpill(v1): %v", err)
+		t.Fatalf("DecodeSnapshotSpill(resident): %v", err)
 	}
 	if got.SpilledShards() == 0 {
 		t.Fatal("zero budget left everything resident")
 	}
 	if have := datasetFingerprint(t, got); !reflect.DeepEqual(want, have) {
-		t.Fatalf("v1-under-budget diverged:\nwant %v\nhave %v", want, have)
+		t.Fatalf("resident-under-budget diverged:\nwant %v\nhave %v", want, have)
+	}
+	for sid, s := range d.shards {
+		idx := s.idx.Load()
+		if len(idx.domains) == 0 {
+			continue
+		}
+		seg, _ := shardSegment(sid, d.Generation(), idx)
+		image, err := seg.Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Contains(buf.Bytes(), image) {
+			t.Fatalf("shard %d: snapshot does not carry its segment image inline", sid)
+		}
+		sealed, err := os.ReadFile(filepath.Join(dir, segment.SegName(sid, d.Generation())))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(sealed, image) {
+			t.Fatalf("shard %d: sealed segment (%d bytes) differs from the inline image (%d bytes)", sid, len(sealed), len(image))
+		}
 	}
 }
 
@@ -442,7 +474,7 @@ func TestUnspilledSegmentReleasedWithLastView(t *testing.T) {
 	}
 }
 
-// TestSpilledRosterRefusesDuplicate crafts a CRC-valid v2 snapshot whose
+// TestSpilledRosterRefusesDuplicate crafts a CRC-valid snapshot whose
 // spilled shard lists its first domain twice over a two-entry segment: the
 // roster [a, a] hides b. The spilled decoder must refuse it as the resident
 // one refuses a domain listed twice, not restore a shard that answers for a
@@ -529,7 +561,7 @@ func TestUnsortedSegmentWindowRefused(t *testing.T) {
 	slices.Reverse(window)
 	table := newCertTable(0)
 	w := segment.NewWriter(0, d.Generation()+1)
-	if err := w.Add(string(domain), encodeWindow(window, table)); err != nil {
+	if err := w.Add(string(domain), encodeWindow(nil, window, table)); err != nil {
 		t.Fatal(err)
 	}
 	var cw wire.Writer

@@ -11,6 +11,7 @@ import (
 	"retrodns/internal/segment"
 	"retrodns/internal/simtime"
 	"retrodns/internal/synth"
+	"retrodns/internal/wire"
 )
 
 // FuzzWALReplay enforces the recovery contract over arbitrary bytes:
@@ -99,6 +100,23 @@ func FuzzSnapshotFile(f *testing.F) {
 	f.Add(append(slices.Clone(payload), 0)) // trailing bytes after the sections
 	f.Add(file[:len(file)/2])
 	f.Add([]byte(nil))
+	// The file with a byte flipped inside shard 0's inline segment image,
+	// under a valid file checksum, and a file in the layout before shards
+	// were segments.
+	head, shards := datasetShards(f, datasetSection(f, file))
+	shards[0] = withImage(f, shards[0], func(img []byte) []byte {
+		img[len(img)/2] ^= 0x41
+		return img
+	})
+	var damaged wire.Writer
+	damaged.Blob(joinDataset(head, shards))
+	damaged.Blob(nil)
+	f.Add(segment.Frame(snapMagic, damaged.Bytes()))
+	old, err := os.ReadFile(filepath.Join("testdata", "rcc1", "snap-00000003.bin"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(old)
 
 	path := filepath.Join(f.TempDir(), snapName(1))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -106,7 +106,7 @@ func loadSnapshotFile(path string, spill *scanner.SpillOptions) (*scanner.Datase
 		ds, err = scanner.DecodeSnapshot(dsBytes)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("%w: %s: %v", ErrBadSnapshot, filepath.Base(path), err)
+		return nil, nil, fmt.Errorf("%w: %s: %w", ErrBadSnapshot, filepath.Base(path), err)
 	}
 	if len(cacheBytes) == 0 {
 		return ds, nil, nil

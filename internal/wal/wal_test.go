@@ -301,19 +301,19 @@ func TestAppendFailureIsSticky(t *testing.T) {
 
 // TestDiskBytesPinned holds the three durable encodings to recorded
 // sha256s: the log after three appends, the snapshot file of the resulting
-// state, and the classify cache's state. The log and the snapshot's dataset
-// section are the bytes the commit before the overlapped append wrote. The
-// cache state, and with it the whole snapshot file, were re-recorded when
-// the cache section moved from rcc1 (deployments as record indexes) to
-// rcc2 (classify's decisions only).
+// state, and the classify cache's state. The log is the bytes the commit
+// before the overlapped append wrote, and the cache state the rcc2 bytes
+// (classify's decisions only). The snapshot's dataset section, and with it
+// the whole file, were re-recorded when resident shards moved into it as
+// inline segment images, the bytes a spilled shard seals to a file.
 func TestDiskBytesPinned(t *testing.T) {
 	const (
 		wantLog   = "c15fc0741a15dc71f728122dff1ce06fadf485d547480d223afba521d8f3e14c"
-		wantSnap  = "f46b1288c663a519a149fc68f6a1b88ee3ba2b0747dcc7435eea0acfb0b0b107"
+		wantSnap  = "b90228cb7220ece2206f2039c0a1a3d163875024bc442e996071b1f347a5a7d6"
 		wantCache = "a77b4e4cfb9c7b0bdb20da8707eb8f1a6d27bd547e00e8c9ccb1340f29fbaa82"
 		// The snapshot file's dataset section alone, which a cache-format
 		// change leaves where it was.
-		wantSnapDataset = "6b68a815e1d97ce6251afeb59f4f59f2ff5686051afd65accfe5673d8d2a6912"
+		wantSnapDataset = "18747c17c399d2a4d355f08fbce6e51fca4008bb48bdcd9c5e575a695c1e2ca1"
 	)
 	dir := t.TempDir()
 	// Three scans over two periods, with enough transients to give the cache
@@ -365,7 +365,7 @@ func TestDiskBytesPinned(t *testing.T) {
 
 // datasetSection returns the dataset section of a snapshot file: the
 // EncodeSnapshot bytes, without the cache section after them.
-func datasetSection(t *testing.T, snap []byte) []byte {
+func datasetSection(t testing.TB, snap []byte) []byte {
 	t.Helper()
 	payload, err := segment.Unframe(snapMagic, snap)
 	if err != nil {
@@ -381,17 +381,19 @@ func datasetSection(t *testing.T, snap []byte) []byte {
 
 // TestSpilledDiskBytesPinned extends TestDiskBytesPinned to the out-of-core
 // formats: the sealed RDSG segment files of a zero-budget store and the
-// snapshot file whose dataset section is the rds2 (spilled-shard) encoding.
-// The sha256s were recorded before the storage codecs moved onto
-// internal/wire, the file's again when its (empty) cache section became
-// rcc2; a sibling fixture, not a new input, so the two tests move together
-// if a format ever changes on purpose.
+// snapshot file whose every shard is a reference to one of them. The
+// segments' sha256 was recorded before the storage codecs moved onto
+// internal/wire and has held since; the file's moved when its (empty)
+// cache section became rcc2 and again when the dataset section took one
+// layout for resident and spilled shards. A sibling fixture, not a new
+// input, so the two tests move together if a format ever changes on
+// purpose.
 func TestSpilledDiskBytesPinned(t *testing.T) {
 	const (
 		wantSegs = "cfd017414e45aaf7fb712b016cf4ab6c5fde1d6fa734ec4a22545159a5c8dd7d"
-		wantSnap = "a4d5c051903cb3bdc9c9d72b4b769a3128740467061db68b5d4236c1c2887d69"
-		// The rds2 dataset section alone (see TestDiskBytesPinned).
-		wantSnapDataset = "ab8d842be0b356362e4cc58689ee37513414aa34485ed67a39ce126673476e3b"
+		wantSnap = "ece01e551cdd55834439570b8f4ff6d9a435c1c7fa27bc35b7206552eb1d632c"
+		// The dataset section alone (see TestDiskBytesPinned).
+		wantSnapDataset = "35b7acda0ac85d67ac92f3d87bddc30cd3fcc236c298041c1644abc474fbec74"
 	)
 	dir := t.TempDir()
 	segDir := filepath.Join(dir, "segments")
@@ -414,8 +416,8 @@ func TestSpilledDiskBytesPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Contains(snap, []byte("rds2")) {
-		t.Fatal("zero-budget snapshot is not the rds2 encoding")
+	if bytes.Contains(datasetSection(t, snap), []byte("RDSG")) {
+		t.Fatal("zero-budget snapshot holds an inline shard image")
 	}
 	if got := fmt.Sprintf("%x", sha256.Sum256(snap)); got != wantSnap {
 		t.Errorf("%s (%d bytes) sha256 %s, want %s", snapName(rec.Dataset.Generation()), len(snap), got, wantSnap)

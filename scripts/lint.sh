@@ -40,6 +40,12 @@
 #      internal/wal. The log's file name is wal.LogName; a copy of it is a
 #      second place that must change with the store's layout.
 #
+#   8. No writeWindow( or readWindow( call in non-test Go under
+#      internal/scanner outside spill.go. A window at rest is a segment
+#      entry: a snapshot carries a resident shard as the segment image a
+#      spilled shard seals to a file, so no second layout encodes windows
+#      beside the segment codec.
+#
 # Run via `make lint` (part of `make ci`).
 set -u
 cd "$(dirname "$0")/.."
@@ -162,6 +168,14 @@ fi
 if grep -nF '"wal.log"' $(printf '%s\n' $srcs | grep -v '^internal/wal/') /dev/null \
     | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
     echo "lint: \"wal.log\" literal outside internal/wal — use wal.LogName" >&2
+    fail=1
+fi
+
+# ---- Rule 8: a window at rest is a segment entry -------------------------
+if grep -nE '(writeWindow|readWindow)\(' \
+    $(printf '%s\n' $srcs | grep '^internal/scanner/' | grep -v '^internal/scanner/spill\.go$') /dev/null \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' >&2; then
+    echo "lint: window codec outside internal/scanner/spill.go — store a shard's windows as a segment (shardSegment, segmentWindows)" >&2
     fail=1
 fi
 

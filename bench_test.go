@@ -14,7 +14,10 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/netip"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -785,6 +788,74 @@ func BenchmarkDurableTick(b *testing.B) {
 		}
 		b.StartTimer()
 	}
+}
+
+// BenchmarkSnapshotWrite measures one durable snapshot of a follow-loop
+// dataset and its classify cache (wal.Store.Snapshot: encode both
+// sections, write, fsync, rename, rotate the log), with B/op and allocs/op
+// for what the write allocates beside the file; file-B is the snapshot's
+// size, to read B/op against. Each snapshot follows one untimed append,
+// classify and snapshot-cache update, the way retrodnsd snapshots after a
+// cached run; the store restarts from scan 80 when the corpus runs out.
+func BenchmarkSnapshotWrite(b *testing.B) {
+	const firstScan = 80
+	g := synth.New(synth.Config{Domains: 1000, Seed: 1, Scans: 104})
+	dates := g.ScanDates()
+	scans := make([][]*scanner.Record, len(dates))
+	for i, date := range dates {
+		scans[i] = g.Scan(date)
+	}
+	var store *wal.Store
+	var pipe *core.Pipeline
+	var dir string
+	next := len(dates)
+	var fileBytes int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		if next == len(dates) {
+			if store != nil {
+				store.Close()
+			}
+			dir = b.TempDir()
+			s, rec, err := wal.Open(wal.Options{Dir: dir, SnapshotEvery: 1 << 30})
+			if err != nil {
+				b.Fatal(err)
+			}
+			store, next = s, 0
+			pipe = &core.Pipeline{Params: core.DefaultParams(), Dataset: rec.Dataset, PDNS: pdns.NewDB(), Cache: rec.Cache}
+			for ; next < firstScan; next++ {
+				if err := store.Append(dates[next], scans[next]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if err := store.Append(dates[next], scans[next]); err != nil {
+			b.Fatal(err)
+		}
+		next++
+		pipe.Run()
+		b.StartTimer()
+		if err := store.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		files, err := filepath.Glob(filepath.Join(dir, "snap-*.bin"))
+		if err != nil || len(files) == 0 {
+			b.Fatalf("no snapshot file: %v", err)
+		}
+		slices.Sort(files)
+		fi, err := os.Stat(files[len(files)-1])
+		if err != nil {
+			b.Fatal(err)
+		}
+		fileBytes += fi.Size()
+		b.StartTimer()
+	}
+	b.StopTimer()
+	store.Close()
+	b.ReportMetric(float64(fileBytes)/float64(b.N), "file-B")
 }
 
 // BenchmarkFingerprint measures the certificate-digest memoization:

@@ -8,7 +8,6 @@ package main
 // without paying the ingest peak. scripts/smoke_spill.sh drives this.
 
 import (
-	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -25,13 +24,15 @@ const (
 // saveCorpus writes the frozen dataset as <dir>/corpus.snap atomically.
 // Spilled shards serialize as segment references, so the file stays small
 // for an out-of-core corpus — the bulk of the bytes are already in the
-// sealed segments.
+// sealed segments. The payload is written as it was encoded, behind the
+// magic and ahead of the checksum (segment.WriteFrame).
 func saveCorpus(ds *scanner.Dataset, dir string) error {
-	var buf bytes.Buffer
-	if err := ds.EncodeSnapshot(&buf); err != nil {
+	payload, err := ds.AppendSnapshot(nil)
+	if err != nil {
 		return err
 	}
-	return segment.AtomicWrite(dir, corpusName, segment.Frame(corpusMagic, buf.Bytes()))
+	_, err = segment.WriteFrame(dir, corpusName, corpusMagic, payload)
+	return err
 }
 
 // configureSpill runs ds out of core under spill, when it is set, and exits

@@ -334,10 +334,10 @@ func runConfig(t *testing.T, cfg config, s *studyInput) outcome {
 			}
 		}
 		if cfg.cache == "restored" && b == len(plan)/2 {
-			var buf bytes.Buffer
-			must(t, pipe.Cache.EncodeState(&buf))
+			state, err := pipe.Cache.EncodeState(nil)
+			must(t, err)
 			pipe.Cache = core.NewClassifyCache()
-			must(t, pipe.Cache.DecodeState(buf.Bytes(), ds))
+			must(t, pipe.Cache.DecodeState(state, ds))
 		}
 	}
 	res := pipe.Run()

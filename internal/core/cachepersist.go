@@ -23,7 +23,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 
 	"retrodns/internal/dnscore"
@@ -40,10 +39,12 @@ var ErrCacheState = errors.New("core: cache snapshot does not match dataset")
 // any other magic, rcc1's stored deployments included, is refused.
 const cacheMagic = "rcc2"
 
-// EncodeState serializes the cache to w. Call only between pipeline runs
-// (the cache is single-writer by contract).
-func (c *ClassifyCache) EncodeState(out io.Writer) error {
-	var w wire.Writer
+// EncodeState appends the cache's serialization to dst and returns the
+// extended slice; a caller that sizes dst from the last encoding gets it
+// without a regrow. Call only between pipeline runs (the cache is
+// single-writer by contract).
+func (c *ClassifyCache) EncodeState(dst []byte) ([]byte, error) {
+	w := wire.NewWriter(dst)
 	w.String(cacheMagic)
 	w.Uvarint(c.gen)
 	w.String(c.paramsFP)
@@ -69,7 +70,7 @@ func (c *ClassifyCache) EncodeState(out io.Writer) error {
 				continue
 			}
 			if err := encodeCell(&w, &dc.cells[pi]); err != nil {
-				return fmt.Errorf("%s %v: %w", domain, simtime.Period(pi), err)
+				return dst, fmt.Errorf("%s %v: %w", domain, simtime.Period(pi), err)
 			}
 		}
 		nhist := 0
@@ -86,8 +87,7 @@ func (c *ClassifyCache) EncodeState(out io.Writer) error {
 			}
 		}
 	}
-	_, err := out.Write(w.Bytes())
-	return err
+	return w.Bytes(), nil
 }
 
 // encodeCell writes one built cell: its window prefix length, and for a

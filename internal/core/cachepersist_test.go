@@ -26,12 +26,12 @@ func restorePipeline(t *testing.T, pipe *Pipeline) *Pipeline {
 	if err != nil {
 		t.Fatalf("dataset decode: %v", err)
 	}
-	var ccBuf bytes.Buffer
-	if err := pipe.Cache.EncodeState(&ccBuf); err != nil {
+	ccBuf, err := pipe.Cache.EncodeState(nil)
+	if err != nil {
 		t.Fatalf("cache encode: %v", err)
 	}
 	cache := NewClassifyCache()
-	if err := cache.DecodeState(ccBuf.Bytes(), ds); err != nil {
+	if err := cache.DecodeState(ccBuf, ds); err != nil {
 		t.Fatalf("cache decode: %v", err)
 	}
 	return &Pipeline{
@@ -111,12 +111,12 @@ func TestCacheStateRoundTripSpilled(t *testing.T) {
 	if pipe.Dataset.SpilledShards() == 0 {
 		t.Fatal("nothing spilled")
 	}
-	var ccBuf bytes.Buffer
-	if err := pipe.Cache.EncodeState(&ccBuf); err != nil {
+	ccBuf, err := pipe.Cache.EncodeState(nil)
+	if err != nil {
 		t.Fatalf("cache encode over spilled shards: %v", err)
 	}
 	cache := NewClassifyCache()
-	if err := cache.DecodeState(ccBuf.Bytes(), pipe.Dataset); err != nil {
+	if err := cache.DecodeState(ccBuf, pipe.Dataset); err != nil {
 		t.Fatalf("cache decode: %v", err)
 	}
 	pipe.Cache = cache
@@ -167,8 +167,8 @@ func TestCacheStateRestoreAfterReplay(t *testing.T) {
 		pipe.Dataset.Append(s.date, s.recs)
 	}
 	pipe.Run()
-	var ccBuf bytes.Buffer
-	if err := pipe.Cache.EncodeState(&ccBuf); err != nil {
+	ccBuf, err := pipe.Cache.EncodeState(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// The dataset moves on (the WAL-replay analogue)...
@@ -185,7 +185,7 @@ func TestCacheStateRestoreAfterReplay(t *testing.T) {
 	}
 	// ...and the stale cache restores against it.
 	cache := NewClassifyCache()
-	if err := cache.DecodeState(ccBuf.Bytes(), ds); err != nil {
+	if err := cache.DecodeState(ccBuf, ds); err != nil {
 		t.Fatalf("stale cache decode: %v", err)
 	}
 	warm := &Pipeline{
@@ -206,11 +206,11 @@ func TestCacheStateDecodeRejectsGarbage(t *testing.T) {
 		pipe.Dataset.Append(s.date, s.recs)
 	}
 	pipe.Run()
-	var ccBuf bytes.Buffer
-	if err := pipe.Cache.EncodeState(&ccBuf); err != nil {
+	ccBuf, err := pipe.Cache.EncodeState(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	valid := ccBuf.Bytes()
+	valid := ccBuf
 	for _, tc := range [][]byte{nil, []byte("junk"), valid[:len(valid)/3]} {
 		cache := NewClassifyCache()
 		if err := cache.DecodeState(tc, pipe.Dataset); err == nil {
@@ -244,11 +244,11 @@ func FuzzDecodeState(f *testing.F) {
 	pipe := &Pipeline{Params: DefaultParams(), Dataset: ds, PDNS: pdns.NewDB(), Workers: 1, Cache: NewClassifyCache()}
 	pipe.Run()
 	encode := func(c *ClassifyCache) []byte {
-		var buf bytes.Buffer
-		if err := c.EncodeState(&buf); err != nil {
+		buf, err := c.EncodeState(nil)
+		if err != nil {
 			f.Fatalf("EncodeState of a restored cache: %v", err)
 		}
-		return buf.Bytes()
+		return buf
 	}
 	valid := encode(pipe.Cache)
 	restored := NewClassifyCache()

@@ -38,12 +38,13 @@ type internStripe struct {
 
 // stringInterner is a concurrency-safe string pool: intern returns the
 // canonical instance of a string, cloning it on first sight so the pool
-// never pins a caller's larger backing array.
+// never pins a caller's larger backing array — unless the caller owns s
+// outright (a string it decoded on its own), which the pool then keeps.
 type stringInterner struct {
 	stripes [internStripes]internStripe
 }
 
-func (si *stringInterner) intern(s string) string {
+func (si *stringInterner) intern(s string, owned bool) string {
 	if s == "" {
 		return ""
 	}
@@ -56,7 +57,10 @@ func (si *stringInterner) intern(s string) string {
 	if st.m == nil {
 		st.m = make(map[string]string)
 	}
-	c := strings.Clone(s)
+	c := s
+	if !owned {
+		c = strings.Clone(s)
+	}
 	st.m[c] = c
 	st.bytes += int64(len(c))
 	return c
@@ -97,7 +101,9 @@ type Pool struct {
 // canonicalizes SAN strings through the name pool.
 func NewPool() *Pool {
 	p := &Pool{certs: x509lite.NewPool()}
-	p.certs.InternName = p.Name
+	p.certs.InternName = func(n dnscore.Name, owned bool) dnscore.Name {
+		return dnscore.Name(p.names.intern(string(n), owned))
+	}
 	return p
 }
 
@@ -106,7 +112,7 @@ func (p *Pool) Name(n dnscore.Name) dnscore.Name {
 	if p == nil {
 		return n
 	}
-	return dnscore.Name(p.names.intern(string(n)))
+	return dnscore.Name(p.names.intern(string(n), false))
 }
 
 // Cert returns the canonical pooled instance of c (see x509lite.Pool):
@@ -116,6 +122,16 @@ func (p *Pool) Cert(c *x509lite.Certificate) *x509lite.Certificate {
 		return c
 	}
 	return p.certs.Intern(c)
+}
+
+// AdoptCert is Cert for a certificate the caller decoded and hands over
+// (x509lite.Pool.Adopt): a first-seen one joins the pool as it is, its
+// SANs interned in place without a copy.
+func (p *Pool) AdoptCert(c *x509lite.Certificate) *x509lite.Certificate {
+	if p == nil {
+		return c
+	}
+	return p.certs.Adopt(c)
 }
 
 // PoolStats is a point-in-time size accounting of the pool.

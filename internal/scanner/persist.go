@@ -103,19 +103,32 @@ func decodeQuar(r *wire.Reader, q *quarantine) {
 	}
 }
 
-// EncodeSnapshot serializes the frozen dataset to out, one payload in
-// several writes; framing, checksums, and fsync discipline are the caller's
-// (internal/wal's) concern. Each shard's section is written as soon as it is
-// rendered, so the only buffer beside the output is one shard's image.
+// EncodeSnapshot writes the frozen dataset's snapshot payload
+// (AppendSnapshot) to out in one write.
 func (d *Dataset) EncodeSnapshot(out io.Writer) error {
+	payload, err := d.AppendSnapshot(nil)
+	if err != nil {
+		return err
+	}
+	_, err = out.Write(payload)
+	return err
+}
+
+// AppendSnapshot appends the frozen dataset's snapshot payload to dst and
+// returns the extended slice; framing, checksums, and fsync discipline are
+// the caller's (internal/wal's) concern. Every resident shard's segment
+// image is framed in place in dst, rendered by one segment writer reused
+// from shard to shard, so a caller that sizes dst from the last snapshot
+// gets the payload with no byte of it copied twice.
+func (d *Dataset) AppendSnapshot(dst []byte) ([]byte, error) {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	view := d.view.Load()
 	if view == nil {
-		return ErrNotFrozen
+		return dst, ErrNotFrozen
 	}
 
-	var w wire.Writer
+	w := wire.NewWriter(dst)
 	w.String(snapshotFormat)
 	w.Uvarint(uint64(len(d.shards)))
 	w.Uvarint(view.generation)
@@ -134,28 +147,27 @@ func (d *Dataset) EncodeSnapshot(out io.Writer) error {
 	}
 	w.Uvarint(d.quarSeq)
 	encodeQuar(&w, &d.quar)
-	if _, err := out.Write(w.Bytes()); err != nil {
-		return err
-	}
+	dst = w.Bytes()
 
 	// A shard's section is ref ++ image ++ rest, behind its length.
 	var head, ref, rest wire.Writer
+	var b imageBuffers
 	for sid, s := range d.shards {
 		s.mu.RLock()
 		idx := s.idx.Load()
 		ref, rest = wire.NewWriter(ref.Bytes()[:0]), wire.NewWriter(rest.Bytes()[:0])
 		ref.Bool(idx.spill != nil)
-		var image []byte
+		image := 0
 		if idx.spill != nil {
 			ref.String(idx.spill.file)
 		} else {
-			seg, _ := shardSegment(sid, view.generation, idx)
+			shardSegment(&b, sid, view.generation, idx)
 			var err error
-			if image, err = seg.Bytes(); err != nil {
+			if image, err = b.seg.Size(); err != nil {
 				s.mu.RUnlock()
-				return fmt.Errorf("%w: shard %d image: %v", ErrSnapshotState, sid, err)
+				return dst, fmt.Errorf("%w: shard %d image: %v", ErrSnapshotState, sid, err)
 			}
-			ref.Uvarint(uint64(len(image)))
+			ref.Uvarint(uint64(image))
 		}
 		// Journals and the domain roster stay beside the segment: they are
 		// resident state it does not carry.
@@ -168,14 +180,14 @@ func (d *Dataset) EncodeSnapshot(out io.Writer) error {
 		}
 		s.mu.RUnlock()
 		head = wire.NewWriter(head.Bytes()[:0])
-		head.Uvarint(uint64(ref.Len() + len(image) + rest.Len()))
-		for _, b := range [][]byte{head.Bytes(), ref.Bytes(), image, rest.Bytes()} {
-			if _, err := out.Write(b); err != nil {
-				return err
-			}
+		head.Uvarint(uint64(ref.Len() + image + rest.Len()))
+		dst = append(append(dst, head.Bytes()...), ref.Bytes()...)
+		if image > 0 {
+			dst, _ = b.seg.AppendTo(dst) // Size has rendered it once already
 		}
+		dst = append(dst, rest.Bytes()...)
 	}
-	return nil
+	return dst, nil
 }
 
 // DecodeSnapshot reconstructs a frozen dataset from an EncodeSnapshot

@@ -214,9 +214,9 @@ func TestInternDedupsCertsAndNames(t *testing.T) {
 // frozen shard, which has no accumulation map, stays without one.
 func TestReserveKeepsEntries(t *testing.T) {
 	var si stringInterner
-	held := si.intern("www.held.example")
+	held := si.intern("www.held.example", false)
 	si.reserve(1 << 12)
-	if got := si.intern("www.held.example"); unsafe.StringData(got) != unsafe.StringData(held) {
+	if got := si.intern("www.held.example", false); unsafe.StringData(got) != unsafe.StringData(held) {
 		t.Fatal("reserve dropped an interned string")
 	}
 	if n, _ := si.stats(); n != 1 {

@@ -42,6 +42,16 @@ var ErrSpill = errors.New("scanner: spill store failure")
 // slot (the domain entries and intern pools stay resident by design).
 const estSpilledPerAttach = estRecordBytes + estAttachBytes
 
+// estEntryBytesPerDomain and estEntryBytesPerAttach size a shard's segment
+// entries ahead of encoding them: on the synthetic corpora an entry's key
+// and counts come to some 21 bytes and each record of its window to some
+// 22, so these overshoot by a few percent. An underestimate costs a regrow
+// of the writer's buffer.
+const (
+	estEntryBytesPerDomain = 24
+	estEntryBytesPerAttach = 24
+)
+
 // SpillOptions configures the out-of-core layer.
 type SpillOptions struct {
 	// Dir is the segment store directory (required).
@@ -295,13 +305,15 @@ func (d *Dataset) spilledBytesLocked() int64 {
 // enforceSpillLocked seals coldest-first resident shards until the
 // resident estimate fits the budget (or nothing spillable remains — with a
 // zero budget that is the terminating case: every non-empty shard ends up
-// on disk). Caller holds d.mu; the dataset is frozen.
+// on disk). One set of image buffers serves every seal of the pass. Caller
+// holds d.mu; the dataset is frozen.
 func (d *Dataset) enforceSpillLocked() error {
 	sp := d.spill
 	if sp == nil || sp.budget < 0 || d.view.Load() == nil {
 		return nil
 	}
 	st := d.pool.Stats()
+	var b imageBuffers
 	for {
 		resident := d.estimatedBytesLocked(st) - d.spilledBytesLocked()
 		if resident <= sp.budget {
@@ -311,7 +323,7 @@ func (d *Dataset) enforceSpillLocked() error {
 		if sid < 0 {
 			return nil
 		}
-		if err := d.sealShardLocked(sid); err != nil {
+		if err := d.sealShardLocked(&b, sid); err != nil {
 			return err
 		}
 	}
@@ -335,31 +347,44 @@ func (d *Dataset) coldestResidentLocked() int {
 	return best
 }
 
-// shardSegment renders a resident shard as a segment at generation gen:
-// one entry per domain of its roster, holding the domain's window
-// (encodeWindow), and the shard's certificate table as the common blob.
-// It returns the table's certificates too, the canonical pooled instances
-// the windows hold. A sealed spilled shard and a resident shard inline in a
-// snapshot are both this image.
-func shardSegment(sid int, gen uint64, idx *shardIndex) (*segment.Writer, []*x509lite.Certificate) {
+// imageBuffers is what rendering one shard's segment image after another
+// reuses: the segment writer with its entries buffer, the window value
+// buffer and the certificate table's encoding.
+type imageBuffers struct {
+	seg   segment.Writer
+	value []byte
+	certs wire.Writer
+}
+
+// shardSegment renders a resident shard into b.seg as a segment at
+// generation gen: one entry per domain of its roster, holding the domain's
+// window (encodeWindow), and the shard's certificate table as the common
+// blob. It returns the table's certificates too, the canonical pooled
+// instances the windows hold. A sealed spilled shard and a resident shard
+// inline in a snapshot are both this image.
+func shardSegment(b *imageBuffers, sid int, gen uint64, idx *shardIndex) []*x509lite.Certificate {
 	table := newCertTable(len(idx.domains))
-	w := segment.NewWriter(sid, gen)
-	var value []byte // Add copies it, so one buffer serves every entry
+	w := &b.seg
+	w.Reset(sid, gen)
+	w.Grow(len(idx.domains)*estEntryBytesPerDomain + idx.attach*estEntryBytesPerAttach)
 	for i, domain := range idx.domains {
-		value = encodeWindow(value[:0], idx.windows[i], table)
-		// A key out of order latches in w and fails its Bytes.
-		_ = w.Add(string(domain), value)
+		// Add copies the value, so one buffer serves every entry.
+		b.value = encodeWindow(b.value[:0], idx.windows[i], table)
+		// A key out of order latches in w and fails its rendering.
+		_ = w.Add(string(domain), b.value)
 	}
-	var cw wire.Writer
-	table.encode(&cw)
-	w.SetCommon(cw.Bytes())
-	return w, table.certs
+	b.certs = wire.NewWriter(b.certs.Bytes()[:0])
+	table.encode(&b.certs)
+	w.SetCommon(b.certs.Bytes())
+	return table.certs
 }
 
 // adoptSegment checks that seg is shard sid's segment over roster — sealed
 // for that shard, one entry per roster domain — and returns its certificate
 // table re-interned through the dataset's pool, so the certificates its
-// windows decode to are the ones a live ingest would hold.
+// windows decode to are the ones a live ingest would hold. The table's
+// certificates are decoded here and held by nothing else, so the pool
+// adopts them rather than copying them.
 func (d *Dataset) adoptSegment(seg *segment.Reader, sid int, roster []dnscore.Name) ([]*x509lite.Certificate, error) {
 	if seg.Shard() != sid || seg.Count() != len(roster) {
 		return nil, fmt.Errorf("segment holds shard %d with %d domains, roster says shard %d with %d",
@@ -371,7 +396,7 @@ func (d *Dataset) adoptSegment(seg *segment.Reader, sid int, roster []dnscore.Na
 		return nil, fmt.Errorf("cert table: %w", err)
 	}
 	for i, c := range certs {
-		certs[i] = d.pool.Cert(c)
+		certs[i] = d.pool.AdoptCert(c)
 	}
 	return certs, nil
 }
@@ -380,8 +405,8 @@ func (d *Dataset) adoptSegment(seg *segment.Reader, sid int, roster []dnscore.Na
 // roster, in order: the resident windows of the shard the segment holds.
 func segmentWindows(seg *segment.Reader, roster []dnscore.Name, certs []*x509lite.Certificate) ([][]*Record, error) {
 	windows := make([][]*Record, 0, len(roster))
-	err := seg.Walk(func(key string, value []byte) error {
-		if i := len(windows); i >= len(roster) || string(roster[i]) != key {
+	err := seg.Walk(func(key, value []byte) error {
+		if i := len(windows); i >= len(roster) || string(roster[i]) != string(key) {
 			return fmt.Errorf("segment domain %q does not match the roster", key)
 		}
 		window, err := decodeWindow(value, certs)
@@ -397,18 +422,18 @@ func segmentWindows(seg *segment.Reader, roster []dnscore.Name, certs []*x509lit
 	return windows, err
 }
 
-// sealShardLocked writes shard sid's segment (shardSegment) at the current
-// generation, publishes a payload-free index snapshot backed by a segment
-// reader, and lets the resident windows go. Caller holds d.mu; the shard
-// is frozen and resident.
-func (d *Dataset) sealShardLocked(sid int) error {
+// sealShardLocked writes shard sid's segment (shardSegment, rendered in b)
+// at the current generation, publishes a payload-free index snapshot
+// backed by a segment reader, and lets the resident windows go. Caller
+// holds d.mu; the shard is frozen and resident.
+func (d *Dataset) sealShardLocked(b *imageBuffers, sid int) error {
 	s := d.shards[sid]
 	idx := s.idx.Load()
 	if idx == nil || idx.spill != nil || len(idx.domains) == 0 {
 		return nil
 	}
-	w, certs := shardSegment(sid, d.view.Load().generation, idx)
-	info, err := d.spill.store.Seal(w)
+	certs := shardSegment(b, sid, d.view.Load().generation, idx)
+	info, err := d.spill.store.Seal(&b.seg)
 	if err != nil {
 		return fmt.Errorf("%w: seal shard %d: %v", ErrSpill, sid, err)
 	}

@@ -237,8 +237,9 @@ func TestSpillV1SnapshotUnderBudget(t *testing.T) {
 		if len(idx.domains) == 0 {
 			continue
 		}
-		seg, _ := shardSegment(sid, d.Generation(), idx)
-		image, err := seg.Bytes()
+		var b imageBuffers
+		shardSegment(&b, sid, d.Generation(), idx)
+		image, err := b.seg.AppendTo(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -567,7 +568,7 @@ func TestUnsortedSegmentWindowRefused(t *testing.T) {
 	var cw wire.Writer
 	table.encode(&cw)
 	w.SetCommon(cw.Bytes())
-	data, err := w.Bytes()
+	data, err := w.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

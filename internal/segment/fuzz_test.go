@@ -22,7 +22,7 @@ func FuzzSegmentReplay(f *testing.F) {
 			f.Fatal(err)
 		}
 	}
-	healthy, err := w.Bytes()
+	healthy, err := w.AppendTo(nil)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -41,8 +41,8 @@ func FuzzSegmentReplay(f *testing.F) {
 				}
 				return
 			}
-			walkErr := r.Walk(func(k string, v []byte) error {
-				got, ok, err := r.Get(k)
+			walkErr := r.Walk(func(k, v []byte) error {
+				got, ok, err := r.Get(string(k))
 				if err != nil {
 					return err
 				}

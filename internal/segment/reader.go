@@ -246,9 +246,13 @@ func (r *Reader) Get(key string) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// Walk visits every entry in key order. In stream mode the whole entries
-// region is read once (the caller is materializing the shard anyway).
-func (r *Reader) Walk(fn func(key string, value []byte) error) error {
+// Walk visits every entry in key order. Key and value alias the segment
+// (the mapping, the in-memory image, or one read of the region) and are
+// valid only during the call: a caller that keeps a key copies it, so a
+// walk that only compares keys allocates nothing per entry. In stream mode
+// the whole entries region is read once (the caller is materializing the
+// shard anyway).
+func (r *Reader) Walk(fn func(key, value []byte) error) error {
 	block, err := r.block(0, r.entriesLen)
 	if err != nil {
 		return err
@@ -265,7 +269,7 @@ func (r *Reader) Walk(fn func(key string, value []byte) error) error {
 		if seen > r.count {
 			return fmt.Errorf("%w: more entries than declared (%d)", ErrBadSegment, r.count)
 		}
-		if err := fn(string(k), v); err != nil {
+		if err := fn(k, v); err != nil {
 			return err
 		}
 	}

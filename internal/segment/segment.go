@@ -25,6 +25,15 @@
 // verified at open: segments are immutable, so one verification covers
 // every later read.
 //
+// Writing renders each byte once. A Writer encodes its entries into a
+// buffer it keeps across Reset, so one writer serves shard after shard;
+// the file is that buffer between a small head and anchor index, appended
+// in place to a caller's buffer (AppendTo, which a dataset snapshot frames
+// its inline images with) or written to disk part by part with the
+// checksum folded over the parts (Store.Seal through WriteFrame, which the
+// WAL's snapshot files go through too). Frame builds a frame in a buffer
+// of its own, for callers that have one payload in hand.
+//
 // Decoding operates on attacker-shaped bytes (a garbled file survives its
 // CRC one time in 2^32), so every reader path returns typed errors —
 // never panics — and bounds every allocation against the remaining input
@@ -37,6 +46,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"retrodns/internal/wire"
 )
@@ -65,12 +75,42 @@ const (
 )
 
 // Frame wraps payload as magic ++ payload ++ u32le CRC-32C(payload) — the
-// shared framing for segment files and WAL snapshot files.
-func Frame(magic string, payload []byte) []byte {
-	buf := make([]byte, 0, len(magic)+len(payload)+4)
-	buf = append(buf, magic...)
-	buf = append(buf, payload...)
-	return binary.LittleEndian.AppendUint32(buf, wire.Checksum(payload))
+// shared framing for segment files and WAL snapshot files — in a buffer of
+// its own.
+func Frame(magic string, payload []byte) []byte { return AppendFrame(nil, magic, payload) }
+
+// AppendFrame appends the Frame of the concatenation of parts to dst,
+// growing it at most once, with the checksum computed over the payload in
+// place.
+func AppendFrame(dst []byte, magic string, parts ...[]byte) []byte {
+	n := len(magic) + 4
+	for _, p := range parts {
+		n += len(p)
+	}
+	dst = slices.Grow(dst, n)
+	dst = append(dst, magic...)
+	start := len(dst)
+	for _, p := range parts {
+		dst = append(dst, p...)
+	}
+	return binary.LittleEndian.AppendUint32(dst, wire.Checksum(dst[start:]))
+}
+
+// WriteFrame lands the Frame of the concatenation of parts at <dir>/<name>
+// (AtomicWrite) without assembling it: each part is written as it stands,
+// and the checksum is folded over them. It returns the file's size.
+func WriteFrame(dir, name, magic string, parts ...[]byte) (int64, error) {
+	n := int64(len(magic) + 4)
+	crc := uint32(0)
+	for _, p := range parts {
+		n += int64(len(p))
+		crc = wire.UpdateChecksum(crc, p)
+	}
+	file := make([][]byte, 0, len(parts)+2)
+	file = append(file, []byte(magic))
+	file = append(file, parts...)
+	file = append(file, binary.LittleEndian.AppendUint32(nil, crc))
+	return n, AtomicWrite(dir, name, file...)
 }
 
 // Unframe verifies a Frame encoding and returns the payload (aliasing
@@ -88,19 +128,21 @@ func Unframe(magic string, data []byte) ([]byte, error) {
 	return payload, nil
 }
 
-// AtomicWrite lands data at <dir>/<name> via tmp + fsync + rename + dir
-// fsync: after it returns, a crash yields either the old file or the new,
-// never a half-written one under the published name.
-func AtomicWrite(dir, name string, data []byte) error {
+// AtomicWrite lands the concatenation of parts at <dir>/<name> via tmp +
+// fsync + rename + dir fsync: after it returns, a crash yields either the
+// old file or the new, never a half-written one under the published name.
+func AtomicWrite(dir, name string, parts ...[]byte) error {
 	tmp, err := os.CreateTemp(dir, name+".tmp-")
 	if err != nil {
 		return err
 	}
 	tmpName := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmpName)
-		return err
+	for _, p := range parts {
+		if _, err := tmp.Write(p); err != nil {
+			tmp.Close()
+			os.Remove(tmpName)
+			return err
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

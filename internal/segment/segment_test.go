@@ -23,9 +23,9 @@ func buildSeg(t *testing.T, shard int, gen uint64, n int) ([]byte, map[string][]
 		}
 		want[k] = v
 	}
-	data, err := w.Bytes()
+	data, err := w.AppendTo(nil)
 	if err != nil {
-		t.Fatalf("Bytes: %v", err)
+		t.Fatalf("AppendTo: %v", err)
 	}
 	return data, want
 }
@@ -51,7 +51,8 @@ func checkReader(t *testing.T, r *Reader, want map[string][]byte) {
 	}
 	seen := 0
 	prev := ""
-	if err := r.Walk(func(k string, v []byte) error {
+	if err := r.Walk(func(key, v []byte) error {
+		k := string(key)
 		if seen > 0 && k <= prev {
 			t.Fatalf("Walk out of order: %q after %q", k, prev)
 		}
@@ -152,8 +153,8 @@ func TestUnsortedKeysLatch(t *testing.T) {
 	if err := w.Add("z", nil); !errors.Is(err, ErrUnsortedKeys) {
 		t.Fatalf("latched Add = %v", err)
 	}
-	if _, err := w.Bytes(); !errors.Is(err, ErrUnsortedKeys) {
-		t.Fatalf("Bytes after latch = %v", err)
+	if _, err := w.AppendTo(nil); !errors.Is(err, ErrUnsortedKeys) {
+		t.Fatalf("AppendTo after latch = %v", err)
 	}
 }
 

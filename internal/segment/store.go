@@ -65,19 +65,21 @@ func OpenStore(dir string) (*Store, error) {
 func (st *Store) Dir() string { return st.dir }
 
 // Seal writes the writer's segment atomically (tmp, fsync, rename,
-// directory fsync) and returns its Info. Re-sealing the same (shard, gen)
+// directory fsync) and returns its Info. The entries go to disk straight
+// from the writer's buffer (WriteFrame). Re-sealing the same (shard, gen)
 // replaces the file — the bytes are a pure function of the shard state,
 // so the replacement is idempotent.
 func (st *Store) Seal(w *Writer) (Info, error) {
-	data, err := w.Bytes()
+	parts, err := w.render()
 	if err != nil {
 		return Info{}, err
 	}
 	name := SegName(w.Shard(), w.Gen())
-	if err := AtomicWrite(st.dir, name, data); err != nil {
+	n, err := WriteFrame(st.dir, name, fileMagic, parts[:]...)
+	if err != nil {
 		return Info{}, err
 	}
-	return Info{Shard: w.Shard(), Gen: w.Gen(), File: name, Bytes: int64(len(data))}, nil
+	return Info{Shard: w.Shard(), Gen: w.Gen(), File: name, Bytes: n}, nil
 }
 
 // OpenSeg opens a sealed segment for reading and cross-checks the sealed

@@ -209,8 +209,8 @@ func reseal(t *testing.T, image []byte, sid int, edit func(keys []string, values
 	}
 	var keys []string
 	var values [][]byte
-	if err := seg.Walk(func(k string, v []byte) error {
-		keys, values = append(keys, k), append(values, slices.Clone(v))
+	if err := seg.Walk(func(k, v []byte) error {
+		keys, values = append(keys, string(k)), append(values, slices.Clone(v))
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func reseal(t *testing.T, image []byte, sid int, edit func(keys []string, values
 			t.Fatal(err)
 		}
 	}
-	out, err := w.Bytes()
+	out, err := w.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,13 +3,13 @@ package wal
 // Snapshot files. A snapshot is one file:
 //
 //	"RDSS" ++ payload ++ CRC-32C(payload)
-//	payload = uvarint(len(dataset)) ++ EncodeSnapshot bytes
+//	payload = uvarint(len(dataset)) ++ AppendSnapshot bytes
 //	       ++ uvarint(len(cache))   ++ EncodeState bytes (len 0 = none)
 //
-// and nothing after the two sections: trailing bytes refuse the file.
+// and nothing after the two sections: trailing bytes refuse the file. It is
 // written tmp-then-rename with fsyncs on both the file and the directory,
 // so a crash leaves either the old state or the new — never a half file
-// under the published name. The framing is segment.Frame, the same
+// under the published name. The framing is segment.WriteFrame's, the same
 // magic ++ payload ++ CRC-32C envelope the segment store uses, so both
 // durability layers fail torn files the same way. The file name carries
 // the generation, so the directory listing is the only index: recovery
@@ -23,8 +23,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
-	"retrodns/internal/core"
 	"retrodns/internal/scanner"
 	"retrodns/internal/segment"
 	"retrodns/internal/wire"
@@ -60,25 +60,59 @@ func snapGen(name string) (uint64, bool) {
 	return gen, true
 }
 
-// writeSnapshotFile serializes ds (+ cache, which may be nil) into
-// <dir>/snap-<gen>.bin atomically.
-func writeSnapshotFile(dir string, gen uint64, ds *scanner.Dataset, cache *core.ClassifyCache) error {
-	var dsBuf, cacheBuf strings.Builder
-	if err := ds.EncodeSnapshot(&dsBuf); err != nil {
-		return err
+// writeSnapshotFile serializes the store's dataset (+ cache, which may be
+// nil) into <dir>/snap-<gen>.bin atomically, observing the encode and the
+// write apart, and returns the file's size. Each section is encoded once,
+// into a buffer sized from the last snapshot's section (sizeHint), and the
+// file is written as its parts — magic, length, dataset, length, cache,
+// checksum — so no byte of either section is copied again on its way to
+// disk.
+func (s *Store) writeSnapshotFile(gen uint64) (int64, error) {
+	start := time.Now()
+	ds, err := s.ds.AppendSnapshot(make([]byte, 0, s.dsHint.next(gen)))
+	if err != nil {
+		return 0, err
 	}
-	if cache != nil {
-		if err := cache.EncodeState(&cacheBuf); err != nil {
+	var cache []byte
+	if s.cache != nil {
+		if cache, err = s.cache.EncodeState(make([]byte, 0, s.cacheHint.next(gen))); err != nil {
 			// A cache that cannot serialize (mid-extension mismatch) is
 			// dropped from the snapshot, not fatal: recovery rebuilds it.
-			cacheBuf.Reset()
+			cache = nil
 		}
 	}
-	var w wire.Writer
-	w.String(dsBuf.String())
-	w.String(cacheBuf.String())
-	return segment.AtomicWrite(dir, snapName(gen), segment.Frame(snapMagic, w.Bytes()))
+	s.dsHint.observe(gen, len(ds))
+	s.cacheHint.observe(gen, len(cache))
+	var dsLen, cacheLen wire.Writer
+	dsLen.Uvarint(uint64(len(ds)))
+	cacheLen.Uvarint(uint64(len(cache)))
+	start = observe(s.met.snapshotSec, "encode", start)
+	n, err := segment.WriteFrame(s.dir, snapName(gen), snapMagic, dsLen.Bytes(), ds, cacheLen.Bytes(), cache)
+	observe(s.met.snapshotSec, "write", start)
+	return n, err
 }
+
+// sizeHint remembers one snapshot section's last encoded size, to size the
+// next encoding's buffer. A section grows about with the corpus, so the
+// hint scales the last size by how far the generation moved since, plus a
+// sixteenth: an underestimate costs one regrow of the buffer, an
+// overestimate the unused tail until the write is done.
+type sizeHint struct {
+	gen   uint64
+	bytes int
+}
+
+// next is the buffer size for the section's encoding at generation gen.
+func (h sizeHint) next(gen uint64) int {
+	if h.gen == 0 {
+		return 0
+	}
+	n := float64(h.bytes) * float64(gen) / float64(h.gen)
+	return int(n + n/16)
+}
+
+// observe records the section's size at generation gen.
+func (h *sizeHint) observe(gen uint64, bytes int) { *h = sizeHint{gen: gen, bytes: bytes} }
 
 // loadSnapshotFile reads and verifies one snapshot file, returning the
 // dataset and (possibly nil) cache payloads still encoded — the caller

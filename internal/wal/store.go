@@ -31,6 +31,8 @@ const (
 	MetricWALRecoveredGen = "retrodns_wal_recovered_generation"
 	MetricWALAppendSec    = "retrodns_wal_append_seconds"
 	MetricWALRestoreSec   = "retrodns_wal_restore_seconds"
+	MetricWALSnapshotSec  = "retrodns_wal_snapshot_seconds"
+	MetricWALSnapshotByte = "retrodns_wal_snapshot_bytes_total"
 )
 
 // appendSteps are the steps of one Store.Append, MetricWALAppendSec's step
@@ -44,6 +46,11 @@ var appendSteps = []string{"encode", "stage", "sync", "sync_wait", "publish"}
 // finding and decoding the newest snapshot that verifies (or making a cold
 // dataset), replaying the log on top of it, and restoring the cache.
 var restoreSteps = []string{"dataset", "replay", "cache"}
+
+// snapshotSteps are the steps of one snapshot write, MetricWALSnapshotSec's
+// step label: encoding the dataset and cache sections, and writing the file
+// (write, fsync, rename, directory fsync).
+var snapshotSteps = []string{"encode", "write"}
 
 // Quarantine reasons for MetricWALQuarantined. Every refusal on the
 // durability path counts under exactly one of these.
@@ -113,6 +120,8 @@ type storeMetrics struct {
 	recoveredGen *obsv.Gauge
 	appendSec    map[string]*obsv.Histogram
 	restoreSec   map[string]*obsv.Histogram
+	snapshotSec  map[string]*obsv.Histogram
+	snapBytes    *obsv.Counter
 }
 
 // observe records on steps[step] that the step took from start until now,
@@ -143,8 +152,10 @@ type Store struct {
 
 	appendsSince int
 	lastSnapGen  uint64
-	closed       bool
-	met          storeMetrics
+	// dsHint and cacheHint size the next snapshot's section buffers.
+	dsHint, cacheHint sizeHint
+	closed            bool
+	met               storeMetrics
 }
 
 // Open recovers state from dir and returns a store ready for appends. The
@@ -176,6 +187,10 @@ func Open(opts Options) (*Store, *Recovery, error) {
 		}
 		s.ds, cacheBytes, rec.FromSnapshot = ds, cb, name
 		rec.Warm = true
+		if fi, err := os.Stat(filepath.Join(opts.Dir, name)); err == nil {
+			s.dsHint.observe(ds.Generation(), int(fi.Size())-len(cb))
+			s.cacheHint.observe(ds.Generation(), len(cb))
+		}
 		break
 	}
 	var err error
@@ -243,6 +258,8 @@ func (s *Store) initMetrics(reg *obsv.Registry) {
 	reg.SetHelp(MetricWALRecoveredGen, "Dataset generation recovered to at boot.")
 	reg.SetHelp(MetricWALAppendSec, "Where one durable append's time goes, by step (sync runs beside stage).")
 	reg.SetHelp(MetricWALRestoreSec, "Where one recovery's time goes, by step: snapshot decode, log replay, cache restore.")
+	reg.SetHelp(MetricWALSnapshotSec, "Where one snapshot write's time goes, by step: section encode, file write.")
+	reg.SetHelp(MetricWALSnapshotByte, "Bytes of snapshot files written.")
 	s.met.appends = reg.Counter(MetricWALAppends)
 	s.met.records = reg.Counter(MetricWALRecords)
 	s.met.bytes = reg.Counter(MetricWALBytes)
@@ -260,6 +277,11 @@ func (s *Store) initMetrics(reg *obsv.Registry) {
 	for _, step := range restoreSteps {
 		s.met.restoreSec[step] = reg.Histogram(MetricWALRestoreSec, obsv.DurationBuckets, "step", step)
 	}
+	s.met.snapshotSec = make(map[string]*obsv.Histogram, len(snapshotSteps))
+	for _, step := range snapshotSteps {
+		s.met.snapshotSec[step] = reg.Histogram(MetricWALSnapshotSec, obsv.DurationBuckets, "step", step)
+	}
+	s.met.snapBytes = reg.Counter(MetricWALSnapshotByte)
 }
 
 func (s *Store) fault(reason string) {
@@ -452,7 +474,8 @@ func (s *Store) Snapshot() error {
 		s.appendsSince = 0
 		return nil
 	}
-	if err := writeSnapshotFile(s.dir, gen, s.ds, s.cache); err != nil {
+	n, err := s.writeSnapshotFile(gen)
+	if err != nil {
 		return err
 	}
 	// The snapshot is durable and published: frames up to gen are now
@@ -466,6 +489,7 @@ func (s *Store) Snapshot() error {
 	s.appendsSince = 0
 	s.lastSnapGen = gen
 	s.met.snapshots.Inc()
+	s.met.snapBytes.Add(n)
 	pruneSnapshots(s.dir)
 	return nil
 }

@@ -354,12 +354,12 @@ func TestDiskBytesPinned(t *testing.T) {
 	if got := sum(datasetSection(t, snap)); got != wantSnapDataset {
 		t.Errorf("dataset section sha256 %s, want %s", got, wantSnapDataset)
 	}
-	var cache bytes.Buffer
-	if err := rec.Cache.EncodeState(&cache); err != nil {
+	cache, err := rec.Cache.EncodeState(nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sum(cache.Bytes()); got != wantCache {
-		t.Errorf("cache state (%d bytes) sha256 %s, want %s", cache.Len(), got, wantCache)
+	if got := sum(cache); got != wantCache {
+		t.Errorf("cache state (%d bytes) sha256 %s, want %s", len(cache), got, wantCache)
 	}
 }
 

@@ -37,6 +37,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // frame, snapshot file and segment file.
 func Checksum(b []byte) uint32 { return crc32.Checksum(b, crcTable) }
 
+// UpdateChecksum extends crc, the Checksum of some bytes, with b: the
+// Checksum of a payload written as several parts is the fold of
+// UpdateChecksum over them, starting from 0.
+func UpdateChecksum(crc uint32, b []byte) uint32 { return crc32.Update(crc, crcTable, b) }
+
 // Writer appends primitives to a byte slice. The zero value is ready to
 // use; Bytes returns the accumulated encoding. A String or Blob is read
 // back by the Reader method of the same name up to MaxBlob bytes, and by

@@ -97,3 +97,19 @@ func TestChecksumIsCastagnoli(t *testing.T) {
 		t.Fatal("Checksum is not CRC-32C")
 	}
 }
+
+// TestUpdateChecksum: folding UpdateChecksum over the parts of a payload
+// gives the payload's Checksum, however it is cut.
+func TestUpdateChecksum(t *testing.T) {
+	payload := []byte("the checksum of a frame written as several parts")
+	for _, cut := range [][]int{{0}, {5}, {5, 5, 20}, {len(payload)}} {
+		crc, prev := uint32(0), 0
+		for _, at := range append(cut, len(payload)) {
+			crc = UpdateChecksum(crc, payload[prev:at])
+			prev = at
+		}
+		if crc != Checksum(payload) {
+			t.Fatalf("cut at %v: folded %08x, want %08x", cut, crc, Checksum(payload))
+		}
+	}
+}

@@ -28,11 +28,14 @@ type Pool struct {
 	// InternName, when set, canonicalizes the SAN strings of a
 	// certificate on first insertion (typically through a shared string
 	// pool, so SANs repeated across certificate generations share
-	// backing bytes). It runs under the stripe lock. The pool then keeps
-	// its own copy of the certificate carrying the interned names: the
+	// backing bytes). It runs under the stripe lock; owned reports that
+	// the name's bytes are the pool's to keep (an adopted certificate's),
+	// so a string pool need not copy them. On Intern the pool keeps its
+	// own copy of the certificate carrying the interned names: the
 	// certificate handed to Intern is never written, so a feed may hand
-	// one instance to several pools at once.
-	InternName func(dnscore.Name) dnscore.Name
+	// one instance to several pools at once. On Adopt the certificate
+	// itself takes the interned names.
+	InternName func(name dnscore.Name, owned bool) dnscore.Name
 
 	stripes [certPoolStripes]certPoolStripe
 	size    atomic.Int64
@@ -78,7 +81,16 @@ func (p *Pool) Reserve(n int) {
 // certificate passes through unchanged. A new fingerprint inserts c itself,
 // or — when InternName is set — a copy of c whose SANs went through
 // InternName; c is only ever read.
-func (p *Pool) Intern(c *Certificate) *Certificate {
+func (p *Pool) Intern(c *Certificate) *Certificate { return p.intern(c, false) }
+
+// Adopt is Intern for a certificate the caller hands over: one it decoded
+// and holds no other reference to, such as a restored segment's
+// certificate table. A new fingerprint inserts c itself, its SANs
+// canonicalized in place, so a restore pays no second copy of what it
+// decoded. c must not be reachable by another goroutine or pool.
+func (p *Pool) Adopt(c *Certificate) *Certificate { return p.intern(c, true) }
+
+func (p *Pool) intern(c *Certificate, owned bool) *Certificate {
 	if p == nil || c == nil {
 		return c
 	}
@@ -96,14 +108,17 @@ func (p *Pool) Intern(c *Certificate) *Certificate {
 		return got
 	}
 	if p.InternName != nil {
-		own := c.Clone()
+		own := c
+		if !owned {
+			own = c.Clone()
+			own.fp.Store(c.fp.Load())
+		}
 		for i, san := range own.SANs {
-			own.SANs[i] = p.InternName(san)
+			own.SANs[i] = p.InternName(san, owned)
 			if san == own.Subject {
 				own.Subject = own.SANs[i]
 			}
 		}
-		own.fp.Store(c.fp.Load())
 		c = own
 	}
 	st.m[fp] = c

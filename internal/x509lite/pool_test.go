@@ -1,8 +1,10 @@
 package x509lite
 
 import (
+	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"retrodns/internal/dnscore"
 )
@@ -84,7 +86,10 @@ func TestPoolNilTolerance(t *testing.T) {
 func TestPoolInternNameCanonicalizesFirstSeen(t *testing.T) {
 	p := NewPool()
 	var interned []dnscore.Name
-	p.InternName = func(n dnscore.Name) dnscore.Name {
+	p.InternName = func(n dnscore.Name, owned bool) dnscore.Name {
+		if owned {
+			t.Fatalf("Intern handed %q over as owned", n)
+		}
 		interned = append(interned, n)
 		return n
 	}
@@ -105,6 +110,43 @@ func TestPoolInternNameCanonicalizesFirstSeen(t *testing.T) {
 	p.Intern(poolCert(5, "www.b.example", "mail.b.example"))
 	if len(interned) != 2 {
 		t.Fatalf("lookup re-ran InternName: %d calls", len(interned))
+	}
+}
+
+// TestPoolAdoptTakesOwnership: an adopted certificate the pool has not seen
+// is inserted itself, its SANs and subject replaced in place by what
+// InternName returns for names handed over as owned; a later Intern or
+// Adopt of the same certificate finds that instance.
+func TestPoolAdoptTakesOwnership(t *testing.T) {
+	p := NewPool()
+	canon := map[dnscore.Name]dnscore.Name{}
+	p.InternName = func(n dnscore.Name, owned bool) dnscore.Name {
+		if !owned {
+			t.Fatalf("Adopt handed %q over as not owned", n)
+		}
+		canon[n] = dnscore.Name(strings.Clone(string(n)))
+		return canon[n]
+	}
+	same := func(a, b dnscore.Name) bool { return unsafe.StringData(string(a)) == unsafe.StringData(string(b)) }
+	c := poolCert(6, "www.d.example", "mail.d.example")
+	if got := p.Adopt(c); got != c {
+		t.Fatal("Adopt inserted a copy, not the certificate it was handed")
+	}
+	if !same(c.SANs[0], canon["www.d.example"]) || !same(c.SANs[1], canon["mail.d.example"]) || !same(c.Subject, c.SANs[0]) {
+		t.Fatalf("SANs %v, subject %q: not interned in place", c.SANs, c.Subject)
+	}
+	if c.Clone().Fingerprint() != c.Fingerprint() {
+		t.Fatal("adoption changed the certificate's identity")
+	}
+	p.InternName = func(n dnscore.Name, _ bool) dnscore.Name {
+		t.Fatalf("a lookup re-interned %q", n)
+		return n
+	}
+	if p.Intern(poolCert(6, "www.d.example", "mail.d.example")) != c || p.Adopt(poolCert(6, "www.d.example", "mail.d.example")) != c {
+		t.Fatal("the adopted instance is not the pool's canonical one")
+	}
+	if p.Size() != 1 {
+		t.Fatalf("pool size = %d, want 1", p.Size())
 	}
 }
 

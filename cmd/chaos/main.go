@@ -34,6 +34,7 @@ import (
 	"syscall"
 	"time"
 
+	"retrodns/internal/core"
 	"retrodns/internal/faults"
 	"retrodns/internal/obsv"
 	"retrodns/internal/report"
@@ -132,6 +133,13 @@ type campaignResult struct {
 	ColdMS int64   `json:"cold_ms,omitempty"`
 	WarmMS int64   `json:"warm_ms,omitempty"`
 	Ratio  float64 `json:"ratio,omitempty"`
+	// Where the two boots' time went, read off their run reports: the warm
+	// boot's restore steps (retrodns_wal_restore_seconds) and the cold
+	// boot's classify stage wall summed over its runs
+	// (retrodns_stage_wall_seconds), in milliseconds.
+	WarmDatasetMS  float64 `json:"warm_dataset_ms,omitempty"`
+	WarmCacheMS    float64 `json:"warm_cache_ms,omitempty"`
+	ColdClassifyMS float64 `json:"cold_classify_ms,omitempty"`
 }
 
 func (r *campaignResult) failf(format string, args ...any) {
@@ -351,6 +359,17 @@ func quarantined(metrics []obsv.Sample, family string) map[string]int64 {
 	return out
 }
 
+// histogramMS is the sum, in milliseconds, of the seconds histogram family
+// in metrics under the label key=value.
+func histogramMS(metrics []obsv.Sample, family, key, value string) float64 {
+	for _, s := range metrics {
+		if s.Name == family && s.Labels[key] == value {
+			return s.Sum * 1000
+		}
+	}
+	return 0
+}
+
 // run drives campaign c: the fault, the recovery, and the three
 // invariants.
 func (h *harness) run(c campaign, res *campaignResult) error {
@@ -539,7 +558,7 @@ func (h *harness) warmSpeed(res *campaignResult) error {
 		return elapsed, doc, err
 	}
 
-	cold, _, err := boot("cold")
+	cold, coldDoc, err := boot("cold")
 	if err != nil {
 		return err
 	}
@@ -549,8 +568,12 @@ func (h *harness) warmSpeed(res *campaignResult) error {
 	}
 	res.ColdMS, res.WarmMS = cold.Milliseconds(), warm.Milliseconds()
 	res.Ratio = float64(cold) / float64(warm)
-	fmt.Fprintf(os.Stderr, "  warmspeed: cold=%v warm=%v ratio=%.1fx (gate %.1fx)\n",
-		cold.Round(time.Millisecond), warm.Round(time.Millisecond), res.Ratio, h.cfg.warmRatio)
+	res.WarmDatasetMS = histogramMS(warmDoc.Metrics, wal.MetricWALRestoreSec, "step", "dataset")
+	res.WarmCacheMS = histogramMS(warmDoc.Metrics, wal.MetricWALRestoreSec, "step", "cache")
+	res.ColdClassifyMS = histogramMS(coldDoc.Metrics, core.MetricStageWallSec, "stage", "classify")
+	fmt.Fprintf(os.Stderr, "  warmspeed: cold=%v warm=%v ratio=%.1fx (gate %.1fx); warm restore dataset=%.0fms cache=%.0fms, cold classify=%.0fms\n",
+		cold.Round(time.Millisecond), warm.Round(time.Millisecond), res.Ratio, h.cfg.warmRatio,
+		res.WarmDatasetMS, res.WarmCacheMS, res.ColdClassifyMS)
 	if res.Ratio < h.cfg.warmRatio {
 		res.failf("warm restart only %.1fx faster than cold boot (want >= %.1fx): cold=%v warm=%v",
 			res.Ratio, h.cfg.warmRatio, cold, warm)

@@ -77,3 +77,21 @@ func TestFeedMutationsCount(t *testing.T) {
 		})
 	}
 }
+
+// TestHistogramMS reads a seconds histogram's sum by label, as the
+// warmspeed verdict reads the restore steps and the classify stage wall
+// off the boots' run reports.
+func TestHistogramMS(t *testing.T) {
+	reg := obsv.NewRegistry()
+	reg.Histogram(wal.MetricWALRestoreSec, obsv.DurationBuckets, "step", "cache").Observe(0.25)
+	reg.Histogram(wal.MetricWALRestoreSec, obsv.DurationBuckets, "step", "dataset").Observe(0.5)
+	reg.Histogram(wal.MetricWALRestoreSec, obsv.DurationBuckets, "step", "dataset").Observe(0.125)
+	for _, c := range []struct {
+		step string
+		want float64
+	}{{"cache", 250}, {"dataset", 625}, {"replay", 0}} {
+		if got := histogramMS(reg.Snapshot(), wal.MetricWALRestoreSec, "step", c.step); got != c.want {
+			t.Errorf("%s: %v ms, want %v", c.step, got, c.want)
+		}
+	}
+}

@@ -307,7 +307,7 @@ func runConfig(t *testing.T, cfg config, s *studyInput) outcome {
 		defer log.Close()
 	}
 	plan := ingestPlan(cfg, len(s.dates))
-	appends, lastGen := 0, uint64(0)
+	appends, lastGen, restored := 0, uint64(0), false
 	for b, batch := range plan {
 		for _, i := range batch {
 			if cfg.ingest == "bulk" {
@@ -333,12 +333,18 @@ func runConfig(t *testing.T, cfg config, s *studyInput) outcome {
 				t.Fatalf("diverged from the reference after scan %d (%s)", b, s.dates[b])
 			}
 		}
-		if cfg.cache == "restored" && b == len(plan)/2 {
+		// The cache restores once, midway; under a tight budget, once the
+		// midway dataset has spilled a shard, so the restore reads both.
+		if cfg.cache == "restored" && !restored && b >= len(plan)/2 && (cfg.spill != "tight" || ds.SpilledShards() > 0) {
 			state, err := pipe.Cache.EncodeState(nil)
 			must(t, err)
 			pipe.Cache = core.NewClassifyCache()
 			must(t, pipe.Cache.DecodeState(state, ds))
+			restored = true
 		}
+	}
+	if cfg.cache == "restored" && !restored {
+		t.Errorf("the cache was never restored: nothing spilled past the midpoint")
 	}
 	res := pipe.Run()
 
@@ -755,6 +761,9 @@ func configTable() map[string][]config {
 		c.corpus, c.workers, c.ingest, c.records = world2, 2, "bulk", "scanner"
 		add("TestSpillInvariance", "", c)
 	}
+	// A cache restored mid-study over a dataset with shards on both sides
+	// of the budget: one restore walk reads resident and spilled shards.
+	add("TestSpillInvariance", "", config{corpus: world2, shards: 8, workers: 4, cache: "restored", ingest: "in-order", spill: "tight", records: "scanner"})
 
 	// Where the records lie in memory: as generated, read back through one
 	// ScanCSV, copied domain-major, and each with a certificate instance

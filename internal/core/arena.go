@@ -50,8 +50,9 @@ type classifyArena struct {
 // record's first load misses. The build loop pays those misses one record
 // at a time: each record's work waits on the deployment lookup of the one
 // before. Here every load is independent of the last, so the window's
-// misses are in flight together. A nil arena (the cached extendCell path,
-// which touches only a scan's worth of records) skips the pass.
+// misses are in flight together. A nil arena (the maps the cache keeps
+// and stitching's, mostly a scan's worth of records extending a cell)
+// skips the pass.
 func (a *classifyArena) prefetch(records []*scanner.Record) {
 	if a == nil {
 		return

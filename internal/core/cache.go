@@ -12,14 +12,13 @@ import (
 	"retrodns/internal/simtime"
 )
 
-// cellState caches one (domain, period) analysis cell: the deployment map,
-// its classification, and enough of the record window's shape to validate
-// an incremental extension on the next run.
+// cellState caches one (domain, period) analysis cell: the classification,
+// whose Map is the cell's deployment map, and enough of the record window's
+// shape to validate an incremental extension on the next run.
 type cellState struct {
-	// built marks that the cell has been computed at least once (a built
-	// cell with a nil map means the domain has no records in the period).
+	// built marks that the cell has been computed at least once; a built
+	// cell without a classification has no records in the period.
 	built bool
-	m     *DeploymentMap
 	class *Classification
 	// recCount and lastRec snapshot the record window the map was built
 	// from: an extension is valid only if the current window begins with
@@ -29,8 +28,8 @@ type cellState struct {
 	lastRec  *scanner.Record
 }
 
-// domainCells holds one domain's cells as a fixed array so parallel
-// workers touch disjoint memory with no shared map writes.
+// domainCells holds one domain's cells as a fixed array: its shard's walk
+// writes them without touching another domain's.
 type domainCells struct {
 	cells [simtime.NumPeriods]cellState
 	// byPeriod is the domain's category history as last published into a
@@ -44,30 +43,28 @@ type domainCells struct {
 // across runs over the same dataset. Keyed by (domain, period) cell and
 // validated against the dataset's generation and a fingerprint of the
 // effective Params: clean cells replay their cached Classification
-// verbatim, cells the dataset journaled as dirty re-enter BuildMap (as an
-// incremental extension when the new records merely extend the window),
-// and cells in a period that gained a scan date re-classify against the
-// period's new scan roster. A params change invalidates classifications
-// but keeps the maps — maps depend only on the records.
+// verbatim, cells the dataset journaled as dirty are extended or rebuilt
+// (extendCell), and cells in a period that gained a scan date re-classify
+// against the period's new scan roster. A params change invalidates
+// classifications but keeps the maps — maps depend only on the records.
 //
 // The cache is owned by at most one Pipeline at a time: Run mutates it
-// without locking (the per-cell work is partitioned per domain across the
-// worker pool). Result.History is safe to retain across Appends: every Run
-// fills a map of its own with category histories held by value. Deployment
-// maps inside Candidates and Classifications, by contrast, still alias
-// cache-owned state that an incremental extension may update in place;
-// consume those before the next Append.
+// without locking, as each shard's cells are written by the one worker
+// walking the shard. Result.History is safe to retain across Appends:
+// every Run fills a map of its own with category histories held by value.
+// Deployment maps inside Candidates and Classifications, by contrast,
+// still alias cache-owned state that an incremental extension may update
+// in place; consume those before the next Append.
 type ClassifyCache struct {
 	dataset  *scanner.Dataset
 	gen      uint64
 	paramsFP string
-	byDomain map[dnscore.Name]*domainCells
+	// byShard holds the cells of each dataset shard's domains.
+	byShard []map[dnscore.Name]*domainCells
 }
 
 // NewClassifyCache returns an empty cache ready to attach to a Pipeline.
-func NewClassifyCache() *ClassifyCache {
-	return &ClassifyCache{byDomain: make(map[dnscore.Name]*domainCells)}
-}
+func NewClassifyCache() *ClassifyCache { return &ClassifyCache{} }
 
 // fingerprint canonicalizes Params for cache validation with an explicit
 // field-by-field encoding. Every field MUST appear here: a field missing
@@ -87,28 +84,26 @@ func (p Params) fingerprint() string {
 		p.StitchPeriods)
 }
 
-// reset clears the cache for a new dataset.
-func (c *ClassifyCache) reset(ds *scanner.Dataset) {
-	c.dataset = ds
-	c.gen = 0
-	c.paramsFP = ""
-	c.byDomain = make(map[dnscore.Name]*domainCells)
+// reset clears the cache for a new dataset, sizing each shard's cell map
+// for about n domains.
+func (c *ClassifyCache) reset(ds *scanner.Dataset, n int) {
+	*c = ClassifyCache{dataset: ds, byShard: make([]map[dnscore.Name]*domainCells, ds.Shards())}
+	for sid := range c.byShard {
+		c.byShard[sid] = make(map[dnscore.Name]*domainCells, n/len(c.byShard))
+	}
 }
 
 // classifyCached is the cached counterpart of Run's build-and-classify
-// stage, shard-affine like the cold path: workers claim whole shards and
-// walk them through pinned views, filling per-domain classifyOut slots
-// exactly as the cold path does — same maps, same classifications, same
-// order — reusing cached cells where the dataset's dirty journal proves
-// nothing changed. Cached cells are retained across runs, so this path
-// never touches an arena. The dirty journal is read where it lives: each
-// worker asks its shard's pinned view for a domain's dirty periods as it
-// reaches the domain. It returns the workers' summed busy time, the
-// journaled dirty-cell count, and the per-shard fragments.
-func (p *Pipeline) classifyCached(params Params, workers int, periods []simtime.Period, scansByPeriod map[simtime.Period][]simtime.Date, sp *obsv.Span) (busy time.Duration, dirtyCells int, frags []shardClassifyOut) {
+// stage: the same shard walk (walkShards) filling the same per-domain slots
+// — same maps, same classifications, same order — but reusing the cells
+// the dirty journal, read off each shard's pinned view as the walk reaches
+// a domain, proves unchanged. A domain's windows are read (its cursor
+// Seek) only for a cell that must be built. It returns the workers' summed
+// busy time, the journaled dirty-cell count, and the per-shard fragments.
+func (p *Pipeline) classifyCached(params Params, workers int, periods []simtime.Period, scansByPeriod periodScans, sp *obsv.Span) (busy time.Duration, dirtyCells int, frags []shardClassifyOut) {
 	cache := p.Cache
-	if cache.dataset != p.Dataset || cache.byDomain == nil {
-		cache.reset(p.Dataset)
+	if cache.dataset != p.Dataset {
+		cache.reset(p.Dataset, 0)
 	}
 	fp := params.fingerprint()
 	paramsChanged := cache.gen != 0 && cache.paramsFP != fp
@@ -123,38 +118,15 @@ func (p *Pipeline) classifyCached(params Params, workers int, periods []simtime.
 		periodMask = p.Dataset.DirtyPeriodMask(since)
 	}
 
-	// Cell containers are created serially — workers then write only into
-	// their own shard's domains' fixed-size cell arrays.
-	nsh := p.Dataset.Shards()
-	frags = make([]shardClassifyOut, nsh)
-	dirtyBy := make([]int, nsh)
-	views := make([]scanner.ShardView, nsh)
-	cells := make([][]*domainCells, nsh)
-	for sid := 0; sid < nsh; sid++ {
-		v := p.Dataset.ShardView(sid)
-		views[sid] = v
-		doms := v.Domains()
-		frags[sid].domains = doms
-		frags[sid].outs = make([]classifyOut, len(doms))
-		dcs := make([]*domainCells, len(doms))
-		for i, domain := range doms {
-			dc := cache.byDomain[domain]
+	dirtyBy := make([]int, p.Dataset.Shards())
+	busy, frags = walkShards(p.Dataset, workers, sp, func(_, sid int, v scanner.ShardView, cur *scanner.WindowCursor, f *shardClassifyOut) {
+		cells := cache.byShard[sid]
+		for i, domain := range f.domains {
+			dc := cells[domain]
 			if dc == nil {
 				dc = &domainCells{}
-				cache.byDomain[domain] = dc
+				cells[domain] = dc
 			}
-			dcs[i] = dc
-		}
-		cells[sid] = dcs
-	}
-
-	busy = parallelForWorkers(nsh, workers, func(_, sid int) {
-		start := time.Now()
-		child := sp.Child(shardSpanName(sid))
-		f := &frags[sid]
-		v := views[sid]
-		for i, domain := range f.domains {
-			dc := cells[sid][i]
 			o := &f.outs[i]
 			var mask uint16
 			if tracked {
@@ -166,28 +138,24 @@ func (p *Pipeline) classifyCached(params Params, workers int, periods []simtime.
 				bit := uint16(1) << uint(period)
 				scans := scansByPeriod[period]
 				switch {
-				case !ps.built:
-					rebuildCell(v, params, domain, period, scans, ps)
-					if ps.m != nil {
-						o.misses++
-					}
-				case mask&bit != 0:
-					extendCell(v, params, domain, period, scans, ps)
-					if ps.m != nil {
+				case !ps.built || mask&bit != 0:
+					cur.Seek(i)
+					extendCell(cur, params, domain, period, scans, ps)
+					if ps.class != nil {
 						o.misses++
 					}
 				case periodMask&bit != 0 || paramsChanged:
-					if ps.m != nil {
-						ps.m.TotalScans = len(scans)
-						ps.class = params.Classify(ps.m, scans)
+					if ps.class != nil {
+						ps.class.Map.TotalScans = len(scans)
+						ps.class = params.Classify(ps.class.Map, scans)
 						o.misses++
 					}
 				default:
-					if ps.m != nil {
+					if ps.class != nil {
 						o.hits++
 					}
 				}
-				if ps.m == nil {
+				if ps.class == nil {
 					continue
 				}
 				o.maps++
@@ -198,49 +166,51 @@ func (p *Pipeline) classifyCached(params Params, workers int, periods []simtime.
 			}
 			o.byPeriod = dc.byPeriod
 		}
-		f.fold()
-		f.finish(child, start)
 	})
-	cache.gen = p.Dataset.Generation()
-	cache.paramsFP = fp
+	cache.gen, cache.paramsFP = p.Dataset.Generation(), fp
 	for _, n := range dirtyBy {
 		dirtyCells += n
 	}
 	return busy, dirtyCells, frags
 }
 
-// rebuildCell computes a cell from scratch over its full record window,
-// read through the owning shard's view. Cached maps are retained across
-// runs, so storage comes from the heap (nil arena), never a recycler.
-func rebuildCell(v scanner.ShardView, params Params, domain dnscore.Name, period simtime.Period, scans []simtime.Date, ps *cellState) {
-	window := v.DomainRecords(domain, period.Start(), period.End())
-	ps.built = true
-	ps.recCount = len(window)
+// keepCell builds cell ps over window, the records a cursor returned for
+// the cell's period, and returns its map (nil over no records): the one
+// builder of every cell the cache keeps, for a run's rebuilds and a
+// restore's alike. The records are kept past the cursor's next Seek and
+// the map is heap-built (nil arena), since a kept map outlives the run;
+// the map's classification is the caller's to attach.
+func keepCell(cur *scanner.WindowCursor, domain dnscore.Name, period simtime.Period, window []*scanner.Record, totalScans int, ps *cellState) *DeploymentMap {
+	cur.Keep(window)
+	*ps = cellState{built: true, recCount: len(window)}
 	if len(window) == 0 {
-		ps.m, ps.class, ps.lastRec = nil, nil, nil
-		return
+		return nil
 	}
 	ps.lastRec = window[len(window)-1]
-	ps.m = buildMapFrom(domain, period, window, len(scans), nil)
-	ps.class = params.Classify(ps.m, scans)
+	return buildMapFrom(domain, period, window, totalScans, nil)
 }
 
-// extendCell folds a dirty cell's new records into its cached map when the
-// window grew by pure append (the cached prefix is untouched); any other
-// shape — out-of-order merge, shrink — falls back to a full rebuild. The
-// pointer-identity validation and the in-place mergeRecords both operate
-// on the slice-set deployment representation: growth appends into the
-// retained map's sorted/first-seen slices exactly as a cold build would.
-func extendCell(v scanner.ShardView, params Params, domain dnscore.Name, period simtime.Period, scans []simtime.Date, ps *cellState) {
-	window := v.DomainRecords(domain, period.Start(), period.End())
-	if ps.m == nil || len(window) < ps.recCount || ps.recCount == 0 ||
+// extendCell brings a cell up to the cursor's current domain. When the
+// window grew by pure append — the cached prefix untouched, checked by
+// pointer identity on its last record — the new records fold into the
+// cached map in place, exactly as a cold build would append them; any
+// other window (an unbuilt cell, an out-of-order merge, a shrink, a
+// spilled shard's fresh copies) rebuilds the cell whole.
+func extendCell(cur *scanner.WindowCursor, params Params, domain dnscore.Name, period simtime.Period, scans []simtime.Date, ps *cellState) {
+	window := cur.Records(period.Start(), period.End())
+	var m *DeploymentMap
+	if ps.class == nil || len(window) < ps.recCount || ps.recCount == 0 ||
 		window[ps.recCount-1] != ps.lastRec {
-		rebuildCell(v, params, domain, period, scans, ps)
-		return
+		m = keepCell(cur, domain, period, window, len(scans), ps)
+	} else {
+		m = ps.class.Map
+		grown := window[ps.recCount:]
+		cur.Keep(grown)
+		mergeRecords(m, grown, nil)
+		m.TotalScans = len(scans)
+		ps.recCount, ps.lastRec = len(window), window[len(window)-1]
 	}
-	mergeRecords(ps.m, window[ps.recCount:])
-	ps.m.TotalScans = len(scans)
-	ps.recCount = len(window)
-	ps.lastRec = window[len(window)-1]
-	ps.class = params.Classify(ps.m, scans)
+	if m != nil {
+		ps.class = params.Classify(m, scans)
+	}
 }

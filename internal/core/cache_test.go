@@ -84,17 +84,18 @@ func TestExtendCellFallbacks(t *testing.T) {
 	}
 	ds.Freeze()
 	scans := ds.ScanDates(p0.Start(), p0.End())
-	view := ds.ShardViewFor(domain)
+	cur := ds.ShardViewFor(domain).Cursor()
+	cur.Seek(0)
 
-	var want cellState
-	rebuildCell(view, params, domain, p0, scans, &want)
-	if want.m == nil || want.recCount == 0 {
+	var want cellState // an unbuilt cell: extendCell builds it whole
+	extendCell(cur, params, domain, p0, scans, &want)
+	if want.class == nil || want.recCount == 0 {
 		t.Fatal("fixture built no map")
 	}
 
 	checkRebuilt := func(t *testing.T, got *cellState, oldM *DeploymentMap) {
 		t.Helper()
-		if got.m == oldM {
+		if got.class.Map == oldM {
 			t.Fatal("extendCell kept the cached map — fallback did not rebuild")
 		}
 		if got.recCount != want.recCount || got.lastRec != want.lastRec {
@@ -109,18 +110,18 @@ func TestExtendCellFallbacks(t *testing.T) {
 	t.Run("window-shrink", func(t *testing.T) {
 		got := want
 		got.recCount = want.recCount + 5
-		extendCell(view, params, domain, p0, scans, &got)
-		checkRebuilt(t, &got, want.m)
+		extendCell(cur, params, domain, p0, scans, &got)
+		checkRebuilt(t, &got, want.class.Map)
 	})
 	t.Run("out-of-order-merge", func(t *testing.T) {
 		got := want
 		got.lastRec = &scanner.Record{}
-		extendCell(view, params, domain, p0, scans, &got)
-		checkRebuilt(t, &got, want.m)
+		extendCell(cur, params, domain, p0, scans, &got)
+		checkRebuilt(t, &got, want.class.Map)
 	})
 	t.Run("zero-reccount", func(t *testing.T) {
 		got := cellState{built: true}
-		extendCell(view, params, domain, p0, scans, &got)
+		extendCell(cur, params, domain, p0, scans, &got)
 		checkRebuilt(t, &got, nil)
 	})
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"retrodns/internal/dnscore"
@@ -280,4 +282,94 @@ func FuzzDecodeState(f *testing.F) {
 			t.Fatal("re-encoding is not a fixed point")
 		}
 	})
+}
+
+// TestCacheStateRefusesDomainNotHeld: a payload naming a domain the dataset
+// does not hold, with a cell over records, is a typed refusal. The build
+// walks the dataset's rosters, so it never reaches such a domain and must
+// catch it as parsed but unvisited — whether the name sorts before, among
+// or after the owning shard's roster. A domain whose cells hold no records
+// has nothing to build, and restores as it always has.
+func TestCacheStateRefusesDomainNotHeld(t *testing.T) {
+	scans, pipe := incrementalWorld(t, 2, false)
+	for _, s := range scans {
+		pipe.Dataset.Append(s.date, s.recs)
+	}
+	pipe.Run()
+	ds, cache := pipe.Dataset, pipe.Cache
+	var held *domainCells
+	for _, cells := range cache.byShard {
+		for _, dc := range cells {
+			if dc.cells[0].class != nil {
+				held = dc
+			}
+		}
+	}
+	if held == nil {
+		t.Fatal("no cached domain has a map in period 0")
+	}
+	encodeWith := func(name dnscore.Name, dc *domainCells) []byte {
+		t.Helper()
+		cells := cache.byShard[ds.ShardOf(name)]
+		cells[name] = dc
+		defer delete(cells, name)
+		payload, err := cache.EncodeState(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return payload
+	}
+	for _, name := range []dnscore.Name{"0-not-held.example", "m-not-held.example", "zz-not-held.example"} {
+		err := NewClassifyCache().DecodeState(encodeWith(name, held), ds)
+		if !errors.Is(err, ErrCacheState) || !strings.Contains(err.Error(), string(name)) {
+			t.Errorf("%s with a map cell: DecodeState = %v, want an ErrCacheState naming it", name, err)
+		}
+	}
+	empty := &domainCells{}
+	empty.cells[0].built = true
+	payload := encodeWith("m-not-held.example", empty)
+	restored := NewClassifyCache()
+	if err := restored.DecodeState(payload, ds); err != nil {
+		t.Fatalf("a domain with only empty cells: %v", err)
+	}
+	if again, err := restored.EncodeState(nil); err != nil || !bytes.Equal(again, payload) {
+		t.Fatalf("restored cache re-encodes differently (err %v)", err)
+	}
+}
+
+// TestCacheStateRestoreOnTwoWorkers restores the cache of a 600-domain,
+// eight-shard corpus with GOMAXPROCS at 2, so the build walks two shards
+// at once (make race runs it under the race detector), and holds the
+// restored cache to the original: the same payload back, and a run that
+// replays every cell to the same Result.
+func TestCacheStateRestoreOnTwoWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	g := synth.New(synth.Config{Domains: 600, Seed: 11, Scans: 12, TransientPerMille: 40})
+	ds := scanner.NewDatasetShards(8)
+	for _, date := range g.ScanDates() {
+		if err := ds.Append(date, g.Scan(date)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pipe := &Pipeline{Params: DefaultParams(), Dataset: ds, PDNS: pdns.NewDB(), Workers: 2, Cache: NewClassifyCache()}
+	base := pipe.Run()
+	payload, err := pipe.Cache.EncodeState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cache := NewClassifyCache()
+	if err := cache.DecodeState(payload, ds); err != nil {
+		t.Fatal(err)
+	}
+	if again, err := cache.EncodeState(nil); err != nil || !bytes.Equal(again, payload) {
+		t.Fatalf("restored cache re-encodes differently (err %v)", err)
+	}
+	warm := &Pipeline{Params: pipe.Params, Dataset: ds, PDNS: pipe.PDNS, Workers: 2, Cache: cache}
+	got := warm.Run()
+	if !reflect.DeepEqual(digestResult(base), digestResult(got)) {
+		t.Fatal("restored pipeline Result diverged from original")
+	}
+	if got.Stats.CacheMisses != 0 || got.Stats.CacheHits != base.Funnel.Maps {
+		t.Fatalf("restored run: %d misses, %d hits; want all %d maps hits", got.Stats.CacheMisses, got.Stats.CacheHits, base.Funnel.Maps)
+	}
 }

@@ -255,27 +255,19 @@ func BuildMap(ds *scanner.Dataset, domain dnscore.Name, period simtime.Period) *
 // cache, stitching) must use.
 func buildMapFrom(domain dnscore.Name, period simtime.Period, records []*scanner.Record, totalScans int, ar *classifyArena) *DeploymentMap {
 	m := ar.newMap(domain, period, totalScans)
-	mergeRecordsArena(m, records, ar)
+	mergeRecords(m, records, ar)
 	return m
 }
 
-// mergeRecords folds further date-sorted records into a deployment map.
-// Every record's date must be >= the map's last observed date, which holds
-// both for a cold build (m empty, records sorted) and for an incremental
-// extension (appended scans never predate the analyzed window — Append
-// journals out-of-order merges as full-rebuild cells). The aggregation
-// mirrors the cold build exactly — get-or-create deployments by ASN in
-// first-seen order, then a stable sort by first appearance — so extending
-// a map yields a result byte-identical to rebuilding it from the full
-// window.
-func mergeRecords(m *DeploymentMap, records []*scanner.Record) {
-	mergeRecordsArena(m, records, nil)
-}
-
-// mergeRecordsArena is mergeRecords with deployment storage drawn from an
-// optional arena. The cache's extendCell path passes nil: extended maps are
-// retained across runs and must never sit on recycled storage.
-func mergeRecordsArena(m *DeploymentMap, records []*scanner.Record, ar *classifyArena) {
+// mergeRecords folds further date-sorted records into a deployment map,
+// drawing deployments from an optional arena (nil for a map the cache
+// keeps: a kept map must never sit on recycled storage). Every record's
+// date must be >= the map's last observed date, as holds for a cold build
+// and for an incremental extension (Append journals out-of-order merges as
+// full-rebuild cells). Deployments are got-or-created by ASN in first-seen
+// order, then stable-sorted by first appearance, so extending a map yields
+// exactly the map a rebuild over the full window would.
+func mergeRecords(m *DeploymentMap, records []*scanner.Record, ar *classifyArena) {
 	// Deployments per map number in the low single digits, so the
 	// get-or-create lookup is a linear scan instead of a throwaway map —
 	// this runs once per dirty cell per incremental Run.
@@ -289,7 +281,7 @@ func mergeRecordsArena(m *DeploymentMap, records []*scanner.Record, ar *classify
 	deps := m.Deployments
 	added := 0
 	ar.prefetch(records)
-	for _, r := range records {
+	for i, r := range records {
 		if !haveLast || r.ScanDate != last {
 			m.PresentScans++
 			last, haveLast = r.ScanDate, true
@@ -303,6 +295,10 @@ func mergeRecordsArena(m *DeploymentMap, records []*scanner.Record, ar *classify
 		}
 		if d == nil {
 			d = ar.newDeployment(r.ASN)
+			if ar == nil { // a heap deployment: sized once for the rest of the window
+				d.Records = make([]*scanner.Record, 0, len(records)-i)
+				d.ScanDates = make([]simtime.Date, 0, len(records)-i)
+			}
 			deps = append(deps, d)
 			added++
 		}

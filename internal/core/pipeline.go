@@ -50,6 +50,9 @@ type Pipeline struct {
 	Metrics *obsv.Registry
 }
 
+// periodScans is each analyzed period's scan roster, by period.
+type periodScans [simtime.NumPeriods][]simtime.Date
+
 // classifyOut is one domain's slot of the build-and-classify stage: both
 // the cold and the cached path fill these identically, so the merge below
 // them is shared.
@@ -205,8 +208,8 @@ func (p *Pipeline) Run() *Result {
 	// Step 1 + 2: build and classify deployment maps per period, fanned
 	// out per domain.
 	sp = root.Child("classify")
-	periods := p.periodsInData()
-	scansByPeriod := make(map[simtime.Period][]simtime.Date, len(periods))
+	periods := p.Dataset.Periods()
+	var scansByPeriod periodScans
 	for _, period := range periods {
 		scansByPeriod[period] = p.Dataset.ScanDates(period.Start(), period.End())
 	}
@@ -227,15 +230,13 @@ func (p *Pipeline) Run() *Result {
 
 	if params.StitchPeriods {
 		sp = root.Child("stitch")
-		nsh := p.Dataset.Shards()
-		stitchFrags := make([][]*Classification, nsh)
-		busy = parallelForWorkers(nsh, workers, func(_, sid int) {
+		stitchFrags := make([][]*Classification, p.Dataset.Shards())
+		busy = parallelFor(len(stitchFrags), workers, func(sid int) {
 			v := p.Dataset.ShardView(sid)
-			var out []*Classification
-			for _, domain := range v.Domains() {
-				out = append(out, p.stitchDomain(params, v, domain, periods, scansByPeriod, res.History[domain])...)
+			cur := v.Cursor()
+			for i, domain := range v.Domains() {
+				stitchFrags[sid] = append(stitchFrags[sid], stitchDomain(params, cur, i, domain, periods, scansByPeriod, res.History[domain])...)
 			}
-			stitchFrags[sid] = out
 		})
 		stitched := mergeByDomain(stitchFrags)
 		transientClasses = append(transientClasses, stitched...)
@@ -338,11 +339,6 @@ func (p *Pipeline) Run() *Result {
 	res.Stats.Total = root.End()
 	p.publishMetrics(res)
 	return res
-}
-
-// periodsInData returns the study periods covered by the dataset.
-func (p *Pipeline) periodsInData() []simtime.Period {
-	return p.Dataset.Periods()
 }
 
 func orgsOf(meta *ipmeta.Directory) *ipmeta.OrgTable {

@@ -6,15 +6,15 @@ import (
 
 	"retrodns/internal/dnscore"
 	"retrodns/internal/obsv"
+	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
 )
 
-// Shard-affine build-and-classify. Instead of fanning out per domain over
-// the globally merged (and therefore shard-interleaved) domain list, each
-// worker claims whole dataset shards: it walks the shard's own sorted
-// domain list through a pinned scanner.ShardView — skipping the per-call
-// domain hash and snapshot load — and accumulates a shardClassifyOut
-// fragment. The fragments then merge deterministically:
+// Shard-affine build-and-classify. Each worker claims whole dataset shards
+// and walks a shard's own sorted domain list, reading windows through a
+// cursor over a pinned scanner.ShardView — no domain hash, no snapshot
+// load — into a shardClassifyOut fragment. The fragments merge
+// deterministically:
 //
 //   - Funnel partials (map/domain category tallies, map and cache
 //     counters) are order-free sums.
@@ -64,67 +64,63 @@ func (f *shardClassifyOut) fold() {
 	}
 }
 
-// finish stamps the fragment's busy time onto its classify/shard=K child
-// span, making per-shard merge skew visible in the run trace.
-func (f *shardClassifyOut) finish(child *obsv.Span, start time.Time) {
-	f.busy = time.Since(start)
-	child.AddBusy(f.busy)
-	child.End()
-}
-
-func shardSpanName(sid int) string {
-	return "classify/shard=" + strconv.Itoa(sid)
-}
-
-// classifyShards is the uncached shard-affine build-and-classify driver.
-// Each worker owns whole shards and allocates through a per-worker arena:
-// maps and classifications of non-transient cells — the overwhelming
-// majority — recycle immediately, so steady state allocates almost nothing
-// per record. Only transient classifications (retained in the Result) and
-// the per-domain histories survive the stage.
-func (p *Pipeline) classifyShards(params Params, workers int, periods []simtime.Period, scansByPeriod map[simtime.Period][]simtime.Date, sp *obsv.Span) (time.Duration, []shardClassifyOut) {
-	nsh := p.Dataset.Shards()
-	frags := make([]shardClassifyOut, nsh)
-	scansOf := make([][]simtime.Date, len(periods))
-	for pi, period := range periods {
-		scansOf[pi] = scansByPeriod[period]
-	}
-	aw := workers
-	if aw > nsh {
-		aw = nsh
-	}
-	if aw < 1 {
-		aw = 1
-	}
-	arenas := make([]classifyArena, aw)
-	busy := parallelForWorkers(nsh, workers, func(w, sid int) {
+// walkShards is the shard walk of both build-and-classify passes: fn fills a
+// shard's fragment, one classifyOut slot per domain of the shard's pinned
+// view, through a cursor over the shard; the fragment folds, and the
+// shard's busy time lands on its classify/shard=K span, where per-shard
+// skew shows.
+func walkShards(ds *scanner.Dataset, workers int, sp *obsv.Span, fn func(worker, sid int, v scanner.ShardView, cur *scanner.WindowCursor, f *shardClassifyOut)) (time.Duration, []shardClassifyOut) {
+	frags := make([]shardClassifyOut, ds.Shards())
+	busy := parallelForWorkers(len(frags), workers, func(w, sid int) {
 		start := time.Now()
-		child := sp.Child(shardSpanName(sid))
-		f := &frags[sid]
-		v := p.Dataset.ShardView(sid)
+		child := sp.Child("classify/shard=" + strconv.Itoa(sid))
+		f, v := &frags[sid], ds.ShardView(sid)
 		f.domains = v.Domains()
 		f.outs = make([]classifyOut, len(f.domains))
+		fn(w, sid, v, v.Cursor(), f)
+		f.fold()
+		f.busy = time.Since(start)
+		child.AddBusy(f.busy)
+		child.End()
+	})
+	return busy, frags
+}
+
+// keepMap makes every record m's deployments hold safe past cur's next
+// Seek: the step before a map built off the cursor is retained.
+func keepMap(cur *scanner.WindowCursor, m *DeploymentMap) {
+	for _, d := range m.Deployments {
+		cur.Keep(d.Records)
+	}
+}
+
+// classifyShards is the uncached build-and-classify pass. Each worker
+// allocates through a per-worker arena: maps and classifications of
+// non-transient cells — the overwhelming majority — recycle immediately, so
+// steady state allocates almost nothing per record. Only transient
+// classifications (retained in the Result) and the per-domain histories
+// survive the stage.
+func (p *Pipeline) classifyShards(params Params, workers int, periods []simtime.Period, scansByPeriod periodScans, sp *obsv.Span) (time.Duration, []shardClassifyOut) {
+	arenas := make([]classifyArena, max(1, min(workers, p.Dataset.Shards())))
+	return walkShards(p.Dataset, workers, sp, func(w, _ int, _ scanner.ShardView, cur *scanner.WindowCursor, f *shardClassifyOut) {
 		ar := &arenas[w]
 		// The cursor's records are the worker's scratch as the arena's
 		// maps are: the next domain overwrites them on a spilled shard.
-		cur := v.Cursor()
 		for i, domain := range f.domains {
 			o := &f.outs[i]
 			cur.Seek(i)
-			for pi, period := range periods {
+			for _, period := range periods {
 				recs := cur.Records(period.Start(), period.End())
 				if len(recs) == 0 {
 					continue
 				}
-				scans := scansOf[pi]
+				scans := scansByPeriod[period]
 				m := buildMapFrom(domain, period, recs, len(scans), ar)
 				o.maps++
 				c := params.classifyWith(m, scans, ar)
 				o.byPeriod.Set(period, c.Category)
 				if c.Category == CategoryTransient {
-					for _, d := range m.Deployments {
-						cur.Keep(d.Records)
-					}
+					keepMap(cur, m)
 					o.transients = append(o.transients, c)
 				} else {
 					// Nothing retains the map or the classification: the
@@ -133,13 +129,10 @@ func (p *Pipeline) classifyShards(params Params, workers int, periods []simtime.
 				}
 			}
 		}
-		f.fold()
 		// Shard-batch boundary: drop the arena's free lists so recycled
 		// objects never outlive the shard that produced them.
 		ar.reset()
-		f.finish(child, start)
 	})
-	return busy, frags
 }
 
 // mergeClassifyFrags folds the shard fragments into the Result — funnel

@@ -19,50 +19,34 @@ import (
 // like any other.
 
 // stitchDomain scans one domain's consecutive period pairs for
-// boundary-straddling transients, reading through the owning shard's view.
-// The domain's per-period history is consulted to avoid re-flagging
-// periods already transient. Independent per domain, so Pipeline.Run walks
-// it shard-affine over the worker pool and merges the per-shard fragments
+// boundary-straddling transients. The domain's per-period history names
+// the periods that built a map and those already transient, so only a pair
+// of two mapped, non-transient periods is examined, and the domain's
+// windows are read — one Seek of cur to the domain's rank — only when
+// there is such a pair. Independent per domain, so Pipeline.Run walks it
+// shard-affine over the worker pool and merges the per-shard fragments
 // back into domain order (mergeByDomain).
-func (p *Pipeline) stitchDomain(params Params, v scanner.ShardView, domain dnscore.Name, periods []simtime.Period, scansByPeriod map[simtime.Period][]simtime.Date, byPeriod PeriodCategories) []*Classification {
-	var out []*Classification
-	transient := func(p simtime.Period) bool {
+func stitchDomain(params Params, cur *scanner.WindowCursor, rank int, domain dnscore.Name, periods []simtime.Period, scansByPeriod periodScans, byPeriod PeriodCategories) (out []*Classification) {
+	examined := func(p simtime.Period) bool {
 		c, ok := byPeriod.At(p)
-		return ok && c == CategoryTransient
+		return ok && c != CategoryTransient
 	}
 	for i := 0; i+1 < len(periods); i++ {
 		a, b := periods[i], periods[i+1]
-		if transient(a) || transient(b) {
-			continue // already handled by single-period analysis
+		if !examined(a) || !examined(b) {
+			continue
 		}
-		if c := stitchPair(params, v, domain, a, b, scansByPeriod); c != nil {
+		cur.Seek(rank)
+		// Stitch maps are retained in classifications, so storage is
+		// heap-allocated (nil arena).
+		mapA := buildMapFrom(domain, a, cur.Records(a.Start(), a.End()), len(scansByPeriod[a]), nil)
+		mapB := buildMapFrom(domain, b, cur.Records(b.Start(), b.End()), len(scansByPeriod[b]), nil)
+		if c := params.Stitch(mapA, mapB, scansByPeriod[a], scansByPeriod[b]); c != nil {
+			keepMap(cur, c.Map)
 			out = append(out, c)
 		}
 	}
 	return out
-}
-
-// buildMapView is BuildMap over a pinned shard view: the period's scan
-// roster is supplied by the caller (scansByPeriod carries exactly what
-// Dataset.ScanDates would return for the period window). Stitch maps are
-// retained in classifications, so storage is heap-allocated (nil arena).
-func buildMapView(v scanner.ShardView, domain dnscore.Name, period simtime.Period, totalScans int) *DeploymentMap {
-	records := v.DomainRecords(domain, period.Start(), period.End())
-	if len(records) == 0 {
-		return nil
-	}
-	return buildMapFrom(domain, period, records, totalScans, nil)
-}
-
-// stitchPair reads the domain's maps of periods a and b through the
-// shard view and applies the stitch rule to them.
-func stitchPair(params Params, v scanner.ShardView, domain dnscore.Name, a, b simtime.Period, scansByPeriod map[simtime.Period][]simtime.Date) *Classification {
-	mapA := buildMapView(v, domain, a, len(scansByPeriod[a]))
-	mapB := buildMapView(v, domain, b, len(scansByPeriod[b]))
-	if mapA == nil || mapB == nil {
-		return nil
-	}
-	return params.Stitch(mapA, mapB, scansByPeriod[a], scansByPeriod[b])
 }
 
 // Stitch is the cross-period rule over one domain's maps of two

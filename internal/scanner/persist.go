@@ -10,12 +10,13 @@ package scanner
 // A shard at rest is a segment. A spilled shard's section names the file it
 // sealed to; a resident shard's section carries the image it would seal to,
 // inline, rendered by the seal path (shardSegment) and made resident by the
-// unspill path (adoptSegment, segmentWindows). So a window at rest has one
+// unspill path (segmentCerts, segmentWindows). So a window at rest has one
 // encoding, a segment entry, and every stored shard one set of checks. Each
 // image carries its shard's certificate table, re-interned through the
 // dataset's pool on decode, so the restored pool gauges match a live ingest
 // of the same corpus; and each shard's section is self-contained, so the
-// shards decode in parallel. Records indexed under
+// shards decode in parallel — in two passes, so that the tables' counts
+// size the pool before any shard's table joins it. Records indexed under
 // several registered domains are serialized per domain — the restored
 // instances are distinct pointers, which every consumer tolerates (windows
 // are per-domain and all cross-window counts are serialized explicitly).
@@ -264,9 +265,32 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 		return nil, err
 	}
 
+	// Every shard's section decodes up to its certificate table first, so
+	// the pool is sized from the tables' counts before any shard adopts.
 	errs := make([]error, nshards)
-	forShards(nshards, shardWorkers(records, nshards), func(sid int) {
-		errs[sid] = d.decodeShard(sid, sections[sid])
+	decoded := make([]*shardSection, nshards)
+	workers := shardWorkers(records, nshards)
+	forShards(nshards, workers, func(sid int) {
+		decoded[sid], errs[sid] = d.readShard(sid, sections[sid])
+	})
+	certs, names := 0, 0
+	for sid, err := range errs {
+		if err != nil {
+			for _, sec := range decoded {
+				if sec != nil {
+					sec.seg.Close()
+				}
+			}
+			return nil, err
+		}
+		for _, c := range decoded[sid].certs {
+			certs, names = certs+1, names+1+len(c.SANs)
+		}
+	}
+	d.pool.certs.Reserve(certs)
+	d.pool.names.reserve(names)
+	forShards(nshards, workers, func(sid int) {
+		errs[sid] = d.installShard(sid, decoded[sid])
 	})
 	rosters := make([][]dnscore.Name, nshards)
 	for sid, err := range errs {
@@ -295,17 +319,25 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 	return d, nil
 }
 
-// decodeShard decodes shard sid's section into its index: the roster and
-// journals, and the shard's segment — its sealed file in the spill store,
-// which the shard keeps reading through, or its inline image, whose windows
-// become resident. Either segment must be shard sid's over exactly the
-// roster. Writes shard sid and the concurrency-safe pool only.
-func (d *Dataset) decodeShard(sid int, section []byte) error {
-	s := d.shards[sid]
+// shardSection is one shard's snapshot section, decoded as far as
+// readShard takes it: the roster and journals, and the shard's segment
+// with its certificate table not yet adopted by the pool.
+type shardSection struct {
+	idx   *shardIndex
+	seg   *segment.Reader
+	file  string // the spilled shard's segment file; "" for an inline image
+	certs []*x509lite.Certificate
+}
+
+// readShard decodes shard sid's section: the roster and journals, and the
+// shard's segment — its sealed file in the spill store, or its inline
+// image — which must be shard sid's over exactly the roster, up to its
+// certificate table. Of d it writes shard sid's quarantine journal only.
+func (d *Dataset) readShard(sid int, section []byte) (*shardSection, error) {
 	r := wire.NewReader(section)
 	// A file name and an image share one encoding: length, then bytes.
 	spilled, ref := r.Bool(), r.Section()
-	decodeQuar(r, &s.quar)
+	decodeQuar(r, &d.shards[sid].quar)
 	cells := decodeDirty(r)
 	attach := int(r.Uvarint())
 	ndom := r.Count()
@@ -314,48 +346,61 @@ func (d *Dataset) decodeShard(sid int, section []byte) error {
 		roster = append(roster, dnscore.Name(r.String()))
 	}
 	if err := r.Finish(); err != nil {
-		return err
+		return nil, err
 	}
 	if err := checkRoster(roster, sid, len(d.shards)); err != nil {
-		return err
-	}
-	idx := &shardIndex{domains: roster, attach: attach}
-	if spilled {
-		if d.spill == nil {
-			return fmt.Errorf("%w: shard %d is spilled; decode with a spill dir", ErrSnapshotState, sid)
-		}
-		file := string(ref)
-		seg, err := d.spill.store.OpenName(file, d.spill.mode)
-		if err != nil {
-			return fmt.Errorf("%w: shard %d segment %s: %v", ErrSpill, sid, file, err)
-		}
-		certs, err := d.adoptSegment(seg, sid, roster)
-		if err != nil {
-			seg.Close()
-			return fmt.Errorf("%w: segment %s: %w", ErrSpill, file, err)
-		}
-		idx.spill = newSpillReader(seg, file, certs, &d.segmet)
-	} else {
-		seg, err := segment.Open(ref)
-		var certs []*x509lite.Certificate
-		if err == nil {
-			certs, err = d.adoptSegment(seg, sid, roster)
-		}
-		if err == nil {
-			idx.windows, err = segmentWindows(seg, roster, certs)
-		}
-		if err != nil {
-			return fmt.Errorf("%w: shard %d image: %w", ErrSnapshotState, sid, err)
-		}
-		idx.pos = rankDomains(roster)
+		return nil, err
 	}
 	dirty, err := alignDirty(roster, cells)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	idx.dirty = dirty
+	sec := &shardSection{idx: &shardIndex{domains: roster, attach: attach, dirty: dirty}}
+	if spilled {
+		if d.spill == nil {
+			return nil, fmt.Errorf("%w: shard %d is spilled; decode with a spill dir", ErrSnapshotState, sid)
+		}
+		sec.file = string(ref)
+		if sec.seg, err = d.spill.store.OpenName(sec.file, d.spill.mode); err != nil {
+			return nil, fmt.Errorf("%w: shard %d segment %s: %v", ErrSpill, sid, sec.file, err)
+		}
+		if sec.certs, err = segmentCerts(sec.seg, sid, roster); err != nil {
+			sec.seg.Close()
+			return nil, fmt.Errorf("%w: segment %s: %w", ErrSpill, sec.file, err)
+		}
+		return sec, nil
+	}
+	if sec.seg, err = segment.Open(ref); err == nil {
+		sec.certs, err = segmentCerts(sec.seg, sid, roster)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: shard %d image: %w", ErrSnapshotState, sid, err)
+	}
+	return sec, nil
+}
+
+// installShard has the pool adopt shard sid's certificate table, so the
+// certificates its windows decode to are the ones a live ingest would
+// hold, and installs the shard's index: read through its spilled segment,
+// or with its inline image's windows resident. Writes shard sid and the
+// concurrency-safe pool only.
+func (d *Dataset) installShard(sid int, sec *shardSection) error {
+	for i, c := range sec.certs {
+		sec.certs[i] = d.pool.AdoptCert(c)
+	}
+	idx := sec.idx
+	if sec.file != "" {
+		idx.spill = newSpillReader(sec.seg, sec.file, sec.certs, &d.segmet)
+	} else {
+		windows, err := segmentWindows(sec.seg, idx.domains, sec.certs)
+		if err != nil {
+			return fmt.Errorf("%w: shard %d image: %w", ErrSnapshotState, sid, err)
+		}
+		idx.windows, idx.pos = windows, rankDomains(idx.domains)
+	}
+	s := d.shards[sid]
 	s.byDomain = nil
-	s.attach = attach
+	s.attach = idx.attach
 	s.idx.Store(idx)
 	return nil
 }

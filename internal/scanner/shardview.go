@@ -32,6 +32,12 @@ func (d *Dataset) ShardViewFor(domain dnscore.Name) ShardView {
 	return ShardView{idx: d.shardFor(domain).idx.Load()}
 }
 
+// ShardOf returns the shard that owns domain, held or not: the one whose
+// view would list it.
+func (d *Dataset) ShardOf(domain dnscore.Name) int {
+	return shardIndexOf(domain, len(d.shards))
+}
+
 // ShardDomains returns shard sid's sorted domain list on a frozen dataset
 // (nil before Freeze). The global Domains() list is exactly the sorted
 // merge of the per-shard lists: each registered domain is owned by one
@@ -83,6 +89,7 @@ func (v ShardView) DomainRecords(domain dnscore.Name, from, to simtime.Date) []*
 // one view at once.
 type WindowCursor struct {
 	idx    *shardIndex
+	at     int // the domain Seek positioned the cursor on, or -1
 	window []*Record
 	// slab and ptrs back window on a spilled shard (decodeWindowInto).
 	slab []Record
@@ -91,13 +98,19 @@ type WindowCursor struct {
 
 // Cursor returns a cursor over the view's shard, positioned nowhere.
 func (v ShardView) Cursor() *WindowCursor {
-	return &WindowCursor{idx: v.idx}
+	return &WindowCursor{idx: v.idx, at: -1}
 }
 
 // Seek positions the cursor on the i-th domain of Domains(). On a spilled
 // shard that is the domain's one segment read, and it invalidates every
-// record the cursor handed out before that was not passed to Keep.
+// record the cursor handed out before that was not passed to Keep. Seeking
+// the domain the cursor is on already does nothing, so a walk that reads
+// a domain only when it needs to can Seek at each read.
 func (c *WindowCursor) Seek(i int) {
+	if i == c.at {
+		return
+	}
+	c.at = i
 	if sr := c.idx.spill; sr != nil {
 		c.window = sr.read(c.idx.domains[i], c)
 	} else {

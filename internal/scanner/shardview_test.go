@@ -177,6 +177,27 @@ func TestCursorKeep(t *testing.T) {
 	}
 }
 
+// TestCursorSeekSameRank: a Seek to the domain the cursor is on already
+// reads nothing, so a walk that reads a domain only when it needs to can
+// Seek at each read. On a spilled shard a second read would decode the
+// window afresh over what Keep made of it; here the kept pointers stay.
+func TestCursorSeekSameRank(t *testing.T) {
+	v := spilledWindowCorpus(t, 1, false).ShardView(0)
+	cur := v.Cursor()
+	cur.Seek(0)
+	window := cur.Records(0, 0)
+	cur.Keep(window)
+	kept := slices.Clone(window)
+	cur.Seek(0)
+	if got := cur.Records(0, 0); len(got) == 0 || !slices.Equal(got, kept) {
+		t.Fatalf("a second Seek to the same domain read its window again: %d records, kept %d", len(got), len(kept))
+	}
+	cur.Seek(1)
+	if cur.Seek(0); slices.Equal(cur.Records(0, 0), kept) {
+		t.Fatal("a Seek back from another domain did not read the window again")
+	}
+}
+
 // TestCursorSeekAllocs is the point of the cursor on a spilled shard: once
 // its slab has grown to the shard's longest window, a domain costs no Record
 // allocations — what is left is the first record's ports array and country

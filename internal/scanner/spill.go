@@ -47,10 +47,36 @@ const estSpilledPerAttach = estRecordBytes + estAttachBytes
 // and counts come to some 21 bytes and each record of its window to some
 // 22, so these overshoot by a few percent. An underestimate costs a regrow
 // of the writer's buffer.
+// estCertImageBytes is a certificate's encoding in a segment's table.
 const (
 	estEntryBytesPerDomain = 24
 	estEntryBytesPerAttach = 24
+	estCertImageBytes      = 128
 )
+
+// SnapshotBytesHint estimates AppendSnapshot's payload from the counts it
+// encodes, for a caller sizing the buffer of a first snapshot that has no
+// earlier one to go by: each resident shard's image as shardSegment sizes
+// its writer, a certificate per pooled one in the shards' tables, and
+// every shard's roster of names.
+func (d *Dataset) SnapshotBytesHint() int {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	n := int(d.pool.Stats().Certs) * estCertImageBytes
+	for _, s := range d.shards {
+		idx := s.idx.Load()
+		if idx == nil {
+			continue
+		}
+		if idx.spill == nil {
+			n += len(idx.domains)*estEntryBytesPerDomain + idx.attach*estEntryBytesPerAttach
+		}
+		for _, domain := range idx.domains {
+			n += len(domain) + 1
+		}
+	}
+	return n
+}
 
 // SpillOptions configures the out-of-core layer.
 type SpillOptions struct {
@@ -379,13 +405,11 @@ func shardSegment(b *imageBuffers, sid int, gen uint64, idx *shardIndex) []*x509
 	return table.certs
 }
 
-// adoptSegment checks that seg is shard sid's segment over roster — sealed
-// for that shard, one entry per roster domain — and returns its certificate
-// table re-interned through the dataset's pool, so the certificates its
-// windows decode to are the ones a live ingest would hold. The table's
-// certificates are decoded here and held by nothing else, so the pool
-// adopts them rather than copying them.
-func (d *Dataset) adoptSegment(seg *segment.Reader, sid int, roster []dnscore.Name) ([]*x509lite.Certificate, error) {
+// segmentCerts checks that seg is shard sid's segment over roster — sealed
+// for that shard, one entry per roster domain — and returns its decoded
+// certificate table, for the pool to adopt: held by nothing else, the
+// certificates join the pool as they are.
+func segmentCerts(seg *segment.Reader, sid int, roster []dnscore.Name) ([]*x509lite.Certificate, error) {
 	if seg.Shard() != sid || seg.Count() != len(roster) {
 		return nil, fmt.Errorf("segment holds shard %d with %d domains, roster says shard %d with %d",
 			seg.Shard(), seg.Count(), sid, len(roster))
@@ -394,9 +418,6 @@ func (d *Dataset) adoptSegment(seg *segment.Reader, sid int, roster []dnscore.Na
 	certs := decodeCertTable(r)
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("cert table: %w", err)
-	}
-	for i, c := range certs {
-		certs[i] = d.pool.AdoptCert(c)
 	}
 	return certs, nil
 }

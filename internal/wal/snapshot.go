@@ -63,13 +63,18 @@ func snapGen(name string) (uint64, bool) {
 // writeSnapshotFile serializes the store's dataset (+ cache, which may be
 // nil) into <dir>/snap-<gen>.bin atomically, observing the encode and the
 // write apart, and returns the file's size. Each section is encoded once,
-// into a buffer sized from the last snapshot's section (sizeHint), and the
-// file is written as its parts — magic, length, dataset, length, cache,
-// checksum — so no byte of either section is copied again on its way to
-// disk.
+// into a buffer sized from the last snapshot's section (sizeHint) or, for
+// a store's first, the dataset section from the dataset's own counts
+// (SnapshotBytesHint), and the file is written as its parts — magic,
+// length, dataset, length, cache, checksum — so no byte of either section
+// is copied again on its way to disk.
 func (s *Store) writeSnapshotFile(gen uint64) (int64, error) {
 	start := time.Now()
-	ds, err := s.ds.AppendSnapshot(make([]byte, 0, s.dsHint.next(gen)))
+	hint := s.dsHint.next(gen)
+	if hint == 0 {
+		hint = s.ds.SnapshotBytesHint()
+	}
+	ds, err := s.ds.AppendSnapshot(make([]byte, 0, hint))
 	if err != nil {
 		return 0, err
 	}

@@ -94,8 +94,8 @@ fuzz-smoke:
 # 60k x 2 one that is mostly first sightings,
 # paper-shaped sharded ingest and classification over the synthetic corpus
 # (shard counts 1/4/8 — the benchmark itself fails if shards=8 runs over
-# 1.25x shards=1 — plus the interning on/off
-# retained-heap comparison; classification over a 4 000 x 104 archive
+# 1.25x shards=1 — plus the certificate pool's retained heap,
+# live-MiB and pooled-certs; classification over a 4 000 x 104 archive
 # with its records in scan order and copied domain-major), the serving
 # layer's query latency (reference render, LRU hit, prerendered
 # singleton, templated domain body), the

@@ -1134,42 +1134,34 @@ func BenchmarkIngestShards(b *testing.B) {
 	}
 }
 
-// BenchmarkIngestIntern measures the interning layer on the streaming
+// BenchmarkIngestIntern measures the certificate pool on the streaming
 // generate→ingest path, where every scan arrives as fresh objects (the
-// shape a real feed has): with interning on, the recurring certificates
-// and SAN strings collapse to one pooled instance each and the per-scan
-// copies die young; with it off the dataset retains every copy. The
-// live-MiB metric is the post-GC heap while the last dataset is still
-// reachable — the retained-memory difference is the pools' saving.
+// shape a real feed has): the recurring certificates collapse to the first
+// instance of each, and the per-scan copies die young. The live-MiB metric
+// is the post-GC heap while the last dataset is still reachable;
+// pooled-certs is the pool's size.
 func BenchmarkIngestIntern(b *testing.B) {
-	run := func(intern bool) func(b *testing.B) {
-		return func(b *testing.B) {
-			g := synth.New(synth.Config{Domains: 20000, Seed: 11})
-			dates := g.ScanDates()
-			b.ReportAllocs()
-			var ds *scanner.Dataset
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ds = scanner.NewDatasetShards(scanner.DefaultShards)
-				ds.SetIntern(intern)
-				for _, d := range dates {
-					if err := ds.AddScan(d, g.Scan(d)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				ds.Freeze()
+	g := synth.New(synth.Config{Domains: 20000, Seed: 11})
+	dates := g.ScanDates()
+	b.ReportAllocs()
+	var ds *scanner.Dataset
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ds = scanner.NewDatasetShards(scanner.DefaultShards)
+		for _, d := range dates {
+			if err := ds.AddScan(d, g.Scan(d)); err != nil {
+				b.Fatal(err)
 			}
-			b.StopTimer()
-			runtime.GC()
-			var ms runtime.MemStats
-			runtime.ReadMemStats(&ms)
-			b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-MiB")
-			b.ReportMetric(float64(ds.Pool().Stats().Certs), "pooled-certs")
-			runtime.KeepAlive(ds)
 		}
+		ds.Freeze()
 	}
-	b.Run("intern=on", run(true))
-	b.Run("intern=off", run(false))
+	b.StopTimer()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	b.ReportMetric(float64(ms.HeapAlloc)/(1<<20), "live-MiB")
+	b.ReportMetric(float64(ds.Pool().Stats().Certs), "pooled-certs")
+	runtime.KeepAlive(ds)
 }
 
 // BenchmarkSynthClassify runs the classification funnel over the

@@ -26,6 +26,7 @@ import (
 	"retrodns/internal/synth"
 	"retrodns/internal/wal"
 	"retrodns/internal/world"
+	"retrodns/internal/x509lite"
 )
 
 // Every execution configuration of core.Pipeline — one value per axis,
@@ -49,7 +50,7 @@ type config struct {
 	restart string // "" or a daemon fed scans.csv: "uninterrupted", "store-less", or a WAL fault after killAt scans
 	killAt  int
 	stitch  bool
-	records string // "scanner", "csv" (one ScanCSV), "domain-major" or "uninterned"
+	records string // "scanner", "csv" (one ScanCSV), "domain-major" or "cloned"
 	seed    int64  // shuffle order and batch split
 	every   int    // in-order only: also hold every prefix through scan 60, then every every-th, to the reference
 }
@@ -163,12 +164,12 @@ func records(t testing.TB, s *studyInput, layout string) [][]*scanner.Record {
 	t.Helper()
 	out := make([][]*scanner.Record, len(s.scans))
 	switch layout {
-	case "scanner", "uninterned":
+	case "scanner", "cloned":
 		for i, scan := range s.scans {
 			slab := make([]scanner.Record, len(scan))
 			for j, r := range scan {
 				slab[j] = *r
-				if layout == "uninterned" {
+				if layout == "cloned" {
 					slab[j].Cert = r.Cert.Clone()
 				}
 				out[i] = append(out[i], &slab[j])
@@ -266,7 +267,7 @@ func ingestPlan(cfg config, n int) [][]int {
 
 // runConfig analyzes the study s under cfg and checks what cfg itself
 // promises: the shard count, the dataset generation, the spill residency,
-// the quarantine total and the interning switch.
+// the quarantine total and one pooled certificate per distinct fingerprint.
 func runConfig(t *testing.T, cfg config, s *studyInput) outcome {
 	t.Helper()
 	if cfg.restart != "" {
@@ -274,14 +275,12 @@ func runConfig(t *testing.T, cfg config, s *studyInput) outcome {
 	}
 	scans := records(t, s, cfg.records)
 	ds := scanner.NewDatasetShards(cfg.shards)
-	ds.SetIntern(cfg.records != "uninterned")
 	if cfg.spill != "" {
 		budget := int64(0)
 		if cfg.spill == "tight" {
 			// About half the spillable payload on disk, read off a fully
 			// spilled bulk copy.
 			probe := scanner.NewDatasetShards(cfg.shards)
-			probe.SetIntern(cfg.records != "uninterned")
 			for i, scan := range records(t, s, cfg.records) {
 				must(t, probe.AddScan(s.dates[i], scan))
 			}
@@ -366,10 +365,18 @@ func runConfig(t *testing.T, cfg config, s *studyInput) outcome {
 	if _, _, refused := referenceRecords(s); ds.Quarantine().Total != refused {
 		t.Errorf("quarantined %d records, the gate refuses %d", ds.Quarantine().Total, refused)
 	}
-	if pooled := ds.Pool().Stats().Certs; (cfg.records == "uninterned") != (pooled == 0) {
-		t.Errorf("records %q: %d pooled certificates", cfg.records, pooled)
+	distinct := map[x509lite.Fingerprint]bool{}
+	for _, scan := range scans {
+		for _, r := range scan {
+			if _, _, ok := scanner.ValidateRecord(r); ok {
+				distinct[r.Cert.Fingerprint()] = true
+			}
+		}
 	}
-	if cfg.records == "uninterned" {
+	if pooled := ds.Pool().Stats().Certs; pooled != int64(len(distinct)) {
+		t.Errorf("records %q: %d pooled certificates, %d distinct fingerprints", cfg.records, pooled, len(distinct))
+	}
+	if cfg.records == "cloned" {
 		sameMaps(t, ds, s)
 	}
 	return outcome{res, canonical(t, res, ds, nil), fmt.Sprint(ds.Quarantine())}
@@ -442,9 +449,7 @@ func shortlist(res *core.Result) string {
 
 // sameMaps holds the map core.BuildMap makes of every domain and period
 // of ds to the reference's, deployment by deployment — the maps no
-// candidate carries to the shortlist too. With no pooled certificate
-// instance to compare pointers on, deduplication falls back to
-// fingerprints.
+// candidate carries to the shortlist too.
 func sameMaps(t *testing.T, ds *scanner.Dataset, s *studyInput) {
 	t.Helper()
 	byDomain, dates, _ := referenceRecords(s)
@@ -767,12 +772,11 @@ func configTable() map[string][]config {
 
 	// Where the records lie in memory: as generated, read back through one
 	// ScanCSV, copied domain-major, and each with a certificate instance
-	// of its own and interning off, so deployments must deduplicate
-	// certificates by fingerprint.
-	for _, records := range []string{"scanner", "csv", "domain-major", "uninterned"} {
+	// of its own, which the pool must deduplicate by fingerprint.
+	for _, records := range []string{"scanner", "csv", "domain-major", "cloned"} {
 		add("TestLayoutInvariance", "", config{corpus: layoutSynth, shards: scanner.DefaultShards, workers: 2, ingest: "bulk", records: records})
 	}
-	add("TestLayoutInvariance", "", config{corpus: layoutSynth, shards: 3, workers: 8, cache: "restored", ingest: "shuffled", seed: 5, spill: "zero", records: "uninterned"})
+	add("TestLayoutInvariance", "", config{corpus: layoutSynth, shards: 3, workers: 8, cache: "restored", ingest: "shuffled", seed: 5, spill: "zero", records: "cloned"})
 
 	// A durable daemon, one without a data dir, and a durable one killed
 	// after two scans, its data dir damaged by each fault class, then
@@ -882,7 +886,7 @@ func randomConfig(seed int64) config {
 		ingest:  pick("bulk", "in-order", "reversed", "shuffled", "batches"),
 		spill:   pick("", "zero", "tight"),
 		stitch:  rng.Intn(2) == 0,
-		records: pick("scanner", "csv", "domain-major", "uninterned"),
+		records: pick("scanner", "csv", "domain-major", "cloned"),
 		seed:    seed,
 	}
 	c.barrier = c.ingest != "bulk" && rng.Intn(2) == 0

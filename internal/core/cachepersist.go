@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
+	"sort"
 
 	"retrodns/internal/dnscore"
 	"retrodns/internal/scanner"
@@ -132,6 +133,11 @@ func encodeCell(w *wire.Writer, ps *cellState) error {
 // extension of it, whose windows only grew past each cell's recCount
 // (extendCell's case). It parses each domain's decisions into its cells,
 // then builds their maps on one walk of ds (restore.build).
+//
+// The payload's domain names are read as views into data, never copied:
+// each domain's cells are keyed on the string the dataset's roster holds,
+// found on the build walk for a domain with a map cell and by a roster
+// lookup for one without.
 func (c *ClassifyCache) DecodeState(data []byte, ds *scanner.Dataset) error {
 	r := wire.NewReader(data)
 	if r.String() != cacheMagic {
@@ -141,38 +147,41 @@ func (c *ClassifyCache) DecodeState(data []byte, ds *scanner.Dataset) error {
 	var cache ClassifyCache
 	cache.reset(ds, ndom)
 	st := restore{domains: make([]restoreDomain, 0, ndom), picks: make([][]int, ds.Shards()), vals: make([]uint64, 0, 4*ndom)}
-	var prev dnscore.Name
+	var prev []byte
 	var slab []domainCells // cells come in blocks: one allocation per 256 domains
 	for i := 0; i < ndom; i++ {
 		if r.Err() != nil {
 			return r.Err()
 		}
-		domain := dnscore.Name(r.String())
-		if i > 0 && domain <= prev {
-			return fmt.Errorf("%w: domain %q out of order", ErrCacheState, domain)
+		name := r.Blob()
+		if i > 0 && string(name) <= string(prev) {
+			return fmt.Errorf("%w: domain %q out of order", ErrCacheState, name)
 		}
-		prev = domain
+		prev = name
 		mask := r.Uvarint()
 		if mask >= 1<<simtime.NumPeriods {
 			return fmt.Errorf("%w: period mask %#x", ErrCacheState, mask)
 		}
-		sid := ds.ShardOf(domain)
+		sid := ds.ShardOf(dnscore.Name(name))
 		if len(slab) == 0 {
 			slab = make([]domainCells, min(256, ndom-i))
 		}
-		rd := restoreDomain{name: domain, dc: &slab[0], lo: len(st.vals)}
+		rd := restoreDomain{name: name, dc: &slab[0], lo: len(st.vals)}
 		slab = slab[1:]
 		for pi := 0; pi < simtime.NumPeriods; pi++ {
 			if mask&(1<<uint(pi)) == 0 {
 				continue
 			}
-			if err := st.parseCell(r, domain, simtime.Period(pi), &rd.dc.cells[pi]); err != nil {
+			if err := st.parseCell(r, name, simtime.Period(pi), &rd.dc.cells[pi]); err != nil {
 				return err
 			}
 		}
 		if rd.lo < len(st.vals) {
+			// The build walk reaches it, and keys it.
 			st.picks[sid] = append(st.picks[sid], len(st.domains))
 			st.domains = append(st.domains, rd)
+		} else {
+			cache.byShard[sid][rosterKey(ds.ShardView(sid).Domains(), name)] = rd.dc
 		}
 		nhist := r.Count()
 		last := simtime.Period(-1)
@@ -185,12 +194,11 @@ func (c *ClassifyCache) DecodeState(data []byte, ds *scanner.Dataset) error {
 			rd.dc.byPeriod.Set(p, cat)
 			last = p
 		}
-		cache.byShard[sid][domain] = rd.dc
 	}
 	if err := r.Finish(); err != nil {
 		return err
 	}
-	if err := st.build(ds); err != nil {
+	if err := st.build(ds, cache.byShard); err != nil {
 		return err
 	}
 	cache.gen, cache.paramsFP = gen, paramsFP
@@ -209,9 +217,20 @@ type restore struct {
 	vals    []uint64
 }
 
+// rosterKey returns the roster's own string for name, or a copy of name
+// when the sorted roster does not hold it.
+func rosterKey(roster []dnscore.Name, name []byte) dnscore.Name {
+	j := sort.Search(len(roster), func(k int) bool { return string(roster[k]) >= string(name) })
+	if j < len(roster) && string(roster[j]) == string(name) {
+		return roster[j]
+	}
+	return dnscore.Name(name)
+}
+
 // restoreDomain is a parsed domain, lo its first cell's offset in vals.
+// name is a view into the payload.
 type restoreDomain struct {
-	name    dnscore.Name
+	name    []byte
 	dc      *domainCells
 	lo      int
 	visited bool // the build's walk reached it
@@ -220,7 +239,7 @@ type restoreDomain struct {
 // parseCell reads what encodeCell wrote, into ps and, for a cell with a
 // map, a classification awaiting its map. A cell holds a map exactly when
 // its window prefix holds records, and every map a classification.
-func (st *restore) parseCell(r *wire.Reader, domain dnscore.Name, period simtime.Period, ps *cellState) error {
+func (st *restore) parseCell(r *wire.Reader, domain []byte, period simtime.Period, ps *cellState) error {
 	ps.built, ps.recCount = true, int(r.Uvarint())
 	switch hasMap := r.Bool(); {
 	case r.Err() != nil:
@@ -253,12 +272,13 @@ func (st *restore) parseCell(r *wire.Reader, domain dnscore.Name, period simtime
 }
 
 // build rebuilds every parsed map on one walk of ds's shards across
-// GOMAXPROCS workers, each reading through its shard's cursor, and returns
-// the first refusal in shard order, then any domain the walk never reached.
-func (st *restore) build(ds *scanner.Dataset) error {
+// GOMAXPROCS workers, each reading through its shard's cursor and keying
+// the domains it reaches into byShard[sid], and returns the first refusal
+// in shard order, then any domain the walk never reached.
+func (st *restore) build(ds *scanner.Dataset, byShard []map[dnscore.Name]*domainCells) error {
 	errs := make([]error, ds.Shards())
 	parallelFor(len(errs), runtime.GOMAXPROCS(0), func(sid int) {
-		errs[sid] = st.buildShard(ds.ShardView(sid), st.picks[sid])
+		errs[sid] = st.buildShard(ds.ShardView(sid), st.picks[sid], byShard[sid])
 	})
 	for i := range st.domains {
 		if rd := &st.domains[i]; !rd.visited {
@@ -273,19 +293,22 @@ func (st *restore) build(ds *scanner.Dataset) error {
 	return nil
 }
 
-// buildShard builds the maps of the picked domains. They ascend, as the
-// shard's roster does, so one pass over both finds each domain's rank.
-func (st *restore) buildShard(v scanner.ShardView, picks []int) error {
+// buildShard builds the maps of the picked domains and keys each in cells
+// on its roster string. They ascend, as the shard's roster does, so one
+// pass over both finds each domain's rank.
+func (st *restore) buildShard(v scanner.ShardView, picks []int, cells map[dnscore.Name]*domainCells) error {
 	roster, cur, j := v.Domains(), v.Cursor(), 0
 	for _, k := range picks {
 		rd := &st.domains[k]
-		for j < len(roster) && roster[j] < rd.name {
+		for j < len(roster) && string(roster[j]) < string(rd.name) {
 			j++
 		}
-		if j == len(roster) || roster[j] != rd.name {
+		if j == len(roster) || string(roster[j]) != string(rd.name) {
 			continue
 		}
 		rd.visited = true
+		domain := roster[j]
+		cells[domain] = rd.dc
 		cur.Seek(j)
 		vals := st.vals[rd.lo:]
 		for pi := range rd.dc.cells {
@@ -298,7 +321,7 @@ func (st *restore) buildShard(v scanner.ShardView, picks []int) error {
 				return fmt.Errorf("%w: %s %v window %d < recCount %d", ErrCacheState, rd.name, period, len(window), ps.recCount)
 			}
 			class, ntrans := ps.class, len(ps.class.TransientPatterns)
-			m := keepCell(cur, rd.name, period, window[:ps.recCount], int(vals[0]), ps)
+			m := keepCell(cur, domain, period, window[:ps.recCount], int(vals[0]), ps)
 			refs := vals[2 : 2+ntrans+int(vals[1])]
 			for i, di := range refs {
 				if di >= uint64(len(m.Deployments)) {

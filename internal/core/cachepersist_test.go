@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"retrodns/internal/dnscore"
 	"retrodns/internal/pdns"
@@ -334,6 +336,55 @@ func TestCacheStateRefusesDomainNotHeld(t *testing.T) {
 	}
 	if again, err := restored.EncodeState(nil); err != nil || !bytes.Equal(again, payload) {
 		t.Fatalf("restored cache re-encodes differently (err %v)", err)
+	}
+}
+
+// TestCacheStateKeysOnRoster restores a cache with a domain of map cells
+// and a domain whose only cell is empty, which the build walk skips, and
+// requires every restored key to be the dataset roster's own string, not
+// a copy parsed out of the payload.
+func TestCacheStateKeysOnRoster(t *testing.T) {
+	scans, pipe := incrementalWorld(t, 2, false)
+	for _, s := range scans {
+		pipe.Dataset.Append(s.date, s.recs)
+	}
+	pipe.Run()
+	ds, cache := pipe.Dataset, pipe.Cache
+	var bare dnscore.Name
+	for _, domain := range ds.Domains() {
+		if dc := cache.byShard[ds.ShardOf(domain)][domain]; dc != nil && dc.cells[0].class != nil {
+			bare = domain
+			break
+		}
+	}
+	if bare == "" {
+		t.Fatal("no cached domain has a map in period 0")
+	}
+	empty := &domainCells{}
+	empty.cells[0].built = true
+	cells := cache.byShard[ds.ShardOf(bare)]
+	cells[bare] = empty
+	payload, err := cache.EncodeState(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored := NewClassifyCache()
+	if err := restored.DecodeState(payload, ds); err != nil {
+		t.Fatal(err)
+	}
+	keys := 0
+	for sid, cells := range restored.byShard {
+		roster := ds.ShardDomains(sid)
+		for key := range cells {
+			j, ok := slices.BinarySearch(roster, key)
+			if !ok || unsafe.StringData(string(roster[j])) != unsafe.StringData(string(key)) {
+				t.Fatalf("shard %d: key %q is not the roster's string", sid, key)
+			}
+			keys++
+		}
+	}
+	if restored.byShard[ds.ShardOf(bare)][bare] == nil || keys < 2 {
+		t.Fatalf("restored %d keys, the bare domain %s among them: %v", keys, bare, restored.byShard[ds.ShardOf(bare)][bare] != nil)
 	}
 }
 

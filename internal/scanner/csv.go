@@ -683,9 +683,9 @@ func (c *ScanCSV) insert(ch *csvChunk) {
 		if row.tailKey != "" {
 			// The issuer gets a memo of its own: a pooled certificate keeps
 			// its issuer after the reader is gone, and must not keep this
-			// row's tail alive with it (the pool re-interns names, not the
-			// issuer). The certificate is this row's own until memoized, so
-			// it takes the memo's copy when an earlier row put one there.
+			// row's tail alive with it. The certificate is this row's own
+			// until memoized, so it takes the memo's copy when an earlier
+			// row put one there.
 			rec.Cert.Issuer = memoOrPut(c.issuers, c.memoCap, rec.Cert.Issuer, rec.Cert.Issuer)
 			misses++
 		}
@@ -759,8 +759,10 @@ func (c *ScanCSV) parseLine(w *csvWorker, row *csvRow, line []byte) (*Record, er
 	shard := int(maphash.Bytes(c.seed, tail) & (certMemoShards - 1))
 	ct, ok := c.certs[shard][string(tail)]
 	if !ok {
-		// The key is the one copy of the tail; the certificate's names are
-		// substrings of it.
+		// The key is the memo's copy of the tail. The certificate keeps
+		// neither it nor the line: its names are substrings of one copy of
+		// the names column, so a pooled certificate outliving the memo
+		// pins no reader memory.
 		s := string(tail)
 		var f [5]string // the field count check left exactly four commas
 		rest := s
@@ -772,7 +774,7 @@ func (c *ScanCSV) parseLine(w *csvWorker, row *csvRow, line []byte) (*Record, er
 		if !ok {
 			issuer = strings.Clone(f[1])
 		}
-		if ct, err = parseCertTail(f[0], issuer, f[2], f[3], f[4]); err != nil {
+		if ct, err = parseCertTail(f[0], issuer, f[2], f[3], strings.Clone(f[4])); err != nil {
 			return nil, err
 		}
 		row.tailKey, row.tailShard = s, shard

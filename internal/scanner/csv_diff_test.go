@@ -530,24 +530,106 @@ func TestReaderRecordsFeedTwoDatasets(t *testing.T) {
 	}
 }
 
+// TestRestoredAppendOfReaderCerts restores a dataset from its snapshot —
+// every certificate it holds pooled, no route resolved — and appends its
+// first scan read again by a fresh ScanCSV, re-dated past the corpus:
+// fresh instances of certificates the restore pooled. Every record must
+// take the pooled instance and land under the registered domains, and so
+// in the shards, its first reading landed under; each certificate's route
+// is resolved once, and a second such append resolves none.
+func TestRestoredAppendOfReaderCerts(t *testing.T) {
+	csv := synthCSV(synth.Config{Domains: 300, Scans: 3, Seed: 17, TransientPerMille: 200})
+	ds := scanner.NewDatasetShards(3)
+	batches := readBatches(t, csv)
+	for _, batch := range batches {
+		if err := ds.AddScan(batch[0].ScanDate, batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ds.Freeze()
+	var buf bytes.Buffer
+	if err := ds.EncodeSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got, err := scanner.DecodeSnapshot(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pool := got.Pool()
+	certs := pool.Stats().Certs
+	if n := pool.ResolvedRoutes(); n != 0 {
+		t.Fatalf("the restore resolved %d routes", n)
+	}
+	first := batches[0][0].ScanDate
+	later := batches[len(batches)-1][0].ScanDate
+	for round := 0; round < 2; round++ {
+		later += simtime.DaysPerWeek
+		batch := readBatches(t, csv)[0]
+		fresh := make([]*x509lite.Certificate, len(batch))
+		distinct := map[x509lite.Fingerprint]bool{}
+		for i, r := range batch {
+			r.ScanDate, fresh[i] = later, r.Cert
+			distinct[r.Cert.Fingerprint()] = true
+		}
+		resolved := pool.ResolvedRoutes()
+		if err := got.Append(later, batch); err != nil {
+			t.Fatal(err)
+		}
+		for i, r := range batch {
+			if r.Cert == fresh[i] || r.Cert != pool.Cert(fresh[i]) {
+				t.Fatalf("round %d record %d does not hold the pooled certificate", round, i)
+			}
+		}
+		want := int64(len(distinct))
+		if round > 0 {
+			want = 0
+		}
+		if n := pool.ResolvedRoutes() - resolved; n != want {
+			t.Fatalf("round %d resolved %d routes for %d certificates, want %d", round, n, len(distinct), want)
+		}
+		if n := pool.Stats().Certs; n != certs {
+			t.Fatalf("round %d: pool grew %d -> %d", round, certs, n)
+		}
+		for _, domain := range ds.Domains() {
+			a, b := ds.DomainRecords(domain, first, first+1), got.DomainRecords(domain, later, later+1)
+			if len(a) != len(b) {
+				t.Fatalf("round %d: %s holds %d records of the first scan, %d of its re-reading", round, domain, len(a), len(b))
+			}
+			for i := range a {
+				if field := recordDiff(a[i], b[i]); field != "" && field != "ScanDate" {
+					t.Fatalf("round %d: %s record %d: %s differs", round, domain, i, field)
+				}
+			}
+		}
+	}
+	if a, b := ds.Domains(), got.Domains(); len(a) != len(b) {
+		t.Fatalf("the appends added domains: %d, then %d", len(a), len(b))
+	}
+}
+
 // TestFirstWideScanSizingKeepsEverything ingests two wide scans whose
 // certificates partly overlap — the first sizes the first-sighting tables,
 // the second lands in tables that already hold entries — and holds the
 // dataset to the same scans ingested row by row, which never sizes
 // anything, on the pool, Size and every window, and to the scans ingested
-// with interning off on Size, every window and the findings. (Row by row,
+// with every record carrying a certificate instance of its own on the pool,
+// Size, every window and the findings. (Row by row,
 // each row's AddScan lists its scan date again, which changes the
 // findings' scan counts, so those are not compared there.)
 func TestFirstWideScanSizingKeepsEverything(t *testing.T) {
 	csv := synthCSV(synth.Config{Domains: 2500, Scans: 2, Seed: 13, TransientPerMille: 300})
-	load := func(rowByRow, intern bool) *scanner.Dataset {
+	load := func(rowByRow, cloned bool) *scanner.Dataset {
 		ds := scanner.NewDataset()
-		ds.SetIntern(intern)
 		batches := readBatches(t, csv)
 		if len(batches) != 2 || len(batches[0]) < 2500 {
 			t.Fatalf("corpus shape: %d scans", len(batches))
 		}
 		for _, batch := range batches {
+			if cloned {
+				for _, r := range batch {
+					r.Cert = r.Cert.Clone()
+				}
+			}
 			step := len(batch)
 			if rowByRow {
 				step = 1
@@ -569,15 +651,17 @@ func TestFirstWideScanSizingKeepsEverything(t *testing.T) {
 		}
 		return buf.Bytes()
 	}
-	wide, rows, off := load(false, true), load(true, true), load(false, false)
-	if a, b := wide.Pool().Stats(), rows.Pool().Stats(); a != b {
-		t.Errorf("pool stats: wide scans %v, row by row %v", a, b)
+	wide, rows, cloned := load(false, false), load(true, false), load(false, true)
+	for name, ds := range map[string]*scanner.Dataset{"row by row": rows, "cloned": cloned} {
+		if a, b := wide.Pool().Stats(), ds.Pool().Stats(); a != b {
+			t.Errorf("pool stats: wide scans %v, %s %v", a, name, b)
+		}
 	}
-	if st := wide.Pool().Stats(); st.Certs == 0 || st.Names == 0 {
+	if st := wide.Pool().Stats(); st.Certs == 0 {
 		t.Fatalf("nothing pooled: %v", st)
 	}
 	nd, nr := wide.Size()
-	for name, ds := range map[string]*scanner.Dataset{"row by row": rows, "interning off": off} {
+	for name, ds := range map[string]*scanner.Dataset{"row by row": rows, "cloned": cloned} {
 		if d, r := ds.Size(); d != nd || r != nr {
 			t.Errorf("Size: wide scans (%d, %d), %s (%d, %d)", nd, nr, name, d, r)
 		}
@@ -593,7 +677,7 @@ func TestFirstWideScanSizingKeepsEverything(t *testing.T) {
 			}
 		}
 	}
-	if a, b := findings(wide), findings(off); !bytes.Equal(a, b) {
-		t.Fatalf("findings differ with interning off\nwide:\n%s\noff:\n%s", a, b)
+	if a, b := findings(wide), findings(cloned); !bytes.Equal(a, b) {
+		t.Fatalf("findings differ with cloned certificates\nwide:\n%s\ncloned:\n%s", a, b)
 	}
 }

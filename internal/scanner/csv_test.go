@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"retrodns/internal/simtime"
 	"retrodns/internal/x509lite"
@@ -292,4 +293,49 @@ func FuzzSynthCertSerial(f *testing.F) {
 			t.Fatalf("synthCertSerial(%q, %q, %d) = %#x, reference %#x", names, issuer, crtshID, got, want)
 		}
 	})
+}
+
+// TestMemoizedCertsKeepNoTailKey reads rows through ScanCSV and requires
+// no memoized certificate's SANs or issuer to point into the memo's tail
+// key: a pooled certificate outlives the reader, and one holding a
+// substring of the key would keep the whole crtsh_id..names tail alive.
+func TestMemoizedCertsKeepNoTailKey(t *testing.T) {
+	var sb strings.Builder
+	for _, date := range simtime.ScanDates(0, 21)[:3] {
+		for d := 0; d < 4; d++ {
+			fmt.Fprintf(&sb, "%s,10.0.0.%d,443,64500,KG,%d,Test CA,true,true,www.d%d.example mail.d%d.example\n", date, d+1, d+1, d, d)
+		}
+	}
+	c := NewScanCSV(strings.NewReader(sb.String()))
+	n := 0
+	for {
+		if _, err := c.Next(); err == io.EOF {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		n++
+	}
+	within := func(s, key string) bool {
+		p, lo := uintptr(unsafe.Pointer(unsafe.StringData(s))), uintptr(unsafe.Pointer(unsafe.StringData(key)))
+		return len(s) > 0 && p >= lo && p < lo+uintptr(len(key))
+	}
+	keys := 0
+	for _, memo := range c.certs {
+		for key, ct := range memo {
+			keys++
+			kept := []string{ct.cert.Issuer}
+			for _, san := range ct.cert.SANs {
+				kept = append(kept, string(san))
+			}
+			for _, s := range kept {
+				if within(s, key) {
+					t.Fatalf("memoized certificate holds %q inside its tail key %q", s, key)
+				}
+			}
+		}
+	}
+	if n != 12 || keys != 4 {
+		t.Fatalf("read %d rows into %d memoized tails, want 12 and 4", n, keys)
+	}
 }

@@ -28,3 +28,7 @@ func (c *ScanCSV) SetReadAhead(rows, chunks, ceiling, workers int) {
 // parses past the one its caller is at on an input that never changes its
 // scan date: the chunk Next is delivering plus the ceiling.
 const ReadAheadBound = readAheadCeiling + readAheadRows
+
+// ResolvedRoutes is how many pooled certificates have their route resolved:
+// each at most once, however often and however concurrently it is routed.
+func (p *Pool) ResolvedRoutes() int64 { return p.routes.Load() }

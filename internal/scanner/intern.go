@@ -1,150 +1,133 @@
 package scanner
 
 import (
-	"strings"
 	"sync"
+	"sync/atomic"
 
-	"retrodns/internal/dnscore"
 	"retrodns/internal/x509lite"
 )
 
-// The interning layer. At paper scale the corpus sees the same handful of
-// bytes millions of times: a popular deployment's SANs recur in every
-// weekly scan for four years, and a long-lived certificate is observed
-// once per (IP, scan). Without interning each observation drags its own
-// string and certificate allocations through ingest and keeps them live in
-// the indexes. The Pool collapses them: names intern through a striped
-// string pool (one canonical backing array per distinct string), and
-// certificates dedup through the fingerprint-keyed x509lite.Pool, with
-// first-seen certificates' SANs canonicalized through the same string
-// pool. The pool lives as long as its dataset and never evicts, so its
-// size is bounded by the number of distinct values in the feed, not by the
-// number of observations.
+// The certificate pool. Four years of weekly scans observe the same
+// certificate tens of thousands of times — once per (IP, scan) — and a feed
+// that parses its input hands ingest a fresh Certificate for each reading
+// of it. The pool collapses them: keyed on the memoized Fingerprint, it
+// keeps the first instance it is handed and gives that one back for every
+// later sighting, so the corpus stores each distinct certificate once and
+// pointer comparisons on certs are identity comparisons. Two certificates
+// pool together iff they are byte-identical: a re-issued certificate with
+// a fresh signature stays distinct, as the detection method needs.
+//
+// The pool entry also holds where the certificate's records go (its route,
+// see routeLocked), resolved once per certificate, so a certificate seen in
+// every weekly scan has its SANs reduced to apexes and hashed once. The
+// pool lives as long as its dataset and never evicts: its size is bounded
+// by the number of distinct certificates in the feed, not by the number of
+// observations.
 
-// internStripes spreads the string pool over independent locks so parallel
-// ingest workers do not serialize. Must be a power of two.
-const internStripes = 64
+// poolStripes spreads the pool over independent locks so parallel ingest
+// workers do not serialize on one mutex. Must be a power of two.
+const poolStripes = 32
 
-// A stripe takes a plain mutex and one lookup: a name reaches the pool only
-// with a certificate it has not seen, so a miss is the common case, and an
-// optimistic read-locked lookup ahead of the locked one would only repeat
-// it.
-type internStripe struct {
-	mu    sync.Mutex
-	m     map[string]string
-	bytes int64
-	_     [64 - 24]byte // a cache line of its own: parallel workers lock neighbours
+type poolStripe struct {
+	mu sync.RWMutex
+	m  map[x509lite.Fingerprint]*poolEntry
+	_  [64 - 32]byte // a cache line of its own: parallel workers lock neighbours
 }
 
-// stringInterner is a concurrency-safe string pool: intern returns the
-// canonical instance of a string, cloning it on first sight so the pool
-// never pins a caller's larger backing array — unless the caller owns s
-// outright (a string it decoded on its own), which the pool then keeps.
-type stringInterner struct {
-	stripes [internStripes]internStripe
+// poolEntry is one pooled certificate: the instance the pool was first
+// handed, and its route once resolved. The route is written once, under
+// the stripe lock, before routed is set; a reader that sees routed set
+// reads it without the lock.
+type poolEntry struct {
+	cert   *x509lite.Certificate
+	routed atomic.Bool
+	route  certRoute
+	// one backs route for a certificate of a single registered domain, the
+	// common case, so the entry is its route's only allocation.
+	one [1]shardApex
 }
 
-func (si *stringInterner) intern(s string, owned bool) string {
-	if s == "" {
-		return ""
-	}
-	st := &si.stripes[fnvString(s)&(internStripes-1)]
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if got, ok := st.m[s]; ok {
-		return got
-	}
-	if st.m == nil {
-		st.m = make(map[string]string)
-	}
-	c := s
-	if !owned {
-		c = strings.Clone(s)
-	}
-	st.m[c] = c
-	st.bytes += int64(len(c))
-	return c
+// Pool is a dataset's certificate dedup pool. All methods are safe for
+// concurrent use and nil-tolerant (a nil pool passes certificates
+// through). A pooled certificate is only ever read, so a feed may hand one
+// instance to several pools at once.
+type Pool struct {
+	stripes [poolStripes]poolStripe
+	size    atomic.Int64
+	routes  atomic.Int64 // entries whose route is resolved
 }
 
-// reserve sizes every empty stripe for its share of about n strings.
-func (si *stringInterner) reserve(n int) {
-	for i := range si.stripes {
-		st := &si.stripes[i]
+// NewPool returns an empty certificate pool.
+func NewPool() *Pool {
+	p := &Pool{}
+	for i := range p.stripes {
+		p.stripes[i].m = make(map[x509lite.Fingerprint]*poolEntry)
+	}
+	return p
+}
+
+// Reserve sizes the pool for about n distinct certificates at once, so a
+// bulk load's first wide scan or a restore does not grow the stripes by
+// doubling. A stripe that already holds certificates is left as it is.
+func (p *Pool) Reserve(n int) {
+	if p == nil {
+		return
+	}
+	for i := range p.stripes {
+		st := &p.stripes[i]
 		st.mu.Lock()
 		if len(st.m) == 0 {
-			st.m = make(map[string]string, n/internStripes)
+			st.m = make(map[x509lite.Fingerprint]*poolEntry, n/poolStripes)
 		}
 		st.mu.Unlock()
 	}
 }
 
-func (si *stringInterner) stats() (count int, bytes int64) {
-	for i := range si.stripes {
-		st := &si.stripes[i]
-		st.mu.Lock()
-		count += len(st.m)
-		bytes += st.bytes
-		st.mu.Unlock()
-	}
-	return count, bytes
-}
-
-// Pool is a dataset's interning state: a shared string pool for DNS names
-// and a fingerprint-keyed certificate dedup pool. All methods are safe for
-// concurrent use and nil-tolerant (a nil pool passes values through).
-type Pool struct {
-	names stringInterner
-	certs *x509lite.Pool
-}
-
-// NewPool creates an empty intern pool whose certificate pool
-// canonicalizes SAN strings through the name pool.
-func NewPool() *Pool {
-	p := &Pool{certs: x509lite.NewPool()}
-	p.certs.InternName = func(n dnscore.Name, owned bool) dnscore.Name {
-		return dnscore.Name(p.names.intern(string(n), owned))
-	}
-	return p
-}
-
-// Name returns the canonical interned instance of n.
-func (p *Pool) Name(n dnscore.Name) dnscore.Name {
-	if p == nil {
-		return n
-	}
-	return dnscore.Name(p.names.intern(string(n), false))
-}
-
-// Cert returns the canonical pooled instance of c (see x509lite.Pool):
-// the same certificate observed across thousands of scans is stored once.
+// Cert returns the pooled instance of c's fingerprint, pooling c itself on
+// first sight. A nil certificate passes through.
 func (p *Pool) Cert(c *x509lite.Certificate) *x509lite.Certificate {
-	if p == nil {
+	if p == nil || c == nil {
 		return c
 	}
-	return p.certs.Intern(c)
+	return p.entry(c, -1).cert
 }
 
-// AdoptCert is Cert for a certificate the caller decoded and hands over
-// (x509lite.Pool.Adopt): a first-seen one joins the pool as it is, its
-// SANs interned in place without a copy.
-func (p *Pool) AdoptCert(c *x509lite.Certificate) *x509lite.Certificate {
-	if p == nil {
-		return c
+// entry looks c's fingerprint up, inserting c on a miss, and resolves the
+// entry's route over nshards shards unless nshards is negative: on c's
+// first sight, or on the first routing of a certificate a restore pooled.
+func (p *Pool) entry(c *x509lite.Certificate, nshards int) *poolEntry {
+	fp := c.Fingerprint()
+	st := &p.stripes[fp[0]&(poolStripes-1)]
+	st.mu.RLock()
+	e := st.m[fp]
+	st.mu.RUnlock()
+	if e != nil && (nshards < 0 || e.routed.Load()) {
+		return e
 	}
-	return p.certs.Adopt(c)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if e = st.m[fp]; e == nil {
+		e = &poolEntry{cert: c}
+		st.m[fp] = e
+		p.size.Add(1)
+	}
+	if nshards >= 0 && !e.routed.Load() {
+		e.route = resolveRoute(e.cert, nshards, e.one[:0])
+		e.routed.Store(true)
+		p.routes.Add(1)
+	}
+	return e
 }
 
 // PoolStats is a point-in-time size accounting of the pool.
 type PoolStats struct {
-	// Names and NameBytes count distinct interned name strings and their
-	// total payload bytes.
+	// Names, NameBytes, IPStrings and IPBytes are always 0: the pool keeps
+	// no strings of its own. The benchmark harness still reads them.
 	Names     int
 	NameBytes int64
-	// IPStrings and IPBytes are always 0: the pool memoizes no address
-	// renderings. The benchmark harness still reads them.
 	IPStrings int
 	IPBytes   int64
-	// Certs counts distinct certificates in the dedup pool.
+	// Certs counts distinct certificates in the pool.
 	Certs int64
 }
 
@@ -153,8 +136,5 @@ func (p *Pool) Stats() PoolStats {
 	if p == nil {
 		return PoolStats{}
 	}
-	var st PoolStats
-	st.Names, st.NameBytes = p.names.stats()
-	st.Certs = p.certs.Size()
-	return st
+	return PoolStats{Certs: p.size.Load()}
 }

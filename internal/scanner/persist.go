@@ -12,11 +12,11 @@ package scanner
 // inline, rendered by the seal path (shardSegment) and made resident by the
 // unspill path (segmentCerts, segmentWindows). So a window at rest has one
 // encoding, a segment entry, and every stored shard one set of checks. Each
-// image carries its shard's certificate table, re-interned through the
-// dataset's pool on decode, so the restored pool gauges match a live ingest
-// of the same corpus; and each shard's section is self-contained, so the
-// shards decode in parallel — in two passes, so that the tables' counts
-// size the pool before any shard's table joins it. Records indexed under
+// image carries its shard's certificate table, pooled into the dataset's
+// pool on decode, so the restored pool gauges match a live ingest of the
+// same corpus; and each shard's section is self-contained, so the shards
+// decode in parallel — in two passes, so that the tables' counts size the
+// pool before any shard's table joins it. Records indexed under
 // several registered domains are serialized per domain — the restored
 // instances are distinct pointers, which every consumer tolerates (windows
 // are per-domain and all cross-window counts are serialized explicitly).
@@ -266,14 +266,14 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 	}
 
 	// Every shard's section decodes up to its certificate table first, so
-	// the pool is sized from the tables' counts before any shard adopts.
+	// the pool is sized from the tables' counts before any shard pools its own.
 	errs := make([]error, nshards)
 	decoded := make([]*shardSection, nshards)
 	workers := shardWorkers(records, nshards)
 	forShards(nshards, workers, func(sid int) {
 		decoded[sid], errs[sid] = d.readShard(sid, sections[sid])
 	})
-	certs, names := 0, 0
+	certs := 0
 	for sid, err := range errs {
 		if err != nil {
 			for _, sec := range decoded {
@@ -283,12 +283,9 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 			}
 			return nil, err
 		}
-		for _, c := range decoded[sid].certs {
-			certs, names = certs+1, names+1+len(c.SANs)
-		}
+		certs += len(decoded[sid].certs)
 	}
-	d.pool.certs.Reserve(certs)
-	d.pool.names.reserve(names)
+	d.pool.Reserve(certs)
 	forShards(nshards, workers, func(sid int) {
 		errs[sid] = d.installShard(sid, decoded[sid])
 	})
@@ -321,7 +318,7 @@ func decodeSnapshot(data []byte, opts *SpillOptions) (*Dataset, error) {
 
 // shardSection is one shard's snapshot section, decoded as far as
 // readShard takes it: the roster and journals, and the shard's segment
-// with its certificate table not yet adopted by the pool.
+// with its certificate table not yet pooled.
 type shardSection struct {
 	idx   *shardIndex
 	seg   *segment.Reader
@@ -379,14 +376,15 @@ func (d *Dataset) readShard(sid int, section []byte) (*shardSection, error) {
 	return sec, nil
 }
 
-// installShard has the pool adopt shard sid's certificate table, so the
-// certificates its windows decode to are the ones a live ingest would
-// hold, and installs the shard's index: read through its spilled segment,
+// installShard pools shard sid's certificate table, so the certificates
+// its windows decode to are the ones a live ingest would hold — the
+// table's own, for a certificate no other shard pooled first — and
+// installs the shard's index: read through its spilled segment,
 // or with its inline image's windows resident. Writes shard sid and the
 // concurrency-safe pool only.
 func (d *Dataset) installShard(sid int, sec *shardSection) error {
 	for i, c := range sec.certs {
-		sec.certs[i] = d.pool.AdoptCert(c)
+		sec.certs[i] = d.pool.Cert(c)
 	}
 	idx := sec.idx
 	if sec.file != "" {

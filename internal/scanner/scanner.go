@@ -238,13 +238,12 @@ type datasetView struct {
 // the per-domain indexes with its own lock, sorted indexes, and quarantine
 // journal, so large scans validate and ingest in parallel across shards
 // while every read and the pipeline output stay byte-identical for any
-// shard count. Records pass through an interning layer on ingest (see
-// intern.go): certificates dedup through a fingerprint-keyed pool and SAN
-// strings through a shared string pool, so a certificate observed in
-// thousands of weekly scans is stored once.
+// shard count. Records pass through a certificate pool on ingest (see
+// intern.go): certificates dedup on their fingerprint, so a certificate
+// observed in thousands of weekly scans is stored once.
 //
 // The dataset takes ownership of the records handed to AddScan/Append:
-// interning replaces a record's Cert with the pool's canonical instance.
+// ingest replaces a record's Cert with the pool's instance.
 // What a record points to — its certificate, its Ports array — is only
 // ever read, so records of different datasets may share those (a ScanCSV
 // reader's records do).
@@ -281,13 +280,9 @@ type Dataset struct {
 	quarSeq uint64
 	strict  bool
 
-	// pool interns names, IP strings, and certificates; intern gates
-	// whether ingest routes records through it.
-	pool   *Pool
-	intern bool
-	// routes memoizes, per pooled certificate, where its records go (see
+	// pool dedups certificates and holds each one's route (see
 	// routeLocked).
-	routes map[*x509lite.Certificate]certRoute
+	pool *Pool
 	// sized is set once a wide scan has sized the first-sighting tables
 	// (see sizeTablesLocked).
 	sized bool
@@ -306,7 +301,7 @@ type Dataset struct {
 
 // datasetMetrics is the dataset's ingest instrumentation: scan and
 // record throughput counters, corpus-size gauges, one quarantine counter
-// per refusal reason, per-shard occupancy gauges, and intern-pool gauges.
+// per refusal reason, per-shard occupancy gauges, and pool gauges.
 type datasetMetrics struct {
 	scans        *obsv.Counter
 	records      *obsv.Counter
@@ -316,7 +311,6 @@ type datasetMetrics struct {
 	generation   *obsv.Gauge
 	shardDomains []*obsv.Gauge
 	shardRecords []*obsv.Gauge
-	internized   *obsv.Gauge
 	certPool     *obsv.Gauge
 	corpusBytes  *obsv.Gauge
 
@@ -337,7 +331,6 @@ const (
 	MetricDatasetGen         = "retrodns_dataset_ingest_generation"
 	MetricCorpusShardDomains = "retrodns_corpus_shard_domains"
 	MetricCorpusShardRecords = "retrodns_corpus_shard_records"
-	MetricInternStrings      = "retrodns_intern_strings"
 	MetricCertPoolSize       = "retrodns_cert_pool_size"
 	MetricCorpusBytes        = "retrodns_corpus_bytes_estimate"
 )
@@ -362,8 +355,8 @@ const (
 // records into retrodns_ingest_quarantined_total by reason, the corpus
 // gauges track domains/records/generation after every ingest, the
 // per-shard gauges expose shard occupancy (domain count and record
-// attachments per shard), and the intern gauges track pool sizes and the
-// estimated resident corpus bytes. Call before ingest begins; a nil
+// attachments per shard), and the pool gauges track the certificate pool
+// and the estimated resident corpus bytes. Call before ingest begins; a nil
 // registry detaches (handles go nil).
 func (d *Dataset) SetMetrics(reg *obsv.Registry) {
 	d.mu.Lock()
@@ -381,8 +374,7 @@ func (d *Dataset) SetMetrics(reg *obsv.Registry) {
 	reg.SetHelp(MetricDatasetGen, "Dataset index generation (1 at Freeze, +1 per Append).")
 	reg.SetHelp(MetricCorpusShardDomains, "Registered domains indexed per corpus shard.")
 	reg.SetHelp(MetricCorpusShardRecords, "Record attachments indexed per corpus shard.")
-	reg.SetHelp(MetricInternStrings, "Distinct name strings interned in the pool.")
-	reg.SetHelp(MetricCertPoolSize, "Distinct certificates interned in the dedup pool.")
+	reg.SetHelp(MetricCertPoolSize, "Distinct certificates in the dedup pool.")
 	reg.SetHelp(MetricCorpusBytes, "Estimated resident bytes of the indexed corpus (model-based).")
 	d.met.scans = reg.Counter(MetricIngestScans)
 	d.met.records = reg.Counter(MetricIngestRecords)
@@ -399,7 +391,6 @@ func (d *Dataset) SetMetrics(reg *obsv.Registry) {
 		d.met.shardDomains[sid] = reg.Gauge(MetricCorpusShardDomains, "shard", lbl)
 		d.met.shardRecords[sid] = reg.Gauge(MetricCorpusShardRecords, "shard", lbl)
 	}
-	d.met.internized = reg.Gauge(MetricInternStrings)
 	d.met.certPool = reg.Gauge(MetricCertPoolSize)
 	d.met.corpusBytes = reg.Gauge(MetricCorpusBytes)
 
@@ -452,7 +443,6 @@ func (d *Dataset) publishSizeLocked() {
 		}
 	}
 	st := d.pool.Stats()
-	d.met.internized.Set(int64(st.Names))
 	d.met.certPool.Set(st.Certs)
 	total := d.estimatedBytesLocked(st)
 	spilled := d.spilledBytesLocked()
@@ -482,8 +472,7 @@ const DefaultShards = 8
 // (locks, journals, merge fan-in) outweigh any parallelism.
 const maxShards = 64
 
-// NewDataset creates an empty dataset with DefaultShards shards and
-// interning enabled.
+// NewDataset creates an empty dataset with DefaultShards shards.
 func NewDataset() *Dataset {
 	return NewDatasetShards(DefaultShards)
 }
@@ -502,8 +491,6 @@ func NewDatasetShards(n int) *Dataset {
 	d := &Dataset{
 		shards: make([]*shard, n),
 		pool:   NewPool(),
-		intern: true,
-		routes: make(map[*x509lite.Certificate]certRoute),
 	}
 	for i := range d.shards {
 		d.shards[i] = newShard()
@@ -515,19 +502,8 @@ func NewDatasetShards(n int) *Dataset {
 // Shards returns the dataset's shard count.
 func (d *Dataset) Shards() int { return len(d.shards) }
 
-// Pool returns the dataset's intern pool (never nil). Callers may use it
-// to share interned names with structures derived from the corpus.
+// Pool returns the dataset's certificate pool (never nil).
 func (d *Dataset) Pool() *Pool { return d.pool }
-
-// SetIntern enables or disables the interning layer for subsequent ingest
-// (enabled by default). Call before ingest begins; already-interned
-// records are unaffected. Disabling is for benchmarking the allocation
-// savings — correctness does not depend on the setting.
-func (d *Dataset) SetIntern(on bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.intern = on
-}
 
 // shardFor routes a registered domain to its owning shard.
 func (d *Dataset) shardFor(domain dnscore.Name) *shard {
@@ -567,7 +543,7 @@ func (d *Dataset) Append(date simtime.Date, records []*Record) error {
 }
 
 // AppendAfter is Append with a barrier between building the batch and
-// showing it: the batch is gated, interned, routed and merged into each
+// showing it: the batch is gated, pooled, routed and merged into each
 // touched shard's successor index, then durable (if not nil) is called
 // exactly once, and only when it returns nil is anything published. A
 // durability layer runs its fsync beside the staging and joins it there
@@ -576,10 +552,9 @@ func (d *Dataset) Append(date simtime.Date, records []*Record) error {
 // When durable fails, its error is returned and nothing observable moved:
 // Generation, every window, Domains, DirtySince, Quarantine and Size read
 // as before the call, and the same batch may be appended again. What
-// staging did outside the batch stays: certificates interned into the
-// pool, a spilled shard made resident, the implied first Freeze. A
-// strict-mode refusal or an unspill failure returns before durable is
-// called. durable runs under the dataset's write lock and must not call
+// staging did outside the batch stays: certificates pooled, a spilled
+// shard made resident, the implied first Freeze. A strict-mode refusal or
+// an unspill failure returns before durable is called. durable runs under the dataset's write lock and must not call
 // back into the dataset.
 func (d *Dataset) AppendAfter(date simtime.Date, records []*Record, durable func() error) error {
 	d.mu.Lock()
@@ -609,7 +584,7 @@ func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode 
 	if appendMode {
 		d.freezeLocked()
 		// Segments are immutable: every shard this ingest writes into must
-		// be resident first. Runs before interning and fan-out, so a spill
+		// be resident first. Runs before pooling and fan-out, so a spill
 		// replay failure leaves the dataset unchanged.
 		if err := d.unspillTouchedLocked(records, gates); err != nil {
 			d.publishSizeLocked() // the implied freeze, if any, did land
@@ -631,7 +606,7 @@ func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode 
 	}
 	if durable != nil {
 		if err := durable(); err != nil {
-			d.publishSizeLocked() // the freeze, interning and unspill, if any, did land
+			d.publishSizeLocked() // the freeze, pooling and unspill, if any, did land
 			return err
 		}
 	}
@@ -690,13 +665,12 @@ func (d *Dataset) ingestLocked(date simtime.Date, records []*Record, appendMode 
 	return spillErr
 }
 
-// sizeTablesLocked sizes the first-sighting tables — the intern pool's
-// certificate and name stripes, the route memo and every shard's
-// accumulation map — from the first scan of at least
-// parallelIngestThreshold accepted records, in one step rather than by
-// doubling while the scan stages: the first scan of a bulk load is nearly
-// all first sightings. The scan's distinct certificate instances bound its
-// distinct certificates, and their SANs its distinct names and domains: a
+// sizeTablesLocked sizes the first-sighting tables — the certificate
+// pool's stripes and every shard's accumulation map — from the first scan
+// of at least parallelIngestThreshold accepted records, in one step rather
+// than by doubling while the scan stages: the first scan of a bulk load is
+// nearly all first sightings. The scan's distinct certificate instances
+// bound its distinct certificates, and their SANs its distinct domains: a
 // certificate on many addresses is counted once, as the CSV reader hands
 // all its rows one instance. A table is sized only while it is empty, so
 // nothing already ingested is dropped. Caller holds d.mu.
@@ -708,17 +682,7 @@ func (d *Dataset) sizeTablesLocked(records []*Record, gates []uint8, accepted in
 	certs, names := distinctCerts(records, gates, accepted)
 	// The tables are independent, and making a large one is mostly
 	// faulting in fresh memory, so they are made in parallel.
-	var jobs []func()
-	if d.intern {
-		jobs = append(jobs,
-			func() { d.pool.certs.Reserve(certs) },
-			func() { d.pool.names.reserve(names) },
-			func() {
-				if len(d.routes) == 0 {
-					d.routes = make(map[*x509lite.Certificate]certRoute, certs)
-				}
-			})
-	}
+	jobs := []func(){func() { d.pool.Reserve(certs) }}
 	// An even spread plus a quarter, as routeLocked sizes its buckets, of
 	// the records or, when fewer, the names.
 	even := min(accepted, names) / len(d.shards)
@@ -1049,13 +1013,12 @@ const (
 	estRecordBytes      = 112 // Record struct + small Ports backing array
 	estAttachBytes      = 16  // one *Record slot in a per-domain slice, amortized growth
 	estDomainEntryBytes = 96  // map entry + sorted-slice slot per domain, per index
-	estCertBytes        = 480 // Certificate struct + signature + SAN headers
+	estCertBytes        = 480 // Certificate struct + signature + SANs, and its pool entry
 )
 
 // EstimatedBytes returns a deterministic model-based estimate of the
 // corpus's resident memory: record structs, per-domain index attachments,
-// domain entries, and the intern pools (actual interned string bytes plus
-// a per-certificate footprint). It is an accounting estimate for capacity
+// domain entries, and the certificate pool (a per-certificate footprint). It is an accounting estimate for capacity
 // planning and the retrodns_corpus_bytes_estimate gauge, not a heap
 // measurement.
 func (d *Dataset) EstimatedBytes() int64 {
@@ -1080,6 +1043,5 @@ func (d *Dataset) estimatedBytesLocked(st PoolStats) int64 {
 	return int64(records)*estRecordBytes +
 		int64(attach)*estAttachBytes +
 		int64(domains)*estDomainEntryBytes +
-		st.NameBytes +
 		st.Certs*estCertBytes
 }

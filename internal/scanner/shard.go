@@ -215,9 +215,9 @@ type shardApex struct {
 	sid  int
 }
 
-// resolveRoute computes c's route.
-func (d *Dataset) resolveRoute(c *x509lite.Certificate) certRoute {
-	var route certRoute
+// resolveRoute computes c's route over nshards shards, appending to buf.
+func resolveRoute(c *x509lite.Certificate, nshards int, buf certRoute) certRoute {
+	route := buf
 	for _, san := range c.SANs {
 		apex := san.RegisteredDomain()
 		if apex == "" {
@@ -228,41 +228,31 @@ func (d *Dataset) resolveRoute(c *x509lite.Certificate) certRoute {
 			dup = dup || t.apex == apex
 		}
 		if !dup {
-			route = append(route, shardApex{apex, shardIndexOf(apex, len(d.shards))})
+			route = append(route, shardApex{apex, shardIndexOf(apex, nshards)})
 		}
 	}
 	return route
 }
 
-// freshRoute is a route a scan's routing pass resolved, for the memo.
-type freshRoute struct {
-	cert  *x509lite.Certificate
-	route certRoute
-}
-
 // routeLocked is the one pass over a scan that decides where everything
 // goes, run in parallel over contiguous runs of the records. Each accepted
-// record's certificate is swapped for the pool's canonical instance when
-// interning (a first-seen certificate is copied in, its SAN strings
-// canonicalized through the string pool), so shards only ever index pooled
-// certificates; its route is resolved; and its attachments land in its
-// run's bucket for each owning shard. buckets[sid] holds one bucket per
-// run, and taken in run order they are the shard's share of the scan in
-// feed order.
+// record's certificate is swapped for the pool's instance (a first-seen
+// certificate joins the pool as it is), so shards only ever index pooled
+// certificates; the pool entry gives its route; and its attachments land
+// in its run's bucket for each owning shard. buckets[sid] holds one bucket
+// per run, and taken in run order they are the shard's share of the scan
+// in feed order.
 //
-// Pooled certificates are immutable and the shard count is fixed, so their
-// routes are memoized for the life of the dataset (bounded by the pool,
-// which never evicts either): a certificate seen in every weekly scan has
-// its SANs reduced to apexes and hashed once. The runs only read the memo;
-// the routes they resolve are memoized once they join. Caller holds d.mu;
-// the records are not yet visible to any reader.
+// Pooled certificates are immutable and the shard count is fixed, so each
+// entry resolves its route once, on the first routing of its certificate,
+// for the life of the dataset. Caller holds d.mu; the records are not yet
+// visible to any reader.
 func (d *Dataset) routeLocked(records []*Record, gates []uint8, accepted int) (buckets [][][]routed) {
 	workers := ingestWorkers(len(records))
 	buckets = make([][][]routed, len(d.shards))
 	for sid := range buckets {
 		buckets[sid] = make([][]routed, workers)
 	}
-	fresh := make([][]freshRoute, workers)
 	// An even spread plus a quarter covers the hash's skew and the odd
 	// multi-domain certificate without a regrow.
 	even := accepted / workers / len(d.shards)
@@ -276,19 +266,11 @@ func (d *Dataset) routeLocked(records []*Record, gates []uint8, accepted int) (b
 				continue
 			}
 			r := records[i]
-			if d.intern {
-				if c := d.pool.Cert(r.Cert); c != r.Cert {
-					r.Cert = c
-				}
+			e := d.pool.entry(r.Cert, len(d.shards))
+			if e.cert != r.Cert {
+				r.Cert = e.cert
 			}
-			route, ok := d.routes[r.Cert]
-			if !ok {
-				route = d.resolveRoute(r.Cert)
-				if d.intern {
-					fresh[run] = append(fresh[run], freshRoute{r.Cert, route})
-				}
-			}
-			for _, t := range route {
+			for _, t := range e.route {
 				own[t.sid] = append(own[t.sid], routed{r, t.apex})
 			}
 		}
@@ -296,11 +278,6 @@ func (d *Dataset) routeLocked(records []*Record, gates []uint8, accepted int) (b
 			buckets[sid][run] = own[sid]
 		}
 	})
-	for _, f := range fresh {
-		for _, fr := range f {
-			d.routes[fr.cert] = fr.route
-		}
-	}
 	return buckets
 }
 
@@ -443,7 +420,7 @@ func shardIndexOf(domain dnscore.Name, n int) int {
 // orders of magnitude under it.
 const parallelIngestThreshold = 2048
 
-// maxWorkers caps a record-parallel phase: validation, interning and
+// maxWorkers caps a record-parallel phase: validation, pooling and
 // parsing stop scaling past the memory bus.
 const maxWorkers = 16
 

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync"
 	"testing"
-	"unsafe"
 
 	"retrodns/internal/dnscore"
 	"retrodns/internal/simtime"
@@ -169,15 +168,16 @@ func TestConcurrentAppendAcrossShardsDuringReads(t *testing.T) {
 	wg.Wait()
 }
 
-// TestInternDedupsCertsAndNames pins the interning layer: identical
+// TestInternDedupsCertsAndNames pins the certificate pool: identical
 // certificates arriving as distinct objects collapse to one pooled
-// instance with shared SAN strings, and SetIntern(false) disables it.
+// instance, the first one ingest was handed.
 func TestInternDedupsCertsAndNames(t *testing.T) {
 	mk := func() *Record {
 		return quarRec(7, "84.205.9.9", quarCert(77, "www.pooled.example", "mail.pooled.example"))
 	}
 	ds := NewDataset()
-	if err := ds.AddScan(7, []*Record{mk()}); err != nil {
+	first := mk()
+	if err := ds.AddScan(7, []*Record{first}); err != nil {
 		t.Fatal(err)
 	}
 	if err := ds.AddScan(14, []*Record{mk()}); err != nil {
@@ -191,38 +191,19 @@ func TestInternDedupsCertsAndNames(t *testing.T) {
 	if recs[0].Cert != recs[1].Cert {
 		t.Fatal("identical certs not deduped to one instance")
 	}
-	st := ds.Pool().Stats()
-	if st.Certs != 1 {
+	if recs[0].Cert != first.Cert {
+		t.Fatal("the pool holds a copy, not the first instance it was handed")
+	}
+	if st := ds.Pool().Stats(); st.Certs != 1 {
 		t.Fatalf("cert pool size = %d, want 1", st.Certs)
-	}
-	if st.Names == 0 {
-		t.Fatal("no SAN strings interned")
-	}
-
-	off := NewDataset()
-	off.SetIntern(false)
-	if err := off.AddScan(7, []*Record{mk(), mk()}); err != nil {
-		t.Fatal(err)
-	}
-	if st := off.Pool().Stats(); st.Certs != 0 {
-		t.Fatalf("interning disabled but pool holds %d certs", st.Certs)
 	}
 }
 
-// TestReserveKeepsEntries sizes an interner and an accumulation map that
-// already hold entries, beside empty ones: nothing held is dropped, and a
-// frozen shard, which has no accumulation map, stays without one.
+// TestReserveKeepsEntries sizes an accumulation map that already holds
+// entries, beside an empty one: nothing held is dropped, and a frozen
+// shard, which has no accumulation map, stays without one. (The pool's
+// Reserve has TestPoolReserveKeepsEntries.)
 func TestReserveKeepsEntries(t *testing.T) {
-	var si stringInterner
-	held := si.intern("www.held.example", false)
-	si.reserve(1 << 12)
-	if got := si.intern("www.held.example", false); unsafe.StringData(got) != unsafe.StringData(held) {
-		t.Fatal("reserve dropped an interned string")
-	}
-	if n, _ := si.stats(); n != 1 {
-		t.Fatalf("%d strings interned, want 1", n)
-	}
-
 	s, empty := newShard(), newShard()
 	rec := quarRec(7, "84.205.1.1", quarCert(1, "www.held.example"))
 	s.stage([][]routed{{{rec, "held.example"}}}, 0, false)

@@ -39,7 +39,7 @@ var ErrSpill = errors.New("scanner: spill store failure")
 
 // estSpilledPerAttach is the model-based resident bytes reclaimed per
 // record attachment when a shard spills: the record struct plus its index
-// slot (the domain entries and intern pools stay resident by design).
+// slot (the domain entries and certificate pool stay resident by design).
 const estSpilledPerAttach = estRecordBytes + estAttachBytes
 
 // estEntryBytesPerDomain and estEntryBytesPerAttach size a shard's segment
@@ -407,7 +407,7 @@ func shardSegment(b *imageBuffers, sid int, gen uint64, idx *shardIndex) []*x509
 
 // segmentCerts checks that seg is shard sid's segment over roster — sealed
 // for that shard, one entry per roster domain — and returns its decoded
-// certificate table, for the pool to adopt: held by nothing else, the
+// certificate table, for the pool to take: held by nothing else, the
 // certificates join the pool as they are.
 func segmentCerts(seg *segment.Reader, sid int, roster []dnscore.Name) ([]*x509lite.Certificate, error) {
 	if seg.Shard() != sid || seg.Count() != len(roster) {

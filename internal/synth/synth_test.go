@@ -99,9 +99,6 @@ func TestCertDedupAcrossScans(t *testing.T) {
 	if st.Certs < 200 || st.Certs > 210 {
 		t.Fatalf("cert pool size = %d, want ~200", st.Certs)
 	}
-	if st.Names == 0 {
-		t.Fatal("no names interned")
-	}
 	// Every indexed record must hold a pooled certificate: the same
 	// stable cert across scans is pointer-identical.
 	recs := ds.DomainRecords(nameOf(0), 0, 0)

@@ -9,7 +9,7 @@
 #      single-goroutine reference pipeline (reference_test.go) over the
 #      same corpus and require the binary's findings byte for byte
 #   3. require the run report to carry the corpus gauges the sharded
-#      dataset publishes (shard occupancy, intern pool sizes, estimated
+#      dataset publishes (shard occupancy, certificate pool size, estimated
 #      corpus bytes)
 #   4. guard the whole thing with a wall-clock budget so an accidental
 #      quadratic ingest path fails CI instead of slowing it
@@ -65,8 +65,8 @@ cmp -s "$workdir/findings-8.json" "$workdir/findings-ref.json" || {
     exit 1
 }
 
-for gauge in retrodns_corpus_shard_domains retrodns_intern_strings \
-    retrodns_cert_pool_size retrodns_corpus_bytes_estimate; do
+for gauge in retrodns_corpus_shard_domains retrodns_cert_pool_size \
+    retrodns_corpus_bytes_estimate; do
     grep -q "\"$gauge\"" "$workdir/report-8.json" || {
         echo "smoke-scale: run report missing $gauge" >&2
         exit 1

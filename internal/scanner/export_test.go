@@ -29,6 +29,18 @@ func (c *ScanCSV) SetReadAhead(rows, chunks, ceiling, workers int) {
 // scan date: the chunk Next is delivering plus the ceiling.
 const ReadAheadBound = readAheadCeiling + readAheadRows
 
-// ResolvedRoutes is how many pooled certificates have their route resolved:
-// each at most once, however often and however concurrently it is routed.
-func (p *Pool) ResolvedRoutes() int64 { return p.routes.Load() }
+// ResolvedRoutes is how many pooled certificates have their route resolved.
+func (p *Pool) ResolvedRoutes() int64 {
+	var n int64
+	for i := range p.stripes {
+		st := &p.stripes[i]
+		st.mu.RLock()
+		for _, e := range st.m {
+			if e.routed.Load() {
+				n++
+			}
+		}
+		st.mu.RUnlock()
+	}
+	return n
+}

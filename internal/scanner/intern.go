@@ -52,9 +52,9 @@ type poolEntry struct {
 // through). A pooled certificate is only ever read, so a feed may hand one
 // instance to several pools at once.
 type Pool struct {
-	stripes [poolStripes]poolStripe
-	size    atomic.Int64
-	routes  atomic.Int64 // entries whose route is resolved
+	stripes   [poolStripes]poolStripe
+	size      atomic.Int64
+	nameBytes atomic.Int64 // SAN bytes of the pooled certificates
 }
 
 // NewPool returns an empty certificate pool.
@@ -110,21 +110,27 @@ func (p *Pool) entry(c *x509lite.Certificate, nshards int) *poolEntry {
 		e = &poolEntry{cert: c}
 		st.m[fp] = e
 		p.size.Add(1)
+		var n int
+		for _, san := range c.SANs {
+			n += len(san)
+		}
+		p.nameBytes.Add(int64(n))
 	}
 	if nshards >= 0 && !e.routed.Load() {
 		e.route = resolveRoute(e.cert, nshards, e.one[:0])
 		e.routed.Store(true)
-		p.routes.Add(1)
 	}
 	return e
 }
 
 // PoolStats is a point-in-time size accounting of the pool.
 type PoolStats struct {
-	// Names, NameBytes, IPStrings and IPBytes are always 0: the pool keeps
-	// no strings of its own. The benchmark harness still reads them.
-	Names     int
+	// NameBytes sums the SAN bytes of the pooled certificates: each
+	// certificate holds its own SAN strings.
 	NameBytes int64
+	// Names, IPStrings and IPBytes are always 0: the pool keeps no strings
+	// of its own. The benchmark harness still reads them.
+	Names     int
 	IPStrings int
 	IPBytes   int64
 	// Certs counts distinct certificates in the pool.
@@ -136,5 +142,5 @@ func (p *Pool) Stats() PoolStats {
 	if p == nil {
 		return PoolStats{}
 	}
-	return PoolStats{Certs: p.size.Load()}
+	return PoolStats{NameBytes: p.nameBytes.Load(), Certs: p.size.Load()}
 }

@@ -22,8 +22,8 @@ func TestPoolDedupsOnFingerprint(t *testing.T) {
 	if got := p.Cert(b); got != a {
 		t.Fatal("identical cert did not dedup to the first instance")
 	}
-	if n := p.Stats().Certs; n != 1 {
-		t.Fatalf("pool size = %d, want 1", n)
+	if st := p.Stats(); st.Certs != 1 || st.NameBytes != int64(len("www.a.example")) {
+		t.Fatalf("pool holds %d certificates with %d SAN bytes, want 1 with %d", st.Certs, st.NameBytes, len("www.a.example"))
 	}
 	// A reissued cert (different signature) is a distinct identity.
 	c := quarCert(1, "www.a.example")
@@ -32,8 +32,8 @@ func TestPoolDedupsOnFingerprint(t *testing.T) {
 	if got := p.Cert(c); got != c {
 		t.Fatal("distinct-signature cert wrongly deduped")
 	}
-	if n := p.Stats().Certs; n != 2 {
-		t.Fatalf("pool size = %d, want 2", n)
+	if st := p.Stats(); st.Certs != 2 || st.NameBytes != 2*int64(len("www.a.example")) {
+		t.Fatalf("pool holds %d certificates with %d SAN bytes, want 2 with %d", st.Certs, st.NameBytes, 2*len("www.a.example"))
 	}
 }
 
@@ -88,8 +88,8 @@ func TestPoolConcurrentCert(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if n := p.Stats().Certs; n != 10 {
-		t.Fatalf("pool size = %d, want 10", n)
+	if st := p.Stats(); st.Certs != 10 || st.NameBytes != 10*int64(len("www.c.example")) {
+		t.Fatalf("pool holds %d certificates with %d SAN bytes, want 10 with %d", st.Certs, st.NameBytes, 10*len("www.c.example"))
 	}
 }
 

@@ -1013,14 +1013,15 @@ const (
 	estRecordBytes      = 112 // Record struct + small Ports backing array
 	estAttachBytes      = 16  // one *Record slot in a per-domain slice, amortized growth
 	estDomainEntryBytes = 96  // map entry + sorted-slice slot per domain, per index
-	estCertBytes        = 480 // Certificate struct + signature + SANs, and its pool entry
+	estCertBytes        = 480 // Certificate struct + signature + SAN headers
 )
 
 // EstimatedBytes returns a deterministic model-based estimate of the
 // corpus's resident memory: record structs, per-domain index attachments,
-// domain entries, and the certificate pool (a per-certificate footprint). It is an accounting estimate for capacity
-// planning and the retrodns_corpus_bytes_estimate gauge, not a heap
-// measurement.
+// domain entries, and the certificate pool (its certificates' SAN bytes
+// plus a per-certificate footprint). It is an accounting estimate for
+// capacity planning and the retrodns_corpus_bytes_estimate gauge, not a
+// heap measurement.
 func (d *Dataset) EstimatedBytes() int64 {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
@@ -1043,5 +1044,6 @@ func (d *Dataset) estimatedBytesLocked(st PoolStats) int64 {
 	return int64(records)*estRecordBytes +
 		int64(attach)*estAttachBytes +
 		int64(domains)*estDomainEntryBytes +
+		st.NameBytes +
 		st.Certs*estCertBytes
 }

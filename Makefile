@@ -97,8 +97,8 @@ fuzz-smoke:
 # 1.25x shards=1 — plus the certificate pool's retained heap,
 # live-MiB and pooled-certs; classification over a 4 000 x 104 archive
 # with its records in scan order and copied domain-major), the serving
-# layer's query latency (reference render, LRU hit, prerendered
-# singleton, templated domain body), the
+# layer's query latency (reference render, prerendered singleton,
+# templated domain body), the
 # snapshot build the follow loop pays per scan (default vs reference), and
 # one scan of the durable follow loop end to end (Feeder.Tick -> cached Run
 # -> BuildSnapshot on a WAL in a temp dir: ns/scan, allocs/scan).

@@ -594,15 +594,13 @@ func (s *benchSink) Write(p []byte) (int, error) {
 func (s *benchSink) ok() bool { return s.code == 0 || s.code == http.StatusOK }
 
 // BenchmarkServeQuery measures the query engine's response path over the
-// standard bench world across its serving tiers: "cold" renders a
-// per-domain response per request (the reference mode, cache disabled),
-// "lru" serves those same domain bodies from the warmed key-sharded LRU,
-// "hit" serves the build-time prerendered zero-copy bodies of the hot
-// singleton endpoints, and "domain" serves default-mode domain bodies
-// assembled from the snapshot's shared tails — and fails itself if that
-// path allocates. The benchgate guards all four against the committed
-// baseline. The harness reuses requests and a counting sink (see
-// benchSink) instead of allocating httptest recorders, so the numbers
+// standard bench world: "cold" renders a per-domain response per request
+// (the reference mode), "hit" serves the build-time prerendered zero-copy
+// bodies of the hot singleton endpoints, and "domain" serves default-mode
+// domain bodies assembled from the snapshot's shared tails — and fails
+// itself if that path allocates. The benchgate guards all three against
+// the committed baseline. The harness reuses requests and a counting sink
+// (see benchSink) instead of allocating httptest recorders, so the numbers
 // track the engine, not the test scaffolding.
 func BenchmarkServeQuery(b *testing.B) {
 	fx := getStudy(b)
@@ -640,7 +638,7 @@ func BenchmarkServeQuery(b *testing.B) {
 			reqs[i] = httptest.NewRequest("GET", p, nil)
 		}
 		sink := &benchSink{header: make(http.Header, 4)}
-		for _, r := range reqs { // warm the LRU (a no-op when disabled)
+		for _, r := range reqs {
 			sink.code = 0
 			h.ServeHTTP(sink, r)
 			if !sink.ok() {
@@ -657,8 +655,7 @@ func BenchmarkServeQuery(b *testing.B) {
 			}
 		}
 	}
-	b.Run("cold", func(b *testing.B) { run(b, lazy, serve.Options{LRUSize: -1}, domainPaths) })
-	b.Run("lru", func(b *testing.B) { run(b, lazy, serve.Options{}, domainPaths) })
+	b.Run("cold", func(b *testing.B) { run(b, lazy, serve.Options{}, domainPaths) })
 	b.Run("hit", func(b *testing.B) { run(b, full, serve.Options{}, singletons) })
 	b.Run("domain", func(b *testing.B) {
 		if full.BodiesRendered() >= full.Domains() {

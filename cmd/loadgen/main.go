@@ -7,8 +7,7 @@
 //
 // Key selection mirrors production skew: domain keys are the snapshot's
 // real domains (fetched from /v1/patterns/* at startup) drawn from a
-// zipf distribution, so a hot head of popular domains exercises the
-// LRU/prerender path while the tail forces misses.
+// zipf distribution, a hot head of popular domains and a long tail.
 //
 // Two loops:
 //   - closed (default): every connection fires its next request as soon
@@ -21,7 +20,7 @@
 //
 //	loadgen -target http://127.0.0.1:8080 -duration 10s -connections 8 \
 //	  -mix 'domain=60,shortlist=10,funnel=10,patterns=15,healthz=5' \
-//	  -warmup 1s -label lru0 -out load.json
+//	  -warmup 1s -label base -out load.json
 package main
 
 import (
@@ -89,7 +88,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tenants  = fs.Int("tenants", 1, "rotate X-Retrodns-Tenant across this many synthetic tenants")
 		zipfS    = fs.Float64("zipf-s", 1.1, "zipf skew for domain-key popularity (>1)")
 		seed     = fs.Int64("seed", 1, "RNG seed for key selection")
-		label    = fs.String("label", "", "prefix for sample names in the report (e.g. lru0)")
+		label    = fs.String("label", "", "prefix for sample names in the report (e.g. base)")
 		out      = fs.String("out", "", "write the load report here (default stdout)")
 	)
 	if err := fs.Parse(args); err != nil {

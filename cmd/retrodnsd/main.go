@@ -64,7 +64,6 @@ func run() error {
 		strict      = flag.Bool("strict", false, "treat any record the ingest gate would quarantine as a fatal error")
 		follow      = flag.Bool("follow", false, "ingest scan-by-scan, re-analyzing and swapping the snapshot after each scan")
 		interval    = flag.Duration("scan-interval", 0, "pause between scans in -follow mode (0 = replay as fast as possible)")
-		lruSize     = flag.Int("lru", serve.DefaultLRUSize, "rendered-response cache entries (negative disables); every body is served from the snapshot, so nothing reaches it by default")
 		rate        = flag.Float64("rate", 0, "token-bucket request rate limit per second (0 disables)")
 		burst       = flag.Int("burst", 0, "rate-limiter burst capacity (defaults to 1 when -rate is set)")
 		tenantRate  = flag.Float64("tenant-rate", 0, "per-tenant request rate limit per second, keyed on "+serve.TenantHeader+" (0 disables)")
@@ -95,7 +94,6 @@ func run() error {
 
 	metrics := obsv.NewRegistry()
 	engine := serve.NewEngine(serve.Options{
-		LRUSize:          lruFlag(*lruSize),
 		RatePerSec:       *rate,
 		Burst:            *burst,
 		TenantRatePerSec: *tenantRate,
@@ -276,16 +274,6 @@ func servePprof(addr string) (string, func(context.Context) error, error) {
 		}
 	}()
 	return ln.Addr().String(), srv.Shutdown, nil
-}
-
-// lruFlag maps the -lru flag onto serve.Options.LRUSize, where 0 means
-// "use the default" rather than "disabled" — a user passing -lru 0 wants
-// caching off.
-func lruFlag(n int) int {
-	if n <= 0 {
-		return -1
-	}
-	return n
 }
 
 type ingestConfig struct {

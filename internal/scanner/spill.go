@@ -92,17 +92,18 @@ type SpillOptions struct {
 
 // SpillFlags turns the CLIs' -spill-dir, -mem-budget-mb and -spill-read-mode
 // values into SpillOptions, nil when dir is "": a budget < 0 is unlimited, 0
-// spills every frozen shard, > 0 is a ceiling in MiB.
+// spills every frozen shard, > 0 is a ceiling in MiB. A bad read mode is
+// refused with or without a dir.
 func SpillFlags(dir string, memBudgetMB int, readMode string) (*SpillOptions, error) {
+	mode, err := segment.ParseMode(readMode)
+	if err != nil {
+		return nil, err
+	}
 	if dir == "" && memBudgetMB >= 0 {
 		return nil, errors.New("-mem-budget-mb requires -spill-dir")
 	}
 	if dir == "" {
 		return nil, nil
-	}
-	mode, err := segment.ParseMode(readMode)
-	if err != nil {
-		return nil, err
 	}
 	return &SpillOptions{Dir: dir, BudgetBytes: max(-1, int64(memBudgetMB)<<20), Mode: mode}, nil
 }

@@ -597,3 +597,40 @@ func TestUnsortedSegmentWindowRefused(t *testing.T) {
 		t.Fatalf("Append unspilling the unsorted window: %v, want ErrSpill", err)
 	}
 }
+
+// TestSpillFlags holds the CLIs' spill flag parsing: a bad read mode is
+// refused whether or not -spill-dir is set, and a budget needs a dir.
+func TestSpillFlags(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		dir      string
+		budgetMB int
+		mode     string
+		want     *SpillOptions
+		err      string
+	}{
+		{"off", "", -1, "auto", nil, ""},
+		{"off default mode", "", -1, "", nil, ""},
+		{"off bad mode", "", -1, "bogus", nil, "unknown read mode"},
+		{"budget without dir", "", 0, "auto", nil, "requires -spill-dir"},
+		{"dir unlimited", "seg", -5, "stream", &SpillOptions{Dir: "seg", BudgetBytes: -1, Mode: segment.ModeStream}, ""},
+		{"dir zero budget", "seg", 0, "auto", &SpillOptions{Dir: "seg", BudgetBytes: 0, Mode: segment.ModeAuto}, ""},
+		{"dir ceiling", "seg", 3, "auto", &SpillOptions{Dir: "seg", BudgetBytes: 3 << 20, Mode: segment.ModeAuto}, ""},
+		{"dir bad mode", "seg", 0, "bogus", nil, "unknown read mode"},
+	} {
+		got, err := SpillFlags(tc.dir, tc.budgetMB, tc.mode)
+		if tc.err != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.err) {
+				t.Errorf("%s: err = %v, want one containing %q", tc.name, err, tc.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: %v", tc.name, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s: got %+v, want %+v", tc.name, got, tc.want)
+		}
+	}
+}

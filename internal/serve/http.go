@@ -119,9 +119,9 @@ func (e *Engine) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case "domain":
 			code = e.handleDomain(w, key, snap)
 		case "shortlist":
-			code = e.serveRendered(w, snap, snap.shortlistBody, "shortlist|g", snap.shortlist)
+			code = e.serveRendered(w, snap, snap.shortlistBody, snap.shortlist)
 		case "funnel":
-			code = e.serveRendered(w, snap, snap.funnelBody, "funnel|g", snap.funnel)
+			code = e.serveRendered(w, snap, snap.funnelBody, snap.funnel)
 		case "patterns":
 			code = e.handlePatterns(w, key, snap)
 		case "healthz":
@@ -145,38 +145,25 @@ func (e *Engine) serveBody(w http.ResponseWriter, snap *Snapshot, body []byte) i
 	return http.StatusOK
 }
 
-// serveRendered serves body when the snapshot prerendered it, else falls
-// back to the lazy LRU path under keyPrefix+generation.
-func (e *Engine) serveRendered(w http.ResponseWriter, snap *Snapshot, body []byte, keyPrefix string, doc any) int {
+// serveRendered serves body when the snapshot prerendered it, else
+// renders doc.
+func (e *Engine) serveRendered(w http.ResponseWriter, snap *Snapshot, body []byte, doc any) int {
 	if body != nil {
 		return e.serveBody(w, snap, body)
 	}
-	return e.serveDoc(w, keyPrefix+snap.genHeader, snap, doc)
+	return e.serveDoc(w, snap, doc)
 }
 
-// serveDoc renders doc through the sharded LRU and writes it. Error
-// responses never pass through here, so the cache only ever holds the
-// bounded set of real documents (request-shaped keys like unknown domain
-// names would otherwise let a client churn the cache).
-func (e *Engine) serveDoc(w http.ResponseWriter, cacheKey string, snap *Snapshot, doc any) int {
-	setOKHeaders(w.Header(), snap)
-	if body, ok := e.cache.get(cacheKey); ok {
-		e.cacheHits.Inc()
-		w.Write(body)
-		return http.StatusOK
-	}
-	e.cacheMisses.Inc()
+// serveDoc renders doc with encoding/json and writes it: the reference
+// mode's per-request path, and the fallback for a body the build could
+// not render.
+func (e *Engine) serveDoc(w http.ResponseWriter, snap *Snapshot, doc any) int {
 	body, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "render: "+err.Error(), snap.Generation)
 		return http.StatusInternalServerError
 	}
-	body = append(body, '\n')
-	if evicted := e.cache.put(cacheKey, snap.Generation, body); evicted > 0 {
-		e.cacheEvict.Add(int64(evicted))
-	}
-	w.Write(body)
-	return http.StatusOK
+	return e.serveBody(w, snap, append(body, '\n'))
 }
 
 // writeError emits the JSON error envelope.
@@ -211,12 +198,12 @@ func (e *Engine) handleDomain(w http.ResponseWriter, raw string, snap *Snapshot)
 }
 
 // serveDomain writes one indexed domain's document: in the reference mode
-// rendered through the LRU, else from the snapshot — whole, or head +
+// rendered on request, else from the snapshot — whole, or head +
 // generation + mid + name + the history's shared tail assembled in a
 // pooled buffer and written with the same single Write.
 func (e *Engine) serveDomain(w http.ResponseWriter, name dnscore.Name, snap *Snapshot) int {
 	if doc, ok := snap.docs[name]; ok {
-		return e.serveDoc(w, "domain|"+string(name)+"|g"+snap.genHeader, snap, doc)
+		return e.serveDoc(w, snap, doc)
 	}
 	ref, ok := snap.bodies[name]
 	if !ok {
@@ -252,10 +239,7 @@ func (e *Engine) handlePatterns(w http.ResponseWriter, raw string, snap *Snapsho
 			snap.Generation)
 		return http.StatusNotFound
 	}
-	if body := snap.patternsBody[label]; body != nil {
-		return e.serveBody(w, snap, body)
-	}
-	return e.serveDoc(w, "patterns|"+label+"|g"+snap.genHeader, snap, doc)
+	return e.serveRendered(w, snap, snap.patternsBody[label], doc)
 }
 
 // HealthDoc is the /v1/healthz response: liveness plus snapshot
@@ -270,7 +254,7 @@ type HealthDoc struct {
 	LastScan           string  `json:"last_scan,omitempty"`
 }
 
-// handleHealthz serves /v1/healthz. Never cached: age moves every call.
+// handleHealthz serves /v1/healthz, rendered per call: age moves every call.
 // Before the first Publish it reports status "empty" with 503 so load
 // balancers hold traffic until a snapshot exists.
 func (e *Engine) handleHealthz(w http.ResponseWriter, snap *Snapshot) int {

@@ -290,7 +290,7 @@ func TestRateLimiting(t *testing.T) {
 }
 
 // lazyEngine publishes a reference-mode snapshot, so /v1/domain requests
-// render per request through the LRU.
+// render per request.
 func lazyEngine(t *testing.T, opts Options) (*Engine, http.Handler) {
 	t.Helper()
 	if opts.Now == nil {
@@ -301,25 +301,24 @@ func lazyEngine(t *testing.T, opts Options) (*Engine, http.Handler) {
 	return e, e.Handler()
 }
 
+// TestResponseCacheHit asserts two reference renders of one domain are
+// byte-identical and each counts as a request.
 func TestResponseCacheHit(t *testing.T) {
 	e, h := lazyEngine(t, Options{})
 	first := get(t, h, "/v1/domain/victim.gov.xx")
 	second := get(t, h, "/v1/domain/victim.gov.xx")
-	if first.Body.String() != second.Body.String() {
-		t.Fatal("cached response differs from first render")
+	if first.Code != http.StatusOK || first.Body.String() != second.Body.String() {
+		t.Fatalf("second reference render differs from the first (status %d)", first.Code)
 	}
 	st := e.Stats()
-	if st.CacheHits != 1 || st.CacheMisses != 1 {
-		t.Errorf("cache hits=%d misses=%d, want 1/1", st.CacheHits, st.CacheMisses)
-	}
 	if st.Requests["domain"] != 2 {
 		t.Errorf("domain requests = %d, want 2", st.Requests["domain"])
 	}
 }
 
 // TestPrerenderServedZeroCopy asserts the default build serves singleton
-// and domain endpoints from the snapshot — no cache traffic at all — at
-// any roster size, including one past DefaultPrerenderDomains.
+// and domain endpoints from the snapshot at any roster size, including one
+// past the old 1<<17 prerender budget.
 func TestPrerenderServedZeroCopy(t *testing.T) {
 	e, h := testEngine(t, Options{})
 	for _, path := range []string{"/v1/funnel", "/v1/shortlist", "/v1/patterns/T1", "/v1/domain/victim.gov.xx", "/v1/domain/steady.com"} {
@@ -328,9 +327,6 @@ func TestPrerenderServedZeroCopy(t *testing.T) {
 		}
 	}
 	st := e.Stats()
-	if st.CacheHits != 0 || st.CacheMisses != 0 {
-		t.Errorf("prerendered endpoints touched the LRU: hits=%d misses=%d", st.CacheHits, st.CacheMisses)
-	}
 	// Singletons + 6 pattern labels + 2 domains.
 	if st.Prerendered != 2+len(PatternLabels)+2 {
 		t.Errorf("prerendered = %d, want %d", st.Prerendered, 2+len(PatternLabels)+2)
@@ -347,7 +343,7 @@ func TestPrerenderServedZeroCopy(t *testing.T) {
 		categories(map[simtime.Period]core.Category{1: core.CategoryStable}),
 		categories(map[simtime.Period]core.Category{0: core.CategoryNoisy, 1: core.CategoryTransition}),
 	}
-	const extra = DefaultPrerenderDomains + 5
+	const extra = 1<<17 + 5
 	for i := 0; i < extra; i++ {
 		res.History[dnscore.Name(fmt.Sprintf("d%06d.example", i))] = histories[i%len(histories)]
 	}
@@ -359,9 +355,6 @@ func TestPrerenderServedZeroCopy(t *testing.T) {
 		}
 	}
 	st = e.Stats()
-	if st.CacheHits != 0 || st.CacheMisses != 0 {
-		t.Errorf("roster past the budget touched the LRU: hits=%d misses=%d", st.CacheHits, st.CacheMisses)
-	}
 	if want := big.Domains() + 2 + len(PatternLabels); big.Domains() != extra+2 || st.Prerendered != want {
 		t.Errorf("domains=%d prerendered=%d, want %d/%d", big.Domains(), st.Prerendered, extra+2, want)
 	}
@@ -371,7 +364,7 @@ func TestPrerenderServedZeroCopy(t *testing.T) {
 }
 
 // TestPrerenderMatchesLazy asserts byte-identical bodies between the
-// default mode and the reference render-through-LRU mode.
+// default mode and the reference render-per-request mode.
 func TestPrerenderMatchesLazy(t *testing.T) {
 	_, pre := testEngine(t, Options{})
 	_, lazy := lazyEngine(t, Options{})
@@ -383,15 +376,6 @@ func TestPrerenderMatchesLazy(t *testing.T) {
 		if a.Header().Get(GenerationHeader) != b.Header().Get(GenerationHeader) {
 			t.Errorf("%s: generation headers differ", path)
 		}
-	}
-}
-
-func TestCacheDisabled(t *testing.T) {
-	e, h := lazyEngine(t, Options{LRUSize: -1})
-	get(t, h, "/v1/domain/victim.gov.xx")
-	get(t, h, "/v1/domain/victim.gov.xx")
-	if st := e.Stats(); st.CacheHits != 0 || st.CacheLen != 0 {
-		t.Errorf("disabled cache: hits=%d len=%d", st.CacheHits, st.CacheLen)
 	}
 }
 
@@ -484,23 +468,25 @@ func TestGenerationSourcedFromDataset(t *testing.T) {
 	}
 }
 
-// TestEnginePurgeOnPublish asserts Publish drops stale-generation LRU
-// entries immediately.
+// TestEnginePurgeOnPublish asserts a reference-mode /v1/domain answered
+// after Publish carries the new generation in both the header and the
+// body: nothing rendered under the old one is served.
 func TestEnginePurgeOnPublish(t *testing.T) {
 	e, h := lazyEngine(t, Options{})
-	get(t, h, "/v1/domain/victim.gov.xx") // miss → cached under gen 7
-	if st := e.Stats(); st.CacheLen != 1 {
-		t.Fatalf("cache len = %d, want 1", st.CacheLen)
-	}
+	get(t, h, "/v1/domain/victim.gov.xx") // rendered under gen 7
 	res := testResult()
 	res.Stats.Generation = 8
 	e.Publish(BuildSnapshotOpts(res, nil, testBuilt, BuildOptions{PrerenderDomains: -1}))
-	st := e.Stats()
-	if st.CacheLen != 0 {
-		t.Errorf("stale entry survived publish: len = %d", st.CacheLen)
+	rr := get(t, h, "/v1/domain/victim.gov.xx")
+	if g := rr.Header().Get(GenerationHeader); g != "8" {
+		t.Errorf("%s = %q after publishing gen 8", GenerationHeader, g)
 	}
-	if st.CachePurged != 1 {
-		t.Errorf("purged = %d, want 1", st.CachePurged)
+	var doc DomainDoc
+	if err := json.Unmarshal(rr.Body.Bytes(), &doc); err != nil {
+		t.Fatal(err)
+	}
+	if doc.Generation != 8 {
+		t.Errorf("body generation = %d after publishing gen 8", doc.Generation)
 	}
 }
 
@@ -519,5 +505,33 @@ func TestMethodNotAllowed(t *testing.T) {
 	h.ServeHTTP(rr, httptest.NewRequest("HEAD", "/v1/funnel", nil))
 	if rr.Code != http.StatusOK {
 		t.Errorf("HEAD /v1/funnel = %d, want 200", rr.Code)
+	}
+}
+
+// scrape renders reg the way /metrics does.
+func scrape(t *testing.T, reg *obsv.Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// TestTenantGaugeLive asserts a /metrics scrape sees the live tenant
+// bucket count without anything calling Stats first.
+func TestTenantGaugeLive(t *testing.T) {
+	reg := obsv.NewRegistry()
+	e := NewEngine(Options{TenantRatePerSec: 100, TenantBurst: 10})
+	e.SetMetrics(reg)
+	e.Publish(BuildSnapshot(testResult(), nil, testBuilt))
+	h := e.Handler()
+	for _, tenant := range []string{"a", "b", "c", "a"} {
+		req := httptest.NewRequest("GET", "/v1/funnel", nil)
+		req.Header.Set(TenantHeader, tenant)
+		h.ServeHTTP(httptest.NewRecorder(), req)
+	}
+	if out := scrape(t, reg); !strings.Contains(out, "\n"+MetricServeTenants+" 3\n") {
+		t.Errorf("scrape after three tenants lacks %q:\n%s", MetricServeTenants+" 3", out)
 	}
 }

@@ -3,6 +3,8 @@ package serve
 import (
 	"sync"
 	"time"
+
+	"retrodns/internal/obsv"
 )
 
 // TenantHeader names the request header carrying the tenant identity for
@@ -74,6 +76,9 @@ type tenantLimiter struct {
 
 	mu      sync.Mutex
 	buckets map[string]*tokenBucket
+	// gauge is retrodns_serve_tenant_buckets, set under mu wherever the
+	// map's size changes; nil when the engine runs uninstrumented.
+	gauge *obsv.Gauge
 }
 
 func newTenantLimiter(rate float64, burst int) *tenantLimiter {
@@ -97,6 +102,7 @@ func (l *tenantLimiter) allow(tenant string, now time.Time) bool {
 		}
 		b = newTokenBucket(l.rate, l.burst)
 		l.buckets[tenant] = b
+		l.gauge.Set(int64(len(l.buckets)))
 	}
 	l.mu.Unlock()
 	return b.allow(now)
@@ -121,6 +127,18 @@ func (l *tenantLimiter) evictStalest() {
 	if found {
 		delete(l.buckets, victim)
 	}
+}
+
+// setGauge points the live-bucket gauge at g and sets it to the current
+// count. A nil limiter (tenant limiting off) has nothing to report.
+func (l *tenantLimiter) setGauge(g *obsv.Gauge) {
+	if l == nil {
+		return
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.gauge = g
+	g.Set(int64(len(l.buckets)))
 }
 
 // tenants reports how many tenant buckets are live.

@@ -1,8 +1,11 @@
 package serve
 
 import (
+	"strconv"
 	"testing"
 	"time"
+
+	"retrodns/internal/obsv"
 )
 
 func TestTokenBucketBurstThenRefuse(t *testing.T) {
@@ -54,5 +57,25 @@ func TestTokenBucketMinimumBurst(t *testing.T) {
 	tb := newTokenBucket(1, 0)
 	if !tb.allow(time.Unix(1000, 0)) {
 		t.Fatal("burst 0 should clamp to 1 and allow one request")
+	}
+}
+
+// TestTenantGaugeAtCap asserts the live-bucket gauge follows inserts and
+// stays at the cap while new tenants evict stale ones.
+func TestTenantGaugeAtCap(t *testing.T) {
+	reg := obsv.NewRegistry()
+	l := newTenantLimiter(1, 1)
+	l.allow("early", time.Unix(1000, 0))
+	l.setGauge(reg.Gauge(MetricServeTenants))
+	g := reg.Gauge(MetricServeTenants)
+	if g.Value() != 1 {
+		t.Fatalf("gauge = %d after attaching to one bucket, want 1", g.Value())
+	}
+	now := time.Unix(2000, 0)
+	for i := 0; i < maxTenantBuckets+10; i++ {
+		l.allow(strconv.Itoa(i), now)
+	}
+	if g.Value() != maxTenantBuckets || l.tenants() != maxTenantBuckets {
+		t.Errorf("gauge = %d, buckets = %d, want both %d", g.Value(), l.tenants(), maxTenantBuckets)
 	}
 }

@@ -4,10 +4,9 @@
 // response body either rendered or reduced to a shared template at build
 // time, swaps snapshots atomically (RCU-style — readers never lock,
 // writers publish a fully-built successor), and exposes the paper's §4
-// artifacts as versioned HTTP endpoints. A bounded LRU of rendered JSON
-// fronts only the render-on-request reference mode. cmd/retrodnsd is the
-// daemon wrapping it; the engine itself embeds into any process that
-// already runs the pipeline.
+// artifacts as versioned HTTP endpoints. cmd/retrodnsd is the daemon
+// wrapping it; the engine itself embeds into any process that already
+// runs the pipeline.
 package serve
 
 import (
@@ -156,9 +155,9 @@ type Snapshot struct {
 	rendered [][]byte
 
 	// docs is the reference mode (BuildOptions.PrerenderDomains < 0): every
-	// domain flattened at build, rendered by encoding/json per request
-	// through the engine's LRU — what the default mode's bytes are tested
-	// against. Exactly one of bodies and docs is set.
+	// domain flattened at build, rendered by encoding/json per request —
+	// what the default mode's bytes are tested against. Exactly one of
+	// bodies and docs is set.
 	docs map[dnscore.Name]*DomainDoc
 
 	prerendered int
@@ -179,23 +178,23 @@ func (s *Snapshot) BodyTemplates() int { return len(s.tails) }
 func (s *Snapshot) BodiesRendered() int { return len(s.rendered) }
 
 // DefaultPrerenderDomains was the roster size past which no domain body
-// was prerendered. It bounds nothing any more — a templated body costs one
-// index entry, so every domain is served from the snapshot at any roster
-// size — and stays only because bench/ compiles against it.
+// was prerendered. It bounds nothing any more: every domain is served from
+// the snapshot at any roster size. bench/ still reads it; ROADMAP item 8
+// deletes it together with that reader.
 const DefaultPrerenderDomains = 1 << 17
 
 // BuildOptions tunes BuildSnapshotOpts.
 type BuildOptions struct {
 	// PrerenderDomains selects how domain bodies are served: negative is
-	// the reference path (flatten at build, render per request through the
-	// LRU), anything else serves every domain from the snapshot.
+	// the reference path (flatten at build, render per request), anything
+	// else serves every domain from the snapshot.
 	PrerenderDomains int
 }
 
-// renderDoc renders one response body exactly as the lazy path would
+// renderDoc renders one response body exactly as serveDoc would
 // (indented JSON + trailing newline). A marshal failure yields nil and
-// the request path falls back to lazy rendering, which reports the error
-// to the client.
+// the request path falls back to serveDoc, which reports the error to
+// the client.
 func renderDoc(doc any) []byte {
 	body, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {

@@ -41,9 +41,11 @@ func decodeCert(r *wire.Reader) *x509lite.Certificate {
 	c := &x509lite.Certificate{}
 	c.Serial = r.Uvarint()
 	c.Subject = dnscore.Name(r.String())
-	nsans := r.Count()
-	for i := 0; i < nsans; i++ {
-		c.SANs = append(c.SANs, dnscore.Name(r.String()))
+	if n := r.Count(); n > 0 {
+		c.SANs = make([]dnscore.Name, n)
+		for i := range c.SANs {
+			c.SANs[i] = dnscore.Name(r.String())
+		}
 	}
 	c.Issuer = r.String()
 	c.IssuerID = r.String()
@@ -78,80 +80,86 @@ func encodeRecord(w *wire.Writer, r *Record, certIdx uint64) {
 	w.Bool(r.Sensitive)
 }
 
-// decodeRecord decodes one record into a fresh allocation of its own: the
-// form for WAL batches, whose records belong to different domains. Windows,
-// in a segment or a snapshot, go through decodeRecords.
-func decodeRecord(r *wire.Reader, certs []*x509lite.Certificate) *Record {
-	rec := &Record{}
-	decodeRecordInto(r, certs, rec, nil)
-	return rec
-}
-
-// decodeRecordInto is the one record decoder: it overwrites every field of
-// *rec, and every malformed input (IP bytes, port range, cert index, bool
-// value, blob and count bounds) latches wire.ErrMalformed on r, after which *rec is
-// unspecified and the caller must drop it.
+// decodeRecordInto is the one record decoder: it reads one record in one
+// pass over its bytes and overwrites every field of *rec. Every malformed
+// input (IP bytes, port range, cert index, bool value, blob and count
+// bounds) latches on s with the refusal wire.Reader would have made, after
+// which *rec is unspecified and the caller must drop it.
 //
-// With a non-nil prev, a ports list or country equal to prev's is not
-// allocated again: rec takes prev's Ports array and Country string. Inside
-// one domain's window that is nearly every record (the same hosts answer on
-// the same ports week after week), and it puts decoded records under the
-// rule ScanCSV's already live under: Ports is shared between records and
-// read-only from the moment the decoder returns.
-func decodeRecordInto(r *wire.Reader, certs []*x509lite.Certificate, rec, prev *Record) {
-	rec.ScanDate = simtime.Date(r.Int())
+// Ports are appended to *ports, the decode's port storage, and rec.Ports is
+// a capped slice of it; a list equal to prev's (nil prev: none) takes
+// prev's instead and leaves the storage as it was. Inside one domain's
+// window that is nearly every record (the same hosts answer on the same
+// ports week after week). Decoded records live under the rule ScanCSV's
+// already live under: Ports is shared and read-only from the moment the
+// decoder returns. A two-letter upper-case country is the static table's
+// string, anything else a conversion of its own.
+func decodeRecordInto(s *wire.Span, certs []*x509lite.Certificate, rec, prev *Record, ports *[]uint16) {
+	rec.ScanDate = simtime.Date(s.Int())
 	var ip netip.Addr
-	if ipRaw := r.Blob(); len(ipRaw) > 0 {
+	if raw := s.Blob(); len(raw) > 0 {
 		var ok bool
-		if ip, ok = netip.AddrFromSlice(ipRaw); !ok {
-			r.Fail("ip bytes")
+		if ip, ok = netip.AddrFromSlice(raw); !ok {
+			s.Fail("ip bytes")
 		}
 	}
 	rec.IP = ip
-	// Ports: one pass that checks every value and compares it with prev's,
-	// then a second over the same bytes only when a new array is needed.
-	nports := r.Count()
-	start := r.Offset()
-	same := prev != nil && len(prev.Ports) == nports
-	for i := 0; i < nports; i++ {
-		p := r.Uvarint()
-		if p > math.MaxUint16 {
-			r.Fail("port range")
-			return
+	rec.Ports = nil
+	if n := s.Count(); n > 0 {
+		buf := *ports
+		start := len(buf)
+		for i := 0; i < n; i++ {
+			p := s.Uvarint()
+			if p > math.MaxUint16 {
+				s.Fail("port range")
+				return
+			}
+			buf = append(buf, uint16(p))
 		}
-		same = same && prev.Ports[i] == uint16(p)
-	}
-	var ports []uint16
-	switch {
-	case nports == 0 || r.Err() != nil:
-	case same:
-		ports = prev.Ports
-	default:
-		ports = make([]uint16, nports)
-		r.Rewind(start)
-		for i := range ports {
-			ports[i] = uint16(r.Uvarint())
+		if got := buf[start:len(buf):len(buf)]; prev != nil && slices.Equal(got, prev.Ports) {
+			rec.Ports, *ports = prev.Ports, buf[:start]
+		} else {
+			rec.Ports, *ports = got, buf
 		}
 	}
-	rec.Ports = ports
-	rec.ASN = ipmeta.ASN(r.Uvarint())
-	if country := r.Blob(); prev != nil && string(country) == string(prev.Country) {
-		rec.Country = prev.Country
-	} else {
-		rec.Country = ipmeta.CountryCode(country)
-	}
+	rec.ASN = ipmeta.ASN(s.Uvarint())
+	rec.Country = countryCode(s.Blob())
 	var cert *x509lite.Certificate
-	if certIdx := r.Uvarint(); r.Err() == nil && certIdx > 0 {
+	if certIdx := s.Uvarint(); certIdx > 0 {
 		if certIdx > uint64(len(certs)) {
-			r.Fail("cert index")
+			s.Fail("cert index")
 		} else {
 			cert = certs[certIdx-1]
 		}
 	}
 	rec.Cert = cert
-	rec.CrtShID = r.Int()
-	rec.Trusted = r.Bool()
-	rec.Sensitive = r.Bool()
+	rec.CrtShID = s.Int()
+	rec.Trusted = s.Bool()
+	rec.Sensitive = s.Bool()
+}
+
+// countryCodes holds every two-letter upper-case code, AA to ZZ, as one
+// string each: what a decoded record's Country is, for any such code, at no
+// allocation.
+var countryCodes = func() (t [26 * 26]ipmeta.CountryCode) {
+	var all [2 * len(t)]byte
+	for i := range t {
+		all[2*i], all[2*i+1] = 'A'+byte(i/26), 'A'+byte(i%26)
+	}
+	s := string(all[:])
+	for i := range t {
+		t[i] = ipmeta.CountryCode(s[2*i : 2*i+2])
+	}
+	return t
+}()
+
+// countryCode returns b as a country code, from countryCodes when it is
+// one of them.
+func countryCode(b []byte) ipmeta.CountryCode {
+	if len(b) == 2 && b[0]-'A' < 26 && b[1]-'A' < 26 {
+		return countryCodes[int(b[0]-'A')*26+int(b[1]-'A')]
+	}
+	return ipmeta.CountryCode(b)
 }
 
 // slabRecord hands out the next Record of *slab, refilling it when empty
@@ -168,19 +176,19 @@ func slabRecord(slab *[]Record, want int) *Record {
 
 // decodeRecords decodes n consecutive records of one window onto out, each
 // record sharing what it repeats of the one before it (see
-// decodeRecordInto). The records come out of slab for as long as it lasts
-// and out of fresh bounded slabs after that (all of them, given a nil
-// slab). A record dated before the one it follows latches wire.ErrMalformed:
-// DomainRecords binary-searches windows by date, so an unsorted one would
-// serve the wrong records. It stops at the first latched error; the caller
-// checks r.Err and drops the result whole.
-func decodeRecords(r *wire.Reader, certs []*x509lite.Certificate, n int, out []*Record, slab []Record) []*Record {
+// decodeRecordInto), its ports appended to *ports. The records come out of
+// slab for as long as it lasts and out of fresh bounded slabs after that
+// (all of them, given a nil slab). A record dated before the one it
+// follows is refused: DomainRecords binary-searches windows by date, so an
+// unsorted one would serve the wrong records. It stops at the first
+// refusal; the caller settles s and drops the result whole.
+func decodeRecords(s *wire.Span, certs []*x509lite.Certificate, n int, out []*Record, slab []Record, ports *[]uint16) []*Record {
 	var prev *Record
-	for j := 0; j < n && r.Err() == nil; j++ {
+	for j := 0; j < n && !s.Failed(); j++ {
 		rec := slabRecord(&slab, n-j)
-		decodeRecordInto(r, certs, rec, prev)
+		decodeRecordInto(s, certs, rec, prev, ports)
 		if prev != nil && rec.ScanDate < prev.ScanDate {
-			r.Fail("window date order")
+			s.Fail("window date order")
 		}
 		out = append(out, rec)
 		prev = rec
@@ -274,23 +282,29 @@ func AppendBatch(dst []byte, date simtime.Date, records []*Record) []byte {
 	return w.Bytes()
 }
 
-// DecodeBatch is the inverse of EncodeBatch.
+// DecodeBatch is the inverse of EncodeBatch. Each record is an allocation
+// of its own (a batch's records belong to different domains); a ports list
+// equal to the record before's is shared with it.
 func DecodeBatch(data []byte) (simtime.Date, []*Record, error) {
 	r := wire.NewReader(data)
 	date := simtime.Date(r.Int())
 	certs := decodeCertTable(r)
 	n := r.Count()
 	records := make([]*Record, 0, n)
-	for i := 0; i < n; i++ {
-		if r.Err() != nil {
-			break
-		}
-		if !r.Bool() {
+	s := r.Span()
+	var prev *Record
+	var ports []uint16
+	for i := 0; i < n && !s.Failed(); i++ {
+		if !s.Bool() {
 			records = append(records, nil)
 			continue
 		}
-		records = append(records, decodeRecord(r, certs))
+		rec := &Record{}
+		decodeRecordInto(&s, certs, rec, prev, &ports)
+		records = append(records, rec)
+		prev = rec
 	}
+	r.Settle(&s)
 	if err := r.Finish(); err != nil {
 		return 0, nil, err
 	}

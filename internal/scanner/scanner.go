@@ -375,7 +375,7 @@ func (d *Dataset) SetMetrics(reg *obsv.Registry) {
 	reg.SetHelp(MetricCorpusShardDomains, "Registered domains indexed per corpus shard.")
 	reg.SetHelp(MetricCorpusShardRecords, "Record attachments indexed per corpus shard.")
 	reg.SetHelp(MetricCertPoolSize, "Distinct certificates in the dedup pool.")
-	reg.SetHelp(MetricCorpusBytes, "Estimated resident bytes of the indexed corpus (model-based).")
+	reg.SetHelp(MetricCorpusBytes, "Estimated bytes of the indexed corpus, resident and spilled (model-based).")
 	d.met.scans = reg.Counter(MetricIngestScans)
 	d.met.records = reg.Counter(MetricIngestRecords)
 	for reason := QuarantineReason(0); reason < numQuarReasons; reason++ {

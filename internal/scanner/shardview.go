@@ -91,9 +91,11 @@ type WindowCursor struct {
 	idx    *shardIndex
 	at     int // the domain Seek positioned the cursor on, or -1
 	window []*Record
-	// slab and ptrs back window on a spilled shard (decodeWindowInto).
-	slab []Record
-	ptrs []*Record
+	// slab, ptrs and ports back window on a spilled shard
+	// (decodeWindowInto).
+	slab  []Record
+	ptrs  []*Record
+	ports []uint16
 }
 
 // Cursor returns a cursor over the view's shard, positioned nowhere.
@@ -126,15 +128,25 @@ func (c *WindowCursor) Records(from, to simtime.Date) []*Record {
 
 // Keep makes records this cursor returned safe to hold past the next Seek:
 // each pointer in recs is replaced, in place, by one to a copy the cursor
-// will never overwrite. On a resident shard the records are the shard's own
-// and nothing is copied.
+// will never overwrite, Ports included. On a resident shard the records are
+// the shard's own and nothing is copied.
 func (c *WindowCursor) Keep(recs []*Record) {
 	if len(recs) == 0 || c.idx.spill == nil {
 		return
 	}
 	kept := make([]Record, len(recs))
+	n := 0
+	for _, r := range recs {
+		n += len(r.Ports)
+	}
+	ports := make([]uint16, 0, n)
 	for i, r := range recs {
 		kept[i] = *r
+		if len(r.Ports) > 0 {
+			start := len(ports)
+			ports = append(ports, r.Ports...)
+			kept[i].Ports = ports[start:len(ports):len(ports)]
+		}
 		recs[i] = &kept[i]
 	}
 }

@@ -143,9 +143,10 @@ func TestCursorMatchesDomainRecords(t *testing.T) {
 }
 
 // TestCursorKeep pins both halves of Keep. Spilled: a kept window reads the
-// same after 100 further Seeks, while the pointers the cursor handed out are
-// by then another domain's rows (the slab is reused — what Keep is for).
-// Resident: the records are the shard's own and Keep swaps nothing.
+// same after 100 further Seeks, and with the cursor's port storage zeroed,
+// while the pointers the cursor handed out are by then another domain's rows
+// (the slab and the ports are reused — what Keep is for). Resident: the
+// records are the shard's own and Keep swaps nothing.
 func TestCursorKeep(t *testing.T) {
 	for name, ds := range windowCorpora(t) {
 		v := ds.ShardView(0)
@@ -157,6 +158,9 @@ func TestCursorKeep(t *testing.T) {
 		handed := slices.Clone(cur.Records(0, 0))
 		kept := slices.Clone(handed)
 		want := derefs(kept)
+		for i := range want { // a spilled window's ports are the cursor's storage
+			want[i].Ports = slices.Clone(want[i].Ports)
+		}
 		cur.Keep(kept)
 		for k := 1; k <= 100; k++ {
 			cur.Seek(k % len(v.Domains()))
@@ -167,6 +171,10 @@ func TestCursorKeep(t *testing.T) {
 		}
 		if got := derefs(kept); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: kept records changed under later Seeks:\n got %v\nwant %v", name, got, want)
+		}
+		clear(cur.ports[:cap(cur.ports)])
+		if got := derefs(kept); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: kept records' ports alias the cursor's storage:\n got %v\nwant %v", name, got, want)
 		}
 		switch overwritten := !reflect.DeepEqual(derefs(handed), want); {
 		case name == "spilled" && (!overwritten || kept[0] == handed[0]):
@@ -198,29 +206,31 @@ func TestCursorSeekSameRank(t *testing.T) {
 	}
 }
 
-// TestCursorSeekAllocs is the point of the cursor on a spilled shard: once
-// its slab has grown to the shard's longest window, a domain costs no Record
-// allocations — what is left is the first record's ports array and country
-// (these hosts never move, so the records after it share both).
-func TestCursorSeekAllocs(t *testing.T) {
-	v := spilledWindowCorpus(t, 1, false).ShardView(0)
+// TestSpilledCursorWalkAllocs is the point of the cursor on a spilled
+// shard: once a first walk has grown its slab and port storage to the
+// shard's longest window, a second walk allocates nothing, whichever ports
+// and countries the hosts move between. Each Seek is the domain's segment
+// read and whole-window decode, and four period reads follow it.
+func TestSpilledCursorWalkAllocs(t *testing.T) {
+	v := spilledWindowCorpus(t, 1, true).ShardView(0)
 	cur := v.Cursor()
 	n := len(v.Domains())
 	for i := 0; i < n; i++ {
 		cur.Seek(i)
 	}
-	i, records := 0, 0
-	avg := testing.AllocsPerRun(200, func() {
-		cur.Seek(i % n)
-		for p := simtime.Period(0); p < 4; p++ {
-			records += len(cur.Records(p.Start(), p.End()))
+	records := 0
+	walk := testing.AllocsPerRun(20, func() {
+		for i := 0; i < n; i++ {
+			cur.Seek(i)
+			for p := simtime.Period(0); p < 4; p++ {
+				records += len(cur.Records(p.Start(), p.End()))
+			}
 		}
-		i++
 	})
 	if records == 0 {
 		t.Fatal("no records read")
 	}
-	if avg > 3 {
-		t.Fatalf("a steady-state spilled Seek + four Records allocates %.1f times, want <= 3", avg)
+	if walk != 0 {
+		t.Fatalf("a second walk of %d spilled domains allocates %.0f times (%.2f per Seek), want 0", n, walk, walk/float64(n))
 	}
 }

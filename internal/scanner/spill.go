@@ -250,14 +250,16 @@ func decodeWindowInto(value []byte, certs []*x509lite.Certificate, c *WindowCurs
 	return out, nil
 }
 
-// readWindow reads what writeWindow wrote at r's cursor, into c's storage
-// or, with a nil c, into records of its own. A window out of date order
-// is refused like any malformed one (decodeRecords); on a latched error the
-// caller drops the result whole.
+// readWindow reads what writeWindow wrote at r's cursor, in one Span over
+// its records, into c's storage or, with a nil c, into records of its own.
+// A window out of date order is refused like any malformed one
+// (decodeRecords); on a refusal the caller drops the result whole.
 func readWindow(r *wire.Reader, certs []*x509lite.Certificate, c *WindowCursor) []*Record {
 	n := r.Count()
 	var out []*Record
 	var slab []Record
+	var own []uint16
+	ports := &own
 	if c == nil {
 		out = make([]*Record, 0, n)
 	} else {
@@ -266,8 +268,12 @@ func readWindow(r *wire.Reader, certs []*x509lite.Certificate, c *WindowCursor) 
 			c.slab, c.ptrs = make([]Record, grown), make([]*Record, 0, grown)
 		}
 		out, slab = c.ptrs[:0], c.slab[:n]
+		c.ports, ports = c.ports[:0], &c.ports
 	}
-	return decodeRecords(r, certs, n, out, slab)
+	s := r.Span()
+	out = decodeRecords(&s, certs, n, out, slab, ports)
+	r.Settle(&s)
+	return out
 }
 
 // ConfigureSpill attaches (or reconfigures) the out-of-core layer: opens

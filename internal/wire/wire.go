@@ -12,7 +12,9 @@
 // bounded against the remaining input before it can gate an allocation.
 // The first malformed read latches ErrMalformed; later reads return zero
 // values, so a decode loop can run unchecked and test Err once at the end
-// (plus anywhere a value gates an allocation or an index).
+// (plus anywhere a value gates an allocation or an index). A hot loop
+// borrows the unread input as a Span, whose reads inline, and settles it
+// back into the Reader with the same refusals.
 package wire
 
 import (
@@ -105,16 +107,8 @@ func (r *Reader) Err() error { return r.err }
 // Len returns the number of unread bytes.
 func (r *Reader) Len() int { return len(r.buf) - r.off }
 
-// Offset returns how many bytes have been read, for a later Rewind.
+// Offset returns how many bytes have been read.
 func (r *Reader) Offset() int { return r.off }
-
-// Rewind moves the cursor back to an earlier Offset, so a caller that
-// validated a run of values can read it again.
-func (r *Reader) Rewind(off int) {
-	if off <= r.off {
-		r.off = off
-	}
-}
 
 // Fail latches an ErrMalformed naming what the caller found invalid at the
 // current offset; a value can be well-formed for the codec and still be
@@ -234,6 +228,126 @@ func (r *Reader) Count() int {
 	}
 	if n > uint64(r.Len()) {
 		r.Fail("count")
+		return 0
+	}
+	return int(n)
+}
+
+// Span is a Reader's unread input lent to a hot decode loop: the record
+// decoder reads a whole window through one. Its primitives read as
+// Reader's do and refuse what Reader's refuse, with the same what text at
+// the same offset, but they are small enough to inline (Reader's are not),
+// and a refusal is latched once for the whole Span rather than checked per
+// field: after the first one every read returns a zero value. Settle hands
+// the Span back to its Reader.
+type Span struct {
+	b    []byte
+	off  int
+	what string // the first refusal; "" while every read succeeded
+	at   int    // the offset of that refusal
+}
+
+// Span lends r's unread input; r does not move until Settle. On a Reader
+// that failed already the Span is empty and refused (Settle keeps r's own
+// refusal).
+func (r *Reader) Span() Span {
+	if r.err != nil {
+		return Span{what: "reader failed"}
+	}
+	return Span{b: r.buf[r.off:]}
+}
+
+// Settle takes back a Span that Span lent: r skips the bytes s consumed,
+// or fails with s's first refusal at the offset where s met it.
+func (r *Reader) Settle(s *Span) {
+	if r.err != nil {
+		return
+	}
+	if s.what != "" {
+		r.off += s.at
+		r.Fail(s.what)
+		return
+	}
+	r.off += s.off
+}
+
+// Failed reports whether a read of s has been refused.
+func (s *Span) Failed() bool { return s.what != "" }
+
+// rest returns the number of unread bytes.
+func (s *Span) rest() int { return len(s.b) - s.off }
+
+// Fail latches a refusal naming what the caller found invalid at the
+// current offset, as Reader.Fail does.
+func (s *Span) Fail(what string) {
+	if s.what == "" {
+		s.what, s.at = what, s.off
+	}
+	s.off = len(s.b)
+}
+
+// Uvarint reads an unsigned varint as binary.Uvarint decodes it.
+func (s *Span) Uvarint() uint64 { return s.uvarint("uvarint") }
+
+// Int reads a signed (zig-zag) varint as binary.Varint decodes it.
+func (s *Span) Int() int64 {
+	u := s.uvarint("varint")
+	return int64(u>>1 ^ -(u & 1))
+}
+
+// uvarint is binary.Uvarint's loop over the unread input, written out
+// so that it inlines (cost 71 of the inliner's 80); what names its
+// refusal.
+func (s *Span) uvarint(what string) uint64 {
+	var x uint64
+	for i, c := range s.b[s.off:] {
+		if i == binary.MaxVarintLen64-1 && c > 1 {
+			break // overflow
+		}
+		x |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			s.off += i + 1
+			return x
+		}
+	}
+	s.Fail(what)
+	return 0
+}
+
+// Bool reads a one-byte boolean; any byte but 0 or 1 is refused.
+func (s *Span) Bool() bool {
+	if s.off >= len(s.b) {
+		s.Fail("bool")
+		return false
+	}
+	c := s.b[s.off]
+	s.off++
+	if c > 1 {
+		s.Fail("bool value")
+		return false
+	}
+	return c == 1
+}
+
+// Blob reads a length-prefixed byte slice of at most MaxBlob bytes,
+// aliasing the input.
+func (s *Span) Blob() []byte {
+	n := s.Uvarint()
+	if n > MaxBlob || n > uint64(s.rest()) {
+		s.Fail("blob length")
+		return nil
+	}
+	b := s.b[s.off : s.off+int(n)]
+	s.off += int(n)
+	return b
+}
+
+// Count reads a length prefix that gates a loop of per-element decodes,
+// refused past the remaining input as Reader.Count refuses it.
+func (s *Span) Count() int {
+	n := s.Uvarint()
+	if n > uint64(s.rest()) {
+		s.Fail("count")
 		return 0
 	}
 	return int(n)

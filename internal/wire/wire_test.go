@@ -2,7 +2,9 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"testing"
 )
@@ -72,25 +74,6 @@ func TestRefusals(t *testing.T) {
 	}
 }
 
-func TestRewind(t *testing.T) {
-	var w Writer
-	w.Uvarint(300)
-	w.Uvarint(5)
-	r := NewReader(w.Bytes())
-	start := r.Offset()
-	if r.Uvarint() != 300 {
-		t.Fatal("first read")
-	}
-	r.Rewind(start)
-	if r.Uvarint() != 300 || r.Uvarint() != 5 {
-		t.Fatal("re-read after Rewind")
-	}
-	r.Rewind(r.Offset() + 1) // forward is not a rewind
-	if r.Offset() != len(w.Bytes()) {
-		t.Fatal("Rewind moved the cursor forward")
-	}
-}
-
 func TestChecksumIsCastagnoli(t *testing.T) {
 	data := []byte("RDSG")
 	if Checksum(data) != crc32.Checksum(data, crc32.MakeTable(crc32.Castagnoli)) {
@@ -112,4 +95,88 @@ func TestUpdateChecksum(t *testing.T) {
 			t.Fatalf("cut at %v: folded %08x, want %08x", cut, crc, Checksum(payload))
 		}
 	}
+}
+
+// spanOps are the reads a Span shares with Reader, each run on both.
+var spanOps = []struct {
+	name   string
+	reader func(*Reader) any
+	span   func(*Span) any
+}{
+	{"Uvarint", func(r *Reader) any { return r.Uvarint() }, func(s *Span) any { return s.Uvarint() }},
+	{"Int", func(r *Reader) any { return r.Int() }, func(s *Span) any { return s.Int() }},
+	{"Bool", func(r *Reader) any { return r.Bool() }, func(s *Span) any { return s.Bool() }},
+	{"Blob", func(r *Reader) any { return string(r.Blob()) }, func(s *Span) any { return string(s.Blob()) }},
+	{"Count", func(r *Reader) any { return r.Count() }, func(s *Span) any { return s.Count() }},
+	{"Fail", func(r *Reader) any { r.Fail("range"); return nil }, func(s *Span) any { s.Fail("range"); return nil }},
+}
+
+// sameSpan reads ops[0] bytes of data through two Readers, up to one past
+// the end so that both may have failed, then runs the rest of ops (one
+// read each, modulo the op table) through the first Reader and through a
+// Span of the second. It requires the same values, and after Settle the
+// same offset and the same refusal, word for word.
+func sameSpan(t *testing.T, ops, data []byte) {
+	t.Helper()
+	want, got := NewReader(data), NewReader(data)
+	skip := 0
+	if len(ops) > 0 {
+		skip = min(int(ops[0]), len(data)+1)
+		ops = ops[1:]
+	}
+	for i := 0; i < skip; i++ {
+		want.Byte()
+		got.Byte()
+	}
+	s := got.Span()
+	for _, op := range ops {
+		o := spanOps[int(op)%len(spanOps)]
+		if w, g := o.reader(want), o.span(&s); w != g {
+			t.Fatalf("%s: Reader read %v, Span %v", o.name, w, g)
+		}
+	}
+	got.Settle(&s)
+	if w, g := fmt.Sprint(want.Err()), fmt.Sprint(got.Err()); w != g || want.Offset() != got.Offset() {
+		t.Fatalf("Reader ended at %d with %s, the settled Span at %d with %s", want.Offset(), w, got.Offset(), g)
+	}
+}
+
+// TestSpanMatchesReader covers each refusal a Span shares with Reader,
+// the varint edges binary.Uvarint draws (ten bytes, the tenth at most 1),
+// and Span and Settle on a Reader that failed already.
+func TestSpanMatchesReader(t *testing.T) {
+	const uv, in, bo, bl, co, fa = 0, 1, 2, 3, 4, 5
+	var w Writer
+	w.Uvarint(1<<64 - 1)
+	w.Int(-1 << 63)
+	w.Bool(true)
+	w.String("GR")
+	w.Uvarint(3)
+	valid := w.Bytes()
+	overflow := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}
+	for name, c := range map[string]struct{ ops, data []byte }{
+		"valid":             {[]byte{0, uv, in, bo, bl, co}, valid},
+		"every prefix":      {[]byte{0, uv, in, bo, bl, co, uv}, valid[:len(valid)-1]},
+		"uvarint overflow":  {[]byte{0, uv, uv}, overflow},
+		"varint overflow":   {[]byte{0, in}, overflow},
+		"eleven bytes":      {[]byte{0, uv}, append(bytes.Repeat([]byte{0x80}, 10), 0)},
+		"ten bytes, last 1": {[]byte{0, uv, bo}, append(bytes.Repeat([]byte{0xff}, 9), 1, 1)},
+		"bool of two":       {[]byte{0, bo, bo}, []byte{2, 1}},
+		"bool past input":   {[]byte{0, bo}, nil},
+		"blob past input":   {[]byte{0, bl, uv}, []byte{3, 'G', 'R'}},
+		"blob past MaxBlob": {[]byte{0, bl}, binary.AppendUvarint(nil, MaxBlob+1)},
+		"count past input":  {[]byte{0, co, uv}, []byte{2, 0}},
+		"caller refusal":    {[]byte{1, uv, fa, uv}, []byte{0, 1, 2}},
+		"a failed reader":   {[]byte{4, uv, bo}, []byte{0x80, 0x80}},
+	} {
+		t.Run(name, func(t *testing.T) { sameSpan(t, c.ops, c.data) })
+	}
+}
+
+// FuzzSpanMatchesReader holds the same equality on arbitrary reads of
+// arbitrary bytes.
+func FuzzSpanMatchesReader(f *testing.F) {
+	f.Add([]byte{0, 0, 1, 2, 3, 4}, []byte{0x96, 0x01, 0x03, 0x01, 0x02, 'G', 'R', 0x01})
+	f.Add([]byte{2, 3, 3, 0}, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
+	f.Fuzz(sameSpan)
 }

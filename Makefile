@@ -81,7 +81,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzScanCSVRow -fuzztime=10s ./internal/scanner
 	$(GO) test -run='^$$' -fuzz=FuzzSynthCertSerial -fuzztime=10s ./internal/scanner
 	$(GO) test -run='^$$' -fuzz=FuzzDecodeWindow -fuzztime=10s ./internal/scanner
-	$(GO) test -run='^$$' -fuzz=FuzzSpanMatchesReader -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzVarintsMatchBinary -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz=FuzzDomainBody -fuzztime=10s ./internal/serve
 	$(GO) test -run='^$$' -fuzz=FuzzConfigurations -fuzztime=10s .
 
@@ -104,9 +104,9 @@ fuzz-smoke:
 # one scan of the durable follow loop end to end (Feeder.Tick -> cached Run
 # -> BuildSnapshot on a WAL in a temp dir: ns/scan, allocs/scan), segment
 # window reads per read tier, and classification over a fully spilled
-# corpus: synth (20k x 4, where the segment lookup is most of a window
-# read) and archive (4 000 x 104, batch-spilled's shape, where the record
-# decode is).
+# corpus: BenchmarkSpilledClassify on synth (20k x 4, where the segment
+# lookup is most of a window read) and BenchmarkSpilledClassifyArchive on
+# 4 000 x 104 (batch-spilled's shape, where the record decode is).
 bench:
 	$(GO) test -bench='BenchmarkIncrementalAppend|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkSynthEmit|BenchmarkScanCSVNext|BenchmarkBulkIngestCSV|BenchmarkIngestShards|BenchmarkIngestIntern|BenchmarkSynthClassify|BenchmarkArchiveClassify|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkDurableTick|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=3 -run='^$$' .
 

@@ -161,8 +161,9 @@ func foldBench(samples []report.BenchSample) []report.BenchSample {
 
 // compareBench gates ns/op and allocs/op regressions for benchmarks
 // present on both sides; benchmarks that appear or disappear are
-// informational, since the bench selection legitimately changes across
-// PRs. The alloc gate only fires when both sides measured allocations
+// informational, since the bench selection legitimately changes, but each
+// one is named, so a renamed or split benchmark cannot drop its gate
+// unseen. The alloc gate only fires when both sides measured allocations
 // (ran with -benchmem), so old baselines without the column stay valid.
 func (res *Result) compareBench(baseline, current *report.RunReport, tol float64) {
 	if len(current.Bench) == 0 || len(baseline.Bench) == 0 {
@@ -171,6 +172,15 @@ func (res *Result) compareBench(baseline, current *report.RunReport, tol float64
 	byName := make(map[string]report.BenchSample, len(baseline.Bench))
 	for _, s := range baseline.Bench {
 		byName[s.Name] = s
+	}
+	ran := make(map[string]bool, len(current.Bench))
+	for _, c := range current.Bench {
+		ran[c.Name] = true
+	}
+	for _, b := range baseline.Bench {
+		if !ran[b.Name] {
+			res.Info = append(res.Info, fmt.Sprintf("bench %s: in the baseline, not in this run: ungated", b.Name))
+		}
 	}
 	for _, c := range current.Bench {
 		b, ok := byName[c.Name]

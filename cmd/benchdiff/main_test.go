@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -229,6 +230,22 @@ func TestAllocRegressionFails(t *testing.T) {
 	c.Bench[0].AllocsPerOp = 90000
 	if res := compare(b, c, 0.20); len(res.Failures) != 0 {
 		t.Errorf("alloc gate fired without a baseline measurement: %v", res.Failures)
+	}
+}
+
+// TestMissingBenchNamed pins the other side of a changed bench selection:
+// a baseline benchmark the run lacks passes, and is named as ungated.
+func TestMissingBenchNamed(t *testing.T) {
+	b := loadFixture(t, "baseline.json")
+	c := loadFixture(t, "baseline.json")
+	gone := c.Bench[0].Name
+	c.Bench = c.Bench[1:]
+	res := compare(b, c, 0.20)
+	if len(res.Failures) != 0 {
+		t.Errorf("a missing benchmark failed the gate: %v", res.Failures)
+	}
+	if !slices.Contains(res.Info, "bench "+gone+": in the baseline, not in this run: ungated") {
+		t.Errorf("info does not name the missing %s: %v", gone, res.Info)
 	}
 }
 

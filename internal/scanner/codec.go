@@ -83,8 +83,8 @@ func encodeRecord(w *wire.Writer, r *Record, certIdx uint64) {
 // decodeRecordInto is the one record decoder: it reads one record in one
 // pass over its bytes and overwrites every field of *rec. Every malformed
 // input (IP bytes, port range, cert index, bool value, blob and count
-// bounds) latches on s with the refusal wire.Reader would have made, after
-// which *rec is unspecified and the caller must drop it.
+// bounds) latches on r, after which *rec is unspecified and the caller must
+// drop it.
 //
 // Ports are appended to *ports, the decode's port storage, and rec.Ports is
 // a capped slice of it; a list equal to prev's (nil prev: none) takes
@@ -92,26 +92,27 @@ func encodeRecord(w *wire.Writer, r *Record, certIdx uint64) {
 // window that is nearly every record (the same hosts answer on the same
 // ports week after week). Decoded records live under the rule ScanCSV's
 // already live under: Ports is shared and read-only from the moment the
-// decoder returns. A two-letter upper-case country is the static table's
-// string, anything else a conversion of its own.
-func decodeRecordInto(s *wire.Span, certs []*x509lite.Certificate, rec, prev *Record, ports *[]uint16) {
-	rec.ScanDate = simtime.Date(s.Int())
+// decoder returns. A country equal to prev's takes prev's string, a
+// two-letter upper-case one the static table's, and anything else a
+// conversion of its own.
+func decodeRecordInto(r *wire.Reader, certs []*x509lite.Certificate, rec, prev *Record, ports *[]uint16) {
+	rec.ScanDate = simtime.Date(r.Int())
 	var ip netip.Addr
-	if raw := s.Blob(); len(raw) > 0 {
+	if raw := r.Blob(); len(raw) > 0 {
 		var ok bool
 		if ip, ok = netip.AddrFromSlice(raw); !ok {
-			s.Fail("ip bytes")
+			r.Fail("ip bytes")
 		}
 	}
 	rec.IP = ip
 	rec.Ports = nil
-	if n := s.Count(); n > 0 {
+	if n := r.Count(); n > 0 {
 		buf := *ports
 		start := len(buf)
 		for i := 0; i < n; i++ {
-			p := s.Uvarint()
+			p := r.Uvarint()
 			if p > math.MaxUint16 {
-				s.Fail("port range")
+				r.Fail("port range")
 				return
 			}
 			buf = append(buf, uint16(p))
@@ -122,20 +123,24 @@ func decodeRecordInto(s *wire.Span, certs []*x509lite.Certificate, rec, prev *Re
 			rec.Ports, *ports = got, buf
 		}
 	}
-	rec.ASN = ipmeta.ASN(s.Uvarint())
-	rec.Country = countryCode(s.Blob())
+	rec.ASN = ipmeta.ASN(r.Uvarint())
+	if b := r.Blob(); prev != nil && string(b) == string(prev.Country) {
+		rec.Country = prev.Country
+	} else {
+		rec.Country = countryCode(b)
+	}
 	var cert *x509lite.Certificate
-	if certIdx := s.Uvarint(); certIdx > 0 {
+	if certIdx := r.Uvarint(); certIdx > 0 {
 		if certIdx > uint64(len(certs)) {
-			s.Fail("cert index")
+			r.Fail("cert index")
 		} else {
 			cert = certs[certIdx-1]
 		}
 	}
 	rec.Cert = cert
-	rec.CrtShID = s.Int()
-	rec.Trusted = s.Bool()
-	rec.Sensitive = s.Bool()
+	rec.CrtShID = r.Int()
+	rec.Trusted = r.Bool()
+	rec.Sensitive = r.Bool()
 }
 
 // countryCodes holds every two-letter upper-case code, AA to ZZ, as one
@@ -181,14 +186,14 @@ func slabRecord(slab *[]Record, want int) *Record {
 // (all of them, given a nil slab). A record dated before the one it
 // follows is refused: DomainRecords binary-searches windows by date, so an
 // unsorted one would serve the wrong records. It stops at the first
-// refusal; the caller settles s and drops the result whole.
-func decodeRecords(s *wire.Span, certs []*x509lite.Certificate, n int, out []*Record, slab []Record, ports *[]uint16) []*Record {
+// refusal; the caller drops the result whole.
+func decodeRecords(r *wire.Reader, certs []*x509lite.Certificate, n int, out []*Record, slab []Record, ports *[]uint16) []*Record {
 	var prev *Record
-	for j := 0; j < n && !s.Failed(); j++ {
+	for j := 0; j < n && r.Err() == nil; j++ {
 		rec := slabRecord(&slab, n-j)
-		decodeRecordInto(s, certs, rec, prev, ports)
+		decodeRecordInto(r, certs, rec, prev, ports)
 		if prev != nil && rec.ScanDate < prev.ScanDate {
-			s.Fail("window date order")
+			r.Fail("window date order")
 		}
 		out = append(out, rec)
 		prev = rec
@@ -283,28 +288,32 @@ func AppendBatch(dst []byte, date simtime.Date, records []*Record) []byte {
 }
 
 // DecodeBatch is the inverse of EncodeBatch. Each record is an allocation
-// of its own (a batch's records belong to different domains); a ports list
-// equal to the record before's is shared with it.
+// of its own, its ports an exact-size array of their own (a batch's records
+// belong to different domains and shards, so no record pins another's); a
+// ports list equal to the record before's is shared with it.
 func DecodeBatch(data []byte) (simtime.Date, []*Record, error) {
 	r := wire.NewReader(data)
 	date := simtime.Date(r.Int())
 	certs := decodeCertTable(r)
 	n := r.Count()
 	records := make([]*Record, 0, n)
-	s := r.Span()
 	var prev *Record
-	var ports []uint16
-	for i := 0; i < n && !s.Failed(); i++ {
-		if !s.Bool() {
+	var scratch []uint16
+	for i := 0; i < n && r.Err() == nil; i++ {
+		if !r.Bool() {
 			records = append(records, nil)
 			continue
 		}
 		rec := &Record{}
-		decodeRecordInto(&s, certs, rec, prev, &ports)
+		ports := scratch[:0]
+		decodeRecordInto(r, certs, rec, prev, &ports)
+		if len(ports) > 0 { // rec.Ports is the scratch's, not prev's
+			rec.Ports = slices.Clip(slices.Clone(ports))
+		}
+		scratch = ports
 		records = append(records, rec)
 		prev = rec
 	}
-	r.Settle(&s)
 	if err := r.Finish(); err != nil {
 		return 0, nil, err
 	}

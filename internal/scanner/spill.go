@@ -250,7 +250,7 @@ func decodeWindowInto(value []byte, certs []*x509lite.Certificate, c *WindowCurs
 	return out, nil
 }
 
-// readWindow reads what writeWindow wrote at r's cursor, in one Span over
+// readWindow reads what writeWindow wrote at r's cursor, in one pass over
 // its records, into c's storage or, with a nil c, into records of its own.
 // A window out of date order is refused like any malformed one
 // (decodeRecords); on a refusal the caller drops the result whole.
@@ -270,10 +270,7 @@ func readWindow(r *wire.Reader, certs []*x509lite.Certificate, c *WindowCursor) 
 		out, slab = c.ptrs[:0], c.slab[:n]
 		c.ports, ports = c.ports[:0], &c.ports
 	}
-	s := r.Span()
-	out = decodeRecords(&s, certs, n, out, slab, ports)
-	r.Settle(&s)
-	return out
+	return decodeRecords(r, certs, n, out, slab, ports)
 }
 
 // ConfigureSpill attaches (or reconfigures) the out-of-core layer: opens

@@ -12,9 +12,7 @@
 // bounded against the remaining input before it can gate an allocation.
 // The first malformed read latches ErrMalformed; later reads return zero
 // values, so a decode loop can run unchecked and test Err once at the end
-// (plus anywhere a value gates an allocation or an index). A hot loop
-// borrows the unread input as a Span, whose reads inline, and settles it
-// back into the Reader with the same refusals.
+// (plus anywhere a value gates an allocation or an index).
 package wire
 
 import (
@@ -91,48 +89,70 @@ func (w *Writer) Blob(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
-// Reader consumes primitives written by Writer.
+// Reader consumes primitives written by Writer. Its varint and bool reads
+// are small enough to inline, so a hot decode loop over a Reader costs no
+// call per field; a refusal records what and where, then moves the Reader
+// to the end of its input, so every later read finds nothing and returns a
+// zero value without testing a latch.
 type Reader struct {
-	buf []byte
-	off int
-	err error
+	buf  []byte
+	off  int
+	what string // the first refusal; "" while every read succeeded
+	at   int    // the offset of that refusal
+	err  error  // the refusal as an error, once Err has built it
 }
 
 // NewReader wraps data for decoding.
 func NewReader(data []byte) *Reader { return &Reader{buf: data} }
 
 // Err returns the first decode error, if any.
-func (r *Reader) Err() error { return r.err }
+func (r *Reader) Err() error {
+	if r.what == "" {
+		return nil
+	}
+	return r.refusal()
+}
 
-// Len returns the number of unread bytes.
+// refusal is the ErrMalformed naming the first refusal and its offset,
+// built once and kept out of line so that Err inlines into the loops that
+// test it.
+//
+//go:noinline
+func (r *Reader) refusal() error {
+	if r.err == nil {
+		r.err = fmt.Errorf("%w: %s at offset %d", ErrMalformed, r.what, r.at)
+	}
+	return r.err
+}
+
+// Len returns the number of unread bytes: 0 after a refusal.
 func (r *Reader) Len() int { return len(r.buf) - r.off }
 
-// Offset returns how many bytes have been read.
+// Offset returns how many bytes have been read; after a refusal, the whole
+// input.
 func (r *Reader) Offset() int { return r.off }
 
 // Fail latches an ErrMalformed naming what the caller found invalid at the
 // current offset; a value can be well-formed for the codec and still be
 // refused by the format built on it. Only the first failure is kept.
 func (r *Reader) Fail(what string) {
-	if r.err == nil {
-		r.err = fmt.Errorf("%w: %s at offset %d", ErrMalformed, what, r.off)
+	if r.what == "" {
+		r.what, r.at = what, r.off
 	}
+	r.off = len(r.buf)
 }
 
 // Finish returns Err, or a refusal when input remains unread: the check
 // that ends the decoding of every whole payload.
 func (r *Reader) Finish() error {
-	if r.err == nil && r.Len() != 0 {
+	if r.what == "" && r.Len() != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, r.Len())
 	}
-	return r.err
+	return r.Err()
 }
 
 // Byte reads one raw byte.
 func (r *Reader) Byte() byte {
-	if r.err != nil {
-		return 0
-	}
 	if r.off >= len(r.buf) {
 		r.Fail("byte")
 		return 0
@@ -142,39 +162,35 @@ func (r *Reader) Byte() byte {
 	return b
 }
 
-// Uvarint reads an unsigned varint.
-func (r *Reader) Uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.buf[r.off:])
-	if n <= 0 {
-		r.Fail("uvarint")
-		return 0
-	}
-	r.off += n
-	return v
+// Uvarint reads an unsigned varint as binary.Uvarint decodes it.
+func (r *Reader) Uvarint() uint64 { return r.uvarint("uvarint") }
+
+// Int reads a signed (zig-zag) varint as binary.Varint decodes it.
+func (r *Reader) Int() int64 {
+	u := r.uvarint("varint")
+	return int64(u>>1 ^ -(u & 1))
 }
 
-// Int reads a signed (zig-zag) varint.
-func (r *Reader) Int() int64 {
-	if r.err != nil {
-		return 0
+// uvarint is binary.Uvarint's loop over the unread input, written out so
+// that it inlines (binary.Uvarint does not); what names its refusal.
+func (r *Reader) uvarint(what string) uint64 {
+	var x uint64
+	for i, c := range r.buf[r.off:] {
+		if i == binary.MaxVarintLen64-1 && c > 1 {
+			break // overflow
+		}
+		x |= uint64(c&0x7f) << (7 * i)
+		if c < 0x80 {
+			r.off += i + 1
+			return x
+		}
 	}
-	v, n := binary.Varint(r.buf[r.off:])
-	if n <= 0 {
-		r.Fail("varint")
-		return 0
-	}
-	r.off += n
-	return v
+	r.Fail(what)
+	return 0
 }
 
 // Bool reads a one-byte boolean; any byte but 0 or 1 is malformed.
 func (r *Reader) Bool() bool {
-	if r.err != nil {
-		return false
-	}
 	if r.off >= len(r.buf) {
 		r.Fail("bool")
 		return false
@@ -206,7 +222,7 @@ func (r *Reader) Section() []byte { return r.take(uint64(r.Len()), "section leng
 // take reads a length prefix of at most limit and the bytes it covers.
 func (r *Reader) take(limit uint64, what string) []byte {
 	n := r.Uvarint()
-	if r.err != nil {
+	if r.what != "" {
 		return nil
 	}
 	if n > limit || n > uint64(r.Len()) {
@@ -223,131 +239,8 @@ func (r *Reader) take(limit uint64, what string) []byte {
 // remaining input is malformed — rejecting it here bounds allocations.
 func (r *Reader) Count() int {
 	n := r.Uvarint()
-	if r.err != nil {
-		return 0
-	}
 	if n > uint64(r.Len()) {
 		r.Fail("count")
-		return 0
-	}
-	return int(n)
-}
-
-// Span is a Reader's unread input lent to a hot decode loop: the record
-// decoder reads a whole window through one. Its primitives read as
-// Reader's do and refuse what Reader's refuse, with the same what text at
-// the same offset, but they are small enough to inline (Reader's are not),
-// and a refusal is latched once for the whole Span rather than checked per
-// field: after the first one every read returns a zero value. Settle hands
-// the Span back to its Reader.
-type Span struct {
-	b    []byte
-	off  int
-	what string // the first refusal; "" while every read succeeded
-	at   int    // the offset of that refusal
-}
-
-// Span lends r's unread input; r does not move until Settle. On a Reader
-// that failed already the Span is empty and refused (Settle keeps r's own
-// refusal).
-func (r *Reader) Span() Span {
-	if r.err != nil {
-		return Span{what: "reader failed"}
-	}
-	return Span{b: r.buf[r.off:]}
-}
-
-// Settle takes back a Span that Span lent: r skips the bytes s consumed,
-// or fails with s's first refusal at the offset where s met it.
-func (r *Reader) Settle(s *Span) {
-	if r.err != nil {
-		return
-	}
-	if s.what != "" {
-		r.off += s.at
-		r.Fail(s.what)
-		return
-	}
-	r.off += s.off
-}
-
-// Failed reports whether a read of s has been refused.
-func (s *Span) Failed() bool { return s.what != "" }
-
-// rest returns the number of unread bytes.
-func (s *Span) rest() int { return len(s.b) - s.off }
-
-// Fail latches a refusal naming what the caller found invalid at the
-// current offset, as Reader.Fail does.
-func (s *Span) Fail(what string) {
-	if s.what == "" {
-		s.what, s.at = what, s.off
-	}
-	s.off = len(s.b)
-}
-
-// Uvarint reads an unsigned varint as binary.Uvarint decodes it.
-func (s *Span) Uvarint() uint64 { return s.uvarint("uvarint") }
-
-// Int reads a signed (zig-zag) varint as binary.Varint decodes it.
-func (s *Span) Int() int64 {
-	u := s.uvarint("varint")
-	return int64(u>>1 ^ -(u & 1))
-}
-
-// uvarint is binary.Uvarint's loop over the unread input, written out
-// so that it inlines (cost 71 of the inliner's 80); what names its
-// refusal.
-func (s *Span) uvarint(what string) uint64 {
-	var x uint64
-	for i, c := range s.b[s.off:] {
-		if i == binary.MaxVarintLen64-1 && c > 1 {
-			break // overflow
-		}
-		x |= uint64(c&0x7f) << (7 * i)
-		if c < 0x80 {
-			s.off += i + 1
-			return x
-		}
-	}
-	s.Fail(what)
-	return 0
-}
-
-// Bool reads a one-byte boolean; any byte but 0 or 1 is refused.
-func (s *Span) Bool() bool {
-	if s.off >= len(s.b) {
-		s.Fail("bool")
-		return false
-	}
-	c := s.b[s.off]
-	s.off++
-	if c > 1 {
-		s.Fail("bool value")
-		return false
-	}
-	return c == 1
-}
-
-// Blob reads a length-prefixed byte slice of at most MaxBlob bytes,
-// aliasing the input.
-func (s *Span) Blob() []byte {
-	n := s.Uvarint()
-	if n > MaxBlob || n > uint64(s.rest()) {
-		s.Fail("blob length")
-		return nil
-	}
-	b := s.b[s.off : s.off+int(n)]
-	s.off += int(n)
-	return b
-}
-
-// Count reads a length prefix that gates a loop of per-element decodes,
-// refused past the remaining input as Reader.Count refuses it.
-func (s *Span) Count() int {
-	n := s.Uvarint()
-	if n > uint64(s.rest()) {
-		s.Fail("count")
 		return 0
 	}
 	return int(n)

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strings"
 	"testing"
 )
 
@@ -97,86 +98,52 @@ func TestUpdateChecksum(t *testing.T) {
 	}
 }
 
-// spanOps are the reads a Span shares with Reader, each run on both.
-var spanOps = []struct {
-	name   string
-	reader func(*Reader) any
-	span   func(*Span) any
-}{
-	{"Uvarint", func(r *Reader) any { return r.Uvarint() }, func(s *Span) any { return s.Uvarint() }},
-	{"Int", func(r *Reader) any { return r.Int() }, func(s *Span) any { return s.Int() }},
-	{"Bool", func(r *Reader) any { return r.Bool() }, func(s *Span) any { return s.Bool() }},
-	{"Blob", func(r *Reader) any { return string(r.Blob()) }, func(s *Span) any { return string(s.Blob()) }},
-	{"Count", func(r *Reader) any { return r.Count() }, func(s *Span) any { return s.Count() }},
-	{"Fail", func(r *Reader) any { r.Fail("range"); return nil }, func(s *Span) any { s.Fail("range"); return nil }},
-}
-
-// sameSpan reads ops[0] bytes of data through two Readers, up to one past
-// the end so that both may have failed, then runs the rest of ops (one
-// read each, modulo the op table) through the first Reader and through a
-// Span of the second. It requires the same values, and after Settle the
-// same offset and the same refusal, word for word.
-func sameSpan(t *testing.T, ops, data []byte) {
-	t.Helper()
-	want, got := NewReader(data), NewReader(data)
-	skip := 0
-	if len(ops) > 0 {
-		skip = min(int(ops[0]), len(data)+1)
-		ops = ops[1:]
-	}
-	for i := 0; i < skip; i++ {
-		want.Byte()
-		got.Byte()
-	}
-	s := got.Span()
-	for _, op := range ops {
-		o := spanOps[int(op)%len(spanOps)]
-		if w, g := o.reader(want), o.span(&s); w != g {
-			t.Fatalf("%s: Reader read %v, Span %v", o.name, w, g)
-		}
-	}
-	got.Settle(&s)
-	if w, g := fmt.Sprint(want.Err()), fmt.Sprint(got.Err()); w != g || want.Offset() != got.Offset() {
-		t.Fatalf("Reader ended at %d with %s, the settled Span at %d with %s", want.Offset(), w, got.Offset(), g)
-	}
-}
-
-// TestSpanMatchesReader covers each refusal a Span shares with Reader,
-// the varint edges binary.Uvarint draws (ten bytes, the tenth at most 1),
-// and Span and Settle on a Reader that failed already.
-func TestSpanMatchesReader(t *testing.T) {
-	const uv, in, bo, bl, co, fa = 0, 1, 2, 3, 4, 5
+// FuzzVarintsMatchBinary reads arbitrary bytes as consecutive varints
+// through a Reader and through encoding/binary, which must agree on every
+// value, on where the input stops decoding, and on the offset of the
+// refusal there. The seeds are the edges binary.Uvarint draws: the
+// extremes, truncation, ten bytes with the tenth past 1 (overflow) or at 1,
+// and an eleventh byte.
+func FuzzVarintsMatchBinary(f *testing.F) {
 	var w Writer
 	w.Uvarint(1<<64 - 1)
 	w.Int(-1 << 63)
-	w.Bool(true)
-	w.String("GR")
-	w.Uvarint(3)
-	valid := w.Bytes()
-	overflow := []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02}
-	for name, c := range map[string]struct{ ops, data []byte }{
-		"valid":             {[]byte{0, uv, in, bo, bl, co}, valid},
-		"every prefix":      {[]byte{0, uv, in, bo, bl, co, uv}, valid[:len(valid)-1]},
-		"uvarint overflow":  {[]byte{0, uv, uv}, overflow},
-		"varint overflow":   {[]byte{0, in}, overflow},
-		"eleven bytes":      {[]byte{0, uv}, append(bytes.Repeat([]byte{0x80}, 10), 0)},
-		"ten bytes, last 1": {[]byte{0, uv, bo}, append(bytes.Repeat([]byte{0xff}, 9), 1, 1)},
-		"bool of two":       {[]byte{0, bo, bo}, []byte{2, 1}},
-		"bool past input":   {[]byte{0, bo}, nil},
-		"blob past input":   {[]byte{0, bl, uv}, []byte{3, 'G', 'R'}},
-		"blob past MaxBlob": {[]byte{0, bl}, binary.AppendUvarint(nil, MaxBlob+1)},
-		"count past input":  {[]byte{0, co, uv}, []byte{2, 0}},
-		"caller refusal":    {[]byte{1, uv, fa, uv}, []byte{0, 1, 2}},
-		"a failed reader":   {[]byte{4, uv, bo}, []byte{0x80, 0x80}},
+	w.Uvarint(0)
+	for _, data := range [][]byte{
+		w.Bytes(),
+		w.Bytes()[:len(w.Bytes())-2],
+		{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x02},
+		append(bytes.Repeat([]byte{0xff}, 9), 1, 1),
+		append(bytes.Repeat([]byte{0x80}, 10), 0),
 	} {
-		t.Run(name, func(t *testing.T) { sameSpan(t, c.ops, c.data) })
+		f.Add(false, data)
+		f.Add(true, data)
 	}
-}
-
-// FuzzSpanMatchesReader holds the same equality on arbitrary reads of
-// arbitrary bytes.
-func FuzzSpanMatchesReader(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 2, 3, 4}, []byte{0x96, 0x01, 0x03, 0x01, 0x02, 'G', 'R', 0x01})
-	f.Add([]byte{2, 3, 3, 0}, []byte{0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01})
-	f.Fuzz(sameSpan)
+	f.Fuzz(func(t *testing.T, signed bool, data []byte) {
+		r := NewReader(data)
+		off := 0
+		for off < len(data) {
+			var want, got int64
+			var n int
+			if signed {
+				want, n = binary.Varint(data[off:])
+				got = r.Int()
+			} else {
+				var u uint64
+				u, n = binary.Uvarint(data[off:])
+				want, got = int64(u), int64(r.Uvarint())
+			}
+			if n <= 0 {
+				err := r.Err()
+				if err == nil || !strings.HasSuffix(err.Error(), fmt.Sprintf(" at offset %d", off)) {
+					t.Fatalf("binary refuses at %d, the Reader: %v", off, err)
+				}
+				return
+			}
+			off += n
+			if got != want || r.Offset() != off || r.Err() != nil {
+				t.Fatalf("binary read %d to %d, the Reader %d to %d (%v)", want, off, got, r.Offset(), r.Err())
+			}
+		}
+	})
 }

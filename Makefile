@@ -106,9 +106,12 @@ fuzz-smoke:
 # window reads per read tier, and classification over a fully spilled
 # corpus: BenchmarkSpilledClassify on synth (20k x 4, where the segment
 # lookup is most of a window read) and BenchmarkSpilledClassifyArchive on
-# 4 000 x 104 (batch-spilled's shape, where the record decode is).
+# 4 000 x 104 (batch-spilled's shape, where the record decode is); and, in
+# internal/wal, BenchmarkWALAppend: one 2 500-record scan's WAL frame
+# encoded and written, as the first frame after a rotation and as a
+# steady-state frame against the log's certificate dictionary.
 bench:
-	$(GO) test -bench='BenchmarkIncrementalAppend|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkSynthEmit|BenchmarkScanCSVNext|BenchmarkBulkIngestCSV|BenchmarkIngestShards|BenchmarkIngestIntern|BenchmarkSynthClassify|BenchmarkArchiveClassify|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkDurableTick|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=3 -run='^$$' .
+	$(GO) test -bench='BenchmarkIncrementalAppend|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkSynthEmit|BenchmarkScanCSVNext|BenchmarkBulkIngestCSV|BenchmarkIngestShards|BenchmarkIngestIntern|BenchmarkSynthClassify|BenchmarkArchiveClassify|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkDurableTick|BenchmarkSegmentRead|BenchmarkSpilledClassify|BenchmarkWALAppend' -benchmem -count=3 -run='^$$' . ./internal/wal
 
 # Every benchmark in the harness (tables, figures, scale sweeps, ablations).
 bench-all:
@@ -127,7 +130,7 @@ bench-report:
 	mkdir -p $(BENCHDIR)
 	$(GO) run ./cmd/retrodns -stable 80 -seed 1 -report-json $(BENCHDIR)/run-report.json 2>/dev/null >/dev/null
 	rm -f $(BENCHDIR)/bench.txt
-	for pass in 1 2 3 4 5; do $(GO) test -bench='BenchmarkIncrementalAppend$$|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkScanCSVNext|BenchmarkBulkIngestCSV|BenchmarkIngestShards|BenchmarkSynthClassify|BenchmarkArchiveClassify|BenchmarkDeploymentAnyIP|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkDurableTick|BenchmarkSegmentRead|BenchmarkSpilledClassify' -benchmem -count=1 -run='^$$' . | tee -a $(BENCHDIR)/bench.txt; done
+	for pass in 1 2 3 4 5; do $(GO) test -bench='BenchmarkIncrementalAppend$$|BenchmarkFingerprint|BenchmarkAddScan|BenchmarkScanCSVNext|BenchmarkBulkIngestCSV|BenchmarkIngestShards|BenchmarkSynthClassify|BenchmarkArchiveClassify|BenchmarkDeploymentAnyIP|BenchmarkServeQuery|BenchmarkBuildSnapshot|BenchmarkDurableTick|BenchmarkSegmentRead|BenchmarkSpilledClassify|BenchmarkWALAppend' -benchmem -count=1 -run='^$$' . ./internal/wal | tee -a $(BENCHDIR)/bench.txt; done
 
 # Fail on funnel drift or a >20% perf regression against the committed
 # baseline (see cmd/benchdiff).

@@ -654,11 +654,14 @@ func runRestart(t *testing.T, cfg config, s *studyInput) outcome {
 
 // stagedFrame is the WAL frame of the append after cfg's kill point, byte
 // for byte as a store writes it (a frame does not depend on the shard
-// count): cut from the log of a donor run that got one append further with
-// snapshots off.
+// count): cut from the log of a donor run with snapshots off, killed at the
+// same point and reopened for one more append. The killed daemon's log was
+// just rotated by its snapshot, so its next frame starts a fresh
+// certificate dictionary, as the reopened donor's first frame does.
 func stagedFrame(t *testing.T, cfg config, feed []byte) []byte {
 	donor := wal.Options{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 1000}
-	runDaemonPhase(t, cfg, donor, feed, cfg.killAt+1)
+	runDaemonPhase(t, cfg, donor, feed, cfg.killAt)
+	runDaemonPhase(t, cfg, donor, feed, 1)
 	log, err := os.ReadFile(filepath.Join(donor.Dir, wal.LogName))
 	must(t, err)
 	errFound := errors.New("found")

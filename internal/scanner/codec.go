@@ -202,9 +202,13 @@ func decodeRecords(r *wire.Reader, certs []*x509lite.Certificate, n int, out []*
 }
 
 // certTable assigns a dense index to each distinct certificate (by
-// fingerprint) in first-seen order.
+// fingerprint) in first-seen order. Entries below base were written by an
+// earlier encoding against the same table (a WAL log's dictionary, see
+// CertDict); certs holds the ones after them, entry base+i at certs[i], and
+// encode writes only those.
 type certTable struct {
 	idx   map[x509lite.Fingerprint]uint64
+	base  uint64
 	certs []*x509lite.Certificate
 	// last is the certificate add answered most recently, at index lastIdx.
 	// A domain's records follow one another and mostly carry one
@@ -225,7 +229,7 @@ func (t *certTable) add(c *x509lite.Certificate) uint64 {
 	fp := c.Fingerprint()
 	i, ok := t.idx[fp]
 	if !ok {
-		i = uint64(len(t.certs))
+		i = t.base + uint64(len(t.certs))
 		t.idx[fp] = i
 		t.certs = append(t.certs, c)
 	}
@@ -240,41 +244,85 @@ func (t *certTable) encode(w *wire.Writer) {
 	}
 }
 
-func decodeCertTable(r *wire.Reader) []*x509lite.Certificate {
+// decodeCertTable decodes a certificate table onto dst.
+func decodeCertTable(r *wire.Reader, dst []*x509lite.Certificate) []*x509lite.Certificate {
 	n := r.Count()
-	certs := make([]*x509lite.Certificate, 0, n)
+	dst = slices.Grow(dst, n)
 	for i := 0; i < n; i++ {
 		if r.Err() != nil {
-			return certs
+			return dst
 		}
-		certs = append(certs, decodeCert(r))
+		dst = append(dst, decodeCert(r))
 	}
-	return certs
+	return dst
 }
 
 // EncodeBatch serializes one Append batch — a scan date plus its records —
-// for a WAL frame body. Nil records are preserved positionally (a strict
-// dataset must see the same batch shape on replay that it saw live).
+// for a WAL frame body that starts a certificate dictionary. Nil records are
+// preserved positionally (a strict dataset must see the same batch shape on
+// replay that it saw live).
 func EncodeBatch(date simtime.Date, records []*Record) []byte {
-	return AppendBatch(nil, date, records)
+	var dict CertDict
+	return dict.AppendBatch(nil, date, records, AppendCerts(nil, records))
 }
 
-// AppendBatch appends EncodeBatch's encoding of the batch to dst, growing
-// it once, so a caller framing the batch builds the frame in one buffer.
-func AppendBatch(dst []byte, date simtime.Date, records []*Record) []byte {
+// AppendCerts appends each record's certificate to dst (nil for a nil
+// record), in order: the certs argument of CertDict.AppendBatch.
+func AppendCerts(dst []*x509lite.Certificate, records []*Record) []*x509lite.Certificate {
+	for _, rec := range records {
+		var c *x509lite.Certificate
+		if rec != nil {
+			c = rec.Cert
+		}
+		dst = append(dst, c)
+	}
+	return dst
+}
+
+// CertDict is the writing side of a WAL log's certificate dictionary: every
+// certificate, by fingerprint, that the batches encoded against it since it
+// was last empty have introduced. A batch's table then holds only the
+// certificates the dictionary lacks, and a record's cert index k counts
+// through the dictionary first and the batch's own table after it
+// (DecodeBatchAfter). Against an empty dictionary a batch encodes as
+// EncodeBatch's. The zero value is an empty dictionary.
+type CertDict struct {
+	table certTable
+	idxs  []uint64
+}
+
+// Len is the number of certificates in d: the base the next batch encodes
+// against.
+func (d *CertDict) Len() int { return int(d.table.base) }
+
+// Reset empties d.
+func (d *CertDict) Reset() {
+	clear(d.table.idx)
+	d.table.base, d.table.last = 0, nil
+}
+
+// AppendBatch appends the encoding of one Append batch against d to dst,
+// growing it once, and adds the batch's new certificates to d. certs[i] is
+// records[i]'s certificate (AppendCerts): the encoder reads certificates
+// from certs only, so a caller may let ingest rewrite Record.Cert meanwhile.
+func (d *CertDict) AppendBatch(dst []byte, date simtime.Date, records []*Record, certs []*x509lite.Certificate) []byte {
+	t := &d.table
+	if t.idx == nil {
+		// One certificate a record is the common feed: a host's long-lived own.
+		t.idx = make(map[x509lite.Fingerprint]uint64, len(records))
+	}
 	// A record and its share of the certificate table come to some 120 bytes
 	// on the synthetic corpora; an underestimate only costs a regrow.
 	w := wire.NewWriter(slices.Grow(dst, 16+128*len(records)))
 	w.Int(int64(date))
-	// One certificate a record is the common feed: a host's long-lived own.
-	table := newCertTable(len(records))
-	idxs := make([]uint64, len(records))
-	for i, rec := range records {
-		if rec != nil && rec.Cert != nil {
-			idxs[i] = table.add(rec.Cert) + 1 // 0 = no cert
+	idxs := slices.Grow(d.idxs[:0], len(records))[:len(records)]
+	for i, c := range certs {
+		idxs[i] = 0 // 0 = no cert
+		if c != nil {
+			idxs[i] = t.add(c) + 1
 		}
 	}
-	table.encode(&w)
+	t.encode(&w)
 	w.Uvarint(uint64(len(records)))
 	for i, rec := range records {
 		if rec == nil {
@@ -284,17 +332,33 @@ func AppendBatch(dst []byte, date simtime.Date, records []*Record) []byte {
 		w.Bool(true)
 		encodeRecord(&w, rec, idxs[i])
 	}
+	// The batch's table is in the dictionary from here on; drop the pointers.
+	t.base += uint64(len(t.certs))
+	clear(t.certs)
+	t.certs, d.idxs = t.certs[:0], idxs
 	return w.Bytes()
 }
 
-// DecodeBatch is the inverse of EncodeBatch. Each record is an allocation
-// of its own, its ports an exact-size array of their own (a batch's records
-// belong to different domains and shards, so no record pins another's); a
-// ports list equal to the record before's is shared with it.
+// DecodeBatch is the inverse of EncodeBatch: DecodeBatchAfter against an
+// empty dictionary.
 func DecodeBatch(data []byte) (simtime.Date, []*Record, error) {
+	date, records, _, err := DecodeBatchAfter(data, nil)
+	return date, records, err
+}
+
+// DecodeBatchAfter decodes a batch CertDict.AppendBatch encoded against a
+// dictionary of len(dict) certificates, dict being what the batches before
+// it decoded to. The batch's table is appended to dict and returned as the
+// dictionary the next batch continues (dict's backing array may be
+// written past its length); a cert index past the two together is refused.
+// Each record is an allocation of its own, its ports an exact-size array of
+// their own (a batch's records belong to different domains and shards, so
+// no record pins another's); a ports list equal to the record before's is
+// shared with it.
+func DecodeBatchAfter(data []byte, dict []*x509lite.Certificate) (simtime.Date, []*Record, []*x509lite.Certificate, error) {
 	r := wire.NewReader(data)
 	date := simtime.Date(r.Int())
-	certs := decodeCertTable(r)
+	certs := decodeCertTable(r, dict)
 	n := r.Count()
 	records := make([]*Record, 0, n)
 	var prev *Record
@@ -315,7 +379,7 @@ func DecodeBatch(data []byte) (simtime.Date, []*Record, error) {
 		prev = rec
 	}
 	if err := r.Finish(); err != nil {
-		return 0, nil, err
+		return 0, nil, nil, err
 	}
-	return date, records, nil
+	return date, records, certs, nil
 }

@@ -419,7 +419,7 @@ func segmentCerts(seg *segment.Reader, sid int, roster []dnscore.Name) ([]*x509l
 			seg.Shard(), seg.Count(), sid, len(roster))
 	}
 	r := wire.NewReader(seg.Common())
-	certs := decodeCertTable(r)
+	certs := decodeCertTable(r, nil)
 	if err := r.Finish(); err != nil {
 		return nil, fmt.Errorf("cert table: %w", err)
 	}

@@ -34,6 +34,13 @@ func FuzzWALReplay(f *testing.F) {
 	short := append([]byte(nil), valid[:frameHeader]...)
 	f.Add(short)                                        // header only
 	f.Add(appendFrame(nil, 9, simtime.StudyStart, nil)) // empty batch
+	// A store's log, whose second and third frames continue the first's
+	// certificate dictionary; that log twice over (the duplicate fault);
+	// and a continuing frame alone, with no dictionary to continue.
+	log := storeLog(f, synth.New(synth.Config{Domains: 6, Seed: 3, Scans: 3}))
+	f.Add(log)
+	f.Add(append(slices.Clone(log), log...))
+	f.Add(splitFrames(f, log)[1])
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frames := 0

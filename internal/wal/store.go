@@ -18,6 +18,7 @@ import (
 	"retrodns/internal/obsv"
 	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
+	"retrodns/internal/x509lite"
 )
 
 // WAL metric family names.
@@ -36,10 +37,11 @@ const (
 )
 
 // appendSteps are the steps of one Store.Append, MetricWALAppendSec's step
-// label. encode, stage and publish follow one another on the caller's
-// goroutine; sync is the writer goroutine's write + fsync, running beside
-// stage; sync_wait is what the caller still waited for it once staging was
-// done — near zero when the CPU is the long pole, near sync on a slow disk.
+// label. stage and publish follow one another on the caller's goroutine;
+// encode (the frame) and then sync (its write + fsync) run on the writer
+// goroutine, both beside stage; sync_wait is what the caller still waited
+// for the writer once staging was done — near zero when the CPU is the long
+// pole, near encode + sync on a slow disk.
 var appendSteps = []string{"encode", "stage", "sync", "sync_wait", "publish"}
 
 // restoreSteps are the steps of one Open, MetricWALRestoreSec's step label:
@@ -142,8 +144,15 @@ type Store struct {
 
 	wal     *os.File
 	walSize int64
-	// frame is the encode buffer, reused from one Append to the next.
+	// frame is the encode buffer and certs the batch's certificates the
+	// frame encodes (scanner.AppendCerts), both reused from one Append to
+	// the next.
 	frame []byte
+	certs []*x509lite.Certificate
+	// dict is the log's certificate dictionary (see encodeFrame). It is
+	// emptied whenever the log is cut or its tail is in doubt, so the next
+	// frame starts a fresh one; an opened log's first frame starts one too.
+	dict scanner.CertDict
 	// failed latches the first log write or fsync error. Whether that frame
 	// is on disk is unknown from then on, so Append refuses until a
 	// Snapshot has rewritten the state and emptied the log (or the
@@ -256,7 +265,7 @@ func (s *Store) initMetrics(reg *obsv.Registry) {
 	reg.SetHelp(MetricWALReplayed, "WAL frames applied during recovery.")
 	reg.SetHelp(MetricWALQuarantined, "Durability-layer refusals, by reason.")
 	reg.SetHelp(MetricWALRecoveredGen, "Dataset generation recovered to at boot.")
-	reg.SetHelp(MetricWALAppendSec, "Where one durable append's time goes, by step (sync runs beside stage).")
+	reg.SetHelp(MetricWALAppendSec, "Where one durable append's time goes, by step (encode, then sync, run beside stage).")
 	reg.SetHelp(MetricWALRestoreSec, "Where one recovery's time goes, by step: snapshot decode, log replay, cache restore.")
 	reg.SetHelp(MetricWALSnapshotSec, "Where one snapshot write's time goes, by step: section encode, file write.")
 	reg.SetHelp(MetricWALSnapshotByte, "Bytes of snapshot files written.")
@@ -363,13 +372,17 @@ func (s *Store) applyFrame(rec *Recovery) func(gen uint64, date simtime.Date, re
 	}
 }
 
-// Append makes the batch durable and then visible, in that order: the frame
-// is encoded, a goroutine writes and fsyncs it while this one stages the
-// batch in the dataset (Dataset.AppendAfter), and the dataset publishes
+// Append makes the batch durable and then visible, in that order: a
+// goroutine encodes the frame, writes and fsyncs it while this one stages
+// the batch in the dataset (Dataset.AppendAfter), and the dataset publishes
 // only once the fsync has returned. A batch any reader has seen is always
 // recoverable, and a torn write is a batch no reader ever saw. A scan date
 // outside the study window is refused with ErrClockSkew before either side
 // sees it.
+//
+// Staging rewrites each record's Cert to the pooled instance and writes no
+// other record field, so the encoder reads the records as they are but
+// their certificates from a copy taken before staging starts.
 //
 // A failed write or fsync publishes nothing and latches: every later
 // Append returns the same error (see Store.failed).
@@ -389,15 +402,14 @@ func (s *Store) Append(date simtime.Date, records []*scanner.Record) error {
 	if cur == 0 {
 		want = 2
 	}
-	t := time.Now()
-	s.frame = appendFrame(s.frame[:0], want, date, records)
-	frame := s.frame
-	t = observe(s.met.appendSec, "encode", t)
+	s.certs = scanner.AppendCerts(s.certs[:0], records)
 
 	synced := make(chan error, 1)
 	go func() {
 		start := time.Now()
-		_, err := s.wal.Write(frame)
+		s.frame = encodeFrame(s.frame[:0], &s.dict, want, date, records, s.certs)
+		start = observe(s.met.appendSec, "encode", start)
+		_, err := s.wal.Write(s.frame)
 		if err == nil {
 			err = s.wal.Sync()
 		}
@@ -406,6 +418,7 @@ func (s *Store) Append(date simtime.Date, records []*scanner.Record) error {
 	}()
 	// Joined exactly once: at the barrier, or here when the dataset refused
 	// the batch before reaching it and the writer still owns the file.
+	t := time.Now()
 	join := sync.OnceValue(func() error { return <-synced })
 	err := s.ds.AppendAfter(date, records, func() error {
 		t = observe(s.met.appendSec, "stage", t)
@@ -414,6 +427,7 @@ func (s *Store) Append(date simtime.Date, records []*scanner.Record) error {
 		return err
 	})
 	if syncErr := join(); syncErr != nil {
+		s.dict.Reset()
 		s.failed = fmt.Errorf("wal: log write failed, appends refused until a snapshot or reopen: %w", syncErr)
 		return s.failed
 	}
@@ -427,18 +441,21 @@ func (s *Store) Append(date simtime.Date, records []*scanner.Record) error {
 		return err
 	}
 	observe(s.met.appendSec, "publish", t)
-	s.walSize += int64(len(frame))
+	s.walSize += int64(len(s.frame))
 	s.appendsSince++
 	s.met.appends.Inc()
 	s.met.records.Add(int64(len(records)))
-	s.met.bytes.Add(int64(len(frame)))
+	s.met.bytes.Add(int64(len(s.frame)))
 	if got := s.ds.Generation(); got != want {
 		return fmt.Errorf("wal: generation skew: dataset at %d, wal framed %d", got, want)
 	}
 	return nil
 }
 
+// truncateTo cuts the log to n bytes. Whatever the outcome, the frames the
+// dictionary was built from may be gone, so it is emptied first.
 func (s *Store) truncateTo(n int64) error {
+	s.dict.Reset()
 	if err := s.wal.Truncate(n); err != nil {
 		return err
 	}

@@ -16,6 +16,7 @@ import (
 	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
 	"retrodns/internal/wire"
+	"retrodns/internal/x509lite"
 )
 
 // Typed refusals. Everything a garbled or truncated log can provoke maps
@@ -28,7 +29,8 @@ var (
 	// ErrCRCMismatch reports a frame whose body fails its checksum.
 	ErrCRCMismatch = errors.New("wal: frame CRC mismatch")
 	// ErrBadFrame reports a structurally invalid frame: wrong magic,
-	// implausible length, or an undecodable batch payload.
+	// implausible length, an undecodable batch payload, or one that does
+	// not continue the log's certificate dictionary.
 	ErrBadFrame = errors.New("wal: malformed frame")
 	// ErrClockSkew reports an append whose scan date falls outside the
 	// study window — a skewed clock upstream, refused before it can
@@ -46,25 +48,39 @@ var (
 )
 
 // Frame layout: magic ++ body length ++ CRC-32C(body) ++ body, all
-// little-endian; body = uvarint generation ++ EncodeBatch payload.
+// little-endian. A frame starts the log's certificate dictionary or
+// continues it. A starting frame ("RDWL") has body = uvarint generation ++
+// EncodeBatch payload, so a log an older build wrote, all starting frames,
+// replays unchanged. A continuing one ("RDWC") has body = uvarint
+// generation ++ uvarint base ++ the payload encoded against the base
+// certificates the frames since the last starting one introduced
+// (scanner.CertDict).
 const (
-	frameMagic  = 0x4c574452 // "RDWL"
-	frameHeader = 12
+	frameMagic     = 0x4c574452 // "RDWL"
+	frameMagicCont = 0x43574452 // "RDWC"
+	frameHeader    = 12
 	// maxFrameBody bounds a single batch encoding; anything larger is
 	// malformed by construction.
 	maxFrameBody = 1 << 28
 )
 
-// appendFrame appends one WAL frame for an Append batch to dst: the header
-// is reserved first and patched once the body, encoded in place behind it,
-// has a length and a checksum.
-func appendFrame(dst []byte, gen uint64, date simtime.Date, records []*scanner.Record) []byte {
+// encodeFrame appends one WAL frame for an Append batch to dst, encoded
+// against dict and adding the batch's new certificates to it; certs[i] is
+// records[i]'s certificate (scanner.AppendCerts). An empty dict makes a
+// starting frame. The header is reserved first and patched once the body,
+// encoded in place behind it, has a length and a checksum.
+func encodeFrame(dst []byte, dict *scanner.CertDict, gen uint64, date simtime.Date, records []*scanner.Record, certs []*x509lite.Certificate) []byte {
 	start := len(dst)
 	w := wire.NewWriter(append(dst, make([]byte, frameHeader)...))
 	w.Uvarint(gen)
-	dst = scanner.AppendBatch(w.Bytes(), date, records)
+	magic := uint32(frameMagic)
+	if base := dict.Len(); base > 0 {
+		magic = frameMagicCont
+		w.Uvarint(uint64(base))
+	}
+	dst = dict.AppendBatch(w.Bytes(), date, records, certs)
 	header, body := dst[start:], dst[start+frameHeader:]
-	binary.LittleEndian.PutUint32(header[0:], frameMagic)
+	binary.LittleEndian.PutUint32(header[0:], magic)
 	binary.LittleEndian.PutUint32(header[4:], uint32(len(body)))
 	binary.LittleEndian.PutUint32(header[8:], wire.Checksum(body))
 	return dst
@@ -76,14 +92,24 @@ func appendFrame(dst []byte, gen uint64, date simtime.Date, records []*scanner.R
 // on a frame boundary, ErrTornTail / ErrBadFrame / ErrCRCMismatch for log
 // damage, or fn's own error (which stops the walk without consuming the
 // frame). Replay never panics, whatever the input.
+//
+// Replay keeps the certificate dictionary the writer kept: a starting frame
+// empties it, and a frame's table joins it once fn has consumed the frame.
+// A continuing frame must name the dictionary's length exactly as its base,
+// which is never 0 (a writer starts a fresh dictionary with a starting
+// frame), and a cert index past base plus its own table is refused; so a
+// frame spliced in from another log history is a bad frame, not a record
+// with some other certificate.
 func Replay(data []byte, fn func(gen uint64, date simtime.Date, records []*scanner.Record) error) (int, error) {
 	off := 0
+	var dict []*x509lite.Certificate
 	for off < len(data) {
 		rest := data[off:]
 		if len(rest) < frameHeader {
 			return off, fmt.Errorf("%w: %d trailing bytes", ErrTornTail, len(rest))
 		}
-		if binary.LittleEndian.Uint32(rest) != frameMagic {
+		magic := binary.LittleEndian.Uint32(rest)
+		if magic != frameMagic && magic != frameMagicCont {
 			return off, fmt.Errorf("%w: bad magic at offset %d", ErrBadFrame, off)
 		}
 		bodyLen := int(binary.LittleEndian.Uint32(rest[4:]))
@@ -99,16 +125,24 @@ func Replay(data []byte, fn func(gen uint64, date simtime.Date, records []*scann
 		}
 		r := wire.NewReader(body)
 		gen := r.Uvarint()
+		base := uint64(0)
+		if magic == frameMagicCont {
+			base = r.Uvarint()
+		}
 		if r.Err() != nil {
 			return off, fmt.Errorf("%w: unreadable generation at offset %d", ErrBadFrame, off)
 		}
-		date, records, err := scanner.DecodeBatch(body[r.Offset():])
+		if magic == frameMagicCont && (base == 0 || base != uint64(len(dict))) {
+			return off, fmt.Errorf("%w: frame at offset %d continues a dictionary of %d certificates, the log's holds %d", ErrBadFrame, off, base, len(dict))
+		}
+		date, records, grown, err := scanner.DecodeBatchAfter(body[r.Offset():], dict[:base])
 		if err != nil {
 			return off, fmt.Errorf("%w: batch at offset %d: %v", ErrBadFrame, off, err)
 		}
 		if err := fn(gen, date, records); err != nil {
 			return off, err
 		}
+		dict = grown
 		off += frameHeader + bodyLen
 	}
 	return off, nil

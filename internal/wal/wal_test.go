@@ -3,10 +3,13 @@ package wal
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 
 	"retrodns/internal/core"
@@ -301,14 +304,15 @@ func TestAppendFailureIsSticky(t *testing.T) {
 
 // TestDiskBytesPinned holds the three durable encodings to recorded
 // sha256s: the log after three appends, the snapshot file of the resulting
-// state, and the classify cache's state. The log is the bytes the commit
-// before the overlapped append wrote, and the cache state the rcc2 bytes
-// (classify's decisions only). The snapshot's dataset section, and with it
+// state, and the classify cache's state. The log was re-recorded when its
+// second and third frames began continuing the first one's certificate
+// dictionary (146 009 -> 67 165 bytes; the first frame did not move), and
+// the cache state is the rcc2 bytes (classify's decisions only). The snapshot's dataset section, and with it
 // the whole file, were re-recorded when resident shards moved into it as
 // inline segment images, the bytes a spilled shard seals to a file.
 func TestDiskBytesPinned(t *testing.T) {
 	const (
-		wantLog   = "c15fc0741a15dc71f728122dff1ce06fadf485d547480d223afba521d8f3e14c"
+		wantLog   = "086f0d52e3768c404322c530026bc9035cbdb8461e539f9b1ff9cd986736feb1"
 		wantSnap  = "b90228cb7220ece2206f2039c0a1a3d163875024bc442e996071b1f347a5a7d6"
 		wantCache = "a77b4e4cfb9c7b0bdb20da8707eb8f1a6d27bd547e00e8c9ccb1340f29fbaa82"
 		// The snapshot file's dataset section alone, which a cache-format
@@ -536,5 +540,215 @@ func TestFeederGates(t *testing.T) {
 	}
 	if ds.Quarantine().Total != 0 {
 		t.Fatalf("gated garbage reached the dataset journal: %+v", ds.Quarantine())
+	}
+}
+
+// appendFrame appends the frame a store with an empty certificate
+// dictionary writes for the batch: a starting frame.
+func appendFrame(dst []byte, gen uint64, date simtime.Date, records []*scanner.Record) []byte {
+	return encodeFrame(dst, new(scanner.CertDict), gen, date, records, scanner.AppendCerts(nil, records))
+}
+
+// storeLog is the log a store writes for g's scans with snapshots off: one
+// frame that starts the certificate dictionary, the rest continuing it.
+func storeLog(tb testing.TB, g *synth.Generator) []byte {
+	tb.Helper()
+	dir := tb.TempDir()
+	s, _, err := Open(Options{Dir: dir, Shards: 2, SnapshotEvery: 1000})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, date := range g.ScanDates() {
+		if err := s.Append(date, g.Scan(date)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		tb.Fatal(err)
+	}
+	log, err := os.ReadFile(filepath.Join(dir, LogName))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return log
+}
+
+// splitFrames cuts a clean log into its frames.
+func splitFrames(tb testing.TB, log []byte) [][]byte {
+	tb.Helper()
+	var frames [][]byte
+	for len(log) > 0 {
+		n := frameHeader + int(binary.LittleEndian.Uint32(log[4:]))
+		frames = append(frames, log[:n])
+		log = log[n:]
+	}
+	return frames
+}
+
+// withBase returns a copy of the continuing frame claiming base as the
+// dictionary length it was encoded against, its checksum made to match.
+func withBase(tb testing.TB, frame []byte, base uint64) []byte {
+	tb.Helper()
+	if binary.LittleEndian.Uint32(frame) != frameMagicCont {
+		tb.Fatal("not a continuing frame")
+	}
+	r := wire.NewReader(frame[frameHeader:])
+	gen := r.Uvarint()
+	r.Uvarint()
+	if r.Err() != nil {
+		tb.Fatal(r.Err())
+	}
+	w := wire.NewWriter(make([]byte, frameHeader))
+	w.Uvarint(gen)
+	w.Uvarint(base)
+	out := append(w.Bytes(), frame[frameHeader+r.Offset():]...)
+	binary.LittleEndian.PutUint32(out, frameMagicCont)
+	binary.LittleEndian.PutUint32(out[4:], uint32(len(out)-frameHeader))
+	binary.LittleEndian.PutUint32(out[8:], wire.Checksum(out[frameHeader:]))
+	return out
+}
+
+// baseOf is the dictionary length a continuing frame was encoded against.
+func baseOf(frame []byte) uint64 {
+	r := wire.NewReader(frame[frameHeader:])
+	r.Uvarint()
+	return r.Uvarint()
+}
+
+// TestReplayRefusesForeignDictionary holds the log-scoped certificate
+// dictionary to its replay rule: a continuing frame that names another base
+// than the dictionary's length, that comes first in the log, or whose
+// records index past the dictionary and its own table is a bad frame,
+// counted once by Open, and recovery keeps the frames before it.
+func TestReplayRefusesForeignDictionary(t *testing.T) {
+	g := synth.New(synth.Config{Domains: 40, Seed: 7, Scans: 3})
+	dates := g.ScanDates()
+	frames := splitFrames(t, storeLog(t, g))
+	if len(frames) != 3 || binary.LittleEndian.Uint32(frames[0]) != frameMagic ||
+		binary.LittleEndian.Uint32(frames[1]) != frameMagicCont || binary.LittleEndian.Uint32(frames[2]) != frameMagicCont {
+		t.Fatal("a store's log is not one starting frame and two continuing ones")
+	}
+	b2, b3 := baseOf(frames[1]), baseOf(frames[2])
+	if b2 < 2 || b3 < b2 {
+		t.Fatalf("bases %d, %d: the corpus introduces too few certificates", b2, b3)
+	}
+	// A starting frame of one certified record, then frame 2 claiming that
+	// one-certificate dictionary as its base: its records still index the
+	// first frame's, past 1 + its own table.
+	i := slices.IndexFunc(g.Scan(dates[0]), func(r *scanner.Record) bool { return r.Cert != nil })
+	small := appendFrame(nil, 2, dates[0], g.Scan(dates[0])[i:i+1])
+
+	cases := []struct {
+		name string
+		log  [][]byte
+		gen  uint64 // recovered generation
+		why  string // in Replay's error
+	}{
+		{"base too high", [][]byte{frames[0], withBase(t, frames[1], b2+1)}, 2, "continues a dictionary"},
+		{"base too low", [][]byte{frames[0], frames[1], withBase(t, frames[2], b3-1)}, 3, "continues a dictionary"},
+		{"cert index past the table", [][]byte{small, withBase(t, frames[1], 1)}, 2, "cert index"},
+		{"continuing frame first", [][]byte{frames[1]}, 0, "continues a dictionary"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			log := bytes.Join(c.log, nil)
+			_, err := Replay(log, func(uint64, simtime.Date, []*scanner.Record) error { return nil })
+			if !errors.Is(err, ErrBadFrame) || !strings.Contains(err.Error(), c.why) {
+				t.Fatalf("Replay = %v, want ErrBadFrame for %q", err, c.why)
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, LogName), log, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, rec := openStore(t, dir, 1000)
+			if fmt.Sprint(rec.Faults) != fmt.Sprint(map[string]int64{FaultBadFrame: 1}) || rec.Generation != c.gen {
+				t.Fatalf("recovery faults %v at generation %d, want one bad_frame at %d", rec.Faults, rec.Generation, c.gen)
+			}
+		})
+	}
+}
+
+// TestAppendEncodesBesideStaging appends scans whose records carry fresh
+// instances of certificates the dataset has already pooled, so staging's
+// route rewrites each record's Cert while the writer goroutine encodes the
+// frame (run under -race). A snapshot in the middle cuts the log, and the
+// frames after it start a fresh dictionary; the reopened directory must
+// hold the uninterrupted ingest's state.
+func TestAppendEncodesBesideStaging(t *testing.T) {
+	g := synth.New(synth.Config{Domains: 60, Seed: 5, Scans: 6})
+	dates := g.ScanDates()
+	dir := t.TempDir()
+	s, _ := openStore(t, dir, 1000)
+	rewritten := 0
+	for i, date := range dates {
+		_, records, err := scanner.DecodeBatch(scanner.EncodeBatch(date, g.Scan(date)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := scanner.AppendCerts(nil, records)
+		if err := s.Append(date, records); err != nil {
+			t.Fatal(err)
+		}
+		for j, rec := range records {
+			if rec.Cert != fresh[j] {
+				rewritten++
+			}
+		}
+		if i == 2 {
+			if err := s.Snapshot(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if rewritten == 0 {
+		t.Fatal("staging rewrote no record's certificate")
+	}
+	_, rec := openStore(t, dir, 1000)
+	if rec.FromSnapshot == "" || rec.ReplayedBatches != len(dates)-3 || len(rec.Faults) != 0 {
+		t.Fatalf("recovery: %+v, want the snapshot and %d frames", rec, len(dates)-3)
+	}
+	if want, got := snapshotBytes(t, reference(t, g, 4)), snapshotBytes(t, rec.Dataset); !bytes.Equal(want, got) {
+		t.Fatal("recovered dataset not byte-identical to uninterrupted ingest")
+	}
+}
+
+// BenchmarkWALAppend encodes one 2 500-record synth scan's frame and writes
+// it to a file (no fsync): as the first frame after a rotation, when the
+// whole certificate table goes into it, and in the steady state, against a
+// dictionary that holds the scan before's certificates.
+func BenchmarkWALAppend(b *testing.B) {
+	g := synth.New(synth.Config{Domains: 2500, Seed: 1, Scans: 2})
+	dates := g.ScanDates()
+	prev, scan := g.Scan(dates[0]), g.Scan(dates[1])
+	prevCerts, certs := scanner.AppendCerts(nil, prev), scanner.AppendCerts(nil, scan)
+	f, err := os.Create(filepath.Join(b.TempDir(), LogName))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer f.Close()
+	for _, steady := range []bool{false, true} {
+		name := "first"
+		if steady {
+			name = "steady"
+		}
+		b.Run(name, func(b *testing.B) {
+			var dict scanner.CertDict
+			var frame []byte
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dict.Reset()
+				if steady {
+					frame = encodeFrame(frame[:0], &dict, 2, dates[0], prev, prevCerts)
+				}
+				b.StartTimer()
+				frame = encodeFrame(frame[:0], &dict, 3, dates[1], scan, certs)
+				if _, err := f.WriteAt(frame, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(frame)), "frame-B")
+			b.ReportMetric(float64(len(scan)), "records")
+		})
 	}
 }

@@ -48,7 +48,8 @@ test:
 # reader on a pinned ShardView while its shard unspills under it). The
 # root run takes the restart rows of the configuration table
 # (configurations_test.go): a durable daemon killed mid-feed under every
-# WAL fault class, recovered, and held under -race both to the
+# WAL fault class (and on two worlds with their evidence, so inspect and
+# pivot run), recovered, and held under -race both to the
 # uninterrupted daemon's canonical run report and to the single-goroutine
 # reference pipeline (reference_test.go).
 race:
@@ -69,21 +70,24 @@ race:
 # corpora, against the single-goroutine reference pipeline). Enough to
 # catch a freshly introduced data-shaped panic without stalling CI; run
 # `go test -fuzz=<target> ./internal/<pkg>` open-endedly when hunting.
+# Minimization is capped at one second an input: at the default 60 s, a
+# target that finds an input early spends the rest of its ten seconds
+# minimizing it (FuzzWALReplay: ~2 000 execs, against ~220 000 capped).
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz=FuzzParseName -fuzztime=10s ./internal/dnscore
-	$(GO) test -run='^$$' -fuzz=FuzzZonefileParse -fuzztime=10s ./internal/zonefiles
-	$(GO) test -run='^$$' -fuzz=FuzzChainVerify -fuzztime=10s ./internal/x509lite
-	$(GO) test -run='^$$' -fuzz=FuzzReportJSONRoundTrip -fuzztime=10s ./internal/report
-	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s ./internal/wal
-	$(GO) test -run='^$$' -fuzz=FuzzSnapshotFile -fuzztime=10s ./internal/wal
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeState -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz=FuzzSegmentReplay -fuzztime=10s ./internal/segment
-	$(GO) test -run='^$$' -fuzz=FuzzScanCSVRow -fuzztime=10s ./internal/scanner
-	$(GO) test -run='^$$' -fuzz=FuzzSynthCertSerial -fuzztime=10s ./internal/scanner
-	$(GO) test -run='^$$' -fuzz=FuzzDecodeWindow -fuzztime=10s ./internal/scanner
-	$(GO) test -run='^$$' -fuzz=FuzzVarintsMatchBinary -fuzztime=10s ./internal/wire
-	$(GO) test -run='^$$' -fuzz=FuzzDomainBody -fuzztime=10s ./internal/serve
-	$(GO) test -run='^$$' -fuzz=FuzzConfigurations -fuzztime=10s .
+	$(GO) test -run='^$$' -fuzz=FuzzParseName -fuzztime=10s -fuzzminimizetime=1s ./internal/dnscore
+	$(GO) test -run='^$$' -fuzz=FuzzZonefileParse -fuzztime=10s -fuzzminimizetime=1s ./internal/zonefiles
+	$(GO) test -run='^$$' -fuzz=FuzzChainVerify -fuzztime=10s -fuzzminimizetime=1s ./internal/x509lite
+	$(GO) test -run='^$$' -fuzz=FuzzReportJSONRoundTrip -fuzztime=10s -fuzzminimizetime=1s ./internal/report
+	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=10s -fuzzminimizetime=1s ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzSnapshotFile -fuzztime=10s -fuzzminimizetime=1s ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeState -fuzztime=10s -fuzzminimizetime=1s ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzSegmentReplay -fuzztime=10s -fuzzminimizetime=1s ./internal/segment
+	$(GO) test -run='^$$' -fuzz=FuzzScanCSVRow -fuzztime=10s -fuzzminimizetime=1s ./internal/scanner
+	$(GO) test -run='^$$' -fuzz=FuzzSynthCertSerial -fuzztime=10s -fuzzminimizetime=1s ./internal/scanner
+	$(GO) test -run='^$$' -fuzz=FuzzDecodeWindow -fuzztime=10s -fuzzminimizetime=1s ./internal/scanner
+	$(GO) test -run='^$$' -fuzz=FuzzVarintsMatchBinary -fuzztime=10s -fuzzminimizetime=1s ./internal/wire
+	$(GO) test -run='^$$' -fuzz=FuzzDomainBody -fuzztime=10s -fuzzminimizetime=1s ./internal/serve
+	$(GO) test -run='^$$' -fuzz=FuzzConfigurations -fuzztime=10s -fuzzminimizetime=1s .
 
 # The incremental-engine benchmarks: append+cached-rerun vs full rerun
 # (the headline >=10x), certificate-fingerprint memoization, the
@@ -162,12 +166,14 @@ bench-compare:
 smoke-bench:
 	./scripts/smoke_bench.sh
 
-# CPU profile of the classification hot path: one uncached pipeline run
-# over a 50k-domain synthetic corpus (no simulator in the profile). Open
-# with `go tool pprof $(BENCHDIR)/classify.pprof`.
+# CPU profile of the classification hot path: BenchmarkSynthClassify's
+# uncached pipeline runs over its 20k-domain synthetic corpus (no simulator
+# in the profile; a run takes ~7 ms on 2 vCPUs, so 100 of them give the
+# profiler ~70 samples where 3 gave two). Open with
+# `go tool pprof $(BENCHDIR)/classify.test $(BENCHDIR)/classify.pprof`.
 profile-classify:
 	mkdir -p $(BENCHDIR)
-	$(GO) run ./cmd/repro -synth-domains 50000 -cpuprofile $(BENCHDIR)/classify.pprof -quiet
+	$(GO) test -run '^$$' -bench '^BenchmarkSynthClassify$$' -benchtime 100x -o $(BENCHDIR)/classify.test -cpuprofile $(BENCHDIR)/classify.pprof .
 	@echo "profile written to $(BENCHDIR)/classify.pprof"
 
 # End-to-end daemon smoke: start retrodnsd on a small -follow world, poll

@@ -19,11 +19,9 @@ import (
 	"retrodns/internal/core"
 	"retrodns/internal/dnscore"
 	"retrodns/internal/obsv"
-	"retrodns/internal/pdns"
 	"retrodns/internal/report"
 	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
-	"retrodns/internal/synth"
 	"retrodns/internal/world"
 )
 
@@ -44,7 +42,6 @@ func main() {
 		cpuProf = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		repJSON = flag.String("report-json", "", "write the machine-readable run report to this file ('-' for stdout)")
-		synthN  = flag.Int("synth-domains", 0, "skip the simulator: classify a paper-shaped synthetic corpus of this many domains (profiling mode)")
 	)
 	flag.Parse()
 	if *cpuProf != "" {
@@ -74,26 +71,11 @@ func main() {
 			}
 		}()
 	}
-	if *synthN > 0 {
-		// Profiling mode: no simulator, no tables — just sharded ingest of
-		// the synthetic corpus and one uncached classification run, so a
-		// -cpuprofile is dominated by BuildMap/Classify rather than world
-		// generation. `make profile-classify` drives this path.
-		runSynthClassify(*synthN, *seed, *shards, *workers, *repJSON, *shortRn)
-		return
-	}
 	if *table == 0 && *figure == 0 && !*funnel && !*observ && !*counter {
 		*all = true
 	}
 
-	cfg := world.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.StableDomains = *stable
-	cfg.TransitionDomains = *stable * 3 / 100
-	cfg.NoisyDomains = *stable / 250
-	if cfg.NoisyDomains < 2 {
-		cfg.NoisyDomains = 2
-	}
+	cfg := world.StudyConfig(*seed, *stable)
 
 	progress := func(format string, args ...any) {
 		if !*shortRn {
@@ -120,7 +102,7 @@ func main() {
 	progress("%s; dataset: %d domains, %d records", w.Summary(), domains, records)
 
 	progress("running detection pipeline...")
-	res := w.Pipeline(ds, *workers, core.NewClassifyCache(), metrics).Run()
+	res := w.Sources().Pipeline(ds, *workers, core.NewClassifyCache(), metrics).Run()
 	progress("%s", res.Stats)
 
 	if *repJSON != "" {
@@ -204,7 +186,7 @@ func main() {
 		lockCfg.RegistryLockAll = true
 		lw := world.New(lockCfg)
 		lds := lw.Run()
-		lres := lw.Pipeline(lds, *workers, nil, nil).Run()
+		lres := lw.Sources().Pipeline(lds, *workers, nil, nil).Run()
 		truthHijacked := 0
 		for _, truth := range lw.TruthList() {
 			if truth.Kind == "hijacked" {
@@ -216,38 +198,6 @@ func main() {
 		emit(fmt.Sprintf("  hijacks still executed (provider): %d", truthHijacked))
 		emit(fmt.Sprintf("  hijacks the pipeline detects:      %d (pivot anchors gone)", len(lres.Hijacked)))
 		emit(fmt.Sprintf("  targeted verdicts:                 %d (stagings still visible)", len(lres.Targeted)))
-	}
-}
-
-// runSynthClassify materializes a synthetic corpus (internal/synth),
-// ingests it into a sharded dataset, and runs the uncached pipeline once,
-// printing the funnel and stage stats. The run report (when requested)
-// carries the same schema as the simulator path.
-func runSynthClassify(domains int, seed int64, shards, workers int, repJSON string, quiet bool) {
-	g := synth.New(synth.Config{Domains: domains, Seed: seed})
-	ds := scanner.NewDatasetShards(shards)
-	total := 0
-	for _, d := range g.ScanDates() {
-		batch := g.Scan(d)
-		total += len(batch)
-		if err := ds.AddScan(d, batch); err != nil {
-			fmt.Fprintln(os.Stderr, "synth ingest:", err)
-			os.Exit(1)
-		}
-	}
-	ds.Freeze()
-	if !quiet {
-		fmt.Fprintf(os.Stderr, "synth corpus: %d domains, %d records (seed %d, %d shards)\n", domains, total, seed, shards)
-	}
-	pipe := &core.Pipeline{Params: core.DefaultParams(), Dataset: ds, PDNS: pdns.NewDB(), Workers: workers}
-	res := pipe.Run()
-	fmt.Println(report.Funnel(res))
-	fmt.Print(res.Stats)
-	if repJSON != "" {
-		if err := report.BuildRunReport(res, ds.Quarantine(), nil).WriteFile(repJSON); err != nil {
-			fmt.Fprintln(os.Stderr, "report-json:", err)
-			os.Exit(1)
-		}
 	}
 }
 

@@ -20,10 +20,11 @@ import (
 	"retrodns/internal/core"
 	"retrodns/internal/dnscore"
 	"retrodns/internal/obsv"
-	"retrodns/internal/pdns"
 	"retrodns/internal/report"
 	"retrodns/internal/scanner"
+	"retrodns/internal/simtime"
 	"retrodns/internal/synth"
+	"retrodns/internal/wal"
 	"retrodns/internal/world"
 )
 
@@ -95,13 +96,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := world.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.StableDomains = *stable
-	cfg.TransitionDomains = *stable * 3 / 100
-	cfg.NoisyDomains = max(2, *stable/250)
-	cfg.PDNSCoverage = *coverage
-	cfg.Campaigns = !*noCampaigns
+	cfg := world.StudyConfig(*seed, *stable)
+	cfg.PDNSCoverage, cfg.Campaigns = *coverage, !*noCampaigns
 
 	fmt.Fprintf(os.Stderr, "building world (seed=%d stable=%d campaigns=%v)...\n", cfg.Seed, cfg.StableDomains, cfg.Campaigns)
 	w := world.New(cfg)
@@ -110,32 +106,25 @@ func main() {
 	var dataset *scanner.Dataset
 	if *follow {
 		// Incremental mode: advance the simulation clock once, then feed
-		// the scan series through Dataset.Append one scan at a time,
-		// re-running the cached pipeline after each — the production shape
-		// where analysis cost tracks the delta, not the corpus.
+		// the scan series through the store-less follow loop, one
+		// Dataset.Append and cached pipeline run per scan — the production
+		// shape where analysis cost tracks the delta, not the corpus.
 		w.RunClock()
 		checkWorldErrors(w)
-		sc := w.Scanner()
-		ds := scanner.NewDatasetShards(*shards)
-		dataset = ds
-		ds.SetStrict(*strict)
-		ds.SetMetrics(metrics)
-		configureSpill(ds, spill)
-		pipe := w.Pipeline(ds, *workers, core.NewClassifyCache(), metrics)
-		for _, date := range w.ScanDates() {
-			if err := ds.Append(date, sc.ScanWeek(date)); err != nil {
-				fmt.Fprintf(os.Stderr, "ingest %s: %v\n", date, err)
-				os.Exit(1)
-			}
-			res = pipe.Run()
-			fmt.Fprintf(os.Stderr, "scan %s: gen=%d dirty=%d hits=%d misses=%d hijacked=%d targeted=%d\n",
-				date, res.Stats.Generation, res.Stats.DirtyCells,
-				res.Stats.CacheHits, res.Stats.CacheMisses,
-				len(res.Hijacked), len(res.Targeted))
+		fl, err := wal.OpenFollow(wal.Options{Shards: *shards, Metrics: metrics, Spill: spill}, *strict, core.DefaultParams(), *workers, w.Sources())
+		if err == nil {
+			err = fl.RunScans(context.Background(), w.Scanner().ScanWeek, w.ScanDates(), 0, func(date simtime.Date, res *core.Result) {
+				fmt.Fprintf(os.Stderr, "scan %s: gen=%d dirty=%d hits=%d misses=%d hijacked=%d targeted=%d\n",
+					date, res.Stats.Generation, res.Stats.DirtyCells,
+					res.Stats.CacheHits, res.Stats.CacheMisses,
+					len(res.Hijacked), len(res.Targeted))
+			})
 		}
-		if q := ds.Quarantine(); q.Total > 0 {
-			fmt.Fprintln(os.Stderr, q)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "follow:", err)
+			os.Exit(1)
 		}
+		res, dataset = fl.Result, fl.Dataset
 		fmt.Fprintln(os.Stderr, w.Summary())
 	} else {
 		ds := w.RunShards(*shards, metrics)
@@ -152,8 +141,7 @@ func main() {
 		}
 		fmt.Fprintln(os.Stderr, w.Summary())
 		configureSpill(ds, spill)
-		pipe := w.Pipeline(ds, *workers, core.NewClassifyCache(), metrics)
-		res = pipe.Run()
+		res = w.Sources().Pipeline(ds, *workers, core.NewClassifyCache(), metrics).Run()
 	}
 	fmt.Fprint(os.Stderr, res.Stats)
 
@@ -199,8 +187,8 @@ type synthRun struct {
 
 // runSynth ingests a paper-scale synthetic corpus (internal/synth) through
 // the sharded dataset and runs the classification funnel over it. There is
-// no simulated world behind the records, so the auxiliary data sources are
-// empty and -eval is meaningless here; the mode exists to exercise — and
+// no simulated world behind the records, so the pipeline has no evidence
+// (the zero core.Sources) and -eval is meaningless here; the mode exists to exercise — and
 // measure — the ingest spine and classifier at corpus sizes the behavioral
 // simulation cannot reach.
 func runSynth(cfg synthRun, metrics *obsv.Registry) {
@@ -254,11 +242,7 @@ func runSynth(cfg synthRun, metrics *obsv.Registry) {
 		return
 	}
 
-	pipe := &core.Pipeline{
-		Params: core.DefaultParams(), Dataset: ds,
-		PDNS: pdns.NewDB(), Workers: cfg.workers,
-		Cache: core.NewClassifyCache(), Metrics: metrics,
-	}
+	pipe := core.Sources{}.Pipeline(ds, cfg.workers, core.NewClassifyCache(), metrics)
 	if cfg.load {
 		// One-shot classify of a restored corpus: the incremental cache
 		// only pays off across repeated runs, and retaining a cached

@@ -10,7 +10,14 @@
 //
 //	retrodnsd -listen :8080                  # analyze once, serve forever
 //	retrodnsd -listen :8080 -follow          # re-analyze and swap after every scan
+//	retrodnsd -data-dir d                    # the same, durable, with warm restarts
 //	retrodnsd -data-dir d -scans-csv s.csv   # durable CSV ingest with warm restarts
+//
+// Every mode but the first ingests scan by scan through wal.Follow. A world
+// is analyzed with its evidence (pDNS, CT, IP metadata, DNSSEC), rebuilt
+// from -seed and -stable at every start; a data dir does not record them,
+// so a restart must pass the same ones. A scans.csv carries no evidence.
+//
 //	curl localhost:8080/v1/healthz
 //	curl localhost:8080/v1/funnel
 //	curl localhost:8080/v1/shortlist
@@ -74,16 +81,13 @@ func run() error {
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this side address (off by default; never on -listen)")
 		dataDir     = flag.String("data-dir", "", "durable state directory (WAL + snapshots); enables warm restarts")
 		scansCSV    = flag.String("scans-csv", "", "ingest scan records from this CSV file instead of simulating a world")
-		shards      = flag.Int("shards", scanner.DefaultShards, "dataset shard count for CSV ingest (a recovered snapshot's own count wins)")
+		shards      = flag.Int("shards", scanner.DefaultShards, "dataset shard count (a recovered snapshot's own count wins)")
 		snapEvery   = flag.Int("snapshot-every", 4, "appends between automatic snapshots in -data-dir mode")
 		spillDir    = flag.String("spill-dir", "", "segment-store directory for the out-of-core corpus (enables cold-shard spill; -data-dir mode only)")
 		memBudgetMB = flag.Int("mem-budget-mb", -1, "resident corpus budget in MiB: <0 unlimited, 0 spill every frozen shard, >0 ceiling (requires -spill-dir)")
 		spillMode   = flag.String("spill-read-mode", "auto", "how spilled segments are read: auto (mmap where the platform has it) or stream")
 	)
 	flag.Parse()
-	if *dataDir != "" && *scansCSV == "" {
-		return fmt.Errorf("-data-dir requires -scans-csv (durable mode ingests a CSV feed)")
-	}
 	spill, err := scanner.SpillFlags(*spillDir, *memBudgetMB, *spillMode)
 	if err != nil {
 		return err
@@ -143,27 +147,13 @@ func run() error {
 
 	// Ingest on the main goroutine: the daemon serves whatever snapshot is
 	// current while this loop advances it.
-	var (
-		res *core.Result
-		ds  *scanner.Dataset
-		fl  *wal.Follow
-	)
-	if *scansCSV != "" {
-		fl, err = wal.OpenFollow(wal.Options{
-			Dir: *dataDir, Shards: *shards, SnapshotEvery: *snapEvery,
-			Metrics: metrics, Spill: spill,
-		}, *strict, core.DefaultParams(), *workers)
-		if err == nil {
-			err = followCSV(ctx, engine, fl, *scansCSV, *follow, *interval)
-			res, ds = fl.Result, fl.Dataset
-		}
-	} else {
-		res, ds, err = ingest(ctx, engine, metrics, ingestConfig{
-			seed: *seed, stable: *stable, campaigns: !*noCampaigns,
-			coverage: *coverage, workers: *workers, strict: *strict,
-			follow: *follow, interval: *interval,
-		})
-	}
+	wcfg := world.StudyConfig(*seed, *stable)
+	wcfg.PDNSCoverage, wcfg.Campaigns = *coverage, !*noCampaigns
+	fl, res, ds, err := ingest(ctx, engine, metrics, ingestConfig{
+		world: wcfg, scansCSV: *scansCSV, workers: *workers, strict: *strict,
+		follow: *follow, interval: *interval,
+		wal: wal.Options{Dir: *dataDir, Shards: *shards, SnapshotEvery: *snapEvery, Spill: spill},
+	})
 	if err != nil {
 		fl.Close()
 		return err
@@ -277,92 +267,97 @@ func servePprof(addr string) (string, func(context.Context) error, error) {
 }
 
 type ingestConfig struct {
-	seed      int64
-	stable    int
-	campaigns bool
-	coverage  float64
-	workers   int
-	strict    bool
-	follow    bool
-	interval  time.Duration
+	world    world.Config // the simulated study, unless scansCSV names a feed
+	scansCSV string
+	wal      wal.Options // no Dir: the loop runs without a store
+	workers  int
+	strict   bool
+	follow   bool
+	interval time.Duration
 }
 
-// ingest builds the world and drives it through the pipeline, publishing
-// a snapshot per generation (-follow) or once for the whole corpus. It
-// returns the final result and dataset for the shutdown report; a nil
-// result means the context was cancelled before the first analysis.
-func ingest(ctx context.Context, engine *serve.Engine, metrics *obsv.Registry, cfg ingestConfig) (*core.Result, *scanner.Dataset, error) {
-	wcfg := world.DefaultConfig()
-	wcfg.Seed = cfg.seed
-	wcfg.StableDomains = cfg.stable
-	wcfg.TransitionDomains = cfg.stable * 3 / 100
-	wcfg.NoisyDomains = max(2, cfg.stable/250)
-	wcfg.PDNSCoverage = cfg.coverage
-	wcfg.Campaigns = cfg.campaigns
-
-	fmt.Fprintf(os.Stderr, "building world (seed=%d stable=%d campaigns=%v)...\n", wcfg.Seed, wcfg.StableDomains, wcfg.Campaigns)
-	w := world.New(wcfg)
-
-	if !cfg.follow {
-		ds := w.RunShards(scanner.DefaultShards, metrics)
-		if err := w.Err(); err != nil {
-			return nil, nil, err
+// ingest analyzes the world once over its bulk-ingested scans or, with
+// -follow, -data-dir or -scans-csv, runs the durable follow loop over the
+// world's weekly scans or the CSV feed, publishing a snapshot per
+// generation. It returns the loop (nil in bulk mode) and the final result
+// and dataset for the shutdown report; a nil result means the context was
+// cancelled before the first analysis.
+func ingest(ctx context.Context, engine *serve.Engine, metrics *obsv.Registry, cfg ingestConfig) (*wal.Follow, *core.Result, *scanner.Dataset, error) {
+	var w *world.World
+	var src core.Sources
+	if cfg.scansCSV == "" {
+		fmt.Fprintf(os.Stderr, "building world (seed=%d stable=%d campaigns=%v)...\n", cfg.world.Seed, cfg.world.StableDomains, cfg.world.Campaigns)
+		w = world.New(cfg.world)
+		if !cfg.follow && cfg.wal.Dir == "" {
+			res, ds, err := analyzeWorld(engine, metrics, w, cfg)
+			return nil, res, ds, err
 		}
+		w.RunClock()
+		if err := w.Err(); err != nil {
+			return nil, nil, nil, err
+		}
+		src = w.Sources()
+	}
+	cfg.wal.Metrics = metrics
+	fl, err := wal.OpenFollow(cfg.wal, cfg.strict, core.DefaultParams(), cfg.workers, src)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	ds, rec := fl.Dataset, fl.Recovery
+	if fl.Result != nil { // a warm boot
+		// The API answers from the pre-crash state before the feed
+		// advances it.
+		engine.Publish(serve.BuildSnapshot(fl.Result, ds, snapshotStamp(ds)))
+		fmt.Fprintf(os.Stderr, "published recovered snapshot gen=%d (snapshot=%q replayed=%d faults=%v)\n",
+			rec.Generation, rec.FromSnapshot, rec.ReplayedBatches, rec.Faults)
+	}
+	publish := func(date simtime.Date, res *core.Result) {
+		engine.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
+		fmt.Fprintf(os.Stderr, "scan %s: published gen=%d dirty=%d hijacked=%d targeted=%d\n",
+			date, ds.Generation(), res.Stats.DirtyCells, len(res.Hijacked), len(res.Targeted))
+	}
+	// The pause applies to bounded input too: it is what gives the chaos
+	// harness a window to kill the daemon mid-ingest.
+	what := "study replay"
+	if w != nil {
+		err = fl.RunScans(ctx, w.Scanner().ScanWeek, w.ScanDates(), cfg.interval, publish)
+	} else {
+		what = "csv feed"
+		var f *os.File
+		if f, err = os.Open(cfg.scansCSV); err == nil {
+			err = fl.Run(ctx, f, cfg.follow, cfg.interval, publish)
+			f.Close()
+		}
+	}
+	if err != nil {
+		err = fmt.Errorf("%s: %w", what, err)
+	} else if ctx.Err() == nil {
 		if q := ds.Quarantine(); q.Total > 0 {
 			fmt.Fprintln(os.Stderr, q)
-			if cfg.strict {
-				return nil, nil, fmt.Errorf("strict: refusing to analyze a partially-malformed feed")
-			}
 		}
-		res := w.Pipeline(ds, cfg.workers, core.NewClassifyCache(), metrics).Run()
-		engine.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
-		fmt.Fprintf(os.Stderr, "published snapshot gen=%d hijacked=%d targeted=%d\n",
-			ds.Generation(), len(res.Hijacked), len(res.Targeted))
-		return res, ds, nil
+		fmt.Fprintf(os.Stderr, "%s complete; serving final snapshot\n", what)
 	}
+	return fl, fl.Result, ds, err
+}
 
-	w.RunClock()
+// analyzeWorld analyzes the world's whole study in one bulk pass and
+// publishes the result once.
+func analyzeWorld(engine *serve.Engine, metrics *obsv.Registry, w *world.World, cfg ingestConfig) (*core.Result, *scanner.Dataset, error) {
+	ds := w.RunShards(cfg.wal.Shards, metrics)
 	if err := w.Err(); err != nil {
 		return nil, nil, err
 	}
-	sc := w.Scanner()
-	ds := scanner.NewDataset()
-	ds.SetStrict(cfg.strict)
-	ds.SetMetrics(metrics)
-	pipe := w.Pipeline(ds, cfg.workers, core.NewClassifyCache(), metrics)
-
-	var res *core.Result
-	for _, date := range w.ScanDates() {
-		select {
-		case <-ctx.Done():
-			return res, ds, nil
-		default:
-		}
-		if err := ds.Append(date, sc.ScanWeek(date)); err != nil {
-			return res, ds, fmt.Errorf("ingest %s: %w", date, err)
-		}
-		res = pipe.Run()
-		publishScan(engine, date, res, ds)
-		if cfg.interval > 0 {
-			select {
-			case <-ctx.Done():
-				return res, ds, nil
-			case <-time.After(cfg.interval):
-			}
-		}
-	}
 	if q := ds.Quarantine(); q.Total > 0 {
 		fmt.Fprintln(os.Stderr, q)
+		if cfg.strict {
+			return nil, nil, fmt.Errorf("strict: refusing to analyze a partially-malformed feed")
+		}
 	}
-	fmt.Fprintln(os.Stderr, "study replay complete; serving final snapshot")
-	return res, ds, nil
-}
-
-// publishScan publishes the analysis of the scan just appended.
-func publishScan(engine *serve.Engine, date simtime.Date, res *core.Result, ds *scanner.Dataset) {
+	res := w.Sources().Pipeline(ds, cfg.workers, core.NewClassifyCache(), metrics).Run()
 	engine.Publish(serve.BuildSnapshot(res, ds, snapshotStamp(ds)))
-	fmt.Fprintf(os.Stderr, "scan %s: published gen=%d dirty=%d hijacked=%d targeted=%d\n",
-		date, ds.Generation(), res.Stats.DirtyCells, len(res.Hijacked), len(res.Targeted))
+	fmt.Fprintf(os.Stderr, "published snapshot gen=%d hijacked=%d targeted=%d\n",
+		ds.Generation(), len(res.Hijacked), len(res.Targeted))
+	return res, ds, nil
 }
 
 // snapshotStamp derives the published snapshot's Built instant from the
@@ -374,39 +369,6 @@ func snapshotStamp(ds *scanner.Dataset) time.Time {
 		return date.Time()
 	}
 	return simtime.StudyStart.Time()
-}
-
-// followCSV runs the durable follow loop over the -scans-csv feed. A warm
-// boot republishes the recovered generation first, so the API answers from
-// the pre-crash state before the feed advances it; then every appended
-// scan publishes a snapshot.
-func followCSV(ctx context.Context, engine *serve.Engine, fl *wal.Follow, path string, follow bool, interval time.Duration) error {
-	ds, rec := fl.Dataset, fl.Recovery
-	if fl.Result != nil { // a warm boot
-		engine.Publish(serve.BuildSnapshot(fl.Result, ds, snapshotStamp(ds)))
-		fmt.Fprintf(os.Stderr, "published recovered snapshot gen=%d (snapshot=%q replayed=%d faults=%v)\n",
-			rec.Generation, rec.FromSnapshot, rec.ReplayedBatches, rec.Faults)
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	// The pause applies to bounded input too: it is what gives the chaos
-	// harness a window to kill the daemon mid-ingest.
-	err = fl.Run(ctx, f, follow, interval, func(date simtime.Date, res *core.Result) {
-		publishScan(engine, date, res, ds)
-	})
-	if err != nil {
-		return fmt.Errorf("ingest %s: %w", path, err)
-	}
-	if ctx.Err() == nil {
-		if q := ds.Quarantine(); q.Total > 0 {
-			fmt.Fprintln(os.Stderr, q)
-		}
-		fmt.Fprintln(os.Stderr, "csv feed complete; serving final snapshot")
-	}
-	return nil
 }
 
 // writeRunReport emits the run report with the serving section attached —

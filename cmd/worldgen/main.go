@@ -52,11 +52,7 @@ func main() {
 		return
 	}
 
-	cfg := world.DefaultConfig()
-	cfg.Seed = *seed
-	cfg.StableDomains = *stable
-	cfg.TransitionDomains = *stable * 3 / 100
-	cfg.NoisyDomains = max(2, *stable/250)
+	cfg := world.StudyConfig(*seed, *stable)
 
 	fmt.Fprintf(os.Stderr, "generating world (seed %d)...\n", cfg.Seed)
 	w := world.New(cfg)

@@ -19,7 +19,6 @@ import (
 	"retrodns/internal/dnscore"
 	"retrodns/internal/faults"
 	"retrodns/internal/obsv"
-	"retrodns/internal/pdns"
 	"retrodns/internal/report"
 	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
@@ -95,14 +94,14 @@ func corpus(t testing.TB, spec corpusSpec, memo bool) *studyInput {
 		w := world.New(world.Config{Seed: spec.worldSeed, StableDomains: spec.stable, Campaigns: true, PDNSCoverage: 1})
 		w.RunClock()
 		must(t, w.Err())
-		s = &studyInput{meta: w.Meta, pdns: w.PDNSDB, ct: w.CT, dnssec: w.SecLog, dates: w.ScanDates()}
+		s = &studyInput{src: w.Sources(), dates: w.ScanDates()}
 		sc := w.Scanner()
 		for _, d := range s.dates {
 			s.scans = append(s.scans, sc.ScanWeek(d))
 		}
 	} else {
 		g := synth.New(spec.synth)
-		s = &studyInput{pdns: pdns.NewDB(), dates: g.ScanDates()}
+		s = &studyInput{dates: g.ScanDates()}
 		for _, d := range s.dates {
 			s.scans = append(s.scans, g.Scan(d))
 		}
@@ -291,10 +290,8 @@ func runConfig(t *testing.T, cfg config, s *studyInput) outcome {
 		}
 		must(t, ds.ConfigureSpill(scanner.SpillOptions{Dir: t.TempDir(), BudgetBytes: budget}))
 	}
-	pipe := &core.Pipeline{
-		Params: params(cfg.stitch), Dataset: ds, Meta: s.meta,
-		PDNS: s.pdns, CT: s.ct, DNSSEC: s.dnssec, Workers: cfg.workers,
-	}
+	pipe := s.src.Pipeline(ds, cfg.workers, nil, nil)
+	pipe.Params = params(cfg.stitch)
 	if cfg.cache != "" {
 		pipe.Cache = core.NewClassifyCache()
 	}
@@ -557,14 +554,14 @@ var walFaults = func() []walFault {
 }()
 
 // runDaemonPhase is one retrodnsd lifetime: a wal.Follow over opts with a
-// fresh metrics registry. stopAfter > 0 kills it after that many appends,
-// the store never closed. A completed phase's canonical report embeds the
-// registry, as the chaos harness compares it.
-func runDaemonPhase(t *testing.T, cfg config, opts wal.Options, feed []byte, stopAfter int) (outcome, *wal.Recovery, uint64) {
+// fresh metrics registry and src's evidence. stopAfter > 0 kills it after
+// that many appends, the store never closed. A completed phase's canonical
+// report embeds the registry, as the chaos harness compares it.
+func runDaemonPhase(t *testing.T, cfg config, opts wal.Options, src core.Sources, feed []byte, stopAfter int) (outcome, *wal.Recovery, uint64) {
 	t.Helper()
 	reg := obsv.NewRegistry()
 	opts.Metrics = reg
-	fl, err := wal.OpenFollow(opts, false, params(cfg.stitch), cfg.workers)
+	fl, err := wal.OpenFollow(opts, false, params(cfg.stitch), cfg.workers, src)
 	must(t, err)
 	ctx, kill := context.WithCancel(context.Background())
 	defer kill()
@@ -609,7 +606,7 @@ func runRestart(t *testing.T, cfg config, s *studyInput) outcome {
 		if fault.Snapshots {
 			opts.SnapshotEvery = cfg.killAt
 		}
-		_, _, killedGen = runDaemonPhase(t, cfg, opts, feed, cfg.killAt)
+		_, _, killedGen = runDaemonPhase(t, cfg, opts, s.src, feed, cfg.killAt)
 		opts.SnapshotEvery = 2
 		if fault.stage == nil {
 			must(t, fault.Damage(opts))
@@ -621,7 +618,7 @@ func runRestart(t *testing.T, cfg config, s *studyInput) outcome {
 		}
 	}
 
-	out, rec, gen := runDaemonPhase(t, cfg, opts, feed, 0)
+	out, rec, gen := runDaemonPhase(t, cfg, opts, s.src, feed, 0)
 	if gen != uint64(len(s.dates))+1 {
 		t.Fatalf("final generation %d, want %d", gen, len(s.dates)+1)
 	}
@@ -660,8 +657,8 @@ func runRestart(t *testing.T, cfg config, s *studyInput) outcome {
 // certificate dictionary, as the reopened donor's first frame does.
 func stagedFrame(t *testing.T, cfg config, feed []byte) []byte {
 	donor := wal.Options{Dir: t.TempDir(), Shards: 1, SnapshotEvery: 1000}
-	runDaemonPhase(t, cfg, donor, feed, cfg.killAt)
-	runDaemonPhase(t, cfg, donor, feed, 1)
+	runDaemonPhase(t, cfg, donor, core.Sources{}, feed, cfg.killAt)
+	runDaemonPhase(t, cfg, donor, core.Sources{}, feed, 1)
 	log, err := os.ReadFile(filepath.Join(donor.Dir, wal.LogName))
 	must(t, err)
 	errFound := errors.New("found")
@@ -791,6 +788,19 @@ func configTable() map[string][]config {
 				c.killAt = 2
 			}
 			c.group, c.name = fmt.Sprintf("shards=%d", shards), fault.Name
+			tbl["TestWarmRestartBytesIdentical"] = append(tbl["TestWarmRestartBytesIdentical"], c)
+		}
+	}
+	// The same daemon fed a world's scans.csv with the world's evidence, so
+	// the inspect and pivot steps fire: uninterrupted, and killed midway
+	// into a recovery from its snapshot and one that replays its log.
+	for _, corpus := range []corpusSpec{world2, world3} {
+		for _, fault := range []string{"uninterrupted", "kill", "torn"} {
+			c := config{corpus: corpus, shards: 8, workers: 2, cache: "warm", ingest: "in-order", restart: fault, records: "csv"}
+			if fault != "uninterrupted" {
+				c.killAt = 100
+			}
+			c.group, c.name = fmt.Sprintf("world%d", corpus.worldSeed), fault
 			tbl["TestWarmRestartBytesIdentical"] = append(tbl["TestWarmRestartBytesIdentical"], c)
 		}
 	}

@@ -91,7 +91,7 @@ func followStudy(metricsAddr string) {
 
 	ds := scanner.NewDataset()
 	ds.SetMetrics(metrics)
-	pipe := w.Pipeline(ds, 0, core.NewClassifyCache(), metrics)
+	pipe := w.Sources().Pipeline(ds, 0, core.NewClassifyCache(), metrics)
 
 	seen := make(map[dnscore.Name]bool)
 	var res *core.Result

@@ -36,7 +36,7 @@ func main() {
 
 	// The paper's methodology: deployment maps → pattern classification →
 	// shortlist → inspection against pDNS and CT → pivot.
-	res := w.Pipeline(dataset, 0, nil, nil).Run()
+	res := w.Sources().Pipeline(dataset, 0, nil, nil).Run()
 
 	fmt.Println(report.Funnel(res))
 	fmt.Printf("first five hijacked findings:\n")

@@ -50,6 +50,32 @@ type Pipeline struct {
 	Metrics *obsv.Registry
 }
 
+// Sources is the evidence the §4.4 inspect and §4.5 pivot steps read beside
+// the scan dataset, as every driver hands it to a pipeline. The zero value
+// is no evidence, which leaves a run §4 steps 1–3.
+type Sources struct {
+	Meta   *ipmeta.Directory
+	PDNS   *pdns.DB
+	CT     *ctlog.Log
+	DNSSEC *dnssecmon.Log
+}
+
+// Pipeline wires a default-parameter pipeline over ds with s as its
+// evidence and attaches s's pDNS and CT query counters to metrics: the one
+// place evidence reaches a pipeline, so no driver drops a source. cache and
+// metrics may be nil; workers <= 0 means GOMAXPROCS.
+func (s Sources) Pipeline(ds *scanner.Dataset, workers int, cache *ClassifyCache, metrics *obsv.Registry) *Pipeline {
+	s.PDNS.SetMetrics(metrics)
+	if s.CT != nil {
+		s.CT.SetMetrics(metrics)
+	}
+	return &Pipeline{
+		Params: DefaultParams(), Dataset: ds, Meta: s.Meta,
+		PDNS: s.PDNS, CT: s.CT, DNSSEC: s.DNSSEC,
+		Workers: workers, Cache: cache, Metrics: metrics,
+	}
+}
+
 // periodScans is each analyzed period's scan roster, by period.
 type periodScans [simtime.NumPeriods][]simtime.Date
 

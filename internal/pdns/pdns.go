@@ -48,7 +48,8 @@ func (e Entry) String() string {
 }
 
 // DB is the aggregated passive-DNS database with forward and reverse
-// indexes. It is safe for concurrent use.
+// indexes. It is safe for concurrent use. A nil *DB answers every query
+// empty, so a pipeline without passive DNS needs no placeholder.
 type DB struct {
 	mu     sync.RWMutex
 	rows   map[Key]*Entry
@@ -79,6 +80,9 @@ const (
 // retrodns_pdns_lookups_total by kind, and retrodns_pdns_rows gauges
 // the aggregated corpus. A nil registry detaches.
 func (d *DB) SetMetrics(reg *obsv.Registry) {
+	if d == nil {
+		return
+	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if reg == nil {
@@ -132,6 +136,9 @@ func (d *DB) Record(date simtime.Date, name dnscore.Name, typ dnscore.Type, data
 
 // Rows returns the number of aggregated rows.
 func (d *DB) Rows() int {
+	if d == nil {
+		return 0
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	return d.n
@@ -140,6 +147,9 @@ func (d *DB) Rows() int {
 // All returns every aggregated row, sorted by name then first-seen; used
 // by exporters.
 func (d *DB) All() []Entry {
+	if d == nil {
+		return nil
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	out := make([]Entry, 0, d.n)
@@ -161,6 +171,9 @@ func (d *DB) All() []Entry {
 // Resolutions returns every row for (name, typ), sorted by first-seen.
 // A typ of 0 matches all types.
 func (d *DB) Resolutions(name dnscore.Name, typ dnscore.Type) []Entry {
+	if d == nil {
+		return nil
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	d.metResolutions.Inc()
@@ -184,6 +197,9 @@ func (d *DB) NSHistory(domain dnscore.Name) []Entry {
 // for A rows, a nameserver name for NS rows) — the pivot query: which other
 // domains used this attacker IP or nameserver?
 func (d *DB) WhoResolvedTo(data string) []Entry {
+	if d == nil {
+		return nil
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	d.metWhoResolvedTo.Inc()
@@ -202,6 +218,9 @@ func (d *DB) WhoResolvedTo(data string) []Entry {
 // query directly; only suffix-level queries (a TLD, a public suffix) fall
 // back to scanning every name.
 func (d *DB) SubdomainResolutions(domain dnscore.Name) []Entry {
+	if d == nil {
+		return nil
+	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	d.metSubdomain.Inc()

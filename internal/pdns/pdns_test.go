@@ -7,6 +7,7 @@ import (
 
 	"retrodns/internal/dnscore"
 	"retrodns/internal/dnsserver"
+	"retrodns/internal/obsv"
 )
 
 func TestRecordAggregation(t *testing.T) {
@@ -181,5 +182,27 @@ func TestStrings(t *testing.T) {
 	e := db.Resolutions("a.com", dnscore.TypeA)[0]
 	if !strings.Contains(e.String(), "a.com") || !strings.Contains(db.String(), "1 rows") {
 		t.Error("String output wrong")
+	}
+}
+
+// A nil DB is an empty one: every query answers nothing and attaching
+// metrics is a no-op, so a pipeline without passive DNS passes nil.
+func TestNilDBAnswersEmpty(t *testing.T) {
+	var db *DB
+	db.SetMetrics(obsv.NewRegistry())
+	db.SetMetrics(nil)
+	if db.Rows() != 0 || db.All() != nil {
+		t.Fatalf("nil DB holds rows: %d, %v", db.Rows(), db.All())
+	}
+	for what, got := range map[string][]Entry{
+		"Resolutions":                      db.Resolutions("a.com", 0),
+		"NSHistory":                        db.NSHistory("a.com"),
+		"WhoResolvedTo":                    db.WhoResolvedTo("1.1.1.1"),
+		"SubdomainResolutions":             db.SubdomainResolutions("a.com"),
+		"SubdomainResolutions of a suffix": db.SubdomainResolutions("com"),
+	} {
+		if got != nil {
+			t.Errorf("%s on a nil DB = %v", what, got)
+		}
 	}
 }

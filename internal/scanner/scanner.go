@@ -168,42 +168,6 @@ func (s *Scanner) ScanWeek(date simtime.Date) []*Record {
 	return records
 }
 
-// RunStudy scans every weekly scan date in [from, to) and returns the
-// accumulated dataset.
-func (s *Scanner) RunStudy(from, to simtime.Date) *Dataset {
-	return s.RunStudyEvery(from, to, simtime.DaysPerWeek)
-}
-
-// RunStudyEvery scans at an arbitrary cadence — the paper's study period
-// had weekly Censys scans, but Censys moved to daily scans in April 2021
-// (footnote 9), and the cadence materially changes how observable
-// short-lived attacker infrastructure is.
-func (s *Scanner) RunStudyEvery(from, to simtime.Date, everyDays int) *Dataset {
-	ds := NewDataset()
-	s.RunStudyEveryInto(ds, from, to, everyDays)
-	return ds
-}
-
-// RunStudyEveryInto runs the same scan series into a caller-provided
-// dataset, so the accumulator's shard count (NewDatasetShards) and strict
-// mode can be chosen up front.
-func (s *Scanner) RunStudyEveryInto(ds *Dataset, from, to simtime.Date, everyDays int) {
-	if everyDays < 1 {
-		everyDays = 1
-	}
-	start := from
-	if start < simtime.StudyStart {
-		start = simtime.StudyStart
-	}
-	end := to
-	if end > simtime.StudyEnd {
-		end = simtime.StudyEnd
-	}
-	for date := start; date < end; date += simtime.Date(everyDays) {
-		ds.AddScan(date, s.ScanWeek(date))
-	}
-}
-
 // DirtyCell identifies one (domain, period) analysis cell that gained
 // records since some generation — the unit of cache invalidation in the
 // incremental pipeline.

@@ -157,9 +157,21 @@ func TestScanSeesTransientOnlyInWindow(t *testing.T) {
 	}
 }
 
+// runStudy scans every weekly scan date in [from, to) into a dataset.
+func runStudy(t *testing.T, s *Scanner, from, to simtime.Date) *Dataset {
+	t.Helper()
+	ds := NewDataset()
+	for date := from; date < to; date += simtime.DaysPerWeek {
+		if err := ds.AddScan(date, s.ScanWeek(date)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ds
+}
+
 func TestRunStudyDataset(t *testing.T) {
 	f := setup(t)
-	ds := f.scanner.RunStudy(0, 100)
+	ds := runStudy(t, f.scanner, 0, 100)
 	domains, records := ds.Size()
 	if domains != 1 {
 		t.Fatalf("domains = %d", domains)
@@ -268,7 +280,7 @@ func TestFreezeIndexEquivalence(t *testing.T) {
 
 func TestFrozenAddScanPanics(t *testing.T) {
 	f := setup(t)
-	ds := f.scanner.RunStudy(0, 30)
+	ds := runStudy(t, f.scanner, 0, 30)
 	ds.Freeze()
 	defer func() {
 		if recover() == nil {
@@ -282,7 +294,7 @@ func TestFrozenAddScanPanics(t *testing.T) {
 // goroutines; run under -race by the ci target.
 func TestDatasetConcurrentReads(t *testing.T) {
 	f := setup(t)
-	ds := f.scanner.RunStudy(0, 200)
+	ds := runStudy(t, f.scanner, 0, 200)
 	ds.Freeze()
 	domains := ds.Domains()
 	var wg sync.WaitGroup

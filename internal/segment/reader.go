@@ -142,7 +142,38 @@ func (r *Reader) parse(data []byte) error {
 	if err := p.Finish(); err != nil {
 		return badSegment(err)
 	}
+	if err := r.checkEntries(); err != nil {
+		return badSegment(err)
+	}
 	return nil
+}
+
+// checkEntries holds the entries region to what Get's search over the
+// anchors assumes: count entries in strictly increasing key order, each
+// anchor at the entry it names.
+func (r *Reader) checkEntries() error {
+	e := wire.NewReader(r.entries)
+	var prev []byte
+	n := 0
+	for ; e.Len() > 0; n++ {
+		off := e.Offset()
+		key := e.Section()
+		e.Section()
+		switch a := n / anchorEvery; {
+		case e.Err() != nil:
+		case n >= r.count:
+			e.Fail("entry count")
+		case n > 0 && string(key) <= string(prev):
+			e.Fail("entry order")
+		case n%anchorEvery == 0 && (r.anchors[a].off != uint64(off) || r.anchors[a].key != string(key)):
+			e.Fail("anchor placement")
+		}
+		prev = key
+	}
+	if n != r.count {
+		e.Fail("entry count")
+	}
+	return e.Finish()
 }
 
 // Open verifies and indexes an in-memory segment image (a full framed

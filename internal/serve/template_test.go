@@ -88,7 +88,7 @@ func TestTemplatedBodiesMatchReference(t *testing.T) {
 		if err := w.Err(); err != nil {
 			t.Fatal(err)
 		}
-		res := w.Pipeline(ds, 0, nil, nil).Run()
+		res := w.Sources().Pipeline(ds, 0, nil, nil).Run()
 		snap := requireBodiesMatchReference(t, res, ds)
 
 		// The world must actually exercise every shape of document.

@@ -1,6 +1,7 @@
 package wal
 
-// Feeder turns a scans.csv stream into gated Dataset.Append batches. The
+// Feeder turns a stream of scan records — a scans.csv file, or the weekly
+// scans of a simulated world — into gated Dataset.Append batches. The
 // gates exist so that garbage on the wire never reaches the dataset: a
 // record Append would quarantine, a batch dated outside the study window,
 // or a scan date already ingested all divert into retrodns_feed_* counters
@@ -38,13 +39,18 @@ var feedReasons = []string{
 	FeedBadRow, FeedTruncatedTail, FeedBadRecord, FeedClockSkew, FeedDuplicateScan,
 }
 
-// Feeder reads scans.csv rows, groups consecutive same-date rows into
+// Feeder reads records, groups consecutive same-date records into
 // batches, gates them, and appends clean batches through the store (or
-// straight into the dataset when store is nil).
+// straight into the dataset when store is nil). The records come from a
+// scans.csv stream (csv) or from scan, called for each of dates in turn.
 type Feeder struct {
 	csv   *scanner.ScanCSV
 	ds    *scanner.Dataset
 	store *Store
+
+	scan  func(simtime.Date) []*scanner.Record
+	dates []simtime.Date // still to scan; a date the dataset holds is skipped
+	batch []*scanner.Record
 
 	pendingDate simtime.Date
 	pending     []*scanner.Record
@@ -60,8 +66,16 @@ type Feeder struct {
 // the dataset already holds — the restart case — are pre-marked seen, so
 // re-reading the file from the top converges instead of double-appending.
 func NewFeeder(src io.Reader, ds *scanner.Dataset, store *Store, reg *obsv.Registry) *Feeder {
+	f := newFeeder(ds, store, reg)
+	f.csv = scanner.NewScanCSV(src)
+	f.csv.OnQuarantine = func(reason, detail string) {
+		f.quarantine(reason, 1)
+	}
+	return f
+}
+
+func newFeeder(ds *scanner.Dataset, store *Store, reg *obsv.Registry) *Feeder {
 	f := &Feeder{
-		csv:         scanner.NewScanCSV(src),
 		ds:          ds,
 		store:       store,
 		seen:        make(map[simtime.Date]bool),
@@ -71,19 +85,41 @@ func NewFeeder(src io.Reader, ds *scanner.Dataset, store *Store, reg *obsv.Regis
 		f.seen[date] = true
 	}
 	if reg != nil {
-		reg.SetHelp(MetricFeedRows, "scans.csv rows read (complete lines).")
-		reg.SetHelp(MetricFeedBatches, "Scan batches appended from the CSV feed.")
-		reg.SetHelp(MetricFeedQuarantined, "CSV feed rows diverted before Append, by reason.")
+		reg.SetHelp(MetricFeedRows, "Feed records read: complete scans.csv lines, or a world's scan records.")
+		reg.SetHelp(MetricFeedBatches, "Scan batches appended from the feed.")
+		reg.SetHelp(MetricFeedQuarantined, "Feed records diverted before Append, by reason.")
 		f.rows = reg.Counter(MetricFeedRows)
 		f.batches = reg.Counter(MetricFeedBatches)
 		for _, reason := range feedReasons {
 			f.quarantined[reason] = reg.Counter(MetricFeedQuarantined, "reason", reason)
 		}
 	}
-	f.csv.OnQuarantine = func(reason, detail string) {
-		f.quarantine(reason, 1)
-	}
 	return f
+}
+
+// next reads the feed's next record. io.EOF means no further record is
+// available yet, which ends the pending batch: a scans.csv writer pausing,
+// or the end of one scan of a world.
+func (f *Feeder) next() (*scanner.Record, error) {
+	if f.csv != nil {
+		return f.csv.Next()
+	}
+	if f.batch != nil && len(f.batch) == 0 {
+		f.batch = nil // the scan just read is whole
+		return nil, io.EOF
+	}
+	for len(f.batch) == 0 && len(f.dates) > 0 {
+		if date := f.dates[0]; !f.seen[date] {
+			f.batch = f.scan(date)
+		}
+		f.dates = f.dates[1:]
+	}
+	if len(f.batch) == 0 {
+		return nil, io.EOF
+	}
+	rec := f.batch[0]
+	f.batch = f.batch[1:]
+	return rec, nil
 }
 
 // quarantine counts n rows under reason; without a registry the counters
@@ -103,7 +139,7 @@ func (f *Feeder) Tick() (simtime.Date, bool, error) {
 		if f.lookahead != nil {
 			rec, f.lookahead = f.lookahead, nil
 		} else {
-			r, err := f.csv.Next()
+			r, err := f.next()
 			if errors.Is(err, io.EOF) {
 				// End of currently-available input is a batch boundary.
 				if len(f.pending) > 0 {
@@ -184,8 +220,10 @@ func (f *Feeder) flush() (simtime.Date, bool, error) {
 	return date, true, nil
 }
 
-// Finish declares bounded input exhausted: a torn final line becomes a
-// truncated_tail quarantine entry instead of a parse error.
+// Finish declares bounded input exhausted: a torn final scans.csv line
+// becomes a truncated_tail quarantine entry instead of a parse error.
 func (f *Feeder) Finish() {
-	f.csv.FinishTail()
+	if f.csv != nil {
+		f.csv.FinishTail()
+	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"retrodns/internal/core"
-	"retrodns/internal/pdns"
 	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
 )
@@ -16,16 +15,18 @@ import (
 const followPoll = 100 * time.Millisecond
 
 // Follow is the durable follow loop, one daemon lifetime: recover a data
-// dir, append scans.csv scan by scan through the WAL, re-run the cached
-// pipeline and hand each generation to the caller's publish. retrodnsd
-// -scans-csv and the configuration table's restart rows run it. Its calls,
-// in order (bench/follow.go repeats them and must stay in step):
+// dir, append a feed scan by scan through the WAL, re-run the cached
+// pipeline and hand each generation to the caller's publish. It is the one
+// scan-by-scan ingest loop — retrodnsd, retrodns -follow and the
+// configuration table's restart rows run it — over scans.csv (Run) or a
+// simulated world's weekly scans (RunScans). Its calls, in order
+// (bench/follow.go repeats them and must stay in step):
 //
 //	OpenFollow  Open (no Dir: scanner.NewDatasetShards, no store)
 //	            Dataset.SetStrict, Dataset.SetMetrics, Dataset.AccountRestored (warm boot only)
-//	            core.Pipeline over Recovery.Dataset and Recovery.Cache
+//	            core.Sources.Pipeline over Recovery.Dataset and Recovery.Cache
 //	            Pipeline.Run (warm boot only: the recovered generation)
-//	Run         per scan: Feeder.Tick, Pipeline.Run, publish, Store.MaybeSnapshot
+//	Run         per scan: Feeder.Tick, Pipeline.Run, publish, Store.MaybeSnapshot (RunScans alike)
 //	            bounded input exhausted: Feeder.Finish, Store.Snapshot
 //	Close
 //
@@ -44,10 +45,11 @@ type Follow struct {
 }
 
 // OpenFollow recovers opts.Dir, or starts without a store on a fresh
-// dataset when it is "". opts.Metrics instruments store, dataset, feed and
-// pipeline alike. A CSV feed has no simulated world behind it, so the
-// pipeline's auxiliary sources are empty.
-func OpenFollow(opts Options, strict bool, params core.Params, workers int) (*Follow, error) {
+// dataset when it is "". opts.Metrics instruments store, dataset, feed,
+// pipeline and src alike. src is the pipeline's evidence: a world's, or
+// none (the zero Sources) for scans.csv. A data dir records scans only, so
+// a restart must pass the evidence its scans were analyzed with.
+func OpenFollow(opts Options, strict bool, params core.Params, workers int, src core.Sources) (*Follow, error) {
 	f := &Follow{}
 	cache := core.NewClassifyCache()
 	var err error
@@ -64,24 +66,35 @@ func OpenFollow(opts Options, strict bool, params core.Params, workers int) (*Fo
 	if f.Recovery != nil && f.Recovery.Warm {
 		f.Dataset.AccountRestored()
 	}
-	f.pipe = &core.Pipeline{
-		Params: params, Dataset: f.Dataset, PDNS: pdns.NewDB(),
-		Workers: workers, Cache: cache, Metrics: opts.Metrics,
-	}
+	f.pipe = src.Pipeline(f.Dataset, workers, cache, opts.Metrics)
+	f.pipe.Params = params
 	if f.Dataset.Frozen() {
 		f.Result = f.pipe.Run()
 	}
 	return f, nil
 }
 
-// Run feeds src through the loop until ctx is done or, unless follow is
-// set (then it polls for more), src holds no further complete scan. publish
-// gets each appended scan's date and analysis. pause is waited after every
-// scan, bounded input included.
+// Run feeds the scans.csv stream src through the loop until ctx is done
+// or, unless follow is set (then it polls for more), src holds no further
+// complete scan. publish gets each appended scan's date and analysis.
+// pause is waited after every scan, bounded input included.
 func (f *Follow) Run(ctx context.Context, src io.Reader, follow bool, pause time.Duration, publish func(simtime.Date, *core.Result)) error {
-	feeder := NewFeeder(src, f.Dataset, f.store, f.pipe.Metrics)
+	return f.run(ctx, NewFeeder(src, f.Dataset, f.store, f.pipe.Metrics), follow, pause, publish)
+}
+
+// RunScans feeds scan(date) for each of dates (a world's Scanner.ScanWeek
+// over its scan dates) through the loop and the gates of a bounded Run, one
+// scan a step. A date the dataset already holds is skipped unscanned, so a
+// warm restart scans only what the data dir lacks.
+func (f *Follow) RunScans(ctx context.Context, scan func(simtime.Date) []*scanner.Record, dates []simtime.Date, pause time.Duration, publish func(simtime.Date, *core.Result)) error {
+	feed := newFeeder(f.Dataset, f.store, f.pipe.Metrics)
+	feed.scan, feed.dates = scan, dates
+	return f.run(ctx, feed, false, pause, publish)
+}
+
+func (f *Follow) run(ctx context.Context, feed *Feeder, follow bool, pause time.Duration, publish func(simtime.Date, *core.Result)) error {
 	for ctx.Err() == nil {
-		date, appended, err := feeder.Tick()
+		date, appended, err := feed.Tick()
 		switch {
 		case err != nil:
 			return err
@@ -90,7 +103,7 @@ func (f *Follow) Run(ctx context.Context, src io.Reader, follow bool, pause time
 			continue
 		case !appended:
 			// Bounded input: a torn final line is quarantined, not held.
-			feeder.Finish()
+			feed.Finish()
 			if f.store == nil {
 				return nil
 			}

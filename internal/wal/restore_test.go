@@ -78,7 +78,7 @@ func followReport(t *testing.T, opts Options, feed []byte) (string, *Recovery, *
 	t.Helper()
 	reg := obsv.NewRegistry()
 	opts.Metrics = reg
-	fl, err := OpenFollow(opts, false, core.DefaultParams(), 2)
+	fl, err := OpenFollow(opts, false, core.DefaultParams(), 2, core.Sources{})
 	if err != nil {
 		t.Fatal(err)
 	}

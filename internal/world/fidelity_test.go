@@ -28,7 +28,7 @@ func fidelity(t *testing.T) (*World, *core.Result) {
 	fidelityOnce.Do(func() {
 		fidelityW = New(smallConfig())
 		fidelityDS = fidelityW.Run()
-		fidelityRes = fidelityW.Pipeline(fidelityDS, 0, nil, nil).Run()
+		fidelityRes = fidelityW.Sources().Pipeline(fidelityDS, 0, nil, nil).Run()
 	})
 	if len(fidelityW.Errors) != 0 {
 		t.Fatalf("world errors: %v", fidelityW.Errors)

@@ -87,6 +87,18 @@ func DefaultConfig() Config {
 	}
 }
 
+// StudyConfig is DefaultConfig at seed with stable stable domains and the
+// transition and noisy populations scaled to it: the world every CLI's
+// -seed and -stable name, so a daemon rebuilds the one the batch tools do.
+func StudyConfig(seed int64, stable int) Config {
+	cfg := DefaultConfig()
+	cfg.Seed = seed
+	cfg.StableDomains = stable
+	cfg.TransitionDomains = stable * 3 / 100
+	cfg.NoisyDomains = max(2, stable/250)
+	return cfg
+}
+
 // GroundTruth records what actually happened to a domain, for evaluating
 // the pipeline (the paper has no such luxury).
 type GroundTruth struct {
@@ -436,7 +448,10 @@ func (w *World) RunShards(shards int, metrics *obsv.Registry) *scanner.Dataset {
 	w.RunClock()
 	ds := scanner.NewDatasetShards(shards)
 	ds.SetMetrics(metrics)
-	w.Scanner().RunStudyEveryInto(ds, simtime.StudyStart, simtime.StudyEnd, w.scanCadence())
+	sc := w.Scanner()
+	for _, date := range w.ScanDates() {
+		ds.AddScan(date, sc.ScanWeek(date))
+	}
 	return ds
 }
 

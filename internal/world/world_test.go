@@ -47,19 +47,20 @@ func runPipelineDS(t *testing.T, w *World) (*core.Result, *scanner.Dataset) {
 		}
 		t.Fatal("world run produced errors")
 	}
-	return w.Pipeline(ds, 0, nil, nil).Run(), ds
+	return w.Sources().Pipeline(ds, 0, nil, nil).Run(), ds
 }
 
-// TestPipelineWiresEverySource pins the one world-backed pipeline
-// constructor every binary and example calls: all four auxiliary sources
-// the world simulates are attached — a pipeline missing DNSSEC still
+// TestPipelineWiresEverySource pins the world's evidence as every binary
+// and example wires it into a pipeline (Sources, then
+// core.Sources.Pipeline): all four auxiliary sources the world simulates
+// are attached — a pipeline missing DNSSEC still
 // runs, it just never sets the §7.1 downgrade annotation, so nothing
 // else would notice — and the caller's dataset, workers, cache and
 // registry arrive untouched.
 func TestPipelineWiresEverySource(t *testing.T) {
 	w := New(smallConfig())
 	ds, cache, reg := scanner.NewDataset(), core.NewClassifyCache(), obsv.NewRegistry()
-	p := w.Pipeline(ds, 3, cache, reg)
+	p := w.Sources().Pipeline(ds, 3, cache, reg)
 	if p.Meta == nil || p.PDNS == nil || p.CT == nil || p.DNSSEC == nil {
 		t.Fatalf("unwired source: Meta=%v PDNS=%v CT=%v DNSSEC=%v",
 			p.Meta != nil, p.PDNS != nil, p.CT != nil, p.DNSSEC != nil)
@@ -70,7 +71,7 @@ func TestPipelineWiresEverySource(t *testing.T) {
 	if p.Params != core.DefaultParams() {
 		t.Fatalf("Params = %+v, want the defaults", p.Params)
 	}
-	if p := w.Pipeline(ds, 0, nil, nil); p.Cache != nil || p.Metrics != nil {
+	if p := w.Sources().Pipeline(ds, 0, nil, nil); p.Cache != nil || p.Metrics != nil {
 		t.Fatal("nil cache/metrics must stay nil (uncached, uninstrumented)")
 	}
 }
@@ -97,7 +98,7 @@ func TestWorldEndToEnd(t *testing.T) {
 	}
 	// Two workers, so the run report's worker counts are the same on
 	// every machine.
-	res := w.Pipeline(ds, 2, nil, nil).Run()
+	res := w.Sources().Pipeline(ds, 2, nil, nil).Run()
 
 	// The world's bytes are pinned: every scan's batch encoding in date
 	// order, the findings JSON and the canonical run report. A change to

@@ -5,11 +5,8 @@ import (
 	"sort"
 
 	"retrodns/internal/core"
-	"retrodns/internal/ctlog"
 	"retrodns/internal/dnscore"
-	"retrodns/internal/dnssecmon"
 	"retrodns/internal/ipmeta"
-	"retrodns/internal/pdns"
 	"retrodns/internal/scanner"
 	"retrodns/internal/simtime"
 )
@@ -27,12 +24,9 @@ import (
 // scanner produced them, and the evidence sources §4.4 inspects and §4.5
 // pivots over. Any source may be nil.
 type studyInput struct {
-	dates  []simtime.Date
-	scans  [][]*scanner.Record // scans[i] was taken on dates[i]
-	meta   *ipmeta.Directory
-	pdns   *pdns.DB
-	ct     *ctlog.Log
-	dnssec *dnssecmon.Log
+	dates []simtime.Date
+	scans [][]*scanner.Record // scans[i] was taken on dates[i]
+	src   core.Sources
 }
 
 // prefix is the study cut after its first n scans (in date order).
@@ -228,8 +222,8 @@ func referenceRun(s *studyInput, params core.Params) *core.Result {
 
 	// Step 3 (§4.3): shortlist.
 	shortlister := &core.Shortlister{Params: params, History: res.History}
-	if s.meta != nil {
-		shortlister.Orgs = s.meta.Orgs
+	if s.src.Meta != nil {
+		shortlister.Orgs = s.src.Meta.Orgs
 	}
 	for _, c := range transients {
 		kept, pruned := shortlister.Shortlist(c)
@@ -246,7 +240,7 @@ func referenceRun(s *studyInput, params core.Params) *core.Result {
 	}
 
 	// Step 4 (§4.4): inspect every candidate against pDNS and CT.
-	inspector := &core.Inspector{Params: params, PDNS: s.pdns, CT: s.ct, DNSSEC: s.dnssec}
+	inspector := &core.Inspector{Params: params, PDNS: s.src.PDNS, CT: s.src.CT, DNSSEC: s.src.DNSSEC}
 	known := map[dnscore.Name]bool{}
 	var hijacked, targeted, pending []*core.Finding
 	for _, c := range res.Candidates {
@@ -271,7 +265,7 @@ func referenceRun(s *studyInput, params core.Params) *core.Result {
 	// Step 5 (§4.5): pivot on confirmed attacker infrastructure and promote
 	// the pending T1* findings it confirms, until nothing new turns up.
 	// Unconfirmed T1* findings stay out of the tables.
-	pivoter := &core.Pivoter{Params: params, PDNS: s.pdns, CT: s.ct, Meta: s.meta}
+	pivoter := &core.Pivoter{Params: params, PDNS: s.src.PDNS, CT: s.src.CT, Meta: s.src.Meta}
 	for iter, before := 0, -1; iter < 4 && len(hijacked) != before; iter++ {
 		before = len(hijacked)
 		found := pivoter.Pivot(core.CollectInfrastructure(hijacked), known)
